@@ -76,3 +76,24 @@ func TestGoldenTypeError(t *testing.T) {
 	}
 	checkGolden(t, "type_error", out)
 }
+
+// TestGoldenHistogramTWIR pins the O2 TWIR of the benchmark's histogram
+// program: ConstantArray is one list_fill, and the loop body's Part
+// assignment hands its tensor's reference on, so nothing in the loop touches
+// a reference count.
+func TestGoldenHistogramTWIR(t *testing.T) {
+	out, err := run(t, "wolfc", "",
+		"-file", filepath.Join("..", "benchmark", "programs", "histogram.wl"), "-O", "2", "-stage", "twir")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	checkGolden(t, "histogram_twir", out)
+	_, loop, ok := strings.Cut(out, "while_head")
+	if !ok {
+		t.Fatalf("no loop in:\n%s", out)
+	}
+	loop, _, _ = strings.Cut(loop, "while_exit(")
+	if strings.Contains(loop, "memory_") || strings.Contains(out, "setpart_unsafe") {
+		t.Errorf("histogram loop still does per-iteration bookkeeping:\n%s", out)
+	}
+}

@@ -324,6 +324,8 @@ type gen struct {
 	// profile enables per-block execution counters (CompileOptions.
 	// ProfileLevel > 0) and disables dispatch-skipping fusion shortcuts.
 	profile bool
+	// uses counts the operand references to each value.
+	uses map[wir.Value]int
 }
 
 // alloc assigns a register in v's class.
@@ -469,6 +471,22 @@ func (g *gen) generate() error {
 	blockIdx := map[*wir.Block]int{}
 	for i, b := range g.fn.Blocks {
 		blockIdx[b] = i
+	}
+	g.uses = map[wir.Value]int{}
+	for _, b := range g.fn.Blocks {
+		for _, phi := range b.Phis {
+			for _, a := range phi.Args {
+				g.uses[a]++
+			}
+		}
+		for _, in := range b.Instrs {
+			for _, a := range in.Args {
+				g.uses[a]++
+			}
+		}
+	}
+	if err := g.coalesceObjects(); err != nil {
+		return err
 	}
 	if err := g.markFused(); err != nil {
 		return err
@@ -1197,26 +1215,13 @@ func (g *gen) genRegistryCall(in *wir.Instr) (step, error) {
 
 func (g *gen) markFusedCompares() {
 	g.fused = map[*wir.Instr]bool{}
-	uses := map[wir.Value]int{}
-	for _, b := range g.fn.Blocks {
-		for _, phi := range b.Phis {
-			for _, a := range phi.Args {
-				uses[a]++
-			}
-		}
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				uses[a]++
-			}
-		}
-	}
 	for _, b := range g.fn.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != wir.OpCondBranch {
 			continue
 		}
 		cmp, ok := t.Args[0].(*wir.Instr)
-		if !ok || cmp.Block != b || cmp.Op != wir.OpCall || uses[cmp] != 1 {
+		if !ok || cmp.Block != b || cmp.Op != wir.OpCall || g.uses[cmp] != 1 {
 			continue
 		}
 		if _, fusible := fusedCmpKind(cmp); fusible {

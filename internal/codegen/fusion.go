@@ -134,19 +134,7 @@ func (g *gen) markFused() error {
 
 // markFusedFull marks every instruction foldable into its single consumer.
 func (g *gen) markFusedFull() error {
-	uses := map[wir.Value]int{}
-	for _, b := range g.fn.Blocks {
-		for _, phi := range b.Phis {
-			for _, a := range phi.Args {
-				uses[a]++
-			}
-		}
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				uses[a]++
-			}
-		}
-	}
+	uses := g.uses
 	// Phase 1: chains ending at a later instruction of the same block
 	// (including the conditional branch and the return). Reverse order so a
 	// consumer already marked fused extends the chain transitively.
@@ -298,13 +286,13 @@ var nonBarrierNatives = map[string]bool{
 	"tensor_length": true, "part_1": true, "part_2": true,
 	"part_unsafe_1": true, "part_unsafe_2": true, "part_row": true,
 	"copy_tensor": true, "list_take": true, "list_new": true,
-	"matrix_new": true,
+	"matrix_new": true, "list_fill": true, "matrix_fill": true,
 	"dot_vv": true, "dot_mv": true, "dot_mm": true,
 	"tensor_plus": true, "tensor_times": true, "tensor_subtract": true,
 	"tensor_scalar_plus": true, "tensor_scalar_times": true,
 	"tensor_scalar_subtract": true, "scalar_tensor_plus": true,
 	"scalar_tensor_times": true, "scalar_tensor_subtract": true,
-	"tensor_minus": true,
+	"tensor_minus":    true,
 	"tensor_math_sin": true, "tensor_math_cos": true, "tensor_math_tan": true,
 	"tensor_math_exp": true, "tensor_math_log": true, "tensor_math_sqrt": true,
 	"tensor_math_abs": true, "gaussian_blur": true, "histogram_bins": true,
@@ -1100,19 +1088,7 @@ func (g *gen) buildEvalB(in *wir.Instr) (evalB, error) {
 		}
 		return func(fr *frame) bool { return x.get(fr)%2 != 0 }, nil
 	case "part_1", "part_unsafe_1":
-		r, err := g.regOf(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		i1, err := g.opIFor(in.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		a := r.idx
-		if strings.Contains(native, "unsafe") {
-			return func(fr *frame) bool { return tensorArg(fr, a).GetBU(i1.get(fr)) }, nil
-		}
-		return func(fr *frame) bool { return tensorArg(fr, a).GetB(i1.get(fr)) }, nil
+		return g.partEvalB(in, native)
 	}
 	return nil, fmt.Errorf("codegen %s: no fused boolean evaluator for native %q", g.fn.Name, native)
 }
@@ -1247,7 +1223,9 @@ func cmpFEval(op string, x, y opF) evalB {
 }
 
 // partEval* compile fused tensor element reads (the load half of the
-// load-op-store forms).
+// load-op-store forms). Like partStep they inline the positive in-range
+// case; an index held in a register or given as a literal is read without
+// going through opI.get's mode switch.
 
 func (g *gen) partEvalI(in *wir.Instr, native string) (evalI, error) {
 	a, i1, i2, rank2, unsafe, err := g.partOperands(in, native)
@@ -1258,12 +1236,54 @@ func (g *gen) partEvalI(in *wir.Instr, native string) (evalI, error) {
 		if unsafe {
 			return func(fr *frame) int64 { return tensorArg(fr, a).GetI2U(i1.get(fr), i2.get(fr)) }, nil
 		}
-		return func(fr *frame) int64 { return tensorArg(fr, a).GetI2(i1.get(fr), i2.get(fr)) }, nil
+		if r1, r2 := i1.idx, i2.idx; i1.mode == opRegMode && i2.mode == opRegMode {
+			return func(fr *frame) int64 {
+				t := tensorArg(fr, a)
+				if k, ok := t.Off2(fr.i[r1], fr.i[r2]); ok {
+					return t.I[k]
+				}
+				return t.GetI2(fr.i[r1], fr.i[r2])
+			}, nil
+		}
+		return func(fr *frame) int64 {
+			t, i, j := tensorArg(fr, a), i1.get(fr), i2.get(fr)
+			if k, ok := t.Off2(i, j); ok {
+				return t.I[k]
+			}
+			return t.GetI2(i, j)
+		}, nil
 	}
 	if unsafe {
 		return func(fr *frame) int64 { return tensorArg(fr, a).GetIU(i1.get(fr)) }, nil
 	}
-	return func(fr *frame) int64 { return tensorArg(fr, a).GetI(i1.get(fr)) }, nil
+	switch i1.mode {
+	case opRegMode:
+		r := i1.idx
+		return func(fr *frame) int64 {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[r], len(t.I)); ok {
+				return t.I[k]
+			}
+			return t.GetI(fr.i[r])
+		}, nil
+	case opLitMode:
+		i := i1.lit
+		return func(fr *frame) int64 {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(i, len(t.I)); ok {
+				return t.I[k]
+			}
+			return t.GetI(i)
+		}, nil
+	}
+	ev := i1.ev
+	return func(fr *frame) int64 {
+		t, i := tensorArg(fr, a), ev(fr)
+		if k, ok := runtime.Off1(i, len(t.I)); ok {
+			return t.I[k]
+		}
+		return t.GetI(i)
+	}, nil
 }
 
 func (g *gen) partEvalF(in *wir.Instr, native string) (evalF, error) {
@@ -1275,12 +1295,54 @@ func (g *gen) partEvalF(in *wir.Instr, native string) (evalF, error) {
 		if unsafe {
 			return func(fr *frame) float64 { return tensorArg(fr, a).GetF2U(i1.get(fr), i2.get(fr)) }, nil
 		}
-		return func(fr *frame) float64 { return tensorArg(fr, a).GetF2(i1.get(fr), i2.get(fr)) }, nil
+		if r1, r2 := i1.idx, i2.idx; i1.mode == opRegMode && i2.mode == opRegMode {
+			return func(fr *frame) float64 {
+				t := tensorArg(fr, a)
+				if k, ok := t.Off2(fr.i[r1], fr.i[r2]); ok {
+					return t.F[k]
+				}
+				return t.GetF2(fr.i[r1], fr.i[r2])
+			}, nil
+		}
+		return func(fr *frame) float64 {
+			t, i, j := tensorArg(fr, a), i1.get(fr), i2.get(fr)
+			if k, ok := t.Off2(i, j); ok {
+				return t.F[k]
+			}
+			return t.GetF2(i, j)
+		}, nil
 	}
 	if unsafe {
 		return func(fr *frame) float64 { return tensorArg(fr, a).GetFU(i1.get(fr)) }, nil
 	}
-	return func(fr *frame) float64 { return tensorArg(fr, a).GetF(i1.get(fr)) }, nil
+	switch i1.mode {
+	case opRegMode:
+		r := i1.idx
+		return func(fr *frame) float64 {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[r], len(t.F)); ok {
+				return t.F[k]
+			}
+			return t.GetF(fr.i[r])
+		}, nil
+	case opLitMode:
+		i := i1.lit
+		return func(fr *frame) float64 {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(i, len(t.F)); ok {
+				return t.F[k]
+			}
+			return t.GetF(i)
+		}, nil
+	}
+	ev := i1.ev
+	return func(fr *frame) float64 {
+		t, i := tensorArg(fr, a), ev(fr)
+		if k, ok := runtime.Off1(i, len(t.F)); ok {
+			return t.F[k]
+		}
+		return t.GetF(i)
+	}, nil
 }
 
 func (g *gen) partEvalC(in *wir.Instr, native string) (evalC, error) {
@@ -1292,12 +1354,92 @@ func (g *gen) partEvalC(in *wir.Instr, native string) (evalC, error) {
 		if unsafe {
 			return func(fr *frame) complex128 { return tensorArg(fr, a).GetC2U(i1.get(fr), i2.get(fr)) }, nil
 		}
-		return func(fr *frame) complex128 { return tensorArg(fr, a).GetC2(i1.get(fr), i2.get(fr)) }, nil
+		if r1, r2 := i1.idx, i2.idx; i1.mode == opRegMode && i2.mode == opRegMode {
+			return func(fr *frame) complex128 {
+				t := tensorArg(fr, a)
+				if k, ok := t.Off2(fr.i[r1], fr.i[r2]); ok {
+					return t.C[k]
+				}
+				return t.GetC2(fr.i[r1], fr.i[r2])
+			}, nil
+		}
+		return func(fr *frame) complex128 {
+			t, i, j := tensorArg(fr, a), i1.get(fr), i2.get(fr)
+			if k, ok := t.Off2(i, j); ok {
+				return t.C[k]
+			}
+			return t.GetC2(i, j)
+		}, nil
 	}
 	if unsafe {
 		return func(fr *frame) complex128 { return tensorArg(fr, a).GetCU(i1.get(fr)) }, nil
 	}
-	return func(fr *frame) complex128 { return tensorArg(fr, a).GetC(i1.get(fr)) }, nil
+	switch i1.mode {
+	case opRegMode:
+		r := i1.idx
+		return func(fr *frame) complex128 {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[r], len(t.C)); ok {
+				return t.C[k]
+			}
+			return t.GetC(fr.i[r])
+		}, nil
+	case opLitMode:
+		i := i1.lit
+		return func(fr *frame) complex128 {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(i, len(t.C)); ok {
+				return t.C[k]
+			}
+			return t.GetC(i)
+		}, nil
+	}
+	ev := i1.ev
+	return func(fr *frame) complex128 {
+		t, i := tensorArg(fr, a), ev(fr)
+		if k, ok := runtime.Off1(i, len(t.C)); ok {
+			return t.C[k]
+		}
+		return t.GetC(i)
+	}, nil
+}
+
+func (g *gen) partEvalB(in *wir.Instr, native string) (evalB, error) {
+	a, i1, _, _, unsafe, err := g.partOperands(in, native)
+	if err != nil {
+		return nil, err
+	}
+	if unsafe {
+		return func(fr *frame) bool { return tensorArg(fr, a).GetBU(i1.get(fr)) }, nil
+	}
+	switch i1.mode {
+	case opRegMode:
+		r := i1.idx
+		return func(fr *frame) bool {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[r], len(t.B)); ok {
+				return t.B[k]
+			}
+			return t.GetB(fr.i[r])
+		}, nil
+	case opLitMode:
+		i := i1.lit
+		return func(fr *frame) bool {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(i, len(t.B)); ok {
+				return t.B[k]
+			}
+			return t.GetB(i)
+		}, nil
+	}
+	ev := i1.ev
+	return func(fr *frame) bool {
+		t, i := tensorArg(fr, a), ev(fr)
+		if k, ok := runtime.Off1(i, len(t.B)); ok {
+			return t.B[k]
+		}
+		return t.GetB(i)
+	}, nil
 }
 
 func (g *gen) partOperands(in *wir.Instr, native string) (a int, i1, i2 opI, rank2, unsafe bool, err error) {
@@ -1502,7 +1644,9 @@ func (g *gen) assignArithF(d int, native string, root *wir.Instr) (step, error) 
 }
 
 // genFusedSetPart compiles a Part store whose index or value operands are
-// fused trees: a single load-op-store closure.
+// fused trees: a single load-op-store closure against the result register
+// (see setPartStep). The value is evaluated before the tensor is touched,
+// as the unfused sequence would; register indices skip opI.get.
 func (g *gen) genFusedSetPart(in *wir.Instr, unsafe, rank2 bool) (step, error) {
 	tr, err := g.regOf(in.Args[0])
 	if err != nil {
@@ -1512,93 +1656,212 @@ func (g *gen) genFusedSetPart(in *wir.Instr, unsafe, rank2 bool) (step, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, d := tr.idx, dstR.idx
+	d := dstR.idx
 	i1, err := g.opIFor(in.Args[1])
 	if err != nil {
 		return nil, err
 	}
+	var st step
 	if rank2 {
 		i2, err := g.opIFor(in.Args[2])
 		if err != nil {
 			return nil, err
 		}
+		regIdx := i1.mode == opRegMode && i2.mode == opRegMode
+		r1, r2 := i1.idx, i2.idx
 		switch runtime.KindOf(in.Args[3].Type()) {
 		case runtime.KI64:
 			v, err := g.opIFor(in.Args[3])
 			if err != nil {
 				return nil, err
 			}
-			if unsafe {
-				return func(fr *frame) {
-					fr.o[d] = tensorArg(fr, a).SetI2U(i1.get(fr), i2.get(fr), v.get(fr))
-				}, nil
+			switch {
+			case unsafe:
+				st = func(fr *frame) {
+					x, t := v.get(fr), tensorArg(fr, d)
+					if u := t.SetI2U(i1.get(fr), i2.get(fr), x); u != t {
+						fr.o[d] = u
+					}
+				}
+			case regIdx:
+				st = func(fr *frame) {
+					x, t := v.get(fr), tensorArg(fr, d)
+					if k, ok := t.Off2(fr.i[r1], fr.i[r2]); ok && !t.IsShared() {
+						t.I[k] = x
+						return
+					}
+					fr.o[d] = t.SetI2(fr.i[r1], fr.i[r2], x)
+				}
+			default:
+				st = func(fr *frame) {
+					x, t, i, j := v.get(fr), tensorArg(fr, d), i1.get(fr), i2.get(fr)
+					if k, ok := t.Off2(i, j); ok && !t.IsShared() {
+						t.I[k] = x
+						return
+					}
+					fr.o[d] = t.SetI2(i, j, x)
+				}
 			}
-			return func(fr *frame) {
-				fr.o[d] = tensorArg(fr, a).SetI2(i1.get(fr), i2.get(fr), v.get(fr))
-			}, nil
 		case runtime.KR64:
 			v, err := g.opFFor(in.Args[3])
 			if err != nil {
 				return nil, err
 			}
-			if unsafe {
-				return func(fr *frame) {
-					fr.o[d] = tensorArg(fr, a).SetF2U(i1.get(fr), i2.get(fr), v.get(fr))
-				}, nil
+			switch {
+			case unsafe:
+				st = func(fr *frame) {
+					x, t := v.get(fr), tensorArg(fr, d)
+					if u := t.SetF2U(i1.get(fr), i2.get(fr), x); u != t {
+						fr.o[d] = u
+					}
+				}
+			case regIdx:
+				st = func(fr *frame) {
+					x, t := v.get(fr), tensorArg(fr, d)
+					if k, ok := t.Off2(fr.i[r1], fr.i[r2]); ok && !t.IsShared() {
+						t.F[k] = x
+						return
+					}
+					fr.o[d] = t.SetF2(fr.i[r1], fr.i[r2], x)
+				}
+			default:
+				st = func(fr *frame) {
+					x, t, i, j := v.get(fr), tensorArg(fr, d), i1.get(fr), i2.get(fr)
+					if k, ok := t.Off2(i, j); ok && !t.IsShared() {
+						t.F[k] = x
+						return
+					}
+					fr.o[d] = t.SetF2(i, j, x)
+				}
 			}
-			return func(fr *frame) {
-				fr.o[d] = tensorArg(fr, a).SetF2(i1.get(fr), i2.get(fr), v.get(fr))
-			}, nil
 		case runtime.KC64:
 			v, err := g.opCFor(in.Args[3])
 			if err != nil {
 				return nil, err
 			}
 			if unsafe {
-				return func(fr *frame) {
-					fr.o[d] = tensorArg(fr, a).SetC2U(i1.get(fr), i2.get(fr), v.get(fr))
-				}, nil
+				st = func(fr *frame) {
+					x, t := v.get(fr), tensorArg(fr, d)
+					if u := t.SetC2U(i1.get(fr), i2.get(fr), x); u != t {
+						fr.o[d] = u
+					}
+				}
+				break
 			}
-			return func(fr *frame) {
-				fr.o[d] = tensorArg(fr, a).SetC2(i1.get(fr), i2.get(fr), v.get(fr))
-			}, nil
+			st = func(fr *frame) {
+				x, t, i, j := v.get(fr), tensorArg(fr, d), i1.get(fr), i2.get(fr)
+				if k, ok := t.Off2(i, j); ok && !t.IsShared() {
+					t.C[k] = x
+					return
+				}
+				fr.o[d] = t.SetC2(i, j, x)
+			}
+		default:
+			return nil, fmt.Errorf("codegen %s: fused rank-2 setpart of kind %v", g.fn.Name, runtime.KindOf(in.Args[3].Type()))
 		}
-		return nil, fmt.Errorf("codegen %s: fused rank-2 setpart of kind %v", g.fn.Name, runtime.KindOf(in.Args[3].Type()))
+		return g.storeInPlace(dstR, tr, st), nil
 	}
+	regIdx, r1 := i1.mode == opRegMode, i1.idx
 	switch runtime.KindOf(in.Args[2].Type()) {
 	case runtime.KI64:
 		v, err := g.opIFor(in.Args[2])
 		if err != nil {
 			return nil, err
 		}
-		if unsafe {
-			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetIU(i1.get(fr), v.get(fr)) }, nil
+		switch {
+		case unsafe:
+			st = func(fr *frame) {
+				x, t := v.get(fr), tensorArg(fr, d)
+				if u := t.SetIU(i1.get(fr), x); u != t {
+					fr.o[d] = u
+				}
+			}
+		case regIdx:
+			st = func(fr *frame) {
+				x, t := v.get(fr), tensorArg(fr, d)
+				if k, ok := runtime.Off1(fr.i[r1], len(t.I)); ok && !t.IsShared() {
+					t.I[k] = x
+					return
+				}
+				fr.o[d] = t.SetI(fr.i[r1], x)
+			}
+		default:
+			st = func(fr *frame) {
+				x, t, i := v.get(fr), tensorArg(fr, d), i1.get(fr)
+				if k, ok := runtime.Off1(i, len(t.I)); ok && !t.IsShared() {
+					t.I[k] = x
+					return
+				}
+				fr.o[d] = t.SetI(i, x)
+			}
 		}
-		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetI(i1.get(fr), v.get(fr)) }, nil
 	case runtime.KR64:
 		v, err := g.opFFor(in.Args[2])
 		if err != nil {
 			return nil, err
 		}
-		if unsafe {
-			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetFU(i1.get(fr), v.get(fr)) }, nil
+		switch {
+		case unsafe:
+			st = func(fr *frame) {
+				x, t := v.get(fr), tensorArg(fr, d)
+				if u := t.SetFU(i1.get(fr), x); u != t {
+					fr.o[d] = u
+				}
+			}
+		case regIdx:
+			st = func(fr *frame) {
+				x, t := v.get(fr), tensorArg(fr, d)
+				if k, ok := runtime.Off1(fr.i[r1], len(t.F)); ok && !t.IsShared() {
+					t.F[k] = x
+					return
+				}
+				fr.o[d] = t.SetF(fr.i[r1], x)
+			}
+		default:
+			st = func(fr *frame) {
+				x, t, i := v.get(fr), tensorArg(fr, d), i1.get(fr)
+				if k, ok := runtime.Off1(i, len(t.F)); ok && !t.IsShared() {
+					t.F[k] = x
+					return
+				}
+				fr.o[d] = t.SetF(i, x)
+			}
 		}
-		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetF(i1.get(fr), v.get(fr)) }, nil
 	case runtime.KC64:
 		v, err := g.opCFor(in.Args[2])
 		if err != nil {
 			return nil, err
 		}
 		if unsafe {
-			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetCU(i1.get(fr), v.get(fr)) }, nil
+			st = func(fr *frame) {
+				x, t := v.get(fr), tensorArg(fr, d)
+				if u := t.SetCU(i1.get(fr), x); u != t {
+					fr.o[d] = u
+				}
+			}
+			break
 		}
-		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetC(i1.get(fr), v.get(fr)) }, nil
+		st = func(fr *frame) {
+			x, t, i := v.get(fr), tensorArg(fr, d), i1.get(fr)
+			if k, ok := runtime.Off1(i, len(t.C)); ok && !t.IsShared() {
+				t.C[k] = x
+				return
+			}
+			fr.o[d] = t.SetC(i, x)
+		}
 	case runtime.KBool:
 		v, err := g.opBFor(in.Args[2])
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetB(i1.get(fr), v.get(fr)) }, nil
+		st = func(fr *frame) {
+			x, t, i := v.get(fr), tensorArg(fr, d), i1.get(fr)
+			if k, ok := runtime.Off1(i, len(t.B)); ok && !t.IsShared() {
+				t.B[k] = x
+				return
+			}
+			fr.o[d] = t.SetB(i, x)
+		}
 	case runtime.KObj:
 		v, err := g.regOf(in.Args[2])
 		if err != nil {
@@ -1606,11 +1869,26 @@ func (g *gen) genFusedSetPart(in *wir.Instr, unsafe, rank2 bool) (step, error) {
 		}
 		vi := v.idx
 		if unsafe {
-			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetOU(i1.get(fr), fr.o[vi]) }, nil
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if u := t.SetOU(i1.get(fr), fr.o[vi]); u != t {
+					fr.o[d] = u
+				}
+			}
+			break
 		}
-		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetO(i1.get(fr), fr.o[vi]) }, nil
+		st = func(fr *frame) {
+			t, i := tensorArg(fr, d), i1.get(fr)
+			if k, ok := runtime.Off1(i, len(t.O)); ok && !t.IsShared() {
+				t.O[k] = fr.o[vi]
+				return
+			}
+			fr.o[d] = t.SetO(i, fr.o[vi])
+		}
+	default:
+		return nil, fmt.Errorf("codegen %s: fused setpart of kind %v", g.fn.Name, runtime.KindOf(in.Args[2].Type()))
 	}
-	return nil, fmt.Errorf("codegen %s: fused setpart of kind %v", g.fn.Name, runtime.KindOf(in.Args[2].Type()))
+	return g.storeInPlace(dstR, tr, st), nil
 }
 
 // genFusedCondBranchTree is the general form of genFusedCondBranch: the

@@ -38,6 +38,11 @@ func (g *gen) genNative(in *wir.Instr) (step, error) {
 		return nil, fmt.Errorf("codegen %s: unresolved call %s (function resolution incomplete)", g.fn.Name, in.Callee)
 	}
 
+	if (native == "memory_acquire" || native == "memory_release") && !isTensorType(in.Args[0].Type()) {
+		// Strings, expressions and function values are the host
+		// collector's alone; only tensors carry a count.
+		return nil, nil
+	}
 	regs := make([]reg, len(in.Args))
 	for i, a := range in.Args {
 		r, err := g.regOf(a)
@@ -70,6 +75,22 @@ func tensorArg(fr *frame, idx int) *runtime.Tensor {
 		runtime.Throw(runtime.ExcType, "expected a tensor value")
 	}
 	return t
+}
+
+// newList and newMatrix allocate zeroed storage for list_new/list_fill and
+// matrix_new/matrix_fill.
+func newList(elem runtime.Kind, n int64) *runtime.Tensor {
+	if n < 0 {
+		runtime.Throw(runtime.ExcPartRange, "negative list length %d", n)
+	}
+	return runtime.NewTensor(elem, int(n))
+}
+
+func newMatrix(elem runtime.Kind, r, c int64) *runtime.Tensor {
+	if r < 0 || c < 0 {
+		runtime.Throw(runtime.ExcPartRange, "negative matrix dimension %dx%d", r, c)
+	}
+	return runtime.NewTensor(elem, int(r), int(c))
 }
 
 // selectNative is the instruction selector: one small Go closure per typed
@@ -407,43 +428,53 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 	case "list_new":
 		elem := tensorElemKind(in.Ty)
 		a := a0()
-		return func(fr *frame) {
-			n := fr.i[a]
-			if n < 0 {
-				runtime.Throw(runtime.ExcPartRange, "negative list length %d", n)
-			}
-			fr.o[d] = runtime.NewTensor(elem, int(n))
-		}
+		return func(fr *frame) { fr.o[d] = newList(elem, fr.i[a]) }
 	case "matrix_new":
 		elem := tensorElemKind(in.Ty)
 		a, b := a0(), a1()
-		return func(fr *frame) {
-			r, c := fr.i[a], fr.i[b]
-			if r < 0 || c < 0 {
-				runtime.Throw(runtime.ExcPartRange, "negative matrix dimension %dx%d", r, c)
-			}
-			fr.o[d] = runtime.NewTensor(elem, int(r), int(c))
+		return func(fr *frame) { fr.o[d] = newMatrix(elem, fr.i[a], fr.i[b]) }
+	case "list_fill":
+		a, v := a0(), a1()
+		switch elem := tensorElemKind(in.Ty); elem {
+		case runtime.KI64:
+			return func(fr *frame) { fr.o[d] = newList(elem, fr.i[a]).FillI(fr.i[v]) }
+		case runtime.KR64:
+			return func(fr *frame) { fr.o[d] = newList(elem, fr.i[a]).FillF(fr.f[v]) }
+		case runtime.KC64:
+			return func(fr *frame) { fr.o[d] = newList(elem, fr.i[a]).FillC(fr.c[v]) }
+		case runtime.KBool:
+			return func(fr *frame) { fr.o[d] = newList(elem, fr.i[a]).FillB(fr.b[v]) }
+		default:
+			return func(fr *frame) { fr.o[d] = newList(elem, fr.i[a]).FillO(fr.o[v]) }
+		}
+	case "matrix_fill":
+		a, b, v := a0(), a1(), a2()
+		switch elem := tensorElemKind(in.Ty); elem {
+		case runtime.KI64:
+			return func(fr *frame) { fr.o[d] = newMatrix(elem, fr.i[a], fr.i[b]).FillI(fr.i[v]) }
+		case runtime.KR64:
+			return func(fr *frame) { fr.o[d] = newMatrix(elem, fr.i[a], fr.i[b]).FillF(fr.f[v]) }
+		case runtime.KC64:
+			return func(fr *frame) { fr.o[d] = newMatrix(elem, fr.i[a], fr.i[b]).FillC(fr.c[v]) }
+		case runtime.KBool:
+			return func(fr *frame) { fr.o[d] = newMatrix(elem, fr.i[a], fr.i[b]).FillB(fr.b[v]) }
+		default:
+			return func(fr *frame) { fr.o[d] = newMatrix(elem, fr.i[a], fr.i[b]).FillO(fr.o[v]) }
 		}
 	case "copy_tensor":
 		a := a0()
 		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).Copy() }
 	case "memory_acquire":
-		if argKind(regs, 0) != runtime.KObj {
-			return func(fr *frame) {}
-		}
 		a := a0()
 		return func(fr *frame) {
-			if t, ok := fr.o[a].(*runtime.Tensor); ok {
+			if t, ok := fr.o[a].(*runtime.Tensor); ok && t != nil {
 				t.Acquire()
 			}
 		}
 	case "memory_release":
-		if argKind(regs, 0) != runtime.KObj {
-			return func(fr *frame) {}
-		}
 		a := a0()
 		return func(fr *frame) {
-			if t, ok := fr.o[a].(*runtime.Tensor); ok {
+			if t, ok := fr.o[a].(*runtime.Tensor); ok && t != nil {
 				t.Release()
 			}
 		}
@@ -709,16 +740,23 @@ func mathFunc(name string) func(float64) float64 {
 	return func(float64) float64 { return math.NaN() }
 }
 
+func isTensorType(t types.Type) bool {
+	c, ok := t.(*types.Compound)
+	return ok && c.Ctor == "Tensor"
+}
+
 // tensorElemKind extracts the runtime element kind of a Tensor type.
 func tensorElemKind(t types.Type) runtime.Kind {
-	c, ok := t.(*types.Compound)
-	if !ok || c.Ctor != "Tensor" {
+	if !isTensorType(t) {
 		return runtime.KObj
 	}
-	return runtime.KindOf(c.Args[0])
+	return runtime.KindOf(t.(*types.Compound).Args[0])
 }
 
 // partStep compiles element reads; the result class selects the accessor.
+// The checked forms inline the positive in-range case (runtime.Off1/Off2)
+// and index the element slice directly; zero, negative and out-of-range
+// indices take the checked accessor, which resolves or throws.
 func (g *gen) partStep(in *wir.Instr, regs []reg, dst reg, unsafe, rank2 bool) step {
 	d := dst.idx
 	a := regs[0].idx
@@ -730,17 +768,38 @@ func (g *gen) partStep(in *wir.Instr, regs []reg, dst reg, unsafe, rank2 bool) s
 			if unsafe {
 				return func(fr *frame) { fr.i[d] = tensorArg(fr, a).GetI2U(fr.i[i1], fr.i[i2]) }
 			}
-			return func(fr *frame) { fr.i[d] = tensorArg(fr, a).GetI2(fr.i[i1], fr.i[i2]) }
+			return func(fr *frame) {
+				t := tensorArg(fr, a)
+				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok {
+					fr.i[d] = t.I[k]
+					return
+				}
+				fr.i[d] = t.GetI2(fr.i[i1], fr.i[i2])
+			}
 		case runtime.KR64:
 			if unsafe {
 				return func(fr *frame) { fr.f[d] = tensorArg(fr, a).GetF2U(fr.i[i1], fr.i[i2]) }
 			}
-			return func(fr *frame) { fr.f[d] = tensorArg(fr, a).GetF2(fr.i[i1], fr.i[i2]) }
+			return func(fr *frame) {
+				t := tensorArg(fr, a)
+				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok {
+					fr.f[d] = t.F[k]
+					return
+				}
+				fr.f[d] = t.GetF2(fr.i[i1], fr.i[i2])
+			}
 		case runtime.KC64:
 			if unsafe {
 				return func(fr *frame) { fr.c[d] = tensorArg(fr, a).GetC2U(fr.i[i1], fr.i[i2]) }
 			}
-			return func(fr *frame) { fr.c[d] = tensorArg(fr, a).GetC2(fr.i[i1], fr.i[i2]) }
+			return func(fr *frame) {
+				t := tensorArg(fr, a)
+				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok {
+					fr.c[d] = t.C[k]
+					return
+				}
+				fr.c[d] = t.GetC2(fr.i[i1], fr.i[i2])
+			}
 		}
 		return nil
 	}
@@ -749,85 +808,240 @@ func (g *gen) partStep(in *wir.Instr, regs []reg, dst reg, unsafe, rank2 bool) s
 		if unsafe {
 			return func(fr *frame) { fr.i[d] = tensorArg(fr, a).GetIU(fr.i[i1]) }
 		}
-		return func(fr *frame) { fr.i[d] = tensorArg(fr, a).GetI(fr.i[i1]) }
+		return func(fr *frame) {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.I)); ok {
+				fr.i[d] = t.I[k]
+				return
+			}
+			fr.i[d] = t.GetI(fr.i[i1])
+		}
 	case runtime.KR64:
 		if unsafe {
 			return func(fr *frame) { fr.f[d] = tensorArg(fr, a).GetFU(fr.i[i1]) }
 		}
-		return func(fr *frame) { fr.f[d] = tensorArg(fr, a).GetF(fr.i[i1]) }
+		return func(fr *frame) {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.F)); ok {
+				fr.f[d] = t.F[k]
+				return
+			}
+			fr.f[d] = t.GetF(fr.i[i1])
+		}
 	case runtime.KC64:
 		if unsafe {
 			return func(fr *frame) { fr.c[d] = tensorArg(fr, a).GetCU(fr.i[i1]) }
 		}
-		return func(fr *frame) { fr.c[d] = tensorArg(fr, a).GetC(fr.i[i1]) }
+		return func(fr *frame) {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.C)); ok {
+				fr.c[d] = t.C[k]
+				return
+			}
+			fr.c[d] = t.GetC(fr.i[i1])
+		}
 	case runtime.KBool:
 		if unsafe {
 			return func(fr *frame) { fr.b[d] = tensorArg(fr, a).GetBU(fr.i[i1]) }
 		}
-		return func(fr *frame) { fr.b[d] = tensorArg(fr, a).GetB(fr.i[i1]) }
+		return func(fr *frame) {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.B)); ok {
+				fr.b[d] = t.B[k]
+				return
+			}
+			fr.b[d] = t.GetB(fr.i[i1])
+		}
 	case runtime.KObj:
 		if unsafe {
 			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).GetOU(fr.i[i1]) }
 		}
-		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).GetO(fr.i[i1]) }
+		return func(fr *frame) {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.O)); ok {
+				fr.o[d] = t.O[k]
+				return
+			}
+			fr.o[d] = t.GetO(fr.i[i1])
+		}
 	}
 	return nil
 }
 
+// storeInPlace finishes a Part store compiled against register d, which
+// holds the tensor: when the operand lives elsewhere (a constant) it is
+// moved into d first.
+func (g *gen) storeInPlace(dst, src reg, st step) step {
+	if dst == src {
+		return st
+	}
+	mv := g.moveStep(dst, src)
+	return func(fr *frame) {
+		mv(fr)
+		st(fr)
+	}
+}
+
 // setPartStep compiles element writes; the stored value's class selects the
-// mutator. The result is the (possibly copied-on-write) tensor.
+// mutator. The tensor sits in the result register d (see coalesceObjects):
+// the checked forms store straight into it when it is unshared and the
+// index is positive and in range, and write the register only when the
+// checked mutator copied; the unchecked forms differ in skipping the range
+// test and leaving the counts alone.
 func (g *gen) setPartStep(in *wir.Instr, regs []reg, dst reg, unsafe, rank2 bool) step {
 	d := dst.idx
-	a := regs[0].idx
 	i1 := regs[1].idx
+	var st step
 	if rank2 {
 		i2 := regs[2].idx
 		v := regs[3].idx
 		switch regs[3].kind {
 		case runtime.KI64:
 			if unsafe {
-				return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetI2U(fr.i[i1], fr.i[i2], fr.i[v]) }
+				st = func(fr *frame) {
+					t := tensorArg(fr, d)
+					if u := t.SetI2U(fr.i[i1], fr.i[i2], fr.i[v]); u != t {
+						fr.o[d] = u
+					}
+				}
+				break
 			}
-			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetI2(fr.i[i1], fr.i[i2], fr.i[v]) }
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok && !t.IsShared() {
+					t.I[k] = fr.i[v]
+					return
+				}
+				fr.o[d] = t.SetI2(fr.i[i1], fr.i[i2], fr.i[v])
+			}
 		case runtime.KR64:
 			if unsafe {
-				return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetF2U(fr.i[i1], fr.i[i2], fr.f[v]) }
+				st = func(fr *frame) {
+					t := tensorArg(fr, d)
+					if u := t.SetF2U(fr.i[i1], fr.i[i2], fr.f[v]); u != t {
+						fr.o[d] = u
+					}
+				}
+				break
 			}
-			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetF2(fr.i[i1], fr.i[i2], fr.f[v]) }
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok && !t.IsShared() {
+					t.F[k] = fr.f[v]
+					return
+				}
+				fr.o[d] = t.SetF2(fr.i[i1], fr.i[i2], fr.f[v])
+			}
 		case runtime.KC64:
 			if unsafe {
-				return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetC2U(fr.i[i1], fr.i[i2], fr.c[v]) }
+				st = func(fr *frame) {
+					t := tensorArg(fr, d)
+					if u := t.SetC2U(fr.i[i1], fr.i[i2], fr.c[v]); u != t {
+						fr.o[d] = u
+					}
+				}
+				break
 			}
-			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetC2(fr.i[i1], fr.i[i2], fr.c[v]) }
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok && !t.IsShared() {
+					t.C[k] = fr.c[v]
+					return
+				}
+				fr.o[d] = t.SetC2(fr.i[i1], fr.i[i2], fr.c[v])
+			}
+		default:
+			return nil
 		}
-		return nil
+		return g.storeInPlace(dst, regs[0], st)
 	}
 	v := regs[2].idx
 	switch regs[2].kind {
 	case runtime.KI64:
 		if unsafe {
-			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetIU(fr.i[i1], fr.i[v]) }
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if u := t.SetIU(fr.i[i1], fr.i[v]); u != t {
+					fr.o[d] = u
+				}
+			}
+			break
 		}
-		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetI(fr.i[i1], fr.i[v]) }
+		st = func(fr *frame) {
+			t := tensorArg(fr, d)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.I)); ok && !t.IsShared() {
+				t.I[k] = fr.i[v]
+				return
+			}
+			fr.o[d] = t.SetI(fr.i[i1], fr.i[v])
+		}
 	case runtime.KR64:
 		if unsafe {
-			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetFU(fr.i[i1], fr.f[v]) }
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if u := t.SetFU(fr.i[i1], fr.f[v]); u != t {
+					fr.o[d] = u
+				}
+			}
+			break
 		}
-		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetF(fr.i[i1], fr.f[v]) }
+		st = func(fr *frame) {
+			t := tensorArg(fr, d)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.F)); ok && !t.IsShared() {
+				t.F[k] = fr.f[v]
+				return
+			}
+			fr.o[d] = t.SetF(fr.i[i1], fr.f[v])
+		}
 	case runtime.KC64:
 		if unsafe {
-			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetCU(fr.i[i1], fr.c[v]) }
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if u := t.SetCU(fr.i[i1], fr.c[v]); u != t {
+					fr.o[d] = u
+				}
+			}
+			break
 		}
-		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetC(fr.i[i1], fr.c[v]) }
+		st = func(fr *frame) {
+			t := tensorArg(fr, d)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.C)); ok && !t.IsShared() {
+				t.C[k] = fr.c[v]
+				return
+			}
+			fr.o[d] = t.SetC(fr.i[i1], fr.c[v])
+		}
 	case runtime.KBool:
-		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetB(fr.i[i1], fr.b[v]) }
+		st = func(fr *frame) {
+			t := tensorArg(fr, d)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.B)); ok && !t.IsShared() {
+				t.B[k] = fr.b[v]
+				return
+			}
+			fr.o[d] = t.SetB(fr.i[i1], fr.b[v])
+		}
 	case runtime.KObj:
 		if unsafe {
-			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetOU(fr.i[i1], fr.o[v]) }
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if u := t.SetOU(fr.i[i1], fr.o[v]); u != t {
+					fr.o[d] = u
+				}
+			}
+			break
 		}
-		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).SetO(fr.i[i1], fr.o[v]) }
+		st = func(fr *frame) {
+			t := tensorArg(fr, d)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.O)); ok && !t.IsShared() {
+				t.O[k] = fr.o[v]
+				return
+			}
+			fr.o[d] = t.SetO(fr.i[i1], fr.o[v])
+		}
+	default:
+		return nil
 	}
-	return nil
+	return g.storeInPlace(dst, regs[0], st)
 }
 
 // tensorArith compiles elementwise tensor arithmetic.

@@ -402,6 +402,20 @@ static inline wolfrt_tensor *wolfrt_part_row(wolfrt_tensor *t, int64_t i) {
 	static inline wolfrt_tensor *wolfrt_matrix_new_##S(int64_t r, int64_t c) {  \
 		return wolfrt_tensor_new(K, 2, r, c);                                   \
 	}                                                                           \
+	static inline wolfrt_tensor *wolfrt_fill_##S(wolfrt_tensor *t, T v) {       \
+		static const T zero; /* all-zero bits, like calloc's storage */         \
+		if (memcmp(&v, &zero, sizeof(T)) != 0)                                  \
+			for (int64_t k = 0; k < t->n; k++)                                  \
+				((T *)t->data)[k] = v;                                          \
+		return t;                                                               \
+	}                                                                           \
+	static inline wolfrt_tensor *wolfrt_list_fill_##S(int64_t n, T v) {         \
+		return wolfrt_fill_##S(wolfrt_tensor_new(K, 1, n, 0), v);               \
+	}                                                                           \
+	static inline wolfrt_tensor *wolfrt_matrix_fill_##S(int64_t r, int64_t c,   \
+	                                                    T v) {                  \
+		return wolfrt_fill_##S(wolfrt_tensor_new(K, 2, r, c), v);               \
+	}                                                                           \
 	static inline T wolfrt_part_unsafe_1_##S(wolfrt_tensor *t, int64_t i) {     \
 		return ((T *)t->data)[i - 1];                                           \
 	}                                                                           \

@@ -640,6 +640,17 @@ func (w *wvmGen) genNative(in *wir.Instr) error {
 		}
 		w.emit(vm.OpRuntime, rt, 1)
 		return w.store(in)
+	case "list_fill", "matrix_fill":
+		if elem := tensorElemKind(in.Ty); elem != runtime.KI64 && elem != runtime.KR64 {
+			return fmt.Errorf("wvm backend: tensor element type outside the WVM's datatypes")
+		}
+		for _, a := range in.Args {
+			if err := w.pushValue(a); err != nil {
+				return err
+			}
+		}
+		w.emit(vm.OpRuntime, vm.RtFill, int32(len(in.Args)))
+		return w.store(in)
 	case "copy_tensor":
 		// Copy-on-read gives a fresh tensor for free.
 		if err := w.pushValue(in.Args[0]); err != nil {

@@ -208,6 +208,60 @@ func TestArtifactStoreWarmStartAcrossProcesses(t *testing.T) {
 	}
 }
 
+// A store populated by a build with the previous key version is simply not
+// addressed by this one: the compile misses cleanly, runs the pipeline,
+// and writes its own entry beside the old one — which an old binary, still
+// asking under its own key, keeps getting.
+func TestArtifactStoreOldKeyVersionMissesAndRewrites(t *testing.T) {
+	const src = `Function[{Typed[n, "MachineInteger"]},
+		Module[{v = ConstantArray[0, n], i = 1}, While[i <= n, v[[i]] = i*i; i++]; v[[n]]]]`
+	fn := parser.MustParse(src)
+	ResetCompileCache()
+	withArtifactDir(t, t.TempDir())
+	k := kernel.New()
+	k.Out = io.Discard
+	c := NewCompiler(k)
+	old, err := c.cacheKeysAt("wolfc-key/v1", "", fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := c.computeCacheKeys("", fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.stable == cur.stable {
+		t.Fatal("the key version must be part of the stable key")
+	}
+	// What the old build left behind: a checksum-clean payload this build
+	// must never be asked to decode.
+	oldPayload := []byte("WCLB0001 module serialised by a wolfc-key/v1 build")
+	ArtifactStore().Put(old.stable, oldPayload)
+
+	ccf, rep, err := c.FunctionCompileCachedRequest(fn, CompileRequest{Collect: true})
+	if err != nil {
+		t.Fatalf("compile over a v1 store: %v", err)
+	}
+	if rep == nil || rep.ArtifactHit {
+		t.Fatalf("a v1 entry must not serve a v2 compile: %+v", rep)
+	}
+	if got := apply(t, ccf, "6"); got != "36" {
+		t.Fatalf("compiled result = %s, want 36", got)
+	}
+	st := ArtifactStore().Stats()
+	if st.Misses != 1 || st.Writes != 2 || st.Entries != 2 || st.CorruptDrops != 0 {
+		t.Fatalf("want one clean miss and a rewrite beside the old entry: %+v", st)
+	}
+	if got, ok := ArtifactStore().Get(old.stable); !ok || !bytes.Equal(got, oldPayload) {
+		t.Fatal("the old build's entry must stay what it was")
+	}
+	// A fresh compiler of this build now starts warm from the new entry.
+	ResetCompileCache()
+	_, rep, err = NewCompiler(k).FunctionCompileCachedRequest(fn, CompileRequest{Collect: true})
+	if err != nil || rep == nil || !rep.ArtifactHit {
+		t.Fatalf("second compile should hit the rewritten entry: %+v, %v", rep, err)
+	}
+}
+
 func TestArtifactStoreStencilRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ResetCompileCache()

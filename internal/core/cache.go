@@ -431,7 +431,11 @@ type cacheKeys struct {
 // cacheKeyVersion joins the stable key so that incompatible changes to
 // the serialised module format or key derivation invalidate old disk
 // entries wholesale (belt to the artifact store's format-magic braces).
-const cacheKeyVersion = "wolfc-key/v1"
+// v2: the TWIR carries list_fill/matrix_fill and ownership-transfer
+// reference counts (no acquire/release inside a Part-assignment chain), so
+// a v1 entry would be re-codegen'd from IR this backend no longer
+// produces, and a v1 binary must not be offered a v2 one.
+const cacheKeyVersion = "wolfc-key/v2"
 
 // canonicalizeHygiene alpha-renames the macro expander's hygienic
 // temporaries (`<base>`h<counter>`, freshSym's marker — the backtick
@@ -496,13 +500,18 @@ func hygieneBase(name string) (string, bool) {
 // point, so compiling from the original source on a miss produces exactly
 // the cached program.
 func (c *Compiler) computeCacheKeys(selfName string, fn expr.Expr) (cacheKeys, error) {
+	return c.cacheKeysAt(cacheKeyVersion, selfName, fn)
+}
+
+// cacheKeysAt derives the keys under an explicit key version.
+func (c *Compiler) cacheKeysAt(version, selfName string, fn expr.Expr) (cacheKeys, error) {
 	expanded, err := c.ExpandAST(fn)
 	if err != nil {
 		return cacheKeys{}, err
 	}
 	expanded = canonicalizeHygiene(expanded)
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\n", cacheKeyVersion)
+	fmt.Fprintf(h, "%s\n", version)
 	fmt.Fprintf(h, "src:%s\n", expr.FullForm(expanded))
 	fmt.Fprintf(h, "self:%s\n", selfName)
 	fmt.Fprintf(h, "passes:%+v\n", c.Options)

@@ -1,0 +1,171 @@
+package core
+
+import (
+	"fmt"
+	"os/exec"
+	"strconv"
+	"strings"
+	"testing"
+
+	"wolfc/internal/parser"
+	"wolfc/internal/runtime"
+	"wolfc/internal/vm"
+)
+
+// ConstantArray is one fill primitive in the TWIR; the closure backend, the
+// WVM bridge and the C backend must agree on it for a zero and a non-zero
+// fill value (the zero case skips the fill), rank 1 and rank 2.
+func TestCrossBackendConstantArray(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles C programs")
+	}
+	c := newCompiler()
+	for _, fill := range []string{"0", "7", "0.", "2.5"} {
+		zero, acc := "0", "s*3 + "
+		if strings.Contains(fill, ".") {
+			zero, acc = "0.", "s*0.5 + "
+		}
+		for _, src := range []string{
+			fmt.Sprintf(`Function[{Typed[n, "MachineInteger"]},
+				Module[{v = ConstantArray[%s, n], s = %s, i = 1},
+					v[[2]] = v[[2]] + 5;
+					While[i <= n, s = %sv[[i]]; i++];
+					s + Length[v]]]`, fill, zero, acc),
+			fmt.Sprintf(`Function[{Typed[n, "MachineInteger"]},
+				Module[{m = ConstantArray[%s, {n, n + 1}], s = %s, i = 1, j = 1},
+					m[[2, 1]] = m[[2, 1]] + 5;
+					While[i <= n, j = 1; While[j <= n + 1, s = %sm[[i, j]]; j++]; i++];
+					s + Length[m]]]`, fill, zero, acc),
+		} {
+			ccf, err := c.FunctionCompileRequest(parser.MustParse(src), CompileRequest{VerifyEach: true})
+			if err != nil {
+				t.Fatalf("compile: %v\n%s", err, src)
+			}
+			const n = 4
+			native := fmt.Sprint(ccf.CallRaw(int64(n)))
+			cf, err := ccf.CompileToWVM()
+			if err != nil {
+				t.Fatalf("WVM bridge: %v\n%s", err, src)
+			}
+			out, err := cf.Call(c.Kernel, vm.IntValue(n))
+			if err != nil {
+				t.Fatalf("WVM run: %v\n%s", err, src)
+			}
+			wvm := fmt.Sprint(out.I)
+			format := `"%lld\n", (long long)`
+			if out.Kind == vm.KReal {
+				wvm, format = fmt.Sprint(out.R), `"%.17g\n", `
+			}
+			if wvm != native {
+				t.Errorf("WVM = %s, closure = %s\n%s", wvm, native, src)
+			}
+			lines := runCBackend(t, ccf, fmt.Sprintf("int main(void) { printf(%sMain(INT64_C(%d))); return 0; }\n", format, n))
+			if len(lines) != 1 {
+				t.Fatalf("C backend printed %q", lines)
+			}
+			if got, _ := strconv.ParseFloat(lines[0], 64); fmt.Sprint(got) != fmt.Sprint(mustFloat(native)) {
+				t.Errorf("C = %s, closure = %s\n%s", lines[0], native, src)
+			}
+		}
+	}
+}
+
+func mustFloat(s string) float64 {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// The Part/SetPart edge indices on the other two backends: for every index
+// the closure backend accepts, the WVM bridge and the C backend compute the
+// same value; every index it rejects with the Part range exception they
+// reject too (the WVM with its range error, standalone C fatally, naming
+// Part).
+func TestCrossBackendPartEdges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles C programs")
+	}
+	c := newCompiler()
+	type prog struct {
+		src  string
+		args [][]int64
+	}
+	var one, two [][]int64
+	for _, a := range partEdgeArgs(false) {
+		k, _ := strconv.ParseInt(a[1], 10, 64)
+		one = append(one, []int64{k})
+	}
+	for _, a := range partEdgeArgs(true) {
+		i, _ := strconv.ParseInt(a[1], 10, 64)
+		j, _ := strconv.ParseInt(a[2], 10, 64)
+		two = append(two, []int64{i, j})
+	}
+	for _, p := range []prog{
+		{fmt.Sprintf(`Function[{Typed[k, "MachineInteger"]},
+			Module[{v = ConstantArray[0, %d], i = 1, s = 0},
+				While[i <= %d, v[[i]] = 10*i; i++];
+				v[[k]] = v[[k]] + v[[-k]] + 1;
+				i = 1;
+				While[i <= %d, s = s*7 + v[[i]]; i++];
+				s + v[[k]]]]`, partEdgeN, partEdgeN, partEdgeN), one},
+		{fmt.Sprintf(`Function[{Typed[i, "MachineInteger"], Typed[j, "MachineInteger"]},
+			Module[{m = ConstantArray[1, {%d, %d}], r = 1, q = 1, s = 0},
+				While[r <= %d, q = 1; While[q <= %d, m[[r, q]] = 10*r + q; q++]; r++];
+				m[[i, j]] = m[[i, j]]*2 + m[[1, 1]];
+				r = 1;
+				While[r <= %d, q = 1; While[q <= %d, s = s*7 + m[[r, q]]; q++]; r++];
+				s + m[[i, j]]]]`, partEdgeRows, partEdgeCols, partEdgeRows, partEdgeCols, partEdgeRows, partEdgeCols), two},
+	} {
+		ccf, err := c.FunctionCompile(parser.MustParse(p.src))
+		if err != nil {
+			t.Fatalf("compile: %v\n%s", err, p.src)
+		}
+		cf, err := ccf.CompileToWVM()
+		if err != nil {
+			t.Fatalf("WVM bridge: %v\n%s", err, p.src)
+		}
+		cargs := "atoll(argv[1])"
+		if len(p.args[0]) == 2 {
+			cargs += ", atoll(argv[2])"
+		}
+		bin := buildCBackend(t, ccf, "#include <stdlib.h>\nint main(int argc, char **argv) { (void)argc; "+
+			"printf(\"%lld\\n\", (long long)Main("+cargs+")); return 0; }\n")
+		for _, args := range p.args {
+			// Closure backend: a value, or the range exception.
+			raw := make([]any, len(args))
+			vals := make([]vm.Value, len(args))
+			strs := make([]string, len(args))
+			for i, a := range args {
+				raw[i], vals[i], strs[i] = a, vm.IntValue(a), fmt.Sprint(a)
+			}
+			want, rejected := int64(0), false
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						exc, ok := r.(*runtime.Exception)
+						if !ok || exc.Kind != runtime.ExcPartRange {
+							panic(r)
+						}
+						rejected = true
+					}
+				}()
+				want = ccf.CallRaw(raw...).(int64)
+			}()
+			out, werr := cf.Call(c.Kernel, vals...)
+			if (werr != nil) != rejected || !rejected && out.I != want {
+				t.Errorf("%v: WVM = %v (%v), closure = %d (rejected %v)", args, out.I, werr, want, rejected)
+			}
+			cout, cerr := exec.Command(bin, strs...).CombinedOutput()
+			switch {
+			case rejected:
+				if cerr == nil || !strings.Contains(string(cout), "Part") {
+					t.Errorf("%v: C should die naming Part, got %q (%v)", args, cout, cerr)
+				}
+			case cerr != nil || strings.TrimSpace(string(cout)) != fmt.Sprint(want):
+				t.Errorf("%v: C = %q (%v), closure = %d", args, cout, cerr, want)
+			}
+		}
+	}
+}

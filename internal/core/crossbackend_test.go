@@ -64,6 +64,17 @@ func genIntStateProgram(rng *rand.Rand) string {
 // compiler and runs it once per argument, returning one output line each.
 func runCBackend(t *testing.T, ccf *CompiledCodeFunction, mainSrc string) []string {
 	t.Helper()
+	out, err := exec.Command(buildCBackend(t, ccf, mainSrc)).Output()
+	if err != nil {
+		t.Fatalf("compiled C program: %v", err)
+	}
+	return strings.Fields(strings.TrimSpace(string(out)))
+}
+
+// buildCBackend compiles the CStandalone export plus mainSrc and returns
+// the binary, for tests that run it more than once.
+func buildCBackend(t *testing.T, ccf *CompiledCodeFunction, mainSrc string) string {
+	t.Helper()
 	cc, err := exec.LookPath("cc")
 	if err != nil {
 		t.Skip("no C compiler on PATH")
@@ -82,11 +93,7 @@ func runCBackend(t *testing.T, ccf *CompiledCodeFunction, mainSrc string) []stri
 		"-Werror=implicit-function-declaration", "-o", bin, cpath, "-lm").CombinedOutput(); err != nil {
 		t.Fatalf("cc: %v\n%s", err, out)
 	}
-	out, err := exec.Command(bin).Output()
-	if err != nil {
-		t.Fatalf("compiled C program: %v", err)
-	}
-	return strings.Fields(strings.TrimSpace(string(out)))
+	return bin
 }
 
 func TestCrossBackendIntegerPrograms(t *testing.T) {

@@ -161,6 +161,35 @@ func TestTierPatternListDestructuring(t *testing.T) {
 	}
 }
 
+// A pattern variable that shares its name with a defined function is not a
+// call to it: dot2's d_ must not make dot2 wait for a promotion partner d
+// that, with no machine-argument calls of its own, never comes.
+func TestTierPatternVariableNamedLikeAFunction(t *testing.T) {
+	k, tr := newTieredKernel(t, 2)
+	plain := newPlainKernel(t)
+	for _, d := range []string{
+		`d[x_Integer] := x`,
+		`dot2[{a_, b_}, {c_, d_}] := a*c + b*d`,
+	} {
+		runK(t, k, d)
+		if _, err := plain.Run(parser.MustParse(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		differential(t, k, plain, fmt.Sprintf("dot2[{%d, %d}, {%d, 3}]", i, i+1, 2*i))
+	}
+	tr.WaitIdle()
+	if !tr.Compiled(expr.Sym("dot2")) {
+		t.Fatalf("dot2 was not promoted; stats %+v", tr.Stats())
+	}
+	before := tr.Stats().CompiledCalls
+	differential(t, k, plain, `{dot2[{7, 3}, {2, 5}], dot2[{1.5, 2.}, {4., 0.25}], d[9]}`)
+	if tr.Stats().CompiledCalls == before {
+		t.Fatal("promoted dot2 was not served by compiled code")
+	}
+}
+
 // Rule order is the matcher's: an earlier guarded rule must be tried (its
 // guard evaluated) before a later unconditional rule wins.
 func TestTierPatternRuleOrder(t *testing.T) {

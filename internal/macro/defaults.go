@@ -291,23 +291,10 @@ func DefaultEnv() *Env {
 			prodAcc]`)
 	reg("Product", "Product[body_, {i_Symbol, b_}]", "Product[body, {i, 1, b}]")
 
-	// ConstantArray builds and fills fresh storage.
-	reg("ConstantArray", "ConstantArray[v_, {r_, c_}]",
-		`Module[{caM = Native`+"`"+`MatrixNew[r, c], caR = r, caC = c, caI = 1, caJ = 1},
-			While[caI <= caR,
-				caJ = 1;
-				While[caJ <= caC,
-					Native`+"`"+`SetPartUnsafe[caM, caI, caJ, v];
-					caJ = caJ + 1];
-				caI = caI + 1];
-			caM]`)
-	reg("ConstantArray", "ConstantArray[v_, {n_}]", "ConstantArray[v, n]")
-	reg("ConstantArray", "ConstantArray[v_, n_]",
-		`Module[{caL = Native`+"`"+`ListNew[n], caN = n, caI = 1},
-			While[caI <= caN,
-				Native`+"`"+`SetPartUnsafe[caL, caI, v];
-				caI = caI + 1];
-			caL]`)
+	// ConstantArray is one allocate-and-fill primitive per rank.
+	reg("ConstantArray", "ConstantArray[v_, {r_, c_}]", "Native`MatrixFill[r, c, v]")
+	reg("ConstantArray", "ConstantArray[v_, {n_}]", "Native`ListFill[n, v]")
+	reg("ConstantArray", "ConstantArray[v_, n_]", "Native`ListFill[n, v]")
 
 	// Random-number forms normalise to the runtime primitives.
 	reg("RandomReal", "RandomReal[]", "Native`RandomReal01[]")

@@ -142,8 +142,11 @@ type Liveness struct {
 	LiveOut map[*wir.Block]map[wir.Value]bool
 }
 
-// ComputeLiveness analyses fn.
-func ComputeLiveness(fn *wir.Function) *Liveness {
+// ComputeLiveness analyses the values trackable accepts. The mutability
+// and memory-management passes ask about tensors and other managed values
+// alone, which keeps the sets a handful of entries wide on scalar-heavy
+// functions.
+func ComputeLiveness(fn *wir.Function, trackable func(wir.Value) bool) *Liveness {
 	lv := &Liveness{
 		LiveIn:  map[*wir.Block]map[wir.Value]bool{},
 		LiveOut: map[*wir.Block]map[wir.Value]bool{},
@@ -151,13 +154,6 @@ func ComputeLiveness(fn *wir.Function) *Liveness {
 	for _, b := range fn.Blocks {
 		lv.LiveIn[b] = map[wir.Value]bool{}
 		lv.LiveOut[b] = map[wir.Value]bool{}
-	}
-	trackable := func(v wir.Value) bool {
-		switch v.(type) {
-		case *wir.Instr, *wir.Param:
-			return true
-		}
-		return false
 	}
 	for changed := true; changed; {
 		changed = false

@@ -300,6 +300,12 @@ func init() {
 		}},
 		{"insert-refcounts", func(mod *wir.Module, ctx *Context) (bool, error) {
 			InsertRefCounts(mod, ctx.Env)
+			if ctx.VerifyEach {
+				if err := VerifyRefCounts(mod, ctx.Env); err != nil {
+					return true, diag.Newf(diag.PassStage, "X903",
+						"reference counts do not balance: %v", err)
+				}
+			}
 			return true, nil
 		}},
 	} {

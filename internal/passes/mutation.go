@@ -1,6 +1,9 @@
 package passes
 
 import (
+	"fmt"
+	"sort"
+
 	"wolfc/internal/expr"
 	"wolfc/internal/types"
 	"wolfc/internal/wir"
@@ -9,44 +12,127 @@ import (
 func exprNull() expr.Expr { return expr.SymNull }
 
 // InsertCopies implements the static half of the mutability protocol (F5,
-// §4.5): for each Part assignment whose tensor operand is still live
-// afterwards — another name aliases it and reads it later — an explicit
-// Native`Copy is inserted so the mutation cannot be observed through the
-// alias. The dynamic half (the Shared flag on values entering from the
-// interpreter) is handled by the runtime's copy-on-write.
+// §4.5): a Part assignment must not be observable through another name for
+// the same tensor. Two names arise in two ways, and each gets an explicit
+// Native`Copy where it arises:
+//
+//   - the assignment's tensor operand is still live afterwards (w = v;
+//     w[[i]] = x; ... v ...), or is a constant, which must read the same on
+//     the next trip round a loop: the operand is copied at the assignment;
+//   - a phi takes an operand that stays live past the edge (r = If[c, a, b],
+//     or a loop entered with a value that is read again after it) and some
+//     tensor the phi is connected to is assigned to: the operand is copied
+//     on the edge, once, rather than at every assignment in the loop.
+//
+// Afterwards every Part assignment's tensor operand is an instruction
+// result or parameter that dies at the assignment and that no other live
+// value refers to, which is what lets the memory pass treat the assignment
+// as consuming it (InsertRefCounts) and the backends run the chain in place
+// in one register. The dynamic half (the Shared flag on values entering
+// from the interpreter) is handled by the runtime's copy-on-write.
 //
 // With DisableCopyElision set, every Part assignment copies — the ablation
 // matching the paper's QSort discussion.
 func InsertCopies(mod *wir.Module, opts Options) {
+	tensor := func(v wir.Value) bool { return trackedValue(v) && isTensorType(v.Type()) }
 	for _, f := range mod.Funcs {
-		lv := ComputeLiveness(f)
+		var stores []*wir.Instr
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == wir.OpCall && isSetPart(in.Callee) && len(in.Args) > 0 {
+					stores = append(stores, in)
+				}
+			}
+		}
+		if len(stores) == 0 {
+			continue
+		}
+		lv := ComputeLiveness(f, tensor)
+		id := nextID(f)
+		copyOf := func(v wir.Value) *wir.Instr {
+			cp := &wir.Instr{
+				IDNum: id, Op: wir.OpCall, Callee: "Native`Copy", Native: "copy_tensor",
+				Ty: v.Type(), Args: []wir.Value{v},
+			}
+			id++
+			cp.SetProp("overload", &types.FuncDef{Name: "Native`Copy", Native: "copy_tensor"})
+			return cp
+		}
+		copyAtPhis(f, lv, stores, tensor, copyOf)
 		for _, b := range f.Blocks {
 			for idx := 0; idx < len(b.Instrs); idx++ {
 				in := b.Instrs[idx]
 				if in.Op != wir.OpCall || !isSetPart(in.Callee) || len(in.Args) == 0 {
 					continue
 				}
-				tensor := in.Args[0]
-				needCopy := opts.DisableCopyElision
-				if !needCopy {
-					needCopy = lv.LiveAfter(b, idx, tensor)
-				}
-				if !needCopy {
+				if !opts.DisableCopyElision && tensor(in.Args[0]) && !lv.LiveAfter(b, idx, in.Args[0]) {
 					continue
 				}
-				cp := &wir.Instr{
-					IDNum:  nextID(f),
-					Op:     wir.OpCall,
-					Callee: "Native`Copy",
-					Native: "copy_tensor",
-					Ty:     tensor.Type(),
-					Block:  b,
-				}
-				cp.Args = []wir.Value{tensor}
-				cp.SetProp("overload", &types.FuncDef{Name: "Native`Copy", Native: "copy_tensor"})
+				cp := copyOf(in.Args[0])
+				cp.Block = b
 				b.Instrs = append(b.Instrs[:idx], append([]*wir.Instr{cp}, b.Instrs[idx:]...)...)
 				idx++ // now pointing at the SetPart again
-				b.Instrs[idx].Args[0] = cp
+				in.Args[0] = cp
+			}
+		}
+	}
+}
+
+// copyAtPhis separates the names a phi would otherwise give one tensor:
+// where an operand outlives the edge (or feeds a second phi on it) and the
+// phi belongs to a web some Part assignment writes, the phi gets a copy
+// made at the end of the predecessor.
+func copyAtPhis(f *wir.Function, lv *Liveness, stores []*wir.Instr,
+	tensor func(wir.Value) bool, copyOf func(wir.Value) *wir.Instr) {
+	// Webs: values that may be one object — a phi and its operands, an
+	// assignment's result and its operand.
+	web := map[wir.Value]wir.Value{}
+	var find func(v wir.Value) wir.Value
+	find = func(v wir.Value) wir.Value {
+		p, ok := web[v]
+		if !ok || p == v {
+			return v
+		}
+		r := find(p)
+		web[v] = r
+		return r
+	}
+	union := func(a, b wir.Value) { web[find(a)] = find(b) }
+	for _, b := range f.Blocks {
+		for _, phi := range b.Phis {
+			for _, a := range phi.Args {
+				if tensor(phi) && tensor(a) {
+					union(phi, a)
+				}
+			}
+		}
+	}
+	for _, st := range stores {
+		if tensor(st.Args[0]) {
+			union(st, st.Args[0])
+		}
+	}
+	written := map[wir.Value]bool{}
+	for _, st := range stores {
+		written[find(st)] = true
+	}
+	for _, s := range f.Blocks {
+		for pi, p := range s.Preds {
+			taken := map[wir.Value]bool{}
+			for _, phi := range s.Phis {
+				if !tensor(phi) || pi >= len(phi.Args) || !tensor(phi.Args[pi]) || !written[find(phi)] {
+					continue
+				}
+				a := phi.Args[pi]
+				if !lv.LiveIn[s][a] && !taken[a] {
+					taken[a] = true // the only name from here on
+					continue
+				}
+				cp := copyOf(a)
+				cp.Block = p
+				n := len(p.Instrs) - 1
+				p.Instrs = append(p.Instrs[:n], cp, p.Instrs[n])
+				phi.Args[pi] = cp
 			}
 		}
 	}
@@ -60,105 +146,432 @@ func isSetPart(callee string) bool {
 	return callee == "Native`SetPart"
 }
 
-// InsertRefCounts implements the memory-management pass (F7, §4.5): for
-// every memory-managed value, a MemoryAcquire is placed at the head of its
-// live interval and a MemoryRelease at the tail. On this backend the
-// reference counts drive copy-on-write (the host garbage collector owns the
-// storage); acquire/release are polymorphic no-ops for unmanaged types
-// exactly as the paper describes.
+// trackedValue reports whether v has a live range: constants and function
+// references are materialised at frame set-up and never die.
+func trackedValue(v wir.Value) bool {
+	switch v.(type) {
+	case *wir.Instr, *wir.Param:
+		return true
+	}
+	return false
+}
+
+func isTensorType(t types.Type) bool {
+	c, ok := t.(*types.Compound)
+	return ok && c.Ctor == "Tensor"
+}
+
+// The memory-management pass (F7, §4.5) works on an ownership discipline.
+// Every managed value that is used holds exactly one reference from its
+// definition to its death, and an instruction either borrows an operand or
+// consumes it:
+//
+//   - a native's result arrives unowned and is acquired after the call; a
+//     compiled callee's result (direct, indirect or registry call) arrives
+//     owned, because Return hands the callee's reference to the caller;
+//   - a parameter is the caller's reference, so the callee acquires its own
+//     at entry;
+//   - a checked Part assignment consumes its tensor operand and hands that
+//     reference to its result (InsertCopies made the operand die there), so
+//     a chain of assignments touches no count — the runtime moves the
+//     reference only on the cold copy-on-write branch, where the result is
+//     a different object;
+//   - a phi takes over the reference of an operand that dies on the edge,
+//     and needs an acquire on the edge otherwise;
+//   - everything else borrows, and the value is released after its last use
+//     (or on the edge along which it dies).
+//
+// On this backend the host garbage collector owns the storage and the
+// counts are bookkeeping; the C backend frees at zero, so there the
+// discipline is what keeps a returned tensor alive.
+
+// consumesOperand reports whether in is a checked Part assignment, the one
+// instruction that consumes its first operand's reference.
+func consumesOperand(in *wir.Instr) bool {
+	if in.Op != wir.OpCall || len(in.Args) == 0 {
+		return false
+	}
+	switch nativeName(in) {
+	case "setpart_1", "setpart_2":
+		return true
+	}
+	return false
+}
+
+// arrivesOwned reports whether in's result already carries a reference when
+// it is defined: compiled callees return owned values.
+func arrivesOwned(in *wir.Instr) bool {
+	switch in.CallKind() {
+	case "direct", "indirect", "registry":
+		return true
+	}
+	return false
+}
+
+// InsertRefCounts places MemoryAcquire/MemoryRelease calls according to the
+// ownership discipline above. Edges that need an operation and are critical
+// are split.
 func InsertRefCounts(mod *wir.Module, env *types.Env) {
 	for _, f := range mod.Funcs {
-		lv := ComputeLiveness(f)
-		for _, b := range f.Blocks {
-			// Find the last use in this block of each managed value that
-			// dies here.
-			lastUse := map[wir.Value]int{}
-			for idx, in := range b.Instrs {
-				for _, a := range in.Args {
-					if managedValue(env, a) {
-						lastUse[a] = idx
-					}
-				}
+		insertRefCounts(f, env)
+	}
+}
+
+func insertRefCounts(f *wir.Function, env *types.Env) {
+	managed := func(v wir.Value) bool { return managedValue(env, v) }
+	if !hasManaged(f, managed) {
+		return
+	}
+	lv := ComputeLiveness(f, managed)
+	useCount := uses(f)
+	used := func(v wir.Value) bool { return useCount[v] > 0 }
+	id := nextID(f)
+	refOp := func(native string, v wir.Value) *wir.Instr {
+		callee := "Native`MemoryAcquire"
+		if native == "memory_release" {
+			callee = "Native`MemoryRelease"
+		}
+		rc := &wir.Instr{
+			IDNum: id, Op: wir.OpCall, Callee: callee, Native: native,
+			Ty: types.TVoid, Args: []wir.Value{v},
+		}
+		id++
+		rc.SetProp("overload", &types.FuncDef{Name: callee, Native: native})
+		return rc
+	}
+	acquire := func(v wir.Value) *wir.Instr { return refOp("memory_acquire", v) }
+	release := func(v wir.Value) *wir.Instr { return refOp("memory_release", v) }
+
+	// head[b] goes at the top of b (after a leading abort check, which must
+	// stay first for the backend's poll folding); tail[b] goes before b's
+	// terminator.
+	head := map[*wir.Block][]*wir.Instr{}
+	tail := map[*wir.Block][]*wir.Instr{}
+	type split struct {
+		from, to *wir.Block
+		ops      []*wir.Instr
+	}
+	var splits []split
+
+	entry := f.Entry()
+	for _, p := range f.Params {
+		if managed(p) && used(p) {
+			head[entry] = append(head[entry], acquire(p))
+		}
+	}
+	for _, b := range f.Blocks {
+		for _, phi := range b.Phis {
+			if managed(phi) && !used(phi) {
+				head[b] = append(head[b], release(phi))
 			}
-			var inserts []struct {
-				at   int
-				kind string
-				val  wir.Value
-			}
-			for idx, in := range b.Instrs {
-				// Acquire at definition of a managed value.
-				if in.Op == wir.OpCall && managedValue(env, in) && !in.IsTerminator() {
-					inserts = append(inserts, struct {
-						at   int
-						kind string
-						val  wir.Value
-					}{idx, "acquire", in})
-				}
-			}
-			for v, idx := range lastUse {
-				if !lv.LiveOut[b][v] {
-					inserts = append(inserts, struct {
-						at   int
-						kind string
-						val  wir.Value
-					}{idx, "release", v})
-				}
-			}
-			if len(inserts) == 0 {
-				continue
-			}
-			// Apply inserts back to front so indices stay valid; releases
-			// go after the instruction, acquires too (after definition).
-			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				var after []*wir.Instr
-				for _, ins := range inserts {
-					if ins.at != i {
-						continue
-					}
-					native := "memory_acquire"
-					callee := "Native`MemoryAcquire"
-					if ins.kind == "release" {
-						native = "memory_release"
-						callee = "Native`MemoryRelease"
-					}
-					rc := &wir.Instr{
-						IDNum:  nextID(f),
-						Op:     wir.OpCall,
-						Callee: callee,
-						Native: native,
-						Ty:     types.TVoid,
-						Block:  b,
-						Args:   []wir.Value{ins.val},
-					}
-					rc.SetProp("overload", &types.FuncDef{Name: callee, Native: native})
-					after = append(after, rc)
-				}
-				if len(after) == 0 {
-					continue
-				}
-				if b.Instrs[i].IsTerminator() {
-					// Insert before the terminator.
-					rest := append(after, b.Instrs[i])
-					b.Instrs = append(b.Instrs[:i], rest...)
-				} else {
-					rest := append([]*wir.Instr{b.Instrs[i]}, after...)
-					b.Instrs = append(b.Instrs[:i], append(rest, b.Instrs[i+1:]...)...)
+		}
+		// Index of each managed value's last use in b.
+		lastUse := map[wir.Value]int{}
+		for idx, in := range b.Instrs {
+			for _, a := range in.Args {
+				if managed(a) {
+					lastUse[a] = idx
 				}
 			}
 		}
+		liveAfter := func(v wir.Value, idx int) bool {
+			return lastUse[v] > idx || lv.LiveOut[b][v]
+		}
+		out := make([]*wir.Instr, 0, len(b.Instrs)+2)
+		for idx, in := range b.Instrs {
+			var consumed wir.Value
+			switch {
+			case consumesOperand(in):
+				consumed = in.Args[0]
+				// The operand's own reference is not free to take when it
+				// lives on (or is a constant): make one first.
+				if !managed(consumed) || liveAfter(consumed, idx) {
+					out = append(out, acquire(consumed))
+				}
+			case in.Op == wir.OpReturn && len(in.Args) == 1 && env.MemberOf(in.Args[0].Type(), "MemoryManaged"):
+				consumed = in.Args[0]
+				if !managed(consumed) {
+					out = append(out, acquire(consumed))
+				}
+			}
+			out = append(out, in)
+			if in.IsTerminator() {
+				break
+			}
+			if managed(in) {
+				owned := consumed != nil || arrivesOwned(in)
+				switch {
+				case !owned && used(in):
+					out = append(out, acquire(in))
+				case owned && !used(in):
+					out = append(out, release(in))
+				}
+			}
+			for ai, a := range in.Args {
+				if !managed(a) || a == consumed || liveAfter(a, idx) || indexOfValue(in.Args[:ai], a) >= 0 {
+					continue
+				}
+				out = append(out, release(a))
+			}
+		}
+		b.Instrs = out
+
+		succs := uniqueSuccs(b)
+		for _, s := range succs {
+			pi := predIndex(s, b)
+			var ops []*wir.Instr
+			moved := map[wir.Value]bool{}
+			for _, phi := range s.Phis {
+				if !managed(phi) || pi >= len(phi.Args) {
+					continue
+				}
+				a := phi.Args[pi]
+				if managed(a) && !lv.LiveIn[s][a] && !moved[a] {
+					moved[a] = true // the phi takes over a's reference
+					continue
+				}
+				ops = append(ops, acquire(a))
+			}
+			for _, v := range sortedValues(lv.LiveOut[b]) {
+				if !lv.LiveIn[s][v] && !moved[v] {
+					ops = append(ops, release(v))
+				}
+			}
+			switch {
+			case len(ops) == 0:
+			case len(succs) == 1:
+				tail[b] = append(tail[b], ops...)
+			case len(s.Preds) == 1:
+				head[s] = append(head[s], ops...)
+			default:
+				splits = append(splits, split{b, s, ops})
+			}
+		}
 	}
+	for _, b := range f.Blocks {
+		if hs := head[b]; len(hs) > 0 {
+			at := 0
+			if b.Instrs[0].Op == wir.OpAbortCheck {
+				at = 1
+			}
+			b.Instrs = append(b.Instrs[:at], append(hs, b.Instrs[at:]...)...)
+		}
+		if ts := tail[b]; len(ts) > 0 {
+			n := len(b.Instrs) - 1
+			b.Instrs = append(b.Instrs[:n], append(ts, b.Instrs[n])...)
+		}
+		for _, in := range b.Instrs {
+			in.Block = b
+		}
+	}
+	for _, sp := range splits {
+		e := &wir.Block{Label: "edge", Fn: f, Preds: []*wir.Block{sp.from}, AbortInhibit: sp.to.AbortInhibit}
+		jump := &wir.Instr{IDNum: id, Op: wir.OpBranch, Targets: []*wir.Block{sp.to}}
+		id++
+		e.Instrs = append(sp.ops, jump)
+		for _, in := range e.Instrs {
+			in.Block = e
+		}
+		for ti, t := range sp.from.Term().Targets {
+			if t == sp.to {
+				sp.from.Term().Targets[ti] = e
+			}
+		}
+		sp.to.Preds[predIndex(sp.to, sp.from)] = e
+		f.Blocks = append(f.Blocks, e)
+	}
+	for i, b := range f.Blocks {
+		b.IDNum = i
+	}
+}
+
+// hasManaged reports whether f defines or receives any managed value.
+func hasManaged(f *wir.Function, managed func(wir.Value) bool) bool {
+	for _, p := range f.Params {
+		if managed(p) {
+			return true
+		}
+	}
+	for _, b := range f.Blocks {
+		for _, phi := range b.Phis {
+			if managed(phi) {
+				return true
+			}
+		}
+		for _, in := range b.Instrs {
+			if managed(in) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func indexOfValue(vs []wir.Value, v wir.Value) int {
+	for i, x := range vs {
+		if x == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// uniqueSuccs returns b's successors with a repeated target (a conditional
+// branch whose arms coincide) listed once.
+func uniqueSuccs(b *wir.Block) []*wir.Block {
+	var out []*wir.Block
+	for _, s := range b.Succs() {
+		dup := false
+		for _, o := range out {
+			dup = dup || o == s
+		}
+		if !dup {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+func predIndex(b, pred *wir.Block) int {
+	for i, p := range b.Preds {
+		if p == pred {
+			return i
+		}
+	}
+	return len(b.Preds)
+}
+
+// sortedValues orders a live set deterministically (parameters by index,
+// then instructions by id): map order must not leak into the IR.
+func sortedValues(set map[wir.Value]bool) []wir.Value {
+	out := make([]wir.Value, 0, len(set))
+	for v := range set {
+		out = append(out, v)
+	}
+	key := func(v wir.Value) int {
+		switch x := v.(type) {
+		case *wir.Param:
+			return x.Index - (1 << 30)
+		case *wir.Instr:
+			return x.IDNum
+		}
+		return 0
+	}
+	sort.Slice(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
+	return out
 }
 
 // managedValue reports whether the value's type is in the MemoryManaged
 // class (paper §4.4 lists "MemoryManaged" among the type classes).
 func managedValue(env *types.Env, v wir.Value) bool {
-	t := v.Type()
-	if t == nil {
+	if !trackedValue(v) {
 		return false
 	}
-	switch v.(type) {
-	case *wir.Instr, *wir.Param:
-		return env.MemberOf(t, "MemoryManaged")
+	t := v.Type()
+	return t != nil && env.MemberOf(t, "MemoryManaged")
+}
+
+// VerifyRefCounts checks the ownership discipline InsertRefCounts
+// establishes, by counting references along every path: no value is used or
+// released without holding one, every predecessor of a block delivers the
+// same holdings, and a Return leaves nothing held but the value it hands to
+// the caller. Acquired once and released (or consumed) once on every path
+// is exactly what that amounts to.
+func VerifyRefCounts(mod *wir.Module, env *types.Env) error {
+	for _, f := range mod.Funcs {
+		if err := verifyRefCounts(f, env); err != nil {
+			return fmt.Errorf("refcounts %s: %w", f.Name, err)
+		}
 	}
-	return false
+	return nil
+}
+
+func verifyRefCounts(f *wir.Function, env *types.Env) error {
+	managed := func(v wir.Value) bool { return managedValue(env, v) }
+	type holdings map[wir.Value]int
+	drop := func(h holdings, v wir.Value, what string, in *wir.Instr) error {
+		if h[v] == 0 {
+			return fmt.Errorf("%s of %s in %s holds no reference (%s)", what, v.Name(), in.Block.Label, in.Name())
+		}
+		if h[v]--; h[v] == 0 {
+			delete(h, v)
+		}
+		return nil
+	}
+	equal := func(a, b holdings) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for v, n := range a {
+			if b[v] != n {
+				return false
+			}
+		}
+		return true
+	}
+	atEntry := map[*wir.Block]holdings{f.Entry(): {}}
+	for _, b := range ComputeDominators(f).RPO() {
+		h := holdings{}
+		for v, n := range atEntry[b] {
+			h[v] = n
+		}
+		for _, in := range b.Instrs {
+			native := ""
+			if in.Op == wir.OpCall {
+				native = nativeName(in)
+			}
+			for _, a := range in.Args {
+				// A parameter not yet acquired is still the caller's.
+				if _, isParam := a.(*wir.Param); managed(a) && !isParam && native != "memory_acquire" && h[a] == 0 {
+					return fmt.Errorf("%s uses %s in %s after its reference is gone", in.Name(), a.Name(), b.Label)
+				}
+			}
+			switch {
+			case native == "memory_acquire":
+				h[in.Args[0]]++
+			case native == "memory_release":
+				if err := drop(h, in.Args[0], "release", in); err != nil {
+					return err
+				}
+			case consumesOperand(in):
+				if err := drop(h, in.Args[0], "Part assignment", in); err != nil {
+					return err
+				}
+				h[in]++
+			case in.Op == wir.OpReturn:
+				if len(in.Args) == 1 && env.MemberOf(in.Args[0].Type(), "MemoryManaged") {
+					if err := drop(h, in.Args[0], "return", in); err != nil {
+						return err
+					}
+				}
+				for v, n := range h {
+					return fmt.Errorf("return in %s leaves %d reference(s) to %s", b.Label, n, v.Name())
+				}
+			case managed(in) && arrivesOwned(in):
+				h[in]++
+			}
+		}
+		for _, s := range uniqueSuccs(b) {
+			hs := holdings{}
+			for v, n := range h {
+				hs[v] = n
+			}
+			pi := predIndex(s, b)
+			for _, phi := range s.Phis {
+				if !managed(phi) || pi >= len(phi.Args) {
+					continue
+				}
+				if err := drop(hs, phi.Args[pi], "phi operand", phi); err != nil {
+					return err
+				}
+				hs[phi]++
+			}
+			if prev, seen := atEntry[s]; !seen {
+				atEntry[s] = hs
+			} else if !equal(prev, hs) {
+				return fmt.Errorf("edge %s -> %s delivers different holdings than an earlier edge", b.Label, s.Label)
+			}
+		}
+	}
+	return nil
 }

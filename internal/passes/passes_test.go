@@ -284,17 +284,119 @@ func TestCopyElisionOnDeadAlias(t *testing.T) {
 	}
 }
 
-func TestRefCountInsertion(t *testing.T) {
-	mod := buildTWIR(t, `Function[{Typed[n, "MachineInteger"]},
-		Table[i, {i, 1, n}]]`)
+// refCountSrcs exercise each rule of the ownership discipline: native
+// results, parameters, Part-assignment chains through loops and Ifs,
+// values dying along one arm of a branch, closures and compiled callees,
+// strings, and a constant operand.
+var refCountSrcs = []string{
+	`Function[{Typed[n, "MachineInteger"]}, Table[i, {i, 1, n}]]`,
+	`Function[{Typed[data, "Tensor"["Integer64", 1]]},
+		Module[{bins = ConstantArray[0, 256], i = 1, n = Length[data], b = 0},
+			While[i <= n, b = data[[i]] + 1; bins[[b]] = bins[[b]] + 1; i = i + 1];
+			bins]]`,
+	`Function[{Typed[v, "Tensor"["Real64", 1]], Typed[c, "Boolean"]},
+		Module[{w = v, s = 0.}, If[c, w[[1]] = 2.; s = w[[1]]]; s + v[[1]]]]`,
+	`Function[{Typed[v, "Tensor"["Real64", 1]], Typed[k, "MachineInteger"]},
+		Module[{a = v, i = 1}, While[i <= k, If[a[[i]] > 0., a[[i]] = 0.]; i = i + 1]; a]]`,
+	`Function[{Typed[v, "Tensor"["Real64", 1]]}, v]`,
+	`Function[{Typed[v, "Tensor"["Real64", 1]]}, Fold[Function[{a, b}, a + b], 0., v]]`,
+	`Function[{Typed[v, "Tensor"["Real64", 1]]}, Map[Function[{x}, x + 1.], v]]`,
+	`Function[{Typed[n, "MachineInteger"]}, NestList[# + 1 &, 0, n]]`,
+	`Function[{Typed[s, "String"], Typed[c, "Boolean"]}, If[c, StringLength[s], 0]]`,
+	`Function[{Typed[k, "MachineInteger"]}, Module[{v = {1, 2, 3}}, v[[k]] = 7; v]]`,
+	`Function[{Typed[n, "MachineInteger"]},
+		Module[{m = ConstantArray[1.5, {n, n}], i = 1}, While[i <= n, m[[i, i]] = 0.; i++]; m]]`,
+}
+
+func TestRefCountsBalanceOnEveryPath(t *testing.T) {
 	tenv := types.Builtin()
-	InsertRefCounts(mod, tenv)
-	acquires := countInstrs(mod.Main(), func(in *wir.Instr) bool { return in.Native == "memory_acquire" })
-	if acquires == 0 {
-		t.Fatalf("managed tensor needs a MemoryAcquire:\n%s", mod.Main().String())
+	for _, src := range refCountSrcs {
+		for _, level := range []int{0, 1, 2} {
+			mod := buildTWIR(t, src)
+			opts := DefaultOptions()
+			opts.OptimizationLevel = level
+			if err := RunPipeline(mod, &Context{Env: tenv, Opts: opts, VerifyEach: true}); err != nil {
+				t.Fatalf("O%d %s: %v\n%s", level, src, err, mod.String())
+			}
+		}
 	}
-	if err := mod.Lint(); err != nil {
+}
+
+// A mutation chain touches no count: the Part assignment hands its
+// operand's reference to its result, and the loop-carried phi takes it over
+// on the back edge.
+func TestRefCountsStayOutOfMutationLoops(t *testing.T) {
+	mod := buildTWIR(t, refCountSrcs[1])
+	if err := Run(mod, types.Builtin(), DefaultOptions()); err != nil {
 		t.Fatal(err)
+	}
+	f := mod.Main()
+	dom := ComputeDominators(f)
+	loops := FindLoops(f, dom)
+	if len(loops) == 0 {
+		t.Fatalf("no loop:\n%s", f.String())
+	}
+	for _, l := range loops {
+		for b := range l.Body {
+			for _, in := range b.Instrs {
+				if n := nativeName(in); n == "memory_acquire" || n == "memory_release" {
+					t.Fatalf("%s inside the loop (%s):\n%s", n, b.Label, f.String())
+				}
+			}
+		}
+	}
+	if n := countInstrs(f, func(in *wir.Instr) bool { return nativeName(in) == "list_fill" }); n != 1 {
+		t.Fatalf("ConstantArray should be one list_fill, got %d:\n%s", n, f.String())
+	}
+}
+
+func TestVerifyRefCountsCatchesImbalance(t *testing.T) {
+	tenv := types.Builtin()
+	build := func() *wir.Module {
+		mod := buildTWIR(t, refCountSrcs[1])
+		if err := Run(mod, tenv, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyRefCounts(mod, tenv); err != nil {
+			t.Fatalf("pipeline output must verify: %v", err)
+		}
+		return mod
+	}
+	find := func(f *wir.Function, native string) (*wir.Block, int) {
+		for _, b := range f.Blocks {
+			for i, in := range b.Instrs {
+				if nativeName(in) == native {
+					return b, i
+				}
+			}
+		}
+		t.Fatalf("no %s in:\n%s", native, f.String())
+		return nil, 0
+	}
+	// A dropped release leaks a reference to the return.
+	mod := build()
+	b, i := find(mod.Main(), "memory_release")
+	b.Instrs = append(b.Instrs[:i], b.Instrs[i+1:]...)
+	if err := VerifyRefCounts(mod, tenv); err == nil {
+		t.Fatal("missing release not detected")
+	}
+	// A doubled release gives up a reference nobody holds.
+	mod = build()
+	b, i = find(mod.Main(), "memory_release")
+	b.Instrs = append(b.Instrs[:i+1], b.Instrs[i:]...)
+	if err := VerifyRefCounts(mod, tenv); err == nil {
+		t.Fatal("double release not detected")
+	}
+	// An acquire inside the loop makes the back edge deliver more than the
+	// entry edge did.
+	mod = build()
+	b, i = find(mod.Main(), "setpart_1")
+	acq, _ := find(mod.Main(), "memory_acquire")
+	extra := *acq.Instrs[1]
+	extra.Args = []wir.Value{b.Instrs[i]}
+	b.Instrs = append(b.Instrs[:i+1], append([]*wir.Instr{&extra}, b.Instrs[i+1:]...)...)
+	if err := VerifyRefCounts(mod, tenv); err == nil {
+		t.Fatal("per-iteration acquire not detected")
 	}
 }
 
@@ -302,7 +404,7 @@ func TestLiveness(t *testing.T) {
 	mod := buildTWIR(t, `Function[{Typed[n, "MachineInteger"]},
 		Module[{s = 0, i = 1}, While[i <= n, s = s + i; i = i + 1]; s]]`)
 	f := mod.Main()
-	lv := ComputeLiveness(f)
+	lv := ComputeLiveness(f, trackedValue)
 	// The parameter n is live into the loop header (used by the compare).
 	var head *wir.Block
 	for _, b := range f.Blocks {

@@ -134,8 +134,10 @@ func (d *Def) Synthesize() expr.Expr {
 }
 
 // ScanExprs returns the expressions whose free symbols the synthesized
-// body can reach at runtime: live right-hand sides and compiled guards.
-// The tiering engine walks these for call-graph (mutual recursion) edges.
+// body can reach at runtime: live right-hand sides and compiled guards,
+// with the rule's own pattern variables already replaced by argument
+// projections — a variable d_ is not a call to a function named d. The
+// tiering engine walks these for call-graph (mutual recursion) edges.
 func (d *Def) ScanExprs() []expr.Expr { return d.scan }
 
 // kindSpec renders a dispatch kind as a TypeSpecifier expression.
@@ -245,7 +247,7 @@ func (d *Def) lowerRule(r pattern.Rule) (rule, bool, error) {
 			// normally fails compilation, which safely rejects the symbol.
 			g := pattern.Substitute(c, binds)
 			out.tests = append(out.tests, test{kind: tGuard, guard: g})
-			scan = append(scan, c)
+			scan = append(scan, g)
 			guards++
 		}
 	}
@@ -310,7 +312,7 @@ func (d *Def) lowerRule(r pattern.Rule) (rule, bool, error) {
 	}
 	addGuards(shape.Conds)
 	out.rhs = pattern.Substitute(r.RHS, binds)
-	d.scan = append(d.scan, append(scan, r.RHS)...)
+	d.scan = append(d.scan, append(scan, out.rhs)...)
 	return out, true, nil
 }
 

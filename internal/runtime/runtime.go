@@ -314,6 +314,43 @@ func (t *Tensor) EnsureUnshared() *Tensor {
 	return t
 }
 
+// own is EnsureUnshared for the checked Part assignment, which consumes its
+// operand's reference and hands it to its result: when it has to copy, the
+// reference moves from t to the copy. This cold branch is the only place a
+// chain of assignments touches the counts.
+func (t *Tensor) own() *Tensor {
+	if !t.IsShared() {
+		return t
+	}
+	u := t.Copy()
+	t.Release()
+	u.Acquire()
+	return u
+}
+
+// Off1 is the bounds test compiled code inlines around every element
+// access: a 1-based index i into a dimension of length n resolves to its
+// 0-based offset with one unsigned compare. ok is false for zero, negative
+// and past-the-end indices; the caller then takes the checked accessor
+// below, which resolves negative indices and raises the Part range
+// exception.
+func Off1(i int64, n int) (off int, ok bool) {
+	return int(i - 1), uint64(i-1) < uint64(n)
+}
+
+// Off2 is Off1 for a rank-2 index pair: two unsigned compares and the
+// row-major offset.
+func (t *Tensor) Off2(i, j int64) (off int, ok bool) {
+	if len(t.Dims) != 2 {
+		return 0, false
+	}
+	cols := t.Dims[1]
+	if uint64(i-1) < uint64(t.Dims[0]) && uint64(j-1) < uint64(cols) {
+		return int(i-1)*cols + int(j-1), true
+	}
+	return 0, false
+}
+
 // index resolves a 1-based possibly-negative index for dimension 0.
 func (t *Tensor) index(i int64) int {
 	n := int64(t.Len())
@@ -326,22 +363,20 @@ func (t *Tensor) index(i int64) int {
 	return int(i - 1)
 }
 
-// indexUnsafe resolves a 1-based index without range checking (macro loops
-// with proven-in-range indices; paper §6 index-check removal).
-func (t *Tensor) indexUnsafe(i int64) int { return int(i - 1) }
-
-// Scalar element access for rank-1 tensors.
+// Scalar element access for rank-1 tensors: the checked forms are the slow
+// path behind Off1; the U forms back macro loops whose indices are in range
+// by construction (paper §6 index-check removal).
 
 func (t *Tensor) GetI(i int64) int64       { return t.I[t.index(i)] }
 func (t *Tensor) GetF(i int64) float64     { return t.F[t.index(i)] }
 func (t *Tensor) GetC(i int64) complex128  { return t.C[t.index(i)] }
 func (t *Tensor) GetB(i int64) bool        { return t.B[t.index(i)] }
 func (t *Tensor) GetO(i int64) any         { return t.O[t.index(i)] }
-func (t *Tensor) GetIU(i int64) int64      { return t.I[t.indexUnsafe(i)] }
-func (t *Tensor) GetFU(i int64) float64    { return t.F[t.indexUnsafe(i)] }
-func (t *Tensor) GetCU(i int64) complex128 { return t.C[t.indexUnsafe(i)] }
-func (t *Tensor) GetBU(i int64) bool       { return t.B[t.indexUnsafe(i)] }
-func (t *Tensor) GetOU(i int64) any        { return t.O[t.indexUnsafe(i)] }
+func (t *Tensor) GetIU(i int64) int64      { return t.I[i-1] }
+func (t *Tensor) GetFU(i int64) float64    { return t.F[i-1] }
+func (t *Tensor) GetCU(i int64) complex128 { return t.C[i-1] }
+func (t *Tensor) GetBU(i int64) bool       { return t.B[i-1] }
+func (t *Tensor) GetOU(i int64) any        { return t.O[i-1] }
 
 // flat2 resolves a rank-2 index pair.
 func (t *Tensor) flat2(i, j int64) int {
@@ -392,79 +427,90 @@ func (t *Tensor) Row(i int64) *Tensor {
 	return out
 }
 
-// Set operations: the checked versions honour negative indices and apply
-// copy-on-write; they return the (possibly fresh) tensor, which compiled
-// code rebinds. The unsafe versions skip the range check only.
+// Set operations return the (possibly fresh) tensor, which compiled code
+// rebinds. The checked versions are the slow path behind the inlined
+// in-place store: they resolve negative indices, raise the range exception
+// before anything is copied, and apply copy-on-write as a consuming
+// assignment (own). The unsafe versions back macro loops over fresh lists:
+// no range check, and the operand keeps its own reference.
 
 func (t *Tensor) SetI(i int64, v int64) *Tensor {
-	u := t.EnsureUnshared()
-	u.I[u.index(i)] = v
+	k := t.index(i)
+	u := t.own()
+	u.I[k] = v
 	return u
 }
 
 func (t *Tensor) SetF(i int64, v float64) *Tensor {
-	u := t.EnsureUnshared()
-	u.F[u.index(i)] = v
+	k := t.index(i)
+	u := t.own()
+	u.F[k] = v
 	return u
 }
 
 func (t *Tensor) SetC(i int64, v complex128) *Tensor {
-	u := t.EnsureUnshared()
-	u.C[u.index(i)] = v
+	k := t.index(i)
+	u := t.own()
+	u.C[k] = v
 	return u
 }
 
 func (t *Tensor) SetB(i int64, v bool) *Tensor {
-	u := t.EnsureUnshared()
-	u.B[u.index(i)] = v
+	k := t.index(i)
+	u := t.own()
+	u.B[k] = v
 	return u
 }
 
 func (t *Tensor) SetO(i int64, v any) *Tensor {
-	u := t.EnsureUnshared()
-	u.O[u.index(i)] = v
+	k := t.index(i)
+	u := t.own()
+	u.O[k] = v
 	return u
 }
 
 func (t *Tensor) SetIU(i int64, v int64) *Tensor {
 	u := t.EnsureUnshared()
-	u.I[u.indexUnsafe(i)] = v
+	u.I[i-1] = v
 	return u
 }
 
 func (t *Tensor) SetFU(i int64, v float64) *Tensor {
 	u := t.EnsureUnshared()
-	u.F[u.indexUnsafe(i)] = v
+	u.F[i-1] = v
 	return u
 }
 
 func (t *Tensor) SetCU(i int64, v complex128) *Tensor {
 	u := t.EnsureUnshared()
-	u.C[u.indexUnsafe(i)] = v
+	u.C[i-1] = v
 	return u
 }
 
 func (t *Tensor) SetOU(i int64, v any) *Tensor {
 	u := t.EnsureUnshared()
-	u.O[u.indexUnsafe(i)] = v
+	u.O[i-1] = v
 	return u
 }
 
 func (t *Tensor) SetI2(i, j int64, v int64) *Tensor {
-	u := t.EnsureUnshared()
-	u.I[u.flat2(i, j)] = v
+	k := t.flat2(i, j)
+	u := t.own()
+	u.I[k] = v
 	return u
 }
 
 func (t *Tensor) SetF2(i, j int64, v float64) *Tensor {
-	u := t.EnsureUnshared()
-	u.F[u.flat2(i, j)] = v
+	k := t.flat2(i, j)
+	u := t.own()
+	u.F[k] = v
 	return u
 }
 
 func (t *Tensor) SetC2(i, j int64, v complex128) *Tensor {
-	u := t.EnsureUnshared()
-	u.C[u.flat2(i, j)] = v
+	k := t.flat2(i, j)
+	u := t.own()
+	u.C[k] = v
 	return u
 }
 
@@ -484,6 +530,53 @@ func (t *Tensor) SetC2U(i, j int64, v complex128) *Tensor {
 	u := t.EnsureUnshared()
 	u.C[u.flat2U(i, j)] = v
 	return u
+}
+
+// The Fill methods set every element of a freshly allocated tensor to v
+// and return it (ConstantArray). A v whose bits are the element zero leaves
+// the storage as make delivered it.
+
+func (t *Tensor) FillI(v int64) *Tensor {
+	if v != 0 {
+		for i := range t.I {
+			t.I[i] = v
+		}
+	}
+	return t
+}
+
+func (t *Tensor) FillF(v float64) *Tensor {
+	if math.Float64bits(v) != 0 {
+		for i := range t.F {
+			t.F[i] = v
+		}
+	}
+	return t
+}
+
+func (t *Tensor) FillC(v complex128) *Tensor {
+	if math.Float64bits(real(v)) != 0 || math.Float64bits(imag(v)) != 0 {
+		for i := range t.C {
+			t.C[i] = v
+		}
+	}
+	return t
+}
+
+func (t *Tensor) FillB(v bool) *Tensor {
+	if v {
+		for i := range t.B {
+			t.B[i] = true
+		}
+	}
+	return t
+}
+
+func (t *Tensor) FillO(v any) *Tensor {
+	for i := range t.O {
+		t.O[i] = v
+	}
+	return t
 }
 
 // Elementwise tensor arithmetic (Listable threading in compiled code). The

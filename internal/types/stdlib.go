@@ -153,6 +153,8 @@ func Builtin() *Env {
 	decl("Native`SetPartUnsafe", `TypeForAll[{"a"}, {"Tensor"["a", 2], "Integer64", "Integer64", "a"} -> "Tensor"["a", 2]]`, "setpart_unsafe_2")
 	decl("Native`ListNew", `TypeForAll[{"a"}, {"Integer64"} -> "Tensor"["a", 1]]`, "list_new")
 	decl("Native`MatrixNew", `TypeForAll[{"a"}, {"Integer64", "Integer64"} -> "Tensor"["a", 2]]`, "matrix_new")
+	decl("Native`ListFill", `TypeForAll[{"a"}, {"Integer64", "a"} -> "Tensor"["a", 1]]`, "list_fill")
+	decl("Native`MatrixFill", `TypeForAll[{"a"}, {"Integer64", "Integer64", "a"} -> "Tensor"["a", 2]]`, "matrix_fill")
 	decl("Native`Copy", `TypeForAll[{"a", "r"}, {"Tensor"["a", "r"]} -> "Tensor"["a", "r"]]`, "copy_tensor")
 	decl("Native`MemoryAcquire", `TypeForAll[{"a"}, {"a"} -> "Void"]`, "memory_acquire")
 	decl("Native`MemoryRelease", `TypeForAll[{"a"}, {"a"} -> "Void"]`, "memory_release")

@@ -175,11 +175,12 @@ const (
 	RtFlatten    // argc 1
 	RtN          // argc 1: int->real identity on tensors/scalars
 	RtTake       // argc 2: (tensor, n) -> first n elements
+	RtFill       // argc 2: (n, v) or 3: (r, c, v) -> int or real tensor filled with v
 )
 
 var runtimeNames = []string{
 	"Dot", "Total", "RandomReal", "RandomInteger", "TableReal", "TableInt",
-	"Transpose", "Reverse", "Flatten", "N", "Take",
+	"Transpose", "Reverse", "Flatten", "N", "Take", "Fill",
 }
 
 // Disassemble renders the bytecode for inspection, in the spirit of the

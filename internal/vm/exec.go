@@ -588,6 +588,34 @@ func (m *machine) runtime(id, argc int) error {
 	case RtTableInt:
 		n := args[0].I
 		m.push(TensorValue(NewIntTensor(int(n))))
+	case RtFill:
+		dims := make([]int, len(args)-1)
+		for i, a := range args[:len(args)-1] {
+			if a.Kind != KInt || a.I < 0 {
+				return vmErrf(ErrPartRange, "ConstantArray dimension %v", a)
+			}
+			dims[i] = int(a.I)
+		}
+		switch v := args[len(args)-1]; v.Kind {
+		case KInt:
+			t := NewIntTensor(dims...)
+			if v.I != 0 {
+				for i := range t.I {
+					t.I[i] = v.I
+				}
+			}
+			m.push(TensorValue(t))
+		case KReal:
+			t := NewRealTensor(dims...)
+			if math.Float64bits(v.R) != 0 {
+				for i := range t.R {
+					t.R[i] = v.R
+				}
+			}
+			m.push(TensorValue(t))
+		default:
+			return vmErrf(ErrUnsupported, "ConstantArray of %v", v.Kind)
+		}
 	case RtTake:
 		if args[0].Kind != KTensor || args[1].Kind != KInt {
 			return vmErrf(ErrTypeMismatch, "Take of %v, %v", args[0].Kind, args[1].Kind)

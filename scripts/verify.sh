@@ -28,6 +28,21 @@ fi
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
+echo "== benchmark gate: the benchmark module builds, passes its tests, and checks its programs =="
+# benchmark/ is a module of its own (root `go test ./...` does not see it).
+# Every timed operation there is compared with benchmark/expected/*.txt, so
+# two seconds of the tensor workload catch a codegen change that breaks a
+# program's checksum before anyone measures it.
+go -C benchmark vet .
+go -C benchmark test .
+bash benchmark/run.sh --workload fig2_tensor --seed 1 --seconds 2 --trace 0 > "$tmp/bench.out"
+tail -n 1 "$tmp/bench.out" | grep -q '"correct":true' &&
+    tail -n 1 "$tmp/bench.out" | grep -q '"failed":0[,}]' || {
+    echo "verify: FAIL — benchmark smoke: a fig2_tensor program's output is wrong or an operation failed"
+    tail -n 5 "$tmp/bench.out"
+    exit 1
+}
+
 echo "== autocompile gate: tiered wolfrepl is bit-identical to the interpreter =="
 # Tiered execution (ISSUE 5) promotes hot DownValues to compiled code in
 # the background; the differential smoke runs the example corpus with and
