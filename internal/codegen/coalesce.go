@@ -122,7 +122,7 @@ func (g *gen) storeOperand(in *wir.Instr) (wir.Value, bool) {
 	case "setpart_1", "setpart_2":
 		return in.Args[0], true
 	case "setpart_unsafe_1", "setpart_unsafe_2":
-		return in.Args[0], g.uses[in] == 0
+		return in.Args[0], g.useCount(in) == 0
 	}
 	return nil, false
 }
@@ -166,7 +166,7 @@ func newInterference(g *gen) *interference {
 
 func (iv *interference) interfere(x, y wir.Value) bool {
 	// A value nobody reads has no live range to protect.
-	if iv.g.uses[x] == 0 || iv.g.uses[y] == 0 {
+	if iv.g.useCount(x) == 0 || iv.g.useCount(y) == 0 {
 		return false
 	}
 	return iv.liveAfterDef(x, y) || iv.liveAfterDef(y, x)

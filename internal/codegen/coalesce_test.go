@@ -47,7 +47,7 @@ func TestMutationChainSharesOneRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := mod.Main()
-	g := &gen{prog: &Program{byName: map[string]*CFunc{}}, fn: f, cf: &CFunc{}, regs: map[wir.Value]reg{}, fuse: FuseFull}
+	g := &gen{prog: &Program{byName: map[string]*CFunc{}}, fn: f, cf: &CFunc{}, regs: map[wir.Value]reg{}, fuse: true}
 	if err := g.generate(); err != nil {
 		t.Fatal(err)
 	}

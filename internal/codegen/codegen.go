@@ -130,11 +130,10 @@ type CompileOptions struct {
 	// with these options: 0 = process default, 1 = serial.
 	Parallelism int
 	// FuseLevel selects superinstruction fusion: FuseOff emits one closure
-	// per instruction (the differential-testing baseline), FuseBranch folds
-	// single-use compares into their conditional branch, and FuseFull (the
-	// default; the zero value normalises to it) additionally fuses scalar
-	// def-use chains, Part load/store trees, and phi-edge moves into single
-	// closures.
+	// per instruction (the differential-testing baseline and the baseline
+	// tier), and every other value, the zero value included, means FuseFull:
+	// scalar def-use chains, compares with their branch, Part load/store
+	// trees, and phi-edge moves each fuse into a single closure.
 	FuseLevel int
 	// ProfileLevel > 0 instruments every basic block with an atomic
 	// execution counter (ISSUE 4): exact per-block and loop-trip counts,
@@ -149,18 +148,9 @@ type CompileOptions struct {
 // set" and resolves to FuseFull so existing call sites get the optimised
 // backend.
 const (
-	FuseOff    = -1
-	FuseBranch = 1
-	FuseFull   = 2
+	FuseOff  = -1
+	FuseFull = 2
 )
-
-// fuseLevelOf normalises the option's zero value to the default.
-func fuseLevelOf(opts CompileOptions) int {
-	if opts.FuseLevel == 0 {
-		return FuseFull
-	}
-	return opts.FuseLevel
-}
 
 // Compile generates closure-threaded code for a typed module.
 func Compile(mod *wir.Module) (*Program, error) {
@@ -180,7 +170,7 @@ func CompileWithOptions(mod *wir.Module, opts CompileOptions) (*Program, error) 
 		p.byName[f.Name] = cf
 	}
 	for i, f := range mod.Funcs {
-		g := &gen{prog: p, fn: f, cf: p.Funcs[i], regs: map[wir.Value]reg{}, fuse: fuseLevelOf(opts), profile: opts.ProfileLevel > 0}
+		g := &gen{prog: p, fn: f, cf: p.Funcs[i], regs: map[wir.Value]reg{}, fuse: opts.FuseLevel != FuseOff, profile: opts.ProfileLevel > 0}
 		if err := g.generate(); err != nil {
 			return nil, err
 		}
@@ -312,8 +302,8 @@ type gen struct {
 	fn   *wir.Function
 	cf   *CFunc
 	regs map[wir.Value]reg
-	// fuse is the normalised CompileOptions.FuseLevel.
-	fuse int
+	// fuse is set unless CompileOptions.FuseLevel is FuseOff.
+	fuse bool
 	// fused marks instructions folded into their single consumer (a
 	// superinstruction: the chain becomes one closure; fused instructions
 	// get no step and no register of their own).
@@ -324,8 +314,30 @@ type gen struct {
 	// profile enables per-block execution counters (CompileOptions.
 	// ProfileLevel > 0) and disables dispatch-skipping fusion shortcuts.
 	profile bool
-	// uses counts the operand references to each value.
+	// uses counts the operand references to each value; see useCount.
 	uses map[wir.Value]int
+}
+
+// useCount returns the number of operand references to v. The references
+// are counted on first demand: unfused code over scalars, which is all the
+// baseline tier generates, never asks.
+func (g *gen) useCount(v wir.Value) int {
+	if g.uses == nil {
+		g.uses = map[wir.Value]int{}
+		for _, b := range g.fn.Blocks {
+			for _, phi := range b.Phis {
+				for _, a := range phi.Args {
+					g.uses[a]++
+				}
+			}
+			for _, in := range b.Instrs {
+				for _, a := range in.Args {
+					g.uses[a]++
+				}
+			}
+		}
+	}
+	return g.uses[v]
 }
 
 // alloc assigns a register in v's class.
@@ -471,19 +483,6 @@ func (g *gen) generate() error {
 	blockIdx := map[*wir.Block]int{}
 	for i, b := range g.fn.Blocks {
 		blockIdx[b] = i
-	}
-	g.uses = map[wir.Value]int{}
-	for _, b := range g.fn.Blocks {
-		for _, phi := range b.Phis {
-			for _, a := range phi.Args {
-				g.uses[a]++
-			}
-		}
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				g.uses[a]++
-			}
-		}
 	}
 	if err := g.coalesceObjects(); err != nil {
 		return err
@@ -755,7 +754,7 @@ func (g *gen) threadEdge(b, t *wir.Block, blockIdx map[*wir.Block]int) ([]step, 
 	}
 	// Profiling needs every block entry to pass through the dispatch loop
 	// (where the counter step runs), so edge threading is disabled.
-	if g.fuse < FuseFull || g.profile {
+	if !g.fuse || g.profile {
 		return sts, blockIdx[t], nil
 	}
 	tt := t.Term()
@@ -1017,8 +1016,8 @@ func (g *gen) genInstr(in *wir.Instr) (step, error) {
 	case wir.OpCallIndirect:
 		return g.genCallIndirect(in)
 	case wir.OpCall:
-		if in.ResolvedFn != nil {
-			return g.genDirectCall(in)
+		if target := g.directCallee(in); target != nil {
+			return g.genDirectCall(in, target)
 		}
 		if _, ok := in.Prop("regcall"); ok {
 			return g.genRegistryCall(in)
@@ -1090,9 +1089,19 @@ func copyRet(fr, cfr *frame, dst, ret reg) {
 	}
 }
 
+// directCallee returns the module function in calls, if it calls one. The
+// pass pipeline records it in ResolvedFn; the baseline tier runs no passes,
+// so there the callee is found by name — without writing it into the
+// module, which is marshalled into the artifact store after this.
+func (g *gen) directCallee(in *wir.Instr) *CFunc {
+	if in.ResolvedFn != nil {
+		return g.prog.byName[in.ResolvedFn.Name]
+	}
+	return g.prog.byName[in.Callee]
+}
+
 // genDirectCall compiles a call to another module function.
-func (g *gen) genDirectCall(in *wir.Instr) (step, error) {
-	target := g.prog.byName[in.ResolvedFn.Name]
+func (g *gen) genDirectCall(in *wir.Instr, target *CFunc) (step, error) {
 	argRegs := make([]reg, len(in.Args))
 	for i, a := range in.Args {
 		r, err := g.regOf(a)
@@ -1208,26 +1217,6 @@ func (g *gen) genRegistryCall(in *wir.Instr) (step, error) {
 		}
 		target.releaseFrame(cfr)
 	}, nil
-}
-
-// markFusedCompares finds scalar comparisons whose single use is the
-// conditional branch of their own block; those fold into the terminator.
-
-func (g *gen) markFusedCompares() {
-	g.fused = map[*wir.Instr]bool{}
-	for _, b := range g.fn.Blocks {
-		t := b.Term()
-		if t == nil || t.Op != wir.OpCondBranch {
-			continue
-		}
-		cmp, ok := t.Args[0].(*wir.Instr)
-		if !ok || cmp.Block != b || cmp.Op != wir.OpCall || g.uses[cmp] != 1 {
-			continue
-		}
-		if _, fusible := fusedCmpKind(cmp); fusible {
-			g.fused[cmp] = true
-		}
-	}
 }
 
 // fusedCmpKind classifies a compare for fusion: op name and whether the

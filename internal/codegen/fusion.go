@@ -119,22 +119,13 @@ func (x opC) get(fr *frame) complex128 {
 // ---------------------------------------------------------------------------
 // Marking
 
-// markFused selects the fusion strategy for this function's level.
+// markFused marks every instruction foldable into its single consumer;
+// with fusion off g.fused stays nil and nothing reads as fused.
 func (g *gen) markFused() error {
-	g.fused = map[*wir.Instr]bool{}
-	switch {
-	case g.fuse <= FuseOff:
-		return nil
-	case g.fuse < FuseFull:
-		g.markFusedCompares()
+	if !g.fuse {
 		return nil
 	}
-	return g.markFusedFull()
-}
-
-// markFusedFull marks every instruction foldable into its single consumer.
-func (g *gen) markFusedFull() error {
-	uses := g.uses
+	g.fused = map[*wir.Instr]bool{}
 	// Phase 1: chains ending at a later instruction of the same block
 	// (including the conditional branch and the return). Reverse order so a
 	// consumer already marked fused extends the chain transitively.
@@ -142,7 +133,7 @@ func (g *gen) markFusedFull() error {
 		n := len(b.Instrs)
 		for idx := n - 1; idx >= 0; idx-- {
 			in := b.Instrs[idx]
-			if in.IsTerminator() || uses[in] != 1 || !g.fusibleProducer(in) {
+			if in.IsTerminator() || g.useCount(in) != 1 || !g.fusibleProducer(in) {
 				continue
 			}
 			var consumer *wir.Instr
@@ -182,7 +173,7 @@ func (g *gen) markFusedFull() error {
 		n := len(b.Instrs)
 		for idx := n - 1; idx >= 0; idx-- {
 			in := b.Instrs[idx]
-			if in.IsTerminator() || g.fused[in] || uses[in] != 1 || !g.fusibleProducer(in) {
+			if in.IsTerminator() || g.fused[in] || g.useCount(in) != 1 || !g.fusibleProducer(in) {
 				continue
 			}
 			local := false
@@ -720,19 +711,19 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *frame) int64 { return int64(math.Floor(x.get(fr))) }, nil
+		return func(fr *frame) int64 { return runtime.RealToI64(math.Floor(x.get(fr))) }, nil
 	case "ceiling_real":
 		x, err := g.opFFor(in.Args[0])
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *frame) int64 { return int64(math.Ceil(x.get(fr))) }, nil
+		return func(fr *frame) int64 { return runtime.RealToI64(math.Ceil(x.get(fr))) }, nil
 	case "round_real":
 		x, err := g.opFFor(in.Args[0])
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *frame) int64 { return int64(math.RoundToEven(x.get(fr))) }, nil
+		return func(fr *frame) int64 { return runtime.RealToI64(math.RoundToEven(x.get(fr))) }, nil
 	case "identity_int":
 		x, err := g.opIFor(in.Args[0])
 		if err != nil {
@@ -762,13 +753,13 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *frame) int64 { return x.get(fr) << uint64(y.get(fr)) }, nil
+		return func(fr *frame) int64 { return runtime.ShlI64(x.get(fr), y.get(fr)) }, nil
 	case "bitshiftright":
 		x, y, err := g.opII(in)
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *frame) int64 { return x.get(fr) >> uint64(y.get(fr)) }, nil
+		return func(fr *frame) int64 { return runtime.ShrI64(x.get(fr), y.get(fr)) }, nil
 	case "cast":
 		x, err := g.opIFor(in.Args[0])
 		if err != nil {

@@ -128,11 +128,11 @@ var fusionCorpus = []struct {
 		[]any{int64(80)}, nil},
 }
 
-// TestFuseLevelsAgree asserts bit-identical results across all fusion
+// TestFuseLevelsAgree asserts bit-identical results across both fusion
 // levels on the corpus.
 func TestFuseLevelsAgree(t *testing.T) {
 	for _, tc := range fusionCorpus {
-		levels := map[string]int{"off": FuseOff, "branch": FuseBranch, "full": FuseFull}
+		levels := map[string]int{"off": FuseOff, "full": FuseFull}
 		results := map[string]any{}
 		for name, lvl := range levels {
 			prog := compileSrcFuse(t, tc.src, lvl)

@@ -43,13 +43,16 @@ func (g *gen) genNative(in *wir.Instr) (step, error) {
 		// collector's alone; only tensors carry a count.
 		return nil, nil
 	}
-	regs := make([]reg, len(in.Args))
-	for i, a := range in.Args {
+	// selectNative does not keep regs, so the usual four operands or fewer
+	// stay on the stack.
+	var buf [4]reg
+	regs := buf[:0]
+	for _, a := range in.Args {
 		r, err := g.regOf(a)
 		if err != nil {
 			return nil, err
 		}
-		regs[i] = r
+		regs = append(regs, r)
 	}
 	var dst reg
 	if in.Ty != types.TVoid {
@@ -367,13 +370,13 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 		return func(fr *frame) { fr.f[d] = math.Atan2(fr.f[b], fr.f[a]) }
 	case "floor_real":
 		a := a0()
-		return func(fr *frame) { fr.i[d] = int64(math.Floor(fr.f[a])) }
+		return func(fr *frame) { fr.i[d] = runtime.RealToI64(math.Floor(fr.f[a])) }
 	case "ceiling_real":
 		a := a0()
-		return func(fr *frame) { fr.i[d] = int64(math.Ceil(fr.f[a])) }
+		return func(fr *frame) { fr.i[d] = runtime.RealToI64(math.Ceil(fr.f[a])) }
 	case "round_real":
 		a := a0()
-		return func(fr *frame) { fr.i[d] = int64(math.RoundToEven(fr.f[a])) }
+		return func(fr *frame) { fr.i[d] = runtime.RealToI64(math.RoundToEven(fr.f[a])) }
 	case "identity_int":
 		a := a0()
 		return func(fr *frame) { fr.i[d] = fr.i[a] }
@@ -405,10 +408,10 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 		return func(fr *frame) { fr.i[d] = fr.i[a] ^ fr.i[b] }
 	case "bitshiftleft":
 		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = fr.i[a] << uint64(fr.i[b]) }
+		return func(fr *frame) { fr.i[d] = runtime.ShlI64(fr.i[a], fr.i[b]) }
 	case "bitshiftright":
 		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = fr.i[a] >> uint64(fr.i[b]) }
+		return func(fr *frame) { fr.i[d] = runtime.ShrI64(fr.i[a], fr.i[b]) }
 
 	// --- tensors ---
 	case "tensor_length":
@@ -686,6 +689,13 @@ func (g *gen) cmpStep(native string, regs []reg, d int) step {
 			return func(fr *frame) { fr.b[d] = fr.c[a] == fr.c[b] }
 		case "unequal":
 			return func(fr *frame) { fr.b[d] = fr.c[a] != fr.c[b] }
+		}
+	case runtime.KBool:
+		switch op {
+		case "equal":
+			return func(fr *frame) { fr.b[d] = fr.b[a] == fr.b[b] }
+		case "unequal":
+			return func(fr *frame) { fr.b[d] = fr.b[a] != fr.b[b] }
 		}
 	case runtime.KObj: // strings
 		cmp := func(fr *frame) int {

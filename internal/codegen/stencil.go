@@ -1,650 +1,75 @@
-// The baseline stencil backend (copy-and-patch, after Xu & Kjolstad 2021):
-// every scalar TWIR instruction shape has a pre-built closure template — a
-// "stencil" — keyed by native id and operand register classes. Compiling a
-// function is a straight table walk: look the stencil up, patch in the
-// frame slot indices, append. No pass manager, no fusion, no instruction
-// selection heuristics — the price is that only the machine-scalar
-// fragment is covered (the same fragment the tiering engine promotes), and
-// steady-state code runs one closure per instruction like the -fuse=off
-// backend. The payoff is compile time: table lookups against a front end
-// that skipped the constraint solver (infer.Quick) land stencil compiles
-// one to two orders of magnitude below the full O2 pipeline.
-//
-// The output is an ordinary *Program of *CFuncs, so the fnreg lifecycle,
-// guard-miss/overflow fallback, metrics, and the dispatch wrapper in
-// internal/core work on stencil code unchanged.
+// The baseline tier's backend (F1.5). Copy-and-patch (Xu & Kjolstad 2021)
+// gets its compile-latency win from skipping analysis, and here the analysis
+// is all in front of the backend: infer.Quick replaces the constraint solver
+// and no pass runs. What is left for code generation is the ordinary closure
+// backend with fusion off — one pre-written closure per instruction, its
+// frame slots patched in — so the baseline tier covers exactly the scalar
+// natives selectNative implements, and a native added there lands in both
+// tiers at once.
 package codegen
 
 import (
 	"fmt"
-	"math"
-	"strings"
 
 	"wolfc/internal/runtime"
 	"wolfc/internal/types"
 	"wolfc/internal/wir"
 )
 
-// ErrStencilUnsupported wraps every coverage rejection so callers can fall
-// back to the full pipeline (or the interpreter) without parsing messages.
-var ErrStencilUnsupported = fmt.Errorf("instruction shape has no stencil")
-
-func stencilErr(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrStencilUnsupported, fmt.Sprintf(format, args...))
-}
-
-// stencil2 is a binary-operand stencil: patching destination and two
-// operand slots yields the executable step.
-type stencil2 func(d, a, b int) step
-
-// stencil1 is a unary-operand stencil.
-type stencil1 func(d, a int) step
-
-// kindChar is the operand-signature letter for a register class.
-func kindChar(k runtime.Kind) byte {
-	switch k {
-	case runtime.KI64:
-		return 'i'
-	case runtime.KR64:
-		return 'r'
-	case runtime.KC64:
-		return 'c'
-	case runtime.KBool:
-		return 'b'
-	}
-	return '?'
-}
-
-// The table keys are structs, not "native/sig" strings: lookups happen once
-// per compiled instruction and a struct key needs no allocation, where
-// concatenating the signature did. The registration helpers still accept the
-// readable "native/sig" spelling and split it once at init.
-type skey2 struct {
-	native string
-	a, b   byte
-}
-
-type skey1 struct {
-	native string
-	a      byte
-}
-
-// The tables. Populated once at init; every entry is a pre-built template
-// whose only free inputs are frame slot indices.
-var (
-	stencils2 = map[skey2]stencil2{}
-	stencils1 = map[skey1]stencil1{}
-)
-
-func init() {
-	reg2 := func(key string, s stencil2) {
-		i := strings.IndexByte(key, '/')
-		stencils2[skey2{key[:i], key[i+1], key[i+2]}] = s
-	}
-	reg1 := func(key string, s stencil1) {
-		i := strings.IndexByte(key, '/')
-		stencils1[skey1{key[:i], key[i+1]}] = s
-	}
-
-	// --- pattern dispatch ---
-	// A dispatch-tree leaf no DownValue rule covers: fixed template (the
-	// operand is a dummy, the destination is never written), mirroring
-	// abortStencil's shape.
-	reg1("pattern_miss/i", func(d, a int) step {
-		return func(fr *frame) { runtime.Throw(runtime.ExcNoMatch, "no matching DownValue rule") }
-	})
-
-	// --- checked scalar arithmetic ---
-	reg2("binary_plus/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = runtime.AddI64(fr.i[a], fr.i[b]) }
-	})
-	reg2("binary_plus/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] + fr.f[b] }
-	})
-	reg2("binary_plus/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] + fr.c[b] }
-	})
-	reg2("binary_times/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = runtime.MulI64(fr.i[a], fr.i[b]) }
-	})
-	reg2("binary_times/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] * fr.f[b] }
-	})
-	reg2("binary_times/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] * fr.c[b] }
-	})
-	reg2("binary_subtract/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = runtime.SubI64(fr.i[a], fr.i[b]) }
-	})
-	reg2("binary_subtract/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] - fr.f[b] }
-	})
-	reg2("binary_subtract/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] - fr.c[b] }
-	})
-	reg2("binary_divide/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] / fr.f[b] }
-	})
-	reg2("binary_divide/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] / fr.c[b] }
-	})
-	reg2("divide_int_real/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) / float64(fr.i[b]) }
-	})
-	reg1("unary_minus/i", func(d, a int) step {
-		return func(fr *frame) { fr.i[d] = runtime.NegI64(fr.i[a]) }
-	})
-	reg1("unary_minus/r", func(d, a int) step {
-		return func(fr *frame) { fr.f[d] = -fr.f[a] }
-	})
-	reg1("unary_minus/c", func(d, a int) step {
-		return func(fr *frame) { fr.c[d] = -fr.c[a] }
-	})
-
-	// --- mixed-width promotion ---
-	reg2("mixed_ri_plus/ri", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] + float64(fr.i[b]) }
-	})
-	reg2("mixed_ir_plus/ir", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) + fr.f[b] }
-	})
-	reg2("mixed_ri_times/ri", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] * float64(fr.i[b]) }
-	})
-	reg2("mixed_ir_times/ir", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) * fr.f[b] }
-	})
-	reg2("mixed_ri_subtract/ri", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] - float64(fr.i[b]) }
-	})
-	reg2("mixed_ir_subtract/ir", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) - fr.f[b] }
-	})
-	reg2("mixed_ri_divide/ri", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] / float64(fr.i[b]) }
-	})
-	reg2("mixed_ir_divide/ir", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) / fr.f[b] }
-	})
-	reg2("mixed_cr_plus/cr", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] + complex(fr.f[b], 0) }
-	})
-	reg2("mixed_rc_plus/rc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], 0) + fr.c[b] }
-	})
-	reg2("mixed_cr_times/cr", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] * complex(fr.f[b], 0) }
-	})
-	reg2("mixed_rc_times/rc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], 0) * fr.c[b] }
-	})
-	reg2("mixed_cr_subtract/cr", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] - complex(fr.f[b], 0) }
-	})
-	reg2("mixed_rc_subtract/rc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], 0) - fr.c[b] }
-	})
-
-	// --- powers, mod, quotient ---
-	reg2("power_int/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = runtime.PowI64(fr.i[a], fr.i[b]) }
-	})
-	reg2("power_real/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = math.Pow(fr.f[a], fr.f[b]) }
-	})
-	reg2("power_real_int/ri", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = math.Pow(fr.f[a], float64(fr.i[b])) }
-	})
-	reg2("power_complex_int/ci", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = runtime.PowCInt(fr.c[a], fr.i[b]) }
-	})
-	reg2("power_complex/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = runtime.PowC(fr.c[a], fr.c[b]) }
-	})
-	reg2("mod_int/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = runtime.ModI64(fr.i[a], fr.i[b]) }
-	})
-	reg2("mod_real/rr", func(d, a, b int) step {
-		return func(fr *frame) {
-			r := math.Mod(fr.f[a], fr.f[b])
-			if r != 0 && (r < 0) != (fr.f[b] < 0) {
-				r += fr.f[b]
-			}
-			fr.f[d] = r
-		}
-	})
-	reg2("quotient_int/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = runtime.QuotI64(fr.i[a], fr.i[b]) }
-	})
-
-	// --- abs, sign, min/max ---
-	reg1("abs_int/i", func(d, a int) step {
-		return func(fr *frame) {
-			v := fr.i[a]
-			if v < 0 {
-				v = runtime.NegI64(v)
-			}
-			fr.i[d] = v
-		}
-	})
-	reg1("abs_real/r", func(d, a int) step {
-		return func(fr *frame) { fr.f[d] = math.Abs(fr.f[a]) }
-	})
-	reg1("abs_complex/c", func(d, a int) step {
-		return func(fr *frame) { fr.f[d] = runtime.AbsC(fr.c[a]) }
-	})
-	reg1("sign_int/i", func(d, a int) step {
-		return func(fr *frame) {
-			switch {
-			case fr.i[a] > 0:
-				fr.i[d] = 1
-			case fr.i[a] < 0:
-				fr.i[d] = -1
-			default:
-				fr.i[d] = 0
-			}
-		}
-	})
-	reg1("sign_real/r", func(d, a int) step {
-		return func(fr *frame) {
-			switch {
-			case fr.f[a] > 0:
-				fr.i[d] = 1
-			case fr.f[a] < 0:
-				fr.i[d] = -1
-			default:
-				fr.i[d] = 0
-			}
-		}
-	})
-	reg2("min/ii", func(d, a, b int) step {
-		return func(fr *frame) {
-			if fr.i[a] < fr.i[b] {
-				fr.i[d] = fr.i[a]
-			} else {
-				fr.i[d] = fr.i[b]
-			}
-		}
-	})
-	reg2("max/ii", func(d, a, b int) step {
-		return func(fr *frame) {
-			if fr.i[a] > fr.i[b] {
-				fr.i[d] = fr.i[a]
-			} else {
-				fr.i[d] = fr.i[b]
-			}
-		}
-	})
-	reg2("min/rr", func(d, a, b int) step {
-		return func(fr *frame) {
-			if fr.f[a] < fr.f[b] {
-				fr.f[d] = fr.f[a]
-			} else {
-				fr.f[d] = fr.f[b]
-			}
-		}
-	})
-	reg2("max/rr", func(d, a, b int) step {
-		return func(fr *frame) {
-			if fr.f[a] > fr.f[b] {
-				fr.f[d] = fr.f[a]
-			} else {
-				fr.f[d] = fr.f[b]
-			}
-		}
-	})
-
-	// --- comparisons ---
-	reg2("cmp_less/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a] < fr.i[b] }
-	})
-	reg2("cmp_lessequal/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a] <= fr.i[b] }
-	})
-	reg2("cmp_greater/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a] > fr.i[b] }
-	})
-	reg2("cmp_greaterequal/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a] >= fr.i[b] }
-	})
-	reg2("cmp_equal/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a] == fr.i[b] }
-	})
-	reg2("cmp_unequal/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a] != fr.i[b] }
-	})
-	reg2("cmp_less/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.f[a] < fr.f[b] }
-	})
-	reg2("cmp_lessequal/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.f[a] <= fr.f[b] }
-	})
-	reg2("cmp_greater/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.f[a] > fr.f[b] }
-	})
-	reg2("cmp_greaterequal/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.f[a] >= fr.f[b] }
-	})
-	reg2("cmp_equal/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.f[a] == fr.f[b] }
-	})
-	reg2("cmp_unequal/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.f[a] != fr.f[b] }
-	})
-	reg2("cmp_equal/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.c[a] == fr.c[b] }
-	})
-	reg2("cmp_unequal/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.c[a] != fr.c[b] }
-	})
-	for _, mixed := range []struct {
-		id string
-		f  func(a, b float64) bool
-	}{
-		{"less", func(a, b float64) bool { return a < b }},
-		{"lessequal", func(a, b float64) bool { return a <= b }},
-		{"greater", func(a, b float64) bool { return a > b }},
-		{"greaterequal", func(a, b float64) bool { return a >= b }},
-		{"equal", func(a, b float64) bool { return a == b }},
-		{"unequal", func(a, b float64) bool { return a != b }},
-	} {
-		cmp := mixed.f
-		reg2("mixed_ri_cmp_"+mixed.id+"/ri", func(d, a, b int) step {
-			return func(fr *frame) { fr.b[d] = cmp(fr.f[a], float64(fr.i[b])) }
-		})
-		reg2("mixed_ir_cmp_"+mixed.id+"/ir", func(d, a, b int) step {
-			return func(fr *frame) { fr.b[d] = cmp(float64(fr.i[a]), fr.f[b]) }
-		})
-	}
-	reg2("sameq_bool/bb", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.b[a] == fr.b[b] }
-	})
-	reg1("not/b", func(d, a int) step {
-		return func(fr *frame) { fr.b[d] = !fr.b[a] }
-	})
-	reg2("and/bb", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.b[a] && fr.b[b] }
-	})
-	reg2("or/bb", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.b[a] || fr.b[b] }
-	})
-
-	// --- elementary functions ---
-	for _, name := range []string{"sin", "cos", "tan", "exp", "log", "sqrt", "arctan", "arcsin", "arccos"} {
-		f := mathFunc(name)
-		reg1("math_"+name+"/r", func(d, a int) step {
-			return func(fr *frame) { fr.f[d] = f(fr.f[a]) }
-		})
-		reg1("math_"+name+"_int/i", func(d, a int) step {
-			return func(fr *frame) { fr.f[d] = f(float64(fr.i[a])) }
-		})
-	}
-	reg2("math_atan2/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = math.Atan2(fr.f[b], fr.f[a]) }
-	})
-	reg1("floor_real/r", func(d, a int) step {
-		return func(fr *frame) { fr.i[d] = int64(math.Floor(fr.f[a])) }
-	})
-	reg1("ceiling_real/r", func(d, a int) step {
-		return func(fr *frame) { fr.i[d] = int64(math.Ceil(fr.f[a])) }
-	})
-	reg1("round_real/r", func(d, a int) step {
-		return func(fr *frame) { fr.i[d] = int64(math.RoundToEven(fr.f[a])) }
-	})
-	reg1("identity_int/i", func(d, a int) step {
-		return func(fr *frame) { fr.i[d] = fr.i[a] }
-	})
-	reg1("to_real64/i", func(d, a int) step {
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) }
-	})
-	reg1("to_real64/r", func(d, a int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] }
-	})
-	reg1("evenq/i", func(d, a int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a]%2 == 0 }
-	})
-	reg1("oddq/i", func(d, a int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a]%2 != 0 }
-	})
-
-	// --- bit operations ---
-	reg2("bitand/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = fr.i[a] & fr.i[b] }
-	})
-	reg2("bitor/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = fr.i[a] | fr.i[b] }
-	})
-	reg2("bitxor/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = fr.i[a] ^ fr.i[b] }
-	})
-	reg2("bitshiftleft/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = fr.i[a] << uint64(fr.i[b]) }
-	})
-	reg2("bitshiftright/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = fr.i[a] >> uint64(fr.i[b]) }
-	})
-
-	// --- complex construction ---
-	reg2("make_complex/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], fr.f[b]) }
-	})
-}
-
-// StencilCoverage reports the table sizes (documentation and tests).
-func StencilCoverage() (binary, unary int) { return len(stencils2), len(stencils1) }
-
-// abortStencil is the fixed template for OpAbortCheck — no operands, so
-// nothing to patch.
-var abortStencil step = func(fr *frame) {
-	if fr.rt.Aborted() {
-		runtime.Throw(runtime.ExcAbort, "aborted")
-	}
-}
-
-// StencilCompile assembles a typed scalar module into a runnable Program
-// by table lookup. Modules outside the covered fragment return an
-// ErrStencilUnsupported-wrapped error; callers fall back to the full
-// pipeline or stay on the interpreter.
+// StencilCompile generates unfused closure code for a typed module whose
+// every value is a machine scalar, and rejects any other module: callers
+// fall back to the full pipeline or stay on the interpreter.
 func StencilCompile(mod *wir.Module) (*Program, error) {
-	if !mod.Typed {
-		return nil, fmt.Errorf("stencil: module is untyped; run inference first")
+	if err := scalarOnly(mod); err != nil {
+		return nil, err
 	}
-	p := &Program{Module: mod, byName: map[string]*CFunc{}}
-	for _, f := range mod.Funcs {
-		cf := &CFunc{Name: f.Name}
-		p.Funcs = append(p.Funcs, cf)
-		p.byName[f.Name] = cf
-	}
-	for i, f := range mod.Funcs {
-		g := &gen{prog: p, fn: f, cf: p.Funcs[i], regs: map[wir.Value]reg{}, fuse: FuseOff}
-		if err := stencilAssemble(g); err != nil {
-			return nil, err
-		}
-	}
-	p.Main = p.byName["Main"]
-	if p.Main == nil && len(p.Funcs) > 0 {
-		p.Main = p.Funcs[0]
-	}
-	return p, nil
+	return CompileWithOptions(mod, CompileOptions{FuseLevel: FuseOff})
 }
 
-// stencilAssemble walks one function's TWIR and patches a stencil per
-// instruction. Register assignment and phi-edge parallel copies reuse the
-// backend's slot allocator and move sequentialiser (they are shared
-// calling-convention machinery, not instruction selection); every step
-// body comes from the table.
-func stencilAssemble(g *gen) error {
-	for _, p := range g.fn.Params {
-		if p.Ty == nil || runtime.KindOf(p.Ty) == runtime.KObj {
-			return stencilErr("%s: parameter %s : %s", g.fn.Name, p.Name(), p.Ty)
-		}
-		r, err := g.regOf(p)
-		if err != nil {
-			return err
-		}
-		g.cf.params = append(g.cf.params, r)
+// scalarOnly rejects a module that holds an object-kinded value anywhere.
+// The baseline front end inserts no copies and no reference counts, so a
+// tensor, string, expression or function value must be a compile error,
+// never code — and the module may come decoded from the artifact store,
+// not from infer.Quick, so the backend checks for itself.
+func scalarOnly(mod *wir.Module) error {
+	if !mod.Typed {
+		return fmt.Errorf("stencil: module is untyped; run inference first")
 	}
-	g.cf.retKind = runtime.KindOf(g.fn.RetTy)
-	if g.fn.RetTy != types.TVoid {
-		if g.cf.retKind == runtime.KObj {
-			return stencilErr("%s: returns %s", g.fn.Name, g.fn.RetTy)
+	scalar := func(t types.Type) bool { return t != nil && runtime.KindOf(t) != runtime.KObj }
+	reject := func(f *wir.Function, v wir.Value) error {
+		return fmt.Errorf("stencil: %s: %s : %v is not a machine scalar", f.Name, v.Name(), v.Type())
+	}
+	// Abort checks and terminators carry no type, so a definition may be
+	// untyped; one that is used as a value fails its user's operand test.
+	check := func(f *wir.Function, in *wir.Instr) error {
+		if in.Ty != nil && !scalar(in.Ty) {
+			return reject(f, in)
 		}
-		g.cf.retReg = g.alloc(g.cf.retKind)
-		g.cf.hasRet = true
-	}
-	blockIdx := map[*wir.Block]int{}
-	for i, b := range g.fn.Blocks {
-		blockIdx[b] = i
-	}
-	for _, b := range g.fn.Blocks {
-		for _, phi := range b.Phis {
-			if phi.Ty == nil || runtime.KindOf(phi.Ty) == runtime.KObj {
-				return stencilErr("%s: phi %s : %s", g.fn.Name, phi.Name(), phi.Ty)
+		for _, a := range in.Args {
+			if !scalar(a.Type()) {
+				return reject(f, a)
 			}
 		}
-		var cb cblock
-		for _, in := range b.Instrs {
-			if in.IsTerminator() {
-				// Terminators carry no primitive semantics — just edges,
-				// phi parallel copies, and the return move — so the
-				// backend's plain (unfused) terminator builder serves.
-				t, err := g.genTerminator(b, in, blockIdx)
-				if err != nil {
+		return nil
+	}
+	for _, f := range mod.Funcs {
+		for _, p := range f.Params {
+			if !scalar(p.Ty) {
+				return reject(f, p)
+			}
+		}
+		for _, b := range f.Blocks {
+			for _, phi := range b.Phis {
+				if err := check(f, phi); err != nil {
 					return err
 				}
-				cb.term = t
-				break
 			}
-			st, err := stencilStep(g, in)
-			if err != nil {
-				return err
-			}
-			if st != nil {
-				cb.steps = append(cb.steps, st)
+			for _, in := range b.Instrs {
+				if err := check(f, in); err != nil {
+					return err
+				}
 			}
 		}
-		if cb.term == nil {
-			return stencilErr("%s: block %s unterminated", g.fn.Name, b.Label)
-		}
-		g.cf.blocks = append(g.cf.blocks, cb)
 	}
 	return nil
-}
-
-// stencilStep instantiates the stencil for one non-terminator instruction.
-func stencilStep(g *gen, in *wir.Instr) (step, error) {
-	switch in.Op {
-	case wir.OpAbortCheck:
-		return abortStencil, nil
-	case wir.OpCall:
-		// Direct calls into the same module (self/mutual recursion after
-		// the SelfName rewrite) and registry calls (separately compiled
-		// units) get the two call stencils; everything else must be a
-		// native in the table.
-		if target := g.fn.Module.FuncByName(in.Callee); target != nil {
-			return stencilDirectCall(g, in, target)
-		}
-		if _, ok := in.Prop("regcall"); ok {
-			return g.genRegistryCall(in)
-		}
-		return stencilNative(g, in)
-	}
-	return nil, stencilErr("%s: op %d", g.fn.Name, in.Op)
-}
-
-// stencilNative patches a table stencil with the instruction's slots.
-func stencilNative(g *gen, in *wir.Instr) (step, error) {
-	native := nativeOf(in)
-	if native == "" {
-		return nil, stencilErr("%s: unresolved call %s", g.fn.Name, in.Callee)
-	}
-	if len(in.Args) < 1 || len(in.Args) > 2 {
-		return nil, stencilErr("%s: %s has %d operands", g.fn.Name, native, len(in.Args))
-	}
-	var regs [2]reg
-	for i, a := range in.Args {
-		if k := runtime.KindOf(a.Type()); k == runtime.KObj {
-			return nil, stencilErr("%s: %s operand %s : %s", g.fn.Name, native, a.Name(), a.Type())
-		}
-		r, err := g.regOf(a)
-		if err != nil {
-			return nil, err
-		}
-		regs[i] = r
-	}
-	var dst reg
-	if in.Ty != types.TVoid {
-		if runtime.KindOf(in.Ty) == runtime.KObj {
-			return nil, stencilErr("%s: %s result %s", g.fn.Name, native, in.Ty)
-		}
-		var err error
-		dst, err = g.regOf(in)
-		if err != nil {
-			return nil, err
-		}
-	}
-	switch len(in.Args) {
-	case 2:
-		if s, ok := stencils2[skey2{native, kindChar(regs[0].kind), kindChar(regs[1].kind)}]; ok {
-			return s(dst.idx, regs[0].idx, regs[1].idx), nil
-		}
-		return nil, stencilErr("%s: no stencil for %s/%c%c", g.fn.Name, native,
-			kindChar(regs[0].kind), kindChar(regs[1].kind))
-	default:
-		if s, ok := stencils1[skey1{native, kindChar(regs[0].kind)}]; ok {
-			return s(dst.idx, regs[0].idx), nil
-		}
-		return nil, stencilErr("%s: no stencil for %s/%c", g.fn.Name, native,
-			kindChar(regs[0].kind))
-	}
-}
-
-// stencilDirectCall is the module-internal call stencil. The full pipeline
-// resolves these in a pass (ResolveIndirectCalls fills ResolvedFn); the
-// stencil path skips passes, so the lookup happens here at assembly time.
-func stencilDirectCall(g *gen, in *wir.Instr, target *wir.Function) (step, error) {
-	cfTarget := g.prog.byName[target.Name]
-	if cfTarget == nil {
-		return nil, stencilErr("%s: call target %s missing", g.fn.Name, target.Name)
-	}
-	argRegs := make([]reg, len(in.Args))
-	for i, a := range in.Args {
-		r, err := g.regOf(a)
-		if err != nil {
-			return nil, err
-		}
-		argRegs[i] = r
-	}
-	var dst reg
-	hasResult := in.Ty != types.TVoid
-	if hasResult {
-		var err error
-		dst, err = g.regOf(in)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return func(fr *frame) {
-		cfr := cfTarget.newFrame(fr.rt)
-		copyArgs(fr, cfr, argRegs, cfTarget.params)
-		cfTarget.exec(cfr)
-		if hasResult && cfTarget.hasRet {
-			copyRet(fr, cfr, dst, cfTarget.retReg)
-		}
-		cfTarget.releaseFrame(cfr)
-	}, nil
-}
-
-// StencilSignature returns the module Main's ground signature (used by the
-// tiering engine to reserve registry entries before install).
-func StencilSignature(mod *wir.Module) (*types.Fn, bool) {
-	main := mod.Main()
-	if main == nil {
-		return nil, false
-	}
-	sig := main.FnType()
-	if !types.IsGround(sig) {
-		return nil, false
-	}
-	return sig, true
 }

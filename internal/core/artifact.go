@@ -94,51 +94,17 @@ func (c *Compiler) loadArtifact(stableKey string, fn expr.Expr, req CompileReque
 	}
 	// Re-run the backend this compiler is configured for. The backend
 	// options are part of the stable key, so the regenerated program is
-	// the one the storing process ran.
-	var prog *codegen.Program
-	if c.Stencil {
-		prog, err = codegen.StencilCompile(mod)
-	} else {
-		prog, err = codegen.CompileWithOptions(mod, codegen.CompileOptions{
-			NaiveConstants: c.NaiveConstants,
-			Parallelism:    c.Parallelism,
-			FuseLevel:      c.FuseLevel,
-			ProfileLevel:   c.ProfileLevel,
-		})
+	// the one the storing process ran. Serialised modules never carry
+	// registry calls (maybeStoreArtifact gates them), so RegDeps comes back
+	// empty.
+	prog, err := c.generate(mod)
+	if err == nil {
+		ccf, err = c.wrap(mod, prog, fn, displayName(req.SelfName, fn), c.backend()+"-aot")
 	}
 	if err != nil {
 		s.DropUndecodable(stableKey)
 		return nil
 	}
-	main := mod.Main()
-	if main == nil {
-		s.DropUndecodable(stableKey)
-		return nil
-	}
-	backend := "closure-aot"
-	if c.Stencil {
-		backend = "stencil-aot"
-	}
-	ccf = &CompiledCodeFunction{
-		Source:   fn,
-		Module:   mod,
-		Program:  prog,
-		RetType:  main.RetTy,
-		compiler: c, // rebind to the hosting kernel (install.go's model)
-		Metrics:  obs.RegisterFuncScoped(displayName(req.SelfName, fn), backend, c.reg().ID()),
-	}
-	if c.ProfileLevel > 0 {
-		ccf.Metrics.SetDetail(ccf.profileDetail)
-	}
-	for _, p := range main.Params {
-		if !p.Capture {
-			ccf.ParamTypes = append(ccf.ParamTypes, p.Ty)
-		}
-	}
-	// Serialised modules never carry registry calls (maybeStoreArtifact
-	// gates them), so RegDeps stays nil by construction; collect anyway so
-	// a future format that does carry them keeps the invalidation wiring.
-	ccf.RegDeps = collectRegDeps(mod)
 	return ccf
 }
 

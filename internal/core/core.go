@@ -52,13 +52,13 @@ type Compiler struct {
 	// (ISSUE 4); the hot-block table is exposed through the compiled
 	// function's metrics detail and codegen.CFunc.ProfileTable.
 	ProfileLevel int
-	// Stencil selects the baseline copy-and-patch backend (tier F1.5):
-	// quick scalar inference instead of the constraint solver, no pass
-	// pipeline, and table-lookup stencil assembly instead of instruction
-	// selection. Compiles land ~an order of magnitude faster; coverage is
-	// the machine-scalar fragment, and anything outside it fails with
-	// codegen.ErrStencilUnsupported/infer.ErrQuickUnsupported so callers
-	// can fall back to the full pipeline.
+	// Stencil selects the baseline configuration of the pipeline (tier
+	// F1.5): quick scalar inference instead of the constraint solver, abort
+	// checks instead of the pass pipeline, and the closure backend with
+	// fusion off. Compiles land ~an order of magnitude faster; coverage is
+	// the machine-scalar fragment, and anything outside it fails (with
+	// infer.ErrQuickUnsupported, or the backend's scalar-only guard) so
+	// callers can fall back to the full pipeline.
 	Stencil bool
 	// Registry is the function-registry namespace compiles resolve
 	// cross-unit calls against (nil = the process-wide default). Engines
@@ -222,58 +222,113 @@ func (c *Compiler) FunctionCompileRequest(fn expr.Expr, req CompileRequest) (ccf
 			err = diag.Resolve(err, req.Source)
 		}
 	}()
-	if c.Stencil {
-		return c.stencilCompile(fn, req, rep)
-	}
-	mod, err := c.buildTWIR(req.SelfName, fn, req.Source, rep)
+	mod, err := c.buildUntypedWIR(req.SelfName, fn, req.Source, rep)
 	if err != nil {
 		return nil, err
 	}
-	t := startTimer(rep)
-	if err := c.ResolveFunctions(mod); err != nil {
+	// Stencil selects the typing front here and the fuse level in generate;
+	// the front end above and everything below are the one pipeline.
+	t, codegenStage := startTimer(rep), "codegen"
+	if c.Stencil {
+		if err := infer.QuickWith(mod, c.TypeEnv, c.reg()); err != nil {
+			return nil, err
+		}
+		rep.stage("quick-infer", t)
+		// Of the pass pipeline only abort checks run: the scalar fragment
+		// needs no copy insertion or reference counts, and optimisation is
+		// the O2 tier's job after re-promotion. No Lint either: the quick
+		// annotator and the backend's scalar-only guard reject anything
+		// malformed, and linting would cost a double-digit share of the
+		// whole baseline compile.
+		t, codegenStage = startTimer(rep), "stencil"
+		if c.Options.AbortHandling {
+			passes.InsertAbortChecks(mod)
+		}
+	} else {
+		if err := infer.InferWith(mod, c.TypeEnv, c.reg()); err != nil {
+			return nil, err
+		}
+		rep.stage("infer", t)
+		t = startTimer(rep)
+		if err := c.ResolveFunctions(mod); err != nil {
+			return nil, err
+		}
+		rep.stage("resolve", t)
+		pctx := &passes.Context{Env: c.TypeEnv, Opts: c.Options, VerifyEach: req.VerifyEach}
+		if rep != nil {
+			pctx.Report = passes.NewReport()
+			rep.Passes = pctx.Report
+		}
+		t = startTimer(rep)
+		if err := passes.RunPipeline(mod, pctx); err != nil {
+			return nil, err
+		}
+		rep.stage("passes", t)
+		t = startTimer(rep)
+	}
+	prog, err := c.generate(mod)
+	if err != nil {
 		return nil, err
 	}
-	rep.stage("resolve", t)
-	pctx := &passes.Context{Env: c.TypeEnv, Opts: c.Options, VerifyEach: req.VerifyEach}
-	if rep != nil {
-		pctx.Report = passes.NewReport()
-		rep.Passes = pctx.Report
-	}
-	t = startTimer(rep)
-	if err := passes.RunPipeline(mod, pctx); err != nil {
+	rep.stage(codegenStage, t)
+	ccf, err = c.wrap(mod, prog, fn, displayName(req.SelfName, fn), c.backend())
+	if err != nil {
 		return nil, err
 	}
-	rep.stage("passes", t)
-	t = startTimer(rep)
-	prog, err := codegen.CompileWithOptions(mod, codegen.CompileOptions{
+	ccf.Report = rep
+	return ccf, nil
+}
+
+// generate runs the backend this compiler is configured for over a typed
+// module. A Stencil compiler's modules went through no copy insertion or
+// reference counting, so its backend is the scalar-only one.
+func (c *Compiler) generate(mod *wir.Module) (*codegen.Program, error) {
+	if c.Stencil {
+		return codegen.StencilCompile(mod)
+	}
+	return codegen.CompileWithOptions(mod, codegen.CompileOptions{
 		NaiveConstants: c.NaiveConstants,
 		Parallelism:    c.Parallelism,
 		FuseLevel:      c.FuseLevel,
 		ProfileLevel:   c.ProfileLevel,
 	})
-	if err != nil {
-		return nil, err
+}
+
+// backend labels the code generate produces in metrics and traces.
+func (c *Compiler) backend() string {
+	if c.Stencil {
+		return "stencil"
 	}
-	rep.stage("codegen", t)
+	return "closure"
+}
+
+// wrap binds generated code to this compiler's kernel as a
+// CompiledCodeFunction. name and label title its metrics block; a library
+// loaded without its source has no name and gets none.
+func (c *Compiler) wrap(mod *wir.Module, prog *codegen.Program, fn expr.Expr, name, label string) (*CompiledCodeFunction, error) {
 	main := mod.Main()
-	ccf = &CompiledCodeFunction{
+	if main == nil {
+		return nil, fmt.Errorf("module has no entry function")
+	}
+	ccf := &CompiledCodeFunction{
 		Source:   fn,
 		Module:   mod,
 		Program:  prog,
 		RetType:  main.RetTy,
 		compiler: c,
-		Report:   rep,
-		Metrics:  obs.RegisterFuncScoped(displayName(req.SelfName, fn), "closure", c.reg().ID()),
-	}
-	if c.ProfileLevel > 0 {
-		ccf.Metrics.SetDetail(ccf.profileDetail)
+		RegDeps:  collectRegDeps(mod),
 	}
 	for _, p := range main.Params {
 		if !p.Capture {
 			ccf.ParamTypes = append(ccf.ParamTypes, p.Ty)
 		}
 	}
-	ccf.RegDeps = collectRegDeps(mod)
+	if name != "" {
+		ccf.Metrics = obs.RegisterFuncScoped(name, label, c.reg().ID())
+		if c.ProfileLevel > 0 {
+			ccf.Metrics.SetDetail(ccf.profileDetail)
+		}
+	}
 	return ccf, nil
 }
 
@@ -327,26 +382,18 @@ func (ccf *CompiledCodeFunction) profileDetail() string {
 // BuildTWIR runs the front half of the pipeline: macro expansion, binding
 // analysis, lowering, and type inference (§A.6 CompileToIR).
 func (c *Compiler) BuildTWIR(selfName string, fn expr.Expr) (*wir.Module, error) {
-	return c.buildTWIR(selfName, fn, nil, nil)
-}
-
-func (c *Compiler) buildTWIR(selfName string, fn expr.Expr, src *diag.Source, rep *CompileReport) (*wir.Module, error) {
-	mod, err := c.buildUntypedWIR(selfName, fn, src, rep)
+	mod, err := c.buildUntypedWIR(selfName, fn, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	t := startTimer(rep)
 	if err := infer.InferWith(mod, c.TypeEnv, c.reg()); err != nil {
 		return nil, err
 	}
-	rep.stage("infer", t)
 	return mod, nil
 }
 
-// buildUntypedWIR is the shared front half of both pipelines: macro
+// buildUntypedWIR is the front end both configurations share: macro
 // expansion, the SelfName recursion rewrite, binding, and SSA lowering.
-// The full pipeline follows it with the constraint solver; the stencil
-// tier with the single-pass quick annotator.
 func (c *Compiler) buildUntypedWIR(selfName string, fn expr.Expr, src *diag.Source, rep *CompileReport) (*wir.Module, error) {
 	t := startTimer(rep)
 	expanded, err := c.MacroEnv.ExpandSource(fn, c.CompileOpts, src)
@@ -377,52 +424,6 @@ func (c *Compiler) buildUntypedWIR(selfName string, fn expr.Expr, src *diag.Sour
 	}
 	rep.stage("lower", t)
 	return mod, nil
-}
-
-// stencilCompile is the baseline-tier pipeline (F1.5): shared front end,
-// quick scalar inference, abort-check insertion, and copy-and-patch
-// assembly. Everything the pass manager would otherwise do is skipped —
-// the scalar fragment needs no copy insertion or refcounting, and
-// optimisation is the O2 tier's job after re-promotion.
-func (c *Compiler) stencilCompile(fn expr.Expr, req CompileRequest, rep *CompileReport) (*CompiledCodeFunction, error) {
-	mod, err := c.buildUntypedWIR(req.SelfName, fn, req.Source, rep)
-	if err != nil {
-		return nil, err
-	}
-	t := startTimer(rep)
-	if err := infer.QuickWith(mod, c.TypeEnv, c.reg()); err != nil {
-		return nil, err
-	}
-	rep.stage("quick-infer", t)
-	t = startTimer(rep)
-	if c.Options.AbortHandling {
-		passes.InsertAbortChecks(mod)
-	}
-	// No Lint here: the quick annotator and the stencil assembler both
-	// reject anything malformed, and linting would cost a double-digit
-	// share of the whole baseline compile.
-	prog, err := codegen.StencilCompile(mod)
-	if err != nil {
-		return nil, err
-	}
-	rep.stage("stencil", t)
-	main := mod.Main()
-	ccf := &CompiledCodeFunction{
-		Source:   fn,
-		Module:   mod,
-		Program:  prog,
-		RetType:  main.RetTy,
-		compiler: c,
-		Report:   rep,
-		Metrics:  obs.RegisterFuncScoped(displayName(req.SelfName, fn), "stencil", c.reg().ID()),
-	}
-	for _, p := range main.Params {
-		if !p.Capture {
-			ccf.ParamTypes = append(ccf.ParamTypes, p.Ty)
-		}
-	}
-	ccf.RegDeps = collectRegDeps(mod)
-	return ccf, nil
 }
 
 // BuildWIR runs the pipeline up to untyped WIR (§A.6 CompileToIR with

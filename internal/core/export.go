@@ -100,30 +100,14 @@ func LoadCompiledLibrary(c *Compiler, r io.Reader, standalone bool) (ccf *Compil
 	}
 	// The loading compiler's backend options apply: the module is typed IR,
 	// and code generation happens here, in this process.
-	prog, err := codegen.CompileWithOptions(mod, codegen.CompileOptions{
-		NaiveConstants: c.NaiveConstants,
-		Parallelism:    c.Parallelism,
-		FuseLevel:      c.FuseLevel,
-		ProfileLevel:   c.ProfileLevel,
-	})
+	prog, err := c.generate(mod)
 	if err != nil {
 		return nil, err
 	}
-	main := mod.Main()
-	if main == nil {
-		return nil, fmt.Errorf("import: library has no entry function")
+	ccf, err = c.wrap(mod, prog, nil, "", "")
+	if err != nil {
+		return nil, fmt.Errorf("import: %w", err)
 	}
-	ccf = &CompiledCodeFunction{
-		Module:     mod,
-		Program:    prog,
-		RetType:    main.RetTy,
-		compiler:   c,
-		Standalone: standalone,
-	}
-	for _, p := range main.Params {
-		if !p.Capture {
-			ccf.ParamTypes = append(ccf.ParamTypes, p.Ty)
-		}
-	}
+	ccf.Standalone = standalone
 	return ccf, nil
 }

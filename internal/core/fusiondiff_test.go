@@ -29,7 +29,6 @@ func fuseConfigs() map[string]func(*Compiler) {
 			c.FuseLevel = codegen.FuseOff
 		},
 		"loopopt-nofuse": func(c *Compiler) { c.FuseLevel = codegen.FuseOff },
-		"branch-only":    func(c *Compiler) { c.FuseLevel = codegen.FuseBranch },
 	}
 }
 

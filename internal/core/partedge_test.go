@@ -101,7 +101,7 @@ func TestPartEdgeCorpusMatchesInterpreter(t *testing.T) {
 			want := outcomeOf(iout, ierr, ibuf.String())
 
 			var fused partOutcome
-			for _, name := range []string{partEdgeFuseOn, "unfused", "loopopt-nofuse", "branch-only"} {
+			for _, name := range []string{partEdgeFuseOn, "unfused", "loopopt-nofuse"} {
 				var buf bytes.Buffer
 				k := kernel.New()
 				k.Out = &buf

@@ -4,10 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"wolfc/internal/codegen"
+	"wolfc/internal/expr"
 	"wolfc/internal/parser"
 )
 
-// Copy-and-patch baseline tier tests (ISSUE 6): the stencil backend must be
+// Baseline tier tests (ISSUE 6, 13): the stencil configuration must be
 // bit-identical to the full pipeline on the scalar fragment it covers, and
 // must reject — not miscompile — everything outside it.
 
@@ -17,10 +19,11 @@ func newStencilCompiler() *Compiler {
 	return c
 }
 
-// TestStencilDifferential compiles the same source through the stencil
-// backend and the full optimising pipeline and demands byte-identical
-// results. Covers arithmetic, mixed int/real, comparisons, branches/phis,
-// elementary functions, and integer bit operations.
+// TestStencilDifferential compiles the same source through the baseline
+// configuration and the full optimising pipeline and demands results
+// byte-identical to the interpreter's. Covers arithmetic, mixed int/real,
+// comparisons, branches/phis, elementary functions, integer bit operations,
+// and results that leave the machine-integer range.
 func TestStencilDifferential(t *testing.T) {
 	cases := []struct {
 		src  string
@@ -46,19 +49,40 @@ func TestStencilDifferential(t *testing.T) {
 			[][]string{{"12", "10"}}},
 		{`Function[{Typed[x, "Real64"], Typed[n, "MachineInteger"]}, x^n + 2^n + x^2.0]`,
 			[][]string{{"1.5", "3"}}},
+		// Results outside the machine-integer range: compiled code must take
+		// the F2 fallback, not wrap around.
+		{`Function[{Typed[x, "Real64"]}, Floor[x]]`, [][]string{{"1.*^30"}}},
+		{`Function[{Typed[x, "Real64"]}, Ceiling[x]]`, [][]string{{"-1.*^19"}}},
+		{`Function[{Typed[x, "Real64"]}, Round[x]]`, [][]string{{"9.3*^18"}}},
+		{`Function[{Typed[x, "MachineInteger"], Typed[n, "MachineInteger"]}, BitShiftLeft[x, n]]`,
+			[][]string{{"1", "63"}, {"1", "64"}, {"5", "-1"}, {"-1", "63"}, {"3", "61"}}},
+		{`Function[{Typed[x, "MachineInteger"], Typed[n, "MachineInteger"]}, BitShiftRight[x, n]]`,
+			[][]string{{"5", "-1"}, {"-5", "70"}}},
+		{`Function[{Typed[x, "MachineInteger"], Typed[n, "MachineInteger"]}, Quotient[x, n]]`,
+			[][]string{{"-9223372036854775807 - 1", "-1"}}},
 	}
 	sc, fc := newStencilCompiler(), newCompiler()
 	for _, cse := range cases {
-		sccf, err := sc.FunctionCompile(parser.MustParse(cse.src))
+		fn := parser.MustParse(cse.src)
+		sccf, err := sc.FunctionCompile(fn)
 		if err != nil {
 			t.Fatalf("stencil compile %s: %v", cse.src, err)
 		}
 		fccf := compile(t, fc, cse.src)
 		for _, args := range cse.args {
-			got := apply(t, sccf, args...)
-			want := apply(t, fccf, args...)
-			if got != want {
-				t.Errorf("%s %v: stencil %s, full %s", cse.src, args, got, want)
+			ex := make([]expr.Expr, len(args))
+			for i, a := range args {
+				ex[i] = fc.Kernel.Eval(parser.MustParse(a))
+			}
+			ref := expr.InputForm(fc.Kernel.Eval(expr.New(fn, ex...)))
+			for tier, ccf := range map[string]*CompiledCodeFunction{"stencil": sccf, "full": fccf} {
+				out, err := ccf.Apply(ex)
+				if err != nil {
+					t.Fatalf("%s %v: %s apply: %v", cse.src, args, tier, err)
+				}
+				if got := expr.InputForm(out); got != ref {
+					t.Errorf("%s %v: %s %s, interpreter %s", cse.src, args, tier, got, ref)
+				}
 			}
 		}
 	}
@@ -105,6 +129,13 @@ func TestStencilUnsupportedFallsOut(t *testing.T) {
 		if _, err := fc.FunctionCompile(parser.MustParse(src)); err != nil {
 			t.Errorf("full compile of %s failed: %v", src, err)
 		}
+	}
+	// The backend guards itself too: a module the solver typed and the pass
+	// pipeline reference-counted never saw the quick annotator, and its
+	// tensor values must not become baseline code.
+	tensor := compile(t, fc, `Function[{Typed[v, "Tensor"["Real64", 1]], Typed[i, "MachineInteger"]}, v[[i]] + 1.]`)
+	if _, err := codegen.StencilCompile(tensor.Module); err == nil {
+		t.Errorf("StencilCompile accepted a tensor-typed module")
 	}
 }
 

@@ -155,8 +155,9 @@ func nativeName(in *wir.Instr) string {
 
 // hoistableNative reports whether a native is pure *and can never throw*,
 // making it safe to execute speculatively in a preheader. Checked integer
-// arithmetic (overflow), part access (range), division/mod of integers
-// (zero divide), and anything effectful or engine-backed stay put.
+// arithmetic (overflow), real-to-integer rounding and shifts (overflow),
+// part access (range), division/mod of integers (zero divide), and anything
+// effectful or engine-backed stay put.
 func hoistableNative(native string) bool {
 	switch native {
 	case "binary_divide", "divide_int_real",
@@ -176,9 +177,8 @@ func hoistableNative(native string) bool {
 		"math_sqrt", "math_arctan", "math_arcsin", "math_arccos",
 		"math_sin_int", "math_cos_int", "math_tan_int", "math_exp_int", "math_log_int",
 		"math_sqrt_int", "math_arctan_int", "math_arcsin_int", "math_arccos_int",
-		"math_atan2", "floor_real", "ceiling_real", "round_real",
-		"identity_int", "to_real64", "evenq", "oddq",
-		"bitand", "bitor", "bitxor", "bitshiftleft", "bitshiftright",
+		"math_atan2", "identity_int", "to_real64", "evenq", "oddq",
+		"bitand", "bitor", "bitxor",
 		"abs_real", "abs_complex", "sign_int", "sign_real",
 		"make_complex", "re", "im", "cast", "tensor_length":
 		return true

@@ -118,6 +118,39 @@ func NegI64(a int64) int64 {
 	return -a
 }
 
+// RealToI64 converts a real that is already integral (the result of Floor,
+// Ceiling or Round) to a machine integer, and throws when it does not fit:
+// the interpreter returns a bignum there. NaN and the infinities fail the
+// range test too.
+func RealToI64(x float64) int64 {
+	if !(x >= -(1<<63) && x < 1<<63) {
+		Throw(ExcOverflow, "IntegerOverflow")
+	}
+	return int64(x)
+}
+
+// ShlI64 shifts left with overflow checking. A negative count is a numeric
+// exception too: the interpreter leaves that call unevaluated.
+func ShlI64(a, n int64) int64 {
+	if n < 0 {
+		Throw(ExcOverflow, "NegativeShift")
+	}
+	r := a << uint64(n)
+	if r>>uint64(n) != a {
+		Throw(ExcOverflow, "IntegerOverflow")
+	}
+	return r
+}
+
+// ShrI64 shifts right arithmetically; a negative count is a numeric
+// exception, as in ShlI64.
+func ShrI64(a, n int64) int64 {
+	if n < 0 {
+		Throw(ExcOverflow, "NegativeShift")
+	}
+	return a >> uint64(n)
+}
+
 // PowI64 computes integer powers with overflow checking; negative exponents
 // are a numeric exception (exact rationals require the interpreter).
 func PowI64(base, exp int64) int64 {
@@ -143,10 +176,13 @@ func ModI64(a, m int64) int64 {
 	return r
 }
 
-// QuotI64 is floor division.
+// QuotI64 is floor division, with overflow checking.
 func QuotI64(a, m int64) int64 {
 	if m == 0 {
 		Throw(ExcDivideByZero, "Quotient by zero")
+	}
+	if a == math.MinInt64 && m == -1 {
+		Throw(ExcOverflow, "IntegerOverflow")
 	}
 	q := a / m
 	if a%m != 0 && (a < 0) != (m < 0) {

@@ -45,6 +45,29 @@ func TestCheckedArithmetic(t *testing.T) {
 	if exc := catch(func() { ModI64(1, 0) }); exc == nil || exc.Kind != ExcDivideByZero {
 		t.Fatal("mod by zero must throw")
 	}
+	if exc := catch(func() { QuotI64(math.MinInt64, -1) }); exc == nil || exc.Kind != ExcOverflow {
+		t.Fatal("MinInt64 / -1 must throw")
+	}
+	// The edges of the real-to-integer range: -2^63 fits, 2^63 does not.
+	if RealToI64(-(1<<63)) != math.MinInt64 || RealToI64(1<<62) != 1<<62 {
+		t.Fatal("in-range real to integer broken")
+	}
+	for _, x := range []float64{1 << 63, -(1 << 63) * 1.5, math.Inf(1), math.NaN()} {
+		if exc := catch(func() { RealToI64(x) }); exc == nil || exc.Kind != ExcOverflow {
+			t.Fatalf("RealToI64(%v) must throw", x)
+		}
+	}
+	if ShlI64(3, 61) != 3<<61 || ShlI64(-1, 63) != math.MinInt64 || ShlI64(0, 200) != 0 || ShrI64(-5, 70) != -1 {
+		t.Fatal("in-range shifts broken")
+	}
+	for _, c := range [][2]int64{{1, 63}, {1, 64}, {-2, 63}, {5, -1}} {
+		if exc := catch(func() { ShlI64(c[0], c[1]) }); exc == nil || exc.Kind != ExcOverflow {
+			t.Fatalf("ShlI64(%d, %d) must throw", c[0], c[1])
+		}
+	}
+	if exc := catch(func() { ShrI64(5, -1) }); exc == nil || exc.Kind != ExcOverflow {
+		t.Fatal("negative right shift must throw")
+	}
 }
 
 // Property: checked ops agree with big-integer arithmetic when in range.

@@ -98,8 +98,7 @@ func Builtin() *Env {
 	// Pattern-dispatch miss (internal/patcomp): the compiled image of "no
 	// DownValue rule matched this argument tuple". Diverges (throws), so its
 	// result type is a free variable that unifies with whatever the live
-	// branches of the dispatch tree produce. The operand is a dummy that
-	// keeps the call inside the 1-operand stencil fragment.
+	// branches of the dispatch tree produce. The operand is a dummy.
 	decl("Compile`PatternMiss", `TypeForAll[{"a"}, {"Integer64"} -> "a"]`, "pattern_miss")
 	decl("SameQ", `{"Boolean", "Boolean"} -> "Boolean"`, "sameq_bool")
 	decl("SameQ", `TypeForAll[{"a"}, {Element["a", "Number"]}, {"a", "a"} -> "Boolean"]`, "cmp_equal")
@@ -127,7 +126,11 @@ func Builtin() *Env {
 	decl("Sign", `{"Real64"} -> "Integer64"`, "sign_real")
 	decl("EvenQ", `{"Integer64"} -> "Boolean"`, "evenq")
 	decl("OddQ", `{"Integer64"} -> "Boolean"`, "oddq")
-	decl("N", `TypeForAll[{"a"}, {Element["a", "Number"]}, {"a"} -> "Real64"]`, "to_real64")
+	// Not over Number: N of a complex is a complex, and to_real64 has no
+	// complex form in any backend.
+	for _, class := range []string{"Integral", "Reals"} {
+		decl("N", `TypeForAll[{"a"}, {Element["a", "`+class+`"]}, {"a"} -> "Real64"]`, "to_real64")
+	}
 
 	// Bit operations.
 	for _, op := range []string{"BitAnd", "BitOr", "BitXor"} {

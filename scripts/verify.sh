@@ -20,7 +20,15 @@ go test ./...
 echo "== tier 1: go test -race =="
 go test -race ./...
 
+# ROADMAP item 3 accepts a simplification by its net-negative non-test line
+# count; both exits print it so each re-anchor reads it off the log.
+size_report() {
+    echo "== size: non-test Go lines in internal/codegen + internal/core + internal/obs =="
+    find internal/codegen internal/core internal/obs -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -n 1
+}
+
 if [ "${1:-}" = "-fast" ]; then
+    size_report
     echo "verify: tier-1 OK (benchmark gate skipped)"
     exit 0
 fi
@@ -148,11 +156,14 @@ if deriv > 1.5:
 EOF
 
 echo "== stencil gate: compile latency and warmup (backend <10x fails, steady <5x fails) =="
-# The point of the baseline tier is compile latency. The gate runs on the
-# backend ratio — quick-infer + stencil assembly vs inference + passes +
-# codegen — because the MExpr front half (macro/binding/lower) is shared
-# verbatim by both tiers and would otherwise dilute the comparison; both
-# ratios are reported in the JSON (see EXPERIMENTS.md). Steady-state
+# The point of the baseline tier is compile latency. Both tiers run the
+# same closure backend (the stencil tier is its fusion-off configuration,
+# ISSUE 13), so the gate measures what the configuration skips: the backend
+# ratio is quick-infer + abort checks + unfused codegen vs inference +
+# resolution + passes + fused codegen. The MExpr front half
+# (macro/binding/lower) is shared verbatim by both tiers and would otherwise
+# dilute the comparison; both ratios are reported in the JSON (see
+# EXPERIMENTS.md). Steady-state
 # speedup over the interpreter is gated at 5x (measured ~60x on fib) so
 # the gate stays robust on loaded shared machines. Like the fusion gate,
 # the run is repeated three times and the best ratio is taken: shared-host
@@ -503,4 +514,5 @@ if ratio < 2:
     sys.exit(f"verify: FAIL — shared-cache serving win only {ratio:.2f}x")
 EOF
 
+size_report
 echo "verify: OK"
