@@ -27,19 +27,13 @@ import (
 // time-to-first-result (compile + first call) and compile wall time, and
 // requires the warm result bit-identical to the cold one.
 //
-// A second block A/Bs the in-memory front's lock structure: raw hit-path
-// throughput at 8 goroutines with the sharded front vs a single-lock
-// configuration (core.BenchCompileCacheHits — the end-to-end path spends
-// its time building lookup keys outside any lock, which would hide the
-// lock structure behind Amdahl's law).
-//
 // The suite reports numbers and enforces only result identity; the ≥5×
-// warm-compile and ≥2× throughput gates live in scripts/verify.sh, so a
-// re-run against a pre-populated store (the corrupt-artifact smoke test)
-// is not misjudged against cold-start expectations.
+// warm-compile gate lives in scripts/verify.sh, so a re-run against a
+// pre-populated store (the corrupt-artifact smoke test) is not misjudged
+// against cold-start expectations.
 
 var (
-	coldstartF   = flag.Bool("coldstart", false, "run the artifact-store cold/warm-start suite and the sharded-cache throughput A/B")
+	coldstartF   = flag.Bool("coldstart", false, "run the artifact-store cold/warm-start suite")
 	coldstartOut = flag.String("coldstart-out", "BENCH_coldstart.json", "output path for the -coldstart JSON document")
 )
 
@@ -158,21 +152,6 @@ func sumArtifactStats(a, b artifact.Stats) artifact.Stats {
 	}
 }
 
-// coldstartThroughput is the sharded vs single-lock hit-throughput A/B,
-// best of reps rounds per configuration.
-func coldstartThroughput(workers, entries int, reps int, dur time.Duration) (sharded, single float64, shards int) {
-	shards = core.CompileCacheShardCount()
-	for i := 0; i < reps; i++ {
-		if v := core.BenchCompileCacheHits(shards, entries, workers, dur); v > sharded {
-			sharded = v
-		}
-		if v := core.BenchCompileCacheHits(1, entries, workers, dur); v > single {
-			single = v
-		}
-	}
-	return sharded, single, shards
-}
-
 // coldstartSuite is the -coldstart entry point; returns the process exit
 // code.
 func coldstartSuite() int {
@@ -233,19 +212,6 @@ func coldstartSuite() int {
 	fmt.Printf("%-12s %14s %14s %8.1fx\n\n", "total",
 		fmtNs(coldTotal), fmtNs(warmTotal), speedup)
 
-	workers, entries := 8, 256
-	fmt.Printf("hit-path throughput, %d goroutines over %d entries (lock structure only):\n",
-		workers, entries)
-	if gort.NumCPU() < 2 {
-		fmt.Println("  (single-core host: goroutines time-slice, so no lock structure can win;")
-		fmt.Println("   the sharded speedup needs a multi-core host — verify.sh gates accordingly)")
-	}
-	sharded, single, shards := coldstartThroughput(workers, entries, 3, 250*time.Millisecond)
-	tpSpeedup := sharded / single
-	fmt.Printf("  %d shards  %12.0f lookups/s\n", shards, sharded)
-	fmt.Printf("  1 shard   %12.0f lookups/s\n", single)
-	fmt.Printf("  speedup   %11.2fx\n\n", tpSpeedup)
-
 	cs := core.CompileCacheStatsNow()
 	doc := struct {
 		Schema        string         `json:"schema"`
@@ -256,15 +222,7 @@ func coldstartSuite() int {
 		WarmCompileNs float64        `json:"warm_total_compile_ns"`
 		WarmSpeedup   float64        `json:"warm_compile_speedup"`
 		AllMatch      bool           `json:"all_outputs_match"`
-		Throughput    struct {
-			Workers   int     `json:"workers"`
-			Entries   int     `json:"entries"`
-			Shards    int     `json:"shards"`
-			ShardedPS float64 `json:"sharded_lookups_per_sec"`
-			SinglePS  float64 `json:"single_lock_lookups_per_sec"`
-			Speedup   float64 `json:"sharded_speedup"`
-		} `json:"hit_throughput"`
-		CompileCache cacheStatsJSON `json:"compile_cache"`
+		CompileCache  cacheStatsJSON `json:"compile_cache"`
 		// ArtifactCold/ArtifactWarm are the per-phase store counters (each
 		// phase reopens the store, so each starts at zero); artifact_store
 		// sums them for readers that only care about totals.
@@ -288,13 +246,6 @@ func coldstartSuite() int {
 		ArtifactWarm:  warmStats,
 		Artifact:      sumArtifactStats(coldStats, warmStats),
 	}
-	doc.Throughput.Workers = workers
-	doc.Throughput.Entries = entries
-	doc.Throughput.Shards = shards
-	doc.Throughput.ShardedPS = sharded
-	doc.Throughput.SinglePS = single
-	doc.Throughput.Speedup = tpSpeedup
-
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wolfbench: -coldstart:", err)

@@ -98,8 +98,6 @@ type cacheStatsJSON struct {
 	Invalidations uint64  `json:"invalidations"`
 	Entries       int     `json:"entries"`
 	HitRatio      float64 `json:"hit_ratio"`
-	Shards        int     `json:"shards"`
-	Contention    uint64  `json:"shard_contention"`
 }
 
 func cacheJSON(cs core.CompileCacheStats) cacheStatsJSON {
@@ -107,7 +105,6 @@ func cacheJSON(cs core.CompileCacheStats) cacheStatsJSON {
 		Hits: cs.Hits, Misses: cs.Misses, Coalesced: cs.Coalesced,
 		Evictions: cs.Evictions, Invalidations: cs.Invalidations,
 		Entries: cs.Entries, HitRatio: cs.HitRatio(),
-		Shards: cs.Shards, Contention: cs.Contention,
 	}
 }
 
@@ -726,7 +723,7 @@ func metricsSelftest() int {
 		"wolfc_exc_overflow_total",
 		"wolfc_compile_cache_misses_total",
 		"wolfc_compile_cache_coalesced_total",
-		"wolfc_compile_cache_shards",
+		"wolfc_compile_cache_entries",
 		"wolfc_compile_cache_hit_ratio",
 		"wolfc_pool_chunks_total",
 		"wolfc_pool_inflight_fors",

@@ -527,14 +527,6 @@ func (g *gen) generate() error {
 			if g.fused[in] {
 				continue // folded into its consumer superinstruction
 			}
-			if g.hasFusedArg(in) {
-				st, err := g.genFusedRoot(in)
-				if err != nil {
-					return err
-				}
-				cb.steps = append(cb.steps, st)
-				continue
-			}
 			st, err := g.genInstr(in)
 			if err != nil {
 				return err

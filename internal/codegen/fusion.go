@@ -1,3 +1,9 @@
+// The scalar natives and their fusion. buildEvalI/F/B/C are the catalogue of
+// scalar natives — the one place the closure backend writes what each one
+// computes — as typed evaluators whose operands are registers, inlined
+// literals or nested evaluators. An instruction compiled on its own is a
+// one-node tree (genNative); the rest of this file is about larger trees.
+//
 // Superinstruction fusion (ISSUE 2): the closure-threaded analogue of
 // Copy-and-Patch stencil chaining. A def-use chain of scalar instructions
 // whose intermediates are dead after the chain collapses into one closure
@@ -133,7 +139,7 @@ func (g *gen) markFused() error {
 		n := len(b.Instrs)
 		for idx := n - 1; idx >= 0; idx-- {
 			in := b.Instrs[idx]
-			if in.IsTerminator() || g.useCount(in) != 1 || !g.fusibleProducer(in) {
+			if in.IsTerminator() || g.useCount(in) != 1 || !fusibleProducer(in) {
 				continue
 			}
 			var consumer *wir.Instr
@@ -173,7 +179,7 @@ func (g *gen) markFused() error {
 		n := len(b.Instrs)
 		for idx := n - 1; idx >= 0; idx-- {
 			in := b.Instrs[idx]
-			if in.IsTerminator() || g.fused[in] || g.useCount(in) != 1 || !g.fusibleProducer(in) {
+			if in.IsTerminator() || g.fused[in] || g.useCount(in) != 1 || !fusibleProducer(in) {
 				continue
 			}
 			local := false
@@ -235,47 +241,20 @@ func clearPath(instrs []*wir.Instr, from, to int) bool {
 	return true
 }
 
-// nonBarrierNatives are natives a fused computation may be deferred across:
-// they read registers (and possibly tensor memory) but never mutate state a
-// deferred tree could observe — no tensor stores, no RNG draws, no engine
-// escapes. setpart_*, memory_*, random_*, kernel_call and expr_binary_* are
-// deliberately absent.
+// nonBarrierNatives are the natives selectNative implements that a fused
+// computation may be deferred across: they read registers (and possibly
+// tensor memory) but never mutate state a deferred tree could observe — no
+// tensor stores, no RNG draws, no engine escapes. setpart_*, memory_*,
+// random_*, kernel_call and expr_binary_* are deliberately absent. Natives
+// with an evaluator are not listed: whatever fusibleProducer admits is pure.
 var nonBarrierNatives = map[string]bool{
-	"binary_plus": true, "binary_times": true, "binary_subtract": true,
-	"binary_divide": true, "divide_int_real": true, "unary_minus": true,
-	"mixed_ri_plus": true, "mixed_ir_plus": true, "mixed_ri_times": true,
-	"mixed_ir_times": true, "mixed_ri_subtract": true, "mixed_ir_subtract": true,
-	"mixed_ri_divide": true, "mixed_ir_divide": true,
-	"mixed_cr_plus": true, "mixed_rc_plus": true, "mixed_cr_times": true,
-	"mixed_rc_times": true, "mixed_cr_subtract": true, "mixed_rc_subtract": true,
-	"power_int": true, "power_real": true, "power_real_int": true,
-	"power_complex": true, "power_complex_int": true,
-	"mod_int": true, "mod_real": true, "quotient_int": true,
-	"abs_int": true, "abs_real": true, "abs_complex": true,
-	"sign_int": true, "sign_real": true, "min": true, "max": true,
+	"min": true, "max": true,
 	"cmp_less": true, "cmp_lessequal": true, "cmp_greater": true,
 	"cmp_greaterequal": true, "cmp_equal": true, "cmp_unequal": true,
-	"mixed_ri_cmp_less": true, "mixed_ri_cmp_lessequal": true,
-	"mixed_ri_cmp_greater": true, "mixed_ri_cmp_greaterequal": true,
-	"mixed_ri_cmp_equal": true, "mixed_ri_cmp_unequal": true,
-	"mixed_ir_cmp_less": true, "mixed_ir_cmp_lessequal": true,
-	"mixed_ir_cmp_greater": true, "mixed_ir_cmp_greaterequal": true,
-	"mixed_ir_cmp_equal": true, "mixed_ir_cmp_unequal": true,
-	"sameq_bool": true, "sameq_expr": true, "not": true,
-	"and": true, "or": true,
-	"math_sin": true, "math_cos": true, "math_tan": true, "math_exp": true,
-	"math_log": true, "math_sqrt": true, "math_arctan": true,
-	"math_arcsin": true, "math_arccos": true,
-	"math_sin_int": true, "math_cos_int": true, "math_tan_int": true,
-	"math_exp_int": true, "math_log_int": true, "math_sqrt_int": true,
-	"math_arctan_int": true, "math_arcsin_int": true, "math_arccos_int": true,
-	"math_atan2": true, "floor_real": true, "ceiling_real": true,
-	"round_real": true, "identity_int": true, "to_real64": true,
-	"evenq": true, "oddq": true,
-	"bitand": true, "bitor": true, "bitxor": true,
-	"bitshiftleft": true, "bitshiftright": true,
-	"tensor_length": true, "part_1": true, "part_2": true,
-	"part_unsafe_1": true, "part_unsafe_2": true, "part_row": true,
+	"sameq_expr": true,
+	// Part of a tensor of objects; the scalar element kinds are evaluators.
+	"part_1": true, "part_2": true, "part_unsafe_1": true, "part_unsafe_2": true,
+	"part_row":    true,
 	"copy_tensor": true, "list_take": true, "list_new": true,
 	"matrix_new": true, "list_fill": true, "matrix_fill": true,
 	"dot_vv": true, "dot_mv": true, "dot_mm": true,
@@ -290,7 +269,6 @@ var nonBarrierNatives = map[string]bool{
 	"string_join": true, "string_length": true, "string_byte_length": true,
 	"string_byte": true, "to_char_code": true, "from_char_code": true,
 	"string_take": true, "int_to_string": true, "real_to_string": true,
-	"make_complex": true, "re": true, "im": true, "cast": true,
 	"box_number": true,
 }
 
@@ -309,16 +287,19 @@ func barrierInstr(in *wir.Instr) bool {
 		case "Native`KernelApply":
 			return true
 		}
-		return !nonBarrierNatives[nativeOf(in)]
+		return !fusibleProducer(in) && !nonBarrierNatives[nativeOf(in)]
 	}
 	// Indirect calls, abort checks, terminators.
 	return true
 }
 
-// fusibleProducer reports whether in can become an interior node of a fused
-// tree: a native call with a scalar result kind the evaluator builders
-// cover. The switch must stay in sync with buildEvalI/F/B/C.
-func (g *gen) fusibleProducer(in *wir.Instr) bool {
+// fusibleProducer reports whether in is a native call the evaluator builders
+// compile: the catalogue of scalar natives. Everything it admits is built by
+// buildEvalI/F/B/C and by nothing else (selectNative has no arm for it, the
+// tensor loads apart), can become an interior node of a fused tree, and is
+// never a barrier; TestOneSpellingPerScalarNative walks the standard library
+// to hold the three together.
+func fusibleProducer(in *wir.Instr) bool {
 	if in.Op != wir.OpCall || in.ResolvedFn != nil || in.Ty == nil || in.IsTerminator() {
 		return false
 	}
@@ -398,8 +379,8 @@ func (g *gen) fusibleProducer(in *wir.Instr) bool {
 }
 
 // consumerAccepts reports whether the generator can evaluate in at
-// consumer's position (genFusedRoot / genFusedSetPart / the terminator
-// routes must cover everything accepted here).
+// consumer's position (genNative's evaluator and genFusedSetPart routes and
+// the terminator routes must cover everything accepted here).
 func (g *gen) consumerAccepts(consumer, in *wir.Instr) bool {
 	switch consumer.Op {
 	case wir.OpCondBranch:
@@ -410,7 +391,7 @@ func (g *gen) consumerAccepts(consumer, in *wir.Instr) bool {
 		if consumer.ResolvedFn != nil {
 			return false
 		}
-		if g.fusibleProducer(consumer) {
+		if fusibleProducer(consumer) {
 			return true
 		}
 		switch nativeOf(consumer) {
@@ -427,6 +408,24 @@ func (g *gen) consumerAccepts(consumer, in *wir.Instr) bool {
 			}
 			return consumer.Args[0] != in
 		}
+	}
+	return false
+}
+
+// isTensorLoad and isSetPart name the tensor element natives, which have a
+// register-operand step in native.go beside their fused form here.
+func isTensorLoad(native string) bool {
+	switch native {
+	case "tensor_length", "part_1", "part_unsafe_1", "part_2", "part_unsafe_2":
+		return true
+	}
+	return false
+}
+
+func isSetPart(native string) bool {
+	switch native {
+	case "setpart_1", "setpart_unsafe_1", "setpart_2", "setpart_unsafe_2":
+		return true
 	}
 	return false
 }
@@ -1181,6 +1180,25 @@ func (g *gen) buildEvalC(in *wir.Instr) (evalC, error) {
 	return nil, fmt.Errorf("codegen %s: no fused complex evaluator for native %q", g.fn.Name, native)
 }
 
+// cmpF is the mixed-width compare: both operands already widened to real.
+func cmpF(op string, a, b float64) bool {
+	switch op {
+	case "less":
+		return a < b
+	case "lessequal":
+		return a <= b
+	case "greater":
+		return a > b
+	case "greaterequal":
+		return a >= b
+	case "equal":
+		return a == b
+	case "unequal":
+		return a != b
+	}
+	return false
+}
+
 func cmpIEval(op string, x, y opI) evalB {
 	switch op {
 	case "less":
@@ -1458,26 +1476,6 @@ func (g *gen) partOperands(in *wir.Instr, native string) (a int, i1, i2 opI, ran
 
 // ---------------------------------------------------------------------------
 // Root generation
-
-// genFusedRoot compiles an unfused instruction with fused operands: the
-// whole tree becomes one assignment step (or a fused load-op-store for
-// setpart roots).
-func (g *gen) genFusedRoot(in *wir.Instr) (step, error) {
-	switch native := nativeOf(in); native {
-	case "setpart_1", "setpart_unsafe_1":
-		return g.genFusedSetPart(in, strings.Contains(native, "unsafe"), false)
-	case "setpart_2", "setpart_unsafe_2":
-		return g.genFusedSetPart(in, strings.Contains(native, "unsafe"), true)
-	}
-	if in.Ty == types.TVoid {
-		return nil, fmt.Errorf("codegen %s: fused operand feeding void native %q", g.fn.Name, nativeOf(in))
-	}
-	dst, err := g.regOf(in)
-	if err != nil {
-		return nil, err
-	}
-	return g.assignTo(dst, in)
-}
 
 // assignTo compiles "dst = tree(root)" as a single step. The hot arithmetic
 // roots inline the operator into the assignment closure (including fused

@@ -23,8 +23,9 @@ func nativeOf(in *wir.Instr) string {
 	return ""
 }
 
-// genNative selects the closure for a primitive call by its resolved native
-// id (paper §4.5: resolved calls reference Native`PrimitiveFunction[...]).
+// genNative compiles a primitive call by its resolved native id (paper §4.5:
+// resolved calls reference Native`PrimitiveFunction[...]): the evaluator
+// builders for a scalar native, selectNative for the rest.
 func (g *gen) genNative(in *wir.Instr) (step, error) {
 	native := nativeOf(in)
 	// Special structural callees resolved by inference without an overload.
@@ -42,6 +43,22 @@ func (g *gen) genNative(in *wir.Instr) (step, error) {
 		// Strings, expressions and function values are the host
 		// collector's alone; only tensors carry a count.
 		return nil, nil
+	}
+	// Scalar natives have one spelling, the evaluator builders in fusion.go:
+	// an instruction with no fused operand is a one-node tree. A tensor load
+	// whose operands are all registers keeps partStep's step, one closure
+	// where the evaluator route is two. (consumerAccepts folds operands only
+	// into these two routes; assignTo reports anything else.)
+	fusedArg := g.hasFusedArg(in)
+	switch {
+	case fusedArg && isSetPart(native):
+		return g.genFusedSetPart(in, strings.Contains(native, "unsafe"), strings.HasSuffix(native, "2"))
+	case fusedArg || fusibleProducer(in) && !isTensorLoad(native):
+		dst, err := g.regOf(in)
+		if err != nil {
+			return nil, err
+		}
+		return g.assignTo(dst, in)
 	}
 	// selectNative does not keep regs, so the usual four operands or fewer
 	// stay on the stack.
@@ -96,8 +113,10 @@ func newMatrix(elem runtime.Kind, r, c int64) *runtime.Tensor {
 	return runtime.NewTensor(elem, int(r), int(c))
 }
 
-// selectNative is the instruction selector: one small Go closure per typed
-// primitive. Binary scalar ops index the frame register files directly.
+// selectNative is the instruction selector for the natives with no
+// evaluator: tensors, strings, random numbers, symbolic operations, the
+// object-kinded compares and pattern_miss — one small Go closure per typed
+// primitive, indexing the frame register files directly.
 func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) step {
 	d := dst.idx
 	a0 := func() int { return regs[0].idx }
@@ -112,206 +131,11 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 		// guard miss). The operand is a dummy and the destination register
 		// is never written.
 		return func(fr *frame) { runtime.Throw(runtime.ExcNoMatch, "no matching DownValue rule") }
-	// --- checked scalar arithmetic ---
-	case "binary_plus":
-		switch argKind(regs, 0) {
-		case runtime.KI64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.i[d] = runtime.AddI64(fr.i[a], fr.i[b]) }
-		case runtime.KR64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.f[d] = fr.f[a] + fr.f[b] }
-		case runtime.KC64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.c[d] = fr.c[a] + fr.c[b] }
-		}
-	case "binary_times":
-		switch argKind(regs, 0) {
-		case runtime.KI64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.i[d] = runtime.MulI64(fr.i[a], fr.i[b]) }
-		case runtime.KR64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.f[d] = fr.f[a] * fr.f[b] }
-		case runtime.KC64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.c[d] = fr.c[a] * fr.c[b] }
-		}
-	case "binary_subtract":
-		switch argKind(regs, 0) {
-		case runtime.KI64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.i[d] = runtime.SubI64(fr.i[a], fr.i[b]) }
-		case runtime.KR64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.f[d] = fr.f[a] - fr.f[b] }
-		case runtime.KC64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.c[d] = fr.c[a] - fr.c[b] }
-		}
-	case "unary_minus":
-		switch argKind(regs, 0) {
-		case runtime.KI64:
-			a := a0()
-			return func(fr *frame) { fr.i[d] = runtime.NegI64(fr.i[a]) }
-		case runtime.KR64:
-			a := a0()
-			return func(fr *frame) { fr.f[d] = -fr.f[a] }
-		case runtime.KC64:
-			a := a0()
-			return func(fr *frame) { fr.c[d] = -fr.c[a] }
-		}
-	case "binary_divide":
-		switch argKind(regs, 0) {
-		case runtime.KR64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.f[d] = fr.f[a] / fr.f[b] }
-		case runtime.KC64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.c[d] = fr.c[a] / fr.c[b] }
-		}
-	case "divide_int_real":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) / float64(fr.i[b]) }
-
-	// --- mixed-width promotion ---
-	case "mixed_ri_plus":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = fr.f[a] + float64(fr.i[b]) }
-	case "mixed_ir_plus":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) + fr.f[b] }
-	case "mixed_ri_times":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = fr.f[a] * float64(fr.i[b]) }
-	case "mixed_ir_times":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) * fr.f[b] }
-	case "mixed_ri_subtract":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = fr.f[a] - float64(fr.i[b]) }
-	case "mixed_ir_subtract":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) - fr.f[b] }
-	case "mixed_ri_divide":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = fr.f[a] / float64(fr.i[b]) }
-	case "mixed_ir_divide":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) / fr.f[b] }
-	case "mixed_cr_plus":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = fr.c[a] + complex(fr.f[b], 0) }
-	case "mixed_rc_plus":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], 0) + fr.c[b] }
-	case "mixed_cr_times":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = fr.c[a] * complex(fr.f[b], 0) }
-	case "mixed_rc_times":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], 0) * fr.c[b] }
-	case "mixed_cr_subtract":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = fr.c[a] - complex(fr.f[b], 0) }
-	case "mixed_rc_subtract":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], 0) - fr.c[b] }
-
-	// --- powers, mod, quotient ---
-	case "power_int":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = runtime.PowI64(fr.i[a], fr.i[b]) }
-	case "power_real":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = math.Pow(fr.f[a], fr.f[b]) }
-	case "power_real_int":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = math.Pow(fr.f[a], float64(fr.i[b])) }
-	case "power_complex_int":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = runtime.PowCInt(fr.c[a], fr.i[b]) }
-	case "power_complex":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = runtime.PowC(fr.c[a], fr.c[b]) }
-	case "mod_int":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = runtime.ModI64(fr.i[a], fr.i[b]) }
-	case "mod_real":
-		a, b := a0(), a1()
-		return func(fr *frame) {
-			r := math.Mod(fr.f[a], fr.f[b])
-			if r != 0 && (r < 0) != (fr.f[b] < 0) {
-				r += fr.f[b]
-			}
-			fr.f[d] = r
-		}
-	case "quotient_int":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = runtime.QuotI64(fr.i[a], fr.i[b]) }
-
-	// --- abs, sign, min/max ---
-	case "abs_int":
-		a := a0()
-		return func(fr *frame) {
-			v := fr.i[a]
-			if v < 0 {
-				v = runtime.NegI64(v)
-			}
-			fr.i[d] = v
-		}
-	case "abs_real":
-		a := a0()
-		return func(fr *frame) { fr.f[d] = math.Abs(fr.f[a]) }
-	case "abs_complex":
-		a := a0()
-		return func(fr *frame) { fr.f[d] = runtime.AbsC(fr.c[a]) }
-	case "sign_int":
-		a := a0()
-		return func(fr *frame) {
-			switch {
-			case fr.i[a] > 0:
-				fr.i[d] = 1
-			case fr.i[a] < 0:
-				fr.i[d] = -1
-			default:
-				fr.i[d] = 0
-			}
-		}
-	case "sign_real":
-		a := a0()
-		return func(fr *frame) {
-			switch {
-			case fr.f[a] > 0:
-				fr.i[d] = 1
-			case fr.f[a] < 0:
-				fr.i[d] = -1
-			default:
-				fr.i[d] = 0
-			}
-		}
+	// --- object-kinded min/max, compares and SameQ (the numeric kinds are
+	// evaluators in fusion.go) ---
 	case "min", "max":
-		isMin := native == "min"
-		switch argKind(regs, 0) {
-		case runtime.KI64:
-			a, b := a0(), a1()
-			return func(fr *frame) {
-				if (fr.i[a] < fr.i[b]) == isMin {
-					fr.i[d] = fr.i[a]
-				} else {
-					fr.i[d] = fr.i[b]
-				}
-			}
-		case runtime.KR64:
-			a, b := a0(), a1()
-			return func(fr *frame) {
-				if (fr.f[a] < fr.f[b]) == isMin {
-					fr.f[d] = fr.f[a]
-				} else {
-					fr.f[d] = fr.f[b]
-				}
-			}
-		case runtime.KObj: // strings
+		if argKind(regs, 0) == runtime.KObj { // strings
+			isMin := native == "min"
 			a, b := a0(), a1()
 			return func(fr *frame) {
 				x, y := fr.o[a].(string), fr.o[b].(string)
@@ -322,96 +146,13 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 				}
 			}
 		}
-
-	// --- comparisons ---
 	case "cmp_less", "cmp_lessequal", "cmp_greater", "cmp_greaterequal", "cmp_equal", "cmp_unequal":
 		return g.cmpStep(native, regs, d)
-	case "mixed_ri_cmp_less", "mixed_ri_cmp_lessequal", "mixed_ri_cmp_greater",
-		"mixed_ri_cmp_greaterequal", "mixed_ri_cmp_equal", "mixed_ri_cmp_unequal":
-		a, b := a0(), a1()
-		op := strings.TrimPrefix(native, "mixed_ri_cmp_")
-		return func(fr *frame) { fr.b[d] = cmpF(op, fr.f[a], float64(fr.i[b])) }
-	case "mixed_ir_cmp_less", "mixed_ir_cmp_lessequal", "mixed_ir_cmp_greater",
-		"mixed_ir_cmp_greaterequal", "mixed_ir_cmp_equal", "mixed_ir_cmp_unequal":
-		a, b := a0(), a1()
-		op := strings.TrimPrefix(native, "mixed_ir_cmp_")
-		return func(fr *frame) { fr.b[d] = cmpF(op, float64(fr.i[a]), fr.f[b]) }
-	case "sameq_bool":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.b[d] = fr.b[a] == fr.b[b] }
 	case "sameq_expr":
 		a, b := a0(), a1()
 		return func(fr *frame) {
 			fr.b[d] = runtime.SameQExpr(fr.o[a].(expr.Expr), fr.o[b].(expr.Expr))
 		}
-	case "not":
-		a := a0()
-		return func(fr *frame) { fr.b[d] = !fr.b[a] }
-	case "and":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.b[d] = fr.b[a] && fr.b[b] }
-	case "or":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.b[d] = fr.b[a] || fr.b[b] }
-
-	// --- elementary functions ---
-	case "math_sin", "math_cos", "math_tan", "math_exp", "math_log",
-		"math_sqrt", "math_arctan", "math_arcsin", "math_arccos":
-		f := mathFunc(strings.TrimPrefix(native, "math_"))
-		a := a0()
-		return func(fr *frame) { fr.f[d] = f(fr.f[a]) }
-	case "math_sin_int", "math_cos_int", "math_tan_int", "math_exp_int", "math_log_int",
-		"math_sqrt_int", "math_arctan_int", "math_arcsin_int", "math_arccos_int":
-		f := mathFunc(strings.TrimSuffix(strings.TrimPrefix(native, "math_"), "_int"))
-		a := a0()
-		return func(fr *frame) { fr.f[d] = f(float64(fr.i[a])) }
-	case "math_atan2":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = math.Atan2(fr.f[b], fr.f[a]) }
-	case "floor_real":
-		a := a0()
-		return func(fr *frame) { fr.i[d] = runtime.RealToI64(math.Floor(fr.f[a])) }
-	case "ceiling_real":
-		a := a0()
-		return func(fr *frame) { fr.i[d] = runtime.RealToI64(math.Ceil(fr.f[a])) }
-	case "round_real":
-		a := a0()
-		return func(fr *frame) { fr.i[d] = runtime.RealToI64(math.RoundToEven(fr.f[a])) }
-	case "identity_int":
-		a := a0()
-		return func(fr *frame) { fr.i[d] = fr.i[a] }
-	case "to_real64":
-		switch argKind(regs, 0) {
-		case runtime.KI64:
-			a := a0()
-			return func(fr *frame) { fr.f[d] = float64(fr.i[a]) }
-		case runtime.KR64:
-			a := a0()
-			return func(fr *frame) { fr.f[d] = fr.f[a] }
-		}
-	case "evenq":
-		a := a0()
-		return func(fr *frame) { fr.b[d] = fr.i[a]%2 == 0 }
-	case "oddq":
-		a := a0()
-		return func(fr *frame) { fr.b[d] = fr.i[a]%2 != 0 }
-
-	// --- bit operations ---
-	case "bitand":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = fr.i[a] & fr.i[b] }
-	case "bitor":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = fr.i[a] | fr.i[b] }
-	case "bitxor":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = fr.i[a] ^ fr.i[b] }
-	case "bitshiftleft":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = runtime.ShlI64(fr.i[a], fr.i[b]) }
-	case "bitshiftright":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = runtime.ShrI64(fr.i[a], fr.i[b]) }
 
 	// --- tensors ---
 	case "tensor_length":
@@ -582,17 +323,6 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 		a := a0()
 		return func(fr *frame) { fr.o[d] = runtime.FormatReal(fr.f[a]) }
 
-	// --- complex construction/parts ---
-	case "make_complex":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], fr.f[b]) }
-	case "re":
-		a := a0()
-		return func(fr *frame) { fr.f[d] = real(fr.c[a]) }
-	case "im":
-		a := a0()
-		return func(fr *frame) { fr.f[d] = imag(fr.c[a]) }
-
 	// --- symbolic operations (F8) ---
 	case "expr_binary_plus", "expr_binary_times", "expr_binary_power":
 		head := map[string]string{
@@ -623,73 +353,16 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 			return func(fr *frame) { fr.o[d] = expr.FromComplex(real(fr.c[a]), imag(fr.c[a])) }
 		}
 
-	// --- casts between machine widths (stored widened in i-registers) ---
-	case "cast":
-		return g.castStep(in, regs, dst)
 	}
 	_ = a2
 	return nil
 }
 
-func cmpF(op string, a, b float64) bool {
-	switch op {
-	case "less":
-		return a < b
-	case "lessequal":
-		return a <= b
-	case "greater":
-		return a > b
-	case "greaterequal":
-		return a >= b
-	case "equal":
-		return a == b
-	case "unequal":
-		return a != b
-	}
-	return false
-}
-
+// cmpStep compiles the compares with no evaluator: booleans and strings.
 func (g *gen) cmpStep(native string, regs []reg, d int) step {
 	op := strings.TrimPrefix(native, "cmp_")
 	a, b := regs[0].idx, regs[1].idx
 	switch argKind(regs, 0) {
-	case runtime.KI64:
-		switch op {
-		case "less":
-			return func(fr *frame) { fr.b[d] = fr.i[a] < fr.i[b] }
-		case "lessequal":
-			return func(fr *frame) { fr.b[d] = fr.i[a] <= fr.i[b] }
-		case "greater":
-			return func(fr *frame) { fr.b[d] = fr.i[a] > fr.i[b] }
-		case "greaterequal":
-			return func(fr *frame) { fr.b[d] = fr.i[a] >= fr.i[b] }
-		case "equal":
-			return func(fr *frame) { fr.b[d] = fr.i[a] == fr.i[b] }
-		case "unequal":
-			return func(fr *frame) { fr.b[d] = fr.i[a] != fr.i[b] }
-		}
-	case runtime.KR64:
-		switch op {
-		case "less":
-			return func(fr *frame) { fr.b[d] = fr.f[a] < fr.f[b] }
-		case "lessequal":
-			return func(fr *frame) { fr.b[d] = fr.f[a] <= fr.f[b] }
-		case "greater":
-			return func(fr *frame) { fr.b[d] = fr.f[a] > fr.f[b] }
-		case "greaterequal":
-			return func(fr *frame) { fr.b[d] = fr.f[a] >= fr.f[b] }
-		case "equal":
-			return func(fr *frame) { fr.b[d] = fr.f[a] == fr.f[b] }
-		case "unequal":
-			return func(fr *frame) { fr.b[d] = fr.f[a] != fr.f[b] }
-		}
-	case runtime.KC64:
-		switch op {
-		case "equal":
-			return func(fr *frame) { fr.b[d] = fr.c[a] == fr.c[b] }
-		case "unequal":
-			return func(fr *frame) { fr.b[d] = fr.c[a] != fr.c[b] }
-		}
 	case runtime.KBool:
 		switch op {
 		case "equal":
@@ -1225,34 +898,4 @@ func (g *gen) genKernelApply(in *wir.Instr) (step, error) {
 		}
 		fr.o[d] = runtime.KernelApply(fr.rt.Engine, head, args)
 	}, nil
-}
-
-// castStep compiles integer width casts; values live widened in int64
-// registers, so a cast masks/sign-extends.
-func (g *gen) castStep(in *wir.Instr, regs []reg, dst reg) step {
-	d := dst.idx
-	a := regs[0].idx
-	at, ok := in.Ty.(*types.Atomic)
-	if !ok {
-		return nil
-	}
-	switch at.Name {
-	case "Integer8":
-		return func(fr *frame) { fr.i[d] = int64(int8(fr.i[a])) }
-	case "Integer16":
-		return func(fr *frame) { fr.i[d] = int64(int16(fr.i[a])) }
-	case "Integer32":
-		return func(fr *frame) { fr.i[d] = int64(int32(fr.i[a])) }
-	case "Integer64":
-		return func(fr *frame) { fr.i[d] = fr.i[a] }
-	case "UnsignedInteger8":
-		return func(fr *frame) { fr.i[d] = int64(uint8(fr.i[a])) }
-	case "UnsignedInteger16":
-		return func(fr *frame) { fr.i[d] = int64(uint16(fr.i[a])) }
-	case "UnsignedInteger32":
-		return func(fr *frame) { fr.i[d] = int64(uint32(fr.i[a])) }
-	case "UnsignedInteger64":
-		return func(fr *frame) { fr.i[d] = fr.i[a] }
-	}
-	return nil
 }

@@ -2,10 +2,10 @@
 // gets its compile-latency win from skipping analysis, and here the analysis
 // is all in front of the backend: infer.Quick replaces the constraint solver
 // and no pass runs. What is left for code generation is the ordinary closure
-// backend with fusion off — one pre-written closure per instruction, its
-// frame slots patched in — so the baseline tier covers exactly the scalar
-// natives selectNative implements, and a native added there lands in both
-// tiers at once.
+// backend with fusion off — each instruction a one-node tree of the scalar
+// evaluators, its frame slots patched in — so the baseline tier covers
+// exactly the natives buildEval{I,F,B,C} implement, and a native added there
+// lands in both tiers at once.
 package codegen
 
 import (

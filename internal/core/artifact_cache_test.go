@@ -103,43 +103,6 @@ func TestFastMemoHotKeysSurviveGenerationFlips(t *testing.T) {
 	}
 }
 
-func TestSetCompileCacheShards(t *testing.T) {
-	ResetCompileCache()
-	defer SetCompileCacheShards(0)
-
-	if got := SetCompileCacheShards(4); got == 0 {
-		t.Fatalf("previous shard count must be reported, got %d", got)
-	}
-	if got := CompileCacheShardCount(); got != 4 {
-		t.Fatalf("shard count = %d, want 4", got)
-	}
-	// Non-power-of-two rounds up; the single-lock configuration is exact.
-	SetCompileCacheShards(3)
-	if got := CompileCacheShardCount(); got != 4 {
-		t.Fatalf("3 shards must round to 4, got %d", got)
-	}
-	SetCompileCacheShards(1)
-	if got := CompileCacheShardCount(); got != 1 {
-		t.Fatalf("shard count = %d, want 1", got)
-	}
-
-	// The rebuilt single-shard cache must still behave: miss, hit, evict.
-	k := kernel.New()
-	k.Out = io.Discard
-	c := NewCompiler(k)
-	fn := parser.MustParse(`Function[{Typed[x, "MachineInteger"]}, x + 7]`)
-	if _, err := c.FunctionCompileCached(fn); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.FunctionCompileCached(fn); err != nil {
-		t.Fatal(err)
-	}
-	s := CompileCacheStatsNow()
-	if s.Misses != 1 || s.Hits != 1 || s.Shards != 1 {
-		t.Fatalf("single-shard cache misbehaving: %+v", s)
-	}
-}
-
 func TestArtifactStoreWarmStartAcrossProcesses(t *testing.T) {
 	dir := t.TempDir()
 	srcs := []struct{ src, arg, want string }{

@@ -8,21 +8,17 @@
 // kernel identity. Eviction is LRU with a bounded entry count so
 // long-lived processes do not accumulate compiled programs.
 //
-// The cache is two-tier (ROADMAP item 4):
+// The cache is two-tier:
 //
-//   - The in-memory front is sharded by content-hash prefix: the hit path
-//     takes only its shard's mutex, so concurrent hot-query lookups scale
-//     with cores instead of serialising on one lock. Misses, capacity
-//     eviction, invalidation, and stats snapshots serialise on a global
-//     structural mutex (they are rare — a miss costs a compile anyway),
-//     which keeps observable semantics identical to the old single-lock
-//     cache: one global LRU order, one global capacity, snapshots that
-//     never observe an over-capacity state.
+//   - The in-memory front is one map and one LRU list behind one mutex. A
+//     hit holds it for a lookup and a list move (~100 ns); sharding it by
+//     key prefix measured at or below 1× of this at every core count tried
+//     (EXPERIMENTS.md, ISSUE 14), so there is one lock.
 //
 //   - First compiles of the same key are coalesced (singleflight): one
 //     winner compiles, duplicates block on it and count as Coalesced
-//     rather than re-doing the work. This fixes the documented
-//     double-compile race.
+//     rather than re-doing the work. The flight table sits under the same
+//     mutex, so "not cached, not in flight, claim it" is one step.
 //
 //   - Below memory sits the optional disk tier (SetArtifactStore): on a
 //     miss the winner probes the artifact store under the
@@ -34,28 +30,20 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"fmt"
-	"math/bits"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"wolfc/internal/expr"
 	"wolfc/internal/kernel"
 	"wolfc/internal/obs"
 )
 
-// CompileCacheStats is a snapshot of cache effectiveness counters.
-//
-// Snapshot/reset contract: Entries, Misses, Evictions, and Invalidations
-// are guarded by the cache's structural mutex, so a snapshot is internally
-// consistent and never observes more than Capacity entries; a reset
-// zeroes counters and entries together, so a concurrent snapshot observes
-// either the pre-reset or the post-reset state. Hits, Coalesced, and
-// Contention accumulate per shard and are summed under the same
-// structural mutex at snapshot time. Counters are cumulative since
-// process start or the last reset.
+// CompileCacheStats is a snapshot of cache effectiveness counters, taken
+// under the cache mutex: it is internally consistent and never shows more
+// than Capacity entries, and a reset zeroes counters and entries together,
+// so a concurrent snapshot observes either the pre-reset or the post-reset
+// state. Counters are cumulative since process start or the last reset.
 type CompileCacheStats struct {
 	Hits   uint64
 	Misses uint64
@@ -71,11 +59,6 @@ type CompileCacheStats struct {
 	// Evictions so capacity tuning reads a clean signal.
 	Invalidations uint64
 	Entries       int
-	// Shards is the shard count of the in-memory front; Contention counts
-	// lookups that found their shard's mutex held (a cheap proxy for lock
-	// pressure — watch it grow to decide whether more shards would help).
-	Shards     int
-	Contention uint64
 }
 
 // HitRatio returns hits/(hits+misses), or 0 before any lookup. Coalesced
@@ -91,21 +74,6 @@ func (s CompileCacheStats) HitRatio() float64 {
 type cacheEntry struct {
 	key string
 	ccf *CompiledCodeFunction
-	// stamp is the global LRU clock tick of the last touch (insert or
-	// hit). Within a shard the list order matches stamp order; across
-	// shards the minimum-stamp back entry is the global LRU victim.
-	stamp uint64
-}
-
-// cacheShard is one lock-domain of the in-memory front. The hit path
-// (lookup + LRU move + hit count) touches only this struct.
-type cacheShard struct {
-	mu         sync.Mutex
-	byKey      map[string]*list.Element // -> *cacheEntry elements of lru
-	lru        *list.List               // front = most recently used in this shard
-	hits       uint64
-	coalesced  uint64
-	contention uint64
 }
 
 // inflightCompile is one singleflight slot: the winner publishes the
@@ -116,185 +84,44 @@ type inflightCompile struct {
 	err  error
 }
 
-// shardedCache is the process-wide compile cache. Structural state —
-// entry count vs capacity, miss/eviction/invalidation counters — is
-// guarded by mu; per-shard state by the shard mutexes (mu is acquired
-// strictly before shard locks). The singleflight table has its own lock.
-type shardedCache struct {
-	shards []*cacheShard
-	mask   uint32        // len(shards)-1; shard count is a power of two
-	clock  atomic.Uint64 // global LRU ordering; bumped on insert and hit
-
-	mu            sync.Mutex // structural: misses/evict/invalidate/reset/snapshot
-	cap           int
-	entries       int
-	misses        uint64
-	evictions     uint64
-	invalidations uint64
-
-	flightMu sync.Mutex
+// cacheFront is the in-memory compile cache: entries in LRU order, the
+// singleflight table and the counters, all guarded by mu.
+type cacheFront struct {
+	mu       sync.Mutex
+	cap      int
+	byKey    map[string]*list.Element // -> *cacheEntry elements of lru
+	lru      *list.List               // front = most recently used
 	inflight map[string]*inflightCompile
+	stats    CompileCacheStats // Entries is filled in at snapshot time
 }
 
-// defaultShardCount is 2×GOMAXPROCS rounded up to a power of two, minimum
-// 8: enough lock domains that the hit path scales past the core count
-// without making the eviction scan (O(shards), misses only) noticeable.
-func defaultShardCount() int {
-	n := 2 * runtime.GOMAXPROCS(0)
-	if n < 8 {
-		n = 8
-	}
-	if n&(n-1) != 0 {
-		n = 1 << bits.Len(uint(n))
-	}
-	return n
+// compileCache is the process-wide instance.
+var compileCache = &cacheFront{
+	cap:      256,
+	byKey:    map[string]*list.Element{},
+	lru:      list.New(),
+	inflight: map[string]*inflightCompile{},
 }
 
-func newShardedCache(shards, capacity int) *shardedCache {
-	if shards < 1 {
-		shards = 1
+// evictOverLocked drops least-recently-used entries until the cache fits
+// its capacity. Called with c.mu held.
+func (c *cacheFront) evictOverLocked() {
+	for c.lru.Len() > c.cap {
+		back := c.lru.Back()
+		c.lru.Remove(back)
+		delete(c.byKey, back.Value.(*cacheEntry).key)
+		c.stats.Evictions++
 	}
-	if shards&(shards-1) != 0 {
-		shards = 1 << bits.Len(uint(shards))
-	}
-	c := &shardedCache{
-		shards:   make([]*cacheShard, shards),
-		mask:     uint32(shards - 1),
-		cap:      capacity,
-		inflight: map[string]*inflightCompile{},
-	}
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{byKey: map[string]*list.Element{}, lru: list.New()}
-	}
-	return c
-}
-
-// compileCachePtr holds the live cache; SetCompileCacheShards swaps in a
-// rebuilt one, and every operation snapshots the pointer once so it works
-// against a consistent instance end to end.
-var compileCachePtr = func() *atomic.Pointer[shardedCache] {
-	p := new(atomic.Pointer[shardedCache])
-	p.Store(newShardedCache(defaultShardCount(), 256))
-	return p
-}()
-
-func cacheNow() *shardedCache { return compileCachePtr.Load() }
-
-// shardFor picks the shard from the key's leading bytes. Keys are raw
-// SHA-256 sums, so the prefix is uniformly distributed.
-func (c *shardedCache) shardFor(key string) *cacheShard {
-	var p uint32
-	if len(key) >= 4 {
-		p = uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24
-	} else {
-		for i := 0; i < len(key); i++ {
-			p = p<<8 | uint32(key[i])
-		}
-	}
-	return c.shards[p&c.mask]
-}
-
-// lock acquires the shard mutex, counting a failed fast-path acquisition
-// as contention (the /metrics proxy for "would more shards help").
-func (sh *cacheShard) lock() {
-	if sh.mu.TryLock() {
-		return
-	}
-	atomic.AddUint64(&sh.contention, 1)
-	sh.mu.Lock()
-}
-
-// lookup is the sharded hot path: hit ⇒ LRU front of the shard, stamp
-// refreshed from the global clock.
-func (c *shardedCache) lookup(key string) (*CompiledCodeFunction, bool) {
-	sh := c.shardFor(key)
-	sh.lock()
-	el, ok := sh.byKey[key]
-	if !ok {
-		sh.mu.Unlock()
-		return nil, false
-	}
-	sh.lru.MoveToFront(el)
-	sh.hits++
-	ent := el.Value.(*cacheEntry)
-	ent.stamp = c.clock.Add(1)
-	ccf := ent.ccf
-	sh.mu.Unlock()
-	return ccf, true
-}
-
-// insert files a fresh compile under key, evicting LRU entries while over
-// capacity. Holds the structural mutex so snapshots never observe an
-// over-capacity cache. First insert wins on a duplicate key.
-func (c *shardedCache) insert(key string, ccf *CompiledCodeFunction) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sh := c.shardFor(key)
-	sh.lock()
-	if _, ok := sh.byKey[key]; ok {
-		sh.mu.Unlock()
-		return
-	}
-	sh.byKey[key] = sh.lru.PushFront(&cacheEntry{key: key, ccf: ccf, stamp: c.clock.Add(1)})
-	sh.mu.Unlock()
-	c.entries++
-	for c.entries > c.cap {
-		c.evictOldestLocked()
-	}
-}
-
-// evictOldestLocked drops the least-recently-used entry across all
-// shards: every shard's list is stamp-ordered, so the global LRU victim
-// is the minimum-stamp back entry. The scan is O(shards) and runs only
-// on capacity overflow — a path that just paid for a compile. Called
-// with c.mu held; concurrent hits may refresh a stamp between the scan
-// and the removal, in which case the evicted entry is the then-oldest of
-// its shard — still an LRU-ordered victim.
-func (c *shardedCache) evictOldestLocked() {
-	var victim *cacheShard
-	var oldest uint64
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		if back := sh.lru.Back(); back != nil {
-			if s := back.Value.(*cacheEntry).stamp; victim == nil || s < oldest {
-				victim, oldest = sh, s
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if victim == nil {
-		return
-	}
-	victim.mu.Lock()
-	if back := victim.lru.Back(); back != nil {
-		victim.lru.Remove(back)
-		delete(victim.byKey, back.Value.(*cacheEntry).key)
-		c.entries--
-		c.evictions++
-	}
-	victim.mu.Unlock()
 }
 
 // CompileCacheStatsNow returns the current cache counters. Safe to call
 // concurrently with compiles and resets; see the CompileCacheStats contract.
 func CompileCacheStatsNow() CompileCacheStats {
-	c := cacheNow()
+	c := compileCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := CompileCacheStats{
-		Misses:        c.misses,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
-		Entries:       c.entries,
-		Shards:        len(c.shards),
-	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		s.Hits += sh.hits
-		s.Coalesced += sh.coalesced
-		s.Contention += atomic.LoadUint64(&sh.contention)
-		sh.mu.Unlock()
-	}
+	s := c.stats
+	s.Entries = c.lru.Len()
 	return s
 }
 
@@ -312,8 +139,6 @@ func init() {
 			{Name: "compile_cache_invalidations_total", Value: float64(s.Invalidations)},
 			{Name: "compile_cache_entries", Value: float64(s.Entries)},
 			{Name: "compile_cache_hit_ratio", Value: s.HitRatio()},
-			{Name: "compile_cache_shards", Value: float64(s.Shards)},
-			{Name: "compile_cache_shard_contention_total", Value: float64(s.Contention)},
 		}
 	})
 }
@@ -325,57 +150,24 @@ func SetCompileCacheCapacity(n int) int {
 	if n < 1 {
 		n = 1
 	}
-	c := cacheNow()
+	c := compileCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	prev := c.cap
 	c.cap = n
-	for c.entries > n {
-		c.evictOldestLocked()
-	}
+	c.evictOverLocked()
 	return prev
 }
 
-// SetCompileCacheShards rebuilds the in-memory front with n shards
-// (rounded up to a power of two; n <= 0 restores the default of
-// 2×GOMAXPROCS) and returns the previous shard count. All entries and
-// counters are dropped — this is a benchmarking and test knob (wolfbench
-// -coldstart A/Bs sharded vs single-lock), not a production tuning path.
-func SetCompileCacheShards(n int) int {
-	if n <= 0 {
-		n = defaultShardCount()
-	}
-	old := cacheNow()
-	old.mu.Lock()
-	prevShards, prevCap := len(old.shards), old.cap
-	old.mu.Unlock()
-	compileCachePtr.Store(newShardedCache(n, prevCap))
-	return prevShards
-}
-
-// CompileCacheShardCount reports the current shard count of the in-memory
-// front.
-func CompileCacheShardCount() int {
-	return len(cacheNow().shards)
-}
-
 // ResetCompileCache drops every entry and zeroes the counters (tests).
-// Entries and counters go together under the structural lock, so
-// concurrent snapshots see either the old state or the fresh one.
+// Compiles in flight are left to finish and file their results.
 func ResetCompileCache() {
-	c := cacheNow()
+	c := compileCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.byKey = map[string]*list.Element{}
-		sh.lru.Init()
-		sh.hits, sh.coalesced = 0, 0
-		atomic.StoreUint64(&sh.contention, 0)
-		sh.mu.Unlock()
-	}
-	c.entries = 0
-	c.misses, c.evictions, c.invalidations = 0, 0, 0
+	c.byKey = map[string]*list.Element{}
+	c.lru.Init()
+	c.stats = CompileCacheStats{}
 }
 
 // InvalidateCompileCache drops every cached function matching pred and
@@ -385,26 +177,20 @@ func ResetCompileCache() {
 // being discarded, InvalidateCompileCache(func(ccf *CompiledCodeFunction)
 // bool { return ccf.BoundKernel() == k }).
 func InvalidateCompileCache(pred func(*CompiledCodeFunction) bool) int {
-	c := cacheNow()
+	c := compileCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dropped := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; {
-			next := el.Next()
-			ent := el.Value.(*cacheEntry)
-			if pred(ent.ccf) {
-				sh.lru.Remove(el)
-				delete(sh.byKey, ent.key)
-				c.invalidations++
-				c.entries--
-				dropped++
-			}
-			el = next
+	for el := c.lru.Front(); el != nil; {
+		next := el.Next()
+		if ent := el.Value.(*cacheEntry); pred(ent.ccf) {
+			c.lru.Remove(el)
+			delete(c.byKey, ent.key)
+			dropped++
 		}
-		sh.mu.Unlock()
+		el = next
 	}
+	c.stats.Invalidations += uint64(dropped)
 	return dropped
 }
 
@@ -602,86 +388,68 @@ func (c *Compiler) FunctionCompileCachedRequest(fn expr.Expr, req CompileRequest
 		c.memo.put(fk, keys)
 	}
 
-	cache := cacheNow()
-	for {
-		if ccf, ok := cache.lookup(keys.full); ok {
-			return ccf, c.hitReport(ccf, req, false), nil
-		}
-		flight, winner := cache.beginFlight(keys.full)
-		if winner {
-			break
-		}
-		sh := cache.shardFor(keys.full)
-		sh.lock()
-		sh.coalesced++
-		sh.mu.Unlock()
+	ccf, flight, winner := compileCache.acquire(keys.full)
+	switch {
+	case ccf != nil:
+		return ccf, c.hitReport(ccf, req, false), nil
+	case !winner:
 		<-flight.done
 		if flight.err != nil {
 			return nil, nil, flight.err
 		}
-		if flight.ccf != nil {
-			return flight.ccf, c.hitReport(flight.ccf, req, false), nil
-		}
-		// The winner vanished without a result (should not happen);
-		// retry from the top rather than failing the compile.
+		return flight.ccf, c.hitReport(flight.ccf, req, false), nil
 	}
-
-	ccf, rep, err := c.compileFlight(cache, keys, fn, req)
-	cache.endFlight(keys.full, ccf, err)
-	return ccf, rep, err
-}
-
-// compileFlight is the singleflight winner's body: count the miss, probe
-// the disk tier, fall back to a full compile, file the result.
-func (c *Compiler) compileFlight(cache *shardedCache, keys cacheKeys, fn expr.Expr, req CompileRequest) (*CompiledCodeFunction, *CompileReport, error) {
-	// Another goroutine may have filed the entry between our lookup and
-	// winning the flight slot.
-	if ccf, ok := cache.lookup(keys.full); ok {
-		return ccf, c.hitReport(ccf, req, false), nil
+	// The singleflight winner: probe the disk tier, fall back to a full
+	// compile, file the result and release the waiters.
+	var rep *CompileReport
+	var err error
+	if ccf = c.loadArtifact(keys.stable, fn, req); ccf != nil {
+		rep = c.hitReport(ccf, req, true)
+	} else if ccf, err = c.FunctionCompileRequest(fn, req); err == nil {
+		rep = ccf.Report
+		c.maybeStoreArtifact(keys.stable, ccf)
 	}
-	cache.mu.Lock()
-	cache.misses++
-	cache.mu.Unlock()
-
-	if ccf := c.loadArtifact(keys.stable, fn, req); ccf != nil {
-		cache.insert(keys.full, ccf)
-		return ccf, c.hitReport(ccf, req, true), nil
-	}
-
-	ccf, err := c.FunctionCompileRequest(fn, req)
+	compileCache.finish(keys.full, flight, ccf, err)
 	if err != nil {
 		return nil, nil, err
 	}
-	cache.insert(keys.full, ccf)
-	c.maybeStoreArtifact(keys.stable, ccf)
-	return ccf, ccf.reportOrNil(), nil
+	return ccf, rep, nil
 }
 
-// beginFlight claims the singleflight slot for key. The first caller wins
-// (returns true) and must call endFlight exactly once; later callers get
-// the winner's flight to wait on.
-func (c *shardedCache) beginFlight(key string) (*inflightCompile, bool) {
-	c.flightMu.Lock()
-	defer c.flightMu.Unlock()
+// acquire is the cache's one entry point for a lookup: a hit returns
+// the cached function (and moves it to the LRU front); otherwise the caller
+// joins the flight already compiling key, or claims a new one — winner is
+// true, the lookup counts as the miss, and the caller must call finish
+// exactly once.
+func (c *cacheFront) acquire(key string) (ccf *CompiledCodeFunction, flight *inflightCompile, winner bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byKey[key]; ok {
+		c.lru.MoveToFront(el)
+		c.stats.Hits++
+		return el.Value.(*cacheEntry).ccf, nil, false
+	}
 	if f, ok := c.inflight[key]; ok {
-		return f, false
+		c.stats.Coalesced++
+		return nil, f, false
 	}
 	f := &inflightCompile{done: make(chan struct{})}
 	c.inflight[key] = f
-	return f, true
+	c.stats.Misses++
+	return nil, f, true
 }
 
-// endFlight publishes the winner's result and releases the waiters.
-func (c *shardedCache) endFlight(key string, ccf *CompiledCodeFunction, err error) {
-	c.flightMu.Lock()
-	f, ok := c.inflight[key]
-	if ok {
-		delete(c.inflight, key)
+// finish files the winner's compile under key (evicting LRU entries
+// while over capacity, so a snapshot never observes an over-capacity cache)
+// and publishes the result to the flight's waiters.
+func (c *cacheFront) finish(key string, f *inflightCompile, ccf *CompiledCodeFunction, err error) {
+	c.mu.Lock()
+	delete(c.inflight, key)
+	if err == nil {
+		c.byKey[key] = c.lru.PushFront(&cacheEntry{key: key, ccf: ccf})
+		c.evictOverLocked()
 	}
-	c.flightMu.Unlock()
-	if !ok {
-		return
-	}
+	c.mu.Unlock()
 	f.ccf, f.err = ccf, err
 	close(f.done)
 }

@@ -157,20 +157,20 @@ func TestStencilCompileLatency(t *testing.T) {
 	if _, err := fc.CompileNamed("slat", fn); err != nil {
 		t.Fatalf("full compile: %v", err)
 	}
-	best := func(c *Compiler) time.Duration {
-		b := time.Hour
-		for i := 0; i < 10; i++ {
-			t0 := time.Now()
-			if _, err := c.CompileNamed("slat", fn); err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			if d := time.Since(t0); d < b {
-				b = d
-			}
+	// The two are timed alternately, best of ten each: this host switches
+	// between a fast and a slow state (18 vs 30 µs for the same compile), and
+	// timing one after the other lets a switch in between decide the ratio.
+	timed := func(c *Compiler, best time.Duration) time.Duration {
+		t0 := time.Now()
+		if _, err := c.CompileNamed("slat", fn); err != nil {
+			t.Fatalf("compile: %v", err)
 		}
-		return b
+		return min(best, time.Since(t0))
 	}
-	st, full := best(sc), best(fc)
+	st, full := time.Hour, time.Hour
+	for i := 0; i < 10; i++ {
+		st, full = timed(sc, st), timed(fc, full)
+	}
 	if st*3 > full {
 		t.Errorf("stencil compile %v not ≥3× faster than full pipeline %v", st, full)
 	}

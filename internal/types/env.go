@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"sort"
 
 	"wolfc/internal/expr"
 )
@@ -169,6 +170,23 @@ func (e *Env) Lookup(name string) []*FuncDef {
 		out = append(out, env.funcs[name]...)
 	}
 	return out
+}
+
+// FuncNames lists, sorted, every function name declared in e and its
+// parents: the way to walk the whole standard library.
+func (e *Env) FuncNames() []string {
+	seen := map[string]bool{}
+	var names []string
+	for env := e; env != nil; env = env.parent {
+		for n := range env.funcs {
+			if !seen[n] {
+				seen[n] = true
+				names = append(names, n)
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 // DeclareClass adds members to a type class; members are atomic type names

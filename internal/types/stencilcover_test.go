@@ -3,29 +3,26 @@ package types_test
 import (
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"math/big"
+	"math/cmplx"
 	"strings"
 	"testing"
 
+	"wolfc/internal/codegen"
 	"wolfc/internal/core"
+	"wolfc/internal/expr"
 	"wolfc/internal/infer"
 	"wolfc/internal/kernel"
 	"wolfc/internal/parser"
 	"wolfc/internal/types"
 )
 
-// TestBaselineTierCoversEveryScalarNative: the baseline tier is the closure
-// backend with fusion off, so every native-backed overload over machine
-// scalars that the quick annotator admits must compile there. Walk the
-// standard library, call each such overload from a one-call function at
-// every scalar instantiation, and accept exactly two outcomes: the quick
-// annotator declined (the tiering engine then takes the full pipeline), or
-// the compile succeeded. A backend error would mean the two tiers' coverage
-// had drifted apart again.
-func TestBaselineTierCoversEveryScalarNative(t *testing.T) {
-	c := core.NewCompiler(kernel.New())
-	c.Stencil = true
-	env := c.TypeEnv
-	compiled, declined := 0, 0
+// forEachScalarOverload walks the standard library: every native-backed
+// overload at every instantiation over machine scalars, as the source of a
+// function of those parameters whose body is the one call.
+func forEachScalarOverload(t *testing.T, env *types.Env, visit func(name string, d *types.FuncDef, sig *types.Fn, fn expr.Expr)) {
 	for _, name := range env.FuncNames() {
 		for _, d := range env.Lookup(name) {
 			if d.Native == "" || d.Impl != nil {
@@ -46,21 +43,223 @@ func TestBaselineTierCoversEveryScalarNative(t *testing.T) {
 					t.Errorf("%s: %v", src, err)
 					continue
 				}
-				switch _, err := c.FunctionCompile(fn); {
-				case err == nil:
-					compiled++
-				case errors.Is(err, infer.ErrQuickUnsupported):
-					declined++
-				default:
-					t.Errorf("%s (native %s): %v", src, d.Native, err)
-				}
+				visit(name, d, sig, fn)
 			}
 		}
 	}
+}
+
+// TestBaselineTierCoversEveryScalarNative: the baseline tier is the closure
+// backend with fusion off, so every native-backed overload over machine
+// scalars that the quick annotator admits must compile there. Accept exactly
+// two outcomes per overload: the quick annotator declined (the tiering
+// engine then takes the full pipeline), or the compile succeeded. A backend
+// error would mean the two tiers' coverage had drifted apart again.
+func TestBaselineTierCoversEveryScalarNative(t *testing.T) {
+	c := core.NewCompiler(kernel.New())
+	c.Stencil = true
+	compiled, declined := 0, 0
+	forEachScalarOverload(t, c.TypeEnv, func(name string, d *types.FuncDef, sig *types.Fn, fn expr.Expr) {
+		switch _, err := c.FunctionCompile(fn); {
+		case err == nil:
+			compiled++
+		case errors.Is(err, infer.ErrQuickUnsupported):
+			declined++
+		default:
+			t.Errorf("%s (native %s): %v", expr.InputForm(fn), d.Native, err)
+		}
+	})
 	if compiled < 100 {
 		t.Errorf("only %d scalar overloads compiled (%d declined): the walk is not reaching the standard library", compiled, declined)
 	}
 	t.Logf("%d scalar overload instances compiled on the baseline tier, %d declined by quick inference", compiled, declined)
+}
+
+// fuseLevels returns one compiler per closure-backend configuration, over
+// one kernel, and their names.
+func fuseLevels() (*kernel.Kernel, []*core.Compiler, []string) {
+	k := kernel.New()
+	k.Out = io.Discard
+	fused, unfused := core.NewCompiler(k), core.NewCompiler(k)
+	unfused.FuseLevel = codegen.FuseOff
+	return k, []*core.Compiler{fused, unfused}, []string{"fused", "unfused"}
+}
+
+// samplePoints are the arguments each scalar overload is evaluated at: zero,
+// the units, the machine-integer extremes (checked arithmetic must overflow
+// into the interpreter fallback, never wrap), and reals that leave the
+// elementary functions' real domain (the compiled result is then NaN or an
+// infinity where the interpreter goes complex or symbolic).
+var samplePoints = map[types.Type][]string{
+	types.TInt64:   {"0", "1", "-1", "7", "9223372036854775807", "-9223372036854775808"},
+	types.TReal64:  {"0.", "1.", "-1.", "0.5", "-2.5", "1.*^300"},
+	types.TComplex: {"Complex[0., 0.]", "Complex[1., -1.]", "Complex[0.25, -0.5]"},
+	types.TBool:    {"True", "False"},
+}
+
+// hugeOperand names the functions whose second operand is an exponent or a
+// shift count: the interpreter computes the exact big integer, so only the
+// small sample points are used there.
+var hugeOperand = map[string]bool{"Power": true, "BitShiftLeft": true, "BitShiftRight": true}
+
+// machineNumber reads a machine real or complex result.
+func machineNumber(e expr.Expr) (complex128, bool) {
+	switch x := e.(type) {
+	case *expr.Integer:
+		if x.IsMachine() {
+			return complex(float64(x.Int64()), 0), true
+		}
+	case *expr.Real:
+		return complex(x.V, 0), true
+	case *expr.Complex:
+		return complex(x.Re, x.Im), true
+	}
+	return 0, false
+}
+
+func nonFinite(z complex128) bool { return cmplx.IsNaN(z) || cmplx.IsInf(z) }
+
+// agree compares two inexact results: a non-finite reference needs a
+// non-finite result, a finite one a result within a few ulps (the integer
+// powers of a complex are computed by squaring here and by exp/log there).
+func agree(got, want complex128) bool {
+	if nonFinite(want) {
+		return nonFinite(got)
+	}
+	return cmplx.Abs(got-want) <= 1e-12*math.Max(1, cmplx.Abs(want))
+}
+
+// TestScalarNativesMatchInterpreter evaluates every scalar overload of the
+// standard library, compiled with fusion on and with fusion off, against the
+// interpreter's name[args] at every combination of sample points. Both
+// closure configurations build a scalar native from the same evaluator, so
+// comparing them with each other shows nothing about the evaluator; the
+// interpreter is the independent reference. Native` and Compile` functions
+// have no interpreter definition and are left to the C backend's tests.
+//
+// An integer or boolean overload must print exactly what the interpreter
+// prints: that includes overflow, where the compiled call throws and falls
+// back. A real or complex overload is compared with N[name[args]] as a
+// number; where that is not a machine number (a pole, a complex value of a
+// real overload, a symbolic form) the compiled result must be NaN or
+// infinite, not a finite value.
+func TestScalarNativesMatchInterpreter(t *testing.T) {
+	k, compilers, levels := fuseLevels()
+	calls, outside := 0, 0
+	forEachScalarOverload(t, compilers[0].TypeEnv, func(name string, d *types.FuncDef, sig *types.Fn, fn expr.Expr) {
+		if strings.Contains(name, "`") || len(sig.Params) == 0 || sig.Ret == types.TVoid {
+			return
+		}
+		inexact := sig.Ret == types.TReal64 || sig.Ret == types.TComplex
+		var ccfs []*core.CompiledCodeFunction
+		for _, c := range compilers {
+			ccf, err := c.FunctionCompile(fn)
+			if err != nil {
+				t.Errorf("%s: %v", expr.InputForm(fn), err)
+				return
+			}
+			ccfs = append(ccfs, ccf)
+		}
+		var walk func(args []expr.Expr)
+		walk = func(args []expr.Expr) {
+			if i := len(args); i < len(sig.Params) {
+				for _, s := range samplePoints[sig.Params[i]] {
+					walk(append(args, parser.MustParse(s)))
+				}
+				return
+			}
+			if hugeOperand[name] && len(args) == 2 && len(expr.InputForm(args[1])) > 2 {
+				return
+			}
+			call := expr.New(expr.Sym(name), args...)
+			ref := call
+			if inexact {
+				ref = expr.New(expr.Sym("N"), call)
+			}
+			want, werr := k.Run(ref)
+			wantNum, inDomain := complex128(0), false
+			if werr == nil && inexact {
+				wantNum, inDomain = machineNumber(want)
+			}
+			calls++
+			for i, ccf := range ccfs {
+				what := fmt.Sprintf("%s (native %s, %s)", expr.InputForm(call), d.Native, levels[i])
+				got, err := ccf.Apply(args)
+				switch {
+				case werr != nil:
+					// The interpreter rejects the call (division by zero):
+					// the compiled call throws and its fallback rejects it too.
+					if err == nil {
+						t.Errorf("%s = %s, interpreter: %v", what, expr.InputForm(got), werr)
+					}
+				case err != nil:
+					t.Errorf("%s: %v", what, err)
+				case !inexact:
+					if expr.InputForm(got) != expr.InputForm(want) {
+						t.Errorf("%s = %s, interpreter %s", what, expr.InputForm(got), expr.InputForm(want))
+					}
+				case inDomain:
+					if n, ok := machineNumber(got); !ok || !agree(n, wantNum) {
+						t.Errorf("%s = %s, interpreter %s", what, expr.InputForm(got), expr.InputForm(want))
+					}
+				default:
+					outside++
+					if n, ok := machineNumber(got); !ok || !nonFinite(n) {
+						t.Errorf("%s = %s, a finite value where the interpreter has %s", what, expr.InputForm(got), expr.InputForm(want))
+					}
+				}
+			}
+		}
+		walk(nil)
+	})
+	if calls < 1000 {
+		t.Errorf("only %d calls compared: the walk is not reaching the standard library", calls)
+	}
+	t.Logf("%d calls compared at both fuse levels, %d of the results outside the overload's machine domain", calls, outside)
+}
+
+// TestCastsWrapAtEveryWidthBoundary: the width casts are Native` functions,
+// so their reference is two's-complement arithmetic itself — the argument
+// reduced modulo 2^w, read as signed or unsigned — at each width's boundary
+// values and the machine-integer extremes, at both fuse levels.
+func TestCastsWrapAtEveryWidthBoundary(t *testing.T) {
+	_, compilers, levels := fuseLevels()
+	one := big.NewInt(1)
+	for _, w := range []uint{8, 16, 32} {
+		for _, signed := range []bool{true, false} {
+			name := fmt.Sprintf("Native`CastInteger%d", w)
+			if !signed {
+				name = fmt.Sprintf("Native`CastUnsignedInteger%d", w)
+			}
+			fn := parser.MustParse(fmt.Sprintf(`Function[{Typed[x, "MachineInteger"]}, %s[x]]`, name))
+			half, full := new(big.Int).Lsh(one, w-1), new(big.Int).Lsh(one, w)
+			var points []*big.Int
+			for _, b := range []*big.Int{big.NewInt(0), half, full, new(big.Int).Neg(half), new(big.Int).Neg(full),
+				big.NewInt(math.MaxInt64), big.NewInt(math.MinInt64)} {
+				for d := int64(-1); d <= 1; d++ {
+					if p := new(big.Int).Add(b, big.NewInt(d)); p.IsInt64() {
+						points = append(points, p)
+					}
+				}
+			}
+			for i, c := range compilers {
+				ccf, err := c.FunctionCompile(fn)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, p := range points {
+					want := new(big.Int).Mod(p, full)
+					if signed && want.Cmp(half) >= 0 {
+						want.Sub(want, full)
+					}
+					got, err := ccf.Apply([]expr.Expr{expr.FromInt64(p.Int64())})
+					if err != nil || expr.InputForm(got) != want.String() {
+						t.Errorf("%s[%s] (%s) = %v (%v), want %s", name, p, levels[i], got, err, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 var scalars = []types.Type{types.TInt64, types.TReal64, types.TComplex, types.TBool}
