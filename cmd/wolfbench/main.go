@@ -12,8 +12,6 @@
 //	wolfbench -ablation all   # §6 ablations
 //	wolfbench -fusion         # superinstruction fusion on/off (ISSUE 2)
 //	wolfbench -autocompile    # tiered execution: interpreted vs auto-promoted (ISSUE 5)
-//	wolfbench -compare a b    # diff two -json files; exit 1 on a regression
-//	                          # beyond -threshold (default 10%)
 //	wolfbench -metrics-selftest  # ephemeral /metrics endpoint smoke test
 package main
 
@@ -28,7 +26,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	gort "runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -58,9 +55,8 @@ var (
 	fusionF   = flag.Bool("fusion", false, "run the superinstruction-fusion suite (FuseLevel off vs on)")
 	autoF     = flag.Bool("autocompile", false, "run the tiered-execution suite: interpreted vs auto-promoted DownValues, and registry vs boxed cross-unit calls")
 	patternsF = flag.Bool("patterns", false, "run the pattern-dispatch suite: guarded/destructuring DownValues compiled to decision trees vs the interpreter")
-	compareF  = flag.Bool("compare", false, "compare two -json result files (old new); exit nonzero on a regression beyond -threshold")
 	reportF   = flag.Bool("report", false, "emit a JSON compile-report block (per-stage/per-pass timings) for the Figure 2 kernels")
-	threshF   = flag.Float64("threshold", 0.10, "per-row regression threshold for -compare (0.10 = 10%)")
+	threshF   = flag.Float64("threshold", 0.10, "overhead threshold for -obs-overhead and -serve-trace-overhead (0.10 = 10%)")
 
 	artifactDir = flag.String("artifact-dir", os.Getenv("WOLFC_ARTIFACT_DIR"), "persist compiled artifacts to this directory (the disk tier of the compile cache; also WOLFC_ARTIFACT_DIR)")
 
@@ -222,9 +218,6 @@ func compileReports() int {
 
 func main() {
 	flag.Parse()
-	if *compareF {
-		os.Exit(compareResults(flag.Arg(0), flag.Arg(1)))
-	}
 	if *reportF {
 		os.Exit(compileReports())
 	}
@@ -589,78 +582,6 @@ func fusionSuite() {
 		}
 		fmt.Println()
 	}
-}
-
-// compareResults diffs two -json result files keyed by (name, impl,
-// workers, size) and returns the process exit code: 1 when any shared row
-// regressed by more than 10% (the perf gate for future PRs), else 0.
-func compareResults(oldPath, newPath string) int {
-	if oldPath == "" || newPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: wolfbench -compare old.json new.json")
-		return 2
-	}
-	type doc struct {
-		Schema  string        `json:"schema"`
-		Results []benchResult `json:"results"`
-	}
-	load := func(path string) (map[string]benchResult, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var d doc
-		if err := json.Unmarshal(data, &d); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if d.Schema != "wolfbench/v1" {
-			return nil, fmt.Errorf("%s: unknown schema %q", path, d.Schema)
-		}
-		m := map[string]benchResult{}
-		for _, r := range d.Results {
-			m[fmt.Sprintf("%s|%s|%d|%d", r.Name, r.Impl, r.Workers, r.Size)] = r
-		}
-		return m, nil
-	}
-	oldR, err := load(oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wolfbench: -compare:", err)
-		return 2
-	}
-	newR, err := load(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wolfbench: -compare:", err)
-		return 2
-	}
-	keys := make([]string, 0, len(oldR))
-	for k := range oldR {
-		if _, ok := newR[k]; ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	if len(keys) == 0 {
-		fmt.Fprintln(os.Stderr, "wolfbench: -compare: no common rows between files")
-		return 2
-	}
-	fmt.Printf("%-44s %14s %14s %8s\n", "benchmark", "old", "new", "delta")
-	regressed := false
-	for _, k := range keys {
-		o, n := oldR[k], newR[k]
-		ratio := n.NsPerOp / o.NsPerOp
-		mark := ""
-		if ratio > 1+*threshF {
-			mark = "  REGRESSION"
-			regressed = true
-		}
-		fmt.Printf("%-44s %14s %14s %+7.1f%%%s\n",
-			k, fmtNs(o.NsPerOp), fmtNs(n.NsPerOp), (ratio-1)*100, mark)
-	}
-	if regressed {
-		fmt.Fprintf(os.Stderr, "wolfbench: -compare: regression above %.0f%% detected\n", *threshF*100)
-		return 1
-	}
-	fmt.Printf("no regressions above %.0f%%\n", *threshF*100)
-	return 0
 }
 
 // metricsSelftest is the /metrics smoke test used by scripts/verify.sh: it

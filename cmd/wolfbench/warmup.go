@@ -201,7 +201,7 @@ func warmupSuite() int {
 		pol  *core.TierPolicy
 	}{
 		{"interpreter", nil},
-		{"stencil", &core.TierPolicy{Threshold: 3, StencilThreshold: 2, DisableO2: true}},
+		{"stencil", &core.TierPolicy{Threshold: 3, DisableO2: true}},
 		{"o2", &core.TierPolicy{Threshold: 2, DisableStencil: true}},
 	}
 	var modeRows []warmupModeRow

@@ -28,8 +28,7 @@ var (
 	metricsAddr          = flag.String("metrics-addr", "", "serve live /metrics and /debug/funcs on this address for the session")
 	traceOut             = flag.String("trace-out", "", "write JSONL trace events (compile/invoke/fallback) to this file")
 	autoCompile          = flag.Bool("autocompile", false, "tiered execution: compile hot DownValue definitions in the background and dispatch them as compiled code")
-	autoCompileThreshold = flag.Uint64("autocompile-threshold", 50, "invocation count at which a definition is promoted to the optimising tier (with -autocompile)")
-	stencilThreshold     = flag.Uint64("autocompile-stencil-threshold", 0, "invocation count for the fast stencil baseline tier (0 = threshold/5, with -autocompile)")
+	autoCompileThreshold = flag.Uint64("autocompile-threshold", 50, "invocation count at which a definition is promoted to the optimising tier; the stencil baseline tier is entered at a fifth of it, at least 2 (with -autocompile)")
 	stencilOnly          = flag.Bool("autocompile-stencil-only", false, "pin hot definitions to the stencil baseline tier; never upgrade to the optimising backend")
 	noStencil            = flag.Bool("autocompile-no-stencil", false, "skip the stencil baseline tier: promote hot definitions straight to the optimising backend")
 	autoDrain            = flag.Bool("autocompile-drain", false, "wait for queued background promotions after every input: deterministic tier transitions for differential harnesses (with -autocompile)")
@@ -75,10 +74,9 @@ func main() {
 		LegacyVM: true, // the legacy bytecode Compile, alongside FunctionCompile
 		Tiering:  *autoCompile,
 		Tier: core.TierPolicy{
-			Threshold:        *autoCompileThreshold,
-			StencilThreshold: *stencilThreshold,
-			DisableO2:        *stencilOnly,
-			DisableStencil:   *noStencil,
+			Threshold:      *autoCompileThreshold,
+			DisableO2:      *stencilOnly,
+			DisableStencil: *noStencil,
 		},
 	})
 	defer e.Close()

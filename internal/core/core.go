@@ -110,7 +110,19 @@ func (c *Compiler) reg() *fnreg.Registry {
 // evaluating under (set by engine.EvalCtx on the evaluating goroutine),
 // zero when absent or when implicit resolution is disabled.
 func (c *Compiler) activeSpan() obs.SpanContext {
-	if c.DisableImplicitSpan || c.Kernel == nil {
+	if c.DisableImplicitSpan {
+		return obs.SpanContext{}
+	}
+	return c.kernelSpan()
+}
+
+// kernelSpan is the request span of whatever the hosting kernel is
+// evaluating right now, zero without a kernel. Invocation reads it directly:
+// it happens on the evaluating goroutine, so the live span is the right one
+// even for a function a background tier worker built (whose compiler
+// resolves no implicit spans for its compiles).
+func (c *Compiler) kernelSpan() obs.SpanContext {
+	if c.Kernel == nil {
 		return obs.SpanContext{}
 	}
 	sc, _ := c.Kernel.TraceSpan().(obs.SpanContext)
@@ -152,6 +164,10 @@ type CompiledCodeFunction struct {
 	ParamTypes []types.Type
 	RetType    types.Type
 	compiler   *Compiler
+	// stencil records that the baseline configuration built this function
+	// (Compiler.Stencil at the time): the tiering ladder reads which rung an
+	// installed function is on from here.
+	stencil bool
 	// Standalone disables engine-dependent features (export mode, F10).
 	Standalone bool
 	// Report holds the compile instrumentation when it was requested
@@ -316,6 +332,7 @@ func (c *Compiler) wrap(mod *wir.Module, prog *codegen.Program, fn expr.Expr, na
 		Program:  prog,
 		RetType:  main.RetTy,
 		compiler: c,
+		stencil:  c.Stencil,
 		RegDeps:  collectRegDeps(mod),
 	}
 	for _, p := range main.Params {
@@ -580,25 +597,32 @@ func typeToSpec(t types.Type) expr.Expr {
 	return expr.FromString(t.String())
 }
 
-// Apply runs the compiled function on kernel expressions: the auxiliary
-// boxing wrapper of §4.5. Arguments are unpacked and type-checked, the
-// result packed; runtime numeric exceptions print a warning and re-evaluate
-// through the interpreter (the soft failure mode F2); aborts surface as
-// $Aborted (F3).
-func (ccf *CompiledCodeFunction) Apply(args []expr.Expr) (out expr.Expr, err error) {
-	if len(args) != len(ccf.ParamTypes) {
-		return nil, fmt.Errorf("CompiledCodeFunction: expected %d arguments, got %d",
-			len(ccf.ParamTypes), len(args))
-	}
+// outcome classifies one invocation of compiled code from boxed arguments.
+type outcome int
+
+const (
+	outServed      outcome = iota // the compiled body returned; out is its boxed result
+	outAborted                    // an abort unwound the body; out is $Aborted (F3)
+	outGuardMiss                  // an argument is outside the compiled signature, or the dispatch tree matched no rule
+	outSoftFailure                // the body threw a runtime exception: overflow, retired callee, kernel escape (F2)
+)
+
+// invoke is the one boxed entry into compiled code, the auxiliary wrapper of
+// §4.5: unbox the arguments, run, record metrics and the trace event, box the
+// result. len(args) must equal len(ccf.ParamTypes). It never re-evaluates and
+// never prints; what an unserved call means is the caller's business — Apply
+// re-evaluates through the interpreter with the paper's warning, the tiering
+// dispatch hook hands the call back to the kernel's own rules. reason says
+// why the call was not served.
+func (ccf *CompiledCodeFunction) invoke(args []expr.Expr) (out expr.Expr, oc outcome, reason string) {
 	raw := make([]any, len(args))
 	for i, a := range args {
 		v, ok := runtime.Unbox(a, ccf.ParamTypes[i])
 		if !ok {
-			// Argument outside the compiled signature: fall straight back
-			// to the interpreter (e.g. a bignum into a machine-integer
-			// slot).
-			return ccf.fallback(args, fmt.Sprintf("argument %d (%s) does not match type %s",
-				i+1, expr.InputForm(a), ccf.ParamTypes[i]))
+			// E.g. a bignum into a machine-integer slot.
+			ccf.Metrics.RecordFallback()
+			return nil, outGuardMiss, fmt.Sprintf("argument %d (%s) does not match type %s",
+				i+1, expr.InputForm(a), ccf.ParamTypes[i])
 		}
 		raw[i] = v
 	}
@@ -608,14 +632,24 @@ func (ccf *CompiledCodeFunction) Apply(args []expr.Expr) (out expr.Expr, err err
 			if !ok {
 				panic(r)
 			}
-			if exc.Kind == runtime.ExcAbort {
+			switch exc.Kind {
+			case runtime.ExcAbort:
 				// Cold path: abort already paid for a panic unwind, so the
-				// counter is unconditional.
+				// counter is unconditional. The kernel's abort flag is still
+				// set; the evaluator loop unwinds exactly as an interpreted
+				// abort does.
 				ccf.Metrics.RecordAbort()
-				out, err = expr.SymAborted, nil
+				out, oc, reason = expr.SymAborted, outAborted, ""
 				return
+			case runtime.ExcNoMatch:
+				// The compiled dispatch tree proved no DownValue rule matches:
+				// a property of the arguments, not a failure of the code.
+				oc = outGuardMiss
+			default:
+				oc = outSoftFailure
 			}
-			out, err = ccf.fallback(args, exc.Msg)
+			ccf.Metrics.RecordFallback()
+			out, reason = nil, exc.Msg
 		}
 	}()
 	// Invocation metrics: one atomic load when disabled; clock reads and
@@ -639,7 +673,7 @@ func (ccf *CompiledCodeFunction) Apply(args []expr.Expr) (out expr.Expr, err err
 		d := time.Since(t0)
 		ccf.Metrics.RecordInvoke(d)
 		if obs.TraceEnabled() {
-			if sc := ccf.compiler.activeSpan(); !sc.Suppressed() {
+			if sc := ccf.compiler.kernelSpan(); !sc.Suppressed() {
 				ev := obs.TraceEvent{Type: "invoke", Name: ccf.Metrics.Name(),
 					TNs: tStart, DurNs: d.Nanoseconds(), Backend: ccf.Metrics.Backend(),
 					Engine: ccf.compiler.engineLabel()}
@@ -649,9 +683,25 @@ func (ccf *CompiledCodeFunction) Apply(args []expr.Expr) (out expr.Expr, err err
 		}
 	}
 	if ccf.RetType == types.TVoid {
-		return expr.SymNull, nil
+		return expr.SymNull, outServed, ""
 	}
-	return runtime.Box(res, ccf.RetType), nil
+	return runtime.Box(res, ccf.RetType), outServed, ""
+}
+
+// Apply runs the compiled function on kernel expressions. Arguments outside
+// the compiled signature and runtime numeric exceptions print a warning and
+// re-evaluate through the interpreter (the soft failure mode F2); aborts
+// surface as $Aborted (F3).
+func (ccf *CompiledCodeFunction) Apply(args []expr.Expr) (expr.Expr, error) {
+	if len(args) != len(ccf.ParamTypes) {
+		return nil, fmt.Errorf("CompiledCodeFunction: expected %d arguments, got %d",
+			len(ccf.ParamTypes), len(args))
+	}
+	out, oc, reason := ccf.invoke(args)
+	if oc == outGuardMiss || oc == outSoftFailure {
+		return ccf.fallback(args, reason)
+	}
+	return out, nil
 }
 
 // CallRaw invokes the compiled code with unboxed Go values (used by the
@@ -675,11 +725,8 @@ func (ccf *CompiledCodeFunction) CallRaw(args ...any) any {
 // fallback re-evaluates the source through the interpreter (F2), printing
 // the paper's warning.
 func (ccf *CompiledCodeFunction) fallback(args []expr.Expr, reason string) (expr.Expr, error) {
-	// A fallback re-runs the whole call through the interpreter, so the
-	// counter is unconditional; the trace event is gated.
-	ccf.Metrics.RecordFallback()
 	if obs.TraceEnabled() {
-		if sc := ccf.compiler.activeSpan(); !sc.Suppressed() {
+		if sc := ccf.compiler.kernelSpan(); !sc.Suppressed() {
 			ev := obs.TraceEvent{Type: "fallback", Name: ccf.Metrics.Name(),
 				TNs: obs.TraceNow(), Backend: ccf.Metrics.Backend(), Detail: reason,
 				Engine: ccf.compiler.engineLabel()}

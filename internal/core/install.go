@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"os"
-	"sync"
 
 	"wolfc/internal/expr"
 	"wolfc/internal/fnreg"
@@ -12,30 +11,6 @@ import (
 
 // Kernel integration (F1): FunctionCompile becomes a regular function of
 // the language, and CompiledCodeFunction objects apply like any function.
-
-var (
-	ccfMu  sync.Mutex
-	ccfTab = map[int64]*CompiledCodeFunction{}
-	ccfSeq int64
-)
-
-func registerCCF(ccf *CompiledCodeFunction) int64 {
-	ccfMu.Lock()
-	defer ccfMu.Unlock()
-	ccfSeq++
-	ccfTab[ccfSeq] = ccf
-	return ccfSeq
-}
-
-// LookupCCF returns a registered compiled function by id.
-func LookupCCF(id int64) (*CompiledCodeFunction, bool) {
-	ccfMu.Lock()
-	defer ccfMu.Unlock()
-	c, ok := ccfTab[id]
-	return c, ok
-}
-
-var symCCF = expr.Sym("CompiledCodeFunction")
 
 // Install registers FunctionCompile and the CompiledCodeFunction applier in
 // the kernel, returning the compiler instance used (so callers can extend
@@ -50,6 +25,31 @@ func Install(k *kernel.Kernel) *Compiler {
 // compiles inside the owning engine's namespace.
 func InstallWith(k *kernel.Kernel, reg *fnreg.Registry) *Compiler {
 	c := NewCompilerWith(k, reg)
+	// The CompiledCodeFunction objects this kernel has handed out, by the id
+	// their expression form carries. The table belongs to this installation:
+	// only the builtins below touch it, on the kernel's one evaluating
+	// goroutine, and it dies with the kernel. An id minted elsewhere (another
+	// engine, a serialised session) is unknown here and takes the stale-object
+	// path in the applier.
+	symCCF := expr.Sym("CompiledCodeFunction")
+	objects := map[int64]*CompiledCodeFunction{}
+	object := func(ccf *CompiledCodeFunction, source expr.Expr) expr.Expr {
+		id := int64(len(objects) + 1)
+		objects[id] = ccf
+		return expr.New(symCCF, expr.FromInt64(id), source)
+	}
+	// compiled resolves CompiledCodeFunction[id, source] to its function, and
+	// compiles anything else (or an unknown id) as a function expression.
+	compiled := func(target expr.Expr) (*CompiledCodeFunction, error) {
+		if obj, isObj := expr.IsNormalN(target, symCCF, 2); isObj {
+			if id, isInt := obj.Arg(1).(*expr.Integer); isInt && id.IsMachine() {
+				if ccf := objects[id.Int64()]; ccf != nil {
+					return ccf, nil
+				}
+			}
+		}
+		return c.FunctionCompile(target)
+	}
 	k.Register("FunctionCompile", 0, func(k *kernel.Kernel, n *expr.Normal) (expr.Expr, bool) {
 		if n.Len() < 1 {
 			return n, false
@@ -61,8 +61,7 @@ func InstallWith(k *kernel.Kernel, reg *fnreg.Registry) *Compiler {
 			fmt.Fprintf(k.Out, "FunctionCompile::cmperr: %v\n", err)
 			return expr.SymFailed, true
 		}
-		id := registerCCF(ccf)
-		return expr.New(symCCF, expr.FromInt64(id), n.Arg(1)), true
+		return object(ccf, n.Arg(1)), true
 	})
 	// §A.6's inspection functions, usable inside the language.
 	k.Register("CompileToAST", 0, func(k *kernel.Kernel, n *expr.Normal) (expr.Expr, bool) {
@@ -107,21 +106,11 @@ func InstallWith(k *kernel.Kernel, reg *fnreg.Registry) *Compiler {
 		if !ok {
 			return n, false
 		}
-		target := n.Arg(1)
 		// Accept either a function expression or a CompiledCodeFunction.
-		var ccf *CompiledCodeFunction
-		if cfHead, isCF := expr.IsNormalN(target, symCCF, 2); isCF {
-			if id, isInt := cfHead.Arg(1).(*expr.Integer); isInt && id.IsMachine() {
-				ccf, _ = LookupCCF(id.Int64())
-			}
-		}
-		if ccf == nil {
-			var err error
-			ccf, err = c.FunctionCompile(target)
-			if err != nil {
-				fmt.Fprintf(k.Out, "FunctionCompileExportString::err: %v\n", err)
-				return expr.SymFailed, true
-			}
+		ccf, err := compiled(n.Arg(1))
+		if err != nil {
+			fmt.Fprintf(k.Out, "FunctionCompileExportString::err: %v\n", err)
+			return expr.SymFailed, true
 		}
 		out, err := ccf.ExportString(format.V)
 		if err != nil {
@@ -139,19 +128,10 @@ func InstallWith(k *kernel.Kernel, reg *fnreg.Registry) *Compiler {
 		if !ok {
 			return n, false
 		}
-		var ccf *CompiledCodeFunction
-		if cfHead, isCF := expr.IsNormalN(n.Arg(2), symCCF, 2); isCF {
-			if id, isInt := cfHead.Arg(1).(*expr.Integer); isInt && id.IsMachine() {
-				ccf, _ = LookupCCF(id.Int64())
-			}
-		}
-		if ccf == nil {
-			var err error
-			ccf, err = c.FunctionCompile(n.Arg(2))
-			if err != nil {
-				fmt.Fprintf(k.Out, "FunctionCompileExportLibrary::err: %v\n", err)
-				return expr.SymFailed, true
-			}
+		ccf, err := compiled(n.Arg(2))
+		if err != nil {
+			fmt.Fprintf(k.Out, "FunctionCompileExportLibrary::err: %v\n", err)
+			return expr.SymFailed, true
 		}
 		f, err := os.Create(path.V)
 		if err != nil {
@@ -184,8 +164,7 @@ func InstallWith(k *kernel.Kernel, reg *fnreg.Registry) *Compiler {
 			fmt.Fprintf(k.Out, "LibraryFunctionLoad::err: %v\n", err)
 			return expr.SymFailed, true
 		}
-		id := registerCCF(ccf)
-		return expr.New(symCCF, expr.FromInt64(id), expr.FromString(path.V)), true
+		return object(ccf, expr.FromString(path.V)), true
 	})
 	k.RegisterApplier("CompiledCodeFunction", func(k *kernel.Kernel, head *expr.Normal, args []expr.Expr) (expr.Expr, bool) {
 		if head.Len() != 2 {
@@ -195,10 +174,10 @@ func InstallWith(k *kernel.Kernel, reg *fnreg.Registry) *Compiler {
 		if !ok || !idE.IsMachine() {
 			return nil, false
 		}
-		ccf, found := LookupCCF(idE.Int64())
-		if !found {
-			// Stale object (e.g. from a serialised session): evaluate the
-			// stored source instead.
+		ccf := objects[idE.Int64()]
+		if ccf == nil {
+			// Stale or foreign object (from a serialised session, or another
+			// engine's id): evaluate the stored source instead.
 			return k.Eval(expr.New(head.Arg(2), args...)), true
 		}
 		out, err := ccf.Apply(args)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wolfc/internal/codegen"
 	"wolfc/internal/expr"
 	"wolfc/internal/fnreg"
 	"wolfc/internal/infer"
@@ -14,51 +13,48 @@ import (
 	"wolfc/internal/obs"
 	"wolfc/internal/parser"
 	"wolfc/internal/pattern"
-	"wolfc/internal/runtime"
 	"wolfc/internal/types"
 	"wolfc/internal/wir"
 )
 
 // Tiered execution (ISSUE 5, extended by ISSUE 6): the interpreter is tier
-// F2, the copy-and-patch stencil backend is the baseline tier F1.5, and
-// the full optimising pipeline is tier F1. EnableTiering hooks the
-// kernel's DownValues dispatch; the hook counts invocations per symbol and
-// sketches the observed argument kinds. A symbol that gets even mildly hot
-// (StencilThreshold) is compiled almost immediately on the cheap stencil
-// path — no constraint solver, no pass manager, straight table lookup from
-// TWIR instruction shapes to pre-built closure templates — and installed.
-// If it stays hot (Threshold compiled calls), the same definition is
-// recompiled through the full pipeline and the registry entry is re-pointed
-// in place (Registry.Upgrade), so dependents' baked call sites pick up the
-// optimised code on their next atomic load. Definitions the stencil tier
-// cannot hold (uncovered instruction shapes, non-scalar types) skip
-// straight to the optimised pipeline.
+// F2, the baseline (stencil) configuration of the pipeline is tier F1.5, and
+// the full optimising pipeline is tier F1. EnableTiering hooks the kernel's
+// DownValues dispatch; the hook counts invocations per symbol and sketches
+// the observed argument kinds. A symbol that gets even mildly hot is compiled
+// almost immediately in the baseline configuration — no constraint solver, no
+// pass manager — and installed. If it stays hot (Threshold compiled calls),
+// the same definition is recompiled through the full pipeline and the
+// registry entry is re-pointed in place (Registry.Upgrade), so dependents'
+// baked call sites pick up the optimised code on their next atomic load.
+// Definitions the baseline cannot hold (non-scalar types) skip straight to
+// the optimised pipeline.
+//
+// The registry entry is the record of what is installed: a symbol is on a
+// compiled tier iff its entry has a binding, the code it runs is the
+// binding's payload, and which rung that is is read off the function. The
+// engine keeps only heat and job bookkeeping beside it. Redefinition
+// (Set/SetDelayed/Clear) retires the entry; the registry cascades through
+// dependents, whose next dispatch finds no binding, runs interpreted and
+// re-earns promotion; dependent compile-cache entries are invalidated; and
+// any in-flight compile for the old definition is discarded at publish time.
 //
 // Compilation runs on a bounded pool of background workers (at most
-// GOMAXPROCS); each worker owns its own Compiler pair so concurrent
-// compiles never share mutable front-end state. Per-symbol ordering is
-// preserved by the status machine: a symbol is queued for promotion only
-// from the idle state, and for upgrade only from the installed state, so
-// two jobs for one symbol are never in flight together. The compiled path
-// is guarded (F2-style): an argument outside the compiled signature, or a
-// soft runtime failure, silently falls through to the interpreter rules,
-// so tiering never changes results — only how fast they arrive.
-// Redefinition (Set/SetDelayed/Clear) retires the registry entry, cascades
-// through dependents, and invalidates dependent compile-cache entries; the
-// symbol re-earns promotion under its new definition, and any in-flight
-// compile for the old definition is discarded at install time.
+// GOMAXPROCS); each worker owns one Compiler, so concurrent compiles never
+// share mutable front-end state. At most one job per symbol and definition is
+// queued or running (symState.pending). The compiled path is guarded
+// (F2-style): an argument outside the compiled signature, or a soft runtime
+// failure, silently falls through to the interpreter rules, so tiering never
+// changes results — only how fast they arrive.
 
 // TierPolicy tunes the promotion engine.
 type TierPolicy struct {
 	// Threshold is the invocation count at which a symbol graduates to the
 	// fully optimised tier: interpreted dispatches when the stencil tier is
 	// disabled, stencil-compiled calls otherwise. 0 means the default (50).
+	// The baseline tier is entered after Threshold/5 interpreted dispatches
+	// (at least 2): hot symbols leave the interpreter almost immediately.
 	Threshold uint64
-	// StencilThreshold is the interpreted-dispatch count at which a symbol
-	// is promoted to the stencil baseline tier. 0 means Threshold/5,
-	// clamped to at least 2 — hot symbols leave the interpreter almost
-	// immediately.
-	StencilThreshold uint64
 	// DisableStencil skips the baseline tier: hot symbols go straight from
 	// the interpreter to the optimised pipeline at Threshold (the pre-ISSUE
 	// 6 behaviour).
@@ -71,32 +67,23 @@ type TierPolicy struct {
 	// Workers bounds the background compile pool. 0 means GOMAXPROCS;
 	// values above GOMAXPROCS are clamped to it.
 	Workers int
-	// MaxGroup bounds a mutual-recursion compile group. 0 means 6.
-	MaxGroup int
-	// FailureLimit retires a compiled entry after this many soft runtime
-	// failures (each already fell back to the interpreter, so this only
-	// stops paying for guards that always fail). 0 means 8.
-	FailureLimit int
 }
+
+const (
+	// maxGroup bounds a mutual-recursion compile group.
+	maxGroup = 6
+	// failureLimit retires a compiled entry after this many soft runtime
+	// failures (each already fell back to the interpreter, so this only
+	// stops paying for guards that always fail).
+	failureLimit = 8
+)
 
 func (p TierPolicy) withDefaults() TierPolicy {
 	if p.Threshold == 0 {
 		p.Threshold = 50
 	}
-	if p.StencilThreshold == 0 {
-		p.StencilThreshold = p.Threshold / 5
-		if p.StencilThreshold < 2 {
-			p.StencilThreshold = 2
-		}
-	}
-	if p.MaxGroup == 0 {
-		p.MaxGroup = 6
-	}
-	if p.FailureLimit == 0 {
-		p.FailureLimit = 8
-	}
-	if max := gort.GOMAXPROCS(0); p.Workers <= 0 || p.Workers > max {
-		p.Workers = max
+	if limit := gort.GOMAXPROCS(0); p.Workers <= 0 || p.Workers > limit {
+		p.Workers = limit
 	}
 	return p
 }
@@ -109,7 +96,7 @@ type TieringStats struct {
 	Promotions        uint64 // definitions successfully compiled and installed
 	StencilPromotions uint64 // promotions whose first compiled tier was the stencil
 	Upgrades          uint64 // stencil entries re-pointed at optimised code
-	CompileFailures   uint64 // promotion attempts that did not produce code
+	CompileFailures   uint64 // promotion or upgrade attempts that did not produce installable code
 	Retires           uint64 // entries uninstalled by redefinition or failure
 	CompiledCalls     uint64 // dispatches served by compiled code
 	GuardMisses       uint64 // dispatches that missed the compiled signature
@@ -145,83 +132,76 @@ func init() {
 	})
 }
 
-type symStatus int
-
-const (
-	symIdle symStatus = iota
-	symQueued
-	symInstalled
-	symFailed
-)
-
-// tierLevel identifies which compiled tier currently serves a symbol.
-type tierLevel int
-
-const (
-	tierNone    tierLevel = iota
-	tierStencil           // F1.5: copy-and-patch baseline
-	tierO2                // F1: full optimising pipeline
-)
-
-// symState is the per-symbol tiering record. All fields are guarded by
-// Tiering.mu except tierCalls, which the compiled hot path bumps without
-// the lock.
+// symState is the per-symbol heat and job record. Whether the symbol is
+// compiled, and on which tier, is not recorded here: entry.Binding() answers
+// that. All fields are guarded by Tiering.mu except calls, which the compiled
+// hot path bumps without the lock.
 type symState struct {
-	sym           *expr.Symbol
-	count         uint64       // interpreted dispatches under the current sketch
-	nextTry       uint64       // count gate for the next promotion attempt
-	kinds         []types.Type // argument-kind sketch from observed dispatches
-	defSeq        uint64       // bumped on every definition change
-	status        symStatus
-	tier          tierLevel // which compiled tier, while installed
-	entry         *fnreg.Entry
-	ccf           *CompiledCodeFunction
-	srcFn         expr.Expr // synthesized source, kept for the upgrade recompile
-	softFails     uint64    // soft-failure tally while installed
-	upgradeQueued bool      // an O2 upgrade job is queued or in flight
+	sym       *expr.Symbol
+	kinds     []types.Type // argument-kind sketch from observed dispatches
+	defSeq    uint64       // bumped on every definition change
+	entry     *fnreg.Entry // the symbol's latest installation; live while it has a binding
+	nextTry   uint64       // calls gate for the next attempt after a back-off
+	softFails uint64       // soft-failure tally of the current installation
+	pending   bool         // a job for this definition is queued or running
+	failed    bool         // do not retry until redefined
 
-	tierCalls atomic.Uint64 // successful compiled calls on the current tier
+	// calls counts dispatches on the current rung: interpreted ones under
+	// the current sketch, or compiled ones served by the baseline tier.
+	calls atomic.Uint64
+}
+
+// installed returns the function serving st, nil while st is interpreted.
+func (st *symState) installed() *CompiledCodeFunction {
+	if b := st.entry.Binding(); b != nil {
+		return b.Payload.(*CompiledCodeFunction)
+	}
+	return nil
+}
+
+// rebind starts st afresh on entry (nil: back on the interpreter): heat,
+// back-off, failure tally and flags all belonged to the previous rung.
+func (st *symState) rebind(entry *fnreg.Entry) {
+	st.entry = entry
+	st.nextTry = 0
+	st.softFails = 0
+	st.pending = false
+	st.failed = false
+	st.calls.Store(0)
 }
 
 // tierMember is one definition snapshot handed to a compile worker.
 type tierMember struct {
 	sym    *expr.Symbol
-	name   string
 	fn     expr.Expr // synthesized Function[{Typed...}, body]
-	kinds  []types.Type
 	defSeq uint64
-	// span is the request span active when the promotion was queued (the
+	// entry is set for the upgrade hop: the installed baseline entry the
+	// recompile re-points. It pins the exact installation generation — if the
+	// symbol was redefined or demoted while the recompile was in flight, the
+	// identity check at publish time fails and the result is discarded. nil
+	// for a first promotion, which reserves a fresh entry.
+	entry *fnreg.Entry
+	// span is the request span active when the job was queued (the
 	// evaluating goroutine that crossed the threshold), so the background
 	// compile's trace events link to the request that made the symbol hot.
 	span obs.SpanContext
 }
 
-// tierUpgrade is a stencil→optimised recompile request for an installed
-// entry. The entry pointer pins the exact installation generation: if the
-// symbol was redefined (or demoted) while the recompile was in flight, the
-// identity check fails and the result is discarded.
-type tierUpgrade struct {
-	sym    *expr.Symbol
-	name   string
-	fn     expr.Expr
-	defSeq uint64
-	entry  *fnreg.Entry
-	span   obs.SpanContext // request active when the upgrade trigger fired
-}
+// verdict says how a job that published nothing leaves its members.
+type verdict int
 
-// tierJob is one unit of background work: either a promotion group or an
-// upgrade (exactly one field is set).
-type tierJob struct {
-	members []*tierMember
-	upgrade *tierUpgrade
-}
+const (
+	jobStale     verdict = iota // a member was redefined or demoted mid-compile: no penalty
+	jobTransient                // lost a race (queue full, registry slot held): back off and re-earn
+	jobFailed                   // the definition does not compile: do not retry until redefined
+)
 
 // Tiering is one kernel's tiered-execution engine.
 type Tiering struct {
-	k   *kernel.Kernel
-	c   *Compiler       // dedicated compiler: env lookups and the engine handle
-	reg *fnreg.Registry // the engine's registry namespace
-	pol TierPolicy
+	c    *Compiler       // the engine's compiler: its kernel, declaration lookups, the request span
+	reg  *fnreg.Registry // the engine's registry namespace
+	pol  TierPolicy
+	gate uint64 // interpreted dispatches that earn the first compiled rung
 
 	mu    sync.Mutex
 	syms  map[*expr.Symbol]*symState
@@ -238,47 +218,46 @@ type Tiering struct {
 	queueDepth    atomic.Int64
 	releaseGauges func()
 
-	jobs     chan tierJob
-	wg       sync.WaitGroup // the worker pool
-	inflight sync.WaitGroup // queued-but-not-installed jobs
+	jobs     chan []*tierMember // a promotion group, or one upgrade member
+	wg       sync.WaitGroup     // the worker pool
+	inflight sync.WaitGroup     // queued-but-not-published jobs
 	closed   bool
 }
 
-// EnableTiering attaches a tiered-execution engine to k and starts its
-// background compile pool, promoting into the process-wide default
-// registry. Call Close to detach and stop the workers. The engine installs
-// the kernel's dispatch hook and definition observer; only one engine per
-// kernel.
+// EnableTiering attaches a tiered-execution engine to k, promoting into the
+// process-wide default registry through a compiler of its own (tests and
+// wolfbench; an engine passes its compiler to EnableTieringWith).
 func EnableTiering(k *kernel.Kernel, pol TierPolicy) *Tiering {
-	return EnableTieringWith(k, nil, pol)
+	return EnableTieringWith(NewCompiler(k), pol)
 }
 
-// EnableTieringWith is EnableTiering with an explicit function-registry
-// namespace (nil = the process-wide default): promotions Reserve/Install
-// into reg, workers compile against it, and redefinition invalidation
-// retires from it, so concurrent engines tier the same symbol names
-// independently.
-func EnableTieringWith(k *kernel.Kernel, reg *fnreg.Registry, pol TierPolicy) *Tiering {
-	if reg == nil {
-		reg = fnreg.Default()
-	}
+// EnableTieringWith attaches a tiered-execution engine to c's kernel and
+// starts its background compile pool. Promotions Reserve/Install into c's
+// registry namespace, workers compile against it, and redefinition retires
+// from it, so concurrent engines tier the same symbol names independently.
+// Call Close to detach and stop the workers. The engine installs the kernel's
+// dispatch hook and definition observer; only one engine per kernel.
+func EnableTieringWith(c *Compiler, pol TierPolicy) *Tiering {
 	t := &Tiering{
-		k:    k,
-		c:    NewCompilerWith(k, reg),
-		reg:  reg,
+		c:    c,
+		reg:  c.reg(),
 		pol:  pol.withDefaults(),
 		syms: map[*expr.Symbol]*symState{},
-		jobs: make(chan tierJob, 64),
+		jobs: make(chan []*tierMember, 64),
 	}
-	if id := reg.ID(); id != "" {
+	t.gate = t.pol.Threshold
+	if !t.pol.DisableStencil {
+		t.gate = max(2, t.pol.Threshold/5)
+	}
+	if id := t.reg.ID(); id != "" {
 		t.releaseGauges = obs.RegisterEngineGauges(id, func() []obs.Gauge {
 			return []obs.Gauge{
 				{Name: "tier_compile_queue_depth", Value: float64(t.queueDepth.Load()), Engine: id},
 			}
 		})
 	}
-	k.SetDispatchHook(t.dispatch)
-	k.SetDefObserver(t.defChanged)
+	t.c.Kernel.SetDispatchHook(t.dispatch)
+	t.c.Kernel.SetDefObserver(t.defChanged)
 	for i := 0; i < t.pol.Workers; i++ {
 		t.wg.Add(1)
 		go t.worker()
@@ -296,8 +275,8 @@ func (t *Tiering) Close() {
 	}
 	t.closed = true
 	t.mu.Unlock()
-	t.k.SetDispatchHook(nil)
-	t.k.SetDefObserver(nil)
+	t.c.Kernel.SetDispatchHook(nil)
+	t.c.Kernel.SetDefObserver(nil)
 	close(t.jobs)
 	t.wg.Wait()
 	if t.releaseGauges != nil {
@@ -315,11 +294,10 @@ func (t *Tiering) Stats() TieringStats {
 	t.mu.Lock()
 	s := t.stats
 	s.Tracked = len(t.syms)
-	s.Installed, s.StencilInstalled = 0, 0
 	for _, st := range t.syms {
-		if st.status == symInstalled {
+		if ccf := st.installed(); ccf != nil {
 			s.Installed++
-			if st.tier == tierStencil {
+			if ccf.stencil {
 				s.StencilInstalled++
 			}
 		}
@@ -338,7 +316,7 @@ func (t *Tiering) Compiled(sym *expr.Symbol) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := t.syms[sym]
-	return st != nil && st.status == symInstalled
+	return st != nil && st.installed() != nil
 }
 
 // OnStencilTier reports whether sym is currently served by the stencil
@@ -346,29 +324,49 @@ func (t *Tiering) Compiled(sym *expr.Symbol) bool {
 func (t *Tiering) OnStencilTier(sym *expr.Symbol) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if st := t.syms[sym]; st != nil {
+		ccf := st.installed()
+		return ccf != nil && ccf.stencil
+	}
+	return false
+}
+
+// state returns sym's record, creating it on first sight (t.mu held).
+func (t *Tiering) state(sym *expr.Symbol) *symState {
 	st := t.syms[sym]
-	return st != nil && st.status == symInstalled && st.tier == tierStencil
+	if st == nil {
+		st = &symState{sym: sym}
+		t.syms[sym] = st
+	}
+	return st
+}
+
+// upgradable reports whether st, served by ccf, may take the upgrade hop
+// (t.mu held).
+func (t *Tiering) upgradable(st *symState, ccf *CompiledCodeFunction) bool {
+	return ccf.stencil && !t.pol.DisableO2 && !st.pending && !st.failed
 }
 
 // dispatch is the kernel hook: called on the evaluating goroutine for every
 // DownValues application, with the arguments already evaluated.
 func (t *Tiering) dispatch(k *kernel.Kernel, head *expr.Symbol, call *expr.Normal) (expr.Expr, bool) {
 	t.mu.Lock()
-	st := t.syms[head]
-	if st == nil {
-		st = &symState{sym: head}
-		t.syms[head] = st
-	}
-	if st.status == symInstalled {
-		ccf := st.ccf
+	st := t.state(head)
+	if ccf := st.installed(); ccf != nil {
 		// The upgrade hop triggers off successful calls served by the
-		// stencil tier; once an upgrade is queued the trigger disarms.
-		hop := st.tier == tierStencil && !st.upgradeQueued && !t.pol.DisableO2
+		// baseline tier; while a job is pending the trigger is disarmed.
+		hop := t.upgradable(st, ccf)
 		// The lock is released before running compiled code: the engine can
 		// escape back into the evaluator (KernelFunction) and re-enter this
 		// hook.
 		t.mu.Unlock()
-		return t.applyCompiled(st, ccf, call.Args(), hop)
+		return t.run(st, ccf, call.Args(), hop)
+	}
+	if st.entry != nil && !st.pending {
+		// The registry retired this installation under us (a callee was
+		// redefined or kept failing): start afresh, once any job for the old
+		// installation has drained.
+		st.rebind(nil)
 	}
 	// Interpreted tier: sketch the argument kinds and count.
 	kinds := sketchKinds(call.Args())
@@ -378,18 +376,15 @@ func (t *Tiering) dispatch(k *kernel.Kernel, head *expr.Symbol, call *expr.Norma
 		t.mu.Unlock()
 		return nil, false
 	}
+	n := uint64(1)
 	if st.kinds == nil || !kindsEqual(st.kinds, kinds) {
 		st.kinds = kinds
-		st.count = 1
+		st.calls.Store(1)
 	} else {
-		st.count++
+		n = st.calls.Add(1)
 	}
-	gate := t.pol.Threshold
-	if !t.pol.DisableStencil {
-		gate = t.pol.StencilThreshold
-	}
-	if st.status == symIdle && st.count >= gate && st.count >= st.nextTry {
-		t.tryPromote(st)
+	if n >= t.gate {
+		t.enqueue(st)
 	}
 	t.mu.Unlock()
 	return nil, false
@@ -490,6 +485,20 @@ func strictKind(a expr.Expr, t types.Type) bool {
 	return true
 }
 
+// strictArgs reports whether args are exactly the kinds params names, in
+// number and one by one.
+func strictArgs(args []expr.Expr, params []types.Type) bool {
+	if len(args) != len(params) {
+		return false
+	}
+	for i, a := range args {
+		if !strictKind(a, params[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func kindsEqual(a, b []types.Type) bool {
 	if len(a) != len(b) {
 		return false
@@ -502,21 +511,26 @@ func kindsEqual(a, b []types.Type) bool {
 	return true
 }
 
-// tryPromote (t.mu held, evaluating goroutine) builds the compile group
-// rooted at st and queues it on the worker pool.
-func (t *Tiering) tryPromote(st *symState) {
-	if t.closed {
+// enqueue (t.mu held, evaluating goroutine) queues st's next rung: the
+// compile group rooted at it while it is interpreted, the optimised recompile
+// of its own entry while the baseline tier serves it. Every way of not
+// getting a job started ends in abandon, with its one back-off rule.
+func (t *Tiering) enqueue(st *symState) {
+	if t.closed || st.pending || st.failed || st.calls.Load() < st.nextTry {
 		return
 	}
-	members, transient := t.buildGroup(st)
-	if members == nil {
-		if transient {
-			st.nextTry = st.count + t.pol.Threshold
-		} else {
-			st.status = symFailed
-			t.stats.CompileFailures++
-			ctrTierCompileFailures.Inc()
+	var members []*tierMember
+	if ccf := st.installed(); ccf != nil {
+		if !t.upgradable(st, ccf) {
+			return
 		}
+		// The installed function carries the synthesized source it was
+		// compiled from; the entry stands alone, so the job is one member.
+		members = []*tierMember{{sym: st.sym, fn: ccf.Source, defSeq: st.defSeq, entry: st.entry}}
+	} else if group, why := t.buildGroup(st); group != nil {
+		members = group
+	} else {
+		t.abandon([]*tierMember{{sym: st.sym, defSeq: st.defSeq}}, nil, why)
 		return
 	}
 	// Capture the triggering request's span here, on the evaluating
@@ -525,144 +539,129 @@ func (t *Tiering) tryPromote(st *symState) {
 	span := t.c.activeSpan()
 	for _, m := range members {
 		m.span = span
-		t.syms[m.sym].status = symQueued
+		t.syms[m.sym].pending = true
 	}
 	t.inflight.Add(1)
 	select {
-	case t.jobs <- tierJob{members: members}:
+	case t.jobs <- members:
 		tierQueueDepth.Add(1)
 		t.queueDepth.Add(1)
 	default:
-		// Worker backlog: revert and retry later.
-		for _, m := range members {
-			ms := t.syms[m.sym]
-			ms.status = symIdle
-			ms.nextTry = ms.count + t.pol.Threshold
-		}
+		t.abandon(members, nil, jobTransient) // worker backlog
 		t.inflight.Done()
 	}
 }
 
-// maybeQueueUpgrade queues a stencil→optimised recompile for st once it has
-// proven hot on the stencil tier. Caller does not hold t.mu.
-func (t *Tiering) maybeQueueUpgrade(st *symState) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed || st.status != symInstalled || st.tier != tierStencil ||
-		st.upgradeQueued || t.pol.DisableO2 {
-		return
+// abandon (t.mu held) ends a job without publishing: the entries it reserved
+// are retired, and every member still on the definition the job snapshotted
+// is left as v says — a transient obstruction backs off by Threshold more
+// dispatches on the rung the member is on. An upgrade's member keeps its
+// installed baseline entry: it is correct, just not optimised.
+func (t *Tiering) abandon(members []*tierMember, reserved []*fnreg.Entry, v verdict) {
+	for _, e := range reserved {
+		t.reg.RetireEntry(e)
 	}
-	u := &tierUpgrade{sym: st.sym, name: st.sym.Name, fn: st.srcFn,
-		defSeq: st.defSeq, entry: st.entry, span: t.c.activeSpan()}
-	st.upgradeQueued = true
-	t.inflight.Add(1)
-	select {
-	case t.jobs <- tierJob{upgrade: u}:
-		tierQueueDepth.Add(1)
-		t.queueDepth.Add(1)
-	default:
-		// Worker backlog: re-arm the trigger for another Threshold calls.
-		st.upgradeQueued = false
-		st.tierCalls.Store(0)
-		t.inflight.Done()
+	for _, m := range members {
+		st := t.syms[m.sym]
+		if st == nil || st.defSeq != m.defSeq {
+			continue
+		}
+		st.pending = false
+		switch v {
+		case jobTransient:
+			st.nextTry = st.calls.Load() + t.pol.Threshold
+		case jobFailed:
+			st.failed = true
+		}
+	}
+	if v == jobFailed {
+		t.stats.CompileFailures++
+		ctrTierCompileFailures.Inc()
 	}
 }
 
 // buildGroup analyzes st's definition and every reachable DownValue
-// definition it calls (the mutual-recursion closure), bounded by MaxGroup.
-// Returns (nil, true) for transient obstructions (a partner has no sketch
-// yet, or is mid-compile) and (nil, false) for structural ones (the
-// definition shape is not compilable).
-func (t *Tiering) buildGroup(root *symState) ([]*tierMember, bool) {
-	var members []*tierMember
+// definition it calls (the mutual-recursion closure), bounded by maxGroup.
+// A nil group comes with the reason: transient (a partner has no sketch yet,
+// or is mid-compile) or failed (the definition shape is not compilable).
+func (t *Tiering) buildGroup(root *symState) (members []*tierMember, why verdict) {
 	visited := map[*expr.Symbol]bool{root.sym: true}
 	queue := []*symState{root}
 	for len(queue) > 0 {
 		st := queue[0]
 		queue = queue[1:]
-		if len(members) >= t.pol.MaxGroup {
-			return nil, false
+		if len(members) >= maxGroup {
+			return nil, jobFailed
 		}
 		if len(t.c.TypeEnv.Lookup(st.sym.Name)) > 0 {
 			// The name shadows a compiler declaration; promoting it would
 			// change which definition compiled callers bind.
-			return nil, false
+			return nil, jobFailed
 		}
-		rules := append([]pattern.Rule{}, t.k.DownValues(st.sym)...)
-		p, err := analyzeDownValues(t.k, st.sym, rules, st.kinds)
+		rules := append([]pattern.Rule{}, t.c.Kernel.DownValues(st.sym)...)
+		p, err := analyzeDownValues(t.c.Kernel, st.sym, rules, st.kinds)
 		if err != nil {
-			return nil, false
+			return nil, jobFailed
 		}
-		members = append(members, &tierMember{
-			sym:    st.sym,
-			name:   st.sym.Name,
-			fn:     synthesizeDownValues(p),
-			kinds:  st.kinds,
-			defSeq: st.defSeq,
-		})
+		members = append(members, &tierMember{sym: st.sym, fn: synthesizeDownValues(p), defSeq: st.defSeq})
 		for _, dep := range p.deps {
 			if visited[dep] {
 				continue
 			}
 			visited[dep] = true
 			ds := t.syms[dep]
-			if ds == nil || ds.kinds == nil {
+			switch {
+			case ds == nil || ds.kinds == nil:
 				// Partner never dispatched with machine arguments yet; it
 				// may still warm up.
-				return nil, true
-			}
-			switch ds.status {
-			case symInstalled:
+				return nil, jobTransient
+			case ds.installed() != nil:
 				continue // resolves through its live registry entry
-			case symQueued:
-				return nil, true
-			case symFailed:
-				return nil, false
+			case ds.pending:
+				return nil, jobTransient
+			case ds.failed:
+				return nil, jobFailed
 			}
 			queue = append(queue, ds)
 		}
 	}
-	return members, false
+	return members, why
 }
 
-// worker is one background compile goroutine. Each worker owns its own
-// Compiler pair (full pipeline and stencil), so concurrent compiles never
-// share mutable front-end state; all workers serve one kernel.
+// worker is one background compile goroutine. Each worker owns one Compiler
+// and points it at the baseline or the full configuration per compile, so
+// concurrent compiles never share mutable front-end state; all workers serve
+// one kernel.
 func (t *Tiering) worker() {
 	defer t.wg.Done()
-	full := NewCompilerWith(t.k, t.reg)
-	stencil := NewCompilerWith(t.k, t.reg)
-	stencil.Stencil = true
+	c := NewCompilerWith(t.c.Kernel, t.reg)
 	// Workers compile asynchronously: the kernel's live span belongs to
 	// whatever request is evaluating NOW, not the one that queued this job,
 	// so implicit span resolution is off and jobs carry their span
-	// explicitly (tierMember.span / tierUpgrade.span).
-	full.DisableImplicitSpan = true
-	stencil.DisableImplicitSpan = true
-	// Pre-warm both compilers off the critical path: the first compile on a
-	// fresh Compiler pays lazy environment initialisation and first-touch
-	// allocation growth (~3× a steady-state compile), which would otherwise
-	// land on the first promotion — exactly the latency the baseline tier
-	// exists to remove.
+	// explicitly (tierMember.span).
+	c.DisableImplicitSpan = true
+	// Pre-warm both configurations off the critical path: the first compile
+	// on a fresh Compiler pays lazy environment initialisation and
+	// first-touch allocation growth (~3× a steady-state compile), which would
+	// otherwise land on the first promotion — exactly the latency the
+	// baseline tier exists to remove.
 	warm := parser.MustParse(`Function[{Typed[w, "MachineInteger"]}, w + 1]`)
-	_, _ = stencil.FunctionCompileRequest(warm, CompileRequest{})
-	_, _ = full.FunctionCompileRequest(warm, CompileRequest{})
+	for _, stencil := range []bool{true, false} {
+		c.Stencil = stencil
+		_, _ = c.FunctionCompileRequest(warm, CompileRequest{})
+	}
 	for job := range t.jobs {
 		tierQueueDepth.Add(-1)
 		t.queueDepth.Add(-1)
-		if job.upgrade != nil {
-			t.upgradeJob(full, job.upgrade)
-		} else {
-			t.compileJob(full, stencil, job)
-		}
+		t.compileJob(c, job)
 		t.inflight.Done()
 	}
 }
 
-// compileOne compiles one member on the cheapest admissible tier: the
-// stencil backend first (unless disabled), falling back to the full
-// pipeline when the definition leaves the stencil fragment (uncovered
-// instruction shape, non-scalar types). Compile latency feeds the per-tier
+// compileOne compiles one member on the cheapest admissible rung: the
+// baseline configuration first (unless disabled, or this is the upgrade
+// hop), then the full pipeline when the definition leaves the baseline's
+// fragment (non-scalar types). Compile latency feeds the per-tier
 // histograms.
 //
 // shared routes the compile through the process-wide compile cache (and
@@ -672,95 +671,69 @@ func (t *Tiering) worker() {
 // registry calls to entries reserved for this specific promotion, and
 // those reservations die with the job on failure, which would leave a
 // cached entry pointing at retired registry slots.
-func (t *Tiering) compileOne(full, stencil *Compiler, m *tierMember, shared bool) (*CompiledCodeFunction, tierLevel, error) {
-	req := CompileRequest{SelfName: m.name, Span: m.span}
-	if !t.pol.DisableStencil {
+func (t *Tiering) compileOne(c *Compiler, m *tierMember, shared bool) (ccf *CompiledCodeFunction, err error) {
+	req := CompileRequest{SelfName: m.sym.Name, Span: m.span}
+	configs := []bool{true, false} // Compiler.Stencil, in the order tried
+	if t.pol.DisableStencil || m.entry != nil {
+		configs = configs[1:]
+	}
+	for _, stencil := range configs {
+		c.Stencil = stencil
 		t0 := time.Now()
-		var ccf *CompiledCodeFunction
-		var err error
 		if shared {
-			ccf, _, err = stencil.FunctionCompileCachedRequest(m.fn, req)
+			ccf, _, err = c.FunctionCompileCachedRequest(m.fn, req)
 		} else {
-			ccf, err = stencil.FunctionCompileRequest(m.fn, req)
+			ccf, err = c.FunctionCompileRequest(m.fn, req)
 		}
 		if err == nil {
-			histStencilCompile.Observe(time.Since(t0))
-			return ccf, tierStencil, nil
+			hist := histO2Compile
+			if stencil {
+				hist = histStencilCompile
+			}
+			hist.Observe(time.Since(t0))
+			return ccf, nil
 		}
 	}
-	t0 := time.Now()
-	var ccf *CompiledCodeFunction
-	var err error
-	if shared {
-		ccf, _, err = full.FunctionCompileCachedRequest(m.fn, req)
-	} else {
-		ccf, err = full.FunctionCompileRequest(m.fn, req)
-	}
-	if err != nil {
-		return nil, tierNone, err
-	}
-	histO2Compile.Observe(time.Since(t0))
-	return ccf, tierO2, nil
+	return nil, err
 }
 
-// compileJob compiles a promotion group and installs it atomically.
-func (t *Tiering) compileJob(full, stencil *Compiler, job tierJob) {
-	members := job.members
+// compileJob compiles a job's members and publishes them atomically.
+func (t *Tiering) compileJob(c *Compiler, members []*tierMember) {
 	entries := make([]*fnreg.Entry, len(members))
 	ccfs := make([]*CompiledCodeFunction, len(members))
-	tiers := make([]tierLevel, len(members))
-	fail := func() {
-		for _, e := range entries {
-			t.reg.RetireEntry(e)
-		}
+	giveUp := func(v verdict) {
 		t.mu.Lock()
-		for _, m := range members {
-			if st := t.syms[m.sym]; st != nil && st.defSeq == m.defSeq && st.status == symQueued {
-				st.status = symFailed
-			}
-		}
-		t.stats.CompileFailures++
-		t.mu.Unlock()
-		ctrTierCompileFailures.Inc()
-	}
-	// A Reserve conflict is transient under the worker pool: another
-	// worker may still hold a reservation it is about to discard (stale
-	// compile racing a redefinition). Back off and re-earn promotion
-	// rather than permanently failing the symbol.
-	failTransient := func() {
-		for _, e := range entries {
-			t.reg.RetireEntry(e)
-		}
-		t.mu.Lock()
-		for _, m := range members {
-			if st := t.syms[m.sym]; st != nil && st.defSeq == m.defSeq && st.status == symQueued {
-				st.status = symIdle
-				st.nextTry = st.count + t.pol.Threshold
-			}
-		}
+		t.abandon(members, entries, v)
 		t.mu.Unlock()
 	}
 
 	if len(members) == 1 {
-		// A self-contained (or self-recursive) definition: compile, then
-		// register. Calls to already installed entries resolve through the
-		// registry during inference (full pipeline) or the quick typer
-		// (stencil path).
+		// A self-contained (or self-recursive) definition, or an upgrade:
+		// compile, then register. Calls to already installed entries resolve
+		// through the registry during inference (full pipeline) or the quick
+		// typer (baseline).
 		m := members[0]
-		ccf, tier, err := t.compileOne(full, stencil, m, true)
+		ccf, err := t.compileOne(c, m, true)
 		if err != nil {
-			fail()
+			// For an upgrade this disarms the trigger for good: a pipeline
+			// that failed once on this definition will fail again.
+			giveUp(jobFailed)
 			return
 		}
-		sig := &types.Fn{Params: ccf.ParamTypes, Ret: ccf.RetType}
-		ent, err := t.reg.Reserve(m.name, sig, nil)
-		if err != nil {
-			failTransient()
-			return
+		ccfs[0] = ccf
+		if m.entry == nil {
+			sig := &types.Fn{Params: ccf.ParamTypes, Ret: ccf.RetType}
+			// A Reserve conflict is transient under the worker pool: another
+			// worker may still hold a reservation it is about to discard
+			// (stale compile racing a redefinition). Back off and re-earn
+			// promotion rather than permanently failing the symbol.
+			if entries[0], err = t.reg.Reserve(m.sym.Name, sig, nil); err != nil {
+				giveUp(jobTransient)
+				return
+			}
+			entries[0].AddDeps(ccf.RegDeps)
 		}
-		ent.AddDeps(ccf.RegDeps)
-		entries[0], ccfs[0], tiers[0] = ent, ccf, tier
-		t.install(members, entries, ccfs, tiers)
+		t.publish(members, entries, ccfs)
 		return
 	}
 
@@ -769,200 +742,130 @@ func (t *Tiering) compileJob(full, stencil *Compiler, job tierJob) {
 	// others' reserved entries), so a typing pre-pass lowers every member
 	// into one merged module — where the members see each other as module
 	// functions — and infers it as a whole. The per-member compiles then
-	// run on the cheapest admissible tier; the quick typer resolves
+	// run on the cheapest admissible rung; the quick typer resolves
 	// partners through the reserved entries exactly as full inference does.
 	merged := &wir.Module{}
 	for _, m := range members {
-		sub, err := full.BuildWIR(m.fn)
+		sub, err := c.BuildWIR(m.fn)
 		if err != nil {
-			fail()
+			giveUp(jobFailed)
 			return
 		}
 		for _, sf := range sub.Funcs {
 			if sf.Name == "Main" {
-				sf.Name = m.name
+				sf.Name = m.sym.Name
 			} else {
-				sf.Name = m.name + "`" + sf.Name
+				sf.Name = m.sym.Name + "`" + sf.Name
 			}
 			sf.Module = merged
 			merged.Funcs = append(merged.Funcs, sf)
 		}
 	}
-	if err := infer.InferWith(merged, full.TypeEnv, t.reg); err != nil {
-		fail()
+	if err := infer.InferWith(merged, c.TypeEnv, t.reg); err != nil {
+		giveUp(jobFailed)
 		return
 	}
 	for i, m := range members {
-		f := merged.FuncByName(m.name)
+		f := merged.FuncByName(m.sym.Name)
 		if f == nil || !types.IsGround(f.FnType()) {
-			fail()
+			giveUp(jobFailed)
 			return
 		}
 		deps := make([]string, 0, len(members)-1)
 		for _, o := range members {
 			if o != m {
-				deps = append(deps, o.name)
+				deps = append(deps, o.sym.Name)
 			}
 		}
-		ent, err := t.reg.Reserve(m.name, f.FnType(), deps)
+		ent, err := t.reg.Reserve(m.sym.Name, f.FnType(), deps)
 		if err != nil {
-			failTransient()
+			giveUp(jobTransient)
 			return
 		}
 		entries[i] = ent
 	}
 	for i, m := range members {
-		ccf, tier, err := t.compileOne(full, stencil, m, false)
-		if err != nil {
-			fail()
+		ccf, err := t.compileOne(c, m, false)
+		if err != nil || !types.Equal(ccf.RetType, entries[i].Sig().Ret) {
+			giveUp(jobFailed)
 			return
 		}
-		if !types.Equal(ccf.RetType, entries[i].Sig().Ret) {
-			fail()
-			return
-		}
+		// Registered before publication, so a callee retired meanwhile takes
+		// this reservation down with it: publish then installs nothing, and
+		// the member re-earns promotion against the new callee.
 		entries[i].AddDeps(ccf.RegDeps)
-		ccfs[i], tiers[i] = ccf, tier
+		ccfs[i] = ccf
 	}
-	t.install(members, entries, ccfs, tiers)
+	t.publish(members, entries, ccfs)
 }
 
-// upgradeJob recompiles an installed stencil entry through the full
-// pipeline and re-points the registry binding in place. The entry identity
-// pins the installation generation: a redefinition or demotion while the
-// compile was in flight makes the check fail and the result is discarded
-// (the symbol keeps whatever is correct now).
-func (t *Tiering) upgradeJob(full *Compiler, u *tierUpgrade) {
-	t0 := time.Now()
-	// Upgrades are self-contained recompiles (the stencil entry already
-	// installed stands alone), so they share the process-wide cache and
-	// its disk tier like first promotions do.
-	ccf, _, err := full.FunctionCompileCachedRequest(u.fn, CompileRequest{SelfName: u.name, Span: u.span})
-	if err != nil {
-		// The stencil result stays installed — it is correct, just not
-		// optimised. The trigger stays disarmed: a pipeline that failed
-		// once on this definition will fail again.
-		t.mu.Lock()
-		t.stats.CompileFailures++
-		t.mu.Unlock()
-		ctrTierCompileFailures.Inc()
-		return
-	}
-	histO2Compile.Observe(time.Since(t0))
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.syms[u.sym]
-	if st == nil || st.defSeq != u.defSeq || st.status != symInstalled || st.entry != u.entry {
-		return // redefined or demoted while compiling: discard
-	}
-	sig := &types.Fn{Params: ccf.ParamTypes, Ret: ccf.RetType}
-	if !types.Equal(sig, u.entry.Sig()) {
-		return // the optimised pipeline typed it differently; keep the stencil
-	}
-	if !t.reg.Upgrade(u.entry, ccf.FunctionValue(), ccf) {
-		return // lost a race with retirement
-	}
-	u.entry.AddDeps(ccf.RegDeps)
-	st.ccf = ccf
-	st.tier = tierO2
-	st.tierCalls.Store(0)
-	t.stats.Upgrades++
-	ctrTierUpgrades.Inc()
-}
-
-// install publishes a compiled group: all members or none. A member whose
+// publish makes a compiled job live: all members or none. A member whose
 // definition changed while the compile was in flight (defSeq mismatch)
 // poisons the whole group — its partners' code bakes calls to the stale
-// reservation.
-func (t *Tiering) install(members []*tierMember, entries []*fnreg.Entry, ccfs []*CompiledCodeFunction, tiers []tierLevel) {
+// reservation. A first promotion installs its reserved entry (entries[i]);
+// an upgrade re-points the member's installed entry in place.
+func (t *Tiering) publish(members []*tierMember, entries []*fnreg.Entry, ccfs []*CompiledCodeFunction) {
 	t.mu.Lock()
-	stale := false
+	defer t.mu.Unlock()
 	for _, m := range members {
 		st := t.syms[m.sym]
-		if st == nil || st.defSeq != m.defSeq || st.status != symQueued {
-			stale = true
-			break
+		if st == nil || st.defSeq != m.defSeq || (m.entry != nil && st.entry != m.entry) {
+			t.abandon(members, entries, jobStale)
+			return
 		}
-	}
-	if stale {
-		for _, m := range members {
-			if st := t.syms[m.sym]; st != nil && st.status == symQueued {
-				st.status = symIdle
-			}
-		}
-		t.mu.Unlock()
-		for _, e := range entries {
-			t.reg.RetireEntry(e)
-		}
-		return
 	}
 	for i, m := range members {
-		t.reg.Install(entries[i], ccfs[i].FunctionValue(), ccfs[i])
-		st := t.syms[m.sym]
-		st.entry = entries[i]
-		st.ccf = ccfs[i]
-		st.status = symInstalled
-		st.tier = tiers[i]
-		st.srcFn = m.fn
-		st.upgradeQueued = false
-		st.softFails = 0
-		st.tierCalls.Store(0)
-		st.count = 0
-		st.nextTry = 0
+		st, ccf := t.syms[m.sym], ccfs[i]
+		if m.entry != nil {
+			if sig := (&types.Fn{Params: ccf.ParamTypes, Ret: ccf.RetType}); !types.Equal(sig, m.entry.Sig()) {
+				// The optimised pipeline typed it differently: dependents'
+				// call sites bake the baseline signature, so the baseline
+				// stays, and the trigger stays disarmed.
+				t.abandon(members, nil, jobFailed)
+				return
+			}
+			if !t.reg.Upgrade(m.entry, ccf.FunctionValue(), ccf) {
+				t.abandon(members, nil, jobStale) // lost a race with retirement
+				return
+			}
+			m.entry.AddDeps(ccf.RegDeps)
+			st.pending = false
+			st.calls.Store(0)
+			t.stats.Upgrades++
+			ctrTierUpgrades.Inc()
+			continue
+		}
+		t.reg.Install(entries[i], ccf.FunctionValue(), ccf)
+		st.rebind(entries[i])
 		t.stats.Promotions++
 		ctrTierPromotions.Inc()
-		if tiers[i] == tierStencil {
+		if ccf.stencil {
 			t.stats.StencilPromotions++
 			ctrTierStencilPromotions.Inc()
 		}
 	}
-	t.mu.Unlock()
+}
+
+// countRetires (t.mu held) books n registry retirements.
+func (t *Tiering) countRetires(n int) {
+	t.stats.Retires += uint64(n)
+	ctrTierRetires.Add(uint64(n))
 }
 
 // defChanged is the kernel's definition observer (evaluating goroutine):
 // Set/SetDelayed/Clear on a symbol with DownValues lands here. The symbol's
-// compiled entry is retired; the retirement cascades through registry
-// dependents, whose dispatch states drop back to the interpreted tier; and
-// compile-cache entries that baked calls to any retired entry are dropped.
+// compiled entry is retired; the registry cascades the retirement through
+// dependents, which keep their definitions and sketches and simply find no
+// binding at their next dispatch; and compile-cache entries that baked calls
+// to any retired entry are dropped.
 func (t *Tiering) defChanged(s *expr.Symbol) {
 	t.mu.Lock()
-	st := t.syms[s]
-	if st == nil {
-		st = &symState{sym: s}
-		t.syms[s] = st
-	}
+	st := t.state(s)
 	st.defSeq++
-	st.count = 0
-	st.nextTry = 0
 	st.kinds = nil
-	st.status = symIdle
-	st.tier = tierNone
-	st.entry = nil
-	st.ccf = nil
-	st.srcFn = nil
-	st.softFails = 0
-	st.upgradeQueued = false
-	st.tierCalls.Store(0)
+	st.rebind(nil)
 	retired := t.reg.Retire(s.Name)
-	for _, name := range retired {
-		if name == s.Name {
-			continue
-		}
-		// Dependents keep their definitions and heat; they just lose their
-		// compiled tier and re-promote against the new registry state.
-		if ds := t.syms[expr.Sym(name)]; ds != nil && ds.status == symInstalled {
-			ds.status = symIdle
-			ds.tier = tierNone
-			ds.entry = nil
-			ds.ccf = nil
-			ds.srcFn = nil
-			ds.upgradeQueued = false
-		}
-	}
-	if n := len(retired); n > 0 {
-		t.stats.Retires += uint64(n)
-		ctrTierRetires.Add(uint64(n))
-	}
+	t.countRetires(len(retired))
 	t.mu.Unlock()
 	if len(retired) > 0 {
 		gone := map[string]bool{}
@@ -980,162 +883,73 @@ func (t *Tiering) defChanged(s *expr.Symbol) {
 	}
 }
 
-// applyCompiled runs one dispatch through the compiled tier. ok=false means
-// the caller (the kernel) proceeds with pattern matching exactly as if no
-// hook existed — the guarantee that tiering is invisible in results. This
-// mirrors CompiledCodeFunction.Apply but never re-evaluates through the
-// interpreter itself and never prints: the kernel's own rule path is the
-// fallback, keeping output bit-identical to an untired kernel. hop arms the
-// stencil→optimised trigger: once Threshold successful calls land on the
-// stencil tier, an upgrade recompile is queued.
-func (t *Tiering) applyCompiled(st *symState, ccf *CompiledCodeFunction, args []expr.Expr, hop bool) (out expr.Expr, ok bool) {
-	if len(args) != len(ccf.ParamTypes) {
-		t.guardMisses.Add(1)
-		ctrTierGuardMisses.Inc()
-		return nil, false
+// run serves one dispatch from compiled code. ok=false means the caller (the
+// kernel) proceeds with pattern matching exactly as if no hook existed — the
+// guarantee that tiering is invisible in results: unlike
+// CompiledCodeFunction.Apply it never re-evaluates through the interpreter
+// itself and never prints; the kernel's own rule path is the fallback,
+// keeping output bit-identical to an untiered kernel. hop arms the upgrade
+// trigger: once Threshold successful calls land on the baseline tier, the
+// optimised recompile is queued.
+func (t *Tiering) run(st *symState, ccf *CompiledCodeFunction, args []expr.Expr, hop bool) (expr.Expr, bool) {
+	if !strictArgs(args, ccf.ParamTypes) {
+		// Outside the kinds the entry was specialised against (an Integer
+		// where the sketch saw Reals, a mixed list, a bignum, ...): the
+		// interpreter rules handle it (F2 guard miss).
+		ccf.Metrics.RecordFallback()
+		return t.miss()
 	}
-	raw := make([]any, len(args))
-	for i, a := range args {
-		if !strictKind(a, ccf.ParamTypes[i]) {
-			// The argument is outside the kind the entry was specialised
-			// against (an Integer where the sketch saw Reals, a mixed
-			// list, ...): interpreter rules handle it (F2 guard miss).
-			// Unbox alone is too lenient here — it coerces an Integer
-			// into a Real64 slot — and the dispatch tree resolved its
-			// pattern tests statically against the sketch, so a coerced
-			// argument could take branches the matcher would not.
-			t.guardMisses.Add(1)
-			ctrTierGuardMisses.Inc()
-			ccf.Metrics.RecordFallback()
-			return nil, false
+	out, oc, _ := ccf.invoke(args)
+	switch oc {
+	case outServed:
+		t.compiledCalls.Add(1)
+		ctrTierCompiledCalls.Inc()
+		if hop && st.calls.Add(1) >= t.pol.Threshold {
+			t.mu.Lock()
+			t.enqueue(st)
+			t.mu.Unlock()
 		}
-		v, u := runtime.Unbox(a, ccf.ParamTypes[i])
-		if !u {
-			// E.g. a bignum into a machine-integer slot: interpreter rules
-			// handle it (F2-style guard miss).
-			t.guardMisses.Add(1)
-			ctrTierGuardMisses.Inc()
-			ccf.Metrics.RecordFallback()
-			return nil, false
-		}
-		raw[i] = v
+		return out, true
+	case outAborted:
+		t.aborts.Add(1)
+		return out, true
+	case outGuardMiss:
+		return t.miss()
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			exc, isExc := r.(*runtime.Exception)
-			if !isExc {
-				panic(r)
-			}
-			if exc.Kind == runtime.ExcAbort {
-				// The kernel's abort flag is still set; the evaluator loop
-				// unwinds to $Aborted exactly as an interpreted abort does.
-				t.aborts.Add(1)
-				ccf.Metrics.RecordAbort()
-				out, ok = expr.SymAborted, true
-				return
-			}
-			if exc.Kind == runtime.ExcNoMatch {
-				// The compiled dispatch tree proved no DownValue rule
-				// matches these arguments: an F2 guard miss, not a soft
-				// failure. The interpreter rules run and produce whatever
-				// an untired kernel would (usually the unevaluated call).
-				// Misses are a property of the arguments, so they never
-				// count toward the soft-failure retirement limit.
-				t.guardMisses.Add(1)
-				ctrTierGuardMisses.Inc()
-				ccf.Metrics.RecordFallback()
-				out, ok = nil, false
-				return
-			}
-			// Soft runtime failure (overflow, retired callee, kernel
-			// escape): silently hand the call to the interpreter rules.
-			t.softFallbacks.Add(1)
-			ctrTierSoftFallbacks.Inc()
-			ccf.Metrics.RecordFallback()
-			t.noteSoftFailure(st)
-			out, ok = nil, false
-		}
-	}()
-	rec := obs.Enabled()
-	var t0 time.Time
-	var tStart int64
-	if rec && obs.TraceEnabled() {
-		tStart = obs.TraceNow()
-	}
-	if rec {
-		t0 = time.Now()
-	}
-	rt := &codegen.RT{Engine: t.c.Engine(), Workers: ccf.Program.Parallelism}
-	res := ccf.Program.Main.CallValues(rt, raw...)
-	if rec {
-		d := time.Since(t0)
-		ccf.Metrics.RecordInvoke(d)
-		// Tier-dispatch invokes were previously invisible on the trace
-		// stream (only CompiledCodeFunction.Apply emitted); with request
-		// spans they are the serve→invoke edge of the trace tree. This
-		// runs on the evaluating goroutine, so the kernel's span is the
-		// right one.
-		if obs.TraceEnabled() {
-			if sc := t.c.activeSpan(); !sc.Suppressed() {
-				ev := obs.TraceEvent{Type: "invoke", Name: ccf.Metrics.Name(),
-					TNs: tStart, DurNs: d.Nanoseconds(), Backend: ccf.Metrics.Backend(),
-					Engine: t.c.engineLabel()}
-				sc.Annotate(&ev)
-				obs.Emit(ev)
-			}
-		}
-	}
-	t.compiledCalls.Add(1)
-	ctrTierCompiledCalls.Inc()
-	if hop {
-		if n := st.tierCalls.Add(1); n >= t.pol.Threshold {
-			t.maybeQueueUpgrade(st)
-		}
-	}
-	if ccf.RetType == types.TVoid {
-		return expr.SymNull, true
-	}
-	return runtime.Box(res, ccf.RetType), true
+	// Soft runtime failure (overflow, retired callee, kernel escape):
+	// silently hand the call to the interpreter rules.
+	t.softFallbacks.Add(1)
+	ctrTierSoftFallbacks.Inc()
+	t.noteSoftFailure(st)
+	return nil, false
 }
 
-// noteSoftFailure demotes a compiled entry whose guards pass but whose body
+// miss books one F2 guard miss: the interpreter rules run and produce
+// whatever an untiered kernel would (usually the unevaluated call). Misses are
+// a property of the arguments, so they never count toward the soft-failure
+// retirement limit.
+func (t *Tiering) miss() (expr.Expr, bool) {
+	t.guardMisses.Add(1)
+	ctrTierGuardMisses.Inc()
+	return nil, false
+}
+
+// noteSoftFailure retires a compiled entry whose guards pass but whose body
 // keeps soft-failing: every such call already paid a compiled attempt plus
-// an interpreted evaluation.
+// an interpreted evaluation. Dependents go down with it through the
+// registry's cascade.
 func (t *Tiering) noteSoftFailure(st *symState) {
 	t.mu.Lock()
-	if st.status != symInstalled {
-		t.mu.Unlock()
+	defer t.mu.Unlock()
+	if st.installed() == nil {
 		return
 	}
 	st.softFails++
-	if st.softFails < uint64(t.pol.FailureLimit) {
-		t.mu.Unlock()
+	if st.softFails < failureLimit {
 		return
 	}
 	entry := st.entry
-	st.status = symFailed
-	st.tier = tierNone
-	st.entry = nil
-	st.ccf = nil
-	st.srcFn = nil
-	st.softFails = 0
-	st.upgradeQueued = false
-	t.mu.Unlock()
-	retired := t.reg.RetireEntry(entry)
-	t.mu.Lock()
-	for _, name := range retired {
-		if ds := t.syms[expr.Sym(name)]; ds != nil && ds.status == symInstalled {
-			ds.status = symIdle
-			ds.tier = tierNone
-			ds.entry = nil
-			ds.ccf = nil
-			ds.srcFn = nil
-			ds.upgradeQueued = false
-		}
-	}
-	if n := len(retired); n > 0 {
-		t.stats.Retires += uint64(n)
-		ctrTierRetires.Add(uint64(n))
-	}
-	t.mu.Unlock()
+	st.rebind(nil)
+	st.failed = true
+	t.countRetires(len(t.reg.RetireEntry(entry)))
 }

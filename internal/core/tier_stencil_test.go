@@ -22,7 +22,7 @@ func TestTierStencilTwoHop(t *testing.T) {
 	k := kernel.New()
 	k.Out = io.Discard
 	Install(k)
-	tr := EnableTiering(k, TierPolicy{Threshold: 4, StencilThreshold: 2})
+	tr := EnableTiering(k, TierPolicy{Threshold: 4})
 	t.Cleanup(func() { tr.Close(); fnreg.Default().Reset() })
 	plain := kernel.New()
 	plain.Out = io.Discard
@@ -74,7 +74,7 @@ func TestTierStencilOnly(t *testing.T) {
 	k := kernel.New()
 	k.Out = io.Discard
 	Install(k)
-	tr := EnableTiering(k, TierPolicy{Threshold: 3, StencilThreshold: 2, DisableO2: true})
+	tr := EnableTiering(k, TierPolicy{Threshold: 3, DisableO2: true})
 	t.Cleanup(func() { tr.Close(); fnreg.Default().Reset() })
 	plain := kernel.New()
 	plain.Out = io.Discard
@@ -141,7 +141,7 @@ func TestTierParallelPromotionRedefineRace(t *testing.T) {
 			k := kernel.New()
 			k.Out = io.Discard
 			Install(k)
-			tr := EnableTiering(k, TierPolicy{Threshold: 3, StencilThreshold: 2, Workers: 4})
+			tr := EnableTiering(k, TierPolicy{Threshold: 3, Workers: 4})
 			defer tr.Close()
 			syms := make([]string, 6)
 			for i := range syms {

@@ -330,3 +330,177 @@ func TestTierInstallStaleDiscard(t *testing.T) {
 		t.Fatalf("compiled tsF[5] = %s, want 7", expr.InputForm(out))
 	}
 }
+
+// TestApplyAndDispatchAgree runs one compiled function through its two boxed
+// entry points — CompiledCodeFunction.Apply and the tiering dispatch hook —
+// over every class of argument and checks they classify the call alike and
+// return the same value where both return one. They may differ in one place
+// only, by design: the dispatch hook's strict-kind precondition refuses what
+// Unbox would coerce (the pattern said _Real), and Apply reports a wrong
+// argument count as an error instead of re-evaluating.
+func TestApplyAndDispatchAgree(t *testing.T) {
+	k := kernel.New()
+	k.Out = io.Discard
+	Install(k)
+	tr := EnableTiering(k, TierPolicy{Threshold: 2, DisableStencil: true})
+	t.Cleanup(func() { tr.Close(); fnreg.Default().Reset() })
+	sym := expr.Sym("agF")
+	runK(t, k, `agF[n_Integer, x_Real] /; n > 0 := n*n*n*n*n + Floor[x]`)
+	for i := 0; i < 4; i++ {
+		runK(t, k, `agF[2, 0.5]`)
+		tr.WaitIdle()
+	}
+	ent, ok := fnreg.Default().Lookup("agF")
+	if !ok || !ent.Installed() {
+		t.Fatalf("agF was not promoted; stats %+v", tr.Stats())
+	}
+	ccf := ent.Binding().Payload.(*CompiledCodeFunction)
+
+	// hookClass reads the dispatch hook's classification off its counters.
+	hookClass := func(before, after TieringStats) outcome {
+		switch {
+		case after.CompiledCalls > before.CompiledCalls:
+			return outServed
+		case after.Aborts > before.Aborts:
+			return outAborted
+		case after.GuardMisses > before.GuardMisses:
+			return outGuardMiss
+		case after.SoftFallbacks > before.SoftFallbacks:
+			return outSoftFailure
+		}
+		t.Fatal("the dispatch hook counted nothing")
+		return 0
+	}
+	rows := []struct {
+		name        string
+		args        []string
+		abort       bool
+		apply, hook outcome
+	}{
+		{"in-signature", []string{"3", "1.5"}, false, outServed, outServed},
+		{"bignum into a machine slot", []string{"2^70", "1.5"}, false, outGuardMiss, outGuardMiss},
+		{"Integer into a Real slot", []string{"3", "2"}, false, outServed, outGuardMiss},
+		{"wrong arity", []string{"3"}, false, outGuardMiss, outGuardMiss},
+		{"overflowing body", []string{"10000", "1.5"}, false, outSoftFailure, outSoftFailure},
+		{"PatternMiss", []string{"-3", "1.5"}, false, outGuardMiss, outGuardMiss},
+		{"abort", []string{"3", "1.5"}, true, outAborted, outAborted},
+	}
+	for _, row := range rows {
+		args := make([]expr.Expr, len(row.args))
+		for i, a := range row.args {
+			args[i] = runK(t, k, a)
+		}
+		arm := func() {
+			k.ClearAbort()
+			if row.abort {
+				k.Abort()
+			}
+		}
+
+		arm()
+		before := tr.Stats()
+		hookOut, hookOK := tr.dispatch(k, sym, expr.New(sym, args...))
+		if got := hookClass(before, tr.Stats()); got != row.hook {
+			t.Errorf("%s: dispatch hook classified %d, want %d", row.name, got, row.hook)
+		}
+		if hookOK != (row.hook == outServed || row.hook == outAborted) {
+			t.Errorf("%s: dispatch hook returned ok=%v", row.name, hookOK)
+		}
+
+		arm()
+		applyOut, err := ccf.Apply(args)
+		if len(args) != len(ccf.ParamTypes) {
+			if err == nil {
+				t.Errorf("%s: Apply accepted %d arguments", row.name, len(args))
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: Apply: %v", row.name, err)
+			continue
+		}
+		arm()
+		if _, got, _ := ccf.invoke(args); got != row.apply {
+			t.Errorf("%s: Apply's invoke classified %d, want %d", row.name, got, row.apply)
+		}
+		if hookOK && !expr.SameQ(hookOut, applyOut) {
+			t.Errorf("%s: dispatch hook returned %s, Apply %s", row.name,
+				expr.InputForm(hookOut), expr.InputForm(applyOut))
+		}
+	}
+	k.ClearAbort()
+	if want := "244"; expr.InputForm(runK(t, k, `agF[3, 1.5]`)) != want {
+		t.Fatalf("agF[3, 1.5] != %s after the table", want)
+	}
+}
+
+// TestTierCascadeDemotionNeedsNoBookkeeping: a dependent whose entry only the
+// registry's cascade retired — because its callee was redefined, or because
+// its callee kept soft-failing and was retired at failureLimit — is untouched
+// by the tiering engine (its record still points at the retired entry), is
+// dispatched interpreted on its next call, and re-earns promotion.
+func TestTierCascadeDemotionNeedsNoBookkeeping(t *testing.T) {
+	k, tr := newTieredKernel(t, 2)
+	warm := func(call string, sym string) {
+		t.Helper()
+		for i := 0; i < 6 && !tr.Compiled(expr.Sym(sym)); i++ {
+			runK(t, k, call)
+			tr.WaitIdle()
+		}
+		if !tr.Compiled(expr.Sym(sym)) {
+			t.Fatalf("%s was not promoted; stats %+v", sym, tr.Stats())
+		}
+	}
+	demoted := func(sym string) {
+		t.Helper()
+		tr.mu.Lock()
+		st := tr.syms[expr.Sym(sym)]
+		untouched := st.entry != nil && st.entry.Retired()
+		tr.mu.Unlock()
+		if !untouched {
+			t.Fatalf("%s: the cascade should leave the record on its retired entry", sym)
+		}
+		if tr.Compiled(expr.Sym(sym)) {
+			t.Fatalf("%s still counts as compiled after its entry was retired", sym)
+		}
+	}
+	expect := func(call, want string) {
+		t.Helper()
+		if got := expr.InputForm(runK(t, k, call)); got != want {
+			t.Fatalf("%s = %s, want %s", call, got, want)
+		}
+	}
+
+	// Callee redefined.
+	runK(t, k, `cdG[n_] := n + 1`)
+	runK(t, k, `cdF[n_] := cdG[n]*2`)
+	warm(`cdG[5]`, "cdG")
+	warm(`cdF[5]`, "cdF")
+	runK(t, k, `cdG[n_] := n + 2`)
+	demoted("cdF")
+	expect(`cdF[5]`, "14")
+	warm(`cdG[5]`, "cdG")
+	warm(`cdF[5]`, "cdF")
+	expect(`cdF[5]`, "14")
+
+	// Callee retired by soft failures: n^5 overflows at 10^4.
+	runK(t, k, `cdH[n_] := n*n*n*n*n`)
+	runK(t, k, `cdK[n_] := cdH[n] + 1`)
+	warm(`cdH[3]`, "cdH")
+	warm(`cdK[3]`, "cdK")
+	retires := tr.Stats().Retires
+	for i := 0; i < failureLimit; i++ {
+		expect(`cdH[10000]`, "100000000000000000000")
+	}
+	if tr.Compiled(expr.Sym("cdH")) || tr.Stats().Retires != retires+2 {
+		t.Fatalf("cdH and its dependent should have been retired; stats %+v", tr.Stats())
+	}
+	demoted("cdK")
+	expect(`cdK[3]`, "244")
+	// cdH stays interpreted until it is redefined; once it is, both re-earn
+	// their compiled tier.
+	runK(t, k, `cdH[n_] := n*n*n`)
+	warm(`cdH[3]`, "cdH")
+	warm(`cdK[3]`, "cdK")
+	expect(`cdK[3]`, "28")
+}

@@ -91,7 +91,7 @@ func New(opts Options) *Engine {
 	numerics.UseCompiler(k, c)
 	e := &Engine{ID: id, Kernel: k, Compiler: c, Registry: reg}
 	if opts.Tiering {
-		e.Tiering = core.EnableTieringWith(k, reg, opts.Tier)
+		e.Tiering = core.EnableTieringWith(c, opts.Tier)
 	}
 	return e
 }

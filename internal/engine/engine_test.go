@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,8 @@ import (
 	"wolfc/internal/engine"
 	"wolfc/internal/expr"
 	"wolfc/internal/fnreg"
+	"wolfc/internal/obs"
+	"wolfc/internal/parser"
 )
 
 // tierPol promotes fast: stencil after 2 dispatches, O2 upgrade after 4
@@ -190,5 +193,79 @@ func TestCloseReleases(t *testing.T) {
 	}
 	if _, err := e.Eval("1", 0); err != engine.ErrClosed {
 		t.Fatalf("Eval after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestCompiledObjectsAreEngineScoped: a CompiledCodeFunction object's id
+// means something only in the engine that minted it. An engine handed
+// another's id (or a stale one) must evaluate the object's own stored source,
+// never the other tenant's code.
+func TestCompiledObjectsAreEngineScoped(t *testing.T) {
+	eA, eB := engine.New(engine.Options{}), engine.New(engine.Options{})
+	defer eA.Close()
+	defer eB.Close()
+	res, err := eA.Eval(`FunctionCompile[Function[{Typed[x, "MachineInteger"]}, x + 41]]`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := expr.InputForm(res.Value)
+	if !strings.HasPrefix(obj, "CompiledCodeFunction[1, ") {
+		t.Fatalf("engine A minted %s, want id 1", obj)
+	}
+	if res, _ = eA.Eval("CompiledCodeFunction[1, Function[{x}, 0]][1]", 0); expr.InputForm(res.Value) != "42" {
+		t.Fatalf("engine A applying its own object: %s, want 42", expr.InputForm(res.Value))
+	}
+	if res, _ = eB.Eval("CompiledCodeFunction[1, Function[{x}, 0]][1]", 0); expr.InputForm(res.Value) != "0" {
+		t.Fatalf("engine B ran engine A's code: got %s, want 0 (its own source's answer)", expr.InputForm(res.Value))
+	}
+}
+
+// TestCloseReleasesCompiledFunctions: after Close, nothing reachable from a
+// package-level variable holds what the engine compiled — neither through
+// FunctionCompile objects nor through the tiering ladder — so a destroyed
+// session is garbage. (The process-wide compile cache is a bounded LRU, not a
+// leak; the test empties it to isolate everything else.)
+func TestCloseReleasesCompiledFunctions(t *testing.T) {
+	const src = `Function[{Typed[x, "MachineInteger"]}, x + 41]`
+	collected := make(chan string, 2)
+	func() {
+		e := engine.New(engine.Options{Tiering: true, Tier: tierPol()})
+		if _, err := e.Eval("cf = FunctionCompile["+src+"]; cf[1]", 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Eval("f[n_] := 2*n + 1", 0); err != nil {
+			t.Fatal(err)
+		}
+		feed(t, e)
+		// The compile cache hands back the function the session's object
+		// holds; the registry entry holds the one the ladder installed.
+		object, err := e.Compiler.FunctionCompileCached(parser.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent, ok := e.Registry.Lookup("f")
+		if !ok || !ent.Installed() {
+			t.Fatal("f was not promoted")
+		}
+		tiered := ent.Binding().Payload.(*core.CompiledCodeFunction)
+		// The finalizers sit on the functions' metrics blocks, which only the
+		// function keeps alive once Close has unlisted them: the function
+		// itself is part of a cycle (function → compiler → kernel → builtins →
+		// object table → function), and a finalizer inside a cycle never runs.
+		runtime.SetFinalizer(object.Metrics, func(*obs.FuncMetrics) { collected <- "object" })
+		runtime.SetFinalizer(tiered.Metrics, func(*obs.FuncMetrics) { collected <- "tiered" })
+		e.Close()
+	}()
+	core.ResetCompileCache()
+	deadline := time.After(10 * time.Second)
+	for seen := 0; seen < 2; {
+		runtime.GC()
+		select {
+		case <-collected:
+			seen++
+		case <-deadline:
+			t.Fatalf("%d of 2 compiled functions of a closed engine are still reachable", 2-seen)
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

@@ -238,6 +238,12 @@ func numDivide(a, b expr.Expr) (expr.Expr, bool) {
 	}
 }
 
+// maxExactBits bounds the exponent of an exact integer power and the count of
+// an exact left shift. math/big polls no abort flag, so a larger operand
+// would build a multi-gigabyte integer past any deadline (or panic in
+// makeslice); such a call stays unevaluated instead.
+const maxExactBits = 1 << 20
+
 // numPower raises base to exponent for numeric atoms. It reports whether a
 // numeric result was produced (symbolic residues like x^y stay unevaluated).
 func numPower(base, exp expr.Expr) (expr.Expr, bool) {
@@ -266,13 +272,16 @@ func numPower(base, exp expr.Expr) (expr.Expr, bool) {
 						return expr.FromInt64(result), true
 					}
 				}
-				if n > 1<<20 {
+				if n > maxExactBits {
 					return nil, false // refuse absurd exact powers
 				}
 				return expr.FromBig(new(big.Int).Exp(be.Big(), big.NewInt(n), nil)), true
 			default: // negative exponent: exact rational
 				if be.Sign() == 0 {
 					return expr.Sym("ComplexInfinity"), true
+				}
+				if n < -maxExactBits {
+					return nil, false // the same refusal, for the denominator
 				}
 				den := new(big.Int).Exp(be.Big(), big.NewInt(-n), nil)
 				return expr.Ratio(big.NewInt(1), den), true

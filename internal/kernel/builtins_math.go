@@ -900,14 +900,16 @@ func bitOp(op func(a, b int64) int64, identity int64) Builtin {
 }
 
 func biShiftLeft(k *Kernel, n *expr.Normal) (expr.Expr, bool) {
-	return shift(k, n, func(v *big.Int, s uint) *big.Int { return new(big.Int).Lsh(v, s) })
+	return shift(k, n, maxExactBits, func(v *big.Int, s uint) *big.Int { return new(big.Int).Lsh(v, s) })
 }
 
 func biShiftRight(k *Kernel, n *expr.Normal) (expr.Expr, bool) {
-	return shift(k, n, func(v *big.Int, s uint) *big.Int { return new(big.Int).Rsh(v, s) })
+	return shift(k, n, math.MaxInt64, func(v *big.Int, s uint) *big.Int { return new(big.Int).Rsh(v, s) })
 }
 
-func shift(k *Kernel, n *expr.Normal, op func(*big.Int, uint) *big.Int) (expr.Expr, bool) {
+// shift applies op for a count in [0, limit]; any other count leaves the call
+// unevaluated.
+func shift(k *Kernel, n *expr.Normal, limit int64, op func(*big.Int, uint) *big.Int) (expr.Expr, bool) {
 	if n.Len() < 1 || n.Len() > 2 {
 		return n, false
 	}
@@ -918,7 +920,7 @@ func shift(k *Kernel, n *expr.Normal, op func(*big.Int, uint) *big.Int) (expr.Ex
 	s := int64(1)
 	if n.Len() == 2 {
 		si, ok := n.Arg(2).(*expr.Integer)
-		if !ok || !si.IsMachine() || si.Int64() < 0 {
+		if !ok || !si.IsMachine() || si.Int64() < 0 || si.Int64() > limit {
 			return n, false
 		}
 		s = si.Int64()

@@ -71,6 +71,21 @@ func TestArithmetic(t *testing.T) {
 	}
 }
 
+// Exact results past maxExactBits stay unevaluated: math/big polls no abort
+// flag, so building them pins a core past any deadline, and the first row's
+// shift count panicked in makeslice.
+func TestAbsurdExactResultsStayUnevaluated(t *testing.T) {
+	for _, src := range []string{
+		"BitShiftLeft[1, 9223372036854775807]",
+		"BitShiftLeft[1, 100000000000]",
+		"2^-1099511627776",
+	} {
+		if got := ev(t, src); got != src {
+			t.Errorf("%q = %s, want it unevaluated", src, got)
+		}
+	}
+}
+
 func TestIntegerOverflowPromotion(t *testing.T) {
 	// Machine arithmetic silently promotes to bignums — the interpreter
 	// behaviour that compiled code falls back to (F2).
