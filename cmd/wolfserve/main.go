@@ -80,6 +80,10 @@ func main() {
 		obs.EnableTraceCapture(*traceCapture)
 	}
 
+	// Parse the standard library (the roots behind types.Builtin and
+	// macro.DefaultEnv) before listening, so no tenant's first session does.
+	core.NewCompiler(nil)
+
 	srv := serve.NewServer(serve.Options{
 		MaxSessions:    *maxSessions,
 		MaxInflight:    *maxInflight,

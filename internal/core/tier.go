@@ -11,7 +11,6 @@ import (
 	"wolfc/internal/infer"
 	"wolfc/internal/kernel"
 	"wolfc/internal/obs"
-	"wolfc/internal/parser"
 	"wolfc/internal/pattern"
 	"wolfc/internal/types"
 	"wolfc/internal/wir"
@@ -640,16 +639,6 @@ func (t *Tiering) worker() {
 	// so implicit span resolution is off and jobs carry their span
 	// explicitly (tierMember.span).
 	c.DisableImplicitSpan = true
-	// Pre-warm both configurations off the critical path: the first compile
-	// on a fresh Compiler pays lazy environment initialisation and
-	// first-touch allocation growth (~3× a steady-state compile), which would
-	// otherwise land on the first promotion — exactly the latency the
-	// baseline tier exists to remove.
-	warm := parser.MustParse(`Function[{Typed[w, "MachineInteger"]}, w + 1]`)
-	for _, stencil := range []bool{true, false} {
-		c.Stencil = stencil
-		_, _ = c.FunctionCompileRequest(warm, CompileRequest{})
-	}
 	for job := range t.jobs {
 		tierQueueDepth.Add(-1)
 		t.queueDepth.Add(-1)

@@ -269,3 +269,13 @@ func TestCloseReleasesCompiledFunctions(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEngineNewClose is what one session costs before its first
+// request and after its last: a tiered engine (kernel, compiler, registry
+// namespace, one tier worker) built and torn down.
+func BenchmarkEngineNewClose(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		engine.New(engine.Options{Tiering: true, Tier: tierPol()}).Close()
+	}
+}

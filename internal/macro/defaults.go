@@ -1,18 +1,26 @@
 package macro
 
 import (
+	"sync"
+
 	"wolfc/internal/diag"
 	"wolfc/internal/expr"
 	"wolfc/internal/parser"
 	"wolfc/internal/pattern"
 )
 
-// DefaultEnv builds the compiler's bundled macro environment (paper §4.2:
+// DefaultEnv returns the compiler's bundled macro environment (paper §4.2:
 // "macros are registered within an environment (a default environment
 // bundled by the compiler)"). It desugars high-level constructs into the
 // primitive forms the WIR lowering understands, and performs always-safe
-// AST-level optimisations.
-func DefaultEnv() *Env {
+// AST-level optimisations. Each call returns a new empty environment
+// chained to the one rule set the process parses (on first use), so callers
+// register into theirs freely (§4.7) and never see each other's rules.
+func DefaultEnv() *Env { return NewEnv(defaultRoot()) }
+
+// defaultRoot is the bundled rule set itself, frozen: every compiler in the
+// process reads it concurrently and nothing outside this package can name it.
+var defaultRoot = sync.OnceValue(func() *Env {
 	e := NewEnv(nil)
 	reg := func(head, lhs, rhs string) {
 		e.Register(expr.Sym(head), pattern.Rule{
@@ -304,8 +312,9 @@ func DefaultEnv() *Env {
 	reg("RandomInteger", "RandomInteger[hi_]", "Native`RandomIntegerRange[0, hi]")
 	reg("RandomInteger", "RandomInteger[]", "Native`RandomIntegerRange[0, 1]")
 
+	e.frozen = true
 	return e
-}
+})
 
 // ExpandSlots rewrites Native`SlotFunction[body] into Function[{params},
 // body'] by scanning for the highest Slot index. It runs as a post-step of

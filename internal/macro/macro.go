@@ -36,14 +36,25 @@ type Env struct {
 	// CondEval evaluates Condition tests inside macro patterns; optional.
 	CondEval pattern.CondFunc
 	// sig is a running content hash over registrations, combined across
-	// the chain by Sig to key the process-wide compile cache.
+	// the chain by Sig to key the process-wide compile cache. Zero until
+	// the first registration.
 	sig uint64
+	// frozen marks the process-wide default root: every compiler reads it
+	// concurrently, so a registration into it is a bug and panics.
+	frozen bool
 }
 
 // NewEnv returns an empty macro environment chained to parent (nil for a
 // root environment).
 func NewEnv(parent *Env) *Env {
 	return &Env{parent: parent, rules: map[*expr.Symbol][]Macro{}}
+}
+
+// mustBeOpen panics on the frozen root before a registration writes to it.
+func (e *Env) mustBeOpen() {
+	if e.frozen {
+		panic("macro: registration into the shared default environment; register into the child DefaultEnv() returns")
+	}
 }
 
 // bumpSig folds registration content into the signature (FNV-1a).
@@ -67,10 +78,15 @@ func (e *Env) bumpSig(parts ...string) {
 // signatures have registered the same rules in the same order. Conditioned
 // rules additionally mix in a per-registration marker, since their Go
 // predicate closures cannot be content-hashed; two conditioned
-// registrations therefore never alias in the compile cache.
+// registrations therefore never alias in the compile cache. Environments
+// with no registrations are skipped, so an empty child has its parent's
+// signature.
 func (e *Env) Sig() uint64 {
 	var h uint64 = 14695981039346656037
 	for env := e; env != nil; env = env.parent {
+		if env.sig == 0 {
+			continue
+		}
 		h ^= env.sig
 		h *= 1099511628211
 	}
@@ -81,8 +97,11 @@ var condSigCounter int64
 
 // Register adds macro rules for the given head, preserving the paper's rule
 // ordering: rules are matched most-specific first within one registration
-// batch, and earlier batches take priority.
+// batch, and earlier batches take priority within one environment. Across
+// the chain the nearest environment wins: a rule registered on the child
+// DefaultEnv returns is tried before the bundled rules for the same head.
 func (e *Env) Register(head *expr.Symbol, rules ...pattern.Rule) {
+	e.mustBeOpen()
 	ms := make([]Macro, len(rules))
 	prs := append([]pattern.Rule{}, rules...)
 	pattern.SortRules(prs)
@@ -96,6 +115,7 @@ func (e *Env) Register(head *expr.Symbol, rules ...pattern.Rule) {
 // RegisterConditioned adds a macro gated on compile options (paper §4.7's
 // Conditioned decorator).
 func (e *Env) RegisterConditioned(head *expr.Symbol, when func(opts map[string]expr.Expr) bool, rules ...pattern.Rule) {
+	e.mustBeOpen()
 	for _, r := range rules {
 		e.rules[head] = append(e.rules[head], Macro{Rule: r, When: when})
 		e.bumpSig("cond", head.Name, expr.FullForm(r.LHS), expr.FullForm(r.RHS),
@@ -104,10 +124,17 @@ func (e *Env) RegisterConditioned(head *expr.Symbol, when func(opts map[string]e
 }
 
 // rulesFor returns all rules visible for head, nearest environment first.
+// The result is read-only: when one environment in the chain holds every
+// rule (an empty child over the default root) it is that environment's own
+// slice, capped.
 func (e *Env) rulesFor(head *expr.Symbol) []Macro {
 	var out []Macro
 	for env := e; env != nil; env = env.parent {
-		out = append(out, env.rules[head]...)
+		if ms := env.rules[head]; len(out) == 0 {
+			out = ms[:len(ms):len(ms)]
+		} else {
+			out = append(out, ms...) // out is at capacity or already a copy
+		}
 	}
 	return out
 }

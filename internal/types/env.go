@@ -38,8 +38,12 @@ type Env struct {
 	// sig is a running content hash over every declaration made into this
 	// environment, used (together with the chain's parents) to key the
 	// process-wide compile cache: two environments with the same
-	// declaration history are interchangeable for compilation.
+	// declaration history are interchangeable for compilation. Zero until
+	// the first declaration.
 	sig uint64
+	// frozen marks the process-wide builtin root: every compiler reads it
+	// concurrently, so a declaration into it is a bug and panics.
+	frozen bool
 }
 
 // NewEnv creates an environment chained to parent (nil for a root).
@@ -50,6 +54,13 @@ func NewEnv(parent *Env) *Env {
 		classes: map[string]map[string]bool{},
 		known:   map[string]bool{},
 		aliases: map[string]string{},
+	}
+}
+
+// mustBeOpen panics on the frozen root before a declaration writes to it.
+func (e *Env) mustBeOpen() {
+	if e.frozen {
+		panic("types: declaration into the shared builtin environment; declare into the child Builtin() returns")
 	}
 }
 
@@ -73,10 +84,15 @@ func (e *Env) bumpSig(parts ...string) {
 
 // Sig returns the environment chain's declaration signature. Environments
 // whose entire chains report equal signatures have seen identical
-// declaration histories and produce identical compilations.
+// declaration histories and produce identical compilations. Environments
+// with no declarations are skipped, so an empty child has its parent's
+// signature (and its parent's compile-cache keys).
 func (e *Env) Sig() uint64 {
 	var h uint64 = 14695981039346656037
 	for env := e; env != nil; env = env.parent {
+		if env.sig == 0 {
+			continue
+		}
 		h ^= env.sig
 		h *= 1099511628211
 	}
@@ -86,6 +102,7 @@ func (e *Env) Sig() uint64 {
 // DeclareFunction adds a function definition (tyEnv["declareFunction", ...]
 // in the paper).
 func (e *Env) DeclareFunction(d *FuncDef) {
+	e.mustBeOpen()
 	d.Rank = len(e.funcs[d.Name])
 	e.funcs[d.Name] = append(e.funcs[d.Name], d)
 	impl := ""
@@ -163,11 +180,19 @@ func canonicalTypeString(t Type) string {
 	return string(b)
 }
 
-// Lookup returns all overloads visible for name, nearest environment first.
+// Lookup returns all overloads visible for name, nearest environment first:
+// an overload declared in a child is tried before its parents' for the same
+// name. The result is read-only. When one environment in the chain holds
+// every overload (an empty child over the builtin root) it is that
+// environment's own slice, capped so an append by the caller copies.
 func (e *Env) Lookup(name string) []*FuncDef {
 	var out []*FuncDef
 	for env := e; env != nil; env = env.parent {
-		out = append(out, env.funcs[name]...)
+		if defs := env.funcs[name]; len(out) == 0 {
+			out = defs[:len(defs):len(defs)]
+		} else {
+			out = append(out, defs...) // out is at capacity or already a copy
+		}
 	}
 	return out
 }
@@ -192,6 +217,7 @@ func (e *Env) FuncNames() []string {
 // DeclareClass adds members to a type class; members are atomic type names
 // or compound constructor names.
 func (e *Env) DeclareClass(class string, members ...string) {
+	e.mustBeOpen()
 	set := e.classes[class]
 	if set == nil {
 		set = map[string]bool{}
@@ -208,6 +234,7 @@ func (e *Env) DeclareClass(class string, members ...string) {
 // ParseSpec accepts it. Classes and aliases register their names
 // automatically; this is the entry point for standalone user types (F6).
 func (e *Env) DeclareType(names ...string) {
+	e.mustBeOpen()
 	for _, n := range names {
 		e.known[n] = true
 	}
@@ -258,6 +285,7 @@ func (e *Env) HasClass(class string) bool {
 // DeclareAlias maps a surface type name to its canonical name
 // (e.g. MachineInteger -> Integer64).
 func (e *Env) DeclareAlias(alias, canonical string) {
+	e.mustBeOpen()
 	e.aliases[alias] = canonical
 	e.known[alias] = true
 	e.known[canonical] = true

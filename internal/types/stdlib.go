@@ -1,6 +1,8 @@
 package types
 
 import (
+	"sync"
+
 	"wolfc/internal/expr"
 	"wolfc/internal/parser"
 )
@@ -8,9 +10,16 @@ import (
 // Builtin returns the compiler's default builtin type environment: the type
 // classes, aliases, and primitive function declarations shared by every
 // compilation (paper §4.4: "a default builtin type environment is
-// provided"). The environment is rebuilt per call so callers can extend
-// their copy freely.
-func Builtin() *Env {
+// provided"). Each call returns a new empty environment chained to the one
+// standard library the process parses (on first use), so callers extend
+// theirs freely (§4.7) and never see each other's declarations. An overload
+// a caller declares for a name the library already has is tried before the
+// library's (Lookup is nearest-environment-first).
+func Builtin() *Env { return NewEnv(builtinRoot()) }
+
+// builtinRoot is the standard library itself, frozen: every compiler in the
+// process reads it concurrently and nothing outside this package can name it.
+var builtinRoot = sync.OnceValue(func() *Env {
 	e := NewEnv(nil)
 
 	// Aliases (surface names → canonical constructors).
@@ -300,8 +309,9 @@ func Builtin() *Env {
 	}
 	decl("Native`CastReal64", `{"Integer64"} -> "Real64"`, "to_real64")
 
+	e.frozen = true
 	return e
-}
+})
 
 func lower(s string) string {
 	out := make([]byte, len(s))

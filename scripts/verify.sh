@@ -28,6 +28,8 @@ size_report() {
         echo "$paths: $(find $paths -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
     done
     echo "scripts/verify.sh: $(wc -l < scripts/verify.sh) lines"
+    echo "== size: what one compiler and one tiered session cost (ISSUE 16) =="
+    go test -run '^$' -bench 'NewCompiler$|EngineNewClose$' -benchmem -benchtime 200x ./internal/core ./internal/engine | grep '^Benchmark'
 }
 
 if [ "${1:-}" = "-fast" ]; then
