@@ -135,6 +135,34 @@ func TestReplSession(t *testing.T) {
 	}
 }
 
+// No program can kill the process by recursing: a promoted definition that
+// recurses five million deep used to die of Go's unrecoverable stack
+// overflow. Compiled code now throws at its frame-stack limit, tiering hands
+// the call back to the interpreter, and the session reports the interpreter's
+// own limit and answers the next input.
+func TestReplSurvivesRunawayCompiledRecursion(t *testing.T) {
+	session := strings.Join([]string{
+		`g[n_Integer] := If[n == 0, 0, 1 + g[n - 1]]`,
+		`Do[g[10], {i, 200}]`,
+		`g[5000000]`,
+		`1+1`,
+	}, "\n") + "\n"
+	out, err := run(t, "wolfrepl", session, "-autocompile", "-autocompile-drain")
+	if err != nil {
+		t.Fatalf("repl exited badly: %v\n%s", err, out)
+	}
+	for _, want := range []string{"$RecursionLimit: recursion depth of 4096 exceeded", "Out[4]= 2"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("session transcript missing %q:\n%s", want, out)
+		}
+	}
+	// It was the compiled tier that recursed: the depth exception is a soft
+	// failure, and the eighth retires the code.
+	if strings.Contains(out, " 0 compiled dispatches") || !strings.Contains(out, " 8 soft fallbacks") || !strings.Contains(out, " 1 retires") {
+		t.Fatalf("stats do not show compiled dispatches, eight depth fallbacks and the retirement:\n%s", out)
+	}
+}
+
 // wolfbench's Table 1 executable checks must all report ok.
 func TestWolfbenchTable1(t *testing.T) {
 	out, err := run(t, "wolfbench", "", "-table", "1")

@@ -642,6 +642,7 @@ func metricsSelftest() int {
 		"wolfc_func_aborts_total",
 		"wolfc_backend_invocations_total",
 		"wolfc_exc_overflow_total",
+		"wolfc_exc_depth_total",
 		"wolfc_compile_cache_misses_total",
 		"wolfc_compile_cache_coalesced_total",
 		"wolfc_compile_cache_entries",

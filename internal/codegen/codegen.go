@@ -22,9 +22,12 @@ import (
 	"wolfc/internal/wir"
 )
 
-// RT is the per-call runtime context threaded through compiled frames.
-// Each invocation gets its own RT value (built by the CompiledCodeFunction
-// wrapper in internal/core), so concurrent callers never share one.
+// RT is the runtime context of one invocation of compiled code, threaded
+// through every frame: the engine, the parallel width, and the invocation's
+// activation records. One RT serves one invocation at a time, so concurrent
+// callers never share one; the wrapper in internal/core takes it from
+// AcquireRT and gives it back with Release, frame stack attached. The zero
+// value is a valid context with no engine.
 type RT struct {
 	Engine runtime.Engine
 	// Workers is the parallel width for data-parallel natives in this
@@ -32,10 +35,113 @@ type RT struct {
 	// back to GOMAXPROCS), 1 forces serial execution. Set from the
 	// Parallelism compile option.
 	Workers int
+
+	// frames holds the activation records by call depth; depth of them are
+	// in use. A record outlives the call that used it and is re-sliced for
+	// the next function entered at its depth, so a call allocates only when
+	// that function needs more registers of some class than any before it
+	// there. Records are separate allocations because live frames hold
+	// pointers to theirs while the slice grows.
+	frames []*frame
+	depth  int
 }
 
 // Aborted polls the abort flag; standalone code (nil engine) never aborts.
 func (rt *RT) Aborted() bool { return rt.Engine != nil && rt.Engine.Aborted() }
+
+// maxCallDepth bounds compiled call nesting. One level costs 216 bytes of Go
+// stack (exec 72 + the direct-call closure 144; 264 through the registry)
+// and the Go runtime kills the process when a stack must grow past 512 MB,
+// 2.0 to 2.5 million levels; a million keeps a 2x margin.
+const maxCallDepth = 1 << 20
+
+var rtPool = sync.Pool{New: func() any { return new(RT) }}
+
+// AcquireRT returns a pooled runtime context for one invocation.
+func AcquireRT(eng runtime.Engine, workers int) *RT {
+	rt := rtPool.Get().(*RT)
+	rt.Engine, rt.Workers = eng, workers
+	return rt
+}
+
+// Release returns rt to the pool; run it deferred. An exception unwinds past
+// every leave between the throw and here, and the records it skipped are
+// exactly those below depth: their object registers are cleared so that a
+// pooled stack pins no tensor.
+func (rt *RT) Release() {
+	for _, fr := range rt.frames[:rt.depth] {
+		clear(fr.o)
+	}
+	rt.depth = 0
+	rt.Engine = nil
+	rtPool.Put(rt)
+}
+
+// enter takes the activation record at the current depth for a call of cf:
+// its register files re-sliced to cf's counts, constants loaded. Scalar
+// classes cf does not use are left as the last user had them; the object file
+// is always cf's exact window, which is what leave and Release clear.
+func (rt *RT) enter(cf *CFunc) *frame {
+	if rt.depth == len(rt.frames) {
+		if rt.depth >= maxCallDepth {
+			runtime.Throw(runtime.ExcDepth, "compiled call depth of %d exceeded", maxCallDepth)
+		}
+		rt.frames = append(rt.frames, &frame{rt: rt})
+	}
+	fr := rt.frames[rt.depth]
+	rt.depth++
+	if cf.nI > 0 {
+		fr.i = resized(fr.i, cf.nI)
+	}
+	if cf.nF > 0 {
+		fr.f = resized(fr.f, cf.nF)
+	}
+	if cf.nC > 0 {
+		fr.c = resized(fr.c, cf.nC)
+	}
+	if cf.nB > 0 {
+		fr.b = resized(fr.b, cf.nB)
+	}
+	fr.o = resized(fr.o, cf.nO)
+	for _, ci := range cf.constInit {
+		if cf.naiveConsts {
+			if t, ok := ci.o.(*runtime.Tensor); ok {
+				fr.o[ci.r.idx] = t.Copy()
+				continue
+			}
+		}
+		switch ci.r.kind {
+		case runtime.KI64:
+			fr.i[ci.r.idx] = ci.i
+		case runtime.KR64:
+			fr.f[ci.r.idx] = ci.f
+		case runtime.KC64:
+			fr.c[ci.r.idx] = ci.c
+		case runtime.KBool:
+			fr.b[ci.r.idx] = ci.b
+		case runtime.KObj:
+			fr.o[ci.r.idx] = ci.o
+		}
+	}
+	return fr
+}
+
+// resized is file re-sliced to n registers, reallocated only when its
+// capacity is short (whatever it held is dead: registers are written before
+// they are read).
+func resized[T any](file []T, n int) []T {
+	if n > cap(file) {
+		return make([]T, n)
+	}
+	return file[:n]
+}
+
+// leave returns the top record. Object registers may pin big tensors, so
+// they are cleared now, not when the record is next used.
+func (rt *RT) leave(fr *frame) {
+	clear(fr.o)
+	rt.depth--
+}
 
 // reg addresses one register in a class.
 type reg struct {
@@ -83,8 +189,6 @@ type CFunc struct {
 	profCounts []atomic.Uint64
 	profLabels []string
 	profLoop   []bool
-
-	pool sync.Pool
 }
 
 type constInit struct {
@@ -182,54 +286,6 @@ func CompileWithOptions(mod *wir.Module, opts CompileOptions) (*Program, error) 
 	return p, nil
 }
 
-// newFrame builds (or reuses) an activation record with constants loaded.
-func (cf *CFunc) newFrame(rt *RT) *frame {
-	v := cf.pool.Get()
-	var fr *frame
-	if v == nil {
-		fr = &frame{
-			i: make([]int64, cf.nI),
-			f: make([]float64, cf.nF),
-			c: make([]complex128, cf.nC),
-			b: make([]bool, cf.nB),
-			o: make([]any, cf.nO),
-		}
-	} else {
-		fr = v.(*frame)
-	}
-	fr.rt = rt
-	for _, ci := range cf.constInit {
-		if cf.naiveConsts {
-			if t, ok := ci.o.(*runtime.Tensor); ok {
-				fr.o[ci.r.idx] = t.Copy()
-				continue
-			}
-		}
-		switch ci.r.kind {
-		case runtime.KI64:
-			fr.i[ci.r.idx] = ci.i
-		case runtime.KR64:
-			fr.f[ci.r.idx] = ci.f
-		case runtime.KC64:
-			fr.c[ci.r.idx] = ci.c
-		case runtime.KBool:
-			fr.b[ci.r.idx] = ci.b
-		case runtime.KObj:
-			fr.o[ci.r.idx] = ci.o
-		}
-	}
-	return fr
-}
-
-func (cf *CFunc) releaseFrame(fr *frame) {
-	// Object registers may pin big tensors; clear them before pooling.
-	for i := range fr.o {
-		fr.o[i] = nil
-	}
-	fr.rt = nil
-	cf.pool.Put(fr)
-}
-
 // exec runs the function body on a prepared frame.
 func (cf *CFunc) exec(fr *frame) {
 	blk := 0
@@ -246,19 +302,20 @@ func (cf *CFunc) exec(fr *frame) {
 // float64, complex128, bool, string, expr.Expr, *runtime.Tensor, *FuncVal)
 // and returns the unboxed result.
 func (cf *CFunc) CallValues(rt *RT, args ...any) any {
-	fr := cf.newFrame(rt)
-	defer cf.releaseFrame(fr)
 	if len(args) != len(cf.params) {
 		runtime.Throw(runtime.ExcType, "%s: expected %d arguments, got %d", cf.Name, len(cf.params), len(args))
 	}
+	fr := rt.enter(cf)
 	for i, a := range args {
 		writeReg(fr, cf.params[i], a)
 	}
 	cf.exec(fr)
-	if !cf.hasRet {
-		return nil
+	var res any
+	if cf.hasRet {
+		res = readReg(fr, cf.retReg)
 	}
-	return readReg(fr, cf.retReg)
+	rt.leave(fr)
+	return res
 }
 
 func writeReg(fr *frame, r reg, v any) {
@@ -638,10 +695,7 @@ func (g *gen) genTerminator(b *wir.Block, in *wir.Instr, blockIdx map[*wir.Block
 		}, nil
 	case wir.OpCondBranch:
 		if cmp, ok := in.Args[0].(*wir.Instr); ok && g.fused[cmp] {
-			if _, fusible := fusedCmpKind(cmp); fusible && !g.hasFusedArg(cmp) {
-				return g.genFusedCondBranch(b, in, cmp, blockIdx)
-			}
-			return g.genFusedCondBranchTree(b, in, cmp, blockIdx)
+			return g.genFusedCondBranch(b, in, cmp, blockIdx)
 		}
 		condReg, err := g.regOf(in.Args[0])
 		if err != nil {
@@ -1108,13 +1162,13 @@ func (g *gen) genDirectCall(in *wir.Instr, target *CFunc) (step, error) {
 	}
 	hasResult := in.Ty != types.TVoid
 	return func(fr *frame) {
-		cfr := target.newFrame(fr.rt)
+		cfr := fr.rt.enter(target)
 		copyArgs(fr, cfr, argRegs, target.params)
 		target.exec(cfr)
 		if hasResult && target.hasRet {
 			copyRet(fr, cfr, dst, target.retReg)
 		}
-		target.releaseFrame(cfr)
+		fr.rt.leave(cfr)
 	}, nil
 }
 
@@ -1146,7 +1200,7 @@ func (g *gen) genCallIndirect(in *wir.Instr) (step, error) {
 			runtime.Throw(runtime.ExcType, "call of a non-function value")
 		}
 		target := fv.Fn
-		cfr := target.newFrame(fr.rt)
+		cfr := fr.rt.enter(target)
 		copyArgs(fr, cfr, argRegs, target.params)
 		for i, c := range fv.Caps {
 			writeReg(cfr, target.params[len(argRegs)+i], c)
@@ -1155,7 +1209,7 @@ func (g *gen) genCallIndirect(in *wir.Instr) (step, error) {
 		if hasResult && target.hasRet {
 			copyRet(fr, cfr, dst, target.retReg)
 		}
-		target.releaseFrame(cfr)
+		fr.rt.leave(cfr)
 	}, nil
 }
 
@@ -1198,7 +1252,7 @@ func (g *gen) genRegistryCall(in *wir.Instr) (step, error) {
 			runtime.Throw(runtime.ExcKernel, "call to %s: registry entry is not closure-backend code", name)
 		}
 		target := fv.Fn
-		cfr := target.newFrame(fr.rt)
+		cfr := fr.rt.enter(target)
 		copyArgs(fr, cfr, argRegs, target.params)
 		for i, c := range fv.Caps {
 			writeReg(cfr, target.params[len(argRegs)+i], c)
@@ -1207,202 +1261,6 @@ func (g *gen) genRegistryCall(in *wir.Instr) (step, error) {
 		if hasResult && target.hasRet {
 			copyRet(fr, cfr, dst, target.retReg)
 		}
-		target.releaseFrame(cfr)
+		fr.rt.leave(cfr)
 	}, nil
-}
-
-// fusedCmpKind classifies a compare for fusion: op name and whether the
-// fast path applies (two same-class scalar operands).
-func fusedCmpKind(cmp *wir.Instr) (string, bool) {
-	n := nativeOf(cmp)
-	switch n {
-	case "cmp_less", "cmp_lessequal", "cmp_greater", "cmp_greaterequal",
-		"cmp_equal", "cmp_unequal":
-		if len(cmp.Args) != 2 {
-			return "", false
-		}
-		k := runtime.KindOf(cmp.Args[0].Type())
-		if k != runtime.KI64 && k != runtime.KR64 {
-			return "", false
-		}
-		return n, true
-	}
-	return "", false
-}
-
-// genFusedCondBranch emits a single closure evaluating the comparison and
-// branching, with the per-edge phi moves inlined.
-func (g *gen) genFusedCondBranch(b *wir.Block, in *wir.Instr, cmp *wir.Instr,
-	blockIdx map[*wir.Block]int) (term, error) {
-	op, _ := fusedCmpKind(cmp)
-	ra, err := g.regOf(cmp.Args[0])
-	if err != nil {
-		return nil, err
-	}
-	rb, err := g.regOf(cmp.Args[1])
-	if err != nil {
-		return nil, err
-	}
-	thenSteps, thenIdx, err := g.threadEdge(b, in.Targets[0], blockIdx)
-	if err != nil {
-		return nil, err
-	}
-	elseSteps, elseIdx, err := g.threadEdge(b, in.Targets[1], blockIdx)
-	if err != nil {
-		return nil, err
-	}
-	thenMoves := composeSteps(thenSteps)
-	elseMoves := composeSteps(elseSteps)
-	poll := g.abortFold
-	a, c := ra.idx, rb.idx
-	// Normalise > and >= to < and <= by swapping operands (NaN-safe for
-	// floats) so the direct fast path needs half as many closure shapes.
-	switch op {
-	case "cmp_greater":
-		op, a, c = "cmp_less", c, a
-	case "cmp_greaterequal":
-		op, a, c = "cmp_lessequal", c, a
-	}
-	var cond func(*frame) bool
-	if ra.kind == runtime.KI64 {
-		switch op {
-		case "cmp_less":
-			cond = func(fr *frame) bool { return fr.i[a] < fr.i[c] }
-		case "cmp_lessequal":
-			cond = func(fr *frame) bool { return fr.i[a] <= fr.i[c] }
-		case "cmp_equal":
-			cond = func(fr *frame) bool { return fr.i[a] == fr.i[c] }
-		default:
-			cond = func(fr *frame) bool { return fr.i[a] != fr.i[c] }
-		}
-	} else {
-		switch op {
-		case "cmp_less":
-			cond = func(fr *frame) bool { return fr.f[a] < fr.f[c] }
-		case "cmp_lessequal":
-			cond = func(fr *frame) bool { return fr.f[a] <= fr.f[c] }
-		case "cmp_equal":
-			cond = func(fr *frame) bool { return fr.f[a] == fr.f[c] }
-		default:
-			cond = func(fr *frame) bool { return fr.f[a] != fr.f[c] }
-		}
-	}
-	if ownIdx := blockIdx[b]; g.blockFullyFused(b) {
-		if thenIdx == ownIdx {
-			return selfLoopTerm(poll, cond, thenSteps, elseMoves, elseIdx), nil
-		}
-		if elseIdx == ownIdx {
-			neg := cond
-			return selfLoopTerm(poll, func(fr *frame) bool { return !neg(fr) }, elseSteps, thenMoves, thenIdx), nil
-		}
-	}
-	if thenMoves == nil && elseMoves == nil {
-		// Hot-loop headers land here: no phi moves on either edge, so the
-		// whole block — abort poll, compare, branch — is one closure with
-		// no inner indirect calls.
-		ti, ei := thenIdx, elseIdx
-		if ra.kind == runtime.KI64 {
-			switch op {
-			case "cmp_less":
-				return func(fr *frame) int {
-					if poll && fr.rt.Aborted() {
-						runtime.Throw(runtime.ExcAbort, "aborted")
-					}
-					if fr.i[a] < fr.i[c] {
-						return ti
-					}
-					return ei
-				}, nil
-			case "cmp_lessequal":
-				return func(fr *frame) int {
-					if poll && fr.rt.Aborted() {
-						runtime.Throw(runtime.ExcAbort, "aborted")
-					}
-					if fr.i[a] <= fr.i[c] {
-						return ti
-					}
-					return ei
-				}, nil
-			case "cmp_equal":
-				return func(fr *frame) int {
-					if poll && fr.rt.Aborted() {
-						runtime.Throw(runtime.ExcAbort, "aborted")
-					}
-					if fr.i[a] == fr.i[c] {
-						return ti
-					}
-					return ei
-				}, nil
-			case "cmp_unequal":
-				return func(fr *frame) int {
-					if poll && fr.rt.Aborted() {
-						runtime.Throw(runtime.ExcAbort, "aborted")
-					}
-					if fr.i[a] != fr.i[c] {
-						return ti
-					}
-					return ei
-				}, nil
-			}
-		}
-		switch op {
-		case "cmp_less":
-			return func(fr *frame) int {
-				if poll && fr.rt.Aborted() {
-					runtime.Throw(runtime.ExcAbort, "aborted")
-				}
-				if fr.f[a] < fr.f[c] {
-					return ti
-				}
-				return ei
-			}, nil
-		case "cmp_lessequal":
-			return func(fr *frame) int {
-				if poll && fr.rt.Aborted() {
-					runtime.Throw(runtime.ExcAbort, "aborted")
-				}
-				if fr.f[a] <= fr.f[c] {
-					return ti
-				}
-				return ei
-			}, nil
-		case "cmp_equal":
-			return func(fr *frame) int {
-				if poll && fr.rt.Aborted() {
-					runtime.Throw(runtime.ExcAbort, "aborted")
-				}
-				if fr.f[a] == fr.f[c] {
-					return ti
-				}
-				return ei
-			}, nil
-		}
-		return func(fr *frame) int {
-			if poll && fr.rt.Aborted() {
-				runtime.Throw(runtime.ExcAbort, "aborted")
-			}
-			if fr.f[a] != fr.f[c] {
-				return ti
-			}
-			return ei
-		}, nil
-	}
-	// Polling after the compare is equivalent to before it: register
-	// compares are pure, and the throw happens before any phi move runs.
-	finish := func(fr *frame, cond bool) int {
-		if poll && fr.rt.Aborted() {
-			runtime.Throw(runtime.ExcAbort, "aborted")
-		}
-		if cond {
-			if thenMoves != nil {
-				thenMoves(fr)
-			}
-			return thenIdx
-		}
-		if elseMoves != nil {
-			elseMoves(fr)
-		}
-		return elseIdx
-	}
-	return func(fr *frame) int { return finish(fr, cond(fr)) }, nil
 }

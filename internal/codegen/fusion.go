@@ -29,6 +29,7 @@ package codegen
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"wolfc/internal/expr"
@@ -120,6 +121,30 @@ func (x opC) get(fr *frame) complex128 {
 		return x.lit
 	}
 	return x.ev(fr)
+}
+
+// The hot binary ops — integer + - *, the bit ops, Mod and Quotient; real
+// + - * /; the six compares on integers and reals — do not go through get.
+// Which mode each operand has is known when the closure is built, so each of
+// them has one closure body per mode pair, generated into fusion_modes.go
+// from modegen's table (the one place these ops are spelled) and chosen once
+// by the constructors below. Everything else in buildEval* is cold enough to
+// keep get's switch.
+//
+//go:generate go run ./modegen -o fusion_modes.go
+
+// arith holds the generated constructors of one arithmetic op: as an
+// interior node of a tree and as "dst = x op y", the root of one.
+type arith[O, E any] struct {
+	eval   func(x, y O) E
+	assign func(d int, x, y O) step
+}
+
+// compare holds those of one compare: as a node, and as the terminator of a
+// block that ends by branching on it with no phi moves on either edge.
+type compare[O any] struct {
+	eval   func(x, y O) evalB
+	branch func(x, y O, poll bool, thenIdx, elseIdx int) term
 }
 
 // ---------------------------------------------------------------------------
@@ -267,7 +292,7 @@ var nonBarrierNatives = map[string]bool{
 	"tensor_math_exp": true, "tensor_math_log": true, "tensor_math_sqrt": true,
 	"tensor_math_abs": true, "gaussian_blur": true, "histogram_bins": true,
 	"string_join": true, "string_length": true, "string_byte_length": true,
-	"string_byte": true, "to_char_code": true, "from_char_code": true,
+	"to_char_code": true, "from_char_code": true,
 	"string_take": true, "int_to_string": true, "real_to_string": true,
 	"box_number": true,
 }
@@ -330,7 +355,7 @@ func fusibleProducer(in *wir.Instr) bool {
 	case "power_int", "mod_int", "quotient_int", "abs_int", "sign_int",
 		"sign_real", "identity_int", "floor_real", "ceiling_real",
 		"round_real", "bitand", "bitor", "bitxor",
-		"bitshiftleft", "bitshiftright", "tensor_length":
+		"bitshiftleft", "bitshiftright", "tensor_length", "string_byte":
 		return rk == runtime.KI64
 	case "min", "max":
 		return rk == runtime.KI64 || rk == runtime.KR64
@@ -609,25 +634,15 @@ func (g *gen) opCC(in *wir.Instr) (opC, opC, error) {
 
 func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 	native := nativeOf(in)
+	if op, ok := intArith[native]; ok {
+		x, y, err := g.opII(in)
+		if err != nil {
+			return nil, err
+		}
+		op, y = literalModulus(native, op, y)
+		return op.eval(x, y), nil
+	}
 	switch native {
-	case "binary_plus":
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return runtime.AddI64(x.get(fr), y.get(fr)) }, nil
-	case "binary_times":
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return runtime.MulI64(x.get(fr), y.get(fr)) }, nil
-	case "binary_subtract":
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return runtime.SubI64(x.get(fr), y.get(fr)) }, nil
 	case "unary_minus":
 		x, err := g.opIFor(in.Args[0])
 		if err != nil {
@@ -640,18 +655,6 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 			return nil, err
 		}
 		return func(fr *frame) int64 { return runtime.PowI64(x.get(fr), y.get(fr)) }, nil
-	case "mod_int":
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return runtime.ModI64(x.get(fr), y.get(fr)) }, nil
-	case "quotient_int":
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return runtime.QuotI64(x.get(fr), y.get(fr)) }, nil
 	case "abs_int":
 		x, err := g.opIFor(in.Args[0])
 		if err != nil {
@@ -729,24 +732,6 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 			return nil, err
 		}
 		return func(fr *frame) int64 { return x.get(fr) }, nil
-	case "bitand":
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return x.get(fr) & y.get(fr) }, nil
-	case "bitor":
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return x.get(fr) | y.get(fr) }, nil
-	case "bitxor":
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return x.get(fr) ^ y.get(fr) }, nil
 	case "bitshiftleft":
 		x, y, err := g.opII(in)
 		if err != nil {
@@ -792,6 +777,8 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 		}
 		a := r.idx
 		return func(fr *frame) int64 { return int64(tensorArg(fr, a).Len()) }, nil
+	case "string_byte":
+		return g.stringByteEval(in)
 	case "part_1", "part_unsafe_1", "part_2", "part_unsafe_2":
 		return g.partEvalI(in, native)
 	}
@@ -800,31 +787,14 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 
 func (g *gen) buildEvalF(in *wir.Instr) (evalF, error) {
 	native := nativeOf(in)
+	if op, ok := realArith[native]; ok {
+		x, y, err := g.opFF(in)
+		if err != nil {
+			return nil, err
+		}
+		return op.eval(x, y), nil
+	}
 	switch native {
-	case "binary_plus":
-		x, y, err := g.opFF(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return x.get(fr) + y.get(fr) }, nil
-	case "binary_times":
-		x, y, err := g.opFF(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return x.get(fr) * y.get(fr) }, nil
-	case "binary_subtract":
-		x, y, err := g.opFF(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return x.get(fr) - y.get(fr) }, nil
-	case "binary_divide":
-		x, y, err := g.opFF(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return x.get(fr) / y.get(fr) }, nil
 	case "unary_minus":
 		x, err := g.opFFor(in.Args[0])
 		if err != nil {
@@ -986,26 +956,25 @@ func (g *gen) buildEvalB(in *wir.Instr) (evalB, error) {
 	switch native {
 	case "cmp_less", "cmp_lessequal", "cmp_greater", "cmp_greaterequal",
 		"cmp_equal", "cmp_unequal":
-		op := strings.TrimPrefix(native, "cmp_")
 		switch runtime.KindOf(in.Args[0].Type()) {
 		case runtime.KI64:
 			x, y, err := g.opII(in)
 			if err != nil {
 				return nil, err
 			}
-			return cmpIEval(op, x, y), nil
+			return intCompare[native].eval(x, y), nil
 		case runtime.KR64:
 			x, y, err := g.opFF(in)
 			if err != nil {
 				return nil, err
 			}
-			return cmpFEval(op, x, y), nil
+			return realCompare[native].eval(x, y), nil
 		case runtime.KC64:
 			x, y, err := g.opCC(in)
 			if err != nil {
 				return nil, err
 			}
-			if op == "equal" {
+			if native == "cmp_equal" {
 				return func(fr *frame) bool { return x.get(fr) == y.get(fr) }, nil
 			}
 			return func(fr *frame) bool { return x.get(fr) != y.get(fr) }, nil
@@ -1197,38 +1166,6 @@ func cmpF(op string, a, b float64) bool {
 		return a != b
 	}
 	return false
-}
-
-func cmpIEval(op string, x, y opI) evalB {
-	switch op {
-	case "less":
-		return func(fr *frame) bool { return x.get(fr) < y.get(fr) }
-	case "lessequal":
-		return func(fr *frame) bool { return x.get(fr) <= y.get(fr) }
-	case "greater":
-		return func(fr *frame) bool { return x.get(fr) > y.get(fr) }
-	case "greaterequal":
-		return func(fr *frame) bool { return x.get(fr) >= y.get(fr) }
-	case "equal":
-		return func(fr *frame) bool { return x.get(fr) == y.get(fr) }
-	}
-	return func(fr *frame) bool { return x.get(fr) != y.get(fr) }
-}
-
-func cmpFEval(op string, x, y opF) evalB {
-	switch op {
-	case "less":
-		return func(fr *frame) bool { return x.get(fr) < y.get(fr) }
-	case "lessequal":
-		return func(fr *frame) bool { return x.get(fr) <= y.get(fr) }
-	case "greater":
-		return func(fr *frame) bool { return x.get(fr) > y.get(fr) }
-	case "greaterequal":
-		return func(fr *frame) bool { return x.get(fr) >= y.get(fr) }
-	case "equal":
-		return func(fr *frame) bool { return x.get(fr) == y.get(fr) }
-	}
-	return func(fr *frame) bool { return x.get(fr) != y.get(fr) }
 }
 
 // partEval* compile fused tensor element reads (the load half of the
@@ -1477,17 +1414,20 @@ func (g *gen) partOperands(in *wir.Instr, native string) (a int, i1, i2 opI, ran
 // ---------------------------------------------------------------------------
 // Root generation
 
-// assignTo compiles "dst = tree(root)" as a single step. The hot arithmetic
-// roots inline the operator into the assignment closure (including fused
-// multiply-accumulate shapes); everything else wraps the node evaluator.
+// assignTo compiles "dst = tree(root)" as a single step: the assignment form
+// of a generated op, or the node evaluator wrapped in the register write.
 func (g *gen) assignTo(dst reg, root *wir.Instr) (step, error) {
 	d := dst.idx
 	native := nativeOf(root)
 	switch dst.kind {
 	case runtime.KI64:
-		switch native {
-		case "binary_plus", "binary_times", "binary_subtract":
-			return g.assignArithI(d, native, root)
+		if op, ok := intArith[native]; ok {
+			x, y, err := g.opII(root)
+			if err != nil {
+				return nil, err
+			}
+			op, y = literalModulus(native, op, y)
+			return op.assign(d, x, y), nil
 		}
 		ev, err := g.buildEvalI(root)
 		if err != nil {
@@ -1495,9 +1435,12 @@ func (g *gen) assignTo(dst reg, root *wir.Instr) (step, error) {
 		}
 		return func(fr *frame) { fr.i[d] = ev(fr) }, nil
 	case runtime.KR64:
-		switch native {
-		case "binary_plus", "binary_times", "binary_subtract", "binary_divide":
-			return g.assignArithF(d, native, root)
+		if op, ok := realArith[native]; ok {
+			x, y, err := g.opFF(root)
+			if err != nil {
+				return nil, err
+			}
+			return op.assign(d, x, y), nil
 		}
 		ev, err := g.buildEvalF(root)
 		if err != nil {
@@ -1520,116 +1463,57 @@ func (g *gen) assignTo(dst reg, root *wir.Instr) (step, error) {
 	return nil, fmt.Errorf("codegen %s: cannot fuse assignment of kind %v for native %q", g.fn.Name, dst.kind, native)
 }
 
-// fusedArgNative returns root's operand v if it is a fused binary node of
-// the given native.
-func (g *gen) fusedArgNative(v wir.Value, native string) (*wir.Instr, bool) {
-	in, ok := v.(*wir.Instr)
-	if !ok || !g.fused[in] || nativeOf(in) != native || len(in.Args) != 2 {
-		return nil, false
+// literalModulus picks a cheaper body for Mod or Quotient by a literal y. A
+// positive power of two becomes a mask or an arithmetic shift, exact for the
+// language's sign-follows-modulus Mod and floor Quotient on negative
+// dividends too; any other modulus that is neither 0 nor -1 can neither
+// divide by zero nor overflow, and skips those tests.
+func literalModulus(native string, op arith[opI, evalI], y opI) (arith[opI, evalI], opI) {
+	if y.mode != opLitMode || native != "mod_int" && native != "quotient_int" {
+		return op, y
 	}
-	return in, true
+	mod := native == "mod_int"
+	switch m := y.lit; {
+	case m > 0 && m&(m-1) == 0:
+		if mod {
+			return andI, opI{mode: opLitMode, lit: m - 1}
+		}
+		return shrLitI, opI{mode: opLitMode, lit: int64(bits.TrailingZeros64(uint64(m)))}
+	case m != 0 && m != -1:
+		if mod {
+			return modLitI, y
+		}
+		return quotLitI, y
+	}
+	return op, y
 }
 
-func (g *gen) assignArithI(d int, native string, root *wir.Instr) (step, error) {
-	// Multiply-accumulate: s ± a*b and a*b ± s collapse to one closure —
-	// the accumulation shape of tight scalar loops.
-	if native != "binary_times" {
-		sub := native == "binary_subtract"
-		if m, ok := g.fusedArgNative(root.Args[1], "binary_times"); ok {
-			x, err := g.opIFor(root.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			ma, mb, err := g.opII(m)
-			if err != nil {
-				return nil, err
-			}
-			if sub {
-				return func(fr *frame) {
-					fr.i[d] = runtime.SubI64(x.get(fr), runtime.MulI64(ma.get(fr), mb.get(fr)))
-				}, nil
-			}
-			return func(fr *frame) {
-				fr.i[d] = runtime.AddI64(x.get(fr), runtime.MulI64(ma.get(fr), mb.get(fr)))
-			}, nil
-		}
-		if m, ok := g.fusedArgNative(root.Args[0], "binary_times"); ok {
-			ma, mb, err := g.opII(m)
-			if err != nil {
-				return nil, err
-			}
-			y, err := g.opIFor(root.Args[1])
-			if err != nil {
-				return nil, err
-			}
-			if sub {
-				return func(fr *frame) {
-					fr.i[d] = runtime.SubI64(runtime.MulI64(ma.get(fr), mb.get(fr)), y.get(fr))
-				}, nil
-			}
-			return func(fr *frame) {
-				fr.i[d] = runtime.AddI64(runtime.MulI64(ma.get(fr), mb.get(fr)), y.get(fr))
-			}, nil
-		}
-	}
-	x, y, err := g.opII(root)
+// stringByteEval compiles the byte read of a string held in an object
+// register; like partEvalI, a register or literal index is read in the
+// closure body.
+func (g *gen) stringByteEval(in *wir.Instr) (evalI, error) {
+	r, err := g.regOf(in.Args[0])
 	if err != nil {
 		return nil, err
 	}
-	switch native {
-	case "binary_plus":
-		return func(fr *frame) { fr.i[d] = runtime.AddI64(x.get(fr), y.get(fr)) }, nil
-	case "binary_times":
-		return func(fr *frame) { fr.i[d] = runtime.MulI64(x.get(fr), y.get(fr)) }, nil
+	if r.kind != runtime.KObj {
+		return nil, fmt.Errorf("codegen %s: byte of non-string %s", g.fn.Name, in.Args[0].Name())
 	}
-	return func(fr *frame) { fr.i[d] = runtime.SubI64(x.get(fr), y.get(fr)) }, nil
-}
-
-func (g *gen) assignArithF(d int, native string, root *wir.Instr) (step, error) {
-	if native == "binary_plus" || native == "binary_subtract" {
-		sub := native == "binary_subtract"
-		if m, ok := g.fusedArgNative(root.Args[1], "binary_times"); ok {
-			x, err := g.opFFor(root.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			ma, mb, err := g.opFF(m)
-			if err != nil {
-				return nil, err
-			}
-			if sub {
-				return func(fr *frame) { fr.f[d] = x.get(fr) - ma.get(fr)*mb.get(fr) }, nil
-			}
-			return func(fr *frame) { fr.f[d] = x.get(fr) + ma.get(fr)*mb.get(fr) }, nil
-		}
-		if m, ok := g.fusedArgNative(root.Args[0], "binary_times"); ok {
-			ma, mb, err := g.opFF(m)
-			if err != nil {
-				return nil, err
-			}
-			y, err := g.opFFor(root.Args[1])
-			if err != nil {
-				return nil, err
-			}
-			if sub {
-				return func(fr *frame) { fr.f[d] = ma.get(fr)*mb.get(fr) - y.get(fr) }, nil
-			}
-			return func(fr *frame) { fr.f[d] = ma.get(fr)*mb.get(fr) + y.get(fr) }, nil
-		}
-	}
-	x, y, err := g.opFF(root)
+	i1, err := g.opIFor(in.Args[1])
 	if err != nil {
 		return nil, err
 	}
-	switch native {
-	case "binary_plus":
-		return func(fr *frame) { fr.f[d] = x.get(fr) + y.get(fr) }, nil
-	case "binary_times":
-		return func(fr *frame) { fr.f[d] = x.get(fr) * y.get(fr) }, nil
-	case "binary_subtract":
-		return func(fr *frame) { fr.f[d] = x.get(fr) - y.get(fr) }, nil
+	a := r.idx
+	switch i1.mode {
+	case opRegMode:
+		i := i1.idx
+		return func(fr *frame) int64 { return runtime.StringByte(fr.o[a].(string), fr.i[i]) }, nil
+	case opLitMode:
+		i := i1.lit
+		return func(fr *frame) int64 { return runtime.StringByte(fr.o[a].(string), i) }, nil
 	}
-	return func(fr *frame) { fr.f[d] = x.get(fr) / y.get(fr) }, nil
+	ev := i1.ev
+	return func(fr *frame) int64 { return runtime.StringByte(fr.o[a].(string), ev(fr)) }, nil
 }
 
 // genFusedSetPart compiles a Part store whose index or value operands are
@@ -1880,14 +1764,10 @@ func (g *gen) genFusedSetPart(in *wir.Instr, unsafe, rank2 bool) (step, error) {
 	return g.storeInPlace(dstR, tr, st), nil
 }
 
-// genFusedCondBranchTree is the general form of genFusedCondBranch: the
-// condition is an arbitrary fused boolean tree.
-func (g *gen) genFusedCondBranchTree(b *wir.Block, in *wir.Instr, cmp *wir.Instr,
+// genFusedCondBranch compiles a conditional branch on a fused boolean tree as
+// one terminator: abort poll, condition, the taken edge's phi moves.
+func (g *gen) genFusedCondBranch(b *wir.Block, in *wir.Instr, cmp *wir.Instr,
 	blockIdx map[*wir.Block]int) (term, error) {
-	eb, err := g.buildEvalB(cmp)
-	if err != nil {
-		return nil, err
-	}
 	thenSteps, thenIdx, err := g.threadEdge(b, in.Targets[0], blockIdx)
 	if err != nil {
 		return nil, err
@@ -1899,24 +1779,25 @@ func (g *gen) genFusedCondBranchTree(b *wir.Block, in *wir.Instr, cmp *wir.Instr
 	thenMoves := composeSteps(thenSteps)
 	elseMoves := composeSteps(elseSteps)
 	poll := g.abortFold
-	if ownIdx := blockIdx[b]; g.blockFullyFused(b) {
+	ownIdx, rotate := blockIdx[b], g.blockFullyFused(b)
+	if thenMoves == nil && elseMoves == nil && !(rotate && (thenIdx == ownIdx || elseIdx == ownIdx)) {
+		// Hot-loop headers land here: with a generated compare on top the
+		// whole block is one closure with no inner indirect call.
+		if t, err := g.compareBranch(cmp, poll, thenIdx, elseIdx); t != nil || err != nil {
+			return t, err
+		}
+	}
+	eb, err := g.buildEvalB(cmp)
+	if err != nil {
+		return nil, err
+	}
+	if rotate {
 		if thenIdx == ownIdx {
 			return selfLoopTerm(poll, eb, thenSteps, elseMoves, elseIdx), nil
 		}
 		if elseIdx == ownIdx {
 			return selfLoopTerm(poll, func(fr *frame) bool { return !eb(fr) }, elseSteps, thenMoves, thenIdx), nil
 		}
-	}
-	if thenMoves == nil && elseMoves == nil {
-		return func(fr *frame) int {
-			if poll && fr.rt.Aborted() {
-				runtime.Throw(runtime.ExcAbort, "aborted")
-			}
-			if eb(fr) {
-				return thenIdx
-			}
-			return elseIdx
-		}, nil
 	}
 	return func(fr *frame) int {
 		if poll && fr.rt.Aborted() {
@@ -1933,4 +1814,29 @@ func (g *gen) genFusedCondBranchTree(b *wir.Block, in *wir.Instr, cmp *wir.Instr
 		}
 		return elseIdx
 	}, nil
+}
+
+// compareBranch builds the branch form of cmp if it is a generated compare
+// (nil otherwise: another boolean tree, or a compare of another kind).
+func (g *gen) compareBranch(cmp *wir.Instr, poll bool, thenIdx, elseIdx int) (term, error) {
+	native := nativeOf(cmp)
+	op, ok := intCompare[native]
+	if !ok {
+		return nil, nil
+	}
+	switch runtime.KindOf(cmp.Args[0].Type()) {
+	case runtime.KI64:
+		x, y, err := g.opII(cmp)
+		if err != nil {
+			return nil, err
+		}
+		return op.branch(x, y, poll, thenIdx, elseIdx), nil
+	case runtime.KR64:
+		x, y, err := g.opFF(cmp)
+		if err != nil {
+			return nil, err
+		}
+		return realCompare[native].branch(x, y, poll, thenIdx, elseIdx), nil
+	}
+	return nil, nil
 }

@@ -304,9 +304,6 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 	case "string_byte_length":
 		a := a0()
 		return func(fr *frame) { fr.i[d] = int64(len(fr.o[a].(string))) }
-	case "string_byte":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = runtime.StringByte(fr.o[a].(string), fr.i[b]) }
 	case "to_char_code":
 		a := a0()
 		return func(fr *frame) { fr.o[d] = runtime.ToCharCodes(fr.o[a].(string)) }

@@ -2,6 +2,10 @@ package codegen
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
 	"testing"
 
 	"wolfc/internal/expr"
@@ -69,7 +73,154 @@ func TestOneSpellingPerScalarNative(t *testing.T) {
 	if len(admitted) < 90 {
 		t.Errorf("only %d natives admitted: the walk is not reaching the standard library", len(admitted))
 	}
+	// The walk above is what holds selectNative to no arm for a generated op
+	// or for string_byte, so it has to have visited them.
+	for _, native := range append(generatedNatives(), "string_byte") {
+		if admitted[native] == 0 {
+			t.Errorf("native %s has an evaluator but the walk never reached it", native)
+		}
+	}
 	t.Logf("%d natives have an evaluator", len(admitted))
+	t.Run("source", noHandWrittenSpelling)
+}
+
+func generatedNatives() []string {
+	var out []string
+	for n := range intArith {
+		out = append(out, n)
+	}
+	for n := range realArith {
+		out = append(out, n)
+	}
+	for n := range intCompare {
+		out = append(out, n)
+	}
+	return out
+}
+
+// noHandWrittenSpelling reads the backend's source: an op that modegen's
+// table spells must not be spelled again by hand. In
+// buildEvalI/F no case may name a generated native (they are dispatched
+// through the generated tables before the switch); the integer and real arms
+// of buildEvalB's compares, and all of assignTo, must not read an operand
+// through get; and no hand-written closure calls the checked arithmetic the
+// table wraps or compares two integer or real registers itself.
+func noHandWrittenSpelling(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(name string) *ast.File {
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	fusion := parse("fusion.go")
+	funcs := map[string]*ast.FuncDecl{}
+	for _, d := range fusion.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			funcs[fd.Name.Name] = fd
+		}
+	}
+	callsGet := func(n ast.Node) (found bool) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "get" {
+					found = true
+				}
+			}
+			return !found
+		})
+		return found
+	}
+	caseNames := func(cc *ast.CaseClause) []string {
+		var names []string
+		for _, e := range cc.List {
+			switch x := e.(type) {
+			case *ast.BasicLit:
+				if s, err := strconv.Unquote(x.Value); err == nil {
+					names = append(names, s)
+				}
+			case *ast.SelectorExpr:
+				names = append(names, x.Sel.Name)
+			}
+		}
+		return names
+	}
+	for fn, table := range map[string]func(string) bool{
+		"buildEvalI": func(n string) bool { _, ok := intArith[n]; return ok },
+		"buildEvalF": func(n string) bool { _, ok := realArith[n]; return ok },
+	} {
+		ast.Inspect(funcs[fn], func(n ast.Node) bool {
+			if cc, ok := n.(*ast.CaseClause); ok {
+				for _, name := range caseNames(cc) {
+					if table(name) {
+						t.Errorf("%s has a hand-written case for generated op %s", fn, name)
+					}
+				}
+			}
+			return true
+		})
+	}
+	sawCompares := false
+	ast.Inspect(funcs["buildEvalB"], func(n ast.Node) bool {
+		cc, ok := n.(*ast.CaseClause)
+		if !ok {
+			return true
+		}
+		for _, name := range caseNames(cc) {
+			if name != "cmp_less" {
+				continue
+			}
+			sawCompares = true
+			ast.Inspect(cc, func(n ast.Node) bool {
+				if arm, ok := n.(*ast.CaseClause); ok {
+					for _, kind := range caseNames(arm) {
+						if (kind == "KI64" || kind == "KR64") && callsGet(arm) {
+							t.Errorf("buildEvalB spells a %s compare by hand (operand read through get)", kind)
+						}
+					}
+				}
+				return true
+			})
+		}
+		return true
+	})
+	if !sawCompares {
+		t.Error("buildEvalB: compare case not found; the check above is not looking at anything")
+	}
+	if callsGet(funcs["assignTo"]) {
+		t.Error("assignTo reads an operand through get: assignment roots of generated ops come from the table")
+	}
+	wrapped := map[string]bool{"AddI64": true, "SubI64": true, "MulI64": true, "ModI64": true,
+		"QuotI64": true, "ModNZ": true, "QuotNZ": true}
+	isScalarReg := func(e ast.Expr) bool {
+		ix, ok := e.(*ast.IndexExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := ix.X.(*ast.SelectorExpr)
+		return ok && (sel.Sel.Name == "i" || sel.Sel.Name == "f")
+	}
+	for _, name := range []string{"fusion.go", "codegen.go"} {
+		ast.Inspect(parse(name), func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := x.Fun.(*ast.SelectorExpr); ok && wrapped[sel.Sel.Name] {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "runtime" {
+						t.Errorf("%s: hand-written call of runtime.%s", fset.Position(x.Pos()), sel.Sel.Name)
+					}
+				}
+			case *ast.BinaryExpr:
+				switch x.Op {
+				case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
+					if isScalarReg(x.X) && isScalarReg(x.Y) {
+						t.Errorf("%s: hand-written compare of two registers", fset.Position(x.Pos()))
+					}
+				}
+			}
+			return true
+		})
+	}
 }
 
 // atomicInstances returns every instantiation of a declared function type

@@ -23,8 +23,9 @@ func benchProgram(t *testing.T, name string) expr.Expr {
 }
 
 // Every reference a compiled program takes on an argument tensor it gives
-// back: after a call (and after a second, when pooled frames are reused) the
-// caller's tensors carry the count they arrived with, shared or not.
+// back: after a call (and after a second, when the pooled frame stack is
+// reused) the caller's tensors carry the count they arrived with, shared or
+// not.
 func TestBenchmarkProgramsLeaveArgumentRefCountsAlone(t *testing.T) {
 	c := newCompiler()
 	c.TypeEnv.DeclareFunction(&types.FuncDef{

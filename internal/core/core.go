@@ -663,11 +663,8 @@ func (ccf *CompiledCodeFunction) invoke(args []expr.Expr) (out expr.Expr, oc out
 		}
 		t0 = time.Now()
 	}
-	var eng runtime.Engine
-	if !ccf.Standalone {
-		eng = ccf.compiler.Engine()
-	}
-	rt := &codegen.RT{Engine: eng, Workers: ccf.Program.Parallelism}
+	rt := ccf.acquireRT()
+	defer rt.Release()
 	res := ccf.Program.Main.CallValues(rt, raw...)
 	if rec {
 		d := time.Since(t0)
@@ -686,6 +683,17 @@ func (ccf *CompiledCodeFunction) invoke(args []expr.Expr) (out expr.Expr, oc out
 		return expr.SymNull, outServed, ""
 	}
 	return runtime.Box(res, ccf.RetType), outServed, ""
+}
+
+// acquireRT takes the runtime context for one invocation from codegen's pool:
+// the hosting engine (none in standalone mode), the program's parallel width,
+// and a frame stack. The caller defers its Release.
+func (ccf *CompiledCodeFunction) acquireRT() *codegen.RT {
+	var eng runtime.Engine
+	if !ccf.Standalone {
+		eng = ccf.compiler.Engine()
+	}
+	return codegen.AcquireRT(eng, ccf.Program.Parallelism)
 }
 
 // Apply runs the compiled function on kernel expressions. Arguments outside
@@ -708,11 +716,8 @@ func (ccf *CompiledCodeFunction) Apply(args []expr.Expr) (expr.Expr, error) {
 // benchmark harness to measure pure compiled-code time). The disabled
 // observability cost is one atomic load and a predictable branch.
 func (ccf *CompiledCodeFunction) CallRaw(args ...any) any {
-	var eng runtime.Engine
-	if !ccf.Standalone {
-		eng = ccf.compiler.Engine()
-	}
-	rt := &codegen.RT{Engine: eng, Workers: ccf.Program.Parallelism}
+	rt := ccf.acquireRT()
+	defer rt.Release()
 	if obs.Enabled() {
 		t0 := time.Now()
 		res := ccf.Program.Main.CallValues(rt, args...)

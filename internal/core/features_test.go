@@ -363,8 +363,10 @@ func TestApplyArityMismatch(t *testing.T) {
 }
 
 func TestCompiledDeepRecursionSurvives(t *testing.T) {
-	// Compiled recursion runs on the Go stack with pooled frames; a depth
-	// of 100k must work (no artificial recursion limit in compiled code).
+	// Compiled recursion runs on the Go stack with one activation record per
+	// level on the invocation's frame stack; a depth of 100k must work. The
+	// only limit is the frame stack's (a million levels, see
+	// TestCompiledRecursionPastDepthLimitThrows), far above the interpreter's.
 	c := newCompiler()
 	ccf, err := c.CompileNamed("depth", parser.MustParse(
 		`Function[{Typed[n, "MachineInteger"]},

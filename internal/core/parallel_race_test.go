@@ -13,8 +13,8 @@ import (
 )
 
 // compiled invocation from many goroutines at once is the tentpole safety
-// property: per-call RT contexts, pooled frames, atomic tensor refcounts,
-// and the worker pool must all hold up under -race.
+// property: per-invocation RT contexts and frame stacks, atomic tensor
+// refcounts, and the worker pool must all hold up under -race.
 
 const stressKernelSrc = `Function[{Typed[v, "Tensor"["Real64", 1]], Typed[iters, "MachineInteger"]},
 	Module[{i = 0, acc = v},

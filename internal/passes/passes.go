@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"wolfc/internal/expr"
+	"wolfc/internal/runtime"
 	"wolfc/internal/types"
 	"wolfc/internal/wir"
 )
@@ -277,22 +278,19 @@ func foldNative(native string, in *wir.Instr) (wir.Value, bool) {
 			if !ok2 {
 				return nil, false
 			}
+			// The runtime's own overflow tests, so a fold and the compiled
+			// operation cannot disagree about an edge.
 			var r int64
-			var overflow bool
+			var exact bool
 			switch native {
 			case "binary_plus":
-				r = a + b
-				overflow = (a > 0 && b > 0 && r < 0) || (a < 0 && b < 0 && r >= 0)
+				r, exact = runtime.AddOK(a, b)
 			case "binary_subtract":
-				r = a - b
-				overflow = (a >= 0 && b < 0 && r < 0) || (a < 0 && b > 0 && r >= 0)
+				r, exact = runtime.SubOK(a, b)
 			case "binary_times":
-				if a != 0 && b != 0 {
-					r = a * b
-					overflow = r/b != a
-				}
+				r, exact = runtime.MulOK(a, b)
 			}
-			if overflow {
+			if !exact {
 				return nil, false
 			}
 			return mk(expr.FromInt64(r)), true
@@ -322,16 +320,15 @@ func foldNative(native string, in *wir.Instr) (wir.Value, bool) {
 			return mk(expr.FromFloat(-a)), true
 		}
 	case "cmp_less", "cmp_lessequal", "cmp_greater", "cmp_greaterequal", "cmp_equal", "cmp_unequal":
-		cmpI := func(a, b int64) bool { return cmpFold(native, float64(a), float64(b)) }
-		cmpF := func(a, b float64) bool { return cmpFold(native, a, b) }
+		// Integers compare as integers: above 2^53 float64 merges neighbours.
 		if a, ok := vals[0].(int64); ok {
 			if b, ok2 := vals[1].(int64); ok2 {
-				return mk(expr.Bool(cmpI(a, b))), true
+				return mk(expr.Bool(cmpFold(native, a, b))), true
 			}
 		}
 		if a, ok := vals[0].(float64); ok {
 			if b, ok2 := vals[1].(float64); ok2 {
-				return mk(expr.Bool(cmpF(a, b))), true
+				return mk(expr.Bool(cmpFold(native, a, b))), true
 			}
 		}
 	case "math_sin", "math_cos", "math_exp", "math_log", "math_sqrt", "math_tan":
@@ -369,7 +366,7 @@ func foldNative(native string, in *wir.Instr) (wir.Value, bool) {
 	return nil, false
 }
 
-func cmpFold(native string, a, b float64) bool {
+func cmpFold[T int64 | float64](native string, a, b T) bool {
 	switch native {
 	case "cmp_less":
 		return a < b

@@ -166,14 +166,57 @@ func TestConstantFolding(t *testing.T) {
 }
 
 func TestFoldingRespectsOverflow(t *testing.T) {
-	// 2^62 * 4 overflows int64: the fold must leave it for the runtime's
-	// checked arithmetic (soft failure, F2).
-	mod := buildTWIR(t, `Function[{Typed[x, "MachineInteger"]},
-		x + 4611686018427387904*4]`)
-	f := mod.Main()
-	FoldConstants(f)
-	if countInstrs(f, func(in *wir.Instr) bool { return in.Callee == "Times" }) != 1 {
-		t.Fatal("overflowing constant multiply must not fold")
+	// An overflowing constant product must be left for the runtime's checked
+	// arithmetic (soft failure, F2). MinInt64 * -1 is the edge a division
+	// test (p/b != a) misses.
+	for _, product := range []string{
+		`4611686018427387904*4`,
+		`(-9223372036854775807 - 1)*(-1)`,
+		`(-1)*(-9223372036854775807 - 1)`,
+	} {
+		mod := buildTWIR(t, `Function[{Typed[x, "MachineInteger"]}, x + `+product+`]`)
+		f := mod.Main()
+		for round := 0; round < 3; round++ {
+			FoldConstants(f)
+			DCE(f) // a folded instruction stays in its block until it is swept
+		}
+		if countInstrs(f, func(in *wir.Instr) bool { return in.Callee == "Times" }) != 1 {
+			t.Errorf("overflowing constant multiply %s must not fold:\n%s", product, f.String())
+		}
+	}
+}
+
+func TestFoldingComparesIntegersExactly(t *testing.T) {
+	// 2^53+1 and 2^53 are one float64: an integer compare folded through
+	// float64 calls them equal.
+	for _, c := range []struct {
+		cond string
+		want bool
+	}{
+		{`9007199254740993 == 9007199254740992`, false},
+		{`9007199254740993 != 9007199254740992`, true},
+		{`9007199254740993 > 9007199254740992`, true},
+		{`9007199254740993 <= 9007199254740992`, false},
+		{`9223372036854775807 > 9223372036854775806`, true},
+	} {
+		mod := buildTWIR(t, `Function[{Typed[x, "MachineInteger"]}, If[`+c.cond+`, 1, 0] + x]`)
+		f := mod.Main()
+		FoldConstants(f)
+		folded := 0
+		for _, b := range f.Blocks {
+			if term := b.Term(); term != nil && term.Op == wir.OpCondBranch {
+				v, ok := constValue(term.Args[0])
+				if !ok {
+					t.Errorf("%s did not fold:\n%s", c.cond, f.String())
+				} else if v != c.want {
+					t.Errorf("%s folded to %v, want %v", c.cond, v, c.want)
+				}
+				folded++
+			}
+		}
+		if folded != 1 {
+			t.Errorf("%s: want one conditional branch, found %d", c.cond, folded)
+		}
 	}
 }
 

@@ -101,3 +101,80 @@ func TestNegI64Quick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// AddOK/SubOK/MulOK agree with arbitrary-precision arithmetic on whether the
+// result fits, the throwing forms agree with them, and the edges the old
+// division-based multiply test needed special cases for are drawn on purpose.
+func TestCheckedArithMatchesBigIntQuick(t *testing.T) {
+	edges := []int64{0, 1, -1, 2, -2, 3037000499, 3037000500, -3037000500,
+		1 << 31, 1 << 32, -1 << 31, 1<<62 - 1, 1 << 62, -1 << 62, 1<<63 - 1, -1<<63 + 1, -1 << 63}
+	ops := []struct {
+		name  string
+		ok    func(a, b int64) (int64, bool)
+		throw func(a, b int64) int64
+		big   func(z, a, b *big.Int) *big.Int
+	}{
+		{"add", AddOK, AddI64, (*big.Int).Add},
+		{"sub", SubOK, SubI64, (*big.Int).Sub},
+		{"mul", MulOK, MulI64, (*big.Int).Mul},
+	}
+	check := func(a, b int64) bool {
+		for _, op := range ops {
+			want := op.big(new(big.Int), big.NewInt(a), big.NewInt(b))
+			got, ok := op.ok(a, b)
+			var thrown int64
+			exc := catch(func() { thrown = op.throw(a, b) })
+			if ok != want.IsInt64() || ok != (exc == nil) {
+				t.Errorf("%s(%d, %d): ok=%v, exception=%v, exact result %s", op.name, a, b, ok, exc, want)
+				return false
+			}
+			if ok && (got != want.Int64() || thrown != got) {
+				t.Errorf("%s(%d, %d) = %d / %d, want %s", op.name, a, b, got, thrown, want)
+				return false
+			}
+			if !ok && exc.Kind != ExcOverflow {
+				t.Errorf("%s(%d, %d) threw %v, want ExcOverflow", op.name, a, b, exc.Kind)
+				return false
+			}
+		}
+		return true
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	// Random full-width operands, and operands whose product straddles 2^63.
+	f := func(a, b int64, s uint8) bool {
+		return check(a, b) && check(a>>(s%64), b>>((s/4)%64)) && check(a, edges[int(s)%len(edges)])
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The literal-modulus forms compiled code selects agree with ModI64/QuotI64
+// wherever their precondition holds, and the power-of-two bodies (mask and
+// arithmetic shift) are exact for negative dividends too.
+func TestLiteralModulusFormsQuick(t *testing.T) {
+	f := func(a int64, m int64, k uint8) bool {
+		if m != 0 && m != -1 {
+			if ModNZ(a, m) != ModI64(a, m) || QuotNZ(a, m) != QuotI64(a, m) {
+				return false
+			}
+		}
+		sh := int64(k % 63)
+		p := int64(1) << sh
+		return a&(p-1) == ModI64(a, p) && a>>sh == QuotI64(a, p)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []int64{-1 << 63, -1<<63 + 1, -1, 0, 1<<63 - 1} {
+		for sh := int64(0); sh < 63; sh++ {
+			if p := int64(1) << sh; a&(p-1) != ModI64(a, p) || a>>sh != QuotI64(a, p) {
+				t.Fatalf("power-of-two body wrong for %d by 2^%d", a, sh)
+			}
+		}
+	}
+}

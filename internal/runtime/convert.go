@@ -360,12 +360,19 @@ func SameQExpr(a, b expr.Expr) bool { return expr.SameQ(a, b) }
 // --- string helpers ---
 
 // StringByte returns the 1-based UTF-8 byte of s (the new compiler operates
-// on the UTF8 bytes within the string — paper §6 FNV1a).
+// on the UTF8 bytes within the string — paper §6 FNV1a). Like Off1 the range
+// test is one unsigned compare and the throw is out of line, so the function
+// inlines into the evaluator that calls it.
 func StringByte(s string, i int64) int64 {
-	if i < 1 || i > int64(len(s)) {
-		Throw(ExcPartRange, "string byte index %d out of range for %d bytes", i, len(s))
+	if uint64(i-1) >= uint64(len(s)) {
+		throwStringByte(i, len(s))
 	}
 	return int64(s[i-1])
+}
+
+//go:noinline
+func throwStringByte(i int64, n int) {
+	Throw(ExcPartRange, "string byte index %d out of range for %d bytes", i, n)
 }
 
 // StringRuneLen counts characters.

@@ -10,6 +10,7 @@ package runtime
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"wolfc/internal/blas"
@@ -47,6 +48,11 @@ const (
 	// rules take over), never a soft failure — a miss is a property of the
 	// arguments, not of the compiled code.
 	ExcNoMatch
+	// ExcDepth is compiled call nesting past the closure backend's frame
+	// stack limit: a soft failure, so the interpreter re-evaluates the call
+	// and reports its own $RecursionLimit instead of the process dying of Go
+	// stack exhaustion.
+	ExcDepth
 )
 
 // Exception is the panic payload for compiled-code runtime errors.
@@ -68,6 +74,7 @@ var excCounters = [...]*obs.Counter{
 	ExcKernel:       obs.NewCounter("exc_kernel"),
 	ExcType:         obs.NewCounter("exc_type"),
 	ExcNoMatch:      obs.NewCounter("exc_no_match"),
+	ExcDepth:        obs.NewCounter("exc_depth"),
 }
 
 // Throw raises a runtime exception.
@@ -80,32 +87,65 @@ func Throw(kind ExceptionKind, format string, args ...any) {
 
 // --- checked machine arithmetic ---
 
-// AddI64 adds with overflow checking.
+// AddOK, SubOK and MulOK are the overflow tests of the checked operations
+// below, without the throw: the wrapped result and whether it is exact. The
+// constant folder decides through them, so it cannot disagree with compiled
+// code about an edge.
+
+// AddOK: the sum overflowed iff both operands differ in sign from it.
+func AddOK(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (a^s)&(b^s) >= 0
+}
+
+// SubOK: the difference overflowed iff the operands differ in sign and the
+// result's sign is not the minuend's.
+func SubOK(a, b int64) (int64, bool) {
+	d := a - b
+	return d, (a^b)&(a^d) >= 0
+}
+
+// MulOK takes the full 128-bit product: bits.Mul64 gives the unsigned high
+// word, the two masked subtractions make it the signed one, and the product
+// fits iff that is the sign extension of the low word. No division, and
+// MinInt64 * -1 (high word 0, low word negative) is caught.
+func MulOK(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	p := int64(lo)
+	return p, int64(hi)-(a>>63)&b-(b>>63)&a == p>>63
+}
+
+// throwOverflow is the out-of-line exit of the checked operations: taking no
+// arguments keeps AddI64 and SubI64 under the inliner's budget (verify.sh
+// pins that), so a loop counter's increment is not a call.
+//
+//go:noinline
+func throwOverflow() { Throw(ExcOverflow, "IntegerOverflow") }
+
+// AddI64 adds with overflow checking: AddOK's test, written out because the
+// call would cost the inlining.
 func AddI64(a, b int64) int64 {
 	s := a + b
-	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
-		Throw(ExcOverflow, "IntegerOverflow")
+	if (a^s)&(b^s) < 0 {
+		throwOverflow()
 	}
 	return s
 }
 
-// SubI64 subtracts with overflow checking.
+// SubI64 subtracts with overflow checking: SubOK's test, written out.
 func SubI64(a, b int64) int64 {
 	d := a - b
-	if (a >= 0 && b < 0 && d < 0) || (a < 0 && b > 0 && d >= 0) {
-		Throw(ExcOverflow, "IntegerOverflow")
+	if (a^b)&(a^d) < 0 {
+		throwOverflow()
 	}
 	return d
 }
 
 // MulI64 multiplies with overflow checking.
 func MulI64(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	p := a * b
-	if p/b != a || (a == -1 && b == math.MinInt64) || (b == -1 && a == math.MinInt64) {
-		Throw(ExcOverflow, "IntegerOverflow")
+	p, ok := MulOK(a, b)
+	if !ok {
+		throwOverflow()
 	}
 	return p
 }
@@ -169,6 +209,12 @@ func ModI64(a, m int64) int64 {
 	if m == 0 {
 		Throw(ExcDivideByZero, "Mod by zero")
 	}
+	return ModNZ(a, m)
+}
+
+// ModNZ is ModI64 for a modulus known not to be zero: what compiled code
+// runs when the modulus is a literal.
+func ModNZ(a, m int64) int64 {
 	r := a % m
 	if r != 0 && (r < 0) != (m < 0) {
 		r += m
@@ -184,6 +230,12 @@ func QuotI64(a, m int64) int64 {
 	if a == math.MinInt64 && m == -1 {
 		Throw(ExcOverflow, "IntegerOverflow")
 	}
+	return QuotNZ(a, m)
+}
+
+// QuotNZ is QuotI64 for a divisor known to be neither 0 nor -1 (no quotient
+// can overflow then).
+func QuotNZ(a, m int64) int64 {
 	q := a / m
 	if a%m != 0 && (a < 0) != (m < 0) {
 		q--

@@ -279,8 +279,14 @@ func TestStringHelpers(t *testing.T) {
 	if StringByte("AB", 1) != 65 || StringByte("AB", 2) != 66 {
 		t.Fatal("StringByte broken")
 	}
-	if exc := catch(func() { StringByte("AB", 3) }); exc == nil {
-		t.Fatal("byte range must throw")
+	// One unsigned compare covers every index outside 1..n.
+	for _, i := range []int64{3, 0, -1, math.MinInt64, math.MaxInt64} {
+		if exc := catch(func() { StringByte("AB", i) }); exc == nil || exc.Kind != ExcPartRange {
+			t.Fatalf("StringByte index %d must throw a Part range exception, got %v", i, exc)
+		}
+	}
+	if exc := catch(func() { StringByte("", 1) }); exc == nil {
+		t.Fatal("byte of the empty string must throw")
 	}
 	if StringRuneLen("héllo") != 5 {
 		t.Fatal("rune length broken")

@@ -27,9 +27,13 @@ size_report() {
     for paths in internal/core/tier.go internal/core internal/codegen "internal/codegen internal/core internal/obs"; do
         echo "$paths: $(find $paths -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
     done
+    # Generated code is not maintained by hand: count it apart (ISSUE 17).
+    gen="$(find internal/codegen -name '*.go' ! -name '*_test.go' | xargs grep -l '^// Code generated .* DO NOT EDIT\.$')"
+    echo "internal/codegen generated ($(echo $gen)): $(cat $gen | wc -l)"
+    echo "internal/codegen hand-written: $(find internal/codegen -name '*.go' ! -name '*_test.go' | grep -v -F "$gen" | xargs cat | wc -l)"
     echo "scripts/verify.sh: $(wc -l < scripts/verify.sh) lines"
-    echo "== size: what one compiler and one tiered session cost (ISSUE 16) =="
-    go test -run '^$' -bench 'NewCompiler$|EngineNewClose$' -benchmem -benchtime 200x ./internal/core ./internal/engine | grep '^Benchmark'
+    echo "== size: what one compiler, one tiered session (ISSUE 16) and 21 891 compiled calls (cfib[20], ISSUE 17) cost =="
+    go test -run '^$' -bench 'NewCompiler$|EngineNewClose$|CallOverhead$' -benchmem -benchtime 200x ./internal/core ./internal/engine | grep '^Benchmark'
 }
 
 if [ "${1:-}" = "-fast" ]; then
@@ -40,6 +44,32 @@ fi
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+
+echo "== codegen gate: the operand-mode variants are what modegen generates =="
+# internal/codegen/fusion_modes.go is generated from the op table in
+# internal/codegen/modegen (ISSUE 17). TestGeneratedFileIsFresh in tier 1
+# already compares the two in memory; this runs the real go:generate line, so
+# a broken directive or output path fails too.
+go generate ./internal/codegen
+git diff --exit-code -- internal/codegen/fusion_modes.go || {
+    echo "verify: FAIL — internal/codegen/fusion_modes.go is stale; commit what go generate wrote"
+    exit 1
+}
+
+echo "== runtime gate: the checked fast paths still inline =="
+# AddI64 and SubI64 cost 78 against the Go inliner's budget of 80, StringByte
+# 78, Off1 11: a loop counter's increment, a string's byte and an element's
+# bounds test are not calls. One more node in any of them silently turns it
+# back into one, and the only symptom would be a slower benchmark.
+inl="$(go build -gcflags=-m ./internal/runtime 2>&1)"
+for fn in AddI64 SubI64 Off1 StringByte; do
+    echo "$inl" | grep -q "can inline $fn\$" || {
+        echo "verify: FAIL — runtime.$fn no longer inlines:"
+        go build -gcflags=-m=2 ./internal/runtime 2>&1 | grep " $fn:" | head -3
+        exit 1
+    }
+done
+echo "AddI64, SubI64, Off1 and StringByte inline"
 
 echo "== benchmark gate: the benchmark module builds, passes its tests, and checks its programs =="
 # benchmark/ is a module of its own (root `go test ./...` does not see it).
