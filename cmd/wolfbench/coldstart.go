@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"wolfc/internal/artifact"
+	"wolfc/internal/bench"
 	"wolfc/internal/core"
 	"wolfc/internal/expr"
 	"wolfc/internal/kernel"
@@ -27,7 +28,7 @@ import (
 // time-to-first-result (compile + first call) and compile wall time, and
 // requires the warm result bit-identical to the cold one.
 //
-// The suite reports numbers and enforces only result identity; the ≥5×
+// The suite reports numbers and enforces only result identity; the
 // warm-compile gate lives in scripts/verify.sh, so a re-run against a
 // pre-populated store (the corrupt-artifact smoke test) is not misjudged
 // against cold-start expectations.
@@ -36,54 +37,6 @@ var (
 	coldstartF   = flag.Bool("coldstart", false, "run the artifact-store cold/warm-start suite")
 	coldstartOut = flag.String("coldstart-out", "BENCH_coldstart.json", "output path for the -coldstart JSON document")
 )
-
-// coldstartCorpus leans on medium-sized kernels on purpose: tiny
-// definitions spend so little in the front half of the pipeline that a
-// disk hit saves almost nothing, while realistic nested-loop kernels pay
-// multi-millisecond inference the warm path skips entirely.
-var coldstartCorpus = []struct {
-	name, src string
-	arg       int64
-}{
-	{"mandelcount", `Function[{Typed[maxIter, "MachineInteger"]},
-		Module[{total = 0, xi = 0, yi = 0, step = Function[{zr, zi, cr}, zr*zr - zi*zi + cr], cr = 0., ci = 0., zr = 0., zi = 0., t = 0., iters = 0},
-			While[xi <= 20,
-				cr = -1. + 0.1*xi; yi = 0;
-				While[yi <= 15,
-					ci = -1. + 0.1*yi; zr = 0.; zi = 0.; iters = 0;
-					While[iters < maxIter && zr*zr + zi*zi < 4.,
-						t = step[zr, zi, cr]; zi = 2.*zr*zi + ci; zr = t; iters = iters + 1];
-					total = total + iters; yi = yi + 1];
-				xi = xi + 1];
-			total]]`, 60},
-	{"convgrid", `Function[{Typed[n, "MachineInteger"]},
-		Module[{acc = 0., i = 1, j = 1, k = 1, w = 0., f = Function[{a, b}, a*0.5 + b*0.25]},
-			While[i <= n,
-				j = 1;
-				While[j <= n,
-					k = 1; w = 0.;
-					While[k <= 3,
-						w = f[w, 1. / (0. + i + j + k)]; k = k + 1];
-					acc = acc + w; j = j + 1];
-				i = i + 1];
-			Floor[acc*1000000.]]]`, 48},
-	{"horner", `Function[{Typed[n, "MachineInteger"]},
-		Module[{s = 0., x = 0., i = 0, p = 0.},
-			While[i < n,
-				x = 0.001*i;
-				p = ((((x*0.3 + 1.1)*x - 0.7)*x + 0.25)*x - 1.9)*x + 0.5;
-				s = s + p*p - 0.1*p; i = i + 1];
-			Floor[s*1000.]]]`, 5000},
-	{"gcdsum", `Function[{Typed[n, "MachineInteger"]},
-		Module[{s = 0, i = 1, a = 0, b = 0, t = 0},
-			While[i <= n,
-				a = i; b = n - i + 3;
-				While[b != 0, t = Mod[a, b]; a = b; b = t];
-				s = s + a; i = i + 1];
-			s]]`, 2000},
-	{"square", `Function[{Typed[x, "MachineInteger"]}, x*x + 1]`, 41},
-	{"rhalf", `Function[{Typed[x, "MachineInteger"]}, Floor[(0. + x)/2.0 + 1.5]]`, 13},
-}
 
 type coldstartPhaseRow struct {
 	compileNs float64
@@ -117,18 +70,18 @@ func coldstartPhase(dir string) ([]coldstartPhaseRow, artifact.Stats, error) {
 	k := kernel.New()
 	k.Out = io.Discard
 	c := core.NewCompiler(k)
-	rows := make([]coldstartPhaseRow, 0, len(coldstartCorpus))
-	for _, ent := range coldstartCorpus {
-		fn := parser.MustParse(ent.src)
+	rows := make([]coldstartPhaseRow, 0, len(bench.ColdstartKernels))
+	for _, ent := range bench.ColdstartKernels {
+		fn := parser.MustParse(ent.Src)
 		t0 := time.Now()
 		ccf, rep, err := c.FunctionCompileCachedRequest(fn, core.CompileRequest{Collect: true})
 		compileNs := float64(time.Since(t0).Nanoseconds())
 		if err != nil {
-			return nil, artifact.Stats{}, fmt.Errorf("%s: %w", ent.name, err)
+			return nil, artifact.Stats{}, fmt.Errorf("%s: %w", ent.Name, err)
 		}
-		out, err := ccf.Apply([]expr.Expr{expr.FromInt64(ent.arg)})
+		out, err := ccf.Apply([]expr.Expr{expr.FromInt64(ent.Arg)})
 		if err != nil {
-			return nil, artifact.Stats{}, fmt.Errorf("%s: %w", ent.name, err)
+			return nil, artifact.Stats{}, fmt.Errorf("%s: %w", ent.Name, err)
 		}
 		rows = append(rows, coldstartPhaseRow{
 			compileNs: compileNs,
@@ -184,9 +137,9 @@ func coldstartSuite() int {
 	allMatch := true
 	fmt.Printf("%-12s %14s %14s %9s %9s  %s\n",
 		"function", "cold compile", "warm compile", "speedup", "artifact", "match")
-	for i, ent := range coldstartCorpus {
+	for i, ent := range bench.ColdstartKernels {
 		r := coldstartRow{
-			Name:          ent.name,
+			Name:          ent.Name,
 			ColdCompileNs: cold[i].compileNs,
 			WarmCompileNs: warm[i].compileNs,
 			ColdFirstNs:   cold[i].firstNs,
@@ -202,7 +155,7 @@ func coldstartSuite() int {
 			allMatch = false
 			fmt.Fprintf(os.Stderr,
 				"wolfbench: -coldstart: %s diverged: cold %s, warm %s\n",
-				ent.name, cold[i].checksum, warm[i].checksum)
+				ent.Name, cold[i].checksum, warm[i].checksum)
 		}
 		fmt.Printf("%-12s %14s %14s %8.1fx %9v  %v\n", r.Name,
 			fmtNs(r.ColdCompileNs), fmtNs(r.WarmCompileNs),

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"wolfc/internal/artifact"
+	"wolfc/internal/bench"
 	"wolfc/internal/core"
 	"wolfc/internal/obs"
 	"wolfc/internal/serve"
@@ -80,12 +81,12 @@ func buildServeCorpus() []serveKernel {
 	}
 	var out []serveKernel
 	for _, h := range heavy {
-		ent := coldstartCorpus[h.idx]
+		ent := bench.ColdstartKernels[h.idx]
 		for v := 0; v < 2; v++ {
 			out = append(out, serveKernel{
-				name: fmt.Sprintf("%s/v%d", ent.name, v),
+				name: fmt.Sprintf("%s/v%d", ent.Name, v),
 				src: fmt.Sprintf(`Function[{Typed[k9, "MachineInteger"]}, (%s)[k9] + %d]`,
-					ent.src, v),
+					ent.Src, v),
 				arg: h.hotArg,
 			})
 		}

@@ -24,8 +24,8 @@ import (
 // both tiers share verbatim — it is the admission cost of compiling at all,
 // paid identically whichever backend runs. `backend` is what the tier
 // choice actually buys: quick-infer + stencil assembly versus Hindley-Milner
-// inference + resolution + the pass pipeline + closure codegen. The ≥10×
-// gate in scripts/verify.sh runs on the backend ratio; both are published.
+// inference + resolution + the pass pipeline + closure codegen. The gate in
+// scripts/verify.sh runs on the backend ratio; both are published.
 
 var (
 	warmupF   = flag.Bool("warmup", false, "run the tier warmup suite: time-to-first-result and per-iteration latency curves for interpreter / stencil / O2, plus per-tier compile latency")

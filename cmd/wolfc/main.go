@@ -209,7 +209,11 @@ func printReport(w io.Writer, rep *core.CompileReport) {
 	}
 	fmt.Fprintln(w, "stage timings:")
 	for _, s := range rep.Stages {
-		fmt.Fprintf(w, "  %-12s %12s\n", s.Name, s.Duration)
+		fmt.Fprintf(w, "  %-12s %12s", s.Name, s.Duration)
+		if n := rep.Solver; s.Name == "infer" && n != nil {
+			fmt.Fprintf(w, "   %d alternatives, %d trials, %d commits, %d stalls", n.Alternatives, n.Trials, n.Commits, n.Stalls)
+		}
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "  %-12s %12s\n", "total", rep.TotalDuration())
 	if rep.Passes == nil {

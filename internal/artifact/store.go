@@ -63,8 +63,11 @@ type Stats struct {
 	WriteErrors  uint64 `json:"write_errors"`
 	CorruptDrops uint64 `json:"corrupt_drops"`
 	Evictions    uint64 `json:"evictions"`
-	BytesOnDisk  int64  `json:"bytes_on_disk"`
-	Entries      int    `json:"entries"`
+	// EvictionPasses counts the times the store went over its bound and
+	// ranked its entries; one pass of a memory-backed store evicts many.
+	EvictionPasses uint64 `json:"eviction_passes"`
+	BytesOnDisk    int64  `json:"bytes_on_disk"`
+	Entries        int    `json:"entries"`
 }
 
 // Store is a handle on one artifact directory. Safe for concurrent use by
@@ -84,6 +87,7 @@ type Store struct {
 	writeErrors  uint64
 	corruptDrops uint64
 	evictions    uint64
+	evictPasses  uint64
 
 	// mem, when non-nil, makes the store memory-backed (OpenMemory): one
 	// process's sessions share compiled modules through the same stable-key
@@ -134,12 +138,20 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// OpenMemory returns a memory-backed store: same keying, counters, and
-// bounds as the disk tier, no filesystem. A serving process uses it so all
+// DefaultMemoryBytes bounds a memory-backed store unless SetMaxBytes says
+// otherwise. A serving process's sessions all write into one such store, so
+// without a bound any tenant that compiles distinct functions in a loop
+// grows the heap under every other tenant.
+const DefaultMemoryBytes = 16 << 20
+
+// OpenMemory returns a memory-backed store: same keying, counters and
+// eviction order as the disk tier, no filesystem, and — unlike the disk
+// tier, which is unbounded until SetMaxBytes — bounded at
+// DefaultMemoryBytes from the start. A serving process uses it so all
 // sessions share each other's compiles even with no -artifact-dir
 // configured; entries die with the process.
 func OpenMemory() *Store {
-	return &Store{mem: map[string]memEntry{}, hitCounts: map[string]uint64{}}
+	return &Store{mem: map[string]memEntry{}, hitCounts: map[string]uint64{}, maxBytes: DefaultMemoryBytes}
 }
 
 // Dir returns the store directory ("" for a memory-backed store).
@@ -168,14 +180,15 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Hits:         s.hits,
-		Misses:       s.misses,
-		Writes:       s.writes,
-		WriteErrors:  s.writeErrors,
-		CorruptDrops: s.corruptDrops,
-		Evictions:    s.evictions,
-		BytesOnDisk:  s.bytes,
-		Entries:      s.entries,
+		Hits:           s.hits,
+		Misses:         s.misses,
+		Writes:         s.writes,
+		WriteErrors:    s.writeErrors,
+		CorruptDrops:   s.corruptDrops,
+		Evictions:      s.evictions,
+		EvictionPasses: s.evictPasses,
+		BytesOnDisk:    s.bytes,
+		Entries:        s.entries,
 	}
 }
 
@@ -382,7 +395,12 @@ func (s *Store) evictLocked() {
 	if s.maxBytes <= 0 || s.bytes <= s.maxBytes {
 		return
 	}
+	s.evictPasses++
 	if s.mem != nil {
+		// Ranking every entry costs O(n log n), and a store at its bound
+		// would pay it on every insert: evict down to 7/8 of the bound, so
+		// one ranking makes room for the next several hundred inserts.
+		lowWater := s.maxBytes - s.maxBytes/8
 		type mc struct {
 			key  string
 			e    memEntry
@@ -399,7 +417,7 @@ func (s *Store) evictLocked() {
 			return cands[i].e.seq < cands[j].e.seq
 		})
 		for _, c := range cands {
-			if s.bytes <= s.maxBytes {
+			if s.bytes <= lowWater {
 				break
 			}
 			delete(s.mem, c.key)

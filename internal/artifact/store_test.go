@@ -432,3 +432,41 @@ func TestMemoryStoreEvictsLFUBeforeOldest(t *testing.T) {
 		t.Fatalf("after SetMaxBytes: %+v", st)
 	}
 }
+
+// A memory-backed store is bounded from the start: it is the default store
+// of a serving process, and one tenant compiling distinct functions in a
+// loop must not grow the heap under every other tenant. The bound holds
+// after every insert, and ranking the entries is amortised: one pass makes
+// room for hundreds of inserts.
+func TestMemoryStoreBoundedByDefault(t *testing.T) {
+	s := OpenMemory()
+	const puts = 10000
+	payload := bytes.Repeat([]byte("p"), 5<<10)
+	kept := testKey("bounded-0")
+	for i := 0; i < puts; i++ {
+		s.Put(testKey(fmt.Sprintf("bounded-%d", i)), payload)
+		if i%100 == 0 {
+			// Read by every session: must outlive its never-read neighbours.
+			if _, ok := s.Get(kept); !ok {
+				t.Fatalf("after %d puts: the entry that keeps being hit was evicted", i+1)
+			}
+		}
+		if st := s.Stats(); st.BytesOnDisk > DefaultMemoryBytes {
+			t.Fatalf("after %d puts: %d bytes held, bound %d", i+1, st.BytesOnDisk, DefaultMemoryBytes)
+		}
+	}
+	st := s.Stats()
+	if st.Evictions == 0 || st.EvictionPasses > puts/50 {
+		t.Fatalf("%d eviction passes for %d puts (%d evictions); want at most %d", st.EvictionPasses, puts, st.Evictions, puts/50)
+	}
+	if _, ok := s.Get(testKey("bounded-1")); ok {
+		t.Fatal("a never-hit entry from the start survived ten thousand inserts")
+	}
+	if _, ok := s.Get(testKey(fmt.Sprintf("bounded-%d", puts-1))); !ok {
+		t.Fatal("the newest entry was evicted")
+	}
+	// A caller who wants no bound can still say so.
+	if prev := s.SetMaxBytes(0); prev != DefaultMemoryBytes {
+		t.Fatalf("previous bound = %d", prev)
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"wolfc/internal/kernel"
 	"wolfc/internal/parser"
 	"wolfc/internal/runtime"
-	"wolfc/internal/types"
 	"wolfc/internal/vm"
 )
 
@@ -487,22 +486,12 @@ func prepareQSort(k *kernel.Kernel, c *core.Compiler, impl Impl, size int) (Runn
 			return fmt.Sprintf("%.4f %.4f", out[0], sumF(out))
 		}, nil
 	case ImplCompiled, ImplCompiledNoAbort:
-		// The helper is declared in the type environment as a
-		// Wolfram-source implementation, resolved and compiled at the
-		// concrete instantiation (paper SS4.4/SS4.5); it is recursive, and
-		// takes the comparator as a function value.
-		c.TypeEnv.DeclareFunction(&types.FuncDef{
-			Name: "BenchQSortHelper",
-			Type: c.TypeEnv.MustParseSpec(parser.MustParse(
-				`{"Tensor"["Real64", 1], "Integer64", "Integer64", {"Real64", "Real64"} -> "Boolean"} -> "Integer64"`)),
-			Impl: parser.MustParse(qsortHelperSrc),
-		})
+		declareQSortHelper(c.TypeEnv)
 		ccf, err := c.FunctionCompile(parser.MustParse(qsortMainSrc))
 		if err != nil {
 			return nil, err
 		}
-		cmpCCF, err := c.FunctionCompile(parser.MustParse(
-			`Function[{Typed[a, "Real64"], Typed[b, "Real64"]}, a < b]`))
+		cmpCCF, err := c.FunctionCompile(parser.MustParse(qsortCmpSrc))
 		if err != nil {
 			return nil, err
 		}

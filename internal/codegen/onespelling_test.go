@@ -234,30 +234,32 @@ func atomicInstances(env *types.Env, decl types.Type) []*types.Fn {
 		types.AtomicOf("UnsignedInteger32"), types.AtomicOf("UnsignedInteger64"),
 		types.TReal64, types.TComplex, types.TBool, types.TString, types.TExpr,
 	}
-	body, quals := types.Instantiate(decl)
+	u := types.NewUnifier()
+	body, quals := u.Instantiate(decl)
 	fn, ok := body.(*types.Fn)
 	if !ok {
 		return nil
 	}
-	vars := types.FreeVars(fn, types.Subst{})
+	vars := types.FreeVars(fn)
 	var out []*types.Fn
-	var assign func(i int, s types.Subst)
-	assign = func(i int, s types.Subst) {
+	var assign func(i int)
+	assign = func(i int) {
 		if i < len(vars) {
 			for _, a := range atomics {
-				s[vars[i].ID] = a
-				assign(i+1, s)
+				mark := u.Mark()
+				u.Unify(vars[i], a)
+				assign(i + 1)
+				u.Undo(mark)
 			}
-			delete(s, vars[i].ID)
 			return
 		}
 		for _, q := range quals {
-			if !env.MemberOf(s.Apply(q.Var), q.Class) {
+			if !env.MemberOf(u.Zonk(q.Var), q.Class) {
 				return
 			}
 		}
-		out = append(out, s.Apply(fn).(*types.Fn))
+		out = append(out, u.Zonk(fn).(*types.Fn))
 	}
-	assign(0, types.Subst{})
+	assign(0)
 	return out
 }

@@ -13,7 +13,7 @@ import (
 
 // benchProgram reads one of the benchmark's input programs: the refcount
 // contract is pinned on exactly what the benchmark measures.
-func benchProgram(t *testing.T, name string) expr.Expr {
+func benchProgram(t testing.TB, name string) expr.Expr {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join("..", "..", "benchmark", "programs", name+".wl"))
 	if err != nil {
@@ -22,11 +22,10 @@ func benchProgram(t *testing.T, name string) expr.Expr {
 	return parser.MustParse(string(src))
 }
 
-// Every reference a compiled program takes on an argument tensor it gives
-// back: after a call (and after a second, when the pooled frame stack is
-// reused) the caller's tensors carry the count they arrived with, shared or
-// not.
-func TestBenchmarkProgramsLeaveArgumentRefCountsAlone(t *testing.T) {
+// newBenchCompiler is a compiler with the declaration the benchmark makes
+// for its programs: QSort's Wolfram-source helper.
+func newBenchCompiler(t testing.TB) *Compiler {
+	t.Helper()
 	c := newCompiler()
 	c.TypeEnv.DeclareFunction(&types.FuncDef{
 		Name: "BenchQSortHelper",
@@ -34,6 +33,15 @@ func TestBenchmarkProgramsLeaveArgumentRefCountsAlone(t *testing.T) {
 			`{"Tensor"["Real64", 1], "Integer64", "Integer64", {"Real64", "Real64"} -> "Boolean"} -> "Integer64"`)),
 		Impl: benchProgram(t, "qsort_helper"),
 	})
+	return c
+}
+
+// Every reference a compiled program takes on an argument tensor it gives
+// back: after a call (and after a second, when the pooled frame stack is
+// reused) the caller's tensors carry the count they arrived with, shared or
+// not.
+func TestBenchmarkProgramsLeaveArgumentRefCountsAlone(t *testing.T) {
+	c := newBenchCompiler(t)
 	cmp, err := c.FunctionCompile(benchProgram(t, "qsort_cmp"))
 	if err != nil {
 		t.Fatal(err)

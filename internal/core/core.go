@@ -261,10 +261,14 @@ func (c *Compiler) FunctionCompileRequest(fn expr.Expr, req CompileRequest) (ccf
 			passes.InsertAbortChecks(mod)
 		}
 	} else {
-		if err := infer.InferWith(mod, c.TypeEnv, c.reg()); err != nil {
+		solver, err := infer.InferCounted(mod, c.TypeEnv, c.reg())
+		if err != nil {
 			return nil, err
 		}
 		rep.stage("infer", t)
+		if rep != nil {
+			rep.Solver = &solver
+		}
 		t = startTimer(rep)
 		if err := c.ResolveFunctions(mod); err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"wolfc/internal/diag"
+	"wolfc/internal/infer"
 	"wolfc/internal/obs"
 	"wolfc/internal/passes"
 )
@@ -23,9 +24,14 @@ type StageTime struct {
 // only built when asked for (CompileRequest.Collect), so the default
 // compile path carries no timing overhead.
 type CompileReport struct {
-	Stages   []StageTime    `json:"stages,omitempty"`
-	Passes   *passes.Report `json:"passes,omitempty"`
-	CacheHit bool           `json:"cache_hit"`
+	Stages []StageTime    `json:"stages,omitempty"`
+	Passes *passes.Report `json:"passes,omitempty"`
+	// Solver is how much work inference's solver did on the function's own
+	// module (implementations resolved afterwards are inferred apart and not
+	// counted): alternatives, trials, commits, stalls. Nil for a stencil
+	// compile, which runs no solver.
+	Solver   *infer.Counts `json:"solver,omitempty"`
+	CacheHit bool          `json:"cache_hit"`
 	// ArtifactHit marks an invocation served from the disk artifact store:
 	// the typed module was loaded and only code generation re-ran, the
 	// front half of the pipeline (macro → binding → lower → infer →

@@ -63,6 +63,56 @@ func TestConcurrentCompilersShareLibrary(t *testing.T) {
 	wg.Wait()
 }
 
+// A declared type may mention a variable outside any ForAll, and a
+// declaration can sit in an environment several compilers chain to. Inference
+// binds only variables it made itself: it replaces the declaration's variable
+// at every call, so two goroutines typing the call at different types do not
+// see each other's binding (or race on it), one function can use it at two
+// types, and the declaration is the same afterwards.
+func TestConcurrentCompilesAgainstAnOpenDeclaration(t *testing.T) {
+	e := types.NewVar("e")
+	open := &types.Fn{Params: []types.Type{e}, Ret: e}
+	library := types.NewEnv(types.Builtin())
+	library.DeclareFunction(&types.FuncDef{Name: "OpenNegate", Type: open, Native: "unary_minus"})
+
+	cases := []struct{ src, arg, want string }{
+		{`Function[{Typed[x, "MachineInteger"]}, OpenNegate[x]]`, "5", "-5"},
+		{`Function[{Typed[x, "Real64"]}, OpenNegate[x]]`, "2.5", "-2.5"},
+	}
+	var wg sync.WaitGroup
+	for g, tc := range cases {
+		wg.Add(1)
+		go func(g int, src, arg, want string) {
+			defer wg.Done()
+			c := newCompiler()
+			c.TypeEnv = types.NewEnv(library)
+			for i := 0; i < 40; i++ {
+				ccf, err := c.FunctionCompile(parser.MustParse(src))
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				out, err := ccf.Apply([]expr.Expr{parser.MustParse(arg)})
+				if err != nil || expr.InputForm(out) != want {
+					t.Errorf("goroutine %d: got %v, %v; want %s", g, out, err, want)
+					return
+				}
+			}
+		}(g, tc.src, tc.arg, tc.want)
+	}
+	wg.Wait()
+
+	c := newCompiler()
+	c.TypeEnv = types.NewEnv(library)
+	both := compile(t, c, `Function[{Typed[x, "MachineInteger"], Typed[y, "Real64"]}, OpenNegate[y] + OpenNegate[x]]`)
+	if out, err := both.Apply([]expr.Expr{expr.FromInt64(3), parser.MustParse("1.5")}); err != nil || expr.InputForm(out) != "-4.5" {
+		t.Errorf("one function, two instantiations: %v, %v", out, err)
+	}
+	if open.Params[0] != types.Type(e) || open.Ret != types.Type(e) || len(types.FreeVars(open)) != 1 {
+		t.Errorf("the declaration changed: %v", open)
+	}
+}
+
 // A compiler is two empty child environments over the shared library, not a
 // parse of the standard library (15 328 allocations before ISSUE 16).
 func TestNewCompilerAllocs(t *testing.T) {

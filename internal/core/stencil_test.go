@@ -6,7 +6,10 @@ import (
 
 	"wolfc/internal/codegen"
 	"wolfc/internal/expr"
+	"wolfc/internal/infer"
 	"wolfc/internal/parser"
+	"wolfc/internal/pattern"
+	"wolfc/internal/wir"
 )
 
 // Baseline tier tests (ISSUE 6, 13): the stencil configuration must be
@@ -141,8 +144,10 @@ func TestStencilUnsupportedFallsOut(t *testing.T) {
 
 // TestStencilCompileLatency is a coarse in-suite guard for the point of the
 // baseline tier: stencil compilation must be well under the full pipeline
-// (the strict ≥10× gate runs in scripts/verify.sh over the corpus, where
-// timing is best-of-N; here a conservative 3× bound avoids flakes).
+// (scripts/verify.sh gates the backend ratio over the corpus, best-of-N).
+// The ratio here was 4.1–6.1× against a 3× bound while the solver cost most
+// of a full compile; since ISSUE 18 it reads 2.9–3.9×, and the bound is half
+// of that.
 func TestStencilCompileLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -171,8 +176,8 @@ func TestStencilCompileLatency(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		st, full = timed(sc, st), timed(fc, full)
 	}
-	if st*3 > full {
-		t.Errorf("stencil compile %v not ≥3× faster than full pipeline %v", st, full)
+	if st*3 > full*2 {
+		t.Errorf("stencil compile %v not ≥1.5× faster than full pipeline %v", st, full)
 	}
 	t.Logf("stencil %v, full pipeline %v (%.1fx)", st, full, float64(full)/float64(st))
 }
@@ -202,5 +207,64 @@ func BenchmarkFullCompile(b *testing.B) {
 		if _, err := c.CompileNamed("sbf", fn); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchCorpus is the benchmark's compile corpus as far as it is plain files:
+// the nine programs and the six cold-start kernels.
+func benchCorpus(tb testing.TB) []expr.Expr {
+	tb.Helper()
+	var fns []expr.Expr
+	for _, name := range []string{"fnv1a", "mandelbrot", "primeq", "blur", "histogram", "qsort", "dot", "randomwalk",
+		"mandelcount", "convgrid", "horner", "gcdsum", "square", "rhalf"} {
+		fn := benchProgram(tb, name)
+		if name == "primeq" {
+			// The benchmark splices the primes below 2^14 in; four type the same.
+			fn = pattern.Substitute(fn, pattern.Bindings{expr.Sym("PRIMESEEDS"): parser.MustParse("{2, 3, 5, 7}")})
+		}
+		fns = append(fns, fn)
+	}
+	return fns
+}
+
+// BenchmarkInfer is type inference alone over the corpus: each iteration
+// lowers every source outside the timer and infers them all inside.
+func BenchmarkInfer(b *testing.B) {
+	c, fns := newBenchCompiler(b), benchCorpus(b)
+	mods := make([]*wir.Module, len(fns))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, fn := range fns {
+			var err error
+			if mods[j], err = c.BuildWIR(fn); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		for _, mod := range mods {
+			if err := infer.InferWith(mod, c.TypeEnv, c.reg()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestInferAllocs pins what one whole compile of the benchmark's mandelbrot
+// allocates, source expression to callable. Inference used to be five sixths
+// of it (31 124 allocations before ISSUE 18: a substitution map, a rebuilt
+// type per unification level, an error string per overload that did not
+// match).
+func TestInferAllocs(t *testing.T) {
+	c, mandelbrot := newCompiler(), benchProgram(t, "mandelbrot")
+	n := testing.AllocsPerRun(10, func() {
+		if _, err := c.FunctionCompile(mandelbrot); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one mandelbrot compile: %.0f allocations", n)
+	if n > 6000 {
+		t.Errorf("one mandelbrot compile allocates %.0f times, bound 6000", n)
 	}
 }

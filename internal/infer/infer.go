@@ -1,17 +1,22 @@
 // Package infer implements the compiler's two-phase constraint-based type
-// inference (paper §4.4). Phase one traverses the IR generating
-// constraints — equalities, instantiations of polymorphic declarations, and
-// alternatives for overloaded functions and numeric literals. Phase two
-// solves them: single-viable alternatives commit eagerly, and when solving
-// stalls the canonical overload ordering (declaration rank, mirroring the
-// pattern-specificity ordering) breaks ties; a tie that no ordering breaks
-// is an ambiguity error. Qualifier obligations (type-class membership) are
-// checked once their variables ground.
+// inference (paper §4.4). Phase one traverses the IR: it unifies what must be
+// equal on the spot and lists one alternative — a want type and the options
+// that could meet it, instantiated — for every overloaded call and every
+// adaptable numeric literal. Phase two solves the alternatives from a work
+// list: each is tried when it is made and again only after a type variable of
+// its want has been bound; an option that fails is dropped for good; an
+// alternative down to one viable option commits eagerly. When nothing is
+// forced the canonical overload ordering (program order of the calls,
+// declaration rank of the options, a one-step look-ahead; mirroring the
+// pattern-specificity ordering) decides one alternative, and a call that no
+// option fits is an error. Qualifier obligations (type-class membership) are
+// checked once their variables ground. All bindings live in one
+// types.Unifier and are undone from its trail, so neither a trial nor its
+// failure allocates (DESIGN.md, "Inference does each piece of work once").
 package infer
 
 import (
 	"fmt"
-	"sort"
 
 	"wolfc/internal/diag"
 	"wolfc/internal/expr"
@@ -39,18 +44,127 @@ func Infer(mod *wir.Module, env *types.Env) error {
 // callees resolve against reg, so a compile running inside one engine never
 // binds a call to another engine's promoted definitions.
 func InferWith(mod *wir.Module, env *types.Env, reg *fnreg.Registry) error {
-	in := &inferer{
-		env:   env,
-		reg:   reg,
-		s:     types.Subst{},
-		valTy: map[wir.Value]types.Type{},
+	_, err := InferCounted(mod, env, reg)
+	return err
+}
+
+// Counts is how much work the solver did on one module. The numbers depend
+// only on the module and the environment, so they repeat exactly.
+type Counts struct {
+	// Alternatives is how many overloaded calls and adaptable literals the
+	// module has.
+	Alternatives int `json:"alternatives"`
+	// Trials is how many speculative unifications the solver made and
+	// undid: one per option examined, plus the stall rule's look-ahead.
+	Trials int `json:"trials"`
+	// Commits is how many alternatives were decided; Stalls is how many of
+	// those the canonical ordering decided because nothing was forced.
+	Commits int `json:"commits"`
+	Stalls  int `json:"stalls"`
+}
+
+// InferCounted is InferWith that also reports the solver's counts.
+func InferCounted(mod *wir.Module, env *types.Env, reg *fnreg.Registry) (Counts, error) {
+	in := newInferer(mod, env, reg)
+	err := in.constrain(mod)
+	if err == nil {
+		err = in.solve()
 	}
+	if err == nil {
+		err = in.writeBack(mod)
+	}
+	in.counts.Alternatives = len(in.alts)
+	return in.counts, err
+}
+
+type altOption struct {
+	def   *types.FuncDef
+	ty    types.Type // instantiated type to unify against
+	quals []types.Qual
+	rank  int
+	// unqualified: ty unifies but a qualifier is already violated, so the
+	// option can never be chosen. It stays listed because the stall rule's
+	// look-ahead asks only whether some option still unifies.
+	unqualified bool
+}
+
+type altConstraint struct {
+	want types.Type // the type the chosen option must unify with
+	// options are the ones that still unify with want, in rank order. One
+	// that fails is removed for good: bindings only grow, so it would fail
+	// again.
+	options  []altOption
+	instr    *wir.Instr // call being resolved; nil for literal defaults
+	source   expr.Expr
+	resolved bool
+	name     string
+	examined bool
+	queued   bool // on the work list
+	stamp    int  // the last look-ahead that checked it
+}
+
+type inferer struct {
+	env   *types.Env
+	reg   *fnreg.Registry
+	u     *types.Unifier
+	valTy map[wir.Value]types.Type
+	rets  map[*wir.Function]types.Type
+	alts  []*altConstraint // in program order, which the stall rule follows
+	quals []qualOb
+
+	// queue is the work list: alternatives never examined, or with a
+	// variable of their want bound since they last were. watchHead, indexed
+	// by variable ID, starts the list (in watchNodes, 0 = end) of the
+	// alternatives to wake when that variable is bound.
+	queue      []*altConstraint
+	watchHead  []int32
+	watchNodes []watchNode
+	// nextCall and nextLit are where the stall rule resumes its search for
+	// the first undecided call and the first undecided literal.
+	nextCall, nextLit int
+	stamp             int
+
+	counts Counts
+	pr     types.Printer // numbers variables across this inference's messages
+}
+
+type watchNode struct {
+	alt  *altConstraint
+	next int32
+}
+
+type qualOb struct {
+	q      types.Qual
+	source expr.Expr
+}
+
+func newInferer(mod *wir.Module, env *types.Env, reg *fnreg.Registry) *inferer {
+	nv := 0
+	for _, f := range mod.Funcs {
+		nv += len(f.Params)
+		for _, b := range f.Blocks {
+			nv += 2 * (len(b.Instrs) + len(b.Phis)) // results and literal operands
+		}
+	}
+	return &inferer{
+		env:        env,
+		reg:        reg,
+		u:          types.NewUnifier(),
+		valTy:      make(map[wir.Value]types.Type, nv),
+		rets:       make(map[*wir.Function]types.Type, len(mod.Funcs)),
+		watchNodes: make([]watchNode, 1, 64),
+	}
+}
+
+// constrain is phase one: it walks the module, unifies what must be equal
+// and lists an alternative for every overloaded call and adaptable literal.
+func (in *inferer) constrain(mod *wir.Module) error {
 	// Assign type variables to every function signature first so calls and
 	// references can mention them (mutual recursion).
 	for _, f := range mod.Funcs {
 		for _, p := range f.Params {
 			if p.Ty == nil {
-				in.valTy[p] = types.NewVar("p$" + p.Sym.Name)
+				in.valTy[p] = in.u.NewVar("p$" + p.Sym.Name)
 			} else {
 				in.valTy[p] = p.Ty
 			}
@@ -64,47 +178,17 @@ func InferWith(mod *wir.Module, env *types.Env, reg *fnreg.Registry) error {
 			return err
 		}
 	}
-	if err := in.solve(); err != nil {
-		return err
-	}
-	return in.writeBack(mod)
+	return nil
 }
 
-type altOption struct {
-	def   *types.FuncDef
-	ty    types.Type // instantiated type to unify against
-	quals []types.Qual
-	rank  int
-}
-
-type altConstraint struct {
-	want     types.Type // the type the chosen option must unify with
-	options  []altOption
-	instr    *wir.Instr // call being resolved; nil for literal defaults
-	source   expr.Expr
-	resolved bool
-	name     string
-}
-
-type inferer struct {
-	env   *types.Env
-	reg   *fnreg.Registry
-	s     types.Subst
-	valTy map[wir.Value]types.Type
-	rets  map[*wir.Function]types.Type
-	alts  []*altConstraint
-	quals []qualOb
-}
-
-type qualOb struct {
-	q      types.Qual
-	source expr.Expr
+// addAlt lists an alternative and puts it on the work list.
+func (in *inferer) addAlt(a *altConstraint) {
+	a.queued = true
+	in.alts = append(in.alts, a)
+	in.queue = append(in.queue, a)
 }
 
 func (in *inferer) retTy(f *wir.Function) types.Type {
-	if in.rets == nil {
-		in.rets = map[*wir.Function]types.Type{}
-	}
 	if t, ok := in.rets[f]; ok {
 		return t
 	}
@@ -112,7 +196,7 @@ func (in *inferer) retTy(f *wir.Function) types.Type {
 	if f.RetTy != nil {
 		t = f.RetTy
 	} else {
-		t = types.NewVar("ret$" + f.Name)
+		t = in.u.NewVar("ret$" + f.Name)
 	}
 	in.rets[f] = t
 	return t
@@ -136,9 +220,9 @@ func (in *inferer) typeOf(v wir.Value) types.Type {
 		}
 		t = &types.Fn{Params: ps, Ret: in.retTy(callee)}
 	case *wir.Instr:
-		t = types.NewVar(fmt.Sprintf("t%d", x.IDNum))
+		t = in.u.NewVar(fmt.Sprintf("t%d", x.IDNum))
 	default:
-		t = types.NewVar("v")
+		t = in.u.NewVar("v")
 	}
 	in.valTy[v] = t
 	return t
@@ -153,8 +237,8 @@ func (in *inferer) constType(c *wir.Const) types.Type {
 	}
 	switch x := c.Expr.(type) {
 	case *expr.Integer:
-		v := types.NewVar("lit")
-		in.alts = append(in.alts, &altConstraint{
+		v := in.u.NewVar("lit")
+		in.addAlt(&altConstraint{
 			want: v,
 			options: []altOption{
 				{ty: types.TInt64, rank: 0},
@@ -167,8 +251,8 @@ func (in *inferer) constType(c *wir.Const) types.Type {
 		})
 		return v
 	case *expr.Real, *expr.Rational:
-		v := types.NewVar("lit")
-		in.alts = append(in.alts, &altConstraint{
+		v := in.u.NewVar("lit")
+		in.addAlt(&altConstraint{
 			want: v,
 			options: []altOption{
 				{ty: types.TReal64, rank: 0},
@@ -184,7 +268,7 @@ func (in *inferer) constType(c *wir.Const) types.Type {
 	case *expr.Symbol:
 		if x == expr.SymNull {
 			// Null adapts to its context; codegen emits a zero value.
-			return types.NewVar("null")
+			return in.u.NewVar("null")
 		}
 		return types.TExpr
 	case *expr.Normal:
@@ -193,7 +277,7 @@ func (in *inferer) constType(c *wir.Const) types.Type {
 		}
 		return types.TExpr
 	}
-	return types.NewVar("const")
+	return in.u.NewVar("const")
 }
 
 // constListType types a literal constant array by shape: real elements pin
@@ -220,8 +304,8 @@ func (in *inferer) constListType(l expr.Expr) types.Type {
 	if hasReal {
 		return types.TensorOf(types.TReal64, rank)
 	}
-	v := types.NewVar("elem")
-	in.alts = append(in.alts, &altConstraint{
+	v := in.u.NewVar("elem")
+	in.addAlt(&altConstraint{
 		want: v,
 		options: []altOption{
 			{ty: types.TInt64, rank: 0},
@@ -234,11 +318,15 @@ func (in *inferer) constListType(l expr.Expr) types.Type {
 }
 
 func (in *inferer) unify(a, b types.Type, src expr.Expr) error {
-	if err := types.Unify(a, b, in.s); err != nil {
-		return typeErr(err.Error(), src)
+	if !in.u.Unify(a, b) {
+		return typeErr(in.u.Failure(&in.pr), src)
 	}
 	return nil
 }
+
+// show renders a type for a message, resolved, its variables numbered in
+// the order this inference's messages first mention them.
+func (in *inferer) show(t types.Type) string { return in.pr.String(in.u.Zonk(t)) }
 
 func srcOf(i *wir.Instr) expr.Expr {
 	if v, ok := i.Prop("mexpr"); ok {
@@ -339,14 +427,14 @@ func (in *inferer) constrainCall(f *wir.Function, i *wir.Instr) error {
 	switch i.Callee {
 	case "Native`List":
 		// {e1, ..., en}: either a vector of scalars or a matrix of rows.
-		elem := types.NewVar("elem")
+		elem := in.u.NewVar("elem")
 		vecParams := make([]types.Type, len(i.Args))
 		rowParams := make([]types.Type, len(i.Args))
 		for j := range i.Args {
 			vecParams[j] = elem
 			rowParams[j] = types.TensorOf(elem, 1)
 		}
-		in.alts = append(in.alts, &altConstraint{
+		in.addAlt(&altConstraint{
 			want: want,
 			options: []altOption{
 				{ty: &types.Fn{Params: vecParams, Ret: types.TensorOf(elem, 1)}, rank: 0},
@@ -366,15 +454,19 @@ func (in *inferer) constrainCall(f *wir.Function, i *wir.Instr) error {
 	}
 
 	defs := in.env.Lookup(i.Callee)
-	// Filter by arity first (arity overloading, §4.4).
-	var opts []altOption
+	// Filter by arity first (arity overloading, §4.4), and only then
+	// instantiate: Plus alone has nine declarations.
+	opts := make([]altOption, 0, len(defs))
 	for rank, d := range defs {
-		body, quals := types.Instantiate(d.Type)
-		fn, ok := body.(*types.Fn)
-		if !ok || len(fn.Params) != len(i.Args) {
+		body := d.Type
+		if fa, ok := body.(*types.ForAll); ok {
+			body = fa.Body
+		}
+		if fn, ok := body.(*types.Fn); !ok || len(fn.Params) != len(i.Args) {
 			continue
 		}
-		opts = append(opts, altOption{def: d, ty: fn, quals: quals, rank: rank})
+		ty, quals := in.u.Instantiate(d.Type)
+		opts = append(opts, altOption{def: d, ty: ty, quals: quals, rank: rank})
 	}
 	if len(opts) == 0 {
 		// Last resort before failing: the function registry. A name that is
@@ -395,63 +487,45 @@ func (in *inferer) constrainCall(f *wir.Function, i *wir.Instr) error {
 		name := i.Callee
 		return typeErr(fmt.Sprintf("no matching implementation for %s with %d arguments; the function is unknown to the compiler (wrap the call in KernelFunction to evaluate it in the interpreter)", name, len(i.Args)), srcOf(i))
 	}
-	in.alts = append(in.alts, &altConstraint{
+	in.addAlt(&altConstraint{
 		want: want, options: opts, instr: i, name: i.Callee, source: srcOf(i),
 	})
 	return nil
 }
 
-// consistent simulates committing opt and checks that every other pending
-// alternative still has at least one viable option, using tracked
-// speculative bindings throughout.
-func (in *inferer) consistent(a *altConstraint, opt altOption, pending []*altConstraint) bool {
-	var outer []int64
-	defer func() { in.s.Rollback(outer) }()
-	if types.UnifyTracked(a.want, opt.ty, in.s, &outer) != nil {
-		return false
-	}
-	for _, other := range pending {
-		if other == a || other.resolved {
-			continue
-		}
-		ok := false
-		for _, oo := range other.options {
-			var inner []int64
-			if types.UnifyTracked(other.want, oo.ty, in.s, &inner) == nil {
-				ok = true
-			}
-			in.s.Rollback(inner)
-			if ok {
+// verdict is what one trial of an option found.
+type verdict int
+
+const (
+	viable      verdict = iota
+	unqualified         // unifies, but a qualifier is already violated
+	ununifiable
+)
+
+// trial checks whether an option can still be chosen: it unifies the
+// option into the live bindings, checks the qualifiers the unification
+// decided, and undoes the bindings. Nothing is allocated either way.
+func (in *inferer) trial(a *altConstraint, opt *altOption) verdict {
+	in.counts.Trials++
+	mark := in.u.Mark()
+	v := viable
+	if !in.u.Unify(a.want, opt.ty) {
+		v = ununifiable
+	} else {
+		for _, q := range opt.quals {
+			t := in.u.Resolve(q.Var)
+			// Class membership is keyed by the outermost constructor, so it is
+			// decidable as soon as the head is known, even when arguments are
+			// still variables: Tensor[e, 1] is not a Number for any e, which is
+			// what disqualifies the scalar overloads for tensor operands.
+			if headDecidable(t) && !in.env.MemberOf(t, q.Class) {
+				v = unqualified
 				break
 			}
 		}
-		if !ok {
-			return false
-		}
 	}
-	return true
-}
-
-// trial checks whether an option can unify, speculatively binding into the
-// live substitution and rolling back (O(bindings), not O(|subst|)). It also
-// checks any qualifiers that ground during the trial.
-func (in *inferer) trial(a *altConstraint, opt altOption) bool {
-	var added []int64
-	defer func() { in.s.Rollback(added) }()
-	if types.UnifyTracked(a.want, opt.ty, in.s, &added) != nil {
-		return false
-	}
-	for _, q := range opt.quals {
-		t := in.s.Apply(q.Var)
-		// Class membership is keyed by the outermost constructor, so it is
-		// decidable as soon as the head is known, even when arguments are
-		// still variables: Tensor[e, 1] is not a Number for any e, which is
-		// what disqualifies the scalar overloads for tensor operands.
-		if headDecidable(t) && !in.env.MemberOf(t, q.Class) {
-			return false
-		}
-	}
-	return true
+	in.u.Undo(mark)
+	return v
 }
 
 // headDecidable reports whether a type's class membership can already be
@@ -464,10 +538,56 @@ func headDecidable(t types.Type) bool {
 	return false
 }
 
-func (in *inferer) commit(a *altConstraint, opt altOption) error {
-	if err := types.Unify(a.want, opt.ty, in.s); err != nil {
-		return typeErr(err.Error(), a.source)
+// consistent simulates committing opt and checks that every other pending
+// alternative still has at least one option that unifies. Only the
+// alternatives watching a variable the simulated commit binds are looked
+// at: the want of any other is untouched, and it has the two or more viable
+// options it had when it was last examined.
+func (in *inferer) consistent(a *altConstraint, opt *altOption) bool {
+	u := in.u
+	mark := u.Mark()
+	in.counts.Trials++
+	if !u.Unify(a.want, opt.ty) {
+		u.Undo(mark)
+		return false
 	}
+	in.stamp++
+	// The inner trials push and pop above these trail entries only.
+	for _, v := range u.Bound(mark) {
+		for n := in.watchHead[v.ID]; n != 0; n = in.watchNodes[n].next {
+			other := in.watchNodes[n].alt
+			if other == a || other.resolved || other.stamp == in.stamp {
+				continue
+			}
+			other.stamp = in.stamp
+			ok := false
+			for i := range other.options {
+				in.counts.Trials++
+				inner := u.Mark()
+				ok = u.Unify(other.want, other.options[i].ty)
+				u.Undo(inner)
+				if ok {
+					break
+				}
+			}
+			if !ok {
+				u.Undo(mark)
+				return false
+			}
+		}
+	}
+	u.Undo(mark)
+	return true
+}
+
+// commit decides a for opt and wakes every alternative watching a variable
+// the decision binds.
+func (in *inferer) commit(a *altConstraint, opt *altOption) error {
+	mark := in.u.Mark()
+	if !in.u.Unify(a.want, opt.ty) {
+		return typeErr(in.u.Failure(&in.pr), a.source)
+	}
+	in.counts.Commits++
 	for _, q := range opt.quals {
 		in.quals = append(in.quals, qualOb{q: q, source: a.source})
 	}
@@ -478,95 +598,153 @@ func (in *inferer) commit(a *altConstraint, opt altOption) error {
 		a.instr.SetProp("calltype", opt.ty)
 	}
 	a.resolved = true
+	for _, v := range in.u.Bound(mark) {
+		for n := in.watchHead[v.ID]; n != 0; n = in.watchNodes[n].next {
+			if w := in.watchNodes[n].alt; !w.resolved && !w.queued {
+				w.queued = true
+				in.queue = append(in.queue, w)
+			}
+		}
+		in.watchHead[v.ID] = 0 // bound for good: nobody waits for it any more
+	}
 	return nil
 }
 
+// watch registers a to be woken when a variable free in t is bound.
+func (in *inferer) watch(a *altConstraint, t types.Type) {
+	switch x := in.u.Resolve(t).(type) {
+	case *types.Var:
+		if in.u.Owns(x) {
+			in.watchNodes = append(in.watchNodes, watchNode{alt: a, next: in.watchHead[x.ID]})
+			in.watchHead[x.ID] = int32(len(in.watchNodes) - 1)
+		}
+	case *types.Compound:
+		for _, arg := range x.Args {
+			in.watch(a, arg)
+		}
+	case *types.Fn:
+		for _, p := range x.Params {
+			in.watch(a, p)
+		}
+		in.watch(a, x.Ret)
+	}
+}
+
+// examine tries a's remaining options against the current bindings. One
+// that no longer unifies is dropped for good; if exactly one is viable it
+// is committed (the eager rule); otherwise a waits for its want to change.
+func (in *inferer) examine(a *altConstraint) error {
+	if v, isVar := in.u.Resolve(a.want).(*types.Var); isVar && a.examined {
+		// A literal whose variable was only renamed: while want is a bare
+		// variable it unifies with every option exactly as it did last time.
+		in.watch(a, v)
+		return nil
+	}
+	a.examined = true
+	kept := a.options[:0]
+	nViable, only := 0, -1
+	for i := range a.options {
+		opt := a.options[i]
+		if !opt.unqualified {
+			switch in.trial(a, &opt) {
+			case ununifiable:
+				continue
+			case unqualified:
+				opt.unqualified = true
+			case viable:
+				nViable++
+				only = len(kept)
+			}
+		}
+		kept = append(kept, opt)
+	}
+	a.options = kept
+	switch nViable {
+	case 0:
+		return in.noOverload(a)
+	case 1:
+		return in.commit(a, &a.options[only])
+	}
+	in.watch(a, a.want)
+	return nil
+}
+
+func (in *inferer) noOverload(a *altConstraint) error {
+	return typeErr(fmt.Sprintf("no overload of %s matches %s", a.name, in.show(a.want)), a.source)
+}
+
+// stalled returns the alternative the canonical ordering decides next when
+// nothing is forced: the first undecided call in program order, and only
+// when no call is left the first undecided literal, so that calls see
+// maximally informed types before literals take their defaults.
+func (in *inferer) stalled() *altConstraint {
+	for ; in.nextCall < len(in.alts); in.nextCall++ {
+		if a := in.alts[in.nextCall]; !a.resolved && a.instr != nil {
+			return a
+		}
+	}
+	for ; in.nextLit < len(in.alts); in.nextLit++ {
+		if a := in.alts[in.nextLit]; !a.resolved {
+			return a
+		}
+	}
+	return nil
+}
+
+// solve is phase two. It drains the work list, committing every alternative
+// that has a single viable option left; when nothing is forced it lets the
+// canonical overload ordering (§4.4) decide one alternative, and goes back
+// to the work list, which now holds exactly what that decision woke.
 func (in *inferer) solve() error {
+	in.watchHead = make([]int32, in.u.NumVars()+1)
 	for {
-		progress := false
-		for _, a := range in.alts {
+		for head := 0; head < len(in.queue); head++ {
+			a := in.queue[head]
+			a.queued = false
 			if a.resolved {
 				continue
 			}
-			var viable []altOption
-			for _, opt := range a.options {
-				if in.trial(a, opt) {
-					viable = append(viable, opt)
-				}
-			}
-			switch len(viable) {
-			case 0:
-				return typeErr(fmt.Sprintf("no overload of %s matches %s", a.name, in.s.Apply(a.want)), a.source)
-			case 1:
-				if err := in.commit(a, viable[0]); err != nil {
-					return err
-				}
-				progress = true
-			}
-		}
-		if progress {
-			continue
-		}
-		// Stalled: commit the best-ranked viable option of the most
-		// constrained alternative (the canonical ordering, §4.4). Literal
-		// defaults resolve last so calls see maximally-informed types.
-		var pending []*altConstraint
-		for _, a := range in.alts {
-			if !a.resolved {
-				pending = append(pending, a)
-			}
-		}
-		if len(pending) == 0 {
-			break
-		}
-		sort.SliceStable(pending, func(x, y int) bool {
-			lx := pending[x].instr != nil
-			ly := pending[y].instr != nil
-			if lx != ly {
-				return lx // call overloads before literal defaults
-			}
-			return false
-		})
-		committed := false
-		for _, a := range pending {
-			var viable []altOption
-			for _, opt := range a.options {
-				if in.trial(a, opt) {
-					viable = append(viable, opt)
-				}
-			}
-			if len(viable) == 0 {
-				return typeErr(fmt.Sprintf("no overload of %s matches %s", a.name, in.s.Apply(a.want)), a.source)
-			}
-			sort.SliceStable(viable, func(x, y int) bool { return viable[x].rank < viable[y].rank })
-			// Declaration order provides the canonical overload ordering,
-			// refined by a one-step consistency check: an option that would
-			// strand another pending alternative with zero viable choices
-			// is skipped (e.g. an integer literal must not default to
-			// Integer64 when it is unified with a real literal).
-			choice := viable[0]
-			for _, opt := range viable {
-				if in.consistent(a, opt, pending) {
-					choice = opt
-					break
-				}
-			}
-			if err := in.commit(a, choice); err != nil {
+			if err := in.examine(a); err != nil {
 				return err
 			}
-			committed = true
+		}
+		in.queue = in.queue[:0]
+		a := in.stalled()
+		if a == nil {
 			break
 		}
-		if !committed {
-			break
+		in.counts.Stalls++
+		// Declaration order provides the canonical overload ordering (the
+		// options are in it), refined by a one-step consistency check: an
+		// option that would strand another pending alternative with zero
+		// viable choices is skipped (e.g. an integer literal must not default
+		// to Integer64 when it is unified with a real literal).
+		choice := -1
+		for i := range a.options {
+			if a.options[i].unqualified {
+				continue
+			}
+			if choice < 0 {
+				choice = i
+			}
+			if in.consistent(a, &a.options[i]) {
+				choice = i
+				break
+			}
+		}
+		if choice < 0 {
+			return in.noOverload(a)
+		}
+		if err := in.commit(a, &a.options[choice]); err != nil {
+			return err
 		}
 	}
 
 	// Check the accumulated qualifier obligations.
 	for _, ob := range in.quals {
-		t := in.s.Apply(ob.q.Var)
+		t := in.u.Zonk(ob.q.Var)
 		if !types.IsGround(t) {
-			return typeErr(fmt.Sprintf("unresolved type %s constrained to class %s", t, ob.q.Class), ob.source)
+			return typeErr(fmt.Sprintf("unresolved type %s constrained to class %s", in.pr.String(t), ob.q.Class), ob.source)
 		}
 		if !in.env.MemberOf(t, ob.q.Class) {
 			return typeErr(fmt.Sprintf("type %s is not a member of class %q", t, ob.q.Class), ob.source)
@@ -579,14 +757,13 @@ func (in *inferer) solve() error {
 // types (code generation refuses variables, §4.6).
 func (in *inferer) writeBack(mod *wir.Module) error {
 	resolve := func(v wir.Value, owner *wir.Function) (types.Type, error) {
-		t := in.s.Apply(in.typeOf(v))
+		t := in.u.Zonk(in.typeOf(v))
 		if !types.IsGround(t) {
 			// Dangling Null/unused values default to Void.
-			if fv, ok := t.(*types.Var); ok {
-				in.s[fv.ID] = types.TVoid
+			if fv, ok := t.(*types.Var); ok && in.u.Unify(fv, types.TVoid) {
 				return types.TVoid, nil
 			}
-			return nil, typeErr(fmt.Sprintf("could not infer a concrete type (got %s) in %s", t, owner.Name), nil)
+			return nil, typeErr(fmt.Sprintf("could not infer a concrete type (got %s) in %s", in.pr.String(t), owner.Name), nil)
 		}
 		return t, nil
 	}
@@ -598,7 +775,7 @@ func (in *inferer) writeBack(mod *wir.Module) error {
 			}
 			p.Ty = t
 		}
-		rt := in.s.Apply(in.retTy(f))
+		rt := in.u.Zonk(in.retTy(f))
 		if !types.IsGround(rt) {
 			rt = types.TVoid
 		}
@@ -652,7 +829,7 @@ func (in *inferer) writeBack(mod *wir.Module) error {
 					}
 				}
 				if ct, ok := i.Prop("calltype"); ok {
-					i.SetProp("calltype", in.s.Apply(ct.(types.Type)))
+					i.SetProp("calltype", in.u.Zonk(ct.(types.Type)))
 				}
 			}
 		}

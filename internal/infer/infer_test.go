@@ -320,3 +320,27 @@ func TestInferUserDeclaredFunction(t *testing.T) {
 		t.Fatalf("MyMin ret = %v", mod.Main().RetTy)
 	}
 }
+
+// A diagnostic numbers the type variables it mentions from one, in the
+// order it mentions them: the same ill-typed source reads the same on a
+// server's thousandth compile as on its first.
+func TestDiagnosticsDoNotDependOnProcessHistory(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`Function[{Typed[arg, "MachineInteger"]}, arg + "one"]`,
+			"no overload of Plus matches {Integer64, String} -> ret$Main#1"},
+		{`Function[{Typed[f, {"Integer64"} -> "Integer64"]}, f[1, 2]]`,
+			"cannot unify {Integer64} -> Integer64 with {lit#1, lit#2} -> t1#3"},
+	} {
+		_, first := compileToTWIR(t, tc.src)
+		if first == nil || !strings.Contains(first.Error(), tc.want) {
+			t.Fatalf("%s:\n got %v\nwant %s", tc.src, first, tc.want)
+		}
+		for i := 0; i < 3; i++ {
+			mustTWIR(t, `Function[{Typed[v, "Tensor"["Real64", 1]]}, Map[Function[{x}, x*x], v]]`)
+			types.NewVar("noise")
+		}
+		if _, again := compileToTWIR(t, tc.src); again == nil || again.Error() != first.Error() {
+			t.Fatalf("%s: the message changed with the process's history:\n%v\n%v", tc.src, first, again)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 // Quick inference: the baseline-tier front end. The constraint solver in
-// infer.go dominates full-pipeline compile time (alternatives, speculative
-// unification, consistency checks), which is exactly the cost the stencil
-// tier exists to avoid. Quick is a single forward pass over the untyped WIR
+// infer.go (alternatives, speculative unification, consistency checks) was
+// most of a full-pipeline compile when the stencil tier was built to avoid
+// it; since ISSUE 18 it is about a quarter of one, and Quick is still
+// several times cheaper on the fragment it covers (ROADMAP item 6 asks
+// whether that is still worth a rung). Quick is a single forward pass over the untyped WIR
 // for the machine-scalar fragment the tiering engine promotes: Integer64/
 // Real64/ComplexReal64/Boolean values, native-backed scalar primitives,
 // module-internal recursion, and registry calls. Anything outside that
@@ -47,7 +49,7 @@ type quick struct {
 	env  *types.Env
 	reg  *fnreg.Registry
 	mod  *wir.Module
-	s    types.Subst
+	u    *types.Unifier // made by the first declaration the fast paths do not cover
 	ty   map[wir.Value]types.Type
 	rets map[*wir.Function]types.Type
 	// consts collects literals typed along the way for write-back.
@@ -80,7 +82,6 @@ func QuickWith(mod *wir.Module, env *types.Env, reg *fnreg.Registry) error {
 		env:  env,
 		reg:  reg,
 		mod:  mod,
-		s:    types.Subst{},
 		ty:   make(map[wir.Value]types.Type, nv),
 		rets: make(map[*wir.Function]types.Type, len(mod.Funcs)),
 	}
@@ -528,16 +529,17 @@ next:
 			}
 			continue
 		}
-		body, quals := types.Instantiate(d.Type)
+		if q.u == nil {
+			q.u = types.NewUnifier()
+		}
+		body, quals := q.u.Instantiate(d.Type)
 		fn, ok := body.(*types.Fn)
 		if !ok || len(fn.Params) != len(in.Args) {
 			continue
 		}
-		var added []int64
-		bind := func(param, got types.Type) bool {
-			return types.UnifyTracked(param, got, q.s, &added) == nil
-		}
-		undo := func() { q.s.Rollback(added) }
+		mark := q.u.Mark()
+		bind := q.u.Unify
+		undo := func() { q.u.Undo(mark) }
 		// Ground operands first; they bind the overload's variables.
 		for j, t := range argTys {
 			if t == nil {
@@ -554,7 +556,7 @@ next:
 			if argTys[j] != nil {
 				continue
 			}
-			pt := q.s.Apply(fn.Params[j])
+			pt := q.u.Zonk(fn.Params[j])
 			if _, isVar := pt.(*types.Var); isVar {
 				if !bind(pt, litDefault(l)) {
 					undo()
@@ -568,13 +570,13 @@ next:
 			}
 		}
 		for _, qu := range quals {
-			t := q.s.Apply(qu.Var)
+			t := q.u.Zonk(qu.Var)
 			if !types.IsGround(t) || !q.env.MemberOf(t, qu.Class) {
 				undo()
 				continue next
 			}
 		}
-		ret := q.s.Apply(fn.Ret)
+		ret := q.u.Zonk(fn.Ret)
 		if !types.IsGround(ret) || !quickScalarOrVoid(ret) {
 			undo()
 			continue next
@@ -585,13 +587,13 @@ next:
 			if t != nil {
 				continue
 			}
-			pt := q.s.Apply(fn.Params[j])
+			pt := q.u.Zonk(fn.Params[j])
 			q.commitConst(in.Args[j].(*wir.Const), pt)
 		}
 		in.Ty = ret
 		q.ty[in] = ret
 		in.SetProp("overload", d)
-		in.SetProp("calltype", q.s.Apply(fn))
+		in.SetProp("calltype", q.u.Zonk(fn))
 		return nil
 	}
 	return quickErr("%s: no native overload of %s matches", f.Name, in.Callee)

@@ -278,29 +278,31 @@ func isScalar(ty types.Type) bool {
 // else one per assignment of scalars to its variables that satisfies the
 // class qualifiers.
 func scalarInstances(env *types.Env, decl types.Type) []*types.Fn {
-	body, quals := types.Instantiate(decl)
+	u := types.NewUnifier()
+	body, quals := u.Instantiate(decl)
 	fn, ok := body.(*types.Fn)
 	if !ok {
 		return nil
 	}
-	vars := types.FreeVars(fn, types.Subst{})
+	vars := types.FreeVars(fn)
 	var out []*types.Fn
-	var assign func(i int, s types.Subst)
-	assign = func(i int, s types.Subst) {
+	var assign func(i int)
+	assign = func(i int) {
 		if i < len(vars) {
 			for _, sc := range scalars {
-				s[vars[i].ID] = sc
-				assign(i+1, s)
+				mark := u.Mark()
+				u.Unify(vars[i], sc)
+				assign(i + 1)
+				u.Undo(mark)
 			}
-			delete(s, vars[i].ID)
 			return
 		}
 		for _, q := range quals {
-			if !env.MemberOf(s.Apply(q.Var), q.Class) {
+			if !env.MemberOf(u.Zonk(q.Var), q.Class) {
 				return
 			}
 		}
-		inst := s.Apply(fn).(*types.Fn)
+		inst := u.Zonk(fn).(*types.Fn)
 		for _, p := range inst.Params {
 			if !isScalar(p) {
 				return
@@ -308,6 +310,6 @@ func scalarInstances(env *types.Env, decl types.Type) []*types.Fn {
 		}
 		out = append(out, inst)
 	}
-	assign(0, types.Subst{})
+	assign(0)
 	return out
 }

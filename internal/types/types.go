@@ -8,6 +8,7 @@ package types
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,14 +71,8 @@ type Compound struct {
 	Args []Type
 }
 
-func (c *Compound) String() string {
-	parts := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		parts[i] = a.String()
-	}
-	return fmt.Sprintf("%s[%s]", c.Ctor, strings.Join(parts, ", "))
-}
-func (c *Compound) isType() {}
+func (c *Compound) String() string { return render(c, nil) }
+func (c *Compound) isType()        {}
 
 // TensorOf builds the dense array type Tensor[elem, rank].
 func TensorOf(elem Type, rank int) *Compound {
@@ -90,7 +85,7 @@ type Literal struct {
 	Value int64
 }
 
-func (l *Literal) String() string { return fmt.Sprintf("%d", l.Value) }
+func (l *Literal) String() string { return strconv.FormatInt(l.Value, 10) }
 func (l *Literal) isType()        {}
 
 // Fn is a monomorphic function type {params...} -> ret.
@@ -99,29 +94,36 @@ type Fn struct {
 	Ret    Type
 }
 
-func (f *Fn) String() string {
-	parts := make([]string, len(f.Params))
-	for i, p := range f.Params {
-		parts[i] = p.String()
-	}
-	return fmt.Sprintf("{%s} -> %s", strings.Join(parts, ", "), f.Ret.String())
-}
-func (f *Fn) isType() {}
+func (f *Fn) String() string { return render(f, nil) }
+func (f *Fn) isType()        {}
 
-// Var is a type variable. IDs are globally unique.
+// Var is a type variable. One that NewVar made belongs to a declaration: it
+// is a scheme's bound variable, or free in a declared type, and no Unifier
+// ever binds it (Instantiate replaces it first). One that a Unifier made
+// belongs to that unifier, which keeps its binding here, in place.
 type Var struct {
 	Name string
-	ID   int64
+	// ID is unique in the process for a NewVar variable. For a unifier's
+	// variable it is the 1-based creation index in that unifier, so a table
+	// with one row per variable can be a slice.
+	ID int64
+
+	// owner made the variable and is the only one to read or write ref, the
+	// variable's binding (nil while it is free). The standard library is one
+	// object every compile in the process reads, so a write through a
+	// variable somebody else can reach would be a data race.
+	owner *Unifier
+	ref   Type
 }
 
 var varSeq int64
 
-// NewVar creates a fresh type variable.
+// NewVar creates a fresh declaration variable.
 func NewVar(name string) *Var {
 	return &Var{Name: name, ID: atomic.AddInt64(&varSeq, 1)}
 }
 
-func (v *Var) String() string { return fmt.Sprintf("%s#%d", v.Name, v.ID) }
+func (v *Var) String() string { return render(v, nil) }
 func (v *Var) isType()        {}
 
 // Qual constrains a type variable to a type class (paper §4.4 qualified
@@ -140,135 +142,238 @@ type ForAll struct {
 	Body  Type
 }
 
-func (f *ForAll) String() string {
-	var vars []string
-	for _, v := range f.Vars {
-		vars = append(vars, v.String())
-	}
-	s := fmt.Sprintf("∀{%s}", strings.Join(vars, ", "))
-	if len(f.Quals) > 0 {
-		var qs []string
-		for _, q := range f.Quals {
-			qs = append(qs, q.String())
-		}
-		s += fmt.Sprintf("{%s}", strings.Join(qs, ", "))
-	}
-	return s + ". " + f.Body.String()
+func (f *ForAll) String() string { return render(f, nil) }
+func (f *ForAll) isType()        {}
+
+// Printer renders types for diagnostics. It numbers type variables in the
+// order it first prints them, so a message does not depend on how many
+// variables the process made before (the zero value is ready to use).
+type Printer struct {
+	seen map[*Var]int
 }
-func (f *ForAll) isType() {}
 
-// Subst is a substitution from type-variable IDs to types.
-type Subst map[int64]Type
+// String renders t. Resolve variables first (Unifier.Zonk): a printer shows
+// the variables it is given.
+func (p *Printer) String(t Type) string { return render(t, p) }
 
-// Apply substitutes vars in t.
-func (s Subst) Apply(t Type) Type {
+func render(t Type, p *Printer) string {
+	if a, ok := t.(*Atomic); ok {
+		return a.Name
+	}
+	var b strings.Builder
+	write(&b, t, p)
+	return b.String()
+}
+
+func write(b *strings.Builder, t Type, p *Printer) {
+	list := func(ts []Type) {
+		for i, t := range ts {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			write(b, t, p)
+		}
+	}
 	switch x := t.(type) {
+	case *Atomic:
+		b.WriteString(x.Name)
+	case *Literal:
+		b.WriteString(strconv.FormatInt(x.Value, 10))
+	case *Compound:
+		b.WriteString(x.Ctor)
+		b.WriteByte('[')
+		list(x.Args)
+		b.WriteByte(']')
+	case *Fn:
+		b.WriteByte('{')
+		list(x.Params)
+		b.WriteString("} -> ")
+		write(b, x.Ret, p)
 	case *Var:
-		if r, ok := s[x.ID]; ok {
-			// Path-compress chains.
-			return s.Apply(r)
+		id := x.ID
+		if p != nil {
+			n, ok := p.seen[x]
+			if !ok {
+				if p.seen == nil {
+					p.seen = map[*Var]int{}
+				}
+				n = len(p.seen) + 1
+				p.seen[x] = n
+			}
+			id = int64(n)
+		}
+		b.WriteString(x.Name)
+		b.WriteByte('#')
+		b.WriteString(strconv.FormatInt(id, 10))
+	case *ForAll:
+		b.WriteString("∀{")
+		for i, v := range x.Vars {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			write(b, v, p)
+		}
+		b.WriteByte('}')
+		if len(x.Quals) > 0 {
+			b.WriteByte('{')
+			for i, q := range x.Quals {
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				write(b, q.Var, p)
+				b.WriteString(" ∈ " + q.Class)
+			}
+			b.WriteByte('}')
+		}
+		b.WriteString(". ")
+		write(b, x.Body, p)
+	}
+}
+
+// Unifier holds the variable bindings of one inference. A binding lives in
+// the variable itself, and every binding made is recorded on a trail, so a
+// speculative unification is undone by truncating the trail to a mark:
+// nothing is copied, and neither success nor failure allocates. A Unifier
+// is used by one goroutine.
+type Unifier struct {
+	trail []*Var
+	slab  []Var // NewVar carves variables out of chunks
+	nvars int64
+	ren   []renaming // the instantiation in progress
+
+	// The last failed Unify: the two subterms that did not match, or the
+	// variable and the type it occurs in. Text is built from them only when
+	// the failure reaches a user (Failure).
+	failA, failB Type
+	failOccurs   bool
+}
+
+// NewUnifier returns a unifier with no variables.
+func NewUnifier() *Unifier { return &Unifier{} }
+
+// NewVar creates a fresh variable that this unifier may bind.
+func (u *Unifier) NewVar(name string) *Var {
+	if len(u.slab) == cap(u.slab) {
+		u.slab = make([]Var, 0, 64)
+	}
+	u.nvars++
+	u.slab = append(u.slab, Var{Name: name, ID: u.nvars, owner: u})
+	return &u.slab[len(u.slab)-1]
+}
+
+// NumVars is how many variables the unifier has made; their IDs are
+// 1..NumVars.
+func (u *Unifier) NumVars() int { return int(u.nvars) }
+
+// Owns reports whether v is one of this unifier's variables.
+func (u *Unifier) Owns(v *Var) bool { return v.owner == u }
+
+// Resolve follows bound variables at the head of t: the result is a free
+// variable or a constructor whose arguments may still hold bound variables.
+func (u *Unifier) Resolve(t Type) Type {
+	for {
+		v, ok := t.(*Var)
+		if !ok || v.owner != u || v.ref == nil {
+			return t
+		}
+		t = v.ref
+	}
+}
+
+// Zonk resolves every bound variable in t, sharing whatever it does not
+// have to rebuild. Unify never needs it; inference calls it once per value
+// when it writes types back, and when a message is printed.
+func (u *Unifier) Zonk(t Type) Type {
+	switch x := u.Resolve(t).(type) {
+	case *Compound:
+		if args := mapTypes(x.Args, u.Zonk); args != nil {
+			return &Compound{Ctor: x.Ctor, Args: args}
 		}
 		return x
-	case *Compound:
-		args := make([]Type, len(x.Args))
-		changed := false
-		for i, a := range x.Args {
-			args[i] = s.Apply(a)
-			if args[i] != a {
-				changed = true
-			}
-		}
-		if !changed {
-			return x
-		}
-		return &Compound{Ctor: x.Ctor, Args: args}
 	case *Fn:
-		params := make([]Type, len(x.Params))
-		changed := false
-		for i, p := range x.Params {
-			params[i] = s.Apply(p)
-			if params[i] != p {
-				changed = true
-			}
-		}
-		ret := s.Apply(x.Ret)
-		if ret != x.Ret {
-			changed = true
-		}
-		if !changed {
+		params, ret := mapTypes(x.Params, u.Zonk), u.Zonk(x.Ret)
+		if params == nil && ret == x.Ret {
 			return x
+		}
+		if params == nil {
+			params = x.Params
 		}
 		return &Fn{Params: params, Ret: ret}
 	case *ForAll:
-		body := s.Apply(x.Body)
-		if body == x.Body {
-			return x
+		if body := u.Zonk(x.Body); body != x.Body {
+			return &ForAll{Vars: x.Vars, Quals: x.Quals, Body: body}
 		}
-		return &ForAll{Vars: x.Vars, Quals: x.Quals, Body: body}
+		return x
+	default:
+		return x
 	}
-	return t
 }
 
-// occurs reports whether v appears in t under s.
-func occurs(v *Var, t Type, s Subst) bool {
-	switch x := s.Apply(t).(type) {
+// mapTypes applies f to every element and returns the results, or nil when
+// f changed none of them, so that the caller can share the original node.
+func mapTypes(ts []Type, f func(Type) Type) []Type {
+	var out []Type
+	for i, t := range ts {
+		r := f(t)
+		if r != t && out == nil {
+			out = make([]Type, len(ts))
+			copy(out, ts[:i])
+		}
+		if out != nil {
+			out[i] = r
+		}
+	}
+	return out
+}
+
+// occurs reports whether v appears in t under the current bindings.
+func (u *Unifier) occurs(v *Var, t Type) bool {
+	switch x := u.Resolve(t).(type) {
 	case *Var:
-		return x.ID == v.ID
+		return x == v
 	case *Compound:
 		for _, a := range x.Args {
-			if occurs(v, a, s) {
+			if u.occurs(v, a) {
 				return true
 			}
 		}
 	case *Fn:
 		for _, p := range x.Params {
-			if occurs(v, p, s) {
+			if u.occurs(v, p) {
 				return true
 			}
 		}
-		return occurs(v, x.Ret, s)
+		return u.occurs(v, x.Ret)
 	}
 	return false
 }
 
-// Unify extends s so that s(a) == s(b), or reports an error. ForAll types
-// must be instantiated before unification.
-func Unify(a, b Type, s Subst) error {
-	return UnifyTracked(a, b, s, nil)
-}
-
-// UnifyTracked is Unify that records every variable it binds in added, so
-// speculative unifications can be rolled back in O(bindings) instead of
-// copying the whole substitution (the inference solver's trial mechanism).
-// Unification only ever adds bindings, never rewrites existing ones, so
-// deleting the recorded keys restores s exactly.
-func UnifyTracked(a, b Type, s Subst, added *[]int64) error {
-	a = s.Apply(a)
-	b = s.Apply(b)
+// Unify binds variables of this unifier so that a and b become equal, and
+// reports whether it could. It resolves the head of each side and recurses
+// into the structure; nothing is substituted and nothing allocated. On
+// failure the bindings made so far stay: a caller that goes on afterwards
+// takes a Mark first and calls Undo. Bindings only ever grow between a mark
+// and its undo, so a pair that fails to unify fails under every extension
+// of the current bindings too. ForAll types must be instantiated first.
+func (u *Unifier) Unify(a, b Type) bool {
+	a, b = u.Resolve(a), u.Resolve(b)
 	if a == b {
-		return nil
+		return true
 	}
-	if av, ok := a.(*Var); ok {
-		if occurs(av, b, s) {
-			return fmt.Errorf("occurs check: %s in %s", av, b)
-		}
-		s[av.ID] = b
-		if added != nil {
-			*added = append(*added, av.ID)
-		}
-		return nil
+	if av, ok := a.(*Var); ok && av.owner == u {
+		return u.bind(av, b)
 	}
-	if _, ok := b.(*Var); ok {
-		return UnifyTracked(b, a, s, added)
+	if bv, ok := b.(*Var); ok && bv.owner == u {
+		return u.bind(bv, a)
 	}
 	switch x := a.(type) {
 	case *Atomic:
 		if y, ok := b.(*Atomic); ok && x.Name == y.Name {
-			return nil
+			return true
 		}
 	case *Literal:
 		if y, ok := b.(*Literal); ok && x.Value == y.Value {
-			return nil
+			return true
 		}
 	case *Compound:
 		y, ok := b.(*Compound)
@@ -276,71 +381,149 @@ func UnifyTracked(a, b Type, s Subst, added *[]int64) error {
 			break
 		}
 		for i := range x.Args {
-			if err := UnifyTracked(x.Args[i], y.Args[i], s, added); err != nil {
-				return err
+			if !u.Unify(x.Args[i], y.Args[i]) {
+				return false
 			}
 		}
-		return nil
+		return true
 	case *Fn:
 		y, ok := b.(*Fn)
 		if !ok || len(x.Params) != len(y.Params) {
 			break
 		}
 		for i := range x.Params {
-			if err := UnifyTracked(x.Params[i], y.Params[i], s, added); err != nil {
-				return err
+			if !u.Unify(x.Params[i], y.Params[i]) {
+				return false
 			}
 		}
-		return UnifyTracked(x.Ret, y.Ret, s, added)
+		return u.Unify(x.Ret, y.Ret)
 	}
-	return fmt.Errorf("cannot unify %s with %s", a, b)
+	u.failA, u.failB, u.failOccurs = a, b, false
+	return false
 }
 
-// Rollback removes the bindings recorded by UnifyTracked.
-func (s Subst) Rollback(added []int64) {
-	for _, id := range added {
-		delete(s, id)
+func (u *Unifier) bind(v *Var, t Type) bool {
+	if u.occurs(v, t) {
+		u.failA, u.failB, u.failOccurs = v, t, true
+		return false
 	}
+	v.ref = t
+	u.trail = append(u.trail, v)
+	return true
 }
+
+// Failure words the last failed Unify for a user.
+func (u *Unifier) Failure(p *Printer) string {
+	a, b := p.String(u.Zonk(u.failA)), p.String(u.Zonk(u.failB))
+	if u.failOccurs {
+		return fmt.Sprintf("occurs check: %s in %s", a, b)
+	}
+	return fmt.Sprintf("cannot unify %s with %s", a, b)
+}
+
+// Mark names the current state of the bindings for Undo and Bound.
+func (u *Unifier) Mark() int { return len(u.trail) }
+
+// Undo removes every binding made since mark, restoring the state exactly.
+func (u *Unifier) Undo(mark int) {
+	for _, v := range u.trail[mark:] {
+		v.ref = nil
+	}
+	u.trail = u.trail[:mark]
+}
+
+// Bound lists the variables bound since mark, oldest first. The slice is
+// the trail's own: valid until the next Unify.
+func (u *Unifier) Bound(mark int) []*Var { return u.trail[mark:] }
+
+// renaming is one old-variable-to-fresh-variable pair of an instantiation.
+type renaming struct{ from, to *Var }
 
 // Instantiate replaces a scheme's bound variables with fresh ones,
 // returning the body and the pending qualifier obligations (paper §4.4
-// InstantiateConstraint).
-func Instantiate(t Type) (Type, []Qual) {
+// InstantiateConstraint). Variables free in a declared type are replaced
+// too, one fresh variable per instantiation: the declaration may be shared
+// by every compile in the process and is never written. A type with no
+// variables is returned as it is, after one walk that allocates nothing.
+func (u *Unifier) Instantiate(t Type) (Type, []Qual) {
+	u.ren = u.ren[:0]
 	fa, ok := t.(*ForAll)
 	if !ok {
-		return t, nil
+		return u.freshen(t), nil
 	}
-	s := Subst{}
-	fresh := make(map[int64]*Var, len(fa.Vars))
 	for _, v := range fa.Vars {
-		nv := NewVar(v.Name)
-		fresh[v.ID] = nv
-		s[v.ID] = nv
+		u.ren = append(u.ren, renaming{v, u.NewVar(v.Name)})
 	}
-	quals := make([]Qual, len(fa.Quals))
-	for i, q := range fa.Quals {
-		nv, ok := fresh[q.Var.ID]
-		if !ok {
-			nv = q.Var
+	body := u.freshen(fa.Body)
+	var quals []Qual
+	if len(fa.Quals) > 0 {
+		quals = make([]Qual, len(fa.Quals))
+		for i, q := range fa.Quals {
+			quals[i] = Qual{Var: u.freshen(q.Var).(*Var), Class: q.Class}
 		}
-		quals[i] = Qual{Var: nv, Class: q.Class}
 	}
-	return s.Apply(fa.Body), quals
+	return body, quals
 }
 
-// FreeVars collects the free type variables of t under s.
-func FreeVars(t Type, s Subst) []*Var {
+// freshen rebuilds t with every variable that is not this unifier's own
+// replaced by u.ren's image of it, extending u.ren with a fresh variable
+// for one it has not seen.
+func (u *Unifier) freshen(t Type) Type {
+	switch x := t.(type) {
+	case *Var:
+		if x.owner == u {
+			return x
+		}
+		for _, r := range u.ren {
+			if r.from == x {
+				return r.to
+			}
+		}
+		nv := u.NewVar(x.Name)
+		u.ren = append(u.ren, renaming{x, nv})
+		return nv
+	case *Compound:
+		if args := mapTypes(x.Args, u.freshen); args != nil {
+			return &Compound{Ctor: x.Ctor, Args: args}
+		}
+	case *Fn:
+		params, ret := mapTypes(x.Params, u.freshen), u.freshen(x.Ret)
+		if params == nil && ret == x.Ret {
+			return x
+		}
+		if params == nil {
+			params = x.Params
+		}
+		return &Fn{Params: params, Ret: ret}
+	case *ForAll:
+		// A nested scheme keeps its own bound variables.
+		n := len(u.ren)
+		for _, v := range x.Vars {
+			u.ren = append(u.ren, renaming{v, v})
+		}
+		body := u.freshen(x.Body)
+		u.ren = append(u.ren[:n], u.ren[n+len(x.Vars):]...)
+		if body != x.Body {
+			return &ForAll{Vars: x.Vars, Quals: x.Quals, Body: body}
+		}
+	}
+	return t
+}
+
+// FreeVars lists the variables of t in order of first appearance. It does
+// not look through bindings: Zonk first.
+func FreeVars(t Type) []*Var {
 	var out []*Var
-	seen := map[int64]bool{}
 	var walk func(Type)
 	walk = func(t Type) {
-		switch x := s.Apply(t).(type) {
+		switch x := t.(type) {
 		case *Var:
-			if !seen[x.ID] {
-				seen[x.ID] = true
-				out = append(out, x)
+			for _, v := range out {
+				if v == x {
+					return
+				}
 			}
+			out = append(out, x)
 		case *Compound:
 			for _, a := range x.Args {
 				walk(a)
@@ -434,13 +617,61 @@ func shortName(n string) string {
 	return n
 }
 
-// Equal reports structural equality of two ground types.
+// Equal reports structural equality of two types; a variable equals only
+// itself.
 func Equal(a, b Type) bool {
-	s := Subst{}
-	return Unify(a, b, s) == nil && len(s) == 0
+	if a == b {
+		return true
+	}
+	switch x := a.(type) {
+	case *Atomic:
+		y, ok := b.(*Atomic)
+		return ok && x.Name == y.Name
+	case *Literal:
+		y, ok := b.(*Literal)
+		return ok && x.Value == y.Value
+	case *Compound:
+		y, ok := b.(*Compound)
+		return ok && x.Ctor == y.Ctor && equalLists(x.Args, y.Args)
+	case *Fn:
+		y, ok := b.(*Fn)
+		return ok && equalLists(x.Params, y.Params) && Equal(x.Ret, y.Ret)
+	}
+	return false
+}
+
+func equalLists(a, b []Type) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // IsGround reports whether t contains no type variables.
 func IsGround(t Type) bool {
-	return len(FreeVars(t, Subst{})) == 0
+	switch x := t.(type) {
+	case *Var:
+		return false
+	case *Compound:
+		for _, a := range x.Args {
+			if !IsGround(a) {
+				return false
+			}
+		}
+	case *Fn:
+		for _, p := range x.Params {
+			if !IsGround(p) {
+				return false
+			}
+		}
+		return IsGround(x.Ret)
+	case *ForAll:
+		return IsGround(x.Body)
+	}
+	return true
 }

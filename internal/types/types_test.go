@@ -1,6 +1,7 @@
 package types
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -95,79 +96,187 @@ func TestParseSpecErrors(t *testing.T) {
 }
 
 func TestUnifyBasics(t *testing.T) {
-	s := Subst{}
-	if err := Unify(TInt64, TInt64, s); err != nil {
-		t.Fatal(err)
+	u := NewUnifier()
+	if !u.Unify(TInt64, TInt64) {
+		t.Fatal("Integer64 must unify with itself")
 	}
-	if err := Unify(TInt64, TReal64, s); err == nil {
+	if u.Unify(TInt64, TReal64) {
 		t.Fatal("Integer64 must not unify with Real64")
 	}
-	v := NewVar("a")
-	if err := Unify(v, TInt64, s); err != nil {
-		t.Fatal(err)
+	if got := u.Failure(&Printer{}); got != "cannot unify Integer64 with Real64" {
+		t.Fatalf("failure = %q", got)
 	}
-	if s.Apply(v) != TInt64 {
-		t.Fatalf("substitution lost: %v", s.Apply(v))
+	v := u.NewVar("a")
+	if !u.Unify(v, TInt64) {
+		t.Fatal(u.Failure(&Printer{}))
+	}
+	if u.Zonk(v) != TInt64 {
+		t.Fatalf("binding lost: %v", u.Zonk(v))
 	}
 }
 
 func TestUnifyCompound(t *testing.T) {
-	s := Subst{}
-	a := NewVar("a")
+	u := NewUnifier()
+	a := u.NewVar("a")
 	// Tensor[a, 1] ~ Tensor[Real64, 1] binds a := Real64.
-	if err := Unify(TensorOf(a, 1), TensorOf(TReal64, 1), s); err != nil {
-		t.Fatal(err)
+	if !u.Unify(TensorOf(a, 1), TensorOf(TReal64, 1)) {
+		t.Fatal(u.Failure(&Printer{}))
 	}
-	if s.Apply(a) != TReal64 {
-		t.Fatalf("a = %v", s.Apply(a))
+	if u.Zonk(a) != TReal64 {
+		t.Fatalf("a = %v", u.Zonk(a))
 	}
 	// Rank mismatch fails.
-	if err := Unify(TensorOf(TReal64, 1), TensorOf(TReal64, 2), Subst{}); err == nil {
+	if u.Unify(TensorOf(TReal64, 1), TensorOf(TReal64, 2)) {
 		t.Fatal("rank mismatch must fail")
 	}
 }
 
 func TestUnifyFunction(t *testing.T) {
-	s := Subst{}
-	a, b := NewVar("a"), NewVar("b")
+	u := NewUnifier()
+	a, b := u.NewVar("a"), u.NewVar("b")
 	lhs := &Fn{Params: []Type{a, a}, Ret: b}
 	rhs := &Fn{Params: []Type{TInt64, TInt64}, Ret: TBool}
-	if err := Unify(lhs, rhs, s); err != nil {
-		t.Fatal(err)
+	if !u.Unify(lhs, rhs) {
+		t.Fatal(u.Failure(&Printer{}))
 	}
-	if s.Apply(a) != TInt64 || s.Apply(b) != TBool {
-		t.Fatalf("a=%v b=%v", s.Apply(a), s.Apply(b))
+	if u.Zonk(a) != TInt64 || u.Zonk(b) != TBool {
+		t.Fatalf("a=%v b=%v", u.Zonk(a), u.Zonk(b))
 	}
-	// Conflicting param types fail: {a, a} with {Int, Real}.
-	if err := Unify(&Fn{Params: []Type{a, a}, Ret: b},
-		&Fn{Params: []Type{TInt64, TReal64}, Ret: TBool}, Subst{}); err == nil {
+	// Conflicting param types fail: {c, c} with {Int, Real}.
+	c := u.NewVar("c")
+	if u.Unify(&Fn{Params: []Type{c, c}, Ret: u.NewVar("d")},
+		&Fn{Params: []Type{TInt64, TReal64}, Ret: TBool}) {
 		t.Fatal("inconsistent binding must fail")
 	}
 }
 
 func TestOccursCheck(t *testing.T) {
-	a := NewVar("a")
-	if err := Unify(a, TensorOf(a, 1), Subst{}); err == nil {
+	u := NewUnifier()
+	a := u.NewVar("a")
+	if u.Unify(a, TensorOf(a, 1)) {
 		t.Fatal("occurs check must fail")
+	}
+	if got := u.Failure(&Printer{}); got != "occurs check: a#1 in Tensor[a#1, 1]" {
+		t.Fatalf("failure = %q", got)
+	}
+	// Through a binding, too: b := Tensor[a, 1], then a ~ b.
+	b := u.NewVar("b")
+	if !u.Unify(b, TensorOf(a, 1)) || u.Unify(a, b) {
+		t.Fatal("occurs check must look through bindings")
+	}
+}
+
+// A variable no unifier made belongs to a declaration, which every compile
+// in the process may be reading: a unifier treats it as a constant and binds
+// its own variable to it, never the other way round.
+func TestDeclarationVariablesAreNeverBound(t *testing.T) {
+	u := NewUnifier()
+	decl := NewVar("d")
+	if u.Unify(decl, TInt64) || u.Unify(TInt64, decl) {
+		t.Fatal("a declaration variable was bound")
+	}
+	mine := u.NewVar("m")
+	if !u.Unify(decl, mine) || u.Zonk(mine) != Type(decl) {
+		t.Fatal("the unifier's own variable must take the binding")
+	}
+	other := NewUnifier().NewVar("o")
+	if u.Unify(other, TInt64) || u.Zonk(other) != Type(other) {
+		t.Fatal("another unifier's variable was bound")
 	}
 }
 
 func TestInstantiateFreshens(t *testing.T) {
 	ty := parseTy(t, `TypeForAll[{"a"}, {Element["a", "Ordered"]}, {"a", "a"} -> "a"]`)
-	t1, q1 := Instantiate(ty)
-	t2, q2 := Instantiate(ty)
+	u := NewUnifier()
+	t1, q1 := u.Instantiate(ty)
+	t2, q2 := u.Instantiate(ty)
 	f1 := t1.(*Fn)
 	f2 := t2.(*Fn)
 	v1 := f1.Params[0].(*Var)
 	v2 := f2.Params[0].(*Var)
-	if v1.ID == v2.ID {
+	if v1 == v2 {
 		t.Fatal("instantiations must use fresh variables")
 	}
-	if len(q1) != 1 || q1[0].Var.ID != v1.ID || q1[0].Class != "Ordered" {
+	if f1.Params[1] != Type(v1) || f1.Ret != Type(v1) || !u.Owns(v1) {
+		t.Fatalf("instantiated body = %v", f1)
+	}
+	if len(q1) != 1 || q1[0].Var != v1 || q1[0].Class != "Ordered" {
 		t.Fatalf("quals = %v", q1)
 	}
-	if q2[0].Var.ID != v2.ID {
+	if q2[0].Var != v2 {
 		t.Fatal("qualifier must follow its instantiation")
+	}
+}
+
+// A declared type may have a variable outside any ForAll. The declaration
+// can be shared between compiles, so each instantiation replaces it too
+// (consistently within one), and a type with no variables is not copied.
+func TestInstantiateFreshensFreeVariables(t *testing.T) {
+	free := NewVar("e")
+	decl := &Fn{Params: []Type{TensorOf(free, 1), free}, Ret: free}
+	u := NewUnifier()
+	t1, quals := u.Instantiate(decl)
+	f1 := t1.(*Fn)
+	v1, ok := f1.Ret.(*Var)
+	if !ok || v1 == free || !u.Owns(v1) || quals != nil {
+		t.Fatalf("instantiated = %v", f1)
+	}
+	if f1.Params[1] != Type(v1) || f1.Params[0].(*Compound).Args[0] != Type(v1) {
+		t.Fatalf("one instantiation must use one fresh variable: %v", f1)
+	}
+	t2, _ := u.Instantiate(decl)
+	if t2.(*Fn).Ret == Type(v1) {
+		t.Fatal("two instantiations share a variable")
+	}
+	if !u.Unify(t1, &Fn{Params: []Type{TensorOf(TReal64, 1), TReal64}, Ret: TReal64}) {
+		t.Fatal(u.Failure(&Printer{}))
+	}
+	if !IsGround(u.Zonk(t1)) || decl.Ret != Type(free) || len(FreeVars(decl)) != 1 {
+		t.Fatal("the declaration must be unchanged")
+	}
+	ground := &Fn{Params: []Type{TInt64}, Ret: TensorOf(TReal64, 2)}
+	if got, _ := u.Instantiate(ground); got != Type(ground) {
+		t.Fatal("a ground type must be returned as it is")
+	}
+	if n := testing.AllocsPerRun(100, func() { u.Instantiate(ground) }); n != 0 {
+		t.Fatalf("instantiating a ground type allocates %v times", n)
+	}
+}
+
+// Diagnostics number variables in the order a message first mentions them,
+// not by how many variables the process has made.
+func TestPrinterNumbersVariablesInPrintOrder(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		NewVar("noise")
+	}
+	a, b := NewVar("a"), NewVar("b")
+	ty := &Fn{Params: []Type{b, TensorOf(a, 1), b}, Ret: a}
+	var p Printer
+	if got := p.String(ty); got != "{b#1, Tensor[a#2, 1], b#1} -> a#2" {
+		t.Fatalf("printed %q", got)
+	}
+	if got := p.String(a); got != "a#2" {
+		t.Fatalf("a later message must keep the numbering: %q", got)
+	}
+	if got, want := ty.String(), fmt.Sprintf("{b#%d, Tensor[a#%d, 1], b#%d} -> a#%d", b.ID, a.ID, b.ID, a.ID); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+func TestEqualAndIsGroundAllocateNothing(t *testing.T) {
+	a := &Fn{Params: []Type{TensorOf(TReal64, 2), TInt64}, Ret: &Compound{Ctor: "Pair", Args: []Type{TBool, TString}}}
+	b := &Fn{Params: []Type{TensorOf(TReal64, 2), TInt64}, Ret: &Compound{Ctor: "Pair", Args: []Type{TBool, TString}}}
+	c := &Fn{Params: []Type{TensorOf(TReal64, 1), TInt64}, Ret: a.Ret}
+	v := NewVar("v")
+	if !Equal(a, b) || Equal(a, c) || Equal(v, TInt64) || Equal(TInt64, v) || !Equal(v, v) || Equal(v, NewVar("v")) {
+		t.Fatal("Equal is structural, and a variable equals only itself")
+	}
+	if !IsGround(a) || IsGround(TensorOf(v, 1)) || IsGround(&Fn{Params: []Type{TInt64}, Ret: v}) {
+		t.Fatal("IsGround")
+	}
+	open := TensorOf(v, 1)
+	if n := testing.AllocsPerRun(100, func() { Equal(a, b); Equal(a, c); IsGround(a); IsGround(open) }); n != 0 {
+		t.Fatalf("Equal and IsGround allocate %v times", n)
 	}
 }
 
@@ -244,14 +353,15 @@ func TestMangle(t *testing.T) {
 func TestSubstQuickIdempotent(t *testing.T) {
 	// Applying a substitution twice equals applying it once.
 	f := func(seed uint8) bool {
-		a, b, c := NewVar("a"), NewVar("b"), NewVar("c")
-		s := Subst{}
-		s[a.ID] = TensorOf(b, 1)
-		s[b.ID] = TInt64
+		u := NewUnifier()
+		a, b, c := u.NewVar("a"), u.NewVar("b"), u.NewVar("c")
+		if !u.Unify(a, TensorOf(b, 1)) || !u.Unify(b, TInt64) {
+			return false
+		}
 		var ty Type = &Fn{Params: []Type{a, b, c}, Ret: TensorOf(a, 2)}
-		once := s.Apply(ty)
-		twice := s.Apply(once)
-		return once.String() == twice.String()
+		once := u.Zonk(ty)
+		twice := u.Zonk(once)
+		return once.String() == twice.String() && once.String() == "{Tensor[Integer64, 1], Integer64, c#3} -> Tensor[Tensor[Integer64, 1], 2]"
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

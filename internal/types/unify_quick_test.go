@@ -32,41 +32,58 @@ func genGroundType(rng *rand.Rand, depth int) Type {
 	}
 }
 
-// punch replaces random subterms of a ground type with fresh variables,
-// returning the punched type. Unifying it against the original must always
-// succeed and reconstruct the original.
-func punch(rng *rand.Rand, t Type) Type {
+// punch replaces random subterms of a ground type with fresh variables of
+// u, returning the punched type. Unifying it against the original must
+// always succeed and reconstruct the original.
+func punch(rng *rand.Rand, u *Unifier, t Type) Type {
 	if rng.Intn(4) == 0 {
-		return NewVar("h")
+		return u.NewVar("h")
 	}
 	switch x := t.(type) {
 	case *Compound:
 		args := make([]Type, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = punch(rng, a)
+			args[i] = punch(rng, u, a)
 		}
 		return &Compound{Ctor: x.Ctor, Args: args}
 	case *Fn:
 		params := make([]Type, len(x.Params))
 		for i, p := range x.Params {
-			params[i] = punch(rng, p)
+			params[i] = punch(rng, u, p)
 		}
-		return &Fn{Params: params, Ret: punch(rng, x.Ret)}
+		return &Fn{Params: params, Ret: punch(rng, u, x.Ret)}
 	}
 	return t
 }
 
-// Reflexivity: every ground type unifies with itself under the empty
-// substitution, and the substitution stays empty.
+// bindings lists every variable of u with what it is bound to (nil while
+// free): the whole state Undo must restore.
+func bindings(u *Unifier, vars []*Var) []Type {
+	out := make([]Type, len(vars))
+	for i, v := range vars {
+		if r := u.Resolve(v); r != Type(v) {
+			out[i] = r
+		}
+	}
+	return out
+}
+
+func sameBindings(a, b []Type) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Reflexivity: every ground type unifies with itself and binds nothing.
 func TestUnifyReflexiveQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ty := genGroundType(rng, 1+rng.Intn(3))
-		s := Subst{}
-		if err := Unify(ty, ty, s); err != nil {
-			return false
-		}
-		return len(s) == 0
+		u := NewUnifier()
+		return u.Unify(ty, ty) && u.Mark() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -74,18 +91,18 @@ func TestUnifyReflexiveQuick(t *testing.T) {
 }
 
 // Solving holes: a ground type unifies with any hole-punched copy of
-// itself, and applying the resulting substitution to the punched copy
-// reconstructs the ground type exactly.
+// itself, and resolving the punched copy afterwards reconstructs the ground
+// type exactly.
 func TestUnifySolvesHolesQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ground := genGroundType(rng, 1+rng.Intn(3))
-		holey := punch(rng, ground)
-		s := Subst{}
-		if err := Unify(holey, ground, s); err != nil {
+		u := NewUnifier()
+		holey := punch(rng, u, ground)
+		if !u.Unify(holey, ground) {
 			return false
 		}
-		return s.Apply(holey).String() == ground.String()
+		return u.Zonk(holey).String() == ground.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -97,20 +114,22 @@ func TestUnifySymmetricQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ground := genGroundType(rng, 1+rng.Intn(3))
-		a := punch(rng, ground)
-		b := punch(rng, ground)
-		s1, s2 := Subst{}, Subst{}
-		err1 := Unify(a, b, s1)
-		err2 := Unify(b, a, s2)
-		if (err1 == nil) != (err2 == nil) {
+		u := NewUnifier()
+		a := punch(rng, u, ground)
+		b := punch(rng, u, ground)
+		ok1 := u.Unify(a, b)
+		r1 := u.Zonk(a)
+		u.Undo(0)
+		ok2 := u.Unify(b, a)
+		r2 := u.Zonk(a)
+		if ok1 != ok2 {
 			return false
 		}
-		if err1 != nil {
+		if !ok1 {
 			return true
 		}
 		// Where a hole met a hole the two directions bind different (alpha-
 		// equivalent) variables, so compare only ground results exactly.
-		r1, r2 := s1.Apply(a), s2.Apply(a)
 		if !IsGround(r1) || !IsGround(r2) {
 			return true
 		}
@@ -121,35 +140,107 @@ func TestUnifySymmetricQuick(t *testing.T) {
 	}
 }
 
-// UnifyTracked + Rollback restores the substitution to its pre-trial state
-// whether the trial succeeded or failed — the invariant the inference
-// engine's overload trials depend on.
-func TestUnifyTrackedRollbackQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		// Pre-existing bindings that must survive the rollback untouched.
-		s := Subst{}
-		pre := NewVar("pre")
-		s[pre.ID] = genGroundType(rng, 2)
-		before := len(s)
+// trialCase builds one speculative unification over some earlier, kept
+// bindings: the shape of every overload trial the inference solver makes.
+// Half the trials are against an unrelated type, so many fail, most of them
+// after binding something.
+func trialCase(rng *rand.Rand) (u *Unifier, vars []*Var, a, b Type) {
+	u = NewUnifier()
+	groundA := genGroundType(rng, 1+rng.Intn(3))
+	a = punch(rng, u, groundA)
+	b = genGroundType(rng, 1+rng.Intn(3))
+	if rng.Intn(2) == 0 {
+		b = punch(rng, u, groundA)
+	}
+	pre := u.NewVar("pre")
+	u.Unify(pre, genGroundType(rng, 2))
+	vars = append(FreeVars(&Fn{Params: []Type{a, b}, Ret: pre}), pre)
+	// Bind some of the holes for good before the trial.
+	for _, v := range vars {
+		if rng.Intn(3) == 0 {
+			u.Unify(v, genGroundType(rng, 1))
+		}
+	}
+	return u, vars, a, b
+}
 
-		groundA := genGroundType(rng, 1+rng.Intn(3))
-		a := punch(rng, groundA)
-		// Half the trials are against an unrelated type, so some fail.
-		b := genGroundType(rng, 1+rng.Intn(3))
-		if rng.Intn(2) == 0 {
-			b = groundA
+// Undo to a mark restores the bindings to their state at the mark exactly,
+// whether the unification in between succeeded or failed — the invariant
+// the inference solver's overload trials depend on. In particular a failed
+// trial leaves no binding behind.
+func TestUndoToMarkRestoresQuick(t *testing.T) {
+	failed := 0
+	f := func(seed int64) bool {
+		u, vars, a, b := trialCase(rand.New(rand.NewSource(seed)))
+		before := bindings(u, vars)
+		mark := u.Mark()
+		if !u.Unify(a, b) {
+			failed++
 		}
-		var added []int64
-		_ = UnifyTracked(a, b, s, &added)
-		s.Rollback(added)
-		if len(s) != before {
-			return false
-		}
-		return s[pre.ID] != nil
+		u.Undo(mark)
+		return u.Mark() == mark && len(u.Bound(mark)) == 0 && sameBindings(before, bindings(u, vars))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+	if failed < 50 {
+		t.Fatalf("only %d of 500 trials failed: the property was hardly tested on failures", failed)
+	}
+}
+
+// Failure is monotone: a pair that does not unify under some bindings does
+// not unify under any extension of them. This is what lets the solver drop
+// an overload option for good the first time it fails.
+func TestUnifyFailureIsMonotoneQuick(t *testing.T) {
+	failed := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		u, vars, a, b := trialCase(rng)
+		mark := u.Mark()
+		ok := u.Unify(a, b)
+		u.Undo(mark)
+		if ok {
+			return true
+		}
+		failed++
+		// Extend the bindings: every hole still free takes a random type.
+		for _, v := range vars {
+			if u.Resolve(v) == Type(v) {
+				u.Unify(v, genGroundType(rng, 1+rng.Intn(2)))
+			}
+		}
+		return !u.Unify(a, b)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if failed < 50 {
+		t.Fatalf("only %d of 500 cases failed before the extension", failed)
+	}
+}
+
+// Neither outcome of a trial allocates: bindings go into the variables and
+// onto a trail that is reused.
+func TestTrialAllocatesNothing(t *testing.T) {
+	u := NewUnifier()
+	a, r := u.NewVar("a"), u.NewVar("r")
+	want := &Fn{Params: []Type{TensorOf(a, 1), TInt64}, Ret: r}
+	good := &Fn{Params: []Type{TensorOf(TReal64, 1), TInt64}, Ret: TReal64}
+	bad := &Fn{Params: []Type{TensorOf(TReal64, 1), TReal64}, Ret: TReal64}
+	loop := &Fn{Params: []Type{TensorOf(r, 1), TInt64}, Ret: TensorOf(a, 1)} // occurs check
+	u.Unify(want, good)
+	u.Undo(0) // the trail has its capacity now
+	n := testing.AllocsPerRun(100, func() {
+		for _, opt := range []Type{good, bad, loop} {
+			mark := u.Mark()
+			if u.Unify(want, opt) != (opt == Type(good)) {
+				t.Fatalf("wrong verdict for %v", opt)
+			}
+			u.Undo(mark)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("three trials allocate %v times", n)
 	}
 }
 

@@ -88,7 +88,15 @@ func (s *ssaBuilder) seal(b *Block) error {
 		return nil
 	}
 	b.sealed = true
-	for sym, phi := range b.incompletePhis {
+	// In creation order, not map order: completing a phi can create phis in
+	// other blocks, and their numbering must not differ from one compile of a
+	// source to the next. Phis appended to b meanwhile are already complete.
+	for i, n := 0, len(b.Phis); i < n; i++ {
+		phi := b.Phis[i]
+		sym, _ := phi.Props["var"].(*expr.Symbol)
+		if b.incompletePhis[sym] != phi {
+			continue
+		}
 		if err := s.addPhiOperands(phi, sym); err != nil {
 			return err
 		}

@@ -32,8 +32,8 @@ size_report() {
     echo "internal/codegen generated ($(echo $gen)): $(cat $gen | wc -l)"
     echo "internal/codegen hand-written: $(find internal/codegen -name '*.go' ! -name '*_test.go' | grep -v -F "$gen" | xargs cat | wc -l)"
     echo "scripts/verify.sh: $(wc -l < scripts/verify.sh) lines"
-    echo "== size: what one compiler, one tiered session (ISSUE 16) and 21 891 compiled calls (cfib[20], ISSUE 17) cost =="
-    go test -run '^$' -bench 'NewCompiler$|EngineNewClose$|CallOverhead$' -benchmem -benchtime 200x ./internal/core ./internal/engine | grep '^Benchmark'
+    echo "== size: what one compiler, one tiered session (ISSUE 16), 21 891 compiled calls (cfib[20], ISSUE 17) and inferring the 14-source corpus (ISSUE 18) cost =="
+    go test -run '^$' -bench 'NewCompiler$|EngineNewClose$|CallOverhead$|Infer$' -benchmem -benchtime 200x ./internal/core ./internal/engine | grep '^Benchmark'
 }
 
 if [ "${1:-}" = "-fast" ]; then
@@ -76,10 +76,12 @@ echo "== benchmark gate: the benchmark module builds, passes its tests, and chec
 # Every timed operation there is compared with benchmark/expected/*.txt, so
 # two seconds of the tensor workload and two of the scalar one catch a
 # codegen change that breaks a program's checksum before anyone measures it
-# (the tensor programs alone would miss an edit to a scalar op).
+# (the tensor programs alone would miss an edit to a scalar op), and two of
+# compile_cold run every corpus function it has just compiled, which catches
+# an inference change that picks another overload (ISSUE 18).
 go -C benchmark vet .
 go -C benchmark test .
-for wl in fig2_tensor fig2_scalar; do
+for wl in fig2_tensor fig2_scalar compile_cold; do
     bash benchmark/run.sh --workload "$wl" --seed 1 --seconds 2 --trace 0 > "$tmp/bench.out"
     tail -n 1 "$tmp/bench.out" | grep -q '"correct":true' &&
         tail -n 1 "$tmp/bench.out" | grep -q '"failed":0[,}]' || {
@@ -168,7 +170,7 @@ if deriv > 1.5:
     sys.exit(f"verify: FAIL — un-promotable workload pays {deriv:.2f}x under tiering")
 EOF
 
-echo "== stencil gate: compile latency and warmup (backend <10x fails, steady <5x fails) =="
+echo "== stencil gate: compile latency and warmup (backend <2.5x fails, steady <5x fails) =="
 # The point of the baseline tier is compile latency. Both tiers run the
 # same closure backend (the stencil tier is its fusion-off configuration,
 # ISSUE 13), so the gate measures what the configuration skips: the backend
@@ -176,7 +178,9 @@ echo "== stencil gate: compile latency and warmup (backend <10x fails, steady <5
 # resolution + passes + fused codegen. The MExpr front half
 # (macro/binding/lower) is shared verbatim by both tiers and would otherwise
 # dilute the comparison; both ratios are reported in the JSON (see
-# EXPERIMENTS.md). Steady-state
+# EXPERIMENTS.md). The bound was 10x while inference cost 70-80 % of an O2
+# compile (12x measured); ISSUE 18 made inference 6x cheaper, the ratio reads
+# 5.2-5.7x, and the bound is half of that. Steady-state
 # speedup over the interpreter is gated at 5x (measured ~60x on fib) so
 # the gate stays robust on loaded shared machines. The run is repeated
 # three times and the best ratio is taken: shared-host
@@ -196,8 +200,8 @@ for i in (1, 2, 3):
     by = {m["mode"]: m["steady_ns"] for m in d["modes"]}
     steady = max(steady, by["interpreter"] / by["stencil"])
 print(f"stencil compile: backend {backend:.1f}x, total {total:.1f}x faster than the O2 pipeline")
-if backend < 10:
-    sys.exit(f"verify: FAIL — stencil backend compile ratio {backend:.1f}x < 10x")
+if backend < 2.5:
+    sys.exit(f"verify: FAIL — stencil backend compile ratio {backend:.1f}x < 2.5x")
 print(f"stencil steady state: {steady:.1f}x faster than the interpreter")
 if steady < 5:
     sys.exit(f"verify: FAIL — stencil steady state only {steady:.1f}x over the interpreter")
@@ -247,9 +251,13 @@ if [ "$ok" != 1 ]; then
     exit 1
 fi
 
-echo "== artifact gate: cold vs warm start (warm total compile <5x fails) =="
+echo "== artifact gate: cold vs warm start (warm total compile <1.2x fails) =="
 # The persistent artifact store (ROADMAP item 4) must make warm starts —
 # a new process over a populated store — skip the pipeline's front half.
+# The bound was 5x while a cold compile of the corpus took 13 ms against a
+# warm 1.3 ms (8-10x measured); ISSUE 18 brought the cold side to 3 ms, the
+# ratio reads 2.2-2.5x, and the bound is half of that: a warm start must
+# still beat compiling.
 # Best-of-3 with a fresh store each round filters shared-host load spikes;
 # every warm compile must hit the disk tier and reproduce the cold result
 # bit for bit.
@@ -272,8 +280,8 @@ for i in (1, 2, 3):
     if not all(r["warm_artifact_hit"] for r in d["rows"]):
         sys.exit("verify: FAIL — a warm compile missed the artifact store")
     speedup = max(speedup, d["warm_compile_speedup"])
-print(f"cold/warm total compile speedup: {speedup:.1f}x (gate 5x)")
-if speedup < 5:
+print(f"cold/warm total compile speedup: {speedup:.1f}x (gate 1.2x)")
+if speedup < 1.2:
     sys.exit(f"verify: FAIL — warm start only {speedup:.1f}x faster than cold")
 EOF
 
