@@ -50,6 +50,7 @@ func TestWolfcStages(t *testing.T) {
 		{"ast", "Typed[arg"},
 		{"wir", "Call Plus"},
 		{"twir", "Integer64"},
+		{"regions", "block start(1), poll"},
 		{"c", "int64_t Main(int64_t arg)"},
 		{"cexe", "WOLFRT_H"},
 		{"wvm", "WVMFunction"},

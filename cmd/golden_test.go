@@ -2,10 +2,15 @@ package cmd_test
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wolfc/internal/bench"
+	"wolfc/internal/core"
+	"wolfc/internal/kernel"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -95,5 +100,48 @@ func TestGoldenHistogramTWIR(t *testing.T) {
 	loop, _, _ = strings.Cut(loop, "while_exit(")
 	if strings.Contains(loop, "memory_") || strings.Contains(out, "setpart_unsafe") {
 		t.Errorf("histogram loop still does per-iteration bookkeeping:\n%s", out)
+	}
+}
+
+// TestGoldenRegions pins `wolfc -stage regions` — the tree of loops, Ifs and
+// sequences the closure backend runs a function as (ISSUE 19) — for the
+// benchmark's blur, whose pixel is one sum node in a loop in a loop, and for
+// qsort with its helper: an If in a loop, and recursive calls after it. The
+// helper is a declaration the wolfc command line cannot make, so that module
+// is compiled here and printed through the export wolfc itself calls.
+func TestGoldenRegions(t *testing.T) {
+	out, err := run(t, "wolfc", "",
+		"-file", filepath.Join("..", "benchmark", "programs", "blur.wl"), "-O", "2", "-stage", "regions")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	checkGolden(t, "blur_regions", out)
+	for want, why := range map[string]string{
+		"sum %":       "the nine-term stencil is one sum node",
+		"loop while_": "the Whiles are loops",
+		", break":     "a While leaves by a break",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("blur's regions lack %q (%s):\n%s", want, why, out)
+		}
+	}
+	for _, s := range bench.CompiledSources() {
+		if s.Name != "qsort" {
+			continue
+		}
+		k := kernel.New()
+		k.Out = io.Discard
+		c := core.NewCompiler(k)
+		c.Options.OptimizationLevel = 2
+		s.Declare(c.TypeEnv)
+		ccf, err := c.FunctionCompile(s.Fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ccf.ExportString("Regions")
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, "qsort_regions", out)
 	}
 }

@@ -1,11 +1,12 @@
 // Package codegen implements the compiler's backends (paper §4.6). The
 // default backend compiles TWIR to closure-threaded native Go code: every
 // instruction becomes a Go closure over unboxed register files (int64,
-// float64, complex128, bool, and object registers), basic blocks become
-// straight-line closure arrays, and terminators return the next block
-// index. This plays the architectural role of the paper's LLVM JIT — typed,
-// unboxed, register-based code with real inlining — against the baseline's
-// boxed stack bytecode (see DESIGN.md for the substitution rationale).
+// float64, complex128, bool, and object registers), and the control-flow
+// graph becomes a tree of closures that runs a loop as a Go loop and an If as
+// a Go if (regions.go). This plays the architectural role of the paper's
+// LLVM JIT — typed, unboxed, register-based code with real inlining — against
+// the baseline's boxed stack bytecode (see DESIGN.md for the substitution
+// rationale).
 // Additional backends (C source, WVM) live in their own files behind the
 // same Backend entry points.
 package codegen
@@ -17,6 +18,7 @@ import (
 
 	"wolfc/internal/expr"
 	"wolfc/internal/fnreg"
+	"wolfc/internal/passes"
 	"wolfc/internal/runtime"
 	"wolfc/internal/types"
 	"wolfc/internal/wir"
@@ -49,11 +51,14 @@ type RT struct {
 // Aborted polls the abort flag; standalone code (nil engine) never aborts.
 func (rt *RT) Aborted() bool { return rt.Engine != nil && rt.Engine.Aborted() }
 
-// maxCallDepth bounds compiled call nesting. One level costs 216 bytes of Go
-// stack (exec 72 + the direct-call closure 144; 264 through the registry)
-// and the Go runtime kills the process when a stack must grow past 512 MB,
-// 2.0 to 2.5 million levels; a million keeps a 2x margin.
-const maxCallDepth = 1 << 20
+// maxCallDepth bounds compiled call nesting. Under the region tree a level's
+// Go stack is the call closure, the callee's body and one closure for each
+// region the call is nested in: 272 bytes for a call in an If (280 unfused),
+// 592 to 624 under four regions (If, While, While, If), about 100 more for
+// each one deeper. The Go runtime kills the process when a stack must grow
+// past 512 MB, which four regions reach at 860 000 levels; 1<<18 keeps the
+// 2x margin down to a call nested nine regions deep.
+const maxCallDepth = 1 << 18
 
 var rtPool = sync.Pool{New: func() any { return new(RT) }}
 
@@ -77,11 +82,15 @@ func (rt *RT) Release() {
 	rtPool.Put(rt)
 }
 
-// enter takes the activation record at the current depth for a call of cf:
-// its register files re-sliced to cf's counts, constants loaded. Scalar
-// classes cf does not use are left as the last user had them; the object file
-// is always cf's exact window, which is what leave and Release clear.
+// enter takes the activation record at the current depth for a call of cf,
+// after the function's entry abort poll: its register files re-sliced to
+// cf's counts, constants loaded. Scalar classes cf does not use are left as
+// the last user had them; the object file is always cf's exact window, which
+// is what leave and Release clear.
 func (rt *RT) enter(cf *CFunc) *frame {
+	if cf.poll && rt.Aborted() {
+		runtime.Throw(runtime.ExcAbort, "aborted")
+	}
 	if rt.depth == len(rt.frames) {
 		if rt.depth >= maxCallDepth {
 			runtime.Throw(runtime.ExcDepth, "compiled call depth of %d exceeded", maxCallDepth)
@@ -160,12 +169,6 @@ type frame struct {
 }
 
 type step func(fr *frame)
-type term func(fr *frame) int
-
-type cblock struct {
-	steps []step
-	term  term
-}
 
 // CFunc is one compiled function.
 type CFunc struct {
@@ -176,7 +179,11 @@ type CFunc struct {
 	retReg             reg
 	retKind            runtime.Kind
 	hasRet             bool
-	blocks             []cblock
+	// body runs the function on a prepared frame: its region tree, compiled.
+	// poll is set when the abort check that opens the entry block is made by
+	// enter, on the way in, in place of a closure of its own.
+	body step
+	poll bool
 
 	// naiveConsts rebuilds tensor constants per call (the §6 PrimeQ
 	// constant-array ablation).
@@ -241,10 +248,9 @@ type CompileOptions struct {
 	FuseLevel int
 	// ProfileLevel > 0 instruments every basic block with an atomic
 	// execution counter (ISSUE 4): exact per-block and loop-trip counts,
-	// dumpable as a hot-block table (CFunc.ProfileTable). Profiling
-	// disables the fusion shortcuts that skip block dispatch (edge
-	// threading, whole-loop rotation) so the counts stay exact; in-block
-	// superinstruction fusion is unaffected.
+	// dumpable as a hot-block table (CFunc.ProfileTable). The counter is
+	// the first step of its block, so fusion and region shape leave the
+	// counts exact.
 	ProfileLevel int
 }
 
@@ -263,6 +269,12 @@ func Compile(mod *wir.Module) (*Program, error) {
 
 // CompileWithOptions generates code with explicit backend options.
 func CompileWithOptions(mod *wir.Module, opts CompileOptions) (*Program, error) {
+	return eachFunction(mod, opts, (*gen).generate)
+}
+
+// eachFunction sets up the program and one generator per function of a typed
+// module, and runs do on each.
+func eachFunction(mod *wir.Module, opts CompileOptions, do func(*gen) error) (*Program, error) {
 	if !mod.Typed {
 		return nil, fmt.Errorf("codegen: module is untyped; run inference first (§4.6: code generation only operates on fully typed TWIR)")
 	}
@@ -275,7 +287,7 @@ func CompileWithOptions(mod *wir.Module, opts CompileOptions) (*Program, error) 
 	}
 	for i, f := range mod.Funcs {
 		g := &gen{prog: p, fn: f, cf: p.Funcs[i], regs: map[wir.Value]reg{}, fuse: opts.FuseLevel != FuseOff, profile: opts.ProfileLevel > 0}
-		if err := g.generate(); err != nil {
+		if err := do(g); err != nil {
 			return nil, err
 		}
 	}
@@ -284,18 +296,6 @@ func CompileWithOptions(mod *wir.Module, opts CompileOptions) (*Program, error) 
 		p.Main = p.Funcs[0]
 	}
 	return p, nil
-}
-
-// exec runs the function body on a prepared frame.
-func (cf *CFunc) exec(fr *frame) {
-	blk := 0
-	for blk >= 0 {
-		b := &cf.blocks[blk]
-		for _, st := range b.steps {
-			st(fr)
-		}
-		blk = b.term(fr)
-	}
 }
 
 // CallValues invokes the compiled function with unboxed arguments (int64,
@@ -309,7 +309,7 @@ func (cf *CFunc) CallValues(rt *RT, args ...any) any {
 	for i, a := range args {
 		writeReg(fr, cf.params[i], a)
 	}
-	cf.exec(fr)
+	cf.body(fr)
 	var res any
 	if cf.hasRet {
 		res = readReg(fr, cf.retReg)
@@ -365,14 +365,13 @@ type gen struct {
 	// superinstruction: the chain becomes one closure; fused instructions
 	// get no step and no register of their own).
 	fused map[*wir.Instr]bool
-	// abortFold is set while generating a block whose leading abort check
-	// folds into the fused conditional-branch closure.
-	abortFold bool
 	// profile enables per-block execution counters (CompileOptions.
-	// ProfileLevel > 0) and disables dispatch-skipping fusion shortcuts.
+	// ProfileLevel > 0).
 	profile bool
 	// uses counts the operand references to each value; see useCount.
 	uses map[wir.Value]int
+	// cfg is the control-flow analysis behind the region tree.
+	cfg *passes.CFG
 }
 
 // useCount returns the number of operand references to v. The references
@@ -525,6 +524,49 @@ func constObject(c *wir.Const) (any, error) {
 
 // generate compiles the function body.
 func (g *gen) generate() error {
+	if err := g.prepare(); err != nil {
+		return err
+	}
+	tree, err := g.regions()
+	if err != nil {
+		return err
+	}
+	if g.profile {
+		g.cf.profCounts = make([]atomic.Uint64, len(g.fn.Blocks))
+		g.cf.profLabels = make([]string, len(g.fn.Blocks))
+		g.cf.profLoop = make([]bool, len(g.fn.Blocks))
+		for i, b := range g.fn.Blocks {
+			g.cf.profLabels[i] = b.Label
+		}
+		walkRegions(tree, func(r *region) {
+			if r.kind == regionLoop {
+				g.cf.profLoop[g.cfg.Index(r.block)] = true
+			}
+		})
+	}
+	g.cf.poll = !g.profile && !g.cfg.Header[0] && g.fn.Blocks[0].Instrs[0].Op == wir.OpAbortCheck
+	b, err := g.compile(tree)
+	// A function is its steps; one whose control leaves from a nested
+	// position (a Return in a loop) runs them, then the flow that has it.
+	if pre, rest := seqStep(b.steps), b.ctl; rest == nil && pre != nil {
+		g.cf.body = pre
+	} else {
+		g.cf.body = func(fr *frame) {
+			if pre != nil {
+				pre(fr)
+			}
+			if rest != nil {
+				rest(fr)
+			}
+		}
+	}
+	return err
+}
+
+// prepare assigns the parameter and return registers and decides what
+// shares a register and what fuses: everything code generation settles
+// before it looks at control flow.
+func (g *gen) prepare() error {
 	for _, p := range g.fn.Params {
 		r, err := g.regOf(p)
 		if err != nil {
@@ -537,367 +579,66 @@ func (g *gen) generate() error {
 		g.cf.retReg = g.alloc(g.cf.retKind)
 		g.cf.hasRet = true
 	}
-	blockIdx := map[*wir.Block]int{}
-	for i, b := range g.fn.Blocks {
-		blockIdx[b] = i
-	}
 	if err := g.coalesceObjects(); err != nil {
 		return err
 	}
-	if err := g.markFused(); err != nil {
-		return err
-	}
+	return g.markFused()
+}
+
+// blockSteps appends the steps of b's instructions, terminator apart, to
+// steps: under profiling the block's counter first, and without the leading
+// abort check when the loop closure polls for it.
+func (g *gen) blockSteps(steps []step, b *wir.Block, polled bool) ([]step, error) {
 	if g.profile {
-		g.cf.profCounts = make([]atomic.Uint64, len(g.fn.Blocks))
-		g.cf.profLabels = make([]string, len(g.fn.Blocks))
-		g.cf.profLoop = make([]bool, len(g.fn.Blocks))
+		ctr := &g.cf.profCounts[g.cfg.Index(b)]
+		steps = append(steps, func(fr *frame) { ctr.Add(1) })
 	}
-	for bi, b := range g.fn.Blocks {
-		var cb cblock
-		g.abortFold = g.canFoldAbort(b)
-		if g.profile {
-			g.cf.profLabels[bi] = b.Label
-			ctr := &g.cf.profCounts[bi]
-			cb.steps = append(cb.steps, func(fr *frame) { ctr.Add(1) })
-			// A terminator edge to an earlier (or the same) block is a back
-			// edge; its target is a loop header.
-			if t := b.Term(); t != nil {
-				for _, tgt := range t.Targets {
-					if ti, ok := blockIdx[tgt]; ok && ti <= bi {
-						g.cf.profLoop[ti] = true
-					}
-				}
-			}
-		}
-		for i, in := range b.Instrs {
-			if i == 0 && g.abortFold {
-				continue // polled inside the fused branch closure instead
-			}
-			if in.IsTerminator() {
-				t, err := g.genTerminator(b, in, blockIdx)
-				if err != nil {
-					return err
-				}
-				cb.term = t
-				break
-			}
-			if g.fused[in] {
-				continue // folded into its consumer superinstruction
-			}
-			st, err := g.genInstr(in)
-			if err != nil {
-				return err
-			}
-			if st != nil {
-				cb.steps = append(cb.steps, st)
-			}
-		}
-		if cb.term == nil {
-			return fmt.Errorf("codegen %s: block %s unterminated", g.fn.Name, b.Label)
-		}
-		g.cf.blocks = append(g.cf.blocks, cb)
+	instrs := b.Instrs[:len(b.Instrs)-1]
+	if polled {
+		instrs = instrs[1:]
 	}
-	return nil
+	for _, in := range instrs {
+		if g.fused[in] {
+			continue // folded into its consumer superinstruction
+		}
+		st, err := g.genInstr(in)
+		if err != nil {
+			return nil, err
+		}
+		if st != nil {
+			steps = append(steps, st)
+		}
+	}
+	return steps, nil
 }
 
-// canFoldAbort reports whether b's leading abort check can fold into its
-// fused conditional-branch closure. That needs every other non-terminator
-// instruction in the block fused too, so the branch closure runs exactly
-// once per block entry and the poll frequency is unchanged — the abort
-// contract (one poll per loop iteration) survives superinstruction fusion.
-func (g *gen) canFoldAbort(b *wir.Block) bool {
-	if len(b.Instrs) < 2 || b.Instrs[0].Op != wir.OpAbortCheck {
-		return false
+// returnStep moves a Return's operand into the return register (nil when it
+// returns nothing).
+func (g *gen) returnStep(in *wir.Instr) (step, error) {
+	if len(in.Args) != 1 || !g.cf.hasRet {
+		return nil, nil
 	}
-	t := b.Term()
-	if t == nil || t.Op != wir.OpCondBranch || len(t.Args) == 0 {
-		return false
+	if a, ok := in.Args[0].(*wir.Instr); ok && g.fused[a] {
+		return g.assignTo(g.cf.retReg, a)
 	}
-	if cmp, ok := t.Args[0].(*wir.Instr); !ok || !g.fused[cmp] {
-		return false
-	}
-	for _, in := range b.Instrs[1:] {
-		if !in.IsTerminator() && !g.fused[in] {
-			return false
-		}
-	}
-	return true
-}
-
-// genTerminator compiles a block terminator, including the parallel phi
-// moves for each outgoing edge.
-func (g *gen) genTerminator(b *wir.Block, in *wir.Instr, blockIdx map[*wir.Block]int) (term, error) {
-	switch in.Op {
-	case wir.OpReturn:
-		if len(in.Args) == 1 && g.cf.hasRet {
-			if a, ok := in.Args[0].(*wir.Instr); ok && g.fused[a] {
-				st, err := g.assignTo(g.cf.retReg, a)
-				if err != nil {
-					return nil, err
-				}
-				return func(fr *frame) int {
-					st(fr)
-					return -1
-				}, nil
-			}
-			src, err := g.regOf(in.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			dst := g.cf.retReg
-			mv := g.moveStep(dst, src)
-			return func(fr *frame) int {
-				mv(fr)
-				return -1
-			}, nil
-		}
-		return func(fr *frame) int { return -1 }, nil
-	case wir.OpBranch:
-		target := in.Targets[0]
-		idx := blockIdx[target]
-		sts, err := g.phiMoveSteps(b, target)
-		if err != nil {
-			return nil, err
-		}
-		// Unroll small move lists into the terminator closure itself: loop
-		// latches are the hottest edges in the program and this removes the
-		// composed-moves wrapper call from every iteration.
-		switch len(sts) {
-		case 0:
-			return func(fr *frame) int { return idx }, nil
-		case 1:
-			m0 := sts[0]
-			return func(fr *frame) int {
-				m0(fr)
-				return idx
-			}, nil
-		case 2:
-			m0, m1 := sts[0], sts[1]
-			return func(fr *frame) int {
-				m0(fr)
-				m1(fr)
-				return idx
-			}, nil
-		case 3:
-			m0, m1, m2 := sts[0], sts[1], sts[2]
-			return func(fr *frame) int {
-				m0(fr)
-				m1(fr)
-				m2(fr)
-				return idx
-			}, nil
-		}
-		return func(fr *frame) int {
-			for _, m := range sts {
-				m(fr)
-			}
-			return idx
-		}, nil
-	case wir.OpCondBranch:
-		if cmp, ok := in.Args[0].(*wir.Instr); ok && g.fused[cmp] {
-			return g.genFusedCondBranch(b, in, cmp, blockIdx)
-		}
-		condReg, err := g.regOf(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		if condReg.kind != runtime.KBool {
-			return nil, fmt.Errorf("codegen %s: condition in %v register", g.fn.Name, condReg.kind)
-		}
-		ci := condReg.idx
-		thenIdx := blockIdx[in.Targets[0]]
-		elseIdx := blockIdx[in.Targets[1]]
-		thenMoves, err := g.phiMoves(b, in.Targets[0])
-		if err != nil {
-			return nil, err
-		}
-		elseMoves, err := g.phiMoves(b, in.Targets[1])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int {
-			if fr.b[ci] {
-				if thenMoves != nil {
-					thenMoves(fr)
-				}
-				return thenIdx
-			}
-			if elseMoves != nil {
-				elseMoves(fr)
-			}
-			return elseIdx
-		}, nil
-	}
-	return nil, fmt.Errorf("codegen %s: bad terminator", g.fn.Name)
-}
-
-// phiMoves builds the parallel copy for the edge from→to as a single step
-// (nil when the edge moves nothing).
-func (g *gen) phiMoves(from, to *wir.Block) (step, error) {
-	steps, err := g.phiMoveSteps(from, to)
+	src, err := g.regOf(in.Args[0])
 	if err != nil {
 		return nil, err
 	}
-	return composeSteps(steps), nil
+	return g.moveStep(g.cf.retReg, src), nil
 }
 
-// composeSteps folds a step list into one step (nil for an empty list).
-func composeSteps(sts []step) step {
-	switch len(sts) {
-	case 0:
-		return nil
-	case 1:
-		return sts[0]
-	case 2:
-		m0, m1 := sts[0], sts[1]
-		return func(fr *frame) {
-			m0(fr)
-			m1(fr)
-		}
+// testOf compiles the condition of a conditional branch.
+func (g *gen) testOf(in *wir.Instr) (test, error) {
+	if cmp, ok := in.Args[0].(*wir.Instr); ok && g.fused[cmp] {
+		ev, err := g.buildEvalB(cmp)
+		return test{ev: ev}, err
 	}
-	all := sts
-	return func(fr *frame) {
-		for _, s := range all {
-			s(fr)
-		}
+	r, err := g.regOf(in.Args[0])
+	if err == nil && r.kind != runtime.KBool {
+		err = fmt.Errorf("codegen %s: condition in %v register", g.fn.Name, r.kind)
 	}
-}
-
-// blockFullyFused reports whether b contributes no steps: every
-// non-terminator instruction is folded into a superinstruction (a leading
-// abort check folded into the branch closure counts).
-func (g *gen) blockFullyFused(b *wir.Block) bool {
-	// Under profiling every block carries its counter step, so no block is
-	// ever "fully fused"; this keeps whole-loop rotation (selfLoopTerm) off
-	// and the per-block counts exact.
-	if g.profile {
-		return false
-	}
-	for i, in := range b.Instrs {
-		if in.IsTerminator() {
-			continue
-		}
-		if i == 0 && g.abortFold {
-			continue
-		}
-		if !g.fused[in] {
-			return false
-		}
-	}
-	return true
-}
-
-// threadEdge resolves the edge b→t for a fused conditional branch,
-// threading through t when t's whole body is fused into its outgoing
-// unconditional edge: the branch closure then performs both parallel moves
-// and lands directly at t's successor, saving a trip through the block
-// dispatch loop. On a While latch this rotates the loop so the branch
-// closure returns to its own block index.
-func (g *gen) threadEdge(b, t *wir.Block, blockIdx map[*wir.Block]int) ([]step, int, error) {
-	sts, err := g.phiMoveSteps(b, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Profiling needs every block entry to pass through the dispatch loop
-	// (where the counter step runs), so edge threading is disabled.
-	if !g.fuse || g.profile {
-		return sts, blockIdx[t], nil
-	}
-	tt := t.Term()
-	if tt == nil || tt.Op != wir.OpBranch {
-		return sts, blockIdx[t], nil
-	}
-	for _, in := range t.Instrs {
-		if !in.IsTerminator() && !g.fused[in] {
-			return sts, blockIdx[t], nil
-		}
-	}
-	sts2, err := g.phiMoveSteps(t, tt.Targets[0])
-	if err != nil {
-		return nil, 0, err
-	}
-	return append(sts, sts2...), blockIdx[tt.Targets[0]], nil
-}
-
-// selfLoopTerm compiles a fused conditional branch whose taken edge loops
-// straight back to its own fully-fused block: the whole loop runs inside
-// one closure, preserving the per-iteration abort poll.
-func selfLoopTerm(poll bool, cond func(*frame) bool, body []step, exitMoves step, exitIdx int) term {
-	exit := func(fr *frame) int {
-		if exitMoves != nil {
-			exitMoves(fr)
-		}
-		return exitIdx
-	}
-	switch len(body) {
-	case 0:
-		return func(fr *frame) int {
-			for {
-				if poll && fr.rt.Aborted() {
-					runtime.Throw(runtime.ExcAbort, "aborted")
-				}
-				if !cond(fr) {
-					return exit(fr)
-				}
-			}
-		}
-	case 1:
-		m0 := body[0]
-		return func(fr *frame) int {
-			for {
-				if poll && fr.rt.Aborted() {
-					runtime.Throw(runtime.ExcAbort, "aborted")
-				}
-				if !cond(fr) {
-					return exit(fr)
-				}
-				m0(fr)
-			}
-		}
-	case 2:
-		m0, m1 := body[0], body[1]
-		return func(fr *frame) int {
-			for {
-				if poll && fr.rt.Aborted() {
-					runtime.Throw(runtime.ExcAbort, "aborted")
-				}
-				if !cond(fr) {
-					return exit(fr)
-				}
-				m0(fr)
-				m1(fr)
-			}
-		}
-	case 3:
-		m0, m1, m2 := body[0], body[1], body[2]
-		return func(fr *frame) int {
-			for {
-				if poll && fr.rt.Aborted() {
-					runtime.Throw(runtime.ExcAbort, "aborted")
-				}
-				if !cond(fr) {
-					return exit(fr)
-				}
-				m0(fr)
-				m1(fr)
-				m2(fr)
-			}
-		}
-	}
-	all := body
-	return func(fr *frame) int {
-		for {
-			if poll && fr.rt.Aborted() {
-				runtime.Throw(runtime.ExcAbort, "aborted")
-			}
-			if !cond(fr) {
-				return exit(fr)
-			}
-			for _, s := range all {
-				s(fr)
-			}
-		}
-	}
+	return test{reg: r.idx}, err
 }
 
 // phiMoveSteps builds the parallel copy for the edge from→to, sequentialised
@@ -1063,7 +804,7 @@ func (g *gen) genInstr(in *wir.Instr) (step, error) {
 		return g.genCallIndirect(in)
 	case wir.OpCall:
 		if target := g.directCallee(in); target != nil {
-			return g.genDirectCall(in, target)
+			return g.genCall(in, in.Args, target, nil)
 		}
 		if _, ok := in.Prop("regcall"); ok {
 			return g.genRegistryCall(in)
@@ -1146,30 +887,45 @@ func (g *gen) directCallee(in *wir.Instr) *CFunc {
 	return g.prog.byName[in.Callee]
 }
 
-// genDirectCall compiles a call to another module function.
-func (g *gen) genDirectCall(in *wir.Instr, target *CFunc) (step, error) {
-	argRegs := make([]reg, len(in.Args))
-	for i, a := range in.Args {
+// genCall compiles a call of a compiled function: the one place compiled code
+// enters a body. A direct call's callee is fixed; resolve finds an indirect
+// or registry call's at run time, with the captures to pass after the
+// arguments. The closure reaches its operands through one pointer, so that
+// nothing but it and the two frames is live across the calls it makes.
+func (g *gen) genCall(in *wir.Instr, args []wir.Value, target *CFunc, resolve func(fr *frame) *FuncVal) (step, error) {
+	cs := &struct {
+		target    *CFunc
+		resolve   func(fr *frame) *FuncVal
+		args      []reg
+		dst       reg
+		hasResult bool
+	}{target: target, resolve: resolve, args: make([]reg, len(args)), hasResult: in.Ty != types.TVoid}
+	for i, a := range args {
 		r, err := g.regOf(a)
 		if err != nil {
 			return nil, err
 		}
-		argRegs[i] = r
+		cs.args[i] = r
 	}
-	dst, err := g.regOf(in)
-	if err != nil {
-		return nil, err
-	}
-	hasResult := in.Ty != types.TVoid
+	var err error
+	cs.dst, err = g.regOf(in)
 	return func(fr *frame) {
+		target, caps := cs.target, []any(nil)
+		if cs.resolve != nil {
+			fv := cs.resolve(fr)
+			target, caps = fv.Fn, fv.Caps
+		}
 		cfr := fr.rt.enter(target)
-		copyArgs(fr, cfr, argRegs, target.params)
-		target.exec(cfr)
-		if hasResult && target.hasRet {
-			copyRet(fr, cfr, dst, target.retReg)
+		copyArgs(fr, cfr, cs.args, target.params)
+		for i, c := range caps {
+			writeReg(cfr, target.params[len(cs.args)+i], c)
+		}
+		target.body(cfr)
+		if cs.hasResult && target.hasRet {
+			copyRet(fr, cfr, cs.dst, target.retReg)
 		}
 		fr.rt.leave(cfr)
-	}, nil
+	}, err
 }
 
 // genCallIndirect compiles a call through a function value. Argument moves
@@ -1180,37 +936,14 @@ func (g *gen) genCallIndirect(in *wir.Instr) (step, error) {
 	if err != nil {
 		return nil, err
 	}
-	argRegs := make([]reg, len(in.Args)-1)
-	for i, a := range in.Args[1:] {
-		r, err := g.regOf(a)
-		if err != nil {
-			return nil, err
-		}
-		argRegs[i] = r
-	}
-	dst, err := g.regOf(in)
-	if err != nil {
-		return nil, err
-	}
-	hasResult := in.Ty != types.TVoid
 	fi := fnReg.idx
-	return func(fr *frame) {
+	return g.genCall(in, in.Args[1:], nil, func(fr *frame) *FuncVal {
 		fv, ok := fr.o[fi].(*FuncVal)
 		if !ok {
 			runtime.Throw(runtime.ExcType, "call of a non-function value")
 		}
-		target := fv.Fn
-		cfr := fr.rt.enter(target)
-		copyArgs(fr, cfr, argRegs, target.params)
-		for i, c := range fv.Caps {
-			writeReg(cfr, target.params[len(argRegs)+i], c)
-		}
-		target.exec(cfr)
-		if hasResult && target.hasRet {
-			copyRet(fr, cfr, dst, target.retReg)
-		}
-		fr.rt.leave(cfr)
-	}, nil
+		return fv
+	})
 }
 
 // genRegistryCall compiles a cross-unit call resolved through the function
@@ -1228,21 +961,8 @@ func (g *gen) genRegistryCall(in *wir.Instr) (step, error) {
 	if !ok || ent == nil {
 		return nil, fmt.Errorf("codegen %s: call %s has a malformed registry resolution", g.fn.Name, in.Callee)
 	}
-	argRegs := make([]reg, len(in.Args))
-	for i, a := range in.Args {
-		r, err := g.regOf(a)
-		if err != nil {
-			return nil, err
-		}
-		argRegs[i] = r
-	}
-	dst, err := g.regOf(in)
-	if err != nil {
-		return nil, err
-	}
-	hasResult := in.Ty != types.TVoid
 	name := in.Callee
-	return func(fr *frame) {
+	return g.genCall(in, in.Args, nil, func(fr *frame) *FuncVal {
 		b := ent.Binding()
 		if b == nil {
 			runtime.Throw(runtime.ExcKernel, "call to %s: compiled entry is retired or not yet installed (definition changed); re-evaluate through the kernel", name)
@@ -1251,16 +971,6 @@ func (g *gen) genRegistryCall(in *wir.Instr) (step, error) {
 		if !ok {
 			runtime.Throw(runtime.ExcKernel, "call to %s: registry entry is not closure-backend code", name)
 		}
-		target := fv.Fn
-		cfr := fr.rt.enter(target)
-		copyArgs(fr, cfr, argRegs, target.params)
-		for i, c := range fv.Caps {
-			writeReg(cfr, target.params[len(argRegs)+i], c)
-		}
-		target.exec(cfr)
-		if hasResult && target.hasRet {
-			copyRet(fr, cfr, dst, target.retReg)
-		}
-		fr.rt.leave(cfr)
-	}, nil
+		return fv
+	})
 }

@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"wolfc/internal/expr"
+	"wolfc/internal/passes"
 	"wolfc/internal/runtime"
 	"wolfc/internal/types"
 	"wolfc/internal/wir"
@@ -131,7 +132,7 @@ func (x opC) get(fr *frame) complex128 {
 // by the constructors below. Everything else in buildEval* is cold enough to
 // keep get's switch.
 //
-//go:generate go run ./modegen -o fusion_modes.go
+//go:generate go run ./modegen -o fusion_modes.go -kinds part_kinds.go
 
 // arith holds the generated constructors of one arithmetic op: as an
 // interior node of a tree and as "dst = x op y", the root of one.
@@ -140,11 +141,9 @@ type arith[O, E any] struct {
 	assign func(d int, x, y O) step
 }
 
-// compare holds those of one compare: as a node, and as the terminator of a
-// block that ends by branching on it with no phi moves on either edge.
+// compare holds the generated constructor of one compare, as a node.
 type compare[O any] struct {
-	eval   func(x, y O) evalB
-	branch func(x, y O, poll bool, thenIdx, elseIdx int) term
+	eval func(x, y O) evalB
 }
 
 // ---------------------------------------------------------------------------
@@ -312,7 +311,10 @@ func barrierInstr(in *wir.Instr) bool {
 		case "Native`KernelApply":
 			return true
 		}
-		return !fusibleProducer(in) && !nonBarrierNatives[nativeOf(in)]
+		// An elementwise native that writes over its operand is as pure as
+		// the plain one: nothing else can see the operand it consumes.
+		native, _ := passes.CutInto(nativeOf(in))
+		return !fusibleProducer(in) && !nonBarrierNatives[native]
 	}
 	// Indirect calls, abort checks, terminators.
 	return true
@@ -780,7 +782,7 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 	case "string_byte":
 		return g.stringByteEval(in)
 	case "part_1", "part_unsafe_1", "part_2", "part_unsafe_2":
-		return g.partEvalI(in, native)
+		return partEval(g, in, native, partEvalI)
 	}
 	return nil, fmt.Errorf("codegen %s: no fused integer evaluator for native %q", g.fn.Name, native)
 }
@@ -788,6 +790,9 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 func (g *gen) buildEvalF(in *wir.Instr) (evalF, error) {
 	native := nativeOf(in)
 	if op, ok := realArith[native]; ok {
+		if ts, err := g.sumTerms(in); ts != nil || err != nil {
+			return sumFEval(ts), err
+		}
 		x, y, err := g.opFF(in)
 		if err != nil {
 			return nil, err
@@ -946,7 +951,7 @@ func (g *gen) buildEvalF(in *wir.Instr) (evalF, error) {
 		}
 		return func(fr *frame) float64 { return imag(x.get(fr)) }, nil
 	case "part_1", "part_unsafe_1", "part_2", "part_unsafe_2":
-		return g.partEvalF(in, native)
+		return partEval(g, in, native, partEvalF)
 	}
 	return nil, fmt.Errorf("codegen %s: no fused real evaluator for native %q", g.fn.Name, native)
 }
@@ -1047,7 +1052,7 @@ func (g *gen) buildEvalB(in *wir.Instr) (evalB, error) {
 		}
 		return func(fr *frame) bool { return x.get(fr)%2 != 0 }, nil
 	case "part_1", "part_unsafe_1":
-		return g.partEvalB(in, native)
+		return partEval(g, in, native, partEvalB)
 	}
 	return nil, fmt.Errorf("codegen %s: no fused boolean evaluator for native %q", g.fn.Name, native)
 }
@@ -1144,9 +1149,119 @@ func (g *gen) buildEvalC(in *wir.Instr) (evalC, error) {
 		}
 		return func(fr *frame) complex128 { return complex(x.get(fr), y.get(fr)) }, nil
 	case "part_1", "part_unsafe_1", "part_2", "part_unsafe_2":
-		return g.partEvalC(in, native)
+		return partEval(g, in, native, partEvalC)
 	}
 	return nil, fmt.Errorf("codegen %s: no fused complex evaluator for native %q", g.fn.Name, native)
+}
+
+// The sum node. A fused left-leaning chain of real + and − with three or more
+// terms, ((t0 ± t1) ± t2) ± ..., compiles to one closure (sumFEval, generated)
+// in place of a closure per operator. It evaluates and accumulates the terms
+// in source order, which is the order the nested closures ran them in, so
+// every intermediate rounds as it did and a Part range exception fires at the
+// same term.
+
+// Leaf kinds of a sumTerm.
+const (
+	sumReg   = iota // a real register
+	sumLit          // a literal
+	sumPart1        // part_1 of a tensor register at an index register
+	sumPart2        // part_2 of a tensor register at two index registers
+	sumEval         // any other fused subtree
+)
+
+// sumTerm is one term of a sum node, [−][coef ×] leaf.
+type sumTerm struct {
+	leaf        int
+	neg, scaled bool
+	coef, lit   float64
+	a, i, j     int // the register of a sumReg leaf; the tensor and index registers of a Part leaf
+	ev          evalF
+}
+
+// sumChain returns the operands of the chain of real + and − that ends at
+// root, last first, with whether each is subtracted; nil when root is not
+// such an operator or (as most are) stands alone.
+func (g *gen) sumChain(root *wir.Instr) (vals []wir.Value, neg []bool) {
+	realAddSub := func(in *wir.Instr) bool {
+		native := nativeOf(in)
+		return (native == "binary_plus" || native == "binary_subtract") && runtime.KindOf(in.Ty) == runtime.KR64
+	}
+	// next is the link of the chain before in: its left operand, when that
+	// is a fused real + or − too.
+	next := func(in *wir.Instr) *wir.Instr {
+		if left, ok := in.Args[0].(*wir.Instr); ok && g.fused[left] && realAddSub(left) {
+			return left
+		}
+		return nil
+	}
+	if !realAddSub(root) || next(root) == nil {
+		return nil, nil
+	}
+	first := root
+	for in := root; in != nil; in = next(in) {
+		vals, neg, first = append(vals, in.Args[1]), append(neg, nativeOf(in) == "binary_subtract"), in
+	}
+	return append(vals, first.Args[0]), append(neg, false)
+}
+
+// sumTerms builds the terms of the sum node rooted at root, or nil when the
+// chain there has fewer than three.
+func (g *gen) sumTerms(root *wir.Instr) ([]sumTerm, error) {
+	vals, neg := g.sumChain(root)
+	if len(vals) < 3 {
+		return nil, nil
+	}
+	ts := make([]sumTerm, len(vals))
+	for k := range ts {
+		v := vals[len(vals)-1-k]
+		// literal × leaf, either way round: the product commutes bit for bit
+		// unless both factors are NaN.
+		if in, ok := v.(*wir.Instr); ok && g.fused[in] && nativeOf(in) == "binary_times" {
+			for side, a := range in.Args {
+				if _, ok := a.(*wir.Const); !ok {
+					continue
+				}
+				if c, err := g.opFFor(a); err == nil && c.mode == opLitMode && !math.IsNaN(c.lit) {
+					ts[k].scaled, ts[k].coef, v = true, c.lit, in.Args[1-side]
+					break
+				}
+			}
+		}
+		if err := g.sumLeaf(&ts[k], v); err != nil {
+			return nil, err
+		}
+		ts[k].neg = neg[len(vals)-1-k]
+	}
+	return ts, nil
+}
+
+// sumLeaf fills in t's leaf: a Part read whose operands are all registers is
+// read by the node itself, like a register or a literal; anything else fused
+// is a subtree.
+func (g *gen) sumLeaf(t *sumTerm, v wir.Value) error {
+	if in, ok := v.(*wir.Instr); ok && g.fused[in] {
+		if native := nativeOf(in); (native == "part_1" || native == "part_2") && !g.hasFusedArg(in) {
+			a, i1, i2, rank2, _, err := g.partOperands(in, native)
+			if i1.mode == opRegMode && i2.mode == opRegMode {
+				t.leaf, t.a, t.i, t.j = sumPart1, a, i1.idx, i2.idx
+				if rank2 {
+					t.leaf = sumPart2
+				}
+				return err
+			}
+		}
+	}
+	x, err := g.opFFor(v)
+	switch x.mode {
+	case opRegMode:
+		t.leaf, t.a = sumReg, x.idx
+	case opLitMode:
+		t.leaf, t.lit = sumLit, x.lit
+	default:
+		t.leaf, t.ev = sumEval, x.ev
+	}
+	return err
 }
 
 // cmpF is the mixed-width compare: both operands already widened to real.
@@ -1168,224 +1283,11 @@ func cmpF(op string, a, b float64) bool {
 	return false
 }
 
-// partEval* compile fused tensor element reads (the load half of the
-// load-op-store forms). Like partStep they inline the positive in-range
-// case; an index held in a register or given as a literal is read without
-// going through opI.get's mode switch.
-
-func (g *gen) partEvalI(in *wir.Instr, native string) (evalI, error) {
+// partEval compiles a fused tensor element read of one element kind: build
+// is that kind's generated constructor (part_kinds.go).
+func partEval[E any](g *gen, in *wir.Instr, native string, build func(a int, i1, i2 opI, rank2, unsafe bool) E) (E, error) {
 	a, i1, i2, rank2, unsafe, err := g.partOperands(in, native)
-	if err != nil {
-		return nil, err
-	}
-	if rank2 {
-		if unsafe {
-			return func(fr *frame) int64 { return tensorArg(fr, a).GetI2U(i1.get(fr), i2.get(fr)) }, nil
-		}
-		if r1, r2 := i1.idx, i2.idx; i1.mode == opRegMode && i2.mode == opRegMode {
-			return func(fr *frame) int64 {
-				t := tensorArg(fr, a)
-				if k, ok := t.Off2(fr.i[r1], fr.i[r2]); ok {
-					return t.I[k]
-				}
-				return t.GetI2(fr.i[r1], fr.i[r2])
-			}, nil
-		}
-		return func(fr *frame) int64 {
-			t, i, j := tensorArg(fr, a), i1.get(fr), i2.get(fr)
-			if k, ok := t.Off2(i, j); ok {
-				return t.I[k]
-			}
-			return t.GetI2(i, j)
-		}, nil
-	}
-	if unsafe {
-		return func(fr *frame) int64 { return tensorArg(fr, a).GetIU(i1.get(fr)) }, nil
-	}
-	switch i1.mode {
-	case opRegMode:
-		r := i1.idx
-		return func(fr *frame) int64 {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(fr.i[r], len(t.I)); ok {
-				return t.I[k]
-			}
-			return t.GetI(fr.i[r])
-		}, nil
-	case opLitMode:
-		i := i1.lit
-		return func(fr *frame) int64 {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(i, len(t.I)); ok {
-				return t.I[k]
-			}
-			return t.GetI(i)
-		}, nil
-	}
-	ev := i1.ev
-	return func(fr *frame) int64 {
-		t, i := tensorArg(fr, a), ev(fr)
-		if k, ok := runtime.Off1(i, len(t.I)); ok {
-			return t.I[k]
-		}
-		return t.GetI(i)
-	}, nil
-}
-
-func (g *gen) partEvalF(in *wir.Instr, native string) (evalF, error) {
-	a, i1, i2, rank2, unsafe, err := g.partOperands(in, native)
-	if err != nil {
-		return nil, err
-	}
-	if rank2 {
-		if unsafe {
-			return func(fr *frame) float64 { return tensorArg(fr, a).GetF2U(i1.get(fr), i2.get(fr)) }, nil
-		}
-		if r1, r2 := i1.idx, i2.idx; i1.mode == opRegMode && i2.mode == opRegMode {
-			return func(fr *frame) float64 {
-				t := tensorArg(fr, a)
-				if k, ok := t.Off2(fr.i[r1], fr.i[r2]); ok {
-					return t.F[k]
-				}
-				return t.GetF2(fr.i[r1], fr.i[r2])
-			}, nil
-		}
-		return func(fr *frame) float64 {
-			t, i, j := tensorArg(fr, a), i1.get(fr), i2.get(fr)
-			if k, ok := t.Off2(i, j); ok {
-				return t.F[k]
-			}
-			return t.GetF2(i, j)
-		}, nil
-	}
-	if unsafe {
-		return func(fr *frame) float64 { return tensorArg(fr, a).GetFU(i1.get(fr)) }, nil
-	}
-	switch i1.mode {
-	case opRegMode:
-		r := i1.idx
-		return func(fr *frame) float64 {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(fr.i[r], len(t.F)); ok {
-				return t.F[k]
-			}
-			return t.GetF(fr.i[r])
-		}, nil
-	case opLitMode:
-		i := i1.lit
-		return func(fr *frame) float64 {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(i, len(t.F)); ok {
-				return t.F[k]
-			}
-			return t.GetF(i)
-		}, nil
-	}
-	ev := i1.ev
-	return func(fr *frame) float64 {
-		t, i := tensorArg(fr, a), ev(fr)
-		if k, ok := runtime.Off1(i, len(t.F)); ok {
-			return t.F[k]
-		}
-		return t.GetF(i)
-	}, nil
-}
-
-func (g *gen) partEvalC(in *wir.Instr, native string) (evalC, error) {
-	a, i1, i2, rank2, unsafe, err := g.partOperands(in, native)
-	if err != nil {
-		return nil, err
-	}
-	if rank2 {
-		if unsafe {
-			return func(fr *frame) complex128 { return tensorArg(fr, a).GetC2U(i1.get(fr), i2.get(fr)) }, nil
-		}
-		if r1, r2 := i1.idx, i2.idx; i1.mode == opRegMode && i2.mode == opRegMode {
-			return func(fr *frame) complex128 {
-				t := tensorArg(fr, a)
-				if k, ok := t.Off2(fr.i[r1], fr.i[r2]); ok {
-					return t.C[k]
-				}
-				return t.GetC2(fr.i[r1], fr.i[r2])
-			}, nil
-		}
-		return func(fr *frame) complex128 {
-			t, i, j := tensorArg(fr, a), i1.get(fr), i2.get(fr)
-			if k, ok := t.Off2(i, j); ok {
-				return t.C[k]
-			}
-			return t.GetC2(i, j)
-		}, nil
-	}
-	if unsafe {
-		return func(fr *frame) complex128 { return tensorArg(fr, a).GetCU(i1.get(fr)) }, nil
-	}
-	switch i1.mode {
-	case opRegMode:
-		r := i1.idx
-		return func(fr *frame) complex128 {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(fr.i[r], len(t.C)); ok {
-				return t.C[k]
-			}
-			return t.GetC(fr.i[r])
-		}, nil
-	case opLitMode:
-		i := i1.lit
-		return func(fr *frame) complex128 {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(i, len(t.C)); ok {
-				return t.C[k]
-			}
-			return t.GetC(i)
-		}, nil
-	}
-	ev := i1.ev
-	return func(fr *frame) complex128 {
-		t, i := tensorArg(fr, a), ev(fr)
-		if k, ok := runtime.Off1(i, len(t.C)); ok {
-			return t.C[k]
-		}
-		return t.GetC(i)
-	}, nil
-}
-
-func (g *gen) partEvalB(in *wir.Instr, native string) (evalB, error) {
-	a, i1, _, _, unsafe, err := g.partOperands(in, native)
-	if err != nil {
-		return nil, err
-	}
-	if unsafe {
-		return func(fr *frame) bool { return tensorArg(fr, a).GetBU(i1.get(fr)) }, nil
-	}
-	switch i1.mode {
-	case opRegMode:
-		r := i1.idx
-		return func(fr *frame) bool {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(fr.i[r], len(t.B)); ok {
-				return t.B[k]
-			}
-			return t.GetB(fr.i[r])
-		}, nil
-	case opLitMode:
-		i := i1.lit
-		return func(fr *frame) bool {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(i, len(t.B)); ok {
-				return t.B[k]
-			}
-			return t.GetB(i)
-		}, nil
-	}
-	ev := i1.ev
-	return func(fr *frame) bool {
-		t, i := tensorArg(fr, a), ev(fr)
-		if k, ok := runtime.Off1(i, len(t.B)); ok {
-			return t.B[k]
-		}
-		return t.GetB(i)
-	}, nil
+	return build(a, i1, i2, rank2, unsafe), err
 }
 
 func (g *gen) partOperands(in *wir.Instr, native string) (a int, i1, i2 opI, rank2, unsafe bool, err error) {
@@ -1436,6 +1338,9 @@ func (g *gen) assignTo(dst reg, root *wir.Instr) (step, error) {
 		return func(fr *frame) { fr.i[d] = ev(fr) }, nil
 	case runtime.KR64:
 		if op, ok := realArith[native]; ok {
+			if ts, err := g.sumTerms(root); ts != nil || err != nil {
+				return sumFAssign(d, ts), err
+			}
 			x, y, err := g.opFF(root)
 			if err != nil {
 				return nil, err
@@ -1762,81 +1667,4 @@ func (g *gen) genFusedSetPart(in *wir.Instr, unsafe, rank2 bool) (step, error) {
 		return nil, fmt.Errorf("codegen %s: fused setpart of kind %v", g.fn.Name, runtime.KindOf(in.Args[2].Type()))
 	}
 	return g.storeInPlace(dstR, tr, st), nil
-}
-
-// genFusedCondBranch compiles a conditional branch on a fused boolean tree as
-// one terminator: abort poll, condition, the taken edge's phi moves.
-func (g *gen) genFusedCondBranch(b *wir.Block, in *wir.Instr, cmp *wir.Instr,
-	blockIdx map[*wir.Block]int) (term, error) {
-	thenSteps, thenIdx, err := g.threadEdge(b, in.Targets[0], blockIdx)
-	if err != nil {
-		return nil, err
-	}
-	elseSteps, elseIdx, err := g.threadEdge(b, in.Targets[1], blockIdx)
-	if err != nil {
-		return nil, err
-	}
-	thenMoves := composeSteps(thenSteps)
-	elseMoves := composeSteps(elseSteps)
-	poll := g.abortFold
-	ownIdx, rotate := blockIdx[b], g.blockFullyFused(b)
-	if thenMoves == nil && elseMoves == nil && !(rotate && (thenIdx == ownIdx || elseIdx == ownIdx)) {
-		// Hot-loop headers land here: with a generated compare on top the
-		// whole block is one closure with no inner indirect call.
-		if t, err := g.compareBranch(cmp, poll, thenIdx, elseIdx); t != nil || err != nil {
-			return t, err
-		}
-	}
-	eb, err := g.buildEvalB(cmp)
-	if err != nil {
-		return nil, err
-	}
-	if rotate {
-		if thenIdx == ownIdx {
-			return selfLoopTerm(poll, eb, thenSteps, elseMoves, elseIdx), nil
-		}
-		if elseIdx == ownIdx {
-			return selfLoopTerm(poll, func(fr *frame) bool { return !eb(fr) }, elseSteps, thenMoves, thenIdx), nil
-		}
-	}
-	return func(fr *frame) int {
-		if poll && fr.rt.Aborted() {
-			runtime.Throw(runtime.ExcAbort, "aborted")
-		}
-		if eb(fr) {
-			if thenMoves != nil {
-				thenMoves(fr)
-			}
-			return thenIdx
-		}
-		if elseMoves != nil {
-			elseMoves(fr)
-		}
-		return elseIdx
-	}, nil
-}
-
-// compareBranch builds the branch form of cmp if it is a generated compare
-// (nil otherwise: another boolean tree, or a compare of another kind).
-func (g *gen) compareBranch(cmp *wir.Instr, poll bool, thenIdx, elseIdx int) (term, error) {
-	native := nativeOf(cmp)
-	op, ok := intCompare[native]
-	if !ok {
-		return nil, nil
-	}
-	switch runtime.KindOf(cmp.Args[0].Type()) {
-	case runtime.KI64:
-		x, y, err := g.opII(cmp)
-		if err != nil {
-			return nil, err
-		}
-		return op.branch(x, y, poll, thenIdx, elseIdx), nil
-	case runtime.KR64:
-		x, y, err := g.opFF(cmp)
-		if err != nil {
-			return nil, err
-		}
-		return realCompare[native].branch(x, y, poll, thenIdx, elseIdx), nil
-	}
-	return nil, nil
 }

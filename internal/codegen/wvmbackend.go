@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wolfc/internal/expr"
+	"wolfc/internal/passes"
 	"wolfc/internal/runtime"
 	"wolfc/internal/types"
 	"wolfc/internal/vm"
@@ -373,7 +374,9 @@ func (w *wvmGen) genInstr(in *wir.Instr) error {
 }
 
 func (w *wvmGen) genNative(in *wir.Instr) error {
-	native := nativeOf(in)
+	// The VM's values are immutable: an elementwise native that writes over
+	// an operand is the plain one here.
+	native, _ := passes.CutInto(nativeOf(in))
 	isInt := in.Ty == types.TInt64
 	argInt := len(in.Args) > 0 && runtime.KindOf(in.Args[0].Type()) == runtime.KI64
 

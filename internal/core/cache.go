@@ -221,7 +221,10 @@ type cacheKeys struct {
 // reference counts (no acquire/release inside a Part-assignment chain), so
 // a v1 entry would be re-codegen'd from IR this backend no longer
 // produces, and a v1 binary must not be offered a v2 one.
-const cacheKeyVersion = "wolfc-key/v2"
+// v3: elementwise tensor natives that write over a dying operand are named
+// native_intoK and consume that operand's reference; a v2 binary has no
+// implementation for them.
+const cacheKeyVersion = "wolfc-key/v3"
 
 // canonicalizeHygiene alpha-renames the macro expander's hygienic
 // temporaries (`<base>`h<counter>`, freshSym's marker — the backtick

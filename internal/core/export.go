@@ -23,7 +23,7 @@ import (
 //	"TWIR" — the typed IR textual form
 //	"AST"  — the macro-expanded AST in FullForm
 func (ccf *CompiledCodeFunction) ExportString(format string) (string, error) {
-	if len(ccf.RegDeps) > 0 && format != "TWIR" && format != "AST" {
+	if len(ccf.RegDeps) > 0 && format != "TWIR" && format != "AST" && format != "Regions" {
 		return "", fmt.Errorf("export: function calls process-registry entries (%v); registry calls are process-local and cannot be exported", ccf.RegDeps)
 	}
 	switch format {
@@ -46,6 +46,9 @@ func (ccf *CompiledCodeFunction) ExportString(format string) (string, error) {
 		return cf.Disassemble(), nil
 	case "TWIR":
 		return ccf.Module.String(), nil
+	case "Regions":
+		// The region tree the closure backend ran this module as.
+		return codegen.Regions(ccf.Module, codegen.CompileOptions{})
 	case "AST":
 		out, err := ccf.compiler.ExpandAST(ccf.Source)
 		if err != nil {
@@ -53,7 +56,7 @@ func (ccf *CompiledCodeFunction) ExportString(format string) (string, error) {
 		}
 		return expr.FullForm(out), nil
 	}
-	return "", fmt.Errorf("export: unknown format %q (want C, WVM, TWIR, or AST)", format)
+	return "", fmt.Errorf("export: unknown format %q (want C, WVM, TWIR, Regions, or AST)", format)
 }
 
 // CompileToWVM runs the WVM backend over the compiled function's TWIR,

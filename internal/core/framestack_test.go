@@ -45,7 +45,7 @@ func BenchmarkCallOverhead(b *testing.B) {
 // one trips over.
 func TestCompiledRecursionPastDepthLimitThrows(t *testing.T) {
 	if raceEnabled {
-		t.Skip("a million live frames under the race detector's shadow memory is gigabytes")
+		t.Skip("a quarter of a million live frames under the race detector's shadow memory is gigabytes")
 	}
 	ccf, err := newCompiler().CompileNamed("depth", parser.MustParse(
 		`Function[{Typed[n, "MachineInteger"]}, If[n < 1, 0, depth[n - 1] + 1]]`))
@@ -74,6 +74,38 @@ func TestCompiledRecursionPastDepthLimitThrows(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), "$RecursionLimit") {
 		t.Errorf("Apply past the depth limit: error %v, want the interpreter's $RecursionLimit", err)
+	}
+}
+
+// The depth limit is derived from what a level costs in Go stack when the
+// recursive call sits under four nested regions — an If, two Whiles and an
+// If, 592 to 624 bytes where the call in a lone If above costs 272 — with a
+// 2x margin to the 512 MB at which the Go runtime gives up. Five million
+// levels of that shape must end in the depth exception, not in the process.
+func TestCompiledRecursionUnderNestedRegionsThrows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a quarter of a million live frames under the race detector's shadow memory is gigabytes")
+	}
+	ccf, err := newCompiler().CompileNamed("depth4", parser.MustParse(
+		`Function[{Typed[n, "MachineInteger"]},
+			If[n < 1, 0, Module[{r = 0, i = 0, j = 0},
+				While[i < 1, j = 0;
+					While[j < 1, If[n > 0, r = r + depth4[n - 1] + 1]; j = j + 1];
+					i = i + 1];
+				r]]]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if exc, ok := recover().(*runtime.Exception); !ok || exc.Kind != runtime.ExcDepth {
+				t.Fatalf("5 000 000 levels under four regions: want ExcDepth, got %v", exc)
+			}
+		}()
+		ccf.CallRaw(int64(5_000_000))
+	}()
+	if got := ccf.CallRaw(int64(1000)).(int64); got != 1000 {
+		t.Fatalf("the call after the depth exception = %d, want 1000", got)
 	}
 }
 

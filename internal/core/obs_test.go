@@ -79,6 +79,57 @@ func TestExactBlockCountsUnderProfiling(t *testing.T) {
 	}
 }
 
+// TestBlockCountsMatchBlockDispatch: the region tree (ISSUE 19) enters every
+// TWIR block exactly as often as the block-dispatch loop it replaced did. The
+// golden counts were taken at the commit before it, on a program with nested
+// loops, an If in a loop, a Break and a Return from inside a loop.
+func TestBlockCountsMatchBlockDispatch(t *testing.T) {
+	const src = `Function[{Typed[n, "MachineInteger"]},
+	Module[{s = 0, i = 1, j = 1},
+		While[i <= n,
+			j = 1;
+			While[j <= i, If[EvenQ[i + j], s = s + i*j, s = s - 1]; If[s > 300, Break[]]; j = j + 1];
+			If[s > 1000, Return[s]];
+			i = i + 1];
+		s]]`
+	golden := []struct {
+		label string
+		count uint64
+	}{
+		{"start", 1}, {"while_head", 41}, {"while_body", 40}, {"while_exit", 1},
+		{"while_head", 71}, {"while_body", 64}, {"while_exit", 40},
+		{"then", 34}, {"else", 30}, {"after_if", 64}, {"then", 33}, {"else", 31}, {"then", 0}, {"else", 40},
+	}
+	for _, fuse := range []int{0, codegen.FuseOff} {
+		k := kernel.New()
+		k.Out = io.Discard
+		c := NewCompiler(k)
+		c.FuseLevel, c.ProfileLevel = fuse, 1
+		ccf, err := c.FunctionCompile(parser.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ccf.CallRaw(int64(40)); got != int64(672) {
+			t.Fatalf("fuse=%d: computed %v, want 672", fuse, got)
+		}
+		rows := ccf.Program.Main.BlockProfiles()
+		if len(rows) != len(golden) {
+			t.Fatalf("fuse=%d: %d blocks, golden has %d", fuse, len(rows), len(golden))
+		}
+		for i, r := range rows {
+			if r.Label != golden[i].label || r.Count != golden[i].count {
+				t.Errorf("fuse=%d: block %d is %s entered %d times, golden %s %d", fuse, i, r.Label, r.Count, golden[i].label, golden[i].count)
+			}
+			// Loop headers are the targets of back edges. (Block dispatch
+			// flagged any target of a jump to an earlier block, so it also
+			// flagged the inner while_exit, where the Break lands.)
+			if r.LoopHeader != (r.Label == "while_head") {
+				t.Errorf("fuse=%d: block %d (%s) loop header = %v", fuse, i, r.Label, r.LoopHeader)
+			}
+		}
+	}
+}
+
 // TestUnprofiledHasNoCounters: the default compile carries no profiling
 // state at all (the zero-overhead contract for ProfileLevel = 0).
 func TestUnprofiledHasNoCounters(t *testing.T) {

@@ -9,112 +9,241 @@ import (
 	"wolfc/internal/wir"
 )
 
-// Dominators computes the immediate dominator of every reachable block
-// using the Cooper–Harvey–Kennedy iterative algorithm (the paper cites "a
-// simple, fast dominance algorithm").
-type Dominators struct {
-	idom  map[*wir.Block]*wir.Block
-	order map[*wir.Block]int // reverse postorder index
-	rpo   []*wir.Block
+// CFG is the control-flow analysis of one function on block indices (a
+// block's index is its position in fn.Blocks): reverse postorder, the
+// dominator tree by Cooper, Harvey and Kennedy's iteration (the paper cites
+// "a simple, fast dominance algorithm"), and the loop forest. The passes read
+// it through Dominators; code generation, which is on the compile path of
+// both tiers, builds its region tree from the arrays directly.
+type CFG struct {
+	Blocks []*wir.Block
+	Succ   []int // two per block, -1 for none
+	RPO    []int // position in reverse postorder, -1 if unreachable
+	Order  []int // the reachable blocks in reverse postorder
+	IDom   []int // the entry is its own; -1 if unreachable
+	Fwd    []int // forward edges into the block
+	// Header marks the targets of back edges, and Parent is the header of the
+	// innermost loop strictly around a block, -1 outside every loop.
+	Header []bool
+	Parent []int
+	// Kid and Sib thread the dominator tree, children in reverse postorder.
+	Kid, Sib []int
+	// Irreducible is an edge that enters a loop past its header, {-1, -1}
+	// when the CFG has none; Parent is meaningless when it has one.
+	Irreducible [2]int
+
+	byBlock map[*wir.Block]int // nil while every block's IDNum is its index
 }
 
-// ComputeDominators analyses fn.
-func ComputeDominators(fn *wir.Function) *Dominators {
-	d := &Dominators{
-		idom:  map[*wir.Block]*wir.Block{},
-		order: map[*wir.Block]int{},
-	}
-	// Reverse postorder.
-	seen := map[*wir.Block]bool{}
-	var post []*wir.Block
-	var dfs func(b *wir.Block)
-	dfs = func(b *wir.Block) {
-		if seen[b] {
-			return
+// Index returns b's position in the function's block list, -1 if it is not
+// one of the function's blocks.
+func (c *CFG) Index(b *wir.Block) int {
+	if c.byBlock != nil {
+		if i, ok := c.byBlock[b]; ok {
+			return i
 		}
-		seen[b] = true
-		for _, s := range b.Succs() {
-			dfs(s)
+	} else if i := b.IDNum; i < len(c.Blocks) && c.Blocks[i] == b {
+		return i
+	}
+	return -1
+}
+
+// Dominates reports whether block a dominates block b, both reachable.
+func (c *CFG) Dominates(a, b int) bool {
+	for c.RPO[b] > c.RPO[a] {
+		b = c.IDom[b]
+	}
+	return a == b
+}
+
+// InLoop reports whether b lies in the loop h heads.
+func (c *CFG) InLoop(b, h int) bool {
+	for ; b >= 0; b = c.Parent[b] {
+		if b == h {
+			return true
 		}
-		post = append(post, b)
 	}
-	entry := fn.Entry()
-	dfs(entry)
-	for i := len(post) - 1; i >= 0; i-- {
-		d.order[post[i]] = len(d.rpo)
-		d.rpo = append(d.rpo, post[i])
+	return false
+}
+
+// Analyze computes fn's CFG. A successor that is not one of fn's blocks is
+// ignored (the linter reports it).
+func Analyze(fn *wir.Function) *CFG {
+	bs := fn.Blocks
+	n := len(bs)
+	c := &CFG{Blocks: bs, Header: make([]bool, n), Irreducible: [2]int{-1, -1}}
+	for i, b := range bs {
+		if b.IDNum != i {
+			c.byBlock = make(map[*wir.Block]int, n)
+			for i, b := range bs {
+				c.byBlock[b] = i
+			}
+			break
+		}
 	}
-	d.idom[entry] = entry
+	buf := make([]int, 14*n+1)
+	for i := range buf {
+		buf[i] = -1
+	}
+	carve := func(k int) []int {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	c.Succ, c.RPO, c.IDom, c.Fwd, c.Parent, c.Kid, c.Sib = carve(2*n), carve(n), carve(n), carve(n), carve(n), carve(n), carve(n)
+	for i, b := range bs {
+		for k, s := range b.Succs() {
+			if k < 2 {
+				c.Succ[2*i+k] = c.Index(s)
+			}
+		}
+	}
+	post := carve(n)[:0]
+	var dfs func(i int)
+	dfs = func(i int) {
+		c.RPO[i] = 0
+		for _, s := range c.Succ[2*i : 2*i+2] {
+			if s >= 0 && c.RPO[s] < 0 {
+				dfs(s)
+			}
+		}
+		post = append(post, i)
+	}
+	dfs(0)
+	c.Order = carve(n)[:len(post)]
+	for k := range post {
+		b := post[len(post)-1-k]
+		c.Order[k], c.RPO[b] = b, k
+	}
+	// Predecessors among the reachable blocks, in compressed rows.
+	start, preds, fill := carve(n+1), carve(2*n), carve(n)
+	clear(start)
+	for _, u := range c.Order {
+		for _, s := range c.Succ[2*u : 2*u+2] {
+			if s >= 0 {
+				start[s+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	copy(fill, start)
+	for _, u := range c.Order {
+		for _, s := range c.Succ[2*u : 2*u+2] {
+			if s >= 0 {
+				preds[fill[s]] = u
+				fill[s]++
+			}
+		}
+	}
+	c.IDom[0] = 0
 	for changed := true; changed; {
 		changed = false
-		for _, b := range d.rpo {
-			if b == entry {
+		for _, b := range c.Order[1:] {
+			dom := -1
+			for _, p := range preds[start[b]:start[b+1]] {
+				switch {
+				case c.IDom[p] < 0:
+				case dom < 0:
+					dom = p
+				default:
+					for q := p; q != dom; {
+						for c.RPO[q] > c.RPO[dom] {
+							q = c.IDom[q]
+						}
+						for c.RPO[dom] > c.RPO[q] {
+							dom = c.IDom[dom]
+						}
+					}
+				}
+			}
+			if c.IDom[b] != dom {
+				c.IDom[b], changed = dom, true
+			}
+		}
+	}
+	clear(c.Fwd)
+	for _, u := range c.Order {
+		for _, s := range c.Succ[2*u : 2*u+2] {
+			switch {
+			case s < 0:
+			case c.RPO[s] > c.RPO[u]:
+				c.Fwd[s]++
+			case c.Dominates(s, u):
+				c.Header[s] = true
+			case c.Irreducible[0] < 0:
+				c.Irreducible = [2]int{u, s}
+			}
+		}
+	}
+	// Loop nesting, inner loops first: walk back from each latch to the
+	// header, stepping over a loop already found to its header.
+	var stack []int
+	for k := len(c.Order) - 1; k >= 0 && c.Irreducible[0] < 0; k-- {
+		h := c.Order[k]
+		if !c.Header[h] {
+			continue
+		}
+		for _, p := range preds[start[h]:start[h+1]] {
+			if c.RPO[p] >= c.RPO[h] {
+				stack = append(stack, p)
+			}
+		}
+		for len(stack) > 0 {
+			b := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for c.Parent[b] >= 0 && c.Parent[b] != h {
+				b = c.Parent[b]
+			}
+			if b == h || c.Parent[b] == h {
 				continue
 			}
-			var newIdom *wir.Block
-			for _, p := range b.Preds {
-				if _, ok := d.idom[p]; !ok {
-					continue
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = d.intersect(p, newIdom)
-				}
-			}
-			if newIdom != nil && d.idom[b] != newIdom {
-				d.idom[b] = newIdom
-				changed = true
-			}
+			c.Parent[b] = h
+			stack = append(stack, preds[start[b]:start[b+1]]...)
 		}
 	}
-	return d
+	for k := len(c.Order) - 1; k > 0; k-- {
+		b := c.Order[k]
+		c.Sib[b], c.Kid[c.IDom[b]] = c.Kid[c.IDom[b]], b
+	}
+	return c
 }
 
-func (d *Dominators) intersect(a, b *wir.Block) *wir.Block {
-	for a != b {
-		for d.order[a] > d.order[b] {
-			a = d.idom[a]
-		}
-		for d.order[b] > d.order[a] {
-			b = d.idom[b]
-		}
-	}
-	return a
-}
+// Dominators answers dominance questions about blocks.
+type Dominators struct{ cfg *CFG }
+
+// ComputeDominators analyses fn.
+func ComputeDominators(fn *wir.Function) *Dominators { return &Dominators{Analyze(fn)} }
 
 // Dominates reports whether a dominates b.
 func (d *Dominators) Dominates(a, b *wir.Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		next, ok := d.idom[b]
-		if !ok || next == b {
-			return false
-		}
-		b = next
-	}
+	return a == b || d.Reachable(a) && d.Reachable(b) && d.cfg.Dominates(d.cfg.Index(a), d.cfg.Index(b))
 }
 
 // IDom returns b's immediate dominator (nil for the entry or unreachable
 // blocks).
 func (d *Dominators) IDom(b *wir.Block) *wir.Block {
-	i := d.idom[b]
-	if i == b {
-		return nil
+	if i := d.cfg.Index(b); i > 0 && d.cfg.IDom[i] >= 0 {
+		return d.cfg.Blocks[d.cfg.IDom[i]]
 	}
-	return i
+	return nil
 }
 
 // Reachable reports whether the block was reached in the CFG walk.
 func (d *Dominators) Reachable(b *wir.Block) bool {
-	_, ok := d.order[b]
-	return ok
+	i := d.cfg.Index(b)
+	return i >= 0 && d.cfg.RPO[i] >= 0
 }
 
 // RPO returns the blocks in reverse postorder.
-func (d *Dominators) RPO() []*wir.Block { return d.rpo }
+func (d *Dominators) RPO() []*wir.Block {
+	out := make([]*wir.Block, len(d.cfg.Order))
+	for k, b := range d.cfg.Order {
+		out[k] = d.cfg.Blocks[b]
+	}
+	return out
+}
 
 // LoopHeaders returns the set of blocks that are targets of back edges
 // (loop-nesting analysis, used by abort-check insertion — paper §4.5).

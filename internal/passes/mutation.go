@@ -2,7 +2,9 @@ package passes
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"wolfc/internal/expr"
 	"wolfc/internal/types"
@@ -32,48 +34,56 @@ func exprNull() expr.Expr { return expr.SymNull }
 // from the interpreter) is handled by the runtime's copy-on-write.
 //
 // With DisableCopyElision set, every Part assignment copies — the ablation
-// matching the paper's QSort discussion.
+// matching the paper's QSort discussion — and no elementwise operation writes
+// over an operand (reuseTemporaries).
 func InsertCopies(mod *wir.Module, opts Options) {
-	tensor := func(v wir.Value) bool { return trackedValue(v) && isTensorType(v.Type()) }
 	for _, f := range mod.Funcs {
-		var stores []*wir.Instr
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == wir.OpCall && isSetPart(in.Callee) && len(in.Args) > 0 {
-					stores = append(stores, in)
-				}
+		insertCopies(f, opts)
+		if !opts.DisableCopyElision {
+			reuseTemporaries(f)
+		}
+	}
+}
+
+func insertCopies(f *wir.Function, opts Options) {
+	tensor := func(v wir.Value) bool { return trackedValue(v) && isTensorType(v.Type()) }
+	var stores []*wir.Instr
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == wir.OpCall && isSetPart(in.Callee) && len(in.Args) > 0 {
+				stores = append(stores, in)
 			}
 		}
-		if len(stores) == 0 {
-			continue
+	}
+	if len(stores) == 0 {
+		return
+	}
+	lv := ComputeLiveness(f, tensor)
+	id := nextID(f)
+	copyOf := func(v wir.Value) *wir.Instr {
+		cp := &wir.Instr{
+			IDNum: id, Op: wir.OpCall, Callee: "Native`Copy", Native: "copy_tensor",
+			Ty: v.Type(), Args: []wir.Value{v},
 		}
-		lv := ComputeLiveness(f, tensor)
-		id := nextID(f)
-		copyOf := func(v wir.Value) *wir.Instr {
-			cp := &wir.Instr{
-				IDNum: id, Op: wir.OpCall, Callee: "Native`Copy", Native: "copy_tensor",
-				Ty: v.Type(), Args: []wir.Value{v},
+		id++
+		cp.SetProp("overload", &types.FuncDef{Name: "Native`Copy", Native: "copy_tensor"})
+		return cp
+	}
+	copyAtPhis(f, lv, stores, tensor, copyOf)
+	for _, b := range f.Blocks {
+		for idx := 0; idx < len(b.Instrs); idx++ {
+			in := b.Instrs[idx]
+			if in.Op != wir.OpCall || !isSetPart(in.Callee) || len(in.Args) == 0 {
+				continue
 			}
-			id++
-			cp.SetProp("overload", &types.FuncDef{Name: "Native`Copy", Native: "copy_tensor"})
-			return cp
-		}
-		copyAtPhis(f, lv, stores, tensor, copyOf)
-		for _, b := range f.Blocks {
-			for idx := 0; idx < len(b.Instrs); idx++ {
-				in := b.Instrs[idx]
-				if in.Op != wir.OpCall || !isSetPart(in.Callee) || len(in.Args) == 0 {
-					continue
-				}
-				if !opts.DisableCopyElision && tensor(in.Args[0]) && !lv.LiveAfter(b, idx, in.Args[0]) {
-					continue
-				}
-				cp := copyOf(in.Args[0])
-				cp.Block = b
-				b.Instrs = append(b.Instrs[:idx], append([]*wir.Instr{cp}, b.Instrs[idx:]...)...)
-				idx++ // now pointing at the SetPart again
-				in.Args[0] = cp
+			if !opts.DisableCopyElision && tensor(in.Args[0]) && !lv.LiveAfter(b, idx, in.Args[0]) {
+				continue
 			}
+			cp := copyOf(in.Args[0])
+			cp.Block = b
+			b.Instrs = append(b.Instrs[:idx], append([]*wir.Instr{cp}, b.Instrs[idx:]...)...)
+			idx++ // now pointing at the SetPart again
+			in.Args[0] = cp
 		}
 	}
 }
@@ -138,6 +148,88 @@ func copyAtPhis(f *wir.Function, lv *Liveness, stores []*wir.Instr,
 	}
 }
 
+// Elementwise tensor arithmetic consumes a dying temporary (ISSUE 19). In
+// {-Cos[a], Sin[a]} + v the list is dead one instruction after it is made,
+// and the sum has its shape and type: the sum is written into it. The
+// instruction is renamed native_intoK, K the operand it writes over, and from
+// there on it consumes that operand as a Part assignment consumes its tensor
+// (InsertRefCounts moves the reference to the result, no acquire and release
+// pair). An operand qualifies when
+//
+//   - it has the result's exact type;
+//   - it is fresh: made by Native`List, a fill, Native`Copy or another
+//     elementwise operation, so it is an object of this function's own that
+//     no parameter, constant, phi or element of a nested tensor also names;
+//   - this is its one use, in the block that defines it, so that it dies
+//     here, every time it is made, and has been handed to nothing (a Part
+//     assignment storing it, a call, a closure) that could still hold it.
+//
+// The runtime's Into forms still allocate when the operand is flagged Shared.
+func reuseTemporaries(f *wir.Function) {
+	var count map[wir.Value]int
+	for _, b := range f.Blocks {
+		for idx, in := range b.Instrs {
+			if in.Op != wir.OpCall || in.ResolvedFn != nil {
+				continue
+			}
+			native := nativeName(in)
+			for _, k := range ElementwiseOperands(native) {
+				def, ok := in.Args[k].(*wir.Instr)
+				if !ok || !freshTensor(def) || !types.Equal(def.Ty, in.Ty) || !slices.Contains(b.Instrs[:idx], def) {
+					continue
+				}
+				if count == nil {
+					count = uses(f)
+				}
+				if count[def] == 1 {
+					in.Native = fmt.Sprintf("%s_into%d", native, k+1)
+					break
+				}
+			}
+		}
+	}
+}
+
+// CutInto splits the name of an elementwise native that writes its result
+// over an operand, native_intoK, into the plain native and that operand's
+// index; into is -1 for any other name.
+func CutInto(name string) (native string, into int) {
+	if base, k, ok := strings.Cut(name, "_into"); ok && (k == "1" || k == "2") {
+		return base, int(k[0] - '1')
+	}
+	return name, -1
+}
+
+// ElementwiseOperands lists the tensor operands of a plain elementwise
+// native, the ones its result can be written over; nil for any other native.
+func ElementwiseOperands(native string) []int {
+	switch {
+	case native == "tensor_plus", native == "tensor_times", native == "tensor_subtract":
+		return []int{0, 1}
+	case strings.HasPrefix(native, "scalar_tensor_"):
+		return []int{1}
+	case strings.HasPrefix(native, "tensor_scalar_"), strings.HasPrefix(native, "tensor_math_"), native == "tensor_minus":
+		return []int{0}
+	}
+	return nil
+}
+
+// freshTensor reports whether def makes a new tensor each time it runs.
+func freshTensor(def *wir.Instr) bool {
+	if def.Op != wir.OpCall || def.ResolvedFn != nil {
+		return false
+	}
+	if def.Callee == "Native`List" {
+		return true
+	}
+	switch native, _ := CutInto(nativeName(def)); native {
+	case "list_fill", "matrix_fill", "copy_tensor":
+		return true
+	default:
+		return ElementwiseOperands(native) != nil
+	}
+}
+
 // isSetPart matches only the checked, rebinding Part assignment produced by
 // user code (w[[i]] = v). The Unsafe variant is emitted by macro-generated
 // loops filling freshly allocated lists in place without rebinding; copying
@@ -185,17 +277,21 @@ func isTensorType(t types.Type) bool {
 // counts are bookkeeping; the C backend frees at zero, so there the
 // discipline is what keeps a returned tensor alive.
 
-// consumesOperand reports whether in is a checked Part assignment, the one
-// instruction that consumes its first operand's reference.
-func consumesOperand(in *wir.Instr) bool {
+// consumedOperand returns the index of the operand whose reference in
+// consumes and hands to its result, or -1: the tensor of a checked Part
+// assignment, and the temporary an elementwise operation writes its result
+// into (reuseTemporaries).
+func consumedOperand(in *wir.Instr) int {
 	if in.Op != wir.OpCall || len(in.Args) == 0 {
-		return false
+		return -1
 	}
-	switch nativeName(in) {
-	case "setpart_1", "setpart_2":
-		return true
+	switch native, into := CutInto(nativeName(in)); {
+	case native == "setpart_1", native == "setpart_2":
+		return 0
+	case into >= 0 && into < len(in.Args):
+		return into
 	}
-	return false
+	return -1
 }
 
 // arrivesOwned reports whether in's result already carries a reference when
@@ -280,9 +376,9 @@ func insertRefCounts(f *wir.Function, env *types.Env) {
 		out := make([]*wir.Instr, 0, len(b.Instrs)+2)
 		for idx, in := range b.Instrs {
 			var consumed wir.Value
-			switch {
-			case consumesOperand(in):
-				consumed = in.Args[0]
+			switch k := consumedOperand(in); {
+			case k >= 0:
+				consumed = in.Args[k]
 				// The operand's own reference is not free to take when it
 				// lives on (or is a constant): make one first.
 				if !managed(consumed) || liveAfter(consumed, idx) {
@@ -533,8 +629,8 @@ func verifyRefCounts(f *wir.Function, env *types.Env) error {
 				if err := drop(h, in.Args[0], "release", in); err != nil {
 					return err
 				}
-			case consumesOperand(in):
-				if err := drop(h, in.Args[0], "Part assignment", in); err != nil {
+			case consumedOperand(in) >= 0:
+				if err := drop(h, in.Args[consumedOperand(in)], "consuming assignment", in); err != nil {
 					return err
 				}
 				h[in]++

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"wolfc/internal/blas"
@@ -293,8 +294,8 @@ const (
 // be aliased outside compiled code (function arguments, boxed results);
 // SetPart copies first when set. Both fields are manipulated atomically so
 // one compiled function can be invoked from many goroutines that share
-// argument tensors; they are plain words (not atomic.Int32 values) so a
-// Tensor stays value-copyable without tripping vet's copylocks check.
+// argument tensors; they are plain words (not atomic.Int32 values) so vet's
+// copylocks check stays quiet.
 type Tensor struct {
 	Elem Kind
 	Dims []int
@@ -306,6 +307,10 @@ type Tensor struct {
 
 	refs   int32
 	shared uint32
+	// dims backs Dims for rank 1 and 2: a tensor is two allocations, not
+	// three, and never shares its Dims array with the tensor it was shaped
+	// after.
+	dims [2]int
 }
 
 // NewTensor allocates a zeroed tensor.
@@ -317,7 +322,12 @@ func NewTensor(elem Kind, dims ...int) *Tensor {
 		}
 		n *= d
 	}
-	t := &Tensor{Elem: elem, Dims: dims}
+	t := &Tensor{Elem: elem}
+	if len(dims) <= len(t.dims) {
+		t.Dims = t.dims[:copy(t.dims[:], dims)]
+	} else {
+		t.Dims = append([]int(nil), dims...)
+	}
 	switch elem {
 	case KI64:
 		t.I = make([]int64, n)
@@ -681,49 +691,99 @@ func (t *Tensor) MapF(f func(float64) float64) *Tensor                 { return 
 func (t *Tensor) MapI(f func(int64) int64) *Tensor                     { return t.MapIP(0, f) }
 
 func (t *Tensor) ZipFP(workers int, o *Tensor, f func(a, b float64) float64) *Tensor {
-	if t.FlatLen() != o.FlatLen() {
-		Throw(ExcType, "Thread: tensors of unequal length")
-	}
-	out := NewTensor(KR64, t.Dims...)
-	par.For(workers, len(out.F), GrainSize(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.F[i] = f(t.F[i], o.F[i])
-		}
-	})
-	return out
+	return t.ZipFInto(workers, o, f, nil)
 }
 
 func (t *Tensor) ZipIP(workers int, o *Tensor, f func(a, b int64) int64) *Tensor {
-	if t.FlatLen() != o.FlatLen() {
-		Throw(ExcType, "Thread: tensors of unequal length")
-	}
-	out := NewTensor(KI64, t.Dims...)
-	par.For(workers, len(out.I), GrainSize(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.I[i] = f(t.I[i], o.I[i])
-		}
-	})
-	return out
+	return t.ZipIInto(workers, o, f, nil)
 }
 
 func (t *Tensor) MapFP(workers int, f func(float64) float64) *Tensor {
-	out := NewTensor(KR64, t.Dims...)
-	par.For(workers, len(out.F), GrainSize(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.F[i] = f(t.F[i])
-		}
-	})
-	return out
+	return t.MapFInto(workers, f, nil)
 }
 
 func (t *Tensor) MapIP(workers int, f func(int64) int64) *Tensor {
-	out := NewTensor(KI64, t.Dims...)
-	par.For(workers, len(out.I), GrainSize(), func(lo, hi int) {
+	return t.MapIInto(workers, f, nil)
+}
+
+// The Into forms write the result into dst, an operand the compiler found
+// dying at this instruction (one of t and o, or nil for none), and allocate
+// when dst is nil or — belt and braces, like own() — flagged Shared. Each
+// element is read before it is written and depends on its own index alone,
+// so writing over an operand is the same computation. Below the grain size
+// they run a plain loop: par.For's closure escapes, which costs an
+// allocation even when nothing forks.
+
+// sameShape throws unless t and o have equal dimensions: Listable threading
+// pairs elements by position, and {{1, 2}, {3, 4}} + {{1, 2, 3, 4}} has no
+// pairing though the flat lengths agree.
+func (t *Tensor) sameShape(o *Tensor) {
+	if !slices.Equal(t.Dims, o.Dims) {
+		Throw(ExcType, "Thread: tensors of unequal shape %v and %v", t.Dims, o.Dims)
+	}
+}
+
+// resultInto returns dst if it may be written through, else a fresh tensor
+// of t's shape.
+func (t *Tensor) resultInto(elem Kind, dst *Tensor) *Tensor {
+	if dst != nil && !dst.IsShared() {
+		return dst
+	}
+	return NewTensor(elem, t.Dims...)
+}
+
+func (t *Tensor) ZipFInto(workers int, o *Tensor, f func(a, b float64) float64, dst *Tensor) *Tensor {
+	t.sameShape(o)
+	out := t.resultInto(KR64, dst)
+	zipInto(workers, out.F, t.F, o.F, f)
+	return out
+}
+
+func (t *Tensor) ZipIInto(workers int, o *Tensor, f func(a, b int64) int64, dst *Tensor) *Tensor {
+	t.sameShape(o)
+	out := t.resultInto(KI64, dst)
+	zipInto(workers, out.I, t.I, o.I, f)
+	return out
+}
+
+func (t *Tensor) MapFInto(workers int, f func(float64) float64, dst *Tensor) *Tensor {
+	out := t.resultInto(KR64, dst)
+	mapInto(workers, out.F, t.F, f)
+	return out
+}
+
+func (t *Tensor) MapIInto(workers int, f func(int64) int64, dst *Tensor) *Tensor {
+	out := t.resultInto(KI64, dst)
+	mapInto(workers, out.I, t.I, f)
+	return out
+}
+
+func zipInto[T any](workers int, out, a, b []T, f func(a, b T) T) {
+	if len(out) < GrainSize() {
+		for i, x := range a {
+			out[i] = f(x, b[i])
+		}
+		return
+	}
+	par.For(workers, len(out), GrainSize(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out.I[i] = f(t.I[i])
+			out[i] = f(a[i], b[i])
 		}
 	})
-	return out
+}
+
+func mapInto[T any](workers int, out, a []T, f func(T) T) {
+	if len(out) < GrainSize() {
+		for i, x := range a {
+			out[i] = f(x)
+		}
+		return
+	}
+	par.For(workers, len(out), GrainSize(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = f(a[i])
+		}
+	})
 }
 
 // Dot products route through the shared BLAS (MKL stand-in; paper §6 Dot).

@@ -204,6 +204,99 @@ func TestZipMapArithmetic(t *testing.T) {
 	}
 }
 
+// Listable threading pairs elements by position: two tensors thread only
+// when their dimensions agree, not when their flat lengths happen to
+// ({{1, 2}, {3, 4}} + {{1, 2, 3, 4}} used to add).
+func TestZipComparesShapesNotFlatLengths(t *testing.T) {
+	add := func(x, y float64) float64 { return x + y }
+	addI := func(x, y int64) int64 { return x + y }
+	square, row := NewTensor(KR64, 2, 2), NewTensor(KR64, 1, 4)
+	for name, zip := range map[string]func(){
+		"ZipFP":              func() { square.ZipFP(1, row, add) },
+		"ZipFInto, operand":  func() { square.ZipFInto(1, row, add, square) },
+		"ZipFInto, argument": func() { square.ZipFInto(1, row, add, row) },
+		"ZipIP":              func() { NewTensor(KI64, 2, 2).ZipIP(1, NewTensor(KI64, 4), addI) },
+		"ZipIInto":           func() { x := NewTensor(KI64, 6); x.ZipIInto(1, NewTensor(KI64, 2, 3), addI, x) },
+	} {
+		if exc := catch(zip); exc == nil || exc.Kind != ExcType || !strings.Contains(exc.Msg, "unequal shape") {
+			t.Errorf("%s of a 2x2 and a 1x4 tensor: %v, want the unequal-shape exception", name, exc)
+		}
+	}
+	if sum := square.ZipFP(1, NewTensor(KR64, 2, 2), add); len(sum.Dims) != 2 || sum.Dims[0] != 2 || sum.Dims[1] != 2 {
+		t.Errorf("2x2 + 2x2 has dimensions %v", sum.Dims)
+	}
+}
+
+// The Into forms write the result over the tensor they are handed when it is
+// unshared, whichever operand it is, and allocate when it is Shared or nil;
+// either way the values are those of the plain forms.
+func TestIntoFormsReuseOnlyUnsharedStorage(t *testing.T) {
+	sub := func(x, y float64) float64 { return x - y }
+	fresh := func(vals ...float64) *Tensor {
+		t := NewTensor(KR64, len(vals))
+		copy(t.F, vals)
+		return t
+	}
+	for _, shared := range []bool{false, true} {
+		for _, second := range []bool{false, true} {
+			a, b := fresh(10, 20, 30), fresh(1, 2, 3)
+			into := a
+			if second {
+				into = b
+			}
+			if shared {
+				into.MarkShared()
+			}
+			out := a.ZipFInto(1, b, sub, into)
+			if out.F[0] != 9 || out.F[1] != 18 || out.F[2] != 27 {
+				t.Fatalf("shared=%v second=%v: a - b = %v", shared, second, out.F)
+			}
+			if (out == into) == shared {
+				t.Errorf("shared=%v second=%v: result reuses the operand = %v", shared, second, out == into)
+			}
+			if shared && (a.F[0] != 10 || b.F[0] != 1) {
+				t.Errorf("second=%v: a Shared operand was written through: a=%v b=%v", second, a.F, b.F)
+			}
+		}
+		v := fresh(1, 4, 9)
+		if shared {
+			v.MarkShared()
+		}
+		if out := v.MapFInto(1, math.Sqrt, v); out.F[2] != 3 || (out == v) == shared || shared && v.F[2] != 9 {
+			t.Errorf("shared=%v: MapFInto gave %v (reused %v), operand now %v", shared, out.F, out == v, v.F)
+		}
+		n := NewTensor(KI64, 2).FillI(7)
+		if shared {
+			n.MarkShared()
+		}
+		if out := n.MapIInto(1, NegI64, n); out.I[1] != -7 || (out == n) == shared || shared && n.I[1] != 7 {
+			t.Errorf("shared=%v: MapIInto gave %v (reused %v), operand now %v", shared, out.I, out == n, n.I)
+		}
+	}
+	// A result never shares its Dims array with the tensor it was shaped
+	// after: reshaping one must not reshape the other.
+	a := NewTensor(KR64, 2, 3)
+	out := a.MapFInto(1, math.Sqrt, nil)
+	out.Dims[0] = 99
+	if a.Dims[0] != 2 {
+		t.Error("a mapped tensor shares its Dims array with its operand")
+	}
+}
+
+// A rank-1 or rank-2 tensor is two allocations: the header, with its
+// dimensions inside it, and the elements.
+func TestNewTensorAllocations(t *testing.T) {
+	for _, dims := range [][]int{{5}, {2, 3}} {
+		if n := testing.AllocsPerRun(100, func() { NewTensor(KR64, dims...) }); n > 2 {
+			t.Errorf("NewTensor of rank %d: %v allocations, want at most 2", len(dims), n)
+		}
+	}
+	cube := NewTensor(KI64, 2, 3, 4)
+	if len(cube.Dims) != 3 || cube.Dims[2] != 4 || len(cube.I) != 24 {
+		t.Errorf("rank-3 tensor has dimensions %v and %d elements", cube.Dims, len(cube.I))
+	}
+}
+
 func TestDotShapes(t *testing.T) {
 	v := NewTensor(KR64, 2)
 	copy(v.F, []float64{3, 4})

@@ -32,8 +32,11 @@ size_report() {
     echo "internal/codegen generated ($(echo $gen)): $(cat $gen | wc -l)"
     echo "internal/codegen hand-written: $(find internal/codegen -name '*.go' ! -name '*_test.go' | grep -v -F "$gen" | xargs cat | wc -l)"
     echo "scripts/verify.sh: $(wc -l < scripts/verify.sh) lines"
+    echo "internal/codegen/fusion_modes.go: $(wc -l < internal/codegen/fusion_modes.go) generated lines"
     echo "== size: what one compiler, one tiered session (ISSUE 16), 21 891 compiled calls (cfib[20], ISSUE 17) and inferring the 14-source corpus (ISSUE 18) cost =="
     go test -run '^$' -bench 'NewCompiler$|EngineNewClose$|CallOverhead$|Infer$' -benchmem -benchtime 200x ./internal/core ./internal/engine | grep '^Benchmark'
+    echo "== size: the tensor loops of Figure 2 and the random walk's allocations (ISSUE 19) =="
+    go test -run '^$' -bench 'Fig2/(blur|histogram|qsort)/compiled$|Figure1RandomWalk/compiled$' -benchmem -benchtime 20x -cpu 1 . | grep '^Benchmark'
 }
 
 if [ "${1:-}" = "-fast" ]; then
@@ -45,14 +48,14 @@ fi
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== codegen gate: the operand-mode variants are what modegen generates =="
-# internal/codegen/fusion_modes.go is generated from the op table in
-# internal/codegen/modegen (ISSUE 17). TestGeneratedFileIsFresh in tier 1
-# already compares the two in memory; this runs the real go:generate line, so
-# a broken directive or output path fails too.
+echo "== codegen gate: the operand-mode and element-kind variants are what modegen generates =="
+# internal/codegen/fusion_modes.go and part_kinds.go are generated from the
+# tables in internal/codegen/modegen (ISSUE 17, 19). TestGeneratedFileIsFresh
+# in tier 1 already compares them in memory; this runs the real go:generate
+# line, so a broken directive or output path fails too.
 go generate ./internal/codegen
-git diff --exit-code -- internal/codegen/fusion_modes.go || {
-    echo "verify: FAIL — internal/codegen/fusion_modes.go is stale; commit what go generate wrote"
+git diff --exit-code -- internal/codegen/fusion_modes.go internal/codegen/part_kinds.go || {
+    echo "verify: FAIL — a generated file of internal/codegen is stale; commit what go generate wrote"
     exit 1
 }
 
