@@ -38,12 +38,14 @@ type RT struct {
 	// Parallelism compile option.
 	Workers int
 
-	// frames holds the activation records by call depth; depth of them are
-	// in use. A record outlives the call that used it and is re-sliced for
-	// the next function entered at its depth, so a call allocates only when
-	// that function needs more registers of some class than any before it
-	// there. Records are separate allocations because live frames hold
-	// pointers to theirs while the slice grows.
+	// frames holds the activation records by call depth; those below depth
+	// are in use. A level takes the record at its depth and CFunc.units of
+	// depth, so the slots a costly level skips stay nil. A record outlives the
+	// call that used it and is re-sliced for the next function entered at its
+	// depth, so a call allocates only when that function needs more registers
+	// of some class than any before it there. Records are separate
+	// allocations because live frames hold pointers to theirs while the slice
+	// grows.
 	frames []*frame
 	depth  int
 }
@@ -51,14 +53,23 @@ type RT struct {
 // Aborted polls the abort flag; standalone code (nil engine) never aborts.
 func (rt *RT) Aborted() bool { return rt.Engine != nil && rt.Engine.Aborted() }
 
-// maxCallDepth bounds compiled call nesting. Under the region tree a level's
-// Go stack is the call closure, the callee's body and one closure for each
-// region the call is nested in: 272 bytes for a call in an If (280 unfused),
-// 592 to 624 under four regions (If, While, While, If), about 100 more for
-// each one deeper. The Go runtime kills the process when a stack must grow
-// past 512 MB, which four regions reach at 860 000 levels; 1<<18 keeps the
-// 2x margin down to a call nested nine regions deep.
-const maxCallDepth = 1 << 18
+// maxCallDepth bounds compiled call nesting, in units of unitBytes of Go
+// stack. The Go runtime kills the process when a stack must grow past 512 MB,
+// and stacks double, so compiled code is held to half that: 1<<19 units of
+// 512 bytes. Under the region tree what a level puts on the stack depends on
+// where in its function the call sits: the call closure (callBytes; 128 on
+// amd64) and, in the callee, one closure for each region and each fold of a
+// sequence the next call is nested in (frameBytes; the largest, a loop, is
+// 72). A level takes as many units of depth as its function can cost at most
+// (CFunc.units), so the bound holds whatever the program's shape: a call in a
+// lone If uses 272 bytes, is charged 400, one unit, and nests 524 288 deep;
+// under 25 nested Ifs it uses 2 672, takes nine units and stops at 58 254.
+const (
+	maxCallDepth = 1 << 19
+	unitBytes    = 512
+	callBytes    = 160
+	frameBytes   = 80
+)
 
 var rtPool = sync.Pool{New: func() any { return new(RT) }}
 
@@ -75,7 +86,9 @@ func AcquireRT(eng runtime.Engine, workers int) *RT {
 // pooled stack pins no tensor.
 func (rt *RT) Release() {
 	for _, fr := range rt.frames[:rt.depth] {
-		clear(fr.o)
+		if fr != nil {
+			clear(fr.o)
+		}
 	}
 	rt.depth = 0
 	rt.Engine = nil
@@ -91,14 +104,12 @@ func (rt *RT) enter(cf *CFunc) *frame {
 	if cf.poll && rt.Aborted() {
 		runtime.Throw(runtime.ExcAbort, "aborted")
 	}
-	if rt.depth == len(rt.frames) {
-		if rt.depth >= maxCallDepth {
-			runtime.Throw(runtime.ExcDepth, "compiled call depth of %d exceeded", maxCallDepth)
-		}
-		rt.frames = append(rt.frames, &frame{rt: rt})
+	top := rt.depth + cf.units
+	if top > len(rt.frames) || rt.frames[rt.depth] == nil {
+		rt.grow(top)
 	}
 	fr := rt.frames[rt.depth]
-	rt.depth++
+	rt.depth = top
 	if cf.nI > 0 {
 		fr.i = resized(fr.i, cf.nI)
 	}
@@ -135,6 +146,20 @@ func (rt *RT) enter(cf *CFunc) *frame {
 	return fr
 }
 
+// grow makes room for a level that reaches depth top and a record for it at
+// the current depth, or throws when top is past the limit.
+func (rt *RT) grow(top int) {
+	if top > maxCallDepth {
+		runtime.Throw(runtime.ExcDepth, "compiled call depth of %d exceeded", maxCallDepth)
+	}
+	if need := top - len(rt.frames); need > 0 {
+		rt.frames = append(rt.frames, make([]*frame, need)...)
+	}
+	if rt.frames[rt.depth] == nil {
+		rt.frames[rt.depth] = &frame{rt: rt}
+	}
+}
+
 // resized is file re-sliced to n registers, reallocated only when its
 // capacity is short (whatever it held is dead: registers are written before
 // they are read).
@@ -145,11 +170,11 @@ func resized[T any](file []T, n int) []T {
 	return file[:n]
 }
 
-// leave returns the top record. Object registers may pin big tensors, so
-// they are cleared now, not when the record is next used.
-func (rt *RT) leave(fr *frame) {
+// leave returns the top record, which a call of cf took. Object registers may
+// pin big tensors, so they are cleared now, not when the record is next used.
+func (rt *RT) leave(cf *CFunc, fr *frame) {
 	clear(fr.o)
-	rt.depth--
+	rt.depth -= cf.units
 }
 
 // reg addresses one register in a class.
@@ -184,6 +209,10 @@ type CFunc struct {
 	// enter, on the way in, in place of a closure of its own.
 	body step
 	poll bool
+	// units is the depth one level of the function takes: what it can put on
+	// the Go stack, the closure that calls it and the closures its body nests
+	// to, in units of unitBytes.
+	units int
 
 	// naiveConsts rebuilds tensor constants per call (the §6 PrimeQ
 	// constant-array ablation).
@@ -314,7 +343,7 @@ func (cf *CFunc) CallValues(rt *RT, args ...any) any {
 	if cf.hasRet {
 		res = readReg(fr, cf.retReg)
 	}
-	rt.leave(fr)
+	rt.leave(cf, fr)
 	return res
 }
 
@@ -546,11 +575,13 @@ func (g *gen) generate() error {
 	}
 	g.cf.poll = !g.profile && !g.cfg.Header[0] && g.fn.Blocks[0].Instrs[0].Op == wir.OpAbortCheck
 	b, err := g.compile(tree)
+	deep := b.depth()
 	// A function is its steps; one whose control leaves from a nested
 	// position (a Return in a loop) runs them, then the flow that has it.
 	if pre, rest := seqStep(b.steps), b.ctl; rest == nil && pre != nil {
 		g.cf.body = pre
 	} else {
+		deep++
 		g.cf.body = func(fr *frame) {
 			if pre != nil {
 				pre(fr)
@@ -560,6 +591,7 @@ func (g *gen) generate() error {
 			}
 		}
 	}
+	g.cf.units = (callBytes + deep*frameBytes + unitBytes - 1) / unitBytes
 	return err
 }
 
@@ -924,7 +956,7 @@ func (g *gen) genCall(in *wir.Instr, args []wir.Value, target *CFunc, resolve fu
 		if cs.hasResult && target.hasRet {
 			copyRet(fr, cfr, cs.dst, target.retReg)
 		}
-		fr.rt.leave(cfr)
+		fr.rt.leave(target, cfr)
 	}, err
 }
 

@@ -132,7 +132,7 @@ func (x opC) get(fr *frame) complex128 {
 // by the constructors below. Everything else in buildEval* is cold enough to
 // keep get's switch.
 //
-//go:generate go run ./modegen -o fusion_modes.go -kinds part_kinds.go
+//go:generate go run ./modegen -o fusion_modes.go
 
 // arith holds the generated constructors of one arithmetic op: as an
 // interior node of a tree and as "dst = x op y", the root of one.
@@ -782,7 +782,7 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 	case "string_byte":
 		return g.stringByteEval(in)
 	case "part_1", "part_unsafe_1", "part_2", "part_unsafe_2":
-		return partEval(g, in, native, partEvalI)
+		return g.partEvalI(in, native)
 	}
 	return nil, fmt.Errorf("codegen %s: no fused integer evaluator for native %q", g.fn.Name, native)
 }
@@ -951,7 +951,7 @@ func (g *gen) buildEvalF(in *wir.Instr) (evalF, error) {
 		}
 		return func(fr *frame) float64 { return imag(x.get(fr)) }, nil
 	case "part_1", "part_unsafe_1", "part_2", "part_unsafe_2":
-		return partEval(g, in, native, partEvalF)
+		return g.partEvalF(in, native)
 	}
 	return nil, fmt.Errorf("codegen %s: no fused real evaluator for native %q", g.fn.Name, native)
 }
@@ -1052,7 +1052,7 @@ func (g *gen) buildEvalB(in *wir.Instr) (evalB, error) {
 		}
 		return func(fr *frame) bool { return x.get(fr)%2 != 0 }, nil
 	case "part_1", "part_unsafe_1":
-		return partEval(g, in, native, partEvalB)
+		return g.partEvalB(in, native)
 	}
 	return nil, fmt.Errorf("codegen %s: no fused boolean evaluator for native %q", g.fn.Name, native)
 }
@@ -1149,7 +1149,7 @@ func (g *gen) buildEvalC(in *wir.Instr) (evalC, error) {
 		}
 		return func(fr *frame) complex128 { return complex(x.get(fr), y.get(fr)) }, nil
 	case "part_1", "part_unsafe_1", "part_2", "part_unsafe_2":
-		return partEval(g, in, native, partEvalC)
+		return g.partEvalC(in, native)
 	}
 	return nil, fmt.Errorf("codegen %s: no fused complex evaluator for native %q", g.fn.Name, native)
 }
@@ -1283,11 +1283,224 @@ func cmpF(op string, a, b float64) bool {
 	return false
 }
 
-// partEval compiles a fused tensor element read of one element kind: build
-// is that kind's generated constructor (part_kinds.go).
-func partEval[E any](g *gen, in *wir.Instr, native string, build func(a int, i1, i2 opI, rank2, unsafe bool) E) (E, error) {
+// partEval* compile fused tensor element reads (the load half of the
+// load-op-store forms). Like partStep they inline the positive in-range
+// case; an index held in a register or given as a literal is read without
+// going through opI.get's mode switch.
+
+func (g *gen) partEvalI(in *wir.Instr, native string) (evalI, error) {
 	a, i1, i2, rank2, unsafe, err := g.partOperands(in, native)
-	return build(a, i1, i2, rank2, unsafe), err
+	if err != nil {
+		return nil, err
+	}
+	if rank2 {
+		if unsafe {
+			return func(fr *frame) int64 { return tensorArg(fr, a).GetI2U(i1.get(fr), i2.get(fr)) }, nil
+		}
+		if r1, r2 := i1.idx, i2.idx; i1.mode == opRegMode && i2.mode == opRegMode {
+			return func(fr *frame) int64 {
+				t := tensorArg(fr, a)
+				if k, ok := t.Off2(fr.i[r1], fr.i[r2]); ok {
+					return t.I[k]
+				}
+				return t.GetI2(fr.i[r1], fr.i[r2])
+			}, nil
+		}
+		return func(fr *frame) int64 {
+			t, i, j := tensorArg(fr, a), i1.get(fr), i2.get(fr)
+			if k, ok := t.Off2(i, j); ok {
+				return t.I[k]
+			}
+			return t.GetI2(i, j)
+		}, nil
+	}
+	if unsafe {
+		return func(fr *frame) int64 { return tensorArg(fr, a).GetIU(i1.get(fr)) }, nil
+	}
+	switch i1.mode {
+	case opRegMode:
+		r := i1.idx
+		return func(fr *frame) int64 {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[r], len(t.I)); ok {
+				return t.I[k]
+			}
+			return t.GetI(fr.i[r])
+		}, nil
+	case opLitMode:
+		i := i1.lit
+		return func(fr *frame) int64 {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(i, len(t.I)); ok {
+				return t.I[k]
+			}
+			return t.GetI(i)
+		}, nil
+	}
+	ev := i1.ev
+	return func(fr *frame) int64 {
+		t, i := tensorArg(fr, a), ev(fr)
+		if k, ok := runtime.Off1(i, len(t.I)); ok {
+			return t.I[k]
+		}
+		return t.GetI(i)
+	}, nil
+}
+
+func (g *gen) partEvalF(in *wir.Instr, native string) (evalF, error) {
+	a, i1, i2, rank2, unsafe, err := g.partOperands(in, native)
+	if err != nil {
+		return nil, err
+	}
+	if rank2 {
+		if unsafe {
+			return func(fr *frame) float64 { return tensorArg(fr, a).GetF2U(i1.get(fr), i2.get(fr)) }, nil
+		}
+		if r1, r2 := i1.idx, i2.idx; i1.mode == opRegMode && i2.mode == opRegMode {
+			return func(fr *frame) float64 {
+				t := tensorArg(fr, a)
+				if k, ok := t.Off2(fr.i[r1], fr.i[r2]); ok {
+					return t.F[k]
+				}
+				return t.GetF2(fr.i[r1], fr.i[r2])
+			}, nil
+		}
+		return func(fr *frame) float64 {
+			t, i, j := tensorArg(fr, a), i1.get(fr), i2.get(fr)
+			if k, ok := t.Off2(i, j); ok {
+				return t.F[k]
+			}
+			return t.GetF2(i, j)
+		}, nil
+	}
+	if unsafe {
+		return func(fr *frame) float64 { return tensorArg(fr, a).GetFU(i1.get(fr)) }, nil
+	}
+	switch i1.mode {
+	case opRegMode:
+		r := i1.idx
+		return func(fr *frame) float64 {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[r], len(t.F)); ok {
+				return t.F[k]
+			}
+			return t.GetF(fr.i[r])
+		}, nil
+	case opLitMode:
+		i := i1.lit
+		return func(fr *frame) float64 {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(i, len(t.F)); ok {
+				return t.F[k]
+			}
+			return t.GetF(i)
+		}, nil
+	}
+	ev := i1.ev
+	return func(fr *frame) float64 {
+		t, i := tensorArg(fr, a), ev(fr)
+		if k, ok := runtime.Off1(i, len(t.F)); ok {
+			return t.F[k]
+		}
+		return t.GetF(i)
+	}, nil
+}
+
+func (g *gen) partEvalC(in *wir.Instr, native string) (evalC, error) {
+	a, i1, i2, rank2, unsafe, err := g.partOperands(in, native)
+	if err != nil {
+		return nil, err
+	}
+	if rank2 {
+		if unsafe {
+			return func(fr *frame) complex128 { return tensorArg(fr, a).GetC2U(i1.get(fr), i2.get(fr)) }, nil
+		}
+		if r1, r2 := i1.idx, i2.idx; i1.mode == opRegMode && i2.mode == opRegMode {
+			return func(fr *frame) complex128 {
+				t := tensorArg(fr, a)
+				if k, ok := t.Off2(fr.i[r1], fr.i[r2]); ok {
+					return t.C[k]
+				}
+				return t.GetC2(fr.i[r1], fr.i[r2])
+			}, nil
+		}
+		return func(fr *frame) complex128 {
+			t, i, j := tensorArg(fr, a), i1.get(fr), i2.get(fr)
+			if k, ok := t.Off2(i, j); ok {
+				return t.C[k]
+			}
+			return t.GetC2(i, j)
+		}, nil
+	}
+	if unsafe {
+		return func(fr *frame) complex128 { return tensorArg(fr, a).GetCU(i1.get(fr)) }, nil
+	}
+	switch i1.mode {
+	case opRegMode:
+		r := i1.idx
+		return func(fr *frame) complex128 {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[r], len(t.C)); ok {
+				return t.C[k]
+			}
+			return t.GetC(fr.i[r])
+		}, nil
+	case opLitMode:
+		i := i1.lit
+		return func(fr *frame) complex128 {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(i, len(t.C)); ok {
+				return t.C[k]
+			}
+			return t.GetC(i)
+		}, nil
+	}
+	ev := i1.ev
+	return func(fr *frame) complex128 {
+		t, i := tensorArg(fr, a), ev(fr)
+		if k, ok := runtime.Off1(i, len(t.C)); ok {
+			return t.C[k]
+		}
+		return t.GetC(i)
+	}, nil
+}
+
+func (g *gen) partEvalB(in *wir.Instr, native string) (evalB, error) {
+	a, i1, _, _, unsafe, err := g.partOperands(in, native)
+	if err != nil {
+		return nil, err
+	}
+	if unsafe {
+		return func(fr *frame) bool { return tensorArg(fr, a).GetBU(i1.get(fr)) }, nil
+	}
+	switch i1.mode {
+	case opRegMode:
+		r := i1.idx
+		return func(fr *frame) bool {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[r], len(t.B)); ok {
+				return t.B[k]
+			}
+			return t.GetB(fr.i[r])
+		}, nil
+	case opLitMode:
+		i := i1.lit
+		return func(fr *frame) bool {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(i, len(t.B)); ok {
+				return t.B[k]
+			}
+			return t.GetB(i)
+		}, nil
+	}
+	ev := i1.ev
+	return func(fr *frame) bool {
+		t, i := tensorArg(fr, a), ev(fr)
+		if k, ok := runtime.Off1(i, len(t.B)); ok {
+			return t.B[k]
+		}
+		return t.GetB(i)
+	}, nil
 }
 
 func (g *gen) partOperands(in *wir.Instr, native string) (a int, i1, i2 opI, rank2, unsafe bool, err error) {

@@ -1,5 +1,4 @@
-// Command modegen writes internal/codegen/fusion_modes.go and part_kinds.go,
-// the closure bodies Go cannot abstract over. fusion_modes.go: for every hot
+// Command modegen writes internal/codegen/fusion_modes.go: for every hot
 // binary scalar op of the closure backend, one closure body per pair of
 // operand addressing modes (register, literal, subtree), so the mode is
 // decided when the closure is built and a register or literal operand is
@@ -128,21 +127,10 @@ func form(w *bytes.Buffer, o op, suffix, params, ret string, wrap func(e string)
 	w.WriteString("}\n}\n\n")
 }
 
-const header = "// Code generated by modegen from its op table; DO NOT EDIT.\n\npackage codegen\n\nimport \"wolfc/internal/runtime\"\n\n"
-
-// generate returns the two generated files: the operand-mode variants of the
-// table's ops with the sum node, and the element-kind variants of a fused
-// Part read.
-func generate() (modes, kinds []byte, err error) {
-	var w, k bytes.Buffer
-	k.WriteString(header)
-	partEvals(&k)
-	partSteps(&k)
-	setPartSteps(&k)
-	if kinds, err = format.Source(k.Bytes()); err != nil {
-		return nil, nil, err
-	}
-	w.WriteString(header)
+func generate() ([]byte, error) {
+	var w bytes.Buffer
+	w.WriteString("// Code generated by modegen from its op table; DO NOT EDIT.\n\n")
+	w.WriteString("package codegen\n\nimport \"wolfc/internal/runtime\"\n\n")
 	for _, c := range []*class{intArith, realArith, intCompare, realCompare} {
 		fmt.Fprintf(&w, "var %s = map[string]%s{\n", c.table, c.constructors())
 		for _, o := range ops {
@@ -168,149 +156,7 @@ func generate() (modes, kinds []byte, err error) {
 		})
 	}
 	sum(&w)
-	modes, err = format.Source(w.Bytes())
-	return modes, kinds, err
-}
-
-// A kind is one element kind of a tensor: the suffix of its slice field,
-// accessors and evaluator type (objects have no evaluator: they never fuse),
-// the frame's register file for it, and its Go type. Only the numeric kinds
-// have rank-2 accessors.
-var kinds = []struct {
-	s, file, typ string
-	rank2, eval  bool
-	uncheckedSet bool // has a SetU mutator (macro loops fill no boolean lists)
-}{
-	{"I", "i", "int64", true, true, true}, {"F", "f", "float64", true, true, true}, {"C", "c", "complex128", true, true, true},
-	{"B", "b", "bool", false, true, false}, {"O", "o", "any", false, false, true},
-}
-
-// part1 and part2 spell a checked element read of tensor t, kind s: the
-// positive in-range case indexes the slice, anything else takes the checked
-// accessor, which resolves a negative index or throws. yield says what to do
-// with the element.
-func part1(s, t, i string, yield func(elem string) string) string {
-	return fmt.Sprintf("if k, ok := runtime.Off1(%[3]s, len(%[2]s.%[1]s)); ok {\n%[4]s\n} else {\n%[5]s\n}",
-		s, t, i, yield(t+"."+s+"[k]"), yield(fmt.Sprintf("%s.Get%s(%s)", t, s, i)))
-}
-
-func part2(s, t, i, j string, yield func(elem string) string) string {
-	return fmt.Sprintf("if k, ok := %[2]s.Off2(%[3]s, %[4]s); ok {\n%[5]s\n} else {\n%[6]s\n}",
-		s, t, i, j, yield(t+"."+s+"[k]"), yield(fmt.Sprintf("%s.Get%s2(%s, %s)", t, s, i, j)))
-}
-
-// partEvals writes, for each element kind, the constructor of a fused tensor
-// element read (the load half of the load-op-store forms): one closure body
-// per way the index operands are addressed, so an index held in a register
-// or given as a literal is read without going through opI.get's mode switch.
-func partEvals(w *bytes.Buffer) {
-	ret := func(elem string) string { return "return " + elem }
-	for _, k := range kinds {
-		if !k.eval {
-			continue
-		}
-		fn := func(body string) string {
-			return fmt.Sprintf("func(fr *frame) %s {\nt := tensorArg(fr, a)\n%s\n}", k.typ, body)
-		}
-		fmt.Fprintf(w, "func partEval%s(a int, i1, i2 opI, rank2, unsafe bool) eval%[1]s {\n", k.s)
-		if k.rank2 {
-			fmt.Fprintf(w, `if rank2 {
-				if unsafe {
-					return func(fr *frame) %[2]s { return tensorArg(fr, a).Get%[1]s2U(i1.get(fr), i2.get(fr)) }
-				}
-				if r1, r2 := i1.idx, i2.idx; i1.mode == opRegMode && i2.mode == opRegMode {
-					return %[3]s
-				}
-				return %[4]s
-			}
-			`, k.s, k.typ, fn(part2(k.s, "t", "fr.i[r1]", "fr.i[r2]", ret)),
-				fn("i, j := i1.get(fr), i2.get(fr)\n"+part2(k.s, "t", "i", "j", ret)))
-		}
-		fmt.Fprintf(w, `if unsafe {
-				return func(fr *frame) %[2]s { return tensorArg(fr, a).Get%[1]sU(i1.get(fr)) }
-			}
-			r, i, ev := i1.idx, i1.lit, i1.ev
-			switch i1.mode {
-			case opRegMode:
-				return %[3]s
-			case opLitMode:
-				return %[4]s
-			}
-			return %[5]s
-		}
-
-		`, k.s, k.typ, fn(part1(k.s, "t", "fr.i[r]", ret)), fn(part1(k.s, "t", "i", ret)),
-			fn("i := ev(fr)\n"+part1(k.s, "t", "i", ret)))
-	}
-}
-
-// partSteps writes, for each element kind, the constructor of an element read
-// whose operands are all registers, as a step: dst = Part[a, i1(, i2)].
-func partSteps(w *bytes.Buffer) {
-	for _, k := range kinds {
-		set := func(elem string) string { return fmt.Sprintf("fr.%s[d] = %s", k.file, elem) }
-		fmt.Fprintf(w, "func partStep%s(d, a, i1, i2 int, rank2, unsafe bool) step {\n", k.s)
-		if k.rank2 {
-			fmt.Fprintf(w, `if rank2 {
-				if unsafe {
-					return func(fr *frame) { %s }
-				}
-				return func(fr *frame) {
-					t := tensorArg(fr, a)
-					%s
-				}
-			}
-			`, set(fmt.Sprintf("tensorArg(fr, a).Get%s2U(fr.i[i1], fr.i[i2])", k.s)), part2(k.s, "t", "fr.i[i1]", "fr.i[i2]", set))
-		}
-		fmt.Fprintf(w, `if unsafe {
-				return func(fr *frame) { %s }
-			}
-			return func(fr *frame) {
-				t := tensorArg(fr, a)
-				%s
-			}
-		}
-
-		`, set(fmt.Sprintf("tensorArg(fr, a).Get%sU(fr.i[i1])", k.s)), part1(k.s, "t", "fr.i[i1]", set))
-	}
-}
-
-// setPartSteps writes, for each element kind, the constructor of an element
-// write whose operands are all registers. The tensor sits in the result
-// register d: the checked forms store straight into it when it is unshared
-// and the index is positive and in range, and write the register only when
-// the checked mutator copied; the unchecked forms skip the range test.
-func setPartSteps(w *bytes.Buffer) {
-	for _, k := range kinds {
-		val := fmt.Sprintf("fr.%s[v]", k.file)
-		form := func(rank, idx, off string) (unchecked, checked string) {
-			unchecked = fmt.Sprintf(`func(fr *frame) {
-				t := tensorArg(fr, d)
-				if u := t.Set%s%sU(%s, %s); u != t {
-					fr.o[d] = u
-				}
-			}`, k.s, rank, idx, val)
-			checked = fmt.Sprintf(`func(fr *frame) {
-				t := tensorArg(fr, d)
-				if k, ok := %s; ok && !t.IsShared() {
-					t.%s[k] = %s
-					return
-				}
-				fr.o[d] = t.Set%[2]s%[4]s(%[5]s, %[3]s)
-			}`, off, k.s, val, rank, idx)
-			return
-		}
-		fmt.Fprintf(w, "func setPartStep%s(d, i1, i2, v int, rank2, unsafe bool) step {\n", k.s)
-		if k.rank2 {
-			u, c := form("2", "fr.i[i1], fr.i[i2]", "t.Off2(fr.i[i1], fr.i[i2])")
-			fmt.Fprintf(w, "if rank2 {\nif unsafe {\nreturn %s\n}\nreturn %s\n}\n", u, c)
-		}
-		u, c := form("", "fr.i[i1]", fmt.Sprintf("runtime.Off1(fr.i[i1], len(t.%s))", k.s))
-		if k.uncheckedSet {
-			fmt.Fprintf(w, "if unsafe {\nreturn %s\n}\n", u)
-		}
-		fmt.Fprintf(w, "return %s\n}\n\n", c)
-	}
+	return format.Source(w.Bytes())
 }
 
 // sum writes the sum node: a left-leaning chain of real + and - over three or
@@ -331,9 +177,10 @@ func sum(w *bytes.Buffer) {
 		log.Fatalf("modegen: the sum node needs op %s", name)
 		return ""
 	}
-	set := func(elem string) string { return "v = " + elem }
-	// A run of Part reads of one tensor checks the register that holds it once.
-	held := "if t.a != held {\nx, held = tensorArg(fr, t.a), t.a\n}\n"
+	// The Part leaves read as partEvalF does: the positive in-range case
+	// indexes the slice, anything else takes the checked accessor, which
+	// resolves a negative index or throws. A run of reads of one tensor checks
+	// the register that holds it once.
 	body := fmt.Sprintf(`var acc float64
 		var x *runtime.Tensor
 		held := -1
@@ -346,9 +193,23 @@ func sum(w *bytes.Buffer) {
 			case sumLit:
 				v = t.lit
 			case sumPart1:
-				%s
+				if t.a != held {
+					x, held = tensorArg(fr, t.a), t.a
+				}
+				if k, ok := runtime.Off1(fr.i[t.i], len(x.F)); ok {
+					v = x.F[k]
+				} else {
+					v = x.GetF(fr.i[t.i])
+				}
 			case sumPart2:
-				%s
+				if t.a != held {
+					x, held = tensorArg(fr, t.a), t.a
+				}
+				if k, ok := x.Off2(fr.i[t.i], fr.i[t.j]); ok {
+					v = x.F[k]
+				} else {
+					v = x.GetF2(fr.i[t.i], fr.i[t.j])
+				}
 			default:
 				v = t.ev(fr)
 			}
@@ -363,23 +224,19 @@ func sum(w *bytes.Buffer) {
 			default:
 				acc = %s
 			}
-		}`, held+part1("F", "x", "fr.i[t.i]", set), held+part2("F", "x", "fr.i[t.i]", "fr.i[t.j]", set),
-		expr("mulF", "t.coef", "v"), expr("subF", "acc", "v"), expr("addF", "acc", "v"))
+		}`, expr("mulF", "t.coef", "v"), expr("subF", "acc", "v"), expr("addF", "acc", "v"))
 	fmt.Fprintf(w, "func sumFEval(ts []sumTerm) evalF {\nreturn func(fr *frame) float64 {\n%s\nreturn acc\n}\n}\n\n", body)
 	fmt.Fprintf(w, "func sumFAssign(d int, ts []sumTerm) step {\nreturn func(fr *frame) {\n%s\nfr.f[d] = acc\n}\n}\n", body)
 }
 
 func main() {
-	out := flag.String("o", "fusion_modes.go", "output file for the operand-mode variants")
-	kindsOut := flag.String("kinds", "part_kinds.go", "output file for the element-kind variants")
+	out := flag.String("o", "fusion_modes.go", "output file")
 	flag.Parse()
-	modes, kinds, err := generate()
+	src, err := generate()
 	if err != nil {
 		log.Fatal(err)
 	}
-	for name, src := range map[string][]byte{*out: modes, *kindsOut: kinds} {
-		if err := os.WriteFile(name, src, 0o644); err != nil {
-			log.Fatal(err)
-		}
+	if err := os.WriteFile(*out, src, 0o644); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -165,16 +165,16 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 		a := a0()
 		return func(fr *frame) { fr.i[d] = int64(tensorArg(fr, a).Len()) }
 	case "part_1", "part_unsafe_1":
-		return g.partStep(regs, dst, native == "part_unsafe_1", false)
+		return g.partStep(in, regs, dst, native == "part_unsafe_1", false)
 	case "part_2", "part_unsafe_2":
-		return g.partStep(regs, dst, native == "part_unsafe_2", true)
+		return g.partStep(in, regs, dst, native == "part_unsafe_2", true)
 	case "part_row":
 		a, b := a0(), a1()
 		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).Row(fr.i[b]) }
 	case "setpart_1", "setpart_unsafe_1":
-		return g.setPartStep(regs, dst, native == "setpart_unsafe_1", false)
+		return g.setPartStep(in, regs, dst, native == "setpart_unsafe_1", false)
 	case "setpart_2", "setpart_unsafe_2":
-		return g.setPartStep(regs, dst, native == "setpart_unsafe_2", true)
+		return g.setPartStep(in, regs, dst, native == "setpart_unsafe_2", true)
 	case "list_new":
 		elem := tensorElemKind(in.Ty)
 		a := a0()
@@ -425,29 +425,119 @@ func tensorElemKind(t types.Type) runtime.Kind {
 	return runtime.KindOf(t.(*types.Compound).Args[0])
 }
 
-// partStep compiles element reads whose operands are all registers; the
-// result class selects the generated constructor (part_kinds.go). The checked
-// forms inline the positive in-range case (runtime.Off1/Off2) and index the
-// element slice directly; zero, negative and out-of-range indices take the
-// checked accessor, which resolves or throws.
-func (g *gen) partStep(regs []reg, dst reg, unsafe, rank2 bool) step {
-	build, i2 := partStepO, 0
-	switch {
-	case dst.kind == runtime.KI64:
-		build = partStepI
-	case dst.kind == runtime.KR64:
-		build = partStepF
-	case dst.kind == runtime.KC64:
-		build = partStepC
-	case rank2:
-		return nil // booleans and objects have no rank-2 accessor
-	case dst.kind == runtime.KBool:
-		build = partStepB
-	}
+// partStep compiles element reads; the result class selects the accessor.
+// The checked forms inline the positive in-range case (runtime.Off1/Off2)
+// and index the element slice directly; zero, negative and out-of-range
+// indices take the checked accessor, which resolves or throws.
+func (g *gen) partStep(in *wir.Instr, regs []reg, dst reg, unsafe, rank2 bool) step {
+	d := dst.idx
+	a := regs[0].idx
+	i1 := regs[1].idx
 	if rank2 {
-		i2 = regs[2].idx
+		i2 := regs[2].idx
+		switch dst.kind {
+		case runtime.KI64:
+			if unsafe {
+				return func(fr *frame) { fr.i[d] = tensorArg(fr, a).GetI2U(fr.i[i1], fr.i[i2]) }
+			}
+			return func(fr *frame) {
+				t := tensorArg(fr, a)
+				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok {
+					fr.i[d] = t.I[k]
+					return
+				}
+				fr.i[d] = t.GetI2(fr.i[i1], fr.i[i2])
+			}
+		case runtime.KR64:
+			if unsafe {
+				return func(fr *frame) { fr.f[d] = tensorArg(fr, a).GetF2U(fr.i[i1], fr.i[i2]) }
+			}
+			return func(fr *frame) {
+				t := tensorArg(fr, a)
+				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok {
+					fr.f[d] = t.F[k]
+					return
+				}
+				fr.f[d] = t.GetF2(fr.i[i1], fr.i[i2])
+			}
+		case runtime.KC64:
+			if unsafe {
+				return func(fr *frame) { fr.c[d] = tensorArg(fr, a).GetC2U(fr.i[i1], fr.i[i2]) }
+			}
+			return func(fr *frame) {
+				t := tensorArg(fr, a)
+				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok {
+					fr.c[d] = t.C[k]
+					return
+				}
+				fr.c[d] = t.GetC2(fr.i[i1], fr.i[i2])
+			}
+		}
+		return nil
 	}
-	return build(dst.idx, regs[0].idx, regs[1].idx, i2, rank2, unsafe)
+	switch dst.kind {
+	case runtime.KI64:
+		if unsafe {
+			return func(fr *frame) { fr.i[d] = tensorArg(fr, a).GetIU(fr.i[i1]) }
+		}
+		return func(fr *frame) {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.I)); ok {
+				fr.i[d] = t.I[k]
+				return
+			}
+			fr.i[d] = t.GetI(fr.i[i1])
+		}
+	case runtime.KR64:
+		if unsafe {
+			return func(fr *frame) { fr.f[d] = tensorArg(fr, a).GetFU(fr.i[i1]) }
+		}
+		return func(fr *frame) {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.F)); ok {
+				fr.f[d] = t.F[k]
+				return
+			}
+			fr.f[d] = t.GetF(fr.i[i1])
+		}
+	case runtime.KC64:
+		if unsafe {
+			return func(fr *frame) { fr.c[d] = tensorArg(fr, a).GetCU(fr.i[i1]) }
+		}
+		return func(fr *frame) {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.C)); ok {
+				fr.c[d] = t.C[k]
+				return
+			}
+			fr.c[d] = t.GetC(fr.i[i1])
+		}
+	case runtime.KBool:
+		if unsafe {
+			return func(fr *frame) { fr.b[d] = tensorArg(fr, a).GetBU(fr.i[i1]) }
+		}
+		return func(fr *frame) {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.B)); ok {
+				fr.b[d] = t.B[k]
+				return
+			}
+			fr.b[d] = t.GetB(fr.i[i1])
+		}
+	case runtime.KObj:
+		if unsafe {
+			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).GetOU(fr.i[i1]) }
+		}
+		return func(fr *frame) {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.O)); ok {
+				fr.o[d] = t.O[k]
+				return
+			}
+			fr.o[d] = t.GetO(fr.i[i1])
+		}
+	}
+	return nil
 }
 
 // storeInPlace finishes a Part store compiled against register d, which
@@ -464,28 +554,166 @@ func (g *gen) storeInPlace(dst, src reg, st step) step {
 	}
 }
 
-// setPartStep compiles element writes whose operands are all registers; the
-// stored value's class selects the generated constructor (part_kinds.go),
-// which works against the result register (see coalesceObjects).
-func (g *gen) setPartStep(regs []reg, dst reg, unsafe, rank2 bool) step {
-	val := regs[len(regs)-1]
-	build, i2 := setPartStepO, 0
-	switch {
-	case val.kind == runtime.KI64:
-		build = setPartStepI
-	case val.kind == runtime.KR64:
-		build = setPartStepF
-	case val.kind == runtime.KC64:
-		build = setPartStepC
-	case rank2:
-		return nil // booleans and objects have no rank-2 mutator
-	case val.kind == runtime.KBool:
-		build = setPartStepB
-	}
+// setPartStep compiles element writes; the stored value's class selects the
+// mutator. The tensor sits in the result register d (see coalesceObjects):
+// the checked forms store straight into it when it is unshared and the
+// index is positive and in range, and write the register only when the
+// checked mutator copied; the unchecked forms differ in skipping the range
+// test and leaving the counts alone.
+func (g *gen) setPartStep(in *wir.Instr, regs []reg, dst reg, unsafe, rank2 bool) step {
+	d := dst.idx
+	i1 := regs[1].idx
+	var st step
 	if rank2 {
-		i2 = regs[2].idx
+		i2 := regs[2].idx
+		v := regs[3].idx
+		switch regs[3].kind {
+		case runtime.KI64:
+			if unsafe {
+				st = func(fr *frame) {
+					t := tensorArg(fr, d)
+					if u := t.SetI2U(fr.i[i1], fr.i[i2], fr.i[v]); u != t {
+						fr.o[d] = u
+					}
+				}
+				break
+			}
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok && !t.IsShared() {
+					t.I[k] = fr.i[v]
+					return
+				}
+				fr.o[d] = t.SetI2(fr.i[i1], fr.i[i2], fr.i[v])
+			}
+		case runtime.KR64:
+			if unsafe {
+				st = func(fr *frame) {
+					t := tensorArg(fr, d)
+					if u := t.SetF2U(fr.i[i1], fr.i[i2], fr.f[v]); u != t {
+						fr.o[d] = u
+					}
+				}
+				break
+			}
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok && !t.IsShared() {
+					t.F[k] = fr.f[v]
+					return
+				}
+				fr.o[d] = t.SetF2(fr.i[i1], fr.i[i2], fr.f[v])
+			}
+		case runtime.KC64:
+			if unsafe {
+				st = func(fr *frame) {
+					t := tensorArg(fr, d)
+					if u := t.SetC2U(fr.i[i1], fr.i[i2], fr.c[v]); u != t {
+						fr.o[d] = u
+					}
+				}
+				break
+			}
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok && !t.IsShared() {
+					t.C[k] = fr.c[v]
+					return
+				}
+				fr.o[d] = t.SetC2(fr.i[i1], fr.i[i2], fr.c[v])
+			}
+		default:
+			return nil
+		}
+		return g.storeInPlace(dst, regs[0], st)
 	}
-	return g.storeInPlace(dst, regs[0], build(dst.idx, regs[1].idx, i2, val.idx, rank2, unsafe))
+	v := regs[2].idx
+	switch regs[2].kind {
+	case runtime.KI64:
+		if unsafe {
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if u := t.SetIU(fr.i[i1], fr.i[v]); u != t {
+					fr.o[d] = u
+				}
+			}
+			break
+		}
+		st = func(fr *frame) {
+			t := tensorArg(fr, d)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.I)); ok && !t.IsShared() {
+				t.I[k] = fr.i[v]
+				return
+			}
+			fr.o[d] = t.SetI(fr.i[i1], fr.i[v])
+		}
+	case runtime.KR64:
+		if unsafe {
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if u := t.SetFU(fr.i[i1], fr.f[v]); u != t {
+					fr.o[d] = u
+				}
+			}
+			break
+		}
+		st = func(fr *frame) {
+			t := tensorArg(fr, d)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.F)); ok && !t.IsShared() {
+				t.F[k] = fr.f[v]
+				return
+			}
+			fr.o[d] = t.SetF(fr.i[i1], fr.f[v])
+		}
+	case runtime.KC64:
+		if unsafe {
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if u := t.SetCU(fr.i[i1], fr.c[v]); u != t {
+					fr.o[d] = u
+				}
+			}
+			break
+		}
+		st = func(fr *frame) {
+			t := tensorArg(fr, d)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.C)); ok && !t.IsShared() {
+				t.C[k] = fr.c[v]
+				return
+			}
+			fr.o[d] = t.SetC(fr.i[i1], fr.c[v])
+		}
+	case runtime.KBool:
+		st = func(fr *frame) {
+			t := tensorArg(fr, d)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.B)); ok && !t.IsShared() {
+				t.B[k] = fr.b[v]
+				return
+			}
+			fr.o[d] = t.SetB(fr.i[i1], fr.b[v])
+		}
+	case runtime.KObj:
+		if unsafe {
+			st = func(fr *frame) {
+				t := tensorArg(fr, d)
+				if u := t.SetOU(fr.i[i1], fr.o[v]); u != t {
+					fr.o[d] = u
+				}
+			}
+			break
+		}
+		st = func(fr *frame) {
+			t := tensorArg(fr, d)
+			if k, ok := runtime.Off1(fr.i[i1], len(t.O)); ok && !t.IsShared() {
+				t.O[k] = fr.o[v]
+				return
+			}
+			fr.o[d] = t.SetO(fr.i[i1], fr.o[v])
+		}
+	default:
+		return nil
+	}
+	return g.storeInPlace(dst, regs[0], st)
 }
 
 // tensorArith compiles elementwise tensor arithmetic. into is the operand

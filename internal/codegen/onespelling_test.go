@@ -191,21 +191,18 @@ func noHandWrittenSpelling(t *testing.T) {
 	if callsGet(funcs["assignTo"]) {
 		t.Error("assignTo reads an operand through get: assignment roots of generated ops come from the table")
 	}
-	// The sum node spells +, − and × from the table's own rows, and the Part
-	// accessors are one template per element kind: both are generated, and
-	// no hand-written closure does real arithmetic on a register itself.
+	// The sum node spells +, − and × from the table's own rows: it is
+	// generated, and no hand-written closure does real arithmetic on a
+	// register itself.
 	generated := map[string]bool{}
-	for _, name := range []string{"fusion_modes.go", "part_kinds.go"} {
-		for _, d := range parse(name).Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				generated[fd.Name.Name] = true
-			}
+	for _, d := range parse("fusion_modes.go").Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			generated[fd.Name.Name] = true
 		}
 	}
-	for _, fn := range []string{"sumFEval", "sumFAssign", "partEvalI", "partEvalF", "partEvalC", "partEvalB",
-		"partStepO", "setPartStepB"} {
+	for _, fn := range []string{"sumFEval", "sumFAssign"} {
 		if !generated[fn] {
-			t.Errorf("%s is not in a generated file", fn)
+			t.Errorf("%s is not in fusion_modes.go", fn)
 		}
 		if funcs[fn] != nil {
 			t.Errorf("%s is written by hand in fusion.go", fn)

@@ -1,0 +1,5 @@
+//go:build !race
+
+package codegen
+
+const raceEnabled = false

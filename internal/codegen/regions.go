@@ -221,10 +221,19 @@ func (t test) holds(want bool) evalB {
 	return func(fr *frame) bool { return t.eval(fr) == want }
 }
 
-// seqStep folds steps into one (nil for none). Every call in it is its own
-// call site, which lets the processor predict where each one goes; a loop
-// over the slice would make them all from one.
+// seqStep folds steps into one (nil for none), five at a time. Every call in
+// it is its own call site, which lets the processor predict where each one
+// goes; a loop over the slice would make them all from one. A step of n runs
+// under seqDepth(n) closures, their logarithm: what a call costs in Go stack
+// must not grow with the length of the block it sits in.
 func seqStep(sts []step) step {
+	for len(sts) > 5 {
+		folded := make([]step, 0, (len(sts)+4)/5)
+		for ; len(sts) > 0; sts = sts[min(5, len(sts)):] {
+			folded = append(folded, seqStep(sts[:min(5, len(sts))]))
+		}
+		sts = folded
+	}
 	switch len(sts) {
 	case 0:
 		return nil
@@ -240,8 +249,16 @@ func seqStep(sts []step) step {
 		a, b, c, d := sts[0], sts[1], sts[2], sts[3]
 		return func(fr *frame) { a(fr); b(fr); c(fr); d(fr) }
 	}
-	a, b, c, d, rest := sts[0], sts[1], sts[2], sts[3], seqStep(sts[4:])
-	return func(fr *frame) { a(fr); b(fr); c(fr); d(fr); rest(fr) }
+	a, b, c, d, e := sts[0], sts[1], sts[2], sts[3], sts[4]
+	return func(fr *frame) { a(fr); b(fr); c(fr); d(fr); e(fr) }
+}
+
+// seqDepth is how many closures seqStep puts around each of n steps.
+func seqDepth(n int) (d int) {
+	for ; n > 1; n = (n + 4) / 5 {
+		d++
+	}
+	return d
 }
 
 // part is a stretch of a sequence that control can enter only at its top, by
@@ -253,10 +270,19 @@ type part struct {
 	pre   step // steps, folded
 	ctl   flow
 	exit  int
+	// deep is how many region closures deep the instructions under one of
+	// the part's steps, or under ctl, run at most: 0 when all its steps are
+	// instructions.
+	deep int
 }
 
 // plain reports whether control can only fall out of the part's end.
 func (p *part) plain() bool { return p.ctl == nil && p.exit == 0 }
+
+// depth is how many closures deep the part's instructions run once its steps
+// are folded: what a call among them finds on the Go stack between it and
+// whoever runs the part.
+func (p *part) depth() int { return seqDepth(len(p.steps)) + p.deep }
 
 // seqFlow runs a sequence. An exit in flight lands at the later part that
 // carries its code as its label, and goes on up when there is none.
@@ -418,6 +444,9 @@ func (g *gen) compile(seq []*region) (part, error) {
 	}
 	first := part{steps: parts[0].steps}
 	parts[0].steps = nil
+	for i := range parts {
+		first.deep = max(first.deep, 1+parts[i].depth())
+	}
 	first.ctl = seqFlow(parts)
 	return first, nil
 }
@@ -454,14 +483,9 @@ func (g *gen) parts(seq []*region) ([]part, error) {
 			} else {
 				p.ctl = ifFlow(t, then, els)
 			}
+			p.deep = max(p.deep, 1+max(then.depth(), els.depth()))
 		case regionLoop:
-			var loop flow
-			var plain bool
-			if loop, plain, err = g.compileLoop(r); plain {
-				p.steps = append(p.steps, func(fr *frame) { loop(fr) })
-			} else {
-				p.ctl = loop
-			}
+			err = g.compileLoop(p, r)
 		}
 		if err != nil {
 			return parts[:1], err
@@ -480,38 +504,52 @@ func (g *gen) arms(r *region) (t test, then, els part, err error) {
 	return t, then, els, err
 }
 
-// compileLoop compiles a loop, and reports whether it is plain: no exit
-// leaves through it. Its body starts with the header block; when the
-// header's conditional branch is all that follows and one arm does nothing
-// but leave the loop (a While), the loop closure tests and leaves itself.
-func (g *gen) compileLoop(r *region) (loop flow, plain bool, err error) {
+// compileLoop compiles a loop into p: a step when it is plain (no exit leaves
+// through it), p's control otherwise. Its body starts with the header block;
+// when the header's conditional branch is all that follows and one arm does
+// nothing but leave the loop (a While), the loop closure tests and leaves
+// itself.
+func (g *gen) compileLoop(p *part, r *region) error {
 	poll := !g.profile && r.block.Instrs[0].Op == wir.OpAbortCheck
 	sts, err := g.blockSteps(nil, r.block, poll)
 	if err != nil {
-		return nil, false, err
+		return err
 	}
 	head, self := seqStep(sts), r.exit
-	caught := func(p part) bool { return p.ctl == nil && (p.exit == 0 || p.exit == self || p.exit == exitBreak) }
+	caught := func(a part) bool { return a.ctl == nil && (a.exit == 0 || a.exit == self || a.exit == exitBreak) }
+	var stays evalB
+	var stay, leave part
 	if rest := r.kids[1:]; len(rest) == 1 && rest[0].kind == regionIf {
-		t, stay, leave, err := g.arms(rest[0])
+		t, then, els, err := g.arms(rest[0])
 		if err != nil {
-			return nil, false, err
+			return err
 		}
-		leaves := func(p part) bool { return !p.plain() && p.ctl == nil && p.exit != self }
-		stayOn := leaves(leave)
-		if !stayOn && leaves(stay) {
-			stay, leave = leave, stay
-		}
-		if leaves(leave) {
-			plain = caught(stay) && caught(leave)
-			if leave.exit == exitBreak {
-				leave.exit = 0
+		leaves := func(a part) bool { return !a.plain() && a.ctl == nil && a.exit != self }
+		if stayOn := leaves(els); stayOn || leaves(then) {
+			if stays, stay, leave = t.holds(stayOn), els, then; stayOn {
+				stay, leave = then, els
 			}
-			return loopFlow(self, poll, head, t.holds(stayOn), stay, leave), plain, nil
 		}
 	}
-	b, err := g.compile(r.kids[1:])
-	return loopFlow(self, poll, head, nil, b, part{}), caught(b), err
+	if stays == nil {
+		if stay, err = g.compile(r.kids[1:]); err != nil {
+			return err
+		}
+	}
+	plain := caught(stay) && caught(leave)
+	if leave.exit == exitBreak {
+		leave.exit = 0
+	}
+	loop := loopFlow(self, poll, head, stays, stay, leave)
+	deep := 1 + max(seqDepth(len(sts)), stay.depth(), leave.depth())
+	if plain {
+		p.steps = append(p.steps, func(fr *frame) { loop(fr) })
+		deep++
+	} else {
+		p.ctl = loop
+	}
+	p.deep = max(p.deep, deep)
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -306,12 +306,20 @@ func (c *Compiler) generate(mod *wir.Module) (*codegen.Program, error) {
 	if c.Stencil {
 		return codegen.StencilCompile(mod)
 	}
-	return codegen.CompileWithOptions(mod, codegen.CompileOptions{
+	return codegen.CompileWithOptions(mod, c.backendOptions())
+}
+
+// backendOptions is what this compiler hands the closure backend.
+func (c *Compiler) backendOptions() codegen.CompileOptions {
+	if c.Stencil {
+		return codegen.CompileOptions{FuseLevel: codegen.FuseOff}
+	}
+	return codegen.CompileOptions{
 		NaiveConstants: c.NaiveConstants,
 		Parallelism:    c.Parallelism,
 		FuseLevel:      c.FuseLevel,
 		ProfileLevel:   c.ProfileLevel,
-	})
+	}
 }
 
 // backend labels the code generate produces in metrics and traces.

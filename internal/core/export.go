@@ -47,8 +47,9 @@ func (ccf *CompiledCodeFunction) ExportString(format string) (string, error) {
 	case "TWIR":
 		return ccf.Module.String(), nil
 	case "Regions":
-		// The region tree the closure backend ran this module as.
-		return codegen.Regions(ccf.Module, codegen.CompileOptions{})
+		// The region tree the closure backend runs this module as, under the
+		// compiler's options: with fusion off it has no sum nodes.
+		return codegen.Regions(ccf.Module, ccf.compiler.backendOptions())
 	case "AST":
 		out, err := ccf.compiler.ExpandAST(ccf.Source)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"wolfc/internal/codegen"
 	"wolfc/internal/expr"
 	"wolfc/internal/parser"
 	"wolfc/internal/vm"
@@ -216,5 +217,26 @@ func TestWVMBackendRejectsFunctionValues(t *testing.T) {
 	ccf2 := compile(t, c2, `Function[{Typed[s, "String"]}, StringJoin[s, s]]`)
 	if _, err := ccf2.CompileToWVM(); err == nil {
 		t.Fatal("strings must be rejected by the WVM backend")
+	}
+}
+
+// The Regions export is the tree the function runs as: compiled with fusion
+// off there is no sum node in it, and on the baseline rung neither.
+func TestExportRegionsFollowsTheCompilersFusion(t *testing.T) {
+	const src = `Function[{Typed[x, "Real64"], Typed[y, "Real64"]}, x + 2.*y - x*y + 1.]`
+	off, baseline := newCompiler(), newStencilCompiler()
+	off.FuseLevel = codegen.FuseOff
+	for _, cse := range []struct {
+		name    string
+		c       *Compiler
+		wantSum bool
+	}{{"full fusion", newCompiler(), true}, {"fusion off", off, false}, {"baseline rung", baseline, false}} {
+		out, err := compile(t, cse.c, src).ExportString("Regions")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(out, ", sum %"); got != cse.wantSum {
+			t.Errorf("%s: sum node in the printed tree is %v, want %v:\n%s", cse.name, got, cse.wantSum, out)
+		}
 	}
 }

@@ -365,7 +365,7 @@ func TestApplyArityMismatch(t *testing.T) {
 func TestCompiledDeepRecursionSurvives(t *testing.T) {
 	// Compiled recursion runs on the Go stack with one activation record per
 	// level on the invocation's frame stack; a depth of 100k must work. The
-	// only limit is the frame stack's (1<<18 levels, see
+	// only limit is the frame stack's (524 288 levels of this shape, see
 	// TestCompiledRecursionPastDepthLimitThrows), far above the interpreter's.
 	c := newCompiler()
 	ccf, err := c.CompileNamed("depth", parser.MustParse(

@@ -77,35 +77,52 @@ func TestCompiledRecursionPastDepthLimitThrows(t *testing.T) {
 	}
 }
 
-// The depth limit is derived from what a level costs in Go stack when the
-// recursive call sits under four nested regions — an If, two Whiles and an
-// If, 592 to 624 bytes where the call in a lone If above costs 272 — with a
-// 2x margin to the 512 MB at which the Go runtime gives up. Five million
-// levels of that shape must end in the depth exception, not in the process.
+// What a level costs in Go stack depends on where in its function the call
+// sits: 272 bytes in the lone If above, 560 to 584 under an If, two Whiles and
+// an If, 2 672 under 25 nested Ifs, and more again after a long block on the
+// baseline rung, which emits a closure per instruction. A level takes that
+// much of the depth limit (codegen's TestCallStackChargeCoversEveryShape
+// measures it), so five million levels of any of them end in the depth
+// exception, not in the process.
 func TestCompiledRecursionUnderNestedRegionsThrows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a quarter of a million live frames under the race detector's shadow memory is gigabytes")
 	}
-	ccf, err := newCompiler().CompileNamed("depth4", parser.MustParse(
-		`Function[{Typed[n, "MachineInteger"]},
-			If[n < 1, 0, Module[{r = 0, i = 0, j = 0},
-				While[i < 1, j = 0;
-					While[j < 1, If[n > 0, r = r + depth4[n - 1] + 1]; j = j + 1];
-					i = i + 1];
-				r]]]`))
-	if err != nil {
-		t.Fatal(err)
+	nested := `deepN[n - 1] + 1`
+	for i := 0; i < 25; i++ {
+		nested = fmt.Sprintf("If[n > %d, %s, %d]", -i-1, nested, i)
 	}
-	func() {
-		defer func() {
-			if exc, ok := recover().(*runtime.Exception); !ok || exc.Kind != runtime.ExcDepth {
-				t.Fatalf("5 000 000 levels under four regions: want ExcDepth, got %v", exc)
+	long := strings.Repeat("b = !b; ", 300) // boolean, so that a level's registers stay small
+	for _, sh := range []struct {
+		name, body string
+		compiler   *Compiler
+	}{
+		{"four regions", `Module[{r = 0, i = 0, j = 0},
+			While[i < 1, j = 0;
+				While[j < 1, If[n > 0, r = r + deepN[n - 1] + 1]; j = j + 1];
+				i = i + 1];
+			r]`, newCompiler()},
+		{"25 nested Ifs", nested, newCompiler()},
+		{"300 instructions on the baseline rung", `Module[{b = n > 0}, ` + long + `If[b, 1, 0] + deepN[n - 1]]`, newStencilCompiler()},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			ccf, err := sh.compiler.CompileNamed("deepN", parser.MustParse(
+				`Function[{Typed[n, "MachineInteger"]}, If[n < 1, 0, `+sh.body+`]]`))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-		ccf.CallRaw(int64(5_000_000))
-	}()
-	if got := ccf.CallRaw(int64(1000)).(int64); got != 1000 {
-		t.Fatalf("the call after the depth exception = %d, want 1000", got)
+			func() {
+				defer func() {
+					if exc, ok := recover().(*runtime.Exception); !ok || exc.Kind != runtime.ExcDepth {
+						t.Fatalf("5 000 000 levels: want ExcDepth, got %v", exc)
+					}
+				}()
+				ccf.CallRaw(int64(5_000_000))
+			}()
+			if got := ccf.CallRaw(int64(1000)).(int64); got != 1000 {
+				t.Fatalf("the call after the depth exception = %d, want 1000", got)
+			}
+		})
 	}
 }
 

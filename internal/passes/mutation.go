@@ -2,7 +2,6 @@ package passes
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -168,14 +167,14 @@ func copyAtPhis(f *wir.Function, lv *Liveness, stores []*wir.Instr,
 func reuseTemporaries(f *wir.Function) {
 	var count map[wir.Value]int
 	for _, b := range f.Blocks {
-		for idx, in := range b.Instrs {
+		for _, in := range b.Instrs {
 			if in.Op != wir.OpCall || in.ResolvedFn != nil {
 				continue
 			}
 			native := nativeName(in)
 			for _, k := range ElementwiseOperands(native) {
 				def, ok := in.Args[k].(*wir.Instr)
-				if !ok || !freshTensor(def) || !types.Equal(def.Ty, in.Ty) || !slices.Contains(b.Instrs[:idx], def) {
+				if !ok || !freshTensor(def) || !types.Equal(def.Ty, in.Ty) || def.Block != b {
 					continue
 				}
 				if count == nil {

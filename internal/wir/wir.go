@@ -397,8 +397,9 @@ func (i *Instr) render() string {
 }
 
 // Lint checks SSA invariants: every block terminated exactly once, phi
-// arity matches predecessor count, and every instruction operand is defined
-// in the module. The paper keeps an IR linter for pass authors (§4.3 fn 3).
+// arity matches predecessor count, every instruction that names its block
+// names the one it is in, and every instruction operand is defined in the
+// module. The paper keeps an IR linter for pass authors (§4.3 fn 3).
 func (m *Module) Lint() error {
 	for _, f := range m.Funcs {
 		defined := map[Value]bool{}
@@ -420,6 +421,11 @@ func (m *Module) Lint() error {
 			for idx, in := range b.Instrs {
 				if in.IsTerminator() && idx != len(b.Instrs)-1 {
 					return fmt.Errorf("lint %s: terminator mid-block in %s", f.Name, b.Label)
+				}
+				// A pass that moves an instruction moves its Block with it:
+				// "defined in this block" is read from there.
+				if in.Block != nil && in.Block != b {
+					return fmt.Errorf("lint %s: %%%d sits in %s and says it is in %s", f.Name, in.IDNum, b.Label, in.Block.Label)
 				}
 			}
 			for _, phi := range b.Phis {

@@ -48,14 +48,14 @@ fi
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== codegen gate: the operand-mode and element-kind variants are what modegen generates =="
-# internal/codegen/fusion_modes.go and part_kinds.go are generated from the
-# tables in internal/codegen/modegen (ISSUE 17, 19). TestGeneratedFileIsFresh
-# in tier 1 already compares them in memory; this runs the real go:generate
-# line, so a broken directive or output path fails too.
+echo "== codegen gate: the operand-mode variants are what modegen generates =="
+# internal/codegen/fusion_modes.go is generated from the op table in
+# internal/codegen/modegen (ISSUE 17). TestGeneratedFileIsFresh in tier 1
+# already compares the two in memory; this runs the real go:generate line, so
+# a broken directive or output path fails too.
 go generate ./internal/codegen
-git diff --exit-code -- internal/codegen/fusion_modes.go internal/codegen/part_kinds.go || {
-    echo "verify: FAIL — a generated file of internal/codegen is stale; commit what go generate wrote"
+git diff --exit-code -- internal/codegen/fusion_modes.go || {
+    echo "verify: FAIL — internal/codegen/fusion_modes.go is stale; commit what go generate wrote"
     exit 1
 }
 
