@@ -11,7 +11,7 @@
 //
 //	go run ./cmd/patgen > examples/patterns/corpus.wl
 //
-// and scripts/verify.sh replays it through wolfrepl four ways (plain,
+// and TestTierDifferential (cmd) replays it through wolfrepl four ways (plain,
 // tiered, stencil-pinned, O2-only) requiring bit-identical stdout. The
 // generator is seeded and self-contained so the corpus can be regrown or
 // widened (-defs, -seed) when the compilable fragment grows.
@@ -205,7 +205,7 @@ func main() {
 	g := &gen{r: rand.New(rand.NewSource(*seed)), w: &strings.Builder{}}
 	g.emit("(* Generated by cmd/patgen -seed %d -defs %d — do not hand-edit. *)", *seed, *defs)
 	g.emit("(* Differential fuzz corpus for compiled pattern dispatch (ISSUE 10): *)")
-	g.emit("(* scripts/verify.sh replays this through wolfrepl plain, tiered, *)")
+	g.emit("(* cmd's TestTierDifferential replays this through wolfrepl plain, tiered, *)")
 	g.emit("(* stencil-pinned, and O2-only, and requires bit-identical stdout. *)")
 
 	var calls []string

@@ -10,9 +10,11 @@
 //	wolfbench -table 1        # the feature matrix
 //	wolfbench -findroot       # §1 auto-compilation
 //	wolfbench -ablation all   # §6 ablations
-//	wolfbench -fusion         # superinstruction fusion on/off (ISSUE 2)
-//	wolfbench -autocompile    # tiered execution: interpreted vs auto-promoted (ISSUE 5)
-//	wolfbench -metrics-selftest  # ephemeral /metrics endpoint smoke test
+//	wolfbench -parallel       # the worker-pool kernels per worker count
+//	wolfbench -report         # per-stage compile timings of the Figure 2 kernels, as JSON
+//
+// Speed is tracked by benchmark/ (BENCHMARK.json), not here: this command
+// prints the paper's tables, it gates nothing.
 package main
 
 import (
@@ -20,8 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -37,7 +37,6 @@ import (
 	"wolfc/internal/numerics"
 	"wolfc/internal/obs"
 	"wolfc/internal/parser"
-	"wolfc/internal/runtime/par"
 	"wolfc/internal/vm"
 )
 
@@ -51,19 +50,11 @@ var (
 	withInt   = flag.Bool("interp", true, "include the interpreter series (slow)")
 	parallelF = flag.Bool("parallel", false, "run the parallel tensor-runtime suite (Dot, Blur, Histogram, Map)")
 	workersF  = flag.String("workers", "1,2,4,8", "worker counts for -parallel, comma-separated")
-	jsonPath  = flag.String("json", "", "write machine-readable results (BENCH_<n>.json shape) to this path")
-	fusionF   = flag.Bool("fusion", false, "run the superinstruction-fusion suite (FuseLevel off vs on)")
-	autoF     = flag.Bool("autocompile", false, "run the tiered-execution suite: interpreted vs auto-promoted DownValues, and registry vs boxed cross-unit calls")
-	patternsF = flag.Bool("patterns", false, "run the pattern-dispatch suite: guarded/destructuring DownValues compiled to decision trees vs the interpreter")
+	jsonPath  = flag.String("json", "", "write machine-readable results (schema wolfbench/v1) to this path")
 	reportF   = flag.Bool("report", false, "emit a JSON compile-report block (per-stage/per-pass timings) for the Figure 2 kernels")
-	threshF   = flag.Float64("threshold", 0.10, "overhead threshold for -obs-overhead and -serve-trace-overhead (0.10 = 10%)")
-
-	artifactDir = flag.String("artifact-dir", os.Getenv("WOLFC_ARTIFACT_DIR"), "persist compiled artifacts to this directory (the disk tier of the compile cache; also WOLFC_ARTIFACT_DIR)")
 
 	metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/funcs on this address for the run (enables metric recording)")
 	traceOut    = flag.String("trace-out", "", "write JSONL trace events (compile/invoke/fallback) to this file")
-	selftestF   = flag.Bool("metrics-selftest", false, "start an ephemeral /metrics endpoint, run a tiny workload, verify the exposition, exit")
-	obsGateF    = flag.Bool("obs-overhead", false, "interleaved scalarloop A/B with observability disabled vs enabled; exit nonzero beyond -threshold")
 )
 
 // benchResult is one row of the -json output.
@@ -114,49 +105,19 @@ type envJSON struct {
 	NumCPU     int    `json:"num_cpu"`
 }
 
-// histJSON summarises one named latency histogram (per-tier compile times).
-type histJSON struct {
-	Count  uint64  `json:"count"`
-	MeanNs float64 `json:"mean_ns"`
-}
-
-// tierJSON is the per-tier compile block of the -json document: how many
-// background compiles each tier ran, their mean latency, and the compile
-// queue depth at emit time (nonzero = the worker pool ended the run behind).
-func tierJSON() (map[string]histJSON, float64) {
-	hists := map[string]histJSON{}
-	for _, h := range obs.Histograms() {
-		s := h.Snapshot()
-		if s.Count == 0 {
-			continue
-		}
-		hists[s.Name] = histJSON{Count: s.Count, MeanNs: s.MeanNs()}
-	}
-	depth := 0.0
-	for _, g := range obs.ProviderGauges() {
-		if g.Name == "tier_compile_queue_depth" {
-			depth = g.Value
-		}
-	}
-	return hists, depth
-}
-
 func emitJSON(path string) {
 	cs := core.CompileCacheStatsNow()
-	hists, depth := tierJSON()
 	doc := struct {
-		Schema       string              `json:"schema"`
-		GOMAXPROCS   int                 `json:"gomaxprocs"` // kept for older readers; see env
-		Env          envJSON             `json:"env"`
-		Full         bool                `json:"full"`
-		CompileCache cacheStatsJSON      `json:"compile_cache"`
-		TierCompile  map[string]histJSON `json:"tier_compile,omitempty"`
-		TierQueue    float64             `json:"tier_compile_queue_depth"`
-		Results      []benchResult       `json:"results"`
+		Schema       string         `json:"schema"`
+		GOMAXPROCS   int            `json:"gomaxprocs"` // kept for older readers; see env
+		Env          envJSON        `json:"env"`
+		Full         bool           `json:"full"`
+		CompileCache cacheStatsJSON `json:"compile_cache"`
+		Results      []benchResult  `json:"results"`
 	}{"wolfbench/v1", gort.GOMAXPROCS(0), envJSON{
 		GoVersion: gort.Version(), GOOS: gort.GOOS, GOARCH: gort.GOARCH,
 		GOMAXPROCS: gort.GOMAXPROCS(0), NumCPU: gort.NumCPU(),
-	}, *full, cacheJSON(cs), hists, depth, jsonResults}
+	}, *full, cacheJSON(cs), jsonResults}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wolfbench: -json:", err)
@@ -221,30 +182,6 @@ func main() {
 	if *reportF {
 		os.Exit(compileReports())
 	}
-	if *selftestF {
-		os.Exit(metricsSelftest())
-	}
-	if *warmupF {
-		os.Exit(warmupSuite())
-	}
-	if *coldstartF {
-		os.Exit(coldstartSuite())
-	}
-	if *serveF {
-		os.Exit(serveSuite())
-	}
-	if *serveTraceGateF {
-		os.Exit(serveTraceGate())
-	}
-	if *artifactDir != "" {
-		if _, err := core.EnableArtifactStore(*artifactDir); err != nil {
-			fmt.Fprintln(os.Stderr, "wolfbench: -artifact-dir:", err)
-			os.Exit(2)
-		}
-	}
-	if *obsGateF {
-		os.Exit(obsOverheadGate())
-	}
 	if *metricsAddr != "" {
 		srv, err := obs.ServeMetrics(*metricsAddr)
 		if err != nil {
@@ -267,7 +204,7 @@ func main() {
 		}()
 	}
 	any := false
-	defaults := *fig == 0 && *table == 0 && !*findroot && *ablation == "" && !*parallelF && !*fusionF && !*autoF && !*patternsF
+	defaults := *fig == 0 && *table == 0 && !*findroot && *ablation == "" && !*parallelF
 	if *fig == 2 || defaults {
 		figure2()
 		any = true
@@ -286,18 +223,6 @@ func main() {
 	}
 	if *parallelF || defaults {
 		parallelSuite()
-		any = true
-	}
-	if *fusionF || defaults {
-		fusionSuite()
-		any = true
-	}
-	if *autoF || defaults {
-		autocompileSuite()
-		any = true
-	}
-	if *patternsF || defaults {
-		patternsSuite()
 		any = true
 	}
 	if *ablation != "" {
@@ -507,224 +432,6 @@ func parallelSuite() {
 		}
 		fmt.Println()
 	}
-}
-
-func fusionSize(name string) int {
-	if *full {
-		return bench.FusionDefaultSize(name)
-	}
-	switch name {
-	case "scalarloop":
-		return 1_000_000
-	case "mandelfuse":
-		return 120
-	case "partloop":
-		return 100_000
-	}
-	return 0
-}
-
-// fusionSuite measures the dispatch-bound kernels with superinstruction
-// fusion off and on (ISSUE 2). Checksums must be bit-identical; the
-// scalar-loop speedup is the PR's acceptance number.
-func fusionSuite() {
-	fmt.Println("=== Superinstruction fusion: dispatch-bound scalar kernels, FuseLevel off vs on ===")
-	fmt.Println("(single-threaded; off = one closure per TWIR instruction, on = fused expression trees)")
-	fmt.Println()
-	kernels := bench.FusionKernels()
-	if *benchName != "" {
-		kernels = nil
-		for _, n := range bench.FusionKernels() {
-			if n == *benchName {
-				kernels = []string{n}
-				break
-			}
-		}
-		if kernels == nil {
-			fmt.Printf("(no fusion kernel named %q)\n\n", *benchName)
-			return
-		}
-	}
-	fmt.Printf("%-12s %9s %8s %14s %9s  %s\n",
-		"kernel", "size", "fusion", "time/op", "speedup", "checksum")
-	for _, name := range kernels {
-		sz := fusionSize(name)
-		var offNs float64
-		offSum := ""
-		for _, mode := range []struct {
-			label string
-			level int
-		}{{"off", bench.FuseOffLevel}, {"on", 0}} {
-			run, err := bench.PrepareFusionKernel(name, sz, mode.level)
-			if err != nil {
-				fmt.Printf("%-12s %9d %8s failed: %v\n", name, sz, mode.label, err)
-				break
-			}
-			sum := run()
-			if mode.label == "off" {
-				offSum = sum
-			} else if sum != offSum {
-				fmt.Fprintf(os.Stderr,
-					"wolfbench: %s checksum diverged with fusion on: %s != %s\n",
-					name, sum, offSum)
-				os.Exit(1)
-			}
-			ns := measure(run, 300*time.Millisecond)
-			speedup := 1.0
-			if mode.label == "off" {
-				offNs = ns
-			} else {
-				speedup = offNs / ns
-			}
-			record(name, "fuse-"+mode.label, 0, sz, ns, sum)
-			fmt.Printf("%-12s %9d %8s %14s %8.2fx  %s\n",
-				name, sz, mode.label, fmtNs(ns), speedup, sum)
-		}
-		fmt.Println()
-	}
-}
-
-// metricsSelftest is the /metrics smoke test used by scripts/verify.sh: it
-// starts an ephemeral endpoint, exercises a compile, an invoke, a soft
-// fallback, and a parallel kernel, then asserts the exposition carries the
-// invocation/fallback/abort/cache/pool counter families.
-func metricsSelftest() int {
-	srv, err := obs.ServeMetrics("127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wolfbench: -metrics-selftest:", err)
-		return 1
-	}
-	defer srv.Close()
-	k := kernel.New()
-	k.Out = io.Discard
-	c := core.NewCompiler(k)
-	ccf, err := c.FunctionCompileCached(parser.MustParse(
-		`Function[{Typed[n, "MachineInteger"]}, n*n]`))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wolfbench: -metrics-selftest: compile:", err)
-		return 1
-	}
-	if _, err := ccf.Apply([]expr.Expr{expr.FromInt64(6)}); err != nil {
-		fmt.Fprintln(os.Stderr, "wolfbench: -metrics-selftest: invoke:", err)
-		return 1
-	}
-	over, err := c.FunctionCompileCached(parser.MustParse(
-		`Function[{Typed[n, "MachineInteger"]}, n*n*n*n*n]`))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wolfbench: -metrics-selftest: compile:", err)
-		return 1
-	}
-	if _, err := over.Apply([]expr.Expr{expr.FromInt64(10000000)}); err != nil {
-		fmt.Fprintln(os.Stderr, "wolfbench: -metrics-selftest: fallback run:", err)
-		return 1
-	}
-	if run, err := bench.PrepareParallelKernel("map", 100_000, 4); err == nil {
-		run()
-	}
-	get := func(path string) (string, error) {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		return string(b), err
-	}
-	metrics, err := get("/metrics")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wolfbench: -metrics-selftest: GET /metrics:", err)
-		return 1
-	}
-	bad := false
-	for _, want := range []string{
-		"wolfc_func_invocations_total",
-		"wolfc_func_fallbacks_total",
-		"wolfc_func_aborts_total",
-		"wolfc_backend_invocations_total",
-		"wolfc_exc_overflow_total",
-		"wolfc_exc_depth_total",
-		"wolfc_compile_cache_misses_total",
-		"wolfc_compile_cache_coalesced_total",
-		"wolfc_compile_cache_entries",
-		"wolfc_compile_cache_hit_ratio",
-		"wolfc_pool_chunks_total",
-		"wolfc_pool_inflight_fors",
-	} {
-		if !strings.Contains(metrics, want) {
-			fmt.Fprintf(os.Stderr, "wolfbench: -metrics-selftest: /metrics missing %s\n", want)
-			bad = true
-		}
-	}
-	funcs, err := get("/debug/funcs")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wolfbench: -metrics-selftest: GET /debug/funcs:", err)
-		return 1
-	}
-	if !strings.Contains(funcs, "invocations 1") {
-		fmt.Fprintln(os.Stderr, "wolfbench: -metrics-selftest: /debug/funcs missing the invocation row")
-		bad = true
-	}
-	if bad {
-		return 1
-	}
-	fmt.Printf("metrics selftest OK (served on %s)\n", srv.Addr())
-	return 0
-}
-
-// obsOverheadGate holds the observability layer to its overhead budget on
-// the dispatch-bound scalarloop kernel. The A/B — metrics disabled vs
-// enabled — is interleaved within one process because this host's absolute
-// wall-clock drifts far more than the budget between runs (the identical
-// binary has measured 15% apart minutes apart), so a cross-run comparison
-// against a checked-in baseline cannot resolve a 2% threshold; an
-// interleaved ratio can, since the drift cancels. The disabled path is a
-// strict subset of the enabled path at every instrumentation site, so
-// bounding enabled-vs-disabled also bounds the disabled cost, and a
-// failure here means per-iteration instrumentation leaked into the
-// default build (per-block counters must exist only at ProfileLevel > 0).
-func obsOverheadGate() int {
-	fmt.Println("=== Observability overhead: scalarloop, metrics disabled vs enabled, interleaved ===")
-	sz := fusionSize("scalarloop")
-	fail := false
-	for _, mode := range []struct {
-		label string
-		level int
-	}{{"fuse-off", bench.FuseOffLevel}, {"fuse-on", 0}} {
-		run, err := bench.PrepareFusionKernel("scalarloop", sz, mode.level)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wolfbench: -obs-overhead:", err)
-			return 1
-		}
-		offBest, onBest := math.Inf(1), math.Inf(1)
-		for rep := 0; rep < 5; rep++ {
-			obs.SetEnabled(false)
-			par.EnableStats(false)
-			if ns := measure(run, 200*time.Millisecond); ns < offBest {
-				offBest = ns
-			}
-			obs.SetEnabled(true)
-			par.EnableStats(true)
-			if ns := measure(run, 200*time.Millisecond); ns < onBest {
-				onBest = ns
-			}
-		}
-		obs.SetEnabled(false)
-		par.EnableStats(false)
-		delta := onBest/offBest - 1
-		verdict := "ok"
-		if delta > *threshF {
-			verdict = "REGRESSION"
-			fail = true
-		}
-		fmt.Printf("scalarloop %-9s disabled %12s  enabled %12s  delta %+6.2f%%  [%s]\n",
-			mode.label, fmtNs(offBest), fmtNs(onBest), delta*100, verdict)
-	}
-	if fail {
-		fmt.Fprintf(os.Stderr, "wolfbench: -obs-overhead: enabled metrics cost more than %.0f%% on a hot loop\n",
-			*threshF*100)
-		return 1
-	}
-	return 0
 }
 
 func figure1() {

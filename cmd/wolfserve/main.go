@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"time"
@@ -96,9 +97,16 @@ func main() {
 		},
 		IdleTimeout: *idleTimeout,
 	})
+	// Listen before logging, so the line names the address that was bound
+	// (-addr 127.0.0.1:0 takes whatever port is free).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wolfserve: %v\n", err)
+		os.Exit(1)
+	}
 	fmt.Fprintf(os.Stderr, "wolfserve: listening on %s (max-sessions %d, max-inflight %d)\n",
-		*addr, *maxSessions, *maxInflight)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+		ln.Addr(), *maxSessions, *maxInflight)
+	if err := http.Serve(ln, srv.Handler()); err != nil {
 		fmt.Fprintf(os.Stderr, "wolfserve: %v\n", err)
 		os.Exit(1)
 	}

@@ -1,6 +1,6 @@
 (* Differential corpus for the tiered-execution smoke test (ISSUE 5). *)
-(* scripts/verify.sh runs this through wolfrepl twice — once plain, once *)
-(* with -autocompile -autocompile-threshold 2 — and requires bit-identical *)
+(* cmd's TestTierDifferential runs this through wolfrepl plain and in every *)
+(* tiered mode (-autocompile -autocompile-threshold 2) and requires bit-identical *)
 (* stdout. Every construct the promotion pipeline touches is exercised: *)
 (* literal base cases, If-based recursion, machine-integer overflow into *)
 (* bignums, reals, mutual recursion, mid-session redefinition, and Clear. *)

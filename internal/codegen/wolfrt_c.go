@@ -117,10 +117,14 @@ static inline int64_t wolfrt_power_int(int64_t base, int64_t exp) {
 	return r;
 }
 
-/* Mod follows the sign of the modulus; Quotient is floor division. */
+/* Mod follows the sign of the modulus; Quotient is floor division. The
+ * hardware divide traps on INT64_MIN / -1 (and on the % of the same pair),
+ * so both are answered before it runs. */
 static inline int64_t wolfrt_mod_int(int64_t a, int64_t m) {
 	if (m == 0)
 		wolfrt_panic("Mod by zero");
+	if (m == -1)
+		return 0;
 	int64_t r = a % m;
 	if (r != 0 && ((r < 0) != (m < 0)))
 		r += m;
@@ -130,10 +134,38 @@ static inline int64_t wolfrt_mod_int(int64_t a, int64_t m) {
 static inline int64_t wolfrt_quotient_int(int64_t a, int64_t m) {
 	if (m == 0)
 		wolfrt_panic("Quotient by zero");
+	if (m == -1) {
+		if (a == INT64_MIN)
+			wolfrt_panic("integer overflow in Quotient");
+		return -a;
+	}
 	int64_t q = a / m;
 	if (a % m != 0 && ((a < 0) != (m < 0)))
 		q--;
 	return q;
+}
+
+/* Shifts throw where runtime.ShlI64 and ShrI64 do: on a negative count, and
+ * on a left shift that loses bits. C leaves a count of 64 or more undefined;
+ * Go defines it, so those counts are answered here the way Go answers them. */
+static inline int64_t wolfrt_bitshiftleft(int64_t a, int64_t n) {
+	if (n < 0)
+		wolfrt_panic("negative shift count in BitShiftLeft");
+	if (n >= 64) {
+		if (a != 0)
+			wolfrt_panic("integer overflow in BitShiftLeft");
+		return 0;
+	}
+	int64_t r = (int64_t)((uint64_t)a << n);
+	if ((r >> n) != a)
+		wolfrt_panic("integer overflow in BitShiftLeft");
+	return r;
+}
+
+static inline int64_t wolfrt_bitshiftright(int64_t a, int64_t n) {
+	if (n < 0)
+		wolfrt_panic("negative shift count in BitShiftRight");
+	return a >> (n < 64 ? n : 63);
 }
 
 static inline double wolfrt_mod_real(double a, double m) {

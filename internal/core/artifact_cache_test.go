@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -168,6 +170,40 @@ func TestArtifactStoreWarmStartAcrossProcesses(t *testing.T) {
 	// entry existed in memory) — the disk stats above carry the hit signal.
 	if cs := CompileCacheStatsNow(); cs.Misses != uint64(len(srcs)) {
 		t.Fatalf("in-memory stats after warm start: %+v", cs)
+	}
+
+	// "Process" three finds one entry cut off inside its header (a crash in
+	// the middle of a write, a full disk). The store tells by length and
+	// checksum, drops the entry, and that one function is compiled again and
+	// written back; the others still load, and every result is the same.
+	entries, err := filepath.Glob(filepath.Join(dir, "*.wca"))
+	if err != nil || len(entries) != len(srcs) {
+		t.Fatalf("store entries: %v, %v", entries, err)
+	}
+	if err := os.Truncate(entries[0], 40); err != nil {
+		t.Fatal(err)
+	}
+	ResetCompileCache()
+	SetArtifactStore(nil)
+	withArtifactDir(t, dir)
+	k3 := kernel.New()
+	k3.Out = io.Discard
+	c3 := NewCompiler(k3)
+	hits := 0
+	for _, s := range srcs {
+		ccf, rep, err := c3.FunctionCompileCachedRequest(parser.MustParse(s.src), CompileRequest{Collect: true})
+		if err != nil {
+			t.Fatalf("compile over a truncated store: %v", err)
+		}
+		if rep.ArtifactHit {
+			hits++
+		}
+		if got := apply(t, ccf, s.arg); got != s.want {
+			t.Fatalf("over a truncated store %s(%s) = %s, want %s", s.src, s.arg, got, s.want)
+		}
+	}
+	if st := ArtifactStore().Stats(); st.CorruptDrops != 1 || hits != len(srcs)-1 || st.Writes != 1 || st.Entries != len(srcs) {
+		t.Fatalf("one truncated entry must be one drop, one recompile and one rewrite; %d hits of %d, %+v", hits, len(srcs), st)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -182,6 +183,19 @@ func TestInvokeAndFallbackMetrics(t *testing.T) {
 	}
 	if s.TotalNs == 0 {
 		t.Fatal("latency sum is zero after a timed invocation")
+	}
+	// What /metrics serves carries the families the runtime and the compile
+	// cache register with obs, not only obs's own.
+	var metrics strings.Builder
+	obs.RenderMetrics(&metrics)
+	for _, want := range []string{
+		"wolfc_exc_overflow_total", "wolfc_exc_depth_total",
+		"wolfc_compile_cache_misses_total", "wolfc_compile_cache_coalesced_total",
+		"wolfc_compile_cache_entries", "wolfc_compile_cache_hit_ratio",
+	} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Errorf("the exposition lacks %s", want)
+		}
 	}
 }
 

@@ -127,6 +127,35 @@ func TestTierPatternMissFallthrough(t *testing.T) {
 	differential(t, k, plain, `tpm[42]`)
 }
 
+// Symbolic differentiation never promotes: its arguments are expressions, so
+// no call sketches to machine kinds, the dispatch hook turns each one down
+// before any analysis, and the kernel's own rules answer — however hot the
+// symbol runs. (The run-time cost of turning a call down is the benchmark's
+// kernel.run_us.symbolic.)
+func TestTierPatternSymbolicWorkloadStaysInterpreted(t *testing.T) {
+	k, tr := newTieredKernel(t, 2)
+	plain := newPlainKernel(t)
+	for _, d := range []string{
+		`d[x_, x_] := 1`,
+		`d[c_Integer, x_] := 0`,
+		`d[u_ + v_, x_] := d[u, x] + d[v, x]`,
+		`d[u_*v_, x_] := d[u, x]*v + u*d[v, x]`,
+		`d[u_^n_Integer, x_] := n*u^(n - 1)*d[u, x]`,
+	} {
+		runK(t, k, d)
+		if _, err := plain.Run(parser.MustParse(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		differential(t, k, plain, `d[(x^5)*(x^3 + x^2), x]`)
+	}
+	tr.WaitIdle()
+	if st := tr.Stats(); st.Promotions != 0 || st.CompiledCalls != 0 || st.CompileFailures != 0 || tr.Compiled(expr.Sym("d")) {
+		t.Fatalf("the symbolic workload reached the compiler: %+v", st)
+	}
+}
+
 // List destructuring promotes against a homogeneous machine-list sketch;
 // length mismatches and mixed lists fall back to the interpreter.
 func TestTierPatternListDestructuring(t *testing.T) {

@@ -43,13 +43,17 @@ type namedFn struct {
 	fn   expr.Expr
 }
 
-// corpus is every bench source, then what patcomp synthesises for each
-// promotable definition of the two tiering corpora.
+// corpus is every bench source, the kernels of kernels_test.go, then what
+// patcomp synthesises for each promotable definition of the two tiering
+// corpora.
 func corpus(t testing.TB) []corpusEntry {
 	t.Helper()
 	var out []corpusEntry
 	for _, s := range bench.CompiledSources() {
 		out = append(out, corpusEntry{name: s.Name, fns: []namedFn{{fn: s.Fn}}, declare: s.Declare})
+	}
+	for _, s := range kernelSources {
+		out = append(out, corpusEntry{name: s.name, fns: []namedFn{{fn: parser.MustParse(s.src)}}})
 	}
 	for _, dir := range []string{"autocompile", "patterns"} {
 		out = append(out, synthesised(t, dir)...)

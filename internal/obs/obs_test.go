@@ -203,6 +203,7 @@ func TestRenderMetricsAndEndpoint(t *testing.T) {
 	m := RegisterFunc("sq", "closure")
 	m.RecordInvoke(100 * time.Nanosecond)
 	m.RecordFallback()
+	m.RecordAbort()
 	m.SetDetail(func() string { return "block 0: 1\n" })
 	c := NewCounter("test_render_metric")
 	c.Add(7)
@@ -230,6 +231,7 @@ func TestRenderMetricsAndEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`wolfc_func_invocations_total{func="sq",backend="closure"} 1`,
 		`wolfc_func_fallbacks_total{func="sq",backend="closure"} 1`,
+		`wolfc_func_aborts_total{func="sq",backend="closure"} 1`,
 		`wolfc_backend_invocations_total{backend="closure"} 1`,
 		"wolfc_test_render_metric_total 7",
 		"wolfc_test_render_hist_ns_sum 100",
@@ -237,6 +239,7 @@ func TestRenderMetricsAndEndpoint(t *testing.T) {
 		`wolfc_test_render_hist_ns_bucket{le=`,
 		"wolfc_test_render_gauge 4",
 		"wolfc_pool_inflight_fors",
+		"wolfc_pool_chunks_total",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q\n%s", want, metrics)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"wolfc/internal/artifact"
 	"wolfc/internal/core"
 )
 
@@ -230,6 +231,55 @@ func TestTieredServing(t *testing.T) {
 	st := ses.eng.Stats()
 	if st.Promotions == 0 {
 		t.Fatalf("definition never promoted over HTTP serving: %+v", st)
+	}
+}
+
+// Sessions are isolated namespaces, so the in-memory compile cache cannot be
+// shared between them; the artifact tier, keyed by content alone, is, and it
+// carries the multi-tenant win: the first session to compile a kernel runs the
+// pipeline and writes the artifact, every later session loads it. Counted
+// here session by session; what the loads are worth in time is the
+// benchmark's tenant_coldstart.
+func TestSessionsShareTheArtifactTier(t *testing.T) {
+	core.ResetCompileCache()
+	store := artifact.OpenMemory()
+	prev := core.ArtifactStore()
+	core.SetArtifactStore(store)
+	defer core.SetArtifactStore(prev)
+
+	kernels := []struct{ src, arg string }{
+		{`Function[{Typed[n, "MachineInteger"]}, Module[{s = 0, i = 1}, While[i <= n, s = s + i*i; i = i + 1]; s]]`, "10"},
+		{`Function[{Typed[n, "MachineInteger"]}, Module[{a = n, b = 36, t = 0}, While[b != 0, t = Mod[a, b]; a = b; b = t]; a]]`, "120"},
+		{`Function[{Typed[x, "Real64"]}, x/2.0 + 1.5]`, "3."},
+	}
+	_, ts := newTestServer(t, Options{})
+	var first []string
+	for ses := 0; ses < 4; ses++ {
+		id := createSession(t, ts.URL)
+		before := store.Stats()
+		var got []string
+		for i, k := range kernels {
+			evalIn(t, ts.URL, id, fmt.Sprintf("k%d = FunctionCompile[%s];", i, k.src))
+			got = append(got, evalIn(t, ts.URL, id, fmt.Sprintf("k%d[%s]", i, k.arg)).Value)
+		}
+		st := store.Stats()
+		hits, misses := int(st.Hits-before.Hits), int(st.Misses-before.Misses)
+		if ses == 0 {
+			first = got
+			if hits != 0 || misses != len(kernels) || int(st.Writes) != len(kernels) {
+				t.Fatalf("the first session must compile and write every kernel: %d hits, %d misses, %+v", hits, misses, st)
+			}
+			continue
+		}
+		if hits != len(kernels) || misses != 0 {
+			t.Fatalf("session %d must load every kernel from the shared tier: %d hits, %d misses", ses+1, hits, misses)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(first) {
+			t.Fatalf("session %d answered %v, the first %v", ses+1, got, first)
+		}
+	}
+	if first[0] != "385" || first[1] != "12" {
+		t.Fatalf("kernels answered %v", first)
 	}
 }
 

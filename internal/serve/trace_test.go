@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -277,5 +278,65 @@ func TestEvictIdleSkipsBusy(t *testing.T) {
 	}
 	if s.SessionCount() != 0 {
 		t.Fatalf("count after eviction: %d", s.SessionCount())
+	}
+}
+
+// Arming the span pipeline costs a request a fixed number of allocations and
+// no events. With capture on and sampling at 0 every request still mints a
+// span and threads it to the engine, but every emission site sees a
+// suppressed one and skips; so hot requests through the handler put nothing
+// into either sink, and one request allocates exactly spanMintAllocs more than
+// with tracing off. A count that repeats, where a time ratio on a shared host
+// does not (the ratio itself is the benchmark's obs.armed_overhead_ratio).
+func TestArmedTracingEmitsNothingAndAllocatesAConstant(t *testing.T) {
+	// Two to put the span in the request's context (the boxed span, the
+	// context node), three for the X-Trace-Id header (the id boxed for
+	// Sprintf, the string, the header's value slice), and two for the kernel's
+	// span slot (boxed in on entry, the empty one boxed in on exit).
+	const spanMintAllocs = 7
+
+	s := NewServer(Options{})
+	defer s.Close()
+	h := s.Handler()
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return rec
+	}
+	var cr createResponse
+	if err := json.Unmarshal(post("/v1/sessions", "").Body.Bytes(), &cr); err != nil {
+		t.Fatal(err)
+	}
+	evalPath := "/v1/sessions/" + cr.ID + "/eval"
+	post(evalPath, `{"input": "k = FunctionCompile[Function[{Typed[n, \"MachineInteger\"]}, n*n + 1]];"}`)
+	hot := func() {
+		if rec := post(evalPath, `{"input": "k[8]"}`); !strings.Contains(rec.Body.String(), `"value":"65"`) {
+			t.Fatalf("hot query answered %d %s", rec.Code, rec.Body)
+		}
+	}
+	hot()
+	off := testing.AllocsPerRun(200, hot)
+
+	var sink bytes.Buffer
+	obs.SetTraceWriter(&sink)
+	obs.EnableTraceCapture(64)
+	obs.SetTraceSampling(0)
+	defer func() {
+		obs.SetTraceSampling(1)
+		obs.DisableTraceCapture()
+		obs.SetTraceWriter(nil)
+	}()
+	hot()
+	armed := testing.AllocsPerRun(200, hot)
+	obs.FlushTrace()
+	if sink.Len() != 0 || len(obs.RecentTraces()) != 0 {
+		t.Fatalf("suppressed requests emitted events: %q, %d captured traces", sink.String(), len(obs.RecentTraces()))
+	}
+	if raceEnabled {
+		return // sync.Pool drops items at random under the race detector, so fmt's printers are allocated anew now and then
+	}
+	if armed-off != spanMintAllocs {
+		t.Fatalf("a request allocates %v times with tracing off and %v armed: the span mint costs %v, want %d",
+			off, armed, armed-off, spanMintAllocs)
 	}
 }
