@@ -2,12 +2,15 @@ package codegen
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"wolfc/internal/runtime"
 )
 
 // End-to-end tests of the C backend: the emitted translation unit is
@@ -248,6 +251,44 @@ func TestCExecOverflowIsFatal(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "overflow") {
 		t.Fatalf("expected an overflow diagnostic, got %q", out)
+	}
+}
+
+// Floor, Ceiling and Round of a real outside the machine-integer range throw
+// IntegerOverflow on the closure backend (runtime.RealToI64); the C runtime
+// must stop with its message there, not wrap through an undefined cast.
+func TestCExecRealToIntegerIsChecked(t *testing.T) {
+	prog := compileSrc(t, `Function[{Typed[op, "MachineInteger"], Typed[x, "Real64"]},
+		If[op == 0, Floor[x], If[op == 1, Ceiling[x], Round[x]]]]`)
+	bin := buildCExecutable(t, prog, `#include <stdlib.h>
+int main(int argc, char **argv) {
+	if (argc != 3) return 2;
+	printf("%lld\n", (long long)Main(strtoll(argv[1], NULL, 10), strtod(argv[2], NULL)));
+	return 0;
+}
+`)
+	native := func(op int64, x float64) (v int64, threw bool) {
+		defer func() {
+			if exc, ok := recover().(*runtime.Exception); ok && exc.Kind == runtime.ExcOverflow {
+				threw = true
+			}
+		}()
+		return prog.Main.CallValues(&RT{}, op, x).(int64), false
+	}
+	for _, x := range []float64{2.5, -2.5, 1 << 62, -(1 << 63), 1 << 63, -(1 << 63) - 1025, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for op := int64(0); op < 3; op++ {
+			want, threw := native(op, x)
+			out, err := exec.Command(bin, strconv.FormatInt(op, 10), strconv.FormatFloat(x, 'g', -1, 64)).CombinedOutput()
+			got := strings.TrimSpace(string(out))
+			switch {
+			case threw:
+				if err == nil || !strings.Contains(got, "integer overflow in Floor, Ceiling or Round") {
+					t.Errorf("op %d of %v: C printed %q (%v) where the closure backend throws IntegerOverflow", op, x, got, err)
+				}
+			case err != nil || got != strconv.FormatInt(want, 10):
+				t.Errorf("op %d of %v: C = %q (%v), closure backend = %d", op, x, got, err, want)
+			}
+		}
 	}
 }
 

@@ -118,7 +118,7 @@ func (g *gen) storeOperand(in *wir.Instr) (wir.Value, bool) {
 	if in.Op != wir.OpCall || in.ResolvedFn != nil || len(in.Args) == 0 || !objValue(in.Args[0]) {
 		return nil, false
 	}
-	switch nativeOf(in) {
+	switch in.NativeName() {
 	case "setpart_1", "setpart_2":
 		return in.Args[0], true
 	case "setpart_unsafe_1", "setpart_unsafe_2":

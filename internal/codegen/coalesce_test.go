@@ -59,7 +59,7 @@ func TestMutationChainSharesOneRegister(t *testing.T) {
 			}
 		}
 		for _, in := range b.Instrs {
-			if n := nativeOf(in); n == "setpart_1" {
+			if n := in.NativeName(); n == "setpart_1" {
 				chain = append(chain, in)
 			}
 		}

@@ -313,7 +313,7 @@ func barrierInstr(in *wir.Instr) bool {
 		}
 		// An elementwise native that writes over its operand is as pure as
 		// the plain one: nothing else can see the operand it consumes.
-		native, _ := passes.CutInto(nativeOf(in))
+		native, _ := passes.CutInto(in.NativeName())
 		return !fusibleProducer(in) && !nonBarrierNatives[native]
 	}
 	// Indirect calls, abort checks, terminators.
@@ -334,7 +334,7 @@ func fusibleProducer(in *wir.Instr) bool {
 	case "Native`List", "Native`KernelApply":
 		return false
 	}
-	native := nativeOf(in)
+	native := in.NativeName()
 	if native == "" {
 		return false
 	}
@@ -406,7 +406,7 @@ func fusibleProducer(in *wir.Instr) bool {
 }
 
 // consumerAccepts reports whether the generator can evaluate in at
-// consumer's position (genNative's evaluator and genFusedSetPart routes and
+// consumer's position (genNative's evaluator and genSetPart routes and
 // the terminator routes must cover everything accepted here).
 func (g *gen) consumerAccepts(consumer, in *wir.Instr) bool {
 	switch consumer.Op {
@@ -421,7 +421,7 @@ func (g *gen) consumerAccepts(consumer, in *wir.Instr) bool {
 		if fusibleProducer(consumer) {
 			return true
 		}
-		switch nativeOf(consumer) {
+		switch consumer.NativeName() {
 		case "setpart_1", "setpart_unsafe_1":
 			// Index or value operands only; the tensor stays a register
 			// (it is an object, so it can never be a fused producer).
@@ -439,16 +439,7 @@ func (g *gen) consumerAccepts(consumer, in *wir.Instr) bool {
 	return false
 }
 
-// isTensorLoad and isSetPart name the tensor element natives, which have a
-// register-operand step in native.go beside their fused form here.
-func isTensorLoad(native string) bool {
-	switch native {
-	case "tensor_length", "part_1", "part_unsafe_1", "part_2", "part_unsafe_2":
-		return true
-	}
-	return false
-}
-
+// isSetPart names the Part stores, which genSetPart builds.
 func isSetPart(native string) bool {
 	switch native {
 	case "setpart_1", "setpart_unsafe_1", "setpart_2", "setpart_unsafe_2":
@@ -635,7 +626,7 @@ func (g *gen) opCC(in *wir.Instr) (opC, opC, error) {
 // Evaluator builders (one closure per tree node)
 
 func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
-	native := nativeOf(in)
+	native := in.NativeName()
 	if op, ok := intArith[native]; ok {
 		x, y, err := g.opII(in)
 		if err != nil {
@@ -788,7 +779,7 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 }
 
 func (g *gen) buildEvalF(in *wir.Instr) (evalF, error) {
-	native := nativeOf(in)
+	native := in.NativeName()
 	if op, ok := realArith[native]; ok {
 		if ts, err := g.sumTerms(in); ts != nil || err != nil {
 			return sumFEval(ts), err
@@ -957,7 +948,7 @@ func (g *gen) buildEvalF(in *wir.Instr) (evalF, error) {
 }
 
 func (g *gen) buildEvalB(in *wir.Instr) (evalB, error) {
-	native := nativeOf(in)
+	native := in.NativeName()
 	switch native {
 	case "cmp_less", "cmp_lessequal", "cmp_greater", "cmp_greaterequal",
 		"cmp_equal", "cmp_unequal":
@@ -1058,7 +1049,7 @@ func (g *gen) buildEvalB(in *wir.Instr) (evalB, error) {
 }
 
 func (g *gen) buildEvalC(in *wir.Instr) (evalC, error) {
-	native := nativeOf(in)
+	native := in.NativeName()
 	switch native {
 	case "binary_plus":
 		x, y, err := g.opCC(in)
@@ -1184,7 +1175,7 @@ type sumTerm struct {
 // such an operator or (as most are) stands alone.
 func (g *gen) sumChain(root *wir.Instr) (vals []wir.Value, neg []bool) {
 	realAddSub := func(in *wir.Instr) bool {
-		native := nativeOf(in)
+		native := in.NativeName()
 		return (native == "binary_plus" || native == "binary_subtract") && runtime.KindOf(in.Ty) == runtime.KR64
 	}
 	// next is the link of the chain before in: its left operand, when that
@@ -1200,7 +1191,7 @@ func (g *gen) sumChain(root *wir.Instr) (vals []wir.Value, neg []bool) {
 	}
 	first := root
 	for in := root; in != nil; in = next(in) {
-		vals, neg, first = append(vals, in.Args[1]), append(neg, nativeOf(in) == "binary_subtract"), in
+		vals, neg, first = append(vals, in.Args[1]), append(neg, in.NativeName() == "binary_subtract"), in
 	}
 	return append(vals, first.Args[0]), append(neg, false)
 }
@@ -1217,7 +1208,7 @@ func (g *gen) sumTerms(root *wir.Instr) ([]sumTerm, error) {
 		v := vals[len(vals)-1-k]
 		// literal × leaf, either way round: the product commutes bit for bit
 		// unless both factors are NaN.
-		if in, ok := v.(*wir.Instr); ok && g.fused[in] && nativeOf(in) == "binary_times" {
+		if in, ok := v.(*wir.Instr); ok && g.fused[in] && in.NativeName() == "binary_times" {
 			for side, a := range in.Args {
 				if _, ok := a.(*wir.Const); !ok {
 					continue
@@ -1241,7 +1232,7 @@ func (g *gen) sumTerms(root *wir.Instr) ([]sumTerm, error) {
 // is a subtree.
 func (g *gen) sumLeaf(t *sumTerm, v wir.Value) error {
 	if in, ok := v.(*wir.Instr); ok && g.fused[in] {
-		if native := nativeOf(in); (native == "part_1" || native == "part_2") && !g.hasFusedArg(in) {
+		if native := in.NativeName(); (native == "part_1" || native == "part_2") && !g.hasFusedArg(in) {
 			a, i1, i2, rank2, _, err := g.partOperands(in, native)
 			if i1.mode == opRegMode && i2.mode == opRegMode {
 				t.leaf, t.a, t.i, t.j = sumPart1, a, i1.idx, i2.idx
@@ -1283,10 +1274,15 @@ func cmpF(op string, a, b float64) bool {
 	return false
 }
 
-// partEval* compile fused tensor element reads (the load half of the
-// load-op-store forms). Like partStep they inline the positive in-range
-// case; an index held in a register or given as a literal is read without
-// going through opI.get's mode switch.
+// partEval* are the one spelling of a tensor element read (the load half of
+// the load-op-store forms). The checked forms inline the positive in-range
+// case (runtime.Off1/Off2) and index the element slice directly; zero,
+// negative and out-of-range indices take the checked accessor, which resolves
+// or throws. The test is written out in every closure because the Go inliner
+// will not do it: a t.AtI(i) wrapper around it costs 99 against the budget of
+// 80. For integer and real elements, which the tracked workloads read, an
+// index held in a register or given as a literal is read without going
+// through opI.get's mode switch.
 
 func (g *gen) partEvalI(in *wir.Instr, native string) (evalI, error) {
 	a, i1, i2, rank2, unsafe, err := g.partOperands(in, native)
@@ -1406,24 +1402,18 @@ func (g *gen) partEvalF(in *wir.Instr, native string) (evalF, error) {
 	}, nil
 }
 
+// A tensor of complexes or booleans is indexed by no tracked workload, so
+// these two keep the one form that reads its indices through get.
+
 func (g *gen) partEvalC(in *wir.Instr, native string) (evalC, error) {
 	a, i1, i2, rank2, unsafe, err := g.partOperands(in, native)
 	if err != nil {
 		return nil, err
 	}
-	if rank2 {
-		if unsafe {
-			return func(fr *frame) complex128 { return tensorArg(fr, a).GetC2U(i1.get(fr), i2.get(fr)) }, nil
-		}
-		if r1, r2 := i1.idx, i2.idx; i1.mode == opRegMode && i2.mode == opRegMode {
-			return func(fr *frame) complex128 {
-				t := tensorArg(fr, a)
-				if k, ok := t.Off2(fr.i[r1], fr.i[r2]); ok {
-					return t.C[k]
-				}
-				return t.GetC2(fr.i[r1], fr.i[r2])
-			}, nil
-		}
+	switch {
+	case rank2 && unsafe:
+		return func(fr *frame) complex128 { return tensorArg(fr, a).GetC2U(i1.get(fr), i2.get(fr)) }, nil
+	case rank2:
 		return func(fr *frame) complex128 {
 			t, i, j := tensorArg(fr, a), i1.get(fr), i2.get(fr)
 			if k, ok := t.Off2(i, j); ok {
@@ -1431,33 +1421,11 @@ func (g *gen) partEvalC(in *wir.Instr, native string) (evalC, error) {
 			}
 			return t.GetC2(i, j)
 		}, nil
-	}
-	if unsafe {
+	case unsafe:
 		return func(fr *frame) complex128 { return tensorArg(fr, a).GetCU(i1.get(fr)) }, nil
 	}
-	switch i1.mode {
-	case opRegMode:
-		r := i1.idx
-		return func(fr *frame) complex128 {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(fr.i[r], len(t.C)); ok {
-				return t.C[k]
-			}
-			return t.GetC(fr.i[r])
-		}, nil
-	case opLitMode:
-		i := i1.lit
-		return func(fr *frame) complex128 {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(i, len(t.C)); ok {
-				return t.C[k]
-			}
-			return t.GetC(i)
-		}, nil
-	}
-	ev := i1.ev
 	return func(fr *frame) complex128 {
-		t, i := tensorArg(fr, a), ev(fr)
+		t, i := tensorArg(fr, a), i1.get(fr)
 		if k, ok := runtime.Off1(i, len(t.C)); ok {
 			return t.C[k]
 		}
@@ -1473,29 +1441,8 @@ func (g *gen) partEvalB(in *wir.Instr, native string) (evalB, error) {
 	if unsafe {
 		return func(fr *frame) bool { return tensorArg(fr, a).GetBU(i1.get(fr)) }, nil
 	}
-	switch i1.mode {
-	case opRegMode:
-		r := i1.idx
-		return func(fr *frame) bool {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(fr.i[r], len(t.B)); ok {
-				return t.B[k]
-			}
-			return t.GetB(fr.i[r])
-		}, nil
-	case opLitMode:
-		i := i1.lit
-		return func(fr *frame) bool {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(i, len(t.B)); ok {
-				return t.B[k]
-			}
-			return t.GetB(i)
-		}, nil
-	}
-	ev := i1.ev
 	return func(fr *frame) bool {
-		t, i := tensorArg(fr, a), ev(fr)
+		t, i := tensorArg(fr, a), i1.get(fr)
 		if k, ok := runtime.Off1(i, len(t.B)); ok {
 			return t.B[k]
 		}
@@ -1533,7 +1480,7 @@ func (g *gen) partOperands(in *wir.Instr, native string) (a int, i1, i2 opI, ran
 // of a generated op, or the node evaluator wrapped in the register write.
 func (g *gen) assignTo(dst reg, root *wir.Instr) (step, error) {
 	d := dst.idx
-	native := nativeOf(root)
+	native := root.NativeName()
 	switch dst.kind {
 	case runtime.KI64:
 		if op, ok := intArith[native]; ok {
@@ -1634,11 +1581,17 @@ func (g *gen) stringByteEval(in *wir.Instr) (evalI, error) {
 	return func(fr *frame) int64 { return runtime.StringByte(fr.o[a].(string), ev(fr)) }, nil
 }
 
-// genFusedSetPart compiles a Part store whose index or value operands are
-// fused trees: a single load-op-store closure against the result register
-// (see setPartStep). The value is evaluated before the tensor is touched,
-// as the unfused sequence would; register indices skip opI.get.
-func (g *gen) genFusedSetPart(in *wir.Instr, unsafe, rank2 bool) (step, error) {
+// genSetPart is the one builder of a Part store: a single closure against the
+// result register d, which holds the tensor (see coalesceObjects). The value
+// is evaluated before the tensor is touched, as a sequence of steps would.
+// The checked forms store straight into the tensor when it is unshared and
+// the index is positive and in range (the test is hand-inlined: see partEvalI),
+// and write the register only when the checked mutator copied; the unchecked
+// forms differ in skipping the range test and leaving the counts alone.
+// Integer and real elements, which the tracked workloads store, have a form
+// whose register indices skip opI.get; the other kinds have the one form.
+func (g *gen) genSetPart(in *wir.Instr, native string) (step, error) {
+	unsafe, rank2 := strings.Contains(native, "unsafe"), strings.HasSuffix(native, "2")
 	tr, err := g.regOf(in.Args[0])
 	if err != nil {
 		return nil, err
@@ -1748,7 +1701,7 @@ func (g *gen) genFusedSetPart(in *wir.Instr, unsafe, rank2 bool) (step, error) {
 				fr.o[d] = t.SetC2(i, j, x)
 			}
 		default:
-			return nil, fmt.Errorf("codegen %s: fused rank-2 setpart of kind %v", g.fn.Name, runtime.KindOf(in.Args[3].Type()))
+			return nil, fmt.Errorf("codegen %s: rank-2 setpart of kind %v", g.fn.Name, runtime.KindOf(in.Args[3].Type()))
 		}
 		return g.storeInPlace(dstR, tr, st), nil
 	}
@@ -1877,7 +1830,21 @@ func (g *gen) genFusedSetPart(in *wir.Instr, unsafe, rank2 bool) (step, error) {
 			fr.o[d] = t.SetO(i, fr.o[vi])
 		}
 	default:
-		return nil, fmt.Errorf("codegen %s: fused setpart of kind %v", g.fn.Name, runtime.KindOf(in.Args[2].Type()))
+		return nil, fmt.Errorf("codegen %s: setpart of kind %v", g.fn.Name, runtime.KindOf(in.Args[2].Type()))
 	}
 	return g.storeInPlace(dstR, tr, st), nil
+}
+
+// storeInPlace finishes a Part store compiled against register d, which
+// holds the tensor: when the operand lives elsewhere (a constant) it is
+// moved into d first.
+func (g *gen) storeInPlace(dst, src reg, st step) step {
+	if dst == src {
+		return st
+	}
+	mv := g.moveStep(dst, src)
+	return func(fr *frame) {
+		mv(fr)
+		st(fr)
+	}
 }

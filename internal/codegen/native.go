@@ -12,23 +12,12 @@ import (
 	"wolfc/internal/wir"
 )
 
-// nativeOf resolves an instruction's primitive id: the Native field when
-// function resolution filled it, else the overload chosen by inference.
-func nativeOf(in *wir.Instr) string {
-	if in.Native != "" {
-		return in.Native
-	}
-	if d, ok := in.Prop("overload"); ok {
-		return d.(*types.FuncDef).Native
-	}
-	return ""
-}
-
 // genNative compiles a primitive call by its resolved native id (paper §4.5:
-// resolved calls reference Native`PrimitiveFunction[...]): the evaluator
-// builders for a scalar native, selectNative for the rest.
+// resolved calls reference Native`PrimitiveFunction[...]): the store builder
+// for a Part store, the evaluator builders for a native that has one,
+// selectNative for the rest.
 func (g *gen) genNative(in *wir.Instr) (step, error) {
-	native := nativeOf(in)
+	native := in.NativeName()
 	// Special structural callees resolved by inference without an overload.
 	switch in.Callee {
 	case "Native`List":
@@ -40,21 +29,21 @@ func (g *gen) genNative(in *wir.Instr) (step, error) {
 		return nil, fmt.Errorf("codegen %s: unresolved call %s (function resolution incomplete)", g.fn.Name, in.Callee)
 	}
 
-	if (native == "memory_acquire" || native == "memory_release") && !isTensorType(in.Args[0].Type()) {
+	if (native == "memory_acquire" || native == "memory_release") && !types.IsTensor(in.Args[0].Type()) {
 		// Strings, expressions and function values are the host
 		// collector's alone; only tensors carry a count.
 		return nil, nil
 	}
-	// Scalar natives have one spelling, the evaluator builders in fusion.go:
-	// an instruction with no fused operand is a one-node tree. A tensor load
-	// whose operands are all registers keeps partStep's step, one closure
-	// where the evaluator route is two. (consumerAccepts folds operands only
-	// into these two routes; assignTo reports anything else.)
-	fusedArg := g.hasFusedArg(in)
+	// Three routes and no exception. A Part store has one builder. Whatever
+	// has an evaluator (fusibleProducer: the scalar natives, a Part read of a
+	// scalar element, tensor_length) is a tree of evaluators, of one node when
+	// nothing was fused into it. selectNative has the rest, and reads every
+	// operand from its register: consumerAccepts folds operands only into the
+	// first two.
 	switch {
-	case fusedArg && isSetPart(native):
-		return g.genFusedSetPart(in, strings.Contains(native, "unsafe"), strings.HasSuffix(native, "2"))
-	case fusedArg || fusibleProducer(in) && !isTensorLoad(native):
+	case isSetPart(native):
+		return g.genSetPart(in, native)
+	case fusibleProducer(in):
 		dst, err := g.regOf(in)
 		if err != nil {
 			return nil, err
@@ -161,20 +150,28 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 		}
 
 	// --- tensors ---
-	case "tensor_length":
-		a := a0()
-		return func(fr *frame) { fr.i[d] = int64(tensorArg(fr, a).Len()) }
 	case "part_1", "part_unsafe_1":
-		return g.partStep(in, regs, dst, native == "part_unsafe_1", false)
-	case "part_2", "part_unsafe_2":
-		return g.partStep(in, regs, dst, native == "part_unsafe_2", true)
+		// Of Part, only the read of an object element (a string, an
+		// expression) has no evaluator. It inlines the positive in-range case
+		// as partEvalI does.
+		if dst.kind != runtime.KObj {
+			return nil
+		}
+		a, i := a0(), a1()
+		if native == "part_unsafe_1" {
+			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).GetOU(fr.i[i]) }
+		}
+		return func(fr *frame) {
+			t := tensorArg(fr, a)
+			if k, ok := runtime.Off1(fr.i[i], len(t.O)); ok {
+				fr.o[d] = t.O[k]
+				return
+			}
+			fr.o[d] = t.GetO(fr.i[i])
+		}
 	case "part_row":
 		a, b := a0(), a1()
 		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).Row(fr.i[b]) }
-	case "setpart_1", "setpart_unsafe_1":
-		return g.setPartStep(in, regs, dst, native == "setpart_unsafe_1", false)
-	case "setpart_2", "setpart_unsafe_2":
-		return g.setPartStep(in, regs, dst, native == "setpart_unsafe_2", true)
 	case "list_new":
 		elem := tensorElemKind(in.Ty)
 		a := a0()
@@ -412,308 +409,12 @@ func mathFunc(name string) func(float64) float64 {
 	return func(float64) float64 { return math.NaN() }
 }
 
-func isTensorType(t types.Type) bool {
-	c, ok := t.(*types.Compound)
-	return ok && c.Ctor == "Tensor"
-}
-
 // tensorElemKind extracts the runtime element kind of a Tensor type.
 func tensorElemKind(t types.Type) runtime.Kind {
-	if !isTensorType(t) {
+	if !types.IsTensor(t) {
 		return runtime.KObj
 	}
 	return runtime.KindOf(t.(*types.Compound).Args[0])
-}
-
-// partStep compiles element reads; the result class selects the accessor.
-// The checked forms inline the positive in-range case (runtime.Off1/Off2)
-// and index the element slice directly; zero, negative and out-of-range
-// indices take the checked accessor, which resolves or throws.
-func (g *gen) partStep(in *wir.Instr, regs []reg, dst reg, unsafe, rank2 bool) step {
-	d := dst.idx
-	a := regs[0].idx
-	i1 := regs[1].idx
-	if rank2 {
-		i2 := regs[2].idx
-		switch dst.kind {
-		case runtime.KI64:
-			if unsafe {
-				return func(fr *frame) { fr.i[d] = tensorArg(fr, a).GetI2U(fr.i[i1], fr.i[i2]) }
-			}
-			return func(fr *frame) {
-				t := tensorArg(fr, a)
-				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok {
-					fr.i[d] = t.I[k]
-					return
-				}
-				fr.i[d] = t.GetI2(fr.i[i1], fr.i[i2])
-			}
-		case runtime.KR64:
-			if unsafe {
-				return func(fr *frame) { fr.f[d] = tensorArg(fr, a).GetF2U(fr.i[i1], fr.i[i2]) }
-			}
-			return func(fr *frame) {
-				t := tensorArg(fr, a)
-				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok {
-					fr.f[d] = t.F[k]
-					return
-				}
-				fr.f[d] = t.GetF2(fr.i[i1], fr.i[i2])
-			}
-		case runtime.KC64:
-			if unsafe {
-				return func(fr *frame) { fr.c[d] = tensorArg(fr, a).GetC2U(fr.i[i1], fr.i[i2]) }
-			}
-			return func(fr *frame) {
-				t := tensorArg(fr, a)
-				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok {
-					fr.c[d] = t.C[k]
-					return
-				}
-				fr.c[d] = t.GetC2(fr.i[i1], fr.i[i2])
-			}
-		}
-		return nil
-	}
-	switch dst.kind {
-	case runtime.KI64:
-		if unsafe {
-			return func(fr *frame) { fr.i[d] = tensorArg(fr, a).GetIU(fr.i[i1]) }
-		}
-		return func(fr *frame) {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(fr.i[i1], len(t.I)); ok {
-				fr.i[d] = t.I[k]
-				return
-			}
-			fr.i[d] = t.GetI(fr.i[i1])
-		}
-	case runtime.KR64:
-		if unsafe {
-			return func(fr *frame) { fr.f[d] = tensorArg(fr, a).GetFU(fr.i[i1]) }
-		}
-		return func(fr *frame) {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(fr.i[i1], len(t.F)); ok {
-				fr.f[d] = t.F[k]
-				return
-			}
-			fr.f[d] = t.GetF(fr.i[i1])
-		}
-	case runtime.KC64:
-		if unsafe {
-			return func(fr *frame) { fr.c[d] = tensorArg(fr, a).GetCU(fr.i[i1]) }
-		}
-		return func(fr *frame) {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(fr.i[i1], len(t.C)); ok {
-				fr.c[d] = t.C[k]
-				return
-			}
-			fr.c[d] = t.GetC(fr.i[i1])
-		}
-	case runtime.KBool:
-		if unsafe {
-			return func(fr *frame) { fr.b[d] = tensorArg(fr, a).GetBU(fr.i[i1]) }
-		}
-		return func(fr *frame) {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(fr.i[i1], len(t.B)); ok {
-				fr.b[d] = t.B[k]
-				return
-			}
-			fr.b[d] = t.GetB(fr.i[i1])
-		}
-	case runtime.KObj:
-		if unsafe {
-			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).GetOU(fr.i[i1]) }
-		}
-		return func(fr *frame) {
-			t := tensorArg(fr, a)
-			if k, ok := runtime.Off1(fr.i[i1], len(t.O)); ok {
-				fr.o[d] = t.O[k]
-				return
-			}
-			fr.o[d] = t.GetO(fr.i[i1])
-		}
-	}
-	return nil
-}
-
-// storeInPlace finishes a Part store compiled against register d, which
-// holds the tensor: when the operand lives elsewhere (a constant) it is
-// moved into d first.
-func (g *gen) storeInPlace(dst, src reg, st step) step {
-	if dst == src {
-		return st
-	}
-	mv := g.moveStep(dst, src)
-	return func(fr *frame) {
-		mv(fr)
-		st(fr)
-	}
-}
-
-// setPartStep compiles element writes; the stored value's class selects the
-// mutator. The tensor sits in the result register d (see coalesceObjects):
-// the checked forms store straight into it when it is unshared and the
-// index is positive and in range, and write the register only when the
-// checked mutator copied; the unchecked forms differ in skipping the range
-// test and leaving the counts alone.
-func (g *gen) setPartStep(in *wir.Instr, regs []reg, dst reg, unsafe, rank2 bool) step {
-	d := dst.idx
-	i1 := regs[1].idx
-	var st step
-	if rank2 {
-		i2 := regs[2].idx
-		v := regs[3].idx
-		switch regs[3].kind {
-		case runtime.KI64:
-			if unsafe {
-				st = func(fr *frame) {
-					t := tensorArg(fr, d)
-					if u := t.SetI2U(fr.i[i1], fr.i[i2], fr.i[v]); u != t {
-						fr.o[d] = u
-					}
-				}
-				break
-			}
-			st = func(fr *frame) {
-				t := tensorArg(fr, d)
-				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok && !t.IsShared() {
-					t.I[k] = fr.i[v]
-					return
-				}
-				fr.o[d] = t.SetI2(fr.i[i1], fr.i[i2], fr.i[v])
-			}
-		case runtime.KR64:
-			if unsafe {
-				st = func(fr *frame) {
-					t := tensorArg(fr, d)
-					if u := t.SetF2U(fr.i[i1], fr.i[i2], fr.f[v]); u != t {
-						fr.o[d] = u
-					}
-				}
-				break
-			}
-			st = func(fr *frame) {
-				t := tensorArg(fr, d)
-				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok && !t.IsShared() {
-					t.F[k] = fr.f[v]
-					return
-				}
-				fr.o[d] = t.SetF2(fr.i[i1], fr.i[i2], fr.f[v])
-			}
-		case runtime.KC64:
-			if unsafe {
-				st = func(fr *frame) {
-					t := tensorArg(fr, d)
-					if u := t.SetC2U(fr.i[i1], fr.i[i2], fr.c[v]); u != t {
-						fr.o[d] = u
-					}
-				}
-				break
-			}
-			st = func(fr *frame) {
-				t := tensorArg(fr, d)
-				if k, ok := t.Off2(fr.i[i1], fr.i[i2]); ok && !t.IsShared() {
-					t.C[k] = fr.c[v]
-					return
-				}
-				fr.o[d] = t.SetC2(fr.i[i1], fr.i[i2], fr.c[v])
-			}
-		default:
-			return nil
-		}
-		return g.storeInPlace(dst, regs[0], st)
-	}
-	v := regs[2].idx
-	switch regs[2].kind {
-	case runtime.KI64:
-		if unsafe {
-			st = func(fr *frame) {
-				t := tensorArg(fr, d)
-				if u := t.SetIU(fr.i[i1], fr.i[v]); u != t {
-					fr.o[d] = u
-				}
-			}
-			break
-		}
-		st = func(fr *frame) {
-			t := tensorArg(fr, d)
-			if k, ok := runtime.Off1(fr.i[i1], len(t.I)); ok && !t.IsShared() {
-				t.I[k] = fr.i[v]
-				return
-			}
-			fr.o[d] = t.SetI(fr.i[i1], fr.i[v])
-		}
-	case runtime.KR64:
-		if unsafe {
-			st = func(fr *frame) {
-				t := tensorArg(fr, d)
-				if u := t.SetFU(fr.i[i1], fr.f[v]); u != t {
-					fr.o[d] = u
-				}
-			}
-			break
-		}
-		st = func(fr *frame) {
-			t := tensorArg(fr, d)
-			if k, ok := runtime.Off1(fr.i[i1], len(t.F)); ok && !t.IsShared() {
-				t.F[k] = fr.f[v]
-				return
-			}
-			fr.o[d] = t.SetF(fr.i[i1], fr.f[v])
-		}
-	case runtime.KC64:
-		if unsafe {
-			st = func(fr *frame) {
-				t := tensorArg(fr, d)
-				if u := t.SetCU(fr.i[i1], fr.c[v]); u != t {
-					fr.o[d] = u
-				}
-			}
-			break
-		}
-		st = func(fr *frame) {
-			t := tensorArg(fr, d)
-			if k, ok := runtime.Off1(fr.i[i1], len(t.C)); ok && !t.IsShared() {
-				t.C[k] = fr.c[v]
-				return
-			}
-			fr.o[d] = t.SetC(fr.i[i1], fr.c[v])
-		}
-	case runtime.KBool:
-		st = func(fr *frame) {
-			t := tensorArg(fr, d)
-			if k, ok := runtime.Off1(fr.i[i1], len(t.B)); ok && !t.IsShared() {
-				t.B[k] = fr.b[v]
-				return
-			}
-			fr.o[d] = t.SetB(fr.i[i1], fr.b[v])
-		}
-	case runtime.KObj:
-		if unsafe {
-			st = func(fr *frame) {
-				t := tensorArg(fr, d)
-				if u := t.SetOU(fr.i[i1], fr.o[v]); u != t {
-					fr.o[d] = u
-				}
-			}
-			break
-		}
-		st = func(fr *frame) {
-			t := tensorArg(fr, d)
-			if k, ok := runtime.Off1(fr.i[i1], len(t.O)); ok && !t.IsShared() {
-				t.O[k] = fr.o[v]
-				return
-			}
-			fr.o[d] = t.SetO(fr.i[i1], fr.o[v])
-		}
-	default:
-		return nil
-	}
-	return g.storeInPlace(dst, regs[0], st)
 }
 
 // tensorArith compiles elementwise tensor arithmetic. into is the operand

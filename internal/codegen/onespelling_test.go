@@ -6,9 +6,11 @@ import (
 	"go/parser"
 	"go/token"
 	"strconv"
+	"strings"
 	"testing"
 
 	"wolfc/internal/expr"
+	"wolfc/internal/runtime"
 	"wolfc/internal/types"
 	"wolfc/internal/wir"
 )
@@ -18,11 +20,13 @@ import (
 // standard library is instantiated at every atomic type its qualifiers allow;
 // for each call fusibleProducer admits, assignTo must build it as a one-node
 // tree, it must not be a fusion barrier, and selectNative must have no arm
-// for it. The tensor loads are the declared exception: selectNative keeps
-// their register-operand step.
+// for it. The tensor accesses are held the same way: of the three builders
+// genNative routes between, exactly one produces the step of a Part read or
+// store, whatever the rank, the checking and the element kind.
 func TestOneSpellingPerScalarNative(t *testing.T) {
 	env := types.Builtin()
 	admitted := map[string]int{}
+	accesses := map[string]map[runtime.Kind]bool{}
 	for _, name := range env.FuncNames() {
 		for _, d := range env.Lookup(name) {
 			if d.Native == "" || d.Impl != nil {
@@ -33,10 +37,10 @@ func TestOneSpellingPerScalarNative(t *testing.T) {
 				for i, p := range sig.Params {
 					in.Args = append(in.Args, &wir.Param{Sym: expr.Sym(fmt.Sprintf("a%d", i)), Index: i, Ty: p})
 				}
-				if !fusibleProducer(in) {
+				access := isSetPart(d.Native) || strings.HasPrefix(d.Native, "part_") && d.Native != "part_row"
+				if !access && !fusibleProducer(in) {
 					continue
 				}
-				admitted[d.Native]++
 				what := fmt.Sprintf("%s %s (native %s)", name, sig, d.Native)
 				g := &gen{
 					prog: &Program{byName: map[string]*CFunc{}},
@@ -49,23 +53,52 @@ func TestOneSpellingPerScalarNative(t *testing.T) {
 					t.Errorf("%s: %v", what, err)
 					continue
 				}
-				if st, err := g.assignTo(dst, in); err != nil || st == nil {
-					t.Errorf("%s: admitted by fusibleProducer but assignTo does not build it: %v", what, err)
-				}
-				if barrierInstr(in) {
-					t.Errorf("%s: has an evaluator yet reads as a fusion barrier", what)
-				}
-				if isTensorLoad(d.Native) {
-					continue
-				}
 				regs := make([]reg, len(in.Args))
 				for i, a := range in.Args {
 					if regs[i], err = g.regOf(a); err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
 				}
+				var built []string
+				if isSetPart(d.Native) {
+					if st, err := g.genSetPart(in, d.Native); err == nil && st != nil {
+						built = append(built, "genSetPart")
+					}
+				}
+				if st, err := g.assignTo(dst, in); err == nil && st != nil {
+					built = append(built, "assignTo")
+				}
 				if g.selectNative(d.Native, in, regs, dst) != nil {
-					t.Errorf("%s: spelled twice — selectNative has an arm beside the evaluator", what)
+					built = append(built, "selectNative")
+				}
+				if access {
+					elem := tensorElemKind(sig.Params[0])
+					if accesses[d.Native] == nil {
+						accesses[d.Native] = map[runtime.Kind]bool{}
+					}
+					accesses[d.Native][elem] = true
+					// The runtime has no rank-2 accessor for a matrix of
+					// booleans or objects: no builder, and codegen says so.
+					want := 1
+					if strings.HasSuffix(d.Native, "2") && (elem == runtime.KBool || elem == runtime.KObj) {
+						want = 0
+					}
+					if len(built) != want {
+						t.Errorf("%s: built by %v, want %d builder", what, built, want)
+					}
+					if st, err := g.genNative(in); (err == nil && st != nil) != (want == 1) {
+						t.Errorf("%s: genNative returned (%v, %v) where %d builder has it", what, st != nil, err, want)
+					}
+					if !fusibleProducer(in) {
+						continue
+					}
+				}
+				admitted[d.Native]++
+				if len(built) != 1 || built[0] != "assignTo" {
+					t.Errorf("%s: admitted by fusibleProducer but built by %v, not by assignTo alone", what, built)
+				}
+				if barrierInstr(in) {
+					t.Errorf("%s: has an evaluator yet reads as a fusion barrier", what)
 				}
 			}
 		}
@@ -73,11 +106,17 @@ func TestOneSpellingPerScalarNative(t *testing.T) {
 	if len(admitted) < 90 {
 		t.Errorf("only %d natives admitted: the walk is not reaching the standard library", len(admitted))
 	}
-	// The walk above is what holds selectNative to no arm for a generated op
-	// or for string_byte, so it has to have visited them.
-	for _, native := range append(generatedNatives(), "string_byte") {
+	// The walk above is what holds selectNative to no arm for a generated op,
+	// string_byte or tensor_length, so it has to have visited them.
+	for _, native := range append(generatedNatives(), "string_byte", "tensor_length") {
 		if admitted[native] == 0 {
 			t.Errorf("native %s has an evaluator but the walk never reached it", native)
+		}
+	}
+	for _, native := range []string{"part_1", "part_2", "part_unsafe_1", "part_unsafe_2",
+		"setpart_1", "setpart_2", "setpart_unsafe_1", "setpart_unsafe_2"} {
+		if len(accesses[native]) != 5 {
+			t.Errorf("%s: walked at element kinds %v, want all five", native, accesses[native])
 		}
 	}
 	t.Logf("%d natives have an evaluator", len(admitted))

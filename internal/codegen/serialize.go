@@ -157,7 +157,7 @@ func marshalInstr(w *bufio.Writer, in *wir.Instr, f *wir.Function,
 	writeUvarint(w, uint64(in.IDNum))
 	w.WriteByte(byte(in.Op))
 	writeString(w, in.Callee)
-	writeString(w, nativeOf(in))
+	writeString(w, in.NativeName())
 	target := -1
 	if in.ResolvedFn != nil {
 		target = fnIndex[in.ResolvedFn]

@@ -168,6 +168,15 @@ static inline int64_t wolfrt_bitshiftright(int64_t a, int64_t n) {
 	return a >> (n < 64 ? n : 63);
 }
 
+/* Floor, Ceiling and Round stop where runtime.RealToI64 throws: on a real
+ * that does not fit a machine integer (NaN and the infinities fail the range
+ * test too), where the cast alone is undefined. */
+static inline int64_t wolfrt_real_to_i64(double x) {
+	if (!(x >= -0x1p63 && x < 0x1p63))
+		wolfrt_panic("integer overflow in Floor, Ceiling or Round");
+	return (int64_t)x;
+}
+
 static inline double wolfrt_mod_real(double a, double m) {
 	double r = fmod(a, m);
 	if (r != 0 && ((r < 0) != (m < 0)))

@@ -376,7 +376,7 @@ func (w *wvmGen) genInstr(in *wir.Instr) error {
 func (w *wvmGen) genNative(in *wir.Instr) error {
 	// The VM's values are immutable: an elementwise native that writes over
 	// an operand is the plain one here.
-	native, _ := passes.CutInto(nativeOf(in))
+	native, _ := passes.CutInto(in.NativeName())
 	isInt := in.Ty == types.TInt64
 	argInt := len(in.Args) > 0 && runtime.KindOf(in.Args[0].Type()) == runtime.KI64
 

@@ -143,10 +143,10 @@ func init() {
 	})
 }
 
-// SetCompileCacheCapacity bounds the cache entry count (minimum 1) and
+// setCompileCacheCapacity bounds the cache entry count (minimum 1) and
 // returns the previous capacity, evicting LRU entries if the new capacity
-// is already exceeded.
-func SetCompileCacheCapacity(n int) int {
+// is already exceeded (the eviction tests).
+func setCompileCacheCapacity(n int) int {
 	if n < 1 {
 		n = 1
 	}

@@ -133,8 +133,8 @@ func TestCompileCacheKeyCoversEveryOption(t *testing.T) {
 
 func TestCompileCacheLRUEviction(t *testing.T) {
 	ResetCompileCache()
-	prev := SetCompileCacheCapacity(2)
-	defer SetCompileCacheCapacity(prev)
+	prev := setCompileCacheCapacity(2)
+	defer setCompileCacheCapacity(prev)
 	k := kernel.New()
 	k.Out = io.Discard
 	c := NewCompiler(k)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -12,6 +13,7 @@ import (
 
 	"wolfc/internal/expr"
 	"wolfc/internal/parser"
+	"wolfc/internal/runtime"
 	"wolfc/internal/vm"
 )
 
@@ -152,6 +154,65 @@ func TestCrossBackendIntegerPrograms(t *testing.T) {
 				t.Fatalf("trial %d: C(%d) = %d, native = %d\n%s",
 					trial, args[i], got, native[i], src)
 			}
+		}
+	}
+}
+
+// Where the closure backend throws a numeric exception (runtime.QuotI64,
+// ShlI64, ShrI64, RealToI64) the stack machine must return ErrOverflow, so
+// that its caller takes the F2 fallback, and never a wrapped value.
+func TestCrossBackendNumericEdges(t *testing.T) {
+	c := newCompiler()
+	compile := func(src string) (*CompiledCodeFunction, *vm.CompiledFunction) {
+		ccf, err := c.FunctionCompile(parser.MustParse(src))
+		if err != nil {
+			t.Fatalf("compile: %v\n%s", err, src)
+		}
+		cf, err := ccf.CompileToWVM()
+		if err != nil {
+			t.Fatalf("WVM bridge: %v\n%s", err, src)
+		}
+		return ccf, cf
+	}
+	check := func(ccf *CompiledCodeFunction, cf *vm.CompiledFunction, raw []any, vals []vm.Value) {
+		t.Helper()
+		want, threw := int64(0), false
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if exc, ok := r.(*runtime.Exception); !ok || exc.Kind != runtime.ExcOverflow {
+						panic(r)
+					}
+					threw = true
+				}
+			}()
+			want = ccf.CallRaw(raw...).(int64)
+		}()
+		out, err := cf.Call(c.Kernel, vals...)
+		verr, _ := err.(*vm.Error)
+		switch {
+		case threw:
+			if verr == nil || verr.Kind != vm.ErrOverflow {
+				t.Errorf("%v: WVM = %d (%v) where the closure backend throws IntegerOverflow", raw, out.I, err)
+			}
+		case err != nil || out.I != want:
+			t.Errorf("%v: WVM = %d (%v), closure = %d", raw, out.I, err, want)
+		}
+	}
+	ccf, cf := compile(`Function[{Typed[op, "MachineInteger"], Typed[a, "MachineInteger"], Typed[b, "MachineInteger"]},
+		If[op == 0, Quotient[a, b], If[op == 1, BitShiftLeft[a, b], BitShiftRight[a, b]]]]`)
+	for _, r := range [][3]int64{
+		{0, math.MinInt64, -1}, {0, math.MinInt64, 1}, {0, math.MaxInt64, -1}, {0, -7, 2},
+		{1, 1, -1}, {1, 0, -1}, {1, 1, 62}, {1, 1, 63}, {1, 1, 64}, {1, -1, 63}, {1, 0, 200},
+		{2, 1, -1}, {2, -8, 200}, {2, 8, 64}, {2, -8, 1},
+	} {
+		check(ccf, cf, []any{r[0], r[1], r[2]}, []vm.Value{vm.IntValue(r[0]), vm.IntValue(r[1]), vm.IntValue(r[2])})
+	}
+	ccf, cf = compile(`Function[{Typed[op, "MachineInteger"], Typed[x, "Real64"]},
+		If[op == 0, Floor[x], If[op == 1, Ceiling[x], Round[x]]]]`)
+	for _, x := range []float64{2.5, -2.5, 1 << 62, -(1 << 63), 1 << 63, -(1 << 63) - 1025, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for op := int64(0); op < 3; op++ {
+			check(ccf, cf, []any{op, x}, []vm.Value{vm.IntValue(op), vm.RealValue(x)})
 		}
 	}
 }

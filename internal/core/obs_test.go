@@ -355,8 +355,8 @@ func TestInvalidationIsNotEviction(t *testing.T) {
 	}
 
 	// Capacity pressure, by contrast, is an eviction.
-	prevCap := SetCompileCacheCapacity(1)
-	defer SetCompileCacheCapacity(prevCap)
+	prevCap := setCompileCacheCapacity(1)
+	defer setCompileCacheCapacity(prevCap)
 	for i := 0; i < 2; i++ {
 		src := fmt.Sprintf(`Function[{Typed[x, "MachineInteger"]}, x - %d]`, i+1)
 		if _, err := c.FunctionCompileCached(parser.MustParse(src)); err != nil {

@@ -17,33 +17,64 @@ import (
 // checked slow path behind it (negative indices), and the range exception
 // that reverts to the interpreter must be indistinguishable from
 // interpreting the same function — value, error text and the cfse warning
-// alike — with fusion on and off.
+// alike — with fusion on and off. Every element kind a tensor register can
+// hold is read and stored at rank 1 and, where the runtime has the accessor,
+// at rank 2; "shared" stores through two aliases of the caller's list (each
+// copies on its first write), and "map"/"table" run the unchecked accessors
+// of a macro-generated loop before the checked ones.
 
 var partEdgePrograms = []struct {
 	name, src string
 	rank2     bool
+	first     string // the first argument; partEdgeList or partEdgeMatrix when empty
 }{
-	{"read1", `Function[{Typed[v, "Tensor"["Integer64", 1]], Typed[k, "MachineInteger"]}, v[[k]]]`, false},
-	{"read1-fused", `Function[{Typed[v, "Tensor"["Integer64", 1]], Typed[k, "MachineInteger"]}, v[[k]]*3 + v[[2]]]`, false},
+	{"read1", `Function[{Typed[v, "Tensor"["Integer64", 1]], Typed[k, "MachineInteger"]}, v[[k]]]`, false, ""},
+	{"read1-fused", `Function[{Typed[v, "Tensor"["Integer64", 1]], Typed[k, "MachineInteger"]}, v[[k]]*3 + v[[2]]]`, false, ""},
 	{"write1", `Function[{Typed[v, "Tensor"["Integer64", 1]], Typed[k, "MachineInteger"]},
-		Module[{w = v}, w[[k]] = 95; w]]`, false},
+		Module[{w = v}, w[[k]] = 95; w]]`, false, ""},
 	{"chain1", `Function[{Typed[v, "Tensor"["Integer64", 1]], Typed[k, "MachineInteger"]},
-		Module[{w = v, i = 1}, While[i <= 3, w[[k]] = w[[k]] + w[[-k]] + i; w[[i]] = w[[i]] + 1; i = i + 1]; w]]`, false},
-	{"read2", `Function[{Typed[m, "Tensor"["Integer64", 2]], Typed[i, "MachineInteger"], Typed[j, "MachineInteger"]}, m[[i, j]]]`, true},
-	{"read2-fused", `Function[{Typed[m, "Tensor"["Integer64", 2]], Typed[i, "MachineInteger"], Typed[j, "MachineInteger"]}, m[[i, j]]*2 + m[[1, 1]]]`, true},
+		Module[{w = v, i = 1}, While[i <= 3, w[[k]] = w[[k]] + w[[-k]] + i; w[[i]] = w[[i]] + 1; i = i + 1]; w]]`, false, ""},
+	{"read2", `Function[{Typed[m, "Tensor"["Integer64", 2]], Typed[i, "MachineInteger"], Typed[j, "MachineInteger"]}, m[[i, j]]]`, true, ""},
+	{"read2-fused", `Function[{Typed[m, "Tensor"["Integer64", 2]], Typed[i, "MachineInteger"], Typed[j, "MachineInteger"]}, m[[i, j]]*2 + m[[1, 1]]]`, true, ""},
 	{"write2", `Function[{Typed[m, "Tensor"["Integer64", 2]], Typed[i, "MachineInteger"], Typed[j, "MachineInteger"]},
-		Module[{w = m}, w[[i, j]] = 7; w]]`, true},
+		Module[{w = m}, w[[i, j]] = 7; w]]`, true, ""},
 	{"chain2", `Function[{Typed[m, "Tensor"["Integer64", 2]], Typed[i, "MachineInteger"], Typed[j, "MachineInteger"]},
-		Module[{w = m, r = 1}, While[r <= 2, w[[i, j]] = w[[i, j]] + w[[r, 1]]; w[[r, 2]] = w[[r, 2]]*2; r = r + 1]; w]]`, true},
+		Module[{w = m, r = 1}, While[r <= 2, w[[i, j]] = w[[i, j]] + w[[r, 1]]; w[[r, 2]] = w[[r, 2]]*2; r = r + 1]; w]]`, true, ""},
+	{"shared1", `Function[{Typed[v, "Tensor"["Integer64", 1]], Typed[k, "MachineInteger"]},
+		Module[{w = v, u = v}, w[[k]] = 95; u[[-k]] = u[[k]] + 1; {w, u, v}]]`, false, ""},
+	{"map1", `Function[{Typed[v, "Tensor"["Integer64", 1]], Typed[k, "MachineInteger"]},
+		Module[{w = Map[Function[x, x*2 + 1], v]}, w[[k]] = w[[k]] + v[[k]]; w]]`, false, ""},
+	{"table1", `Function[{Typed[v, "Tensor"["Real64", 1]], Typed[k, "MachineInteger"]},
+		Module[{w = Table[v[[i]] + i, {i, 1, Length[v]}]}, w[[k]]*2. + w[[-k]]]]`, false, partEdgeReals},
+	{"real1", `Function[{Typed[v, "Tensor"["Real64", 1]], Typed[k, "MachineInteger"]},
+		Module[{w = v}, w[[k]] = w[[k]]*0.5 + 2.*w[[2]] - w[[-k]]; w]]`, false, partEdgeReals},
+	{"real1-read", `Function[{Typed[v, "Tensor"["Real64", 1]], Typed[k, "MachineInteger"]}, v[[k]]]`, false, partEdgeReals},
+	{"real2", `Function[{Typed[m, "Tensor"["Real64", 2]], Typed[i, "MachineInteger"], Typed[j, "MachineInteger"]},
+		Module[{w = m}, w[[i, j]] = w[[i, j]]*0.5 + 2.*w[[1, 1]] - w[[-i, -j]]; w]]`, true, "{{1., 2.}, {3., 4.}, {5., 6.}}"},
+	{"real2-read", `Function[{Typed[m, "Tensor"["Real64", 2]], Typed[i, "MachineInteger"], Typed[j, "MachineInteger"]}, m[[i, j]]]`, true, "{{1., 2.}, {3., 4.}, {5., 6.}}"},
+	{"complex1", `Function[{Typed[v, "Tensor"["ComplexReal64", 1]], Typed[k, "MachineInteger"]},
+		Module[{w = v}, w[[k]] = w[[k]]*2. + v[[2]]; w[[1]] = w[[-k]]; w]]`, false, partEdgeComplexes},
+	{"complex1-read", `Function[{Typed[v, "Tensor"["ComplexReal64", 1]], Typed[k, "MachineInteger"]}, v[[k]]]`, false, partEdgeComplexes},
+	// No matrix of complexes and no list of booleans crosses the boundary
+	// unboxed: these two build theirs.
+	{"complex2", `Function[{Typed[z, "ComplexReal64"], Typed[i, "MachineInteger"], Typed[j, "MachineInteger"]},
+		Module[{w = ConstantArray[z, {3, 2}]}, w[[2, 1]] = z*z; w[[i, j]] = w[[i, j]]*2. + w[[2, 1]]; w[[1, 2]] = w[[-i, -j]]; w]]`, true, "Complex[1., 2.]"},
+	{"bool1", `Function[{Typed[v, "Tensor"["Integer64", 1]], Typed[k, "MachineInteger"]},
+		Module[{w = Map[Function[x, x > 15], v]}, w[[k]] = !w[[k]]; If[w[[-k]], w[[1]] = False]; w]]`, false, ""},
+	{"string1", `Function[{Typed[v, "Tensor"["String", 1]], Typed[k, "MachineInteger"]},
+		Module[{w = v}, w[[k]] = StringJoin[w[[k]], w[[-k]]]; w]]`, false, `{"a", "bc", "d", "ef"}`},
+	{"string1-read", `Function[{Typed[v, "Tensor"["String", 1]], Typed[k, "MachineInteger"]}, v[[k]]]`, false, `{"a", "bc", "d", "ef"}`},
 }
 
 const (
-	partEdgeList   = "{10, 20, 30, 40}"         // n = 4
-	partEdgeMatrix = "{{1, 2}, {3, 4}, {5, 6}}" // 3 x 2
-	partEdgeN      = 4
-	partEdgeRows   = 3
-	partEdgeCols   = 2
-	partEdgeFuseOn = "fused"
+	partEdgeList      = "{10, 20, 30, 40}"      // n = 4
+	partEdgeReals     = "{1.5, 2.5, -3., 4.25}" // n = 4
+	partEdgeComplexes = "{Complex[1., 2.], Complex[3., -1.], Complex[0., 1.], Complex[4., 4.]}"
+	partEdgeMatrix    = "{{1, 2}, {3, 4}, {5, 6}}" // 3 x 2
+	partEdgeN         = 4
+	partEdgeRows      = 3
+	partEdgeCols      = 2
+	partEdgeFuseOn    = "fused"
 )
 
 // partEdgeArgs lists the index arguments: 0, ±1, ±n, ±(n+1) for rank 1;
@@ -87,10 +118,22 @@ func TestPartEdgeCorpusMatchesInterpreter(t *testing.T) {
 	configs := fuseConfigs()
 	for _, p := range partEdgePrograms {
 		fn := parser.MustParse(p.src)
+		var first expr.Expr
+		if p.first != "" {
+			// Evaluated as a caller's argument would be: Complex[1., 2.]
+			// unboxes as the complex number, not as the call.
+			var err error
+			if first, err = kernel.New().EvalGuarded(parser.MustParse(p.first)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for _, args := range partEdgeArgs(p.rank2) {
 			ex := make([]expr.Expr, len(args))
 			for i, a := range args {
 				ex[i] = parser.MustParse(a)
+			}
+			if first != nil {
+				ex[0] = first
 			}
 			label := fmt.Sprintf("%s%v", p.name, args[1:])
 

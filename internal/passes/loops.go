@@ -141,18 +141,6 @@ func insertPreheader(f *wir.Function, l *Loop) *wir.Block {
 	return pre
 }
 
-// nativeName mirrors codegen's native resolution: the Native field when a
-// pass filled it, else the overload chosen by inference.
-func nativeName(in *wir.Instr) string {
-	if in.Native != "" {
-		return in.Native
-	}
-	if d, ok := in.Prop("overload"); ok {
-		return d.(*types.FuncDef).Native
-	}
-	return ""
-}
-
 // hoistableNative reports whether a native is pure *and can never throw*,
 // making it safe to execute speculatively in a preheader. Checked integer
 // arithmetic (overflow), real-to-integer rounding and shifts (overflow),
@@ -202,7 +190,7 @@ func hoistable(in *wir.Instr) bool {
 			return false
 		}
 	}
-	n := nativeName(in)
+	n := in.NativeName()
 	if n == "" {
 		return false
 	}
@@ -334,7 +322,7 @@ func StrengthReduce(f *wir.Function) bool {
 		hasTimes := false
 		for _, b := range bodyBlocks(f, l) {
 			for _, in := range b.Instrs {
-				if nativeName(in) == "binary_times" && in.Ty == types.TInt64 {
+				if in.NativeName() == "binary_times" && in.Ty == types.TInt64 {
 					hasTimes = true
 				}
 			}
@@ -373,7 +361,7 @@ func StrengthReduce(f *wir.Function) bool {
 				continue
 			}
 			step, ok := iv.Args[latchIdx].(*wir.Instr)
-			if !ok || !l.Body[step.Block] || nativeName(step) != "binary_plus" || step.Ty != types.TInt64 {
+			if !ok || !l.Body[step.Block] || step.NativeName() != "binary_plus" || step.Ty != types.TInt64 {
 				continue
 			}
 			c, ok := addendOf(step, iv)
@@ -383,7 +371,7 @@ func StrengthReduce(f *wir.Function) bool {
 			derived := map[int64]*wir.Instr{} // multiplier k -> derived phi
 			for _, b := range bodyBlocks(f, l) {
 				for _, in := range b.Instrs {
-					if nativeName(in) != "binary_times" || in.Ty != types.TInt64 || in == step {
+					if in.NativeName() != "binary_times" || in.Ty != types.TInt64 || in == step {
 						continue
 					}
 					k, ok := addendOf(in, iv)

@@ -36,7 +36,7 @@ func TestFindLoopsNested(t *testing.T) {
 }
 
 func isNative(in *wir.Instr, name string) bool {
-	return in.Op == wir.OpCall && nativeName(in) == name
+	return in.Op == wir.OpCall && in.NativeName() == name
 }
 
 // inLoopBody counts instructions matching pred inside any natural loop.

@@ -45,7 +45,7 @@ func InsertCopies(mod *wir.Module, opts Options) {
 }
 
 func insertCopies(f *wir.Function, opts Options) {
-	tensor := func(v wir.Value) bool { return trackedValue(v) && isTensorType(v.Type()) }
+	tensor := func(v wir.Value) bool { return trackedValue(v) && types.IsTensor(v.Type()) }
 	var stores []*wir.Instr
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -171,7 +171,7 @@ func reuseTemporaries(f *wir.Function) {
 			if in.Op != wir.OpCall || in.ResolvedFn != nil {
 				continue
 			}
-			native := nativeName(in)
+			native := in.NativeName()
 			for _, k := range ElementwiseOperands(native) {
 				def, ok := in.Args[k].(*wir.Instr)
 				if !ok || !freshTensor(def) || !types.Equal(def.Ty, in.Ty) || def.Block != b {
@@ -221,7 +221,7 @@ func freshTensor(def *wir.Instr) bool {
 	if def.Callee == "Native`List" {
 		return true
 	}
-	switch native, _ := CutInto(nativeName(def)); native {
+	switch native, _ := CutInto(def.NativeName()); native {
 	case "list_fill", "matrix_fill", "copy_tensor":
 		return true
 	default:
@@ -245,11 +245,6 @@ func trackedValue(v wir.Value) bool {
 		return true
 	}
 	return false
-}
-
-func isTensorType(t types.Type) bool {
-	c, ok := t.(*types.Compound)
-	return ok && c.Ctor == "Tensor"
 }
 
 // The memory-management pass (F7, §4.5) works on an ownership discipline.
@@ -284,7 +279,7 @@ func consumedOperand(in *wir.Instr) int {
 	if in.Op != wir.OpCall || len(in.Args) == 0 {
 		return -1
 	}
-	switch native, into := CutInto(nativeName(in)); {
+	switch native, into := CutInto(in.NativeName()); {
 	case native == "setpart_1", native == "setpart_2":
 		return 0
 	case into >= 0 && into < len(in.Args):
@@ -613,7 +608,7 @@ func verifyRefCounts(f *wir.Function, env *types.Env) error {
 		for _, in := range b.Instrs {
 			native := ""
 			if in.Op == wir.OpCall {
-				native = nativeName(in)
+				native = in.NativeName()
 			}
 			for _, a := range in.Args {
 				// A parameter not yet acquired is still the caller's.

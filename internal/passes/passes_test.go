@@ -382,13 +382,13 @@ func TestRefCountsStayOutOfMutationLoops(t *testing.T) {
 	for _, l := range loops {
 		for b := range l.Body {
 			for _, in := range b.Instrs {
-				if n := nativeName(in); n == "memory_acquire" || n == "memory_release" {
+				if n := in.NativeName(); n == "memory_acquire" || n == "memory_release" {
 					t.Fatalf("%s inside the loop (%s):\n%s", n, b.Label, f.String())
 				}
 			}
 		}
 	}
-	if n := countInstrs(f, func(in *wir.Instr) bool { return nativeName(in) == "list_fill" }); n != 1 {
+	if n := countInstrs(f, func(in *wir.Instr) bool { return in.NativeName() == "list_fill" }); n != 1 {
 		t.Fatalf("ConstantArray should be one list_fill, got %d:\n%s", n, f.String())
 	}
 }
@@ -408,7 +408,7 @@ func TestVerifyRefCountsCatchesImbalance(t *testing.T) {
 	find := func(f *wir.Function, native string) (*wir.Block, int) {
 		for _, b := range f.Blocks {
 			for i, in := range b.Instrs {
-				if nativeName(in) == native {
+				if in.NativeName() == native {
 					return b, i
 				}
 			}

@@ -28,9 +28,10 @@ func GrainSize() int {
 	return defaultGrainSize
 }
 
-// SetGrainSize overrides the serial-fast-path threshold and returns the
-// previous effective value. n <= 0 restores the default.
-func SetGrainSize(n int) int {
+// setGrainSize overrides the serial-fast-path threshold and returns the
+// previous effective value; n <= 0 restores the default. The package's tests
+// lower it to reach the parallel path on small inputs.
+func setGrainSize(n int) int {
 	prev := GrainSize()
 	if n < 0 {
 		n = 0

@@ -34,9 +34,9 @@ func TestParallelKernelsBitIdentical(t *testing.T) {
 		want := serialMapF(in, math.Sqrt)
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, grain := range []int{1, 64, 4096, n + 1} {
-				prev := SetGrainSize(grain)
+				prev := setGrainSize(grain)
 				got := in.MapFP(workers, math.Sqrt)
-				SetGrainSize(prev)
+				setGrainSize(prev)
 				for i := range want.F {
 					if math.Float64bits(got.F[i]) != math.Float64bits(want.F[i]) {
 						t.Fatalf("MapFP(n=%d workers=%d grain=%d): element %d differs", n, workers, grain, i)
@@ -71,9 +71,9 @@ func TestGaussianBlurParallelMatchesSerial(t *testing.T) {
 		fillSeq(img)
 		want := GaussianBlur3x3P(1, img)
 		for _, workers := range []int{2, 4, 8} {
-			prev := SetGrainSize(1)
+			prev := setGrainSize(1)
 			got := GaussianBlur3x3P(workers, img)
-			SetGrainSize(prev)
+			setGrainSize(prev)
 			for i := range want.F {
 				if math.Float64bits(got.F[i]) != math.Float64bits(want.F[i]) {
 					t.Fatalf("blur %dx%d workers=%d: pixel %d differs", rows, cols, workers, i)
@@ -89,9 +89,9 @@ func TestHistogramParallelMatchesSerial(t *testing.T) {
 	fillSeq(data)
 	want := HistogramBinsP(1, 97, data)
 	for _, workers := range []int{2, 4, 8} {
-		prev := SetGrainSize(1)
+		prev := setGrainSize(1)
 		got := HistogramBinsP(workers, 97, data)
-		SetGrainSize(prev)
+		setGrainSize(prev)
 		for i := range want.I {
 			if got.I[i] != want.I[i] {
 				t.Fatalf("histogram workers=%d: bin %d got %d want %d", workers, i, got.I[i], want.I[i])

@@ -79,6 +79,12 @@ func TensorOf(elem Type, rank int) *Compound {
 	return &Compound{Ctor: "Tensor", Args: []Type{elem, &Literal{Value: int64(rank)}}}
 }
 
+// IsTensor reports whether t is a Tensor[elem, rank] type.
+func IsTensor(t Type) bool {
+	c, ok := t.(*Compound)
+	return ok && c.Ctor == "Tensor"
+}
+
 // Literal is a type-level constant (paper §4.4 TypeLiteral), used for
 // tensor ranks.
 type Literal struct {

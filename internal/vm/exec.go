@@ -205,6 +205,9 @@ func (m *machine) run() (Value, error) {
 			if b.I == 0 {
 				return Value{}, vmErrf(ErrOverflow, "Quotient by zero")
 			}
+			if a.I == math.MinInt64 && b.I == -1 {
+				return Value{}, vmErrf(ErrOverflow, "IntegerOverflow in Quotient[%d, %d]", a.I, b.I)
+			}
 			q := a.I / b.I
 			if (a.I%b.I != 0) && ((a.I < 0) != (b.I < 0)) {
 				q--
@@ -252,9 +255,16 @@ func (m *machine) run() (Value, error) {
 			m.push(IntValue(a.I ^ b.I))
 		case OpShl:
 			b, a := m.pop(), m.pop()
-			m.push(IntValue(a.I << uint64(b.I)))
+			r := a.I << uint64(b.I)
+			if b.I < 0 || r>>uint64(b.I) != a.I {
+				return Value{}, vmErrf(ErrOverflow, "IntegerOverflow in BitShiftLeft[%d, %d]", a.I, b.I)
+			}
+			m.push(IntValue(r))
 		case OpShr:
 			b, a := m.pop(), m.pop()
+			if b.I < 0 {
+				return Value{}, vmErrf(ErrOverflow, "negative shift count in BitShiftRight[%d, %d]", a.I, b.I)
+			}
 			m.push(IntValue(a.I >> uint64(b.I)))
 		case OpToReal:
 			a := m.pop()
@@ -340,6 +350,11 @@ func (m *machine) run() (Value, error) {
 			}
 			out, isInt := math1(int(in.A), r)
 			if isInt {
+				// Floor, Ceiling, Round: NaN and the infinities fail the
+				// range test too, as in runtime.RealToI64.
+				if !(out >= -(1<<63) && out < 1<<63) {
+					return Value{}, vmErrf(ErrOverflow, "IntegerOverflow in %s[%v]", mathNames[in.A], r)
+				}
 				m.push(IntValue(int64(out)))
 			} else {
 				m.push(RealValue(out))

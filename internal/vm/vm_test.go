@@ -198,6 +198,36 @@ func TestSoftFallbackOnOverflow(t *testing.T) {
 	}
 }
 
+// The edges the checked ops share with the WVM bridge: Floor of a real past
+// the machine range, a shift that loses bits and Quotient[MinInt64, -1] take
+// the same fallback and answer what the interpreter answers.
+func TestSoftFallbackOnNumericEdges(t *testing.T) {
+	k := kernel.New()
+	var log strings.Builder
+	k.Out = &log
+	Install(k)
+	for _, c := range []struct{ def, call, want string }{
+		{"Compile[{{x, _Real}}, Floor[x]]", "cf[2.^63]", "9223372036854775808"},
+		{"Compile[{{a, _Integer}, {n, _Integer}}, BitShiftLeft[a, n]]", "cf[1, 64]", "18446744073709551616"},
+		{"Compile[{{a, _Integer}, {b, _Integer}}, Quotient[a, b]]", "cf[-9223372036854775807 - 1, -1]", "9223372036854775808"},
+	} {
+		log.Reset()
+		if _, err := k.Run(parser.MustParse("cf = " + c.def)); err != nil {
+			t.Fatal(err)
+		}
+		out, err := k.Run(parser.MustParse(c.call))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := expr.InputForm(out); got != c.want {
+			t.Errorf("%s; %s = %s, want %s", c.def, c.call, got, c.want)
+		}
+		if !strings.Contains(log.String(), "reverting to uncompiled evaluation") {
+			t.Errorf("%s; %s: missing fallback warning; log = %q", c.def, c.call, log.String())
+		}
+	}
+}
+
 func TestInterpreterEscape(t *testing.T) {
 	// An unsupported call compiles to an interpreter escape, not a failure
 	// (paper §2.2).

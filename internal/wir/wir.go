@@ -121,6 +121,18 @@ func (i *Instr) Prop(key string) (any, bool) {
 	return v, ok
 }
 
+// NativeName resolves a call's primitive id: the Native field when function
+// resolution or a pass filled it, else the overload chosen by inference.
+func (i *Instr) NativeName() string {
+	if i.Native != "" {
+		return i.Native
+	}
+	if d, ok := i.Prop("overload"); ok {
+		return d.(*types.FuncDef).Native
+	}
+	return ""
+}
+
 // CallKind classifies how a call instruction's target is resolved:
 // "indirect" (through a function value), "direct" (another function in the
 // same module), "registry" (a separately compiled unit via the function
