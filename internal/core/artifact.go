@@ -69,12 +69,14 @@ func init() {
 // stable content key and, on a hit, regenerates executable code for it in
 // this compiler. Every failure mode is a soft miss (return nil): the
 // caller falls through to a full compile, and undecodable payloads are
-// dropped from the store so they are not re-probed forever.
-func (c *Compiler) loadArtifact(stableKey string, fn expr.Expr, req CompileRequest) (ccf *CompiledCodeFunction) {
+// dropped from the store so they are not re-probed forever. A load records
+// its two stages on rep (nil when no report was asked for).
+func (c *Compiler) loadArtifact(stableKey string, fn expr.Expr, req CompileRequest, rep *CompileReport) (ccf *CompiledCodeFunction) {
 	s := ArtifactStore()
 	if s == nil {
 		return nil
 	}
+	t := startTimer(rep)
 	payload, ok := s.Get(stableKey)
 	if !ok {
 		return nil
@@ -97,14 +99,17 @@ func (c *Compiler) loadArtifact(stableKey string, fn expr.Expr, req CompileReque
 	// the one the storing process ran. Serialised modules never carry
 	// registry calls (maybeStoreArtifact gates them), so RegDeps comes back
 	// empty.
+	rep.stage("decode", t)
+	t = startTimer(rep)
 	prog, err := c.generate(mod)
 	if err == nil {
-		ccf, err = c.wrap(mod, prog, fn, displayName(req.SelfName, fn), c.backend()+"-aot")
+		ccf, err = c.wrap(mod, prog, fn, req.SelfName, c.backend()+"-aot")
 	}
 	if err != nil {
 		s.DropUndecodable(stableKey)
 		return nil
 	}
+	rep.stage("codegen", t)
 	return ccf
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"os"
@@ -80,14 +81,15 @@ func TestSingleflightCoalescesConcurrentFirstCompiles(t *testing.T) {
 
 func TestFastMemoHotKeysSurviveGenerationFlips(t *testing.T) {
 	m := fastMemo{cap: 4}
-	hot := "hot-key"
-	m.put(hot, cacheKeys{full: "hot"})
-	m.put("cold-key", cacheKeys{full: "cold"})
+	key := func(s string) [sha256.Size]byte { return sha256.Sum256([]byte(s)) }
+	hot := key("hot-key")
+	m.put(hot, "hot")
+	m.put(key("cold-key"), "cold")
 
 	// Churn far past the old wholesale-wipe threshold, touching the hot key
 	// between insertions the way a solver loop re-resolves its kernel.
 	for i := 0; i < 10*m.cap; i++ {
-		m.put(fmt.Sprintf("churn-%d", i), cacheKeys{})
+		m.put(key(fmt.Sprintf("churn-%d", i)), "")
 		if _, ok := m.get(hot); !ok {
 			t.Fatalf("hot key evicted after %d churn insertions", i+1)
 		}
@@ -97,11 +99,11 @@ func TestFastMemoHotKeysSurviveGenerationFlips(t *testing.T) {
 	}
 	// The untouched cold key must have aged out — the memo is bounded, not
 	// merely lucky.
-	if _, ok := m.get("cold-key"); ok {
+	if _, ok := m.get(key("cold-key")); ok {
 		t.Fatal("cold key survived sustained churn; generational eviction is not evicting")
 	}
-	if v, _ := m.get(hot); v.full != "hot" {
-		t.Fatalf("hot key's value corrupted: %+v", v)
+	if v, _ := m.get(hot); v != "hot" {
+		t.Fatalf("hot key's value corrupted: %q", v)
 	}
 }
 
@@ -207,57 +209,71 @@ func TestArtifactStoreWarmStartAcrossProcesses(t *testing.T) {
 	}
 }
 
-// A store populated by a build with the previous key version is simply not
-// addressed by this one: the compile misses cleanly, runs the pipeline,
-// and writes its own entry beside the old one — which an old binary, still
-// asking under its own key, keeps getting.
+// What an older build left in a shared store never serves this one. An entry
+// under the previous key version is simply not addressed: the compile misses
+// cleanly, runs the pipeline, and writes its own entry beside the old one —
+// which an old binary, still asking under its own key, keeps getting. A
+// payload in the previous module format that does sit under this build's key
+// fails its magic, is dropped, and the function is compiled again and written
+// back.
 func TestArtifactStoreOldKeyVersionMissesAndRewrites(t *testing.T) {
 	const src = `Function[{Typed[n, "MachineInteger"]},
 		Module[{v = ConstantArray[0, n], i = 1}, While[i <= n, v[[i]] = i*i; i++]; v[[n]]]]`
 	fn := parser.MustParse(src)
-	ResetCompileCache()
-	withArtifactDir(t, t.TempDir())
-	k := kernel.New()
-	k.Out = io.Discard
-	c := NewCompiler(k)
-	old, err := c.cacheKeysAt("wolfc-key/v1", "", fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := c.computeCacheKeys("", fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.stable == cur.stable {
-		t.Fatal("the key version must be part of the stable key")
-	}
-	// What the old build left behind: a checksum-clean payload this build
-	// must never be asked to decode.
-	oldPayload := []byte("WCLB0001 module serialised by a wolfc-key/v1 build")
-	ArtifactStore().Put(old.stable, oldPayload)
+	for _, tc := range []struct {
+		name, version, payload string
+		misses, drops          uint64
+		entries                int
+	}{
+		{"wolfc-key/v3 entry", "wolfc-key/v3", "WCLB0001 module serialised by a wolfc-key/v3 build", 1, 0, 2},
+		{"WCLB0001 payload", cacheKeyVersion, "WCLB0001\x01\x04Main\x00", 0, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ResetCompileCache()
+			keyMemo.reset()
+			withArtifactDir(t, t.TempDir())
+			k := kernel.New()
+			k.Out = io.Discard
+			c := NewCompiler(k)
+			old, _, err := c.stableKey(tc.version, "", fn, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur, _, err := c.stableKey(cacheKeyVersion, "", fn, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (old == cur) != (tc.version == cacheKeyVersion) {
+				t.Fatal("the key version must be part of the stable key")
+			}
+			ArtifactStore().Put(old, []byte(tc.payload))
 
-	ccf, rep, err := c.FunctionCompileCachedRequest(fn, CompileRequest{Collect: true})
-	if err != nil {
-		t.Fatalf("compile over a v1 store: %v", err)
-	}
-	if rep == nil || rep.ArtifactHit {
-		t.Fatalf("a v1 entry must not serve a v2 compile: %+v", rep)
-	}
-	if got := apply(t, ccf, "6"); got != "36" {
-		t.Fatalf("compiled result = %s, want 36", got)
-	}
-	st := ArtifactStore().Stats()
-	if st.Misses != 1 || st.Writes != 2 || st.Entries != 2 || st.CorruptDrops != 0 {
-		t.Fatalf("want one clean miss and a rewrite beside the old entry: %+v", st)
-	}
-	if got, ok := ArtifactStore().Get(old.stable); !ok || !bytes.Equal(got, oldPayload) {
-		t.Fatal("the old build's entry must stay what it was")
-	}
-	// A fresh compiler of this build now starts warm from the new entry.
-	ResetCompileCache()
-	_, rep, err = NewCompiler(k).FunctionCompileCachedRequest(fn, CompileRequest{Collect: true})
-	if err != nil || rep == nil || !rep.ArtifactHit {
-		t.Fatalf("second compile should hit the rewritten entry: %+v, %v", rep, err)
+			ccf, rep, err := c.FunctionCompileCachedRequest(fn, CompileRequest{Collect: true})
+			if err != nil {
+				t.Fatalf("compile over the old build's store: %v", err)
+			}
+			if rep == nil || rep.ArtifactHit {
+				t.Fatalf("the old build's entry must not serve this compile: %+v", rep)
+			}
+			if got := apply(t, ccf, "6"); got != "36" {
+				t.Fatalf("compiled result = %s, want 36", got)
+			}
+			st := ArtifactStore().Stats()
+			if st.Misses != tc.misses || st.CorruptDrops != tc.drops || st.Writes != 2 || st.Entries != tc.entries {
+				t.Fatalf("want %d clean misses, %d drops and a rewrite leaving %d entries: %+v", tc.misses, tc.drops, tc.entries, st)
+			}
+			if old != cur {
+				if got, ok := ArtifactStore().Get(old); !ok || string(got) != tc.payload {
+					t.Fatal("the old build's entry must stay what it was")
+				}
+			}
+			// A fresh compiler of this build now starts warm from the new entry.
+			ResetCompileCache()
+			_, rep, err = NewCompiler(k).FunctionCompileCachedRequest(fn, CompileRequest{Collect: true})
+			if err != nil || rep == nil || !rep.ArtifactHit {
+				t.Fatalf("second compile should hit the rewritten entry: %+v, %v", rep, err)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 // Process-wide content-addressed FunctionCompile cache (paper §4.5: the
 // implicit compilation mode amortises compile cost across repeated calls).
-// Entries are keyed by the canonical FullForm of the macro-expanded
-// (desugared) function together with everything else that influences code
+// Entries are keyed by a digest of the macro-expanded (desugared) function's
+// binary encoding together with everything else that influences code
 // generation: pass options, backend options, the type- and
 // macro-environment declaration signatures, the conditioned-macro compile
 // options, the compile's SelfName recursion binding, and the hosting
@@ -29,13 +29,19 @@ package core
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"io"
 	"sort"
 	"strings"
 	"sync"
 
+	"wolfc/internal/diag"
 	"wolfc/internal/expr"
+	"wolfc/internal/fnreg"
 	"wolfc/internal/kernel"
+	"wolfc/internal/macro"
 	"wolfc/internal/obs"
 )
 
@@ -72,7 +78,7 @@ func (s CompileCacheStats) HitRatio() float64 {
 }
 
 type cacheEntry struct {
-	key string
+	key cacheKey
 	ccf *CompiledCodeFunction
 }
 
@@ -89,18 +95,18 @@ type inflightCompile struct {
 type cacheFront struct {
 	mu       sync.Mutex
 	cap      int
-	byKey    map[string]*list.Element // -> *cacheEntry elements of lru
-	lru      *list.List               // front = most recently used
-	inflight map[string]*inflightCompile
+	byKey    map[cacheKey]*list.Element // -> *cacheEntry elements of lru
+	lru      *list.List                 // front = most recently used
+	inflight map[cacheKey]*inflightCompile
 	stats    CompileCacheStats // Entries is filled in at snapshot time
 }
 
 // compileCache is the process-wide instance.
 var compileCache = &cacheFront{
 	cap:      256,
-	byKey:    map[string]*list.Element{},
+	byKey:    map[cacheKey]*list.Element{},
 	lru:      list.New(),
-	inflight: map[string]*inflightCompile{},
+	inflight: map[cacheKey]*inflightCompile{},
 }
 
 // evictOverLocked drops least-recently-used entries until the cache fits
@@ -165,7 +171,7 @@ func ResetCompileCache() {
 	c := compileCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.byKey = map[string]*list.Element{}
+	c.byKey = map[cacheKey]*list.Element{}
 	c.lru.Init()
 	c.stats = CompileCacheStats{}
 }
@@ -203,15 +209,20 @@ func (ccf *CompiledCodeFunction) BoundKernel() *kernel.Kernel {
 	return ccf.compiler.Kernel
 }
 
-// cacheKeys holds both halves of the content key: full is the in-memory
-// key (everything including the hosting-kernel identity); stable is the
-// process-independent prefix the disk tier is keyed by — identical
-// compiles in different processes (or the same process across restarts)
-// share one stable key, and the loaded module is rebound to the hosting
-// kernel exactly as LibraryFunctionLoad does.
-type cacheKeys struct {
-	full   string
-	stable string
+// cacheKey is the in-memory key. stable is the process-independent content
+// key the disk tier is keyed by — identical compiles in different processes
+// (or the same process across restarts) share one stable key, and the loaded
+// module is rebound to the hosting kernel exactly as LibraryFunctionLoad
+// does. The other two fields bind an in-memory entry to its host: the
+// compiled wrapper's fallback and engine escapes are bound to the kernel, and
+// compiled registry calls bake *fnreg.Entry pointers from the registry
+// namespace, so the in-memory tier shares nothing across kernels or engines.
+// (The stable key stays registry-free: artifacts with registry deps never
+// reach the store.)
+type cacheKey struct {
+	stable   string
+	kernel   *kernel.Kernel
+	registry *fnreg.Registry
 }
 
 // cacheKeyVersion joins the stable key so that incompatible changes to
@@ -224,7 +235,9 @@ type cacheKeys struct {
 // v3: elementwise tensor natives that write over a dying operand are named
 // native_intoK and consume that operand's reference; a v2 binary has no
 // implementation for them.
-const cacheKeyVersion = "wolfc-key/v3"
+// v4: the key is a digest of the source's binary encoding, not of its
+// FullForm, and the module format writes each type once (WCLB0002).
+const cacheKeyVersion = "wolfc-key/v4"
 
 // canonicalizeHygiene alpha-renames the macro expander's hygienic
 // temporaries (`<base>`h<counter>`, freshSym's marker — the backtick
@@ -281,70 +294,100 @@ func hygieneBase(name string) (string, bool) {
 	return name[:i], true
 }
 
-// computeCacheKeys builds the content-addressed keys for compiling fn
-// under this compiler's configuration with the given SelfName recursion
-// binding. The desugared (macro-expanded) form is hashed — with hygienic
-// temporaries canonically renumbered — so that surface spellings that
-// expand alpha-equivalently share one entry; expansion runs to a fixed
-// point, so compiling from the original source on a miss produces exactly
-// the cached program.
-func (c *Compiler) computeCacheKeys(selfName string, fn expr.Expr) (cacheKeys, error) {
-	return c.cacheKeysAt(cacheKeyVersion, selfName, fn)
+// keyHashes pools the SHA-256 states contentKey feeds.
+var keyHashes = sync.Pool{New: func() any { return sha256.New() }}
+
+// contentKey digests e with everything else a compile's result depends on:
+// the SelfName recursion binding, pass and backend options, both environment
+// signatures and the conditioned-macro compile options. All of it is
+// process-independent: the environment signatures are content hashes of the
+// declarations, not pointers. e goes in as its binary encoding (injective: it
+// round-trips), streamed from a pooled buffer — nothing is printed.
+//
+// Both keys are this digest. Of the unexpanded source it is the fast key,
+// what the memo below is asked under; of the hygiene-canonicalised expansion
+// it is the stable key, the content address of the compiled module.
+func (c *Compiler) contentKey(version, selfName string, e expr.Expr) (key [sha256.Size]byte, err error) {
+	h := keyHashes.Get().(hash.Hash)
+	defer keyHashes.Put(h)
+	h.Reset()
+	io.WriteString(h, version)
+	if err := expr.Encode(h, e); err != nil {
+		return key, err
+	}
+	var scratch [256]byte
+	h.Write(fmt.Appendf(scratch[:0], "\nself:%s\npasses:%+v\nbackend:naive=%v parallelism=%d fuse=%d profile=%d stencil=%v\ntyenv:%x macroenv:%x\n",
+		selfName, c.Options, c.NaiveConstants, c.Parallelism, c.FuseLevel, c.ProfileLevel, c.Stencil,
+		c.TypeEnv.Sig(), c.MacroEnv.Sig()))
+	if len(c.CompileOpts) > 0 {
+		names := make([]string, 0, len(c.CompileOpts))
+		for k := range c.CompileOpts {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		for _, k := range names {
+			b := binary.AppendUvarint(append(scratch[:0], "opt:"...), uint64(len(k)))
+			h.Write(append(b, k...))
+			if err := expr.Encode(h, c.CompileOpts[k]); err != nil {
+				return key, err
+			}
+		}
+	}
+	h.Sum(key[:0])
+	return key, nil
 }
 
-// cacheKeysAt derives the keys under an explicit key version.
-func (c *Compiler) cacheKeysAt(version, selfName string, fn expr.Expr) (cacheKeys, error) {
-	expanded, err := c.ExpandAST(fn)
+// stableKey expands fn's macros and digests the result — with hygienic
+// temporaries canonically renumbered — so that surface spellings that expand
+// alpha-equivalently share one entry; expansion runs to a fixed point, so
+// compiling from the original source on a miss produces exactly the cached
+// program. The expansion is returned as the compile would have made it (spans
+// carried into src, temporaries not renumbered), for the compile that follows
+// a miss to start from.
+func (c *Compiler) stableKey(version, selfName string, fn expr.Expr, src *diag.Source) (string, expr.Expr, error) {
+	expanded, err := c.expand(fn, src)
 	if err != nil {
-		return cacheKeys{}, err
+		return "", nil, err
 	}
-	expanded = canonicalizeHygiene(expanded)
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n", version)
-	fmt.Fprintf(h, "src:%s\n", expr.FullForm(expanded))
-	fmt.Fprintf(h, "self:%s\n", selfName)
-	fmt.Fprintf(h, "passes:%+v\n", c.Options)
-	fmt.Fprintf(h, "backend:naive=%v parallelism=%d fuse=%d profile=%d stencil=%v\n", c.NaiveConstants, c.Parallelism, c.FuseLevel, c.ProfileLevel, c.Stencil)
-	fmt.Fprintf(h, "tyenv:%x macroenv:%x\n", c.TypeEnv.Sig(), c.MacroEnv.Sig())
-	opts := make([]string, 0, len(c.CompileOpts))
-	for k, v := range c.CompileOpts {
-		opts = append(opts, k+"="+expr.FullForm(v))
-	}
-	sort.Strings(opts)
-	for _, o := range opts {
-		fmt.Fprintf(h, "opt:%s\n", o)
-	}
-	// Everything above is process-independent: the environment signatures
-	// are content hashes of the declarations, not pointers. The kernel
-	// identity is appended after snapshotting the stable key — the
-	// compiled wrapper's fallback and engine escapes are bound to the
-	// hosting kernel, so the in-memory tier must not share entries across
-	// kernels, but the serialised module (regenerated against the loading
-	// compiler) can cross processes freely.
-	stable := string(h.Sum(nil))
-	fmt.Fprintf(h, "kernel:%p\n", c.Kernel)
-	// The registry namespace is kernel-like state: compiled registry calls
-	// bake *fnreg.Entry pointers from it, so the in-memory tier must not
-	// share entries across engines either. (The stable key stays
-	// registry-free: artifacts with registry deps never reach the store.)
-	fmt.Fprintf(h, "registry:%p\n", c.reg())
-	return cacheKeys{full: string(h.Sum(nil)), stable: stable}, nil
+	key, err := c.contentKey(version, selfName, canonicalizeHygiene(expanded))
+	return string(key[:]), expanded, err
 }
 
-// fastKey is the cheap first-tier key: the *unexpanded* source plus every
-// configuration input the content key depends on (the kernel is constant
-// per compiler). Macro-environment changes that would alter expansion are
-// covered by the environment signature, so a fastKey match guarantees the
-// memoised content key is still the one computeCacheKeys would compute.
-func (c *Compiler) fastKey(selfName string, fn expr.Expr) string {
-	opts := make([]string, 0, len(c.CompileOpts))
-	for k, v := range c.CompileOpts {
-		opts = append(opts, k+"="+expr.FullForm(v))
+// expand is the compile's macro stage.
+func (c *Compiler) expand(fn expr.Expr, src *diag.Source) (expr.Expr, error) {
+	expanded, err := c.MacroEnv.ExpandSource(fn, c.CompileOpts, src)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(opts)
-	return fmt.Sprintf("%s\x00%s\x00%+v\x00%v\x00%d\x00%d\x00%d\x00%v\x00%x\x00%x\x00%s",
-		selfName, expr.FullForm(fn), c.Options, c.NaiveConstants, c.Parallelism,
-		c.FuseLevel, c.ProfileLevel, c.Stencil, c.TypeEnv.Sig(), c.MacroEnv.Sig(), strings.Join(opts, "\x00"))
+	return macro.ExpandSlotsSource(expanded, src), nil
+}
+
+// keyMemo is the process-wide fast key → stable key memo: a repeated compile
+// of one source under one configuration (implicit compilation in a solver
+// loop, a session binding kernels another session has bound) skips macro
+// expansion. One memo serves every compiler because the mapping is a pure
+// function of the fast key: that key holds the source, the compile options
+// and both environment signatures, and macro expansion reads nothing else (no
+// kernel: internal/macro imports none). Only the stable key is shared; what it
+// addresses in memory is still one entry per kernel and registry (cacheKey).
+var keyMemo fastMemo
+
+// keysFor returns the cache key of compiling fn under req, and the macro
+// expansion when finding the key took one.
+func (c *Compiler) keysFor(fn expr.Expr, req CompileRequest) (cacheKey, expr.Expr, error) {
+	fast, err := c.contentKey(cacheKeyVersion, req.SelfName, fn)
+	if err != nil {
+		return cacheKey{}, nil, err
+	}
+	stable, memoised := keyMemo.get(fast)
+	var expanded expr.Expr
+	if !memoised {
+		if stable, expanded, err = c.stableKey(cacheKeyVersion, req.SelfName, fn, req.Source); err != nil {
+			return cacheKey{}, nil, err
+		}
+		keyMemo.put(fast, stable)
+	}
+	return cacheKey{stable: stable, kernel: c.Kernel, registry: c.reg()}, expanded, nil
 }
 
 // FunctionCompileCached is FunctionCompile backed by the process-wide LRU
@@ -372,47 +415,47 @@ func (c *Compiler) FunctionCompileCachedRequest(fn expr.Expr, req CompileRequest
 	if obs.TraceEnabled() && !req.Span.Valid() {
 		req.Span = c.activeSpan()
 	}
-	// Hot path (implicit compilation in a solver loop): skip macro
-	// expansion and hashing when this compiler has resolved the same
-	// source under the same configuration before. The memo stores only
-	// the content keys — hits, misses, and LRU eviction all still go
-	// through the shared cache below.
-	fk := c.fastKey(req.SelfName, fn)
-	keys, memoised := c.memo.get(fk)
-	if !memoised {
-		var err error
-		keys, err = c.computeCacheKeys(req.SelfName, fn)
-		if err != nil {
-			// Expansion failures surface through the regular pipeline so
-			// the error message carries its usual context.
-			ccf, err := c.FunctionCompileRequest(fn, req)
-			return ccf, ccf.reportOrNil(), err
-		}
-		c.memo.put(fk, keys)
+	var rep *CompileReport
+	if req.Collect {
+		rep = &CompileReport{}
 	}
+	t := startTimer(rep)
+	key, expanded, err := c.keysFor(fn, req)
+	if err != nil {
+		// Expansion failures surface through the regular pipeline so
+		// the error message carries its usual context.
+		ccf, err := c.FunctionCompileRequest(fn, req)
+		return ccf, ccf.reportOrNil(), err
+	}
+	rep.stage("key", t)
 
-	ccf, flight, winner := compileCache.acquire(keys.full)
+	ccf, flight, winner := compileCache.acquire(key)
 	switch {
 	case ccf != nil:
-		return ccf, c.hitReport(ccf, req, false), nil
+		return ccf, c.hitReport(ccf, req, rep, false), nil
 	case !winner:
 		<-flight.done
 		if flight.err != nil {
 			return nil, nil, flight.err
 		}
-		return flight.ccf, c.hitReport(flight.ccf, req, false), nil
+		return flight.ccf, c.hitReport(flight.ccf, req, rep, false), nil
 	}
 	// The singleflight winner: probe the disk tier, fall back to a full
-	// compile, file the result and release the waiters.
-	var rep *CompileReport
-	var err error
-	if ccf = c.loadArtifact(keys.stable, fn, req); ccf != nil {
-		rep = c.hitReport(ccf, req, true)
-	} else if ccf, err = c.FunctionCompileRequest(fn, req); err == nil {
-		rep = ccf.Report
-		c.maybeStoreArtifact(keys.stable, ccf)
+	// compile (from the expansion the key took, when it took one), file the
+	// result and release the waiters.
+	if ccf = c.loadArtifact(key.stable, fn, req, rep); ccf != nil {
+		rep = c.hitReport(ccf, req, rep, true)
+	} else {
+		req.expanded = expanded
+		if ccf, err = c.FunctionCompileRequest(fn, req); err == nil {
+			if ccf.Report != nil {
+				ccf.Report.Stages = append(rep.Stages[:1:1], ccf.Report.Stages...)
+			}
+			rep = ccf.Report
+			c.maybeStoreArtifact(key.stable, ccf)
+		}
 	}
-	compileCache.finish(keys.full, flight, ccf, err)
+	compileCache.finish(key, flight, ccf, err)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -424,7 +467,7 @@ func (c *Compiler) FunctionCompileCachedRequest(fn expr.Expr, req CompileRequest
 // joins the flight already compiling key, or claims a new one — winner is
 // true, the lookup counts as the miss, and the caller must call finish
 // exactly once.
-func (c *cacheFront) acquire(key string) (ccf *CompiledCodeFunction, flight *inflightCompile, winner bool) {
+func (c *cacheFront) acquire(key cacheKey) (ccf *CompiledCodeFunction, flight *inflightCompile, winner bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
@@ -445,7 +488,7 @@ func (c *cacheFront) acquire(key string) (ccf *CompiledCodeFunction, flight *inf
 // finish files the winner's compile under key (evicting LRU entries
 // while over capacity, so a snapshot never observes an over-capacity cache)
 // and publishes the result to the flight's waiters.
-func (c *cacheFront) finish(key string, f *inflightCompile, ccf *CompiledCodeFunction, err error) {
+func (c *cacheFront) finish(key cacheKey, f *inflightCompile, ccf *CompiledCodeFunction, err error) {
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if err == nil {
@@ -457,22 +500,23 @@ func (c *cacheFront) finish(key string, f *inflightCompile, ccf *CompiledCodeFun
 	close(f.done)
 }
 
-// hitReport builds the per-invocation report (and trace event) for a
-// lookup served without compiling: from the in-memory cache, from a
+// hitReport completes the per-invocation report (and emits the trace event)
+// for a lookup served without compiling: from the in-memory cache, from a
 // coalesced flight, or — artifact=true — from the disk tier. The span was
 // resolved into req.Span at the cached-compile boundary, so the hit event
-// correlates to the requesting trace even though no compiler ran.
-func (c *Compiler) hitReport(ccf *CompiledCodeFunction, req CompileRequest, artifact bool) *CompileReport {
+// correlates to the requesting trace even though no compiler ran. rep holds
+// the stages the lookup paid for and is nil when none was asked for.
+func (c *Compiler) hitReport(ccf *CompiledCodeFunction, req CompileRequest, rep *CompileReport, artifact bool) *CompileReport {
 	if obs.TraceEnabled() && !req.Span.Suppressed() {
 		ev := obs.TraceEvent{Type: "compile", Name: ccf.Metrics.Name(),
 			TNs: obs.TraceNow(), CacheHit: true, Engine: c.engineLabel()}
 		req.Span.Annotate(&ev)
 		obs.Emit(ev)
 	}
-	if !req.Collect {
-		return nil
+	if rep != nil {
+		rep.CacheHit, rep.ArtifactHit = !artifact, artifact
 	}
-	return &CompileReport{CacheHit: !artifact, ArtifactHit: artifact}
+	return rep
 }
 
 // reportOrNil is nil-safe access to the compile-time report.
@@ -483,22 +527,21 @@ func (ccf *CompiledCodeFunction) reportOrNil() *CompileReport {
 	return ccf.Report
 }
 
-// fastMemo is the per-compiler source→content-key memo. It is
-// generational (young + old maps): when the young generation fills, it
-// becomes the old generation and a fresh young map starts — hot keys are
-// re-promoted to young on access, so steady churn evicts only cold keys
-// instead of wiping the whole memo (the old behaviour discarded every
-// memoised key at once). Total footprint is bounded by 2×cap entries.
+// fastMemo maps fast keys to stable keys (keyMemo). It is generational
+// (young + old maps): when the young generation fills, it becomes the old
+// generation and a fresh young map starts — hot keys are re-promoted to young
+// on access, so steady churn evicts only cold keys instead of wiping the
+// whole memo. Total footprint is bounded by 2×cap entries of two digests.
 type fastMemo struct {
 	mu    sync.Mutex
 	cap   int // per-generation bound; 0 = default 1024
-	young map[string]cacheKeys
-	old   map[string]cacheKeys
+	young map[[sha256.Size]byte]string
+	old   map[[sha256.Size]byte]string
 }
 
 const fastMemoDefaultCap = 1024
 
-func (m *fastMemo) get(k string) (cacheKeys, bool) {
+func (m *fastMemo) get(k [sha256.Size]byte) (string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if v, ok := m.young[k]; ok {
@@ -508,25 +551,25 @@ func (m *fastMemo) get(k string) (cacheKeys, bool) {
 		m.putLocked(k, v) // promote: hot keys survive the next flip
 		return v, true
 	}
-	return cacheKeys{}, false
+	return "", false
 }
 
-func (m *fastMemo) put(k string, v cacheKeys) {
+func (m *fastMemo) put(k [sha256.Size]byte, v string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.putLocked(k, v)
 }
 
-func (m *fastMemo) putLocked(k string, v cacheKeys) {
+func (m *fastMemo) putLocked(k [sha256.Size]byte, v string) {
 	if m.cap <= 0 {
 		m.cap = fastMemoDefaultCap
 	}
 	if m.young == nil {
-		m.young = make(map[string]cacheKeys)
+		m.young = make(map[[sha256.Size]byte]string)
 	}
 	if _, dup := m.young[k]; !dup && len(m.young) >= m.cap {
 		m.old = m.young
-		m.young = make(map[string]cacheKeys, m.cap)
+		m.young = make(map[[sha256.Size]byte]string, m.cap)
 	}
 	m.young[k] = v
 }

@@ -72,11 +72,6 @@ type Compiler struct {
 	// kernel is evaluating NOW, which is not the request that queued the
 	// job — workers carry the correct span explicitly in CompileRequest.Span.
 	DisableImplicitSpan bool
-
-	// memo memoises raw source -> content-addressed cache keys so
-	// repeated implicit compiles (FindRoot's solver loop) skip macro
-	// expansion and hashing. Generationally evicted; see cache.go.
-	memo fastMemo
 }
 
 // NewCompiler builds a compiler hosted in k with the default environments
@@ -238,7 +233,7 @@ func (c *Compiler) FunctionCompileRequest(fn expr.Expr, req CompileRequest) (ccf
 			err = diag.Resolve(err, req.Source)
 		}
 	}()
-	mod, err := c.buildUntypedWIR(req.SelfName, fn, req.Source, rep)
+	mod, err := c.buildUntypedWIR(fn, req, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +286,7 @@ func (c *Compiler) FunctionCompileRequest(fn expr.Expr, req CompileRequest) (ccf
 		return nil, err
 	}
 	rep.stage(codegenStage, t)
-	ccf, err = c.wrap(mod, prog, fn, displayName(req.SelfName, fn), c.backend())
+	ccf, err = c.wrap(mod, prog, fn, req.SelfName, c.backend())
 	if err != nil {
 		return nil, err
 	}
@@ -331,9 +326,11 @@ func (c *Compiler) backend() string {
 }
 
 // wrap binds generated code to this compiler's kernel as a
-// CompiledCodeFunction. name and label title its metrics block; a library
-// loaded without its source has no name and gets none.
-func (c *Compiler) wrap(mod *wir.Module, prog *codegen.Program, fn expr.Expr, name, label string) (*CompiledCodeFunction, error) {
+// CompiledCodeFunction. Its metrics block is titled the way displayName
+// titles trace events — the source is kept and printed when the name is first
+// read — and labelled with the backend; a library loaded without its source
+// (fn nil) gets no block.
+func (c *Compiler) wrap(mod *wir.Module, prog *codegen.Program, fn expr.Expr, selfName, label string) (*CompiledCodeFunction, error) {
 	main := mod.Main()
 	if main == nil {
 		return nil, fmt.Errorf("module has no entry function")
@@ -352,8 +349,12 @@ func (c *Compiler) wrap(mod *wir.Module, prog *codegen.Program, fn expr.Expr, na
 			ccf.ParamTypes = append(ccf.ParamTypes, p.Ty)
 		}
 	}
-	if name != "" {
-		ccf.Metrics = obs.RegisterFuncScoped(name, label, c.reg().ID())
+	if fn != nil {
+		if selfName != "" {
+			ccf.Metrics = obs.RegisterFuncScoped(selfName, label, c.reg().ID())
+		} else {
+			ccf.Metrics = obs.RegisterFuncSource(fn, label, c.reg().ID())
+		}
 		if c.ProfileLevel > 0 {
 			ccf.Metrics.SetDetail(ccf.profileDetail)
 		}
@@ -411,7 +412,7 @@ func (ccf *CompiledCodeFunction) profileDetail() string {
 // BuildTWIR runs the front half of the pipeline: macro expansion, binding
 // analysis, lowering, and type inference (§A.6 CompileToIR).
 func (c *Compiler) BuildTWIR(selfName string, fn expr.Expr) (*wir.Module, error) {
-	mod, err := c.buildUntypedWIR(selfName, fn, nil, nil)
+	mod, err := c.buildUntypedWIR(fn, CompileRequest{SelfName: selfName}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -422,17 +423,20 @@ func (c *Compiler) BuildTWIR(selfName string, fn expr.Expr) (*wir.Module, error)
 }
 
 // buildUntypedWIR is the front end both configurations share: macro
-// expansion, the SelfName recursion rewrite, binding, and SSA lowering.
-func (c *Compiler) buildUntypedWIR(selfName string, fn expr.Expr, src *diag.Source, rep *CompileReport) (*wir.Module, error) {
+// expansion (skipped when the request brings it), the SelfName recursion
+// rewrite, binding, and SSA lowering.
+func (c *Compiler) buildUntypedWIR(fn expr.Expr, req CompileRequest, rep *CompileReport) (*wir.Module, error) {
 	t := startTimer(rep)
-	expanded, err := c.MacroEnv.ExpandSource(fn, c.CompileOpts, src)
-	if err != nil {
-		return nil, fmt.Errorf("macro expansion: %w", err)
+	expanded, src := req.expanded, req.Source
+	if expanded == nil {
+		var err error
+		if expanded, err = c.expand(fn, src); err != nil {
+			return nil, fmt.Errorf("macro expansion: %w", err)
+		}
 	}
-	expanded = macro.ExpandSlotsSource(expanded, src)
 	rep.stage("macro", t)
-	if selfName != "" {
-		self := expr.Sym(selfName)
+	if req.SelfName != "" {
+		self := expr.Sym(req.SelfName)
 		expanded = expr.Replace(expanded, func(e expr.Expr) expr.Expr {
 			if e == self {
 				return expr.Sym("Main")
@@ -458,11 +462,10 @@ func (c *Compiler) buildUntypedWIR(selfName string, fn expr.Expr, src *diag.Sour
 // BuildWIR runs the pipeline up to untyped WIR (§A.6 CompileToIR with
 // optimisations off shows the untyped form).
 func (c *Compiler) BuildWIR(fn expr.Expr) (*wir.Module, error) {
-	expanded, err := c.MacroEnv.Expand(fn, c.CompileOpts)
+	expanded, err := c.expand(fn, nil)
 	if err != nil {
 		return nil, err
 	}
-	expanded = macro.ExpandSlots(expanded)
 	res, err := binding.Analyze(expanded)
 	if err != nil {
 		return nil, err
@@ -472,11 +475,7 @@ func (c *Compiler) BuildWIR(fn expr.Expr) (*wir.Module, error) {
 
 // ExpandAST runs macro expansion only (§A.6 CompileToAST).
 func (c *Compiler) ExpandAST(fn expr.Expr) (expr.Expr, error) {
-	out, err := c.MacroEnv.Expand(fn, c.CompileOpts)
-	if err != nil {
-		return nil, err
-	}
-	return macro.ExpandSlots(out), nil
+	return c.expand(fn, nil)
 }
 
 // ResolveFunctions materialises Wolfram-source implementations chosen by

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"wolfc/internal/diag"
+	"wolfc/internal/expr"
 	"wolfc/internal/infer"
 	"wolfc/internal/obs"
 	"wolfc/internal/passes"
@@ -11,7 +12,9 @@ import (
 
 // StageTime records the wall-clock duration of one stage of a compile
 // (macro expansion, binding, lowering, inference, resolution, the pass
-// pipeline, code generation).
+// pipeline, code generation) or of a cached lookup (key: both digests and,
+// for a source the process has not keyed before, its macro expansion; decode:
+// the artifact read and module decode; codegen).
 type StageTime struct {
 	Name     string        `json:"name"`
 	Duration time.Duration `json:"duration_ns"`
@@ -61,6 +64,11 @@ type CompileRequest struct {
 	// Never part of the cache key: identical sources from different
 	// requests must still coalesce.
 	Span obs.SpanContext
+
+	// expanded, when non-nil, is the function's macro expansion under this
+	// compiler and Source: the cached path made it to find the cache key and
+	// the compile that follows a miss starts from it.
+	expanded expr.Expr
 }
 
 // startTimer returns the stage start time, or the zero time when no report

@@ -371,45 +371,22 @@ func SameQ(a, b Expr) bool {
 	return false
 }
 
-// Hash returns a structural hash consistent with SameQ.
+// Hash returns a structural hash consistent with SameQ: FNV-1a over the
+// binary encoding (serialize.go), built in a pooled buffer, so hashing
+// allocates nothing.
 func Hash(e Expr) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
+	eb := getEncBuf()
+	eb.b, _ = appendExpr(eb.b, e, true) // an unencodable node hashes as the prefix before it
 	h := uint64(offset64)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
+	for _, c := range eb.b {
+		h ^= uint64(c)
+		h *= prime64
 	}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case *Symbol:
-			mix("s:" + x.Name)
-		case *Integer:
-			mix("i:" + x.String())
-		case *Real:
-			mix(fmt.Sprintf("r:%x", x.V))
-		case *Rational:
-			mix("q:" + x.String())
-		case *Complex:
-			mix(fmt.Sprintf("c:%x,%x", x.Re, x.Im))
-		case *String:
-			mix("t:" + x.V)
-		case *Normal:
-			mix("n(")
-			walk(x.head)
-			for _, a := range x.args {
-				mix(",")
-				walk(a)
-			}
-			mix(")")
-		}
-	}
-	walk(e)
+	eb.release()
 	return h
 }
 

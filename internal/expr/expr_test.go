@@ -104,6 +104,30 @@ func TestHashConsistentWithSameQ(t *testing.T) {
 	}
 }
 
+// Hash walks the binary encoding in a pooled buffer: no string per atom, and
+// the two real zeros, which SameQ holds equal, hash alike while a round trip
+// keeps them apart.
+func TestHashAllocatesNothing(t *testing.T) {
+	e := NewS("f", FromInt64(-7), FromBig(new(big.Int).Lsh(big.NewInt(3), 200)), FromFloat(2.5),
+		Ratio(big.NewInt(22), big.NewInt(7)), FromComplex(1.5, -2.5), FromString("héllo"),
+		List(Sym("x"), NewS("g", Sym("y"))))
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() { sink += Hash(e) }); n != 0 {
+		t.Errorf("Hash allocates %.0f times per call", n)
+	}
+	negZero := FromFloat(math.Copysign(0, -1))
+	if !SameQ(FromFloat(0), negZero) || Hash(FromFloat(0)) != Hash(negZero) {
+		t.Error("0. and -0. are SameQ and must hash equal")
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, negZero); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Decode(&buf); err != nil || !math.Signbit(got.(*Real).V) {
+		t.Errorf("-0. must round-trip with its sign: %v, %v", got, err)
+	}
+}
+
 func TestNormalAccessors(t *testing.T) {
 	n := NewS("f", FromInt64(1), FromInt64(2), FromInt64(3))
 	if n.Len() != 3 {

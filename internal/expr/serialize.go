@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/big"
+	"sync"
 )
 
 // Binary serialisation of expressions. The format is a compact preorder
@@ -24,93 +25,112 @@ const (
 	tagNormal
 )
 
-// Encode writes a binary encoding of e to w.
-func Encode(w io.Writer, e Expr) error {
-	bw := bufio.NewWriter(w)
-	if err := encode(bw, e); err != nil {
-		return err
+// encBuf is a reusable encoding buffer. Encode and Hash build the whole
+// encoding in one before handing it on, so neither allocates per call or per
+// node; a buffer that grew past maxPooledEncoding is dropped, not pooled.
+type encBuf struct{ b []byte }
+
+const maxPooledEncoding = 1 << 16
+
+var encPool = sync.Pool{New: func() any { return &encBuf{b: make([]byte, 0, 1024)} }}
+
+func getEncBuf() *encBuf { return encPool.Get().(*encBuf) }
+
+func (eb *encBuf) release() {
+	if cap(eb.b) <= maxPooledEncoding {
+		eb.b = eb.b[:0]
+		encPool.Put(eb)
 	}
-	return bw.Flush()
 }
 
-func encode(w *bufio.Writer, e Expr) error {
+// Encode writes a binary encoding of e to w, in one Write. The encoding is
+// injective (it round-trips through Decode), so writing it to a hash keys e
+// by content: the compile cache does.
+func Encode(w io.Writer, e Expr) error {
+	eb := getEncBuf()
+	defer eb.release()
+	var err error
+	if eb.b, err = appendExpr(eb.b, e, false); err != nil {
+		return err
+	}
+	_, err = w.Write(eb.b)
+	return err
+}
+
+// appendExpr appends the encoding of e to dst. With sameQ set, values SameQ
+// holds equal encode alike (the two real zeros), which is what Hash needs and
+// a round trip must not have.
+func appendExpr(dst []byte, e Expr, sameQ bool) ([]byte, error) {
 	switch x := e.(type) {
 	case *Symbol:
-		w.WriteByte(tagSymbol)
-		writeString(w, x.Name)
+		dst = append(dst, tagSymbol)
+		dst = appendString(dst, x.Name)
 	case *Integer:
 		if x.IsMachine() {
-			w.WriteByte(tagMachineInt)
-			var buf [binary.MaxVarintLen64]byte
-			n := binary.PutVarint(buf[:], x.Int64())
-			w.Write(buf[:n])
+			dst = append(dst, tagMachineInt)
+			dst = binary.AppendVarint(dst, x.Int64())
 		} else {
-			w.WriteByte(tagBigInt)
-			writeBytes(w, x.Big().Bytes())
-			sign := byte(0)
-			if x.Sign() < 0 {
-				sign = 1
-			}
-			w.WriteByte(sign)
+			dst = append(dst, tagBigInt)
+			dst = appendBigInt(dst, x.big)
 		}
 	case *Real:
-		w.WriteByte(tagReal)
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x.V))
-		w.Write(buf[:])
+		dst = append(dst, tagReal)
+		dst = appendFloat(dst, x.V, sameQ)
 	case *Rational:
-		w.WriteByte(tagRational)
-		writeBigInt(w, x.V.Num())
-		writeBigInt(w, x.V.Denom())
+		dst = append(dst, tagRational)
+		dst = appendBigInt(dst, x.V.Num())
+		dst = appendBigInt(dst, x.V.Denom())
 	case *Complex:
-		w.WriteByte(tagComplex)
-		var buf [16]byte
-		binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(x.Re))
-		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(x.Im))
-		w.Write(buf[:])
+		dst = append(dst, tagComplex)
+		dst = appendFloat(dst, x.Re, sameQ)
+		dst = appendFloat(dst, x.Im, sameQ)
 	case *String:
-		w.WriteByte(tagString)
-		writeString(w, x.V)
+		dst = append(dst, tagString)
+		dst = appendString(dst, x.V)
 	case *Normal:
-		w.WriteByte(tagNormal)
-		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(buf[:], uint64(len(x.args)))
-		w.Write(buf[:n])
-		if err := encode(w, x.head); err != nil {
-			return err
+		dst = append(dst, tagNormal)
+		dst = binary.AppendUvarint(dst, uint64(len(x.args)))
+		var err error
+		if dst, err = appendExpr(dst, x.head, sameQ); err != nil {
+			return dst, err
 		}
 		for _, a := range x.args {
-			if err := encode(w, a); err != nil {
-				return err
+			if dst, err = appendExpr(dst, a, sameQ); err != nil {
+				return dst, err
 			}
 		}
 	default:
-		return fmt.Errorf("expr: cannot encode %T", e)
+		return dst, fmt.Errorf("expr: cannot encode %T", e)
 	}
-	return nil
+	return dst, nil
 }
 
-func writeString(w *bufio.Writer, s string) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(s)))
-	w.Write(buf[:n])
-	w.WriteString(s)
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
 
-func writeBytes(w *bufio.Writer, b []byte) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(b)))
-	w.Write(buf[:n])
-	w.Write(b)
+func appendFloat(dst []byte, v float64, sameQ bool) []byte {
+	if sameQ && v == 0 {
+		v = 0 // -0. === 0.
+	}
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-func writeBigInt(w *bufio.Writer, v *big.Int) {
-	writeBytes(w, v.Bytes())
+// appendBigInt appends the magnitude's length, its big-endian bytes and a
+// sign byte, filling the bytes in place.
+func appendBigInt(dst []byte, v *big.Int) []byte {
+	n := (v.BitLen() + 7) / 8
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for i := 0; i < n; i++ {
+		dst = append(dst, 0)
+	}
+	v.FillBytes(dst[len(dst)-n:])
 	sign := byte(0)
 	if v.Sign() < 0 {
 		sign = 1
 	}
-	w.WriteByte(sign)
+	return append(dst, sign)
 }
 
 // Decode reads one expression from r in the format written by Encode.

@@ -14,6 +14,7 @@ import (
 	"wolfc/internal/infer"
 	"wolfc/internal/parser"
 	"wolfc/internal/passes"
+	"wolfc/internal/testcorpus"
 	"wolfc/internal/types"
 	"wolfc/internal/wir"
 )
@@ -123,24 +124,24 @@ func checkModuleRegions(t *testing.T, what string, mod *wir.Module) int {
 // tree the closure backend runs is the function's CFG, whole and once.
 func TestRegionTreeCoversCFG(t *testing.T) {
 	modules, loops := 0, 0
-	for _, e := range corpus(t) {
-		c := e.compiler()
-		mod, err := e.untyped(c)
+	for _, e := range testcorpus.All(t) {
+		c := e.Compiler()
+		mod, err := e.Untyped(c)
 		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
 		if err := infer.InferWith(mod, c.TypeEnv, c.Registry); err != nil {
-			t.Fatalf("%s: %v", e.name, err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
 		if err := c.ResolveFunctions(mod); err != nil {
-			t.Fatalf("%s: resolve: %v", e.name, err)
+			t.Fatalf("%s: resolve: %v", e.Name, err)
 		}
 		opts := c.Options
 		opts.OptimizationLevel = 2
 		if err := passes.RunPipeline(mod, &passes.Context{Env: c.TypeEnv, Opts: opts}); err != nil {
-			t.Fatalf("%s: passes: %v", e.name, err)
+			t.Fatalf("%s: passes: %v", e.Name, err)
 		}
-		loops += checkModuleRegions(t, e.name, mod)
+		loops += checkModuleRegions(t, e.Name, mod)
 		modules++
 	}
 	if modules < 40 || loops < 30 {
@@ -166,7 +167,7 @@ func TestRegionTreeCoversCFG(t *testing.T) {
 	compiled := 0
 	for _, file := range files {
 		name := strings.TrimSuffix(filepath.Base(file), ".wl")
-		c := corpusEntry{}.compiler()
+		c := testcorpus.Entry{}.Compiler()
 		c.Options.OptimizationLevel = 2
 		src, err := os.ReadFile(file)
 		if err != nil {

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // enabled gates all metric recording. SetEnabled flips it; attaching a sink
@@ -65,9 +66,15 @@ func BucketUpperNs(i int) uint64 {
 // core invocation boundary. All fields are atomics; the struct is shared by
 // every concurrent caller of one compiled function and must not be copied.
 type FuncMetrics struct {
-	name    string
-	backend string
-	engine  string
+	// name is the display name. A function registered by its source
+	// (RegisterFuncSource) has src instead until the name is first read:
+	// printing a whole source is most of what registering cost, and the name
+	// is read only by a scrape or a trace event.
+	name     string
+	src      fmt.Stringer
+	nameOnce sync.Once
+	backend  string
+	engine   string
 
 	invocations atomic.Uint64
 	fallbacks   atomic.Uint64
@@ -86,7 +93,14 @@ func (m *FuncMetrics) Name() string {
 	if m == nil {
 		return ""
 	}
+	m.nameOnce.Do(m.renderName)
 	return m.name
+}
+
+func (m *FuncMetrics) renderName() {
+	if m.src != nil {
+		m.name, m.src = m.src.String(), nil
+	}
 }
 
 // Backend returns the backend label ("closure", "closure-aot", "wvm").
@@ -168,7 +182,7 @@ func (s FuncSnapshot) MeanNs() float64 {
 // consistent cut), which is the usual monitoring contract.
 func (m *FuncMetrics) Snapshot() FuncSnapshot {
 	s := FuncSnapshot{
-		Name:        m.name,
+		Name:        m.Name(),
 		Backend:     m.backend,
 		Engine:      m.engine,
 		Invocations: m.invocations.Load(),
@@ -209,7 +223,17 @@ func RegisterFunc(name, backend string) *FuncMetrics {
 // a dead session's registry slots with ReleaseEngineFuncs. Past the cap the
 // block still records but is unlisted, exactly like RegisterFunc.
 func RegisterFuncScoped(name, backend, engine string) *FuncMetrics {
-	m := &FuncMetrics{name: name, backend: backend, engine: engine}
+	return register(&FuncMetrics{name: name, backend: backend, engine: engine})
+}
+
+// RegisterFuncSource is RegisterFuncScoped for a function whose display name
+// is its source: src is kept and printed (String) the first time the name is
+// read.
+func RegisterFuncSource(src fmt.Stringer, backend, engine string) *FuncMetrics {
+	return register(&FuncMetrics{src: src, backend: backend, engine: engine})
+}
+
+func register(m *FuncMetrics) *FuncMetrics {
 	funcReg.mu.Lock()
 	if len(funcReg.funcs) < maxRegisteredFuncs {
 		funcReg.funcs = append(funcReg.funcs, m)
@@ -556,5 +580,9 @@ func shortName(s string) string {
 	if len(s) <= max {
 		return s
 	}
-	return fmt.Sprintf("%s…(%d chars)", s[:max], len(s))
+	cut := max
+	for cut > 0 && !utf8.RuneStart(s[cut]) {
+		cut-- // never split a rune: the label must stay valid UTF-8
+	}
+	return fmt.Sprintf("%s…(%d chars)", s[:cut], len(s))
 }

@@ -1,4 +1,4 @@
-package infer_test
+package testcorpus
 
 // Nine more sources of the golden corpus: three dispatch-bound scalar kernels
 // (a multiply-accumulate loop, a Mandelbrot escape iteration, a Part-heavy
