@@ -16,7 +16,9 @@ import (
 // typed IR is written out; loading re-runs code generation, giving
 // ahead-of-time compilation semantics without recompiling from source.
 
-const libraryMagic = "WCLB0001"
+// WCLB0002: each distinct type is written once, where it is first used, and
+// referred to by its index in the module's type table afterwards.
+const libraryMagic = "WCLB0002"
 
 // Marshal writes the typed module to w.
 func Marshal(w io.Writer, mod *wir.Module) error {
@@ -25,17 +27,28 @@ func Marshal(w io.Writer, mod *wir.Module) error {
 	}
 	bw := bufio.NewWriter(w)
 	bw.WriteString(libraryMagic)
-	fnIndex := map[*wir.Function]int{}
+	e := &encoder{w: bw, fnIndex: map[*wir.Function]int{}, typeIndex: map[types.Type]int{}, typeByName: map[string]int{}}
 	for i, f := range mod.Funcs {
-		fnIndex[f] = i
+		e.fnIndex[f] = i
 	}
 	writeUvarint(bw, uint64(len(mod.Funcs)))
 	for _, f := range mod.Funcs {
-		if err := marshalFunction(bw, f, fnIndex); err != nil {
+		if err := e.function(f); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// encoder is one Marshal: the output, and the indices cross-references are
+// written as. A type's index is its position in the order types are first
+// written; typeIndex finds it by pointer and typeByName by spelling, for
+// equal types that are not one object.
+type encoder struct {
+	w          *bufio.Writer
+	fnIndex    map[*wir.Function]int
+	typeIndex  map[types.Type]int
+	typeByName map[string]int
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) {
@@ -49,10 +62,27 @@ func writeString(w *bufio.Writer, s string) {
 	w.WriteString(s)
 }
 
-// writeType serialises a type by round-tripping through its TypeSpecifier
-// expression form.
-func writeType(w *bufio.Writer, t types.Type) error {
-	return expr.Encode(w, typeSpecExpr(t))
+// writeType refers to a type the module has written before by its table
+// index plus one; a new type is a zero followed by its TypeSpecifier
+// expression, and takes the next index.
+func (e *encoder) writeType(t types.Type) error {
+	if t == nil {
+		t = types.TVoid // an untyped instruction reloads as Void
+	}
+	idx, ok := e.typeIndex[t]
+	if !ok {
+		name := t.String()
+		if idx, ok = e.typeByName[name]; !ok {
+			idx = len(e.typeByName)
+			e.typeByName[name] = idx
+			e.typeIndex[t] = idx
+			writeUvarint(e.w, 0)
+			return expr.Encode(e.w, typeSpecExpr(t))
+		}
+		e.typeIndex[t] = idx
+	}
+	writeUvarint(e.w, uint64(idx)+1)
+	return nil
 }
 
 // typeSpecExpr renders a ground type as a TypeSpecifier expression.
@@ -78,7 +108,8 @@ func typeSpecExpr(t types.Type) expr.Expr {
 	return expr.FromString("Void")
 }
 
-func marshalFunction(w *bufio.Writer, f *wir.Function, fnIndex map[*wir.Function]int) error {
+func (e *encoder) function(f *wir.Function) error {
+	w := e.w
 	writeString(w, f.Name)
 	writeUvarint(w, uint64(len(f.Params)))
 	for _, p := range f.Params {
@@ -88,11 +119,11 @@ func marshalFunction(w *bufio.Writer, f *wir.Function, fnIndex map[*wir.Function
 			capture = 1
 		}
 		writeUvarint(w, capture)
-		if err := writeType(w, p.Ty); err != nil {
+		if err := e.writeType(p.Ty); err != nil {
 			return err
 		}
 	}
-	if err := writeType(w, f.RetTy); err != nil {
+	if err := e.writeType(f.RetTy); err != nil {
 		return err
 	}
 	blockIndex := map[*wir.Block]int{}
@@ -108,13 +139,13 @@ func marshalFunction(w *bufio.Writer, f *wir.Function, fnIndex map[*wir.Function
 		}
 		writeUvarint(w, uint64(len(b.Phis)))
 		for _, phi := range b.Phis {
-			if err := marshalInstr(w, phi, f, fnIndex, blockIndex); err != nil {
+			if err := e.instr(phi, blockIndex); err != nil {
 				return err
 			}
 		}
 		writeUvarint(w, uint64(len(b.Instrs)))
 		for _, in := range b.Instrs {
-			if err := marshalInstr(w, in, f, fnIndex, blockIndex); err != nil {
+			if err := e.instr(in, blockIndex); err != nil {
 				return err
 			}
 		}
@@ -129,7 +160,8 @@ const (
 	refFuncRef
 )
 
-func marshalValue(w *bufio.Writer, v wir.Value, f *wir.Function, fnIndex map[*wir.Function]int) error {
+func (e *encoder) value(v wir.Value) error {
+	w := e.w
 	switch x := v.(type) {
 	case *wir.Instr:
 		w.WriteByte(refInstr)
@@ -142,33 +174,33 @@ func marshalValue(w *bufio.Writer, v wir.Value, f *wir.Function, fnIndex map[*wi
 		if err := expr.Encode(w, x.Expr); err != nil {
 			return err
 		}
-		return writeType(w, x.Ty)
+		return e.writeType(x.Ty)
 	case *wir.FuncRef:
 		w.WriteByte(refFuncRef)
-		writeUvarint(w, uint64(fnIndex[x.Fn]))
+		writeUvarint(w, uint64(e.fnIndex[x.Fn]))
 	default:
 		return fmt.Errorf("export: unknown value %T", v)
 	}
 	return nil
 }
 
-func marshalInstr(w *bufio.Writer, in *wir.Instr, f *wir.Function,
-	fnIndex map[*wir.Function]int, blockIndex map[*wir.Block]int) error {
+func (e *encoder) instr(in *wir.Instr, blockIndex map[*wir.Block]int) error {
+	w := e.w
 	writeUvarint(w, uint64(in.IDNum))
 	w.WriteByte(byte(in.Op))
 	writeString(w, in.Callee)
 	writeString(w, in.NativeName())
 	target := -1
 	if in.ResolvedFn != nil {
-		target = fnIndex[in.ResolvedFn]
+		target = e.fnIndex[in.ResolvedFn]
 	}
 	writeUvarint(w, uint64(target+1))
-	if err := writeType(w, in.Ty); err != nil {
+	if err := e.writeType(in.Ty); err != nil {
 		return err
 	}
 	writeUvarint(w, uint64(len(in.Args)))
 	for _, a := range in.Args {
-		if err := marshalValue(w, a, f, fnIndex); err != nil {
+		if err := e.value(a); err != nil {
 			return err
 		}
 	}
@@ -184,7 +216,7 @@ func marshalInstr(w *bufio.Writer, in *wir.Instr, f *wir.Function,
 // cannot make the decoder attempt a multi-gigabyte allocation.
 const (
 	maxDecodeString = 1 << 20 // symbol/label/callee names
-	maxDecodeCount  = 1 << 20 // functions, params, blocks, phis, instrs, args, targets
+	maxDecodeCount  = 1 << 20 // functions, params, blocks, phis, instrs, args, targets, instruction ids
 )
 
 // Unmarshal reads a module written by Marshal. The input is untrusted —
@@ -216,15 +248,21 @@ func Unmarshal(r io.Reader, env *types.Env) (mod *wir.Module, err error) {
 	mod = &wir.Module{Typed: true}
 	d := &decoder{br: br, env: env, mod: mod}
 	for i := 0; i < int(nFuncs); i++ {
-		if _, err := d.readFunction(); err != nil {
+		if err := d.readFunction(); err != nil {
 			return nil, fmt.Errorf("import: function %d: %w", i, err)
 		}
 	}
-	// Resolve deferred references (checked: indices may point at functions
-	// or instructions the truncated stream never delivered).
-	for _, fix := range d.fixups {
-		if err := fix(); err != nil {
-			return nil, fmt.Errorf("import: %w", err)
+	// References to functions resolve once every function is read (checked:
+	// an index may point at a function the stream never delivered).
+	for _, fx := range d.fnRefs {
+		if fx.ref >= len(mod.Funcs) {
+			return nil, fmt.Errorf("import: function index %d out of range (%d functions)", fx.ref, len(mod.Funcs))
+		}
+		target := mod.Funcs[fx.ref]
+		if fx.arg < 0 {
+			fx.in.ResolvedFn = target
+		} else {
+			fx.in.Args[fx.arg] = &wir.FuncRef{Fn: target, Ty: target.FnType()}
 		}
 	}
 	if err := mod.Lint(); err != nil {
@@ -233,11 +271,27 @@ func Unmarshal(r io.Reader, env *types.Env) (mod *wir.Module, err error) {
 	return mod, nil
 }
 
+// forwardRef is one forward reference: operand arg of in (the instruction's
+// resolved callee when arg is negative) is entry ref of a table that is not
+// complete yet.
+type forwardRef struct {
+	in  *wir.Instr
+	arg int
+	ref int
+}
+
 type decoder struct {
-	br     *bufio.Reader
-	env    *types.Env
-	mod    *wir.Module
-	fixups []func() error
+	br  *bufio.Reader
+	env *types.Env
+	mod *wir.Module
+	// types is the module's type table, in the order the stream defines them.
+	types []types.Type
+	// fnRefs wait for the end of the module; instrRefs and instrByID (indexed
+	// by instruction id) are the function being read, resolved at its end.
+	fnRefs    []forwardRef
+	instrRefs []forwardRef
+	instrByID []*wir.Instr
+	scratch   []byte
 }
 
 func (d *decoder) readUvarint() (uint64, error) { return binary.ReadUvarint(d.br) }
@@ -257,116 +311,144 @@ func (d *decoder) readCount(what string) (int, error) {
 
 func (d *decoder) readString() (string, error) {
 	n, err := d.readUvarint()
-	if err != nil {
+	if err != nil || n == 0 {
 		return "", err
 	}
 	if n > maxDecodeString {
 		return "", fmt.Errorf("implausible string length %d", n)
 	}
-	buf := make([]byte, n)
+	if uint64(cap(d.scratch)) < n {
+		d.scratch = make([]byte, n)
+	}
+	buf := d.scratch[:n]
 	if _, err := io.ReadFull(d.br, buf); err != nil {
 		return "", err
 	}
 	return string(buf), nil
 }
 
+// readType reads a type reference: zero defines the table's next entry from
+// the TypeSpecifier expression that follows, n > 0 is entry n-1.
 func (d *decoder) readType() (types.Type, error) {
+	n, err := d.readUvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > 0 {
+		if n > uint64(len(d.types)) {
+			return nil, fmt.Errorf("type index %d out of range (%d types)", n-1, len(d.types))
+		}
+		return d.types[n-1], nil
+	}
 	e, err := expr.Decode(d.br)
 	if err != nil {
 		return nil, err
 	}
-	return d.env.ParseSpec(e)
-}
-
-func (d *decoder) readFunction() (*wir.Function, error) {
-	name, err := d.readString()
+	t, err := d.env.ParseSpec(e)
 	if err != nil {
 		return nil, err
+	}
+	d.types = append(d.types, t)
+	return t, nil
+}
+
+func (d *decoder) readFunction() error {
+	name, err := d.readString()
+	if err != nil {
+		return err
 	}
 	f := d.mod.NewFunction(name)
 	f.Blocks = nil // NewFunction adds an entry block; rebuild from the wire
 	nParams, err := d.readCount("parameter")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i := 0; i < nParams; i++ {
 		pname, err := d.readString()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		capture, err := d.readUvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ty, err := d.readType()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.Params = append(f.Params, &wir.Param{
 			Sym: expr.Sym(pname), Index: i, Ty: ty, Capture: capture == 1,
 		})
 	}
 	if f.RetTy, err = d.readType(); err != nil {
-		return nil, err
+		return err
 	}
 	nBlocks, err := d.readCount("block")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	blocks := make([]*wir.Block, nBlocks)
 	for i := range blocks {
 		blocks[i] = f.NewBlock("b")
 	}
-	instrByID := map[int]*wir.Instr{}
+	d.instrRefs, d.instrByID = d.instrRefs[:0], d.instrByID[:0]
 	for i := range blocks {
 		b := blocks[i]
 		if b.Label, err = d.readString(); err != nil {
-			return nil, err
+			return err
 		}
 		nPreds, err := d.readCount("predecessor")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for j := 0; j < nPreds; j++ {
 			pi, err := d.readUvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if pi >= uint64(len(blocks)) {
-				return nil, fmt.Errorf("predecessor index %d out of range (%d blocks)", pi, len(blocks))
+				return fmt.Errorf("predecessor index %d out of range (%d blocks)", pi, len(blocks))
 			}
 			b.Preds = append(b.Preds, blocks[pi])
 		}
 		nPhis, err := d.readCount("phi")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for j := 0; j < nPhis; j++ {
-			in, err := d.readInstr(f, blocks, instrByID)
+			in, err := d.readInstr(f, blocks)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			in.Block = b
 			b.Phis = append(b.Phis, in)
 		}
 		nInstrs, err := d.readCount("instruction")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for j := 0; j < nInstrs; j++ {
-			in, err := d.readInstr(f, blocks, instrByID)
+			in, err := d.readInstr(f, blocks)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			in.Block = b
 			b.Instrs = append(b.Instrs, in)
 		}
 	}
-	return f, nil
+	// Operands that name instructions resolve now that the function is whole
+	// (checked: an id may be one the stream never delivered).
+	for _, fx := range d.instrRefs {
+		if fx.ref >= len(d.instrByID) || d.instrByID[fx.ref] == nil {
+			return fmt.Errorf("argument references undefined instruction %%%d", fx.ref)
+		}
+		fx.in.Args[fx.arg] = d.instrByID[fx.ref]
+	}
+	return nil
 }
 
-func (d *decoder) readInstr(f *wir.Function, blocks []*wir.Block, instrByID map[int]*wir.Instr) (*wir.Instr, error) {
-	id, err := d.readUvarint()
+func (d *decoder) readInstr(f *wir.Function, blocks []*wir.Block) (*wir.Instr, error) {
+	id, err := d.readCount("instruction id")
 	if err != nil {
 		return nil, err
 	}
@@ -374,27 +456,23 @@ func (d *decoder) readInstr(f *wir.Function, blocks []*wir.Block, instrByID map[
 	if err != nil {
 		return nil, err
 	}
-	in := &wir.Instr{IDNum: int(id), Op: wir.Op(opByte)}
-	instrByID[in.IDNum] = in
+	in := &wir.Instr{IDNum: id, Op: wir.Op(opByte)}
+	for len(d.instrByID) <= id {
+		d.instrByID = append(d.instrByID, nil)
+	}
+	d.instrByID[id] = in
 	if in.Callee, err = d.readString(); err != nil {
 		return nil, err
 	}
 	if in.Native, err = d.readString(); err != nil {
 		return nil, err
 	}
-	target, err := d.readUvarint()
+	target, err := d.readCount("resolved function")
 	if err != nil {
 		return nil, err
 	}
 	if target > 0 {
-		ti := int(target - 1)
-		d.fixups = append(d.fixups, func() error {
-			if ti >= len(d.mod.Funcs) {
-				return fmt.Errorf("resolved-function index %d out of range (%d functions)", ti, len(d.mod.Funcs))
-			}
-			in.ResolvedFn = d.mod.Funcs[ti]
-			return nil
-		})
+		d.fnRefs = append(d.fnRefs, forwardRef{in: in, arg: -1, ref: target - 1})
 	}
 	if in.Ty, err = d.readType(); err != nil {
 		return nil, err
@@ -411,20 +489,11 @@ func (d *decoder) readInstr(f *wir.Function, blocks []*wir.Block, instrByID map[
 		}
 		switch tag {
 		case refInstr:
-			rid, err := d.readUvarint()
+			rid, err := d.readCount("instruction id")
 			if err != nil {
 				return nil, err
 			}
-			idx := i
-			irid := int(rid)
-			d.fixups = append(d.fixups, func() error {
-				ref, ok := instrByID[irid]
-				if !ok {
-					return fmt.Errorf("argument references undefined instruction %%%d", irid)
-				}
-				in.Args[idx] = ref
-				return nil
-			})
+			d.instrRefs = append(d.instrRefs, forwardRef{in: in, arg: i, ref: rid})
 		case refParam:
 			pidx, err := d.readUvarint()
 			if err != nil {
@@ -445,20 +514,11 @@ func (d *decoder) readInstr(f *wir.Function, blocks []*wir.Block, instrByID map[
 			}
 			in.Args[i] = &wir.Const{Expr: ce, Ty: ty}
 		case refFuncRef:
-			fi, err := d.readUvarint()
+			fi, err := d.readCount("function")
 			if err != nil {
 				return nil, err
 			}
-			idx := i
-			ffi := int(fi)
-			d.fixups = append(d.fixups, func() error {
-				if ffi >= len(d.mod.Funcs) {
-					return fmt.Errorf("function-ref index %d out of range (%d functions)", ffi, len(d.mod.Funcs))
-				}
-				target := d.mod.Funcs[ffi]
-				in.Args[idx] = &wir.FuncRef{Fn: target, Ty: target.FnType()}
-				return nil
-			})
+			d.fnRefs = append(d.fnRefs, forwardRef{in: in, arg: i, ref: fi})
 		default:
 			return nil, fmt.Errorf("import: bad value tag %d", tag)
 		}

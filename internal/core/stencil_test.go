@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"time"
+	"wolfc/internal/artifact"
 
 	"wolfc/internal/codegen"
 	"wolfc/internal/expr"
@@ -266,5 +267,61 @@ func TestInferAllocs(t *testing.T) {
 	t.Logf("one mandelbrot compile: %.0f allocations", n)
 	if n > 6000 {
 		t.Errorf("one mandelbrot compile allocates %.0f times, bound 6000", n)
+	}
+}
+
+// warmStore compiles fns once on c over a fresh in-memory artifact store and
+// drops the in-memory cache, so the next cached compile of any of them, on any
+// compiler with c's configuration, is an artifact load.
+func warmStore(tb testing.TB, c *Compiler, fns ...expr.Expr) {
+	tb.Helper()
+	prev := SetArtifactStore(artifact.OpenMemory())
+	tb.Cleanup(func() { SetArtifactStore(prev); ResetCompileCache() })
+	for _, fn := range fns {
+		if _, err := c.FunctionCompileCached(fn); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ResetCompileCache()
+}
+
+// BenchmarkArtifactLoad is what a compile-cache hit on the disk tier pays,
+// over the corpus: each iteration drops the in-memory cache outside the timer
+// and asks for every source inside it — both keys (from the memo after the
+// first round), the store read, the module decode and code generation.
+func BenchmarkArtifactLoad(b *testing.B) {
+	c, fns := newBenchCompiler(b), benchCorpus(b)
+	warmStore(b, c, fns...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ResetCompileCache()
+		b.StartTimer()
+		for _, fn := range fns {
+			_, rep, err := c.FunctionCompileCachedRequest(fn, CompileRequest{Collect: true})
+			if err != nil || !rep.ArtifactHit {
+				b.Fatalf("not an artifact load: %+v, %v", rep, err)
+			}
+		}
+	}
+}
+
+// TestWarmLoadAllocs pins what one artifact load of the benchmark's
+// mandelbrot allocates, source expression to callable. Before ISSUE 23 it was
+// 2 136: the source was printed three times and its macros expanded to find
+// the key, and every instruction, parameter and constant parsed its type.
+func TestWarmLoadAllocs(t *testing.T) {
+	c, mandelbrot := newCompiler(), benchProgram(t, "mandelbrot")
+	warmStore(t, c, mandelbrot)
+	n := testing.AllocsPerRun(10, func() {
+		ResetCompileCache()
+		if _, rep, err := c.FunctionCompileCachedRequest(mandelbrot, CompileRequest{Collect: true}); err != nil || !rep.ArtifactHit {
+			t.Fatalf("not an artifact load: %+v, %v", rep, err)
+		}
+	})
+	t.Logf("one mandelbrot artifact load: %.0f allocations", n)
+	if n > 1200 {
+		t.Errorf("one mandelbrot artifact load allocates %.0f times, bound 1200", n)
 	}
 }
