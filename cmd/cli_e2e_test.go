@@ -91,6 +91,36 @@ func TestWolfcRun(t *testing.T) {
 	}
 }
 
+// With a store attached, -time-passes prints what this invocation paid: the
+// whole pipeline behind the key the first time, then key, decode and codegen.
+func TestWolfcTimePassesOverAnArtifactStore(t *testing.T) {
+	args := []string{"-e", addOne, "-run", "41", "-time-passes", "-artifact-dir", t.TempDir()}
+	for i, want := range [][]string{
+		{"key", "macro", "infer", "passes", "codegen"},
+		{"key", "decode", "codegen"},
+	} {
+		stdout, stderr := runSplit(t, "wolfc", "", args...)
+		if strings.TrimSpace(stdout) != "42" {
+			t.Fatalf("run %d printed %q, want 42", i+1, stdout)
+		}
+		_, table, _ := strings.Cut(stderr, "stage timings:\n")
+		table, _, _ = strings.Cut(table, "  total")
+		var stages []string
+		for _, line := range strings.Split(strings.TrimSpace(table), "\n") {
+			stages = append(stages, strings.Fields(line)[0])
+		}
+		got := strings.Join(stages, " ")
+		for _, w := range want {
+			if !strings.Contains(" "+got+" ", " "+w+" ") {
+				t.Errorf("run %d: stages %q lack %q", i+1, got, w)
+			}
+		}
+		if i == 1 && len(stages) != len(want) {
+			t.Errorf("a hit paid for more than key, decode and codegen: %q", got)
+		}
+	}
+}
+
 func TestWolfcRejectsBadProgram(t *testing.T) {
 	out, err := run(t, "wolfc", "", "-e", `Function[{Typed[x, "Real64"]}, Nope[x]]`)
 	if err == nil {

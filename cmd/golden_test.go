@@ -74,12 +74,17 @@ func TestGoldenParseError(t *testing.T) {
 // TestGoldenTypeError pins the positioned type diagnostic for an overload
 // failure inside the function body.
 func TestGoldenTypeError(t *testing.T) {
-	out, err := run(t, "wolfc", "",
-		"-e", "Function[{Typed[arg, \"MachineInteger\"]},\n  arg + \"one\"]", "-stage", "twir")
-	if err == nil {
-		t.Fatalf("type error must exit non-zero:\n%s", out)
+	args := []string{"-e", "Function[{Typed[arg, \"MachineInteger\"]},\n  arg + \"one\"]", "-stage", "twir"}
+	// With a store attached the compile goes through the cache, which expands
+	// the macros to find its key and hands the expansion — and the span table
+	// it carried the positions into — to the compile: same diagnostic.
+	for _, extra := range [][]string{nil, {"-artifact-dir", t.TempDir()}} {
+		out, err := run(t, "wolfc", "", append(args, extra...)...)
+		if err == nil {
+			t.Fatalf("type error must exit non-zero:\n%s", out)
+		}
+		checkGolden(t, "type_error", out)
 	}
-	checkGolden(t, "type_error", out)
 }
 
 // TestGoldenHistogramTWIR pins the O2 TWIR of the benchmark's histogram

@@ -106,21 +106,21 @@ func main() {
 	}
 	compile := func() *core.CompiledCodeFunction {
 		var ccf *core.CompiledCodeFunction
+		var rep *core.CompileReport
 		var err error
 		if *artDir != "" {
 			// With a store attached the cached path probes it, so repeated
 			// wolfc invocations of the same function skip the pipeline's
-			// front half entirely.
-			ccf, _, err = c.FunctionCompileCachedRequest(fn, req)
-		} else {
-			ccf, err = c.FunctionCompileRequest(fn, req)
+			// front half entirely; the report is this invocation's (what a
+			// hit paid: key, decode, codegen), not the stored compile's.
+			ccf, rep, err = c.FunctionCompileCachedRequest(fn, req)
+		} else if ccf, err = c.FunctionCompileRequest(fn, req); err == nil {
+			rep = ccf.Report
 		}
 		if err != nil {
 			fatal(err)
 		}
-		if *timePasses {
-			printReport(os.Stderr, ccf.Report)
-		}
+		printReport(os.Stderr, rep)
 		return ccf
 	}
 

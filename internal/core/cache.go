@@ -32,7 +32,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -41,7 +40,6 @@ import (
 	"wolfc/internal/expr"
 	"wolfc/internal/fnreg"
 	"wolfc/internal/kernel"
-	"wolfc/internal/macro"
 	"wolfc/internal/obs"
 )
 
@@ -294,31 +292,52 @@ func hygieneBase(name string) (string, bool) {
 	return name[:i], true
 }
 
-// keyHashes pools the SHA-256 states contentKey feeds.
-var keyHashes = sync.Pool{New: func() any { return sha256.New() }}
+// keyHasher is a SHA-256 state and the buffer the configuration half of a key
+// is laid out in; contentKey takes one from the pool.
+type keyHasher struct {
+	h   hash.Hash
+	buf keyBuf
+}
+
+var keyHashers = sync.Pool{New: func() any { return &keyHasher{h: sha256.New(), buf: make(keyBuf, 0, 256)} }}
 
 // contentKey digests e with everything else a compile's result depends on:
 // the SelfName recursion binding, pass and backend options, both environment
 // signatures and the conditioned-macro compile options. All of it is
 // process-independent: the environment signatures are content hashes of the
 // declarations, not pointers. e goes in as its binary encoding (injective: it
-// round-trips), streamed from a pooled buffer — nothing is printed.
+// round-trips), streamed from a pooled buffer — nothing is printed — and
+// every other field is length-prefixed or fixed-width.
+// TestEveryPassOptionIsKeyed fails when passes.Options grows a field this
+// does not write.
 //
 // Both keys are this digest. Of the unexpanded source it is the fast key,
 // what the memo below is asked under; of the hygiene-canonicalised expansion
 // it is the stable key, the content address of the compiled module.
 func (c *Compiler) contentKey(version, selfName string, e expr.Expr) (key [sha256.Size]byte, err error) {
-	h := keyHashes.Get().(hash.Hash)
-	defer keyHashes.Put(h)
+	kh := keyHashers.Get().(*keyHasher)
+	defer keyHashers.Put(kh)
+	h, b := kh.h, &kh.buf
 	h.Reset()
-	io.WriteString(h, version)
+	*b = (*b)[:0]
+	b.str(version)
+	b.str(selfName)
+	b.flag(c.Options.AbortHandling)
+	b.str(c.Options.InlinePolicy)
+	b.num(c.Options.OptimizationLevel)
+	b.flag(c.Options.DisableCopyElision)
+	b.flag(c.NaiveConstants)
+	b.num(c.Parallelism)
+	b.num(c.FuseLevel)
+	b.num(c.ProfileLevel)
+	b.flag(c.Stencil)
+	*b = binary.LittleEndian.AppendUint64(*b, c.TypeEnv.Sig())
+	*b = binary.LittleEndian.AppendUint64(*b, c.MacroEnv.Sig())
+	b.num(len(c.CompileOpts))
+	h.Write(*b)
 	if err := expr.Encode(h, e); err != nil {
 		return key, err
 	}
-	var scratch [256]byte
-	h.Write(fmt.Appendf(scratch[:0], "\nself:%s\npasses:%+v\nbackend:naive=%v parallelism=%d fuse=%d profile=%d stencil=%v\ntyenv:%x macroenv:%x\n",
-		selfName, c.Options, c.NaiveConstants, c.Parallelism, c.FuseLevel, c.ProfileLevel, c.Stencil,
-		c.TypeEnv.Sig(), c.MacroEnv.Sig()))
 	if len(c.CompileOpts) > 0 {
 		names := make([]string, 0, len(c.CompileOpts))
 		for k := range c.CompileOpts {
@@ -326,8 +345,9 @@ func (c *Compiler) contentKey(version, selfName string, e expr.Expr) (key [sha25
 		}
 		sort.Strings(names)
 		for _, k := range names {
-			b := binary.AppendUvarint(append(scratch[:0], "opt:"...), uint64(len(k)))
-			h.Write(append(b, k...))
+			*b = (*b)[:0]
+			b.str(k)
+			h.Write(*b)
 			if err := expr.Encode(h, c.CompileOpts[k]); err != nil {
 				return key, err
 			}
@@ -335,6 +355,19 @@ func (c *Compiler) contentKey(version, selfName string, e expr.Expr) (key [sha25
 	}
 	h.Sum(key[:0])
 	return key, nil
+}
+
+// keyBuf appends the configuration half of a key.
+type keyBuf []byte
+
+func (b *keyBuf) str(s string) { *b = append(binary.AppendUvarint(*b, uint64(len(s))), s...) }
+func (b *keyBuf) num(v int)    { *b = binary.AppendVarint(*b, int64(v)) }
+func (b *keyBuf) flag(v bool) {
+	if v {
+		*b = append(*b, 1)
+	} else {
+		*b = append(*b, 0)
+	}
 }
 
 // stableKey expands fn's macros and digests the result — with hygienic
@@ -351,15 +384,6 @@ func (c *Compiler) stableKey(version, selfName string, fn expr.Expr, src *diag.S
 	}
 	key, err := c.contentKey(version, selfName, canonicalizeHygiene(expanded))
 	return string(key[:]), expanded, err
-}
-
-// expand is the compile's macro stage.
-func (c *Compiler) expand(fn expr.Expr, src *diag.Source) (expr.Expr, error) {
-	expanded, err := c.MacroEnv.ExpandSource(fn, c.CompileOpts, src)
-	if err != nil {
-		return nil, err
-	}
-	return macro.ExpandSlotsSource(expanded, src), nil
 }
 
 // keyMemo is the process-wide fast key → stable key memo: a repeated compile

@@ -478,6 +478,16 @@ func (c *Compiler) ExpandAST(fn expr.Expr) (expr.Expr, error) {
 	return c.expand(fn, nil)
 }
 
+// expand is the macro stage: the environment's rules to a fixed point, then
+// slot functions, carrying source spans into src when there is one.
+func (c *Compiler) expand(fn expr.Expr, src *diag.Source) (expr.Expr, error) {
+	expanded, err := c.MacroEnv.ExpandSource(fn, c.CompileOpts, src)
+	if err != nil {
+		return nil, err
+	}
+	return macro.ExpandSlotsSource(expanded, src), nil
+}
+
 // ResolveFunctions materialises Wolfram-source implementations chosen by
 // inference (§4.5 Function Resolution): each call whose overload carries a
 // Wolfram Function implementation is compiled at its instantiated type,

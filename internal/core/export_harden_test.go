@@ -75,10 +75,10 @@ func TestLoadCompiledLibraryGarbageNeverPanics(t *testing.T) {
 	c := newCompiler()
 	cases := [][]byte{
 		nil,
-		[]byte("WCLB0001"), // magic only
-		[]byte("WCLB0001\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), // huge varint count
+		[]byte("WCLB0002"), // magic only
+		[]byte("WCLB0002\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), // huge varint count
 		bytes.Repeat([]byte{0xff}, 4096),
-		append([]byte("WCLB0001"), bytes.Repeat([]byte{0x07}, 512)...),
+		append([]byte("WCLB0002"), bytes.Repeat([]byte{0x07}, 512)...),
 	}
 	for i, raw := range cases {
 		if loadSafely(t, c, raw, fmt.Sprintf("garbage case %d", i)) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"wolfc/internal/runtime/par"
 )
@@ -162,6 +163,47 @@ func TestSanitizeLabel(t *testing.T) {
 	}
 	if got := sanitizeLabel("plain"); got != "plain" {
 		t.Fatalf("sanitizeLabel(plain) = %q", got)
+	}
+}
+
+// A long display name (an anonymous function's source) is cut for /metrics
+// and /debug/funcs; the cut must not fall inside a rune, or the label is not
+// UTF-8.
+func TestShortNameCutsAtARuneBoundary(t *testing.T) {
+	name := strings.Repeat("a", 79) + "é" + strings.Repeat("b", 40) // byte 80 is the second of é
+	got := shortName(name)
+	if !utf8.ValidString(got) {
+		t.Errorf("shortName split a rune: %q", got)
+	}
+	if want := strings.Repeat("a", 79) + "…(121 chars)"; got != want {
+		t.Errorf("shortName = %q, want %q", got, want)
+	}
+	if got := shortName("short π"); got != "short π" {
+		t.Errorf("a short name is kept: %q", got)
+	}
+}
+
+type countedStringer struct{ n *int }
+
+func (c countedStringer) String() string { *c.n++; return "Function[{x}, x]" }
+
+// A function registered by its source is named by printing it, once, when
+// the name is first read — registering prints nothing.
+func TestRegisterFuncSourceRendersOnDemand(t *testing.T) {
+	ResetFuncRegistry()
+	defer ResetFuncRegistry()
+	printed := 0
+	m := RegisterFuncSource(countedStringer{&printed}, "closure", "e1")
+	m.RecordInvoke(time.Microsecond)
+	if printed != 0 {
+		t.Fatalf("registering and recording printed the source %d times", printed)
+	}
+	snaps, _ := FuncSnapshots()
+	if len(snaps) != 1 || snaps[0].Name != "Function[{x}, x]" || m.Name() != "Function[{x}, x]" || printed != 1 {
+		t.Fatalf("name %q / %q, printed %d times", snaps[0].Name, m.Name(), printed)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = m.Name() }); n != 0 {
+		t.Errorf("reading a rendered name allocates %.0f times", n)
 	}
 }
 

@@ -1,8 +1,9 @@
 package passes
 
 import (
-	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"wolfc/internal/expr"
 	"wolfc/internal/runtime"
@@ -569,24 +570,38 @@ func CSE(f *wir.Function) bool {
 	return changed
 }
 
+// cseKey spells what a pure call computes: its target and each operand — an
+// instruction by id, a parameter or function by name, a constant by its
+// binary encoding (self-delimiting, and its tag bytes are none of '%', '@').
 func cseKey(in *wir.Instr) string {
-	key := in.Callee + "/" + in.Native
+	var key strings.Builder
+	key.WriteString(in.Callee)
+	key.WriteByte('/')
+	key.WriteString(in.Native)
 	if d, ok := in.Prop("overload"); ok {
-		key += "/" + d.(*types.FuncDef).Native
+		key.WriteByte('/')
+		key.WriteString(d.(*types.FuncDef).Native)
 	}
+	var num [20]byte
 	for _, a := range in.Args {
+		key.WriteByte('|')
 		switch v := a.(type) {
 		case *wir.Instr:
-			key += fmt.Sprintf("|%%%d", v.IDNum)
+			key.WriteByte('%')
+			key.Write(strconv.AppendInt(num[:0], int64(v.IDNum), 10))
 		case *wir.Param:
-			key += "|%" + v.Sym.Name
+			key.WriteByte('%')
+			key.WriteString(v.Sym.Name)
 		case *wir.Const:
-			key += "|" + expr.FullForm(v.Expr)
+			// Every expression a constant can hold encodes, and a Builder's
+			// Write cannot fail.
+			_ = expr.Encode(&key, v.Expr)
 		case *wir.FuncRef:
-			key += "|@" + v.Fn.Name
+			key.WriteByte('@')
+			key.WriteString(v.Fn.Name)
 		}
 	}
-	return key
+	return key.String()
 }
 
 // InsertAbortChecks places an abort check in each function prologue and at
