@@ -122,9 +122,7 @@ func appendFloat(dst []byte, v float64, sameQ bool) []byte {
 func appendBigInt(dst []byte, v *big.Int) []byte {
 	n := (v.BitLen() + 7) / 8
 	dst = binary.AppendUvarint(dst, uint64(n))
-	for i := 0; i < n; i++ {
-		dst = append(dst, 0)
-	}
+	dst = append(dst, make([]byte, n)...)
 	v.FillBytes(dst[len(dst)-n:])
 	sign := byte(0)
 	if v.Sign() < 0 {
