@@ -164,7 +164,8 @@ func setCompileCacheCapacity(n int) int {
 }
 
 // ResetCompileCache drops every entry and zeroes the counters (tests).
-// Compiles in flight are left to finish and file their results.
+// Compiles in flight are left to finish and file their results. The key memo
+// stays: it holds no compiled code, only which stable key a source has.
 func ResetCompileCache() {
 	c := compileCache
 	c.mu.Lock()
@@ -317,9 +318,8 @@ var keyHashers = sync.Pool{New: func() any { return &keyHasher{h: sha256.New(), 
 func (c *Compiler) contentKey(version, selfName string, e expr.Expr) (key [sha256.Size]byte, err error) {
 	kh := keyHashers.Get().(*keyHasher)
 	defer keyHashers.Put(kh)
-	h, b := kh.h, &kh.buf
+	h, b := kh.h, kh.buf[:0]
 	h.Reset()
-	*b = (*b)[:0]
 	b.str(version)
 	b.str(selfName)
 	b.flag(c.Options.AbortHandling)
@@ -331,10 +331,10 @@ func (c *Compiler) contentKey(version, selfName string, e expr.Expr) (key [sha25
 	b.num(c.FuseLevel)
 	b.num(c.ProfileLevel)
 	b.flag(c.Stencil)
-	*b = binary.LittleEndian.AppendUint64(*b, c.TypeEnv.Sig())
-	*b = binary.LittleEndian.AppendUint64(*b, c.MacroEnv.Sig())
+	b = binary.LittleEndian.AppendUint64(b, c.TypeEnv.Sig())
+	b = binary.LittleEndian.AppendUint64(b, c.MacroEnv.Sig())
 	b.num(len(c.CompileOpts))
-	h.Write(*b)
+	h.Write(b)
 	if err := expr.Encode(h, e); err != nil {
 		return key, err
 	}
@@ -345,15 +345,16 @@ func (c *Compiler) contentKey(version, selfName string, e expr.Expr) (key [sha25
 		}
 		sort.Strings(names)
 		for _, k := range names {
-			*b = (*b)[:0]
+			b = b[:0]
 			b.str(k)
-			h.Write(*b)
+			h.Write(b)
 			if err := expr.Encode(h, c.CompileOpts[k]); err != nil {
 				return key, err
 			}
 		}
 	}
 	h.Sum(key[:0])
+	kh.buf = b
 	return key, nil
 }
 
@@ -473,6 +474,7 @@ func (c *Compiler) FunctionCompileCachedRequest(fn expr.Expr, req CompileRequest
 		req.expanded = expanded
 		if ccf, err = c.FunctionCompileRequest(fn, req); err == nil {
 			if ccf.Report != nil {
+				// The key stage, then the pipeline's.
 				ccf.Report.Stages = append(rep.Stages[:1:1], ccf.Report.Stages...)
 			}
 			rep = ccf.Report

@@ -32,7 +32,7 @@ var countedSource = parser.MustParse(`Function[{Typed[n, "MachineInteger"]}, Cou
 
 // coldCaches empties both cache levels and the key memo and attaches a fresh
 // in-memory artifact store for the test.
-func coldCaches(t *testing.T) {
+func coldCaches(t testing.TB) {
 	t.Helper()
 	ResetCompileCache()
 	keyMemo.reset()
