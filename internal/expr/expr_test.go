@@ -112,7 +112,8 @@ func TestHashAllocatesNothing(t *testing.T) {
 		Ratio(big.NewInt(22), big.NewInt(7)), FromComplex(1.5, -2.5), FromString("héllo"),
 		List(Sym("x"), NewS("g", Sym("y"))))
 	var sink uint64
-	if n := testing.AllocsPerRun(100, func() { sink += Hash(e) }); n != 0 {
+	// (Under the race detector sync.Pool drops a share of what it is given.)
+	if n := testing.AllocsPerRun(100, func() { sink += Hash(e) }); n != 0 && !raceEnabled {
 		t.Errorf("Hash allocates %.0f times per call", n)
 	}
 	negZero := FromFloat(math.Copysign(0, -1))
