@@ -112,7 +112,9 @@ func main() {
 			// With a store attached the cached path probes it, so repeated
 			// wolfc invocations of the same function skip the pipeline's
 			// front half entirely; the report is this invocation's (what a
-			// hit paid: key, decode, codegen), not the stored compile's.
+			// hit paid: key, decode, codegen — or key, resident, for bytes
+			// this process already loaded, which one compile per process
+			// never has), not the stored compile's.
 			ccf, rep, err = c.FunctionCompileCachedRequest(fn, req)
 		} else if ccf, err = c.FunctionCompileRequest(fn, req); err == nil {
 			rep = ccf.Report

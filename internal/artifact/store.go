@@ -199,6 +199,9 @@ func (s *Store) path(key string) string {
 // Get returns the payload stored under key, or (nil, false) on a miss.
 // A present-but-invalid entry — wrong magic (format bump), key mismatch,
 // bad length, checksum failure — is deleted and reported as a miss.
+// The payload is read-only: on a memory-backed store it is the store's own
+// slice, and callers may keep a reference to it (the compile cache's
+// resident programs do) but must never write to it.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if len(key) != keyLen {
 		return nil, false

@@ -5,6 +5,11 @@
 // of the pipeline (macro → binding → lower → infer → passes) and only
 // re-run code generation against the hosting kernel, exactly the
 // LibraryFunctionLoad rebinding model.
+//
+// Code generation needs no kernel either (the engine reaches compiled code
+// per call, through RT.Engine), so the program a load generates is kept
+// resident: the next kernel that loads the same bytes wraps that program in
+// a CompiledCodeFunction of its own and skips decode and codegen too.
 package core
 
 import (
@@ -15,6 +20,7 @@ import (
 	"wolfc/internal/codegen"
 	"wolfc/internal/expr"
 	"wolfc/internal/obs"
+	"wolfc/internal/wir"
 )
 
 // artifactStore is the process-wide disk tier; nil disables it. Swapped
@@ -27,9 +33,12 @@ var artifactStore atomic.Pointer[artifact.Store]
 func ArtifactStore() *artifact.Store { return artifactStore.Load() }
 
 // SetArtifactStore attaches (or, with nil, detaches) the disk tier and
-// returns the previous store.
+// returns the previous store. The resident programs go with the store they
+// were read from.
 func SetArtifactStore(s *artifact.Store) *artifact.Store {
-	return artifactStore.Swap(s)
+	prev := artifactStore.Swap(s)
+	residents.reset()
+	return prev
 }
 
 // EnableArtifactStore opens dir as the process-wide artifact store (the
@@ -65,12 +74,35 @@ func init() {
 	})
 }
 
+// resident is what one load decoded and generated from a store entry: the
+// entry's bytes, the typed module and the program. None of it refers to a
+// kernel, a registry or a compiler, so any number of CompiledCodeFunctions in
+// any number of kernels can share it.
+type resident struct {
+	payload []byte
+	mod     *wir.Module
+	prog    *codegen.Program
+}
+
+// residents holds the programs loads generated, by stable key. Programs
+// become resident on load, never on write: a compile that no second kernel
+// asks for (a one-shot, every compile of a process that restarts) keeps
+// nothing here.
+var residents = genMemo[string, *resident]{cap: 256}
+
+// residentHits counts loads served by a resident program.
+var residentHits atomic.Uint64
+
 // loadArtifact probes the disk tier for a module compiled under the same
 // stable content key and, on a hit, regenerates executable code for it in
-// this compiler. Every failure mode is a soft miss (return nil): the
-// caller falls through to a full compile, and undecodable payloads are
-// dropped from the store so they are not re-probed forever. A load records
-// its two stages on rep (nil when no report was asked for).
+// this compiler — or wraps the program an earlier load generated from the
+// same bytes. Every failure mode is a soft miss (return nil): the caller
+// falls through to a full compile, and undecodable payloads are dropped from
+// the store so they are not re-probed forever. A load records its stages on
+// rep (nil when no report was asked for): resident, or decode and codegen.
+//
+// Serialised modules never carry registry calls (maybeStoreArtifact gates
+// them), so a loaded function has no RegDeps and wrap is told so.
 func (c *Compiler) loadArtifact(stableKey string, fn expr.Expr, req CompileRequest, rep *CompileReport) (ccf *CompiledCodeFunction) {
 	s := ArtifactStore()
 	if s == nil {
@@ -80,6 +112,19 @@ func (c *Compiler) loadArtifact(stableKey string, fn expr.Expr, req CompileReque
 	payload, ok := s.Get(stableKey)
 	if !ok {
 		return nil
+	}
+	label := c.backend() + "-aot"
+	// The store is read first and decides: an entry it evicted, dropped or
+	// holds other bytes for is never served from memory. A profiled program
+	// is never shared, because its block counters are atomics inside CFunc
+	// and two kernels would count into one profile.
+	shareable := c.ProfileLevel == 0
+	if r, ok := residents.get(stableKey); ok && shareable && bytes.Equal(r.payload, payload) {
+		if shared, err := c.wrap(r.mod, r.prog, fn, req.SelfName, label, nil); err == nil {
+			residentHits.Add(1)
+			rep.stage("resident", t)
+			return shared
+		}
 	}
 	// Same backstop as LoadCompiledLibrary: a checksum-clean payload from
 	// an incompatible writer must degrade to a recompile, never a crash.
@@ -96,20 +141,21 @@ func (c *Compiler) loadArtifact(stableKey string, fn expr.Expr, req CompileReque
 	}
 	// Re-run the backend this compiler is configured for. The backend
 	// options are part of the stable key, so the regenerated program is
-	// the one the storing process ran. Serialised modules never carry
-	// registry calls (maybeStoreArtifact gates them), so RegDeps comes back
-	// empty.
+	// the one the storing process ran.
 	rep.stage("decode", t)
 	t = startTimer(rep)
 	prog, err := c.generate(mod)
 	if err == nil {
-		ccf, err = c.wrap(mod, prog, fn, req.SelfName, c.backend()+"-aot")
+		ccf, err = c.wrap(mod, prog, fn, req.SelfName, label, nil)
 	}
 	if err != nil {
 		s.DropUndecodable(stableKey)
 		return nil
 	}
 	rep.stage("codegen", t)
+	if shareable {
+		residents.put(stableKey, &resident{payload: payload, mod: mod, prog: prog})
+	}
 	return ccf
 }
 

@@ -80,7 +80,7 @@ func TestSingleflightCoalescesConcurrentFirstCompiles(t *testing.T) {
 }
 
 func TestFastMemoHotKeysSurviveGenerationFlips(t *testing.T) {
-	m := fastMemo{cap: 4}
+	m := genMemo[[sha256.Size]byte, string]{cap: 4}
 	key := func(s string) [sha256.Size]byte { return sha256.Sum256([]byte(s)) }
 	hot := key("hot-key")
 	m.put(hot, "hot")

@@ -23,7 +23,9 @@
 //   - Below memory sits the optional disk tier (SetArtifactStore): on a
 //     miss the winner probes the artifact store under the
 //     process-independent half of the content key and, on a load, skips
-//     the whole front half of the pipeline. See artifact.go.
+//     the whole front half of the pipeline. The programs it generates from
+//     the store stay resident for the next kernel that loads the same
+//     bytes. See artifact.go.
 package core
 
 import (
@@ -143,6 +145,8 @@ func init() {
 			{Name: "compile_cache_invalidations_total", Value: float64(s.Invalidations)},
 			{Name: "compile_cache_entries", Value: float64(s.Entries)},
 			{Name: "compile_cache_hit_ratio", Value: s.HitRatio()},
+			{Name: "compile_cache_resident_hits_total", Value: float64(residentHits.Load())},
+			{Name: "compile_cache_resident_entries", Value: float64(residents.size())},
 		}
 	})
 }
@@ -163,9 +167,10 @@ func setCompileCacheCapacity(n int) int {
 	return prev
 }
 
-// ResetCompileCache drops every entry and zeroes the counters (tests).
-// Compiles in flight are left to finish and file their results. The key memo
-// stays: it holds no compiled code, only which stable key a source has.
+// ResetCompileCache drops every entry and every resident program and zeroes
+// the counters (tests). Compiles in flight are left to finish and file their
+// results. The key memo stays: it holds no compiled code, only which stable key
+// a source has.
 func ResetCompileCache() {
 	c := compileCache
 	c.mu.Lock()
@@ -173,6 +178,8 @@ func ResetCompileCache() {
 	c.byKey = map[cacheKey]*list.Element{}
 	c.lru.Init()
 	c.stats = CompileCacheStats{}
+	residents.reset()
+	residentHits.Store(0)
 }
 
 // InvalidateCompileCache drops every cached function matching pred and
@@ -395,7 +402,7 @@ func (c *Compiler) stableKey(version, selfName string, fn expr.Expr, src *diag.S
 // and both environment signatures, and macro expansion reads nothing else (no
 // kernel: internal/macro imports none). Only the stable key is shared; what it
 // addresses in memory is still one entry per kernel and registry (cacheKey).
-var keyMemo fastMemo
+var keyMemo = genMemo[[sha256.Size]byte, string]{cap: 1024}
 
 // keysFor returns the cache key of compiling fn under req, and the macro
 // expansion when finding the key took one.
@@ -553,55 +560,60 @@ func (ccf *CompiledCodeFunction) reportOrNil() *CompileReport {
 	return ccf.Report
 }
 
-// fastMemo maps fast keys to stable keys (keyMemo). It is generational
-// (young + old maps): when the young generation fills, it becomes the old
-// generation and a fresh young map starts — hot keys are re-promoted to young
-// on access, so steady churn evicts only cold keys instead of wiping the
-// whole memo. Total footprint is bounded by 2×cap entries of two digests.
-type fastMemo struct {
+// genMemo is the bounded map behind keyMemo and the resident programs
+// (artifact.go). It is generational (young + old maps): when the young
+// generation fills, it becomes the old generation and a fresh young map starts
+// — a key read from the old generation moves back to young, so steady churn
+// evicts only keys nobody asked for since the last flip instead of wiping the
+// whole memo. It holds at most 2×cap entries; cap is fixed where each
+// instance is declared.
+type genMemo[K comparable, V any] struct {
 	mu    sync.Mutex
-	cap   int // per-generation bound; 0 = default 1024
-	young map[[sha256.Size]byte]string
-	old   map[[sha256.Size]byte]string
+	cap   int // per-generation bound
+	young map[K]V
+	old   map[K]V
 }
 
-const fastMemoDefaultCap = 1024
-
-func (m *fastMemo) get(k [sha256.Size]byte) (string, bool) {
+func (m *genMemo[K, V]) get(k K) (V, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if v, ok := m.young[k]; ok {
 		return v, true
 	}
-	if v, ok := m.old[k]; ok {
+	v, ok := m.old[k]
+	if ok {
 		m.putLocked(k, v) // promote: hot keys survive the next flip
-		return v, true
 	}
-	return "", false
+	return v, ok
 }
 
-func (m *fastMemo) put(k [sha256.Size]byte, v string) {
+func (m *genMemo[K, V]) put(k K, v V) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.putLocked(k, v)
 }
 
-func (m *fastMemo) putLocked(k [sha256.Size]byte, v string) {
-	if m.cap <= 0 {
-		m.cap = fastMemoDefaultCap
-	}
+func (m *genMemo[K, V]) putLocked(k K, v V) {
+	delete(m.old, k) // one generation per key, so size counts each once
 	if m.young == nil {
-		m.young = make(map[[sha256.Size]byte]string)
+		m.young = make(map[K]V)
 	}
 	if _, dup := m.young[k]; !dup && len(m.young) >= m.cap {
 		m.old = m.young
-		m.young = make(map[[sha256.Size]byte]string, m.cap)
+		m.young = make(map[K]V, m.cap)
 	}
 	m.young[k] = v
 }
 
-// size reports the current entry count across both generations (tests).
-func (m *fastMemo) size() int {
+// reset empties both generations.
+func (m *genMemo[K, V]) reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.young, m.old = nil, nil
+}
+
+// size reports the current entry count across both generations.
+func (m *genMemo[K, V]) size() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.young) + len(m.old)

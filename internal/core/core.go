@@ -286,7 +286,7 @@ func (c *Compiler) FunctionCompileRequest(fn expr.Expr, req CompileRequest) (ccf
 		return nil, err
 	}
 	rep.stage(codegenStage, t)
-	ccf, err = c.wrap(mod, prog, fn, req.SelfName, c.backend())
+	ccf, err = c.wrap(mod, prog, fn, req.SelfName, c.backend(), collectRegDeps(mod))
 	if err != nil {
 		return nil, err
 	}
@@ -326,11 +326,11 @@ func (c *Compiler) backend() string {
 }
 
 // wrap binds generated code to this compiler's kernel as a
-// CompiledCodeFunction. Its metrics block is titled the way displayName
-// titles trace events — the source is kept and printed when the name is first
-// read — and labelled with the backend; a library loaded without its source
-// (fn nil) gets no block.
-func (c *Compiler) wrap(mod *wir.Module, prog *codegen.Program, fn expr.Expr, selfName, label string) (*CompiledCodeFunction, error) {
+// CompiledCodeFunction that calls the registry entries regDeps names. Its
+// metrics block is titled the way displayName titles trace events — the
+// source is kept and printed when the name is first read — and labelled with
+// the backend; a library loaded without its source (fn nil) gets no block.
+func (c *Compiler) wrap(mod *wir.Module, prog *codegen.Program, fn expr.Expr, selfName, label string, regDeps []string) (*CompiledCodeFunction, error) {
 	main := mod.Main()
 	if main == nil {
 		return nil, fmt.Errorf("module has no entry function")
@@ -342,7 +342,7 @@ func (c *Compiler) wrap(mod *wir.Module, prog *codegen.Program, fn expr.Expr, se
 		RetType:  main.RetTy,
 		compiler: c,
 		stencil:  c.Stencil,
-		RegDeps:  collectRegDeps(mod),
+		RegDeps:  regDeps,
 	}
 	for _, p := range main.Params {
 		if !p.Capture {

@@ -108,7 +108,8 @@ func LoadCompiledLibrary(c *Compiler, r io.Reader, standalone bool) (ccf *Compil
 	if err != nil {
 		return nil, err
 	}
-	ccf, err = c.wrap(mod, prog, nil, "", "")
+	// ExportLibrary refuses modules with registry calls, so there are none.
+	ccf, err = c.wrap(mod, prog, nil, "", "", nil)
 	if err != nil {
 		return nil, fmt.Errorf("import: %w", err)
 	}

@@ -12,11 +12,3 @@ func CacheKeysForTest(c *Compiler, selfName string, fn expr.Expr) (fast, stable 
 	stable, _, err = c.stableKey(cacheKeyVersion, selfName, fn, nil)
 	return string(fk[:]), stable, err
 }
-
-// reset empties the memo, so a test can count the expansions of a source an
-// earlier test has keyed.
-func (m *fastMemo) reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.young, m.old = nil, nil
-}

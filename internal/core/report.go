@@ -14,7 +14,9 @@ import (
 // (macro expansion, binding, lowering, inference, resolution, the pass
 // pipeline, code generation) or of a cached lookup (key: both digests and,
 // for a source the process has not keyed before, its macro expansion; decode:
-// the artifact read and module decode; codegen).
+// the artifact read and module decode; codegen; or, in place of decode and
+// codegen, resident: the artifact read and wrapping the program an earlier
+// load generated from the same bytes).
 type StageTime struct {
 	Name     string        `json:"name"`
 	Duration time.Duration `json:"duration_ns"`
@@ -36,7 +38,8 @@ type CompileReport struct {
 	Solver   *infer.Counts `json:"solver,omitempty"`
 	CacheHit bool          `json:"cache_hit"`
 	// ArtifactHit marks an invocation served from the disk artifact store:
-	// the typed module was loaded and only code generation re-ran, the
+	// the typed module was loaded and only code generation re-ran (or, for
+	// bytes another kernel in this process already loaded, neither ran), the
 	// front half of the pipeline (macro → binding → lower → infer →
 	// passes) was skipped entirely.
 	ArtifactHit bool `json:"artifact_hit,omitempty"`

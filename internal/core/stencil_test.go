@@ -284,9 +284,10 @@ func warmStore(tb testing.TB, c *Compiler, fns ...expr.Expr) {
 }
 
 // BenchmarkArtifactLoad is what a compile-cache hit on the disk tier pays,
-// over the corpus: each iteration drops the in-memory cache outside the timer
-// and asks for every source inside it — both keys (from the memo after the
-// first round), the store read, the module decode and code generation.
+// over the corpus: each iteration drops the in-memory cache (and with it the
+// resident programs) outside the timer and asks for every source inside it —
+// both keys (from the memo after the first round), the store read, the module
+// decode and code generation.
 func BenchmarkArtifactLoad(b *testing.B) {
 	c, fns := newBenchCompiler(b), benchCorpus(b)
 	warmStore(b, c, fns...)
@@ -307,7 +308,8 @@ func BenchmarkArtifactLoad(b *testing.B) {
 
 // TestWarmLoadAllocs pins what one artifact load of the benchmark's
 // mandelbrot allocates, source expression to callable, on a compiler that has
-// keyed the source before. It was 866 before ISSUE 23 (the source printed
+// keyed the source before; the reset drops the resident program, so every run
+// decodes and generates. It was 866 before ISSUE 23 (the source printed
 // twice, a type parsed per instruction, parameter and constant, a closure per
 // forward reference), and a macro expansion more on a fresh compiler.
 func TestWarmLoadAllocs(t *testing.T) {
@@ -322,5 +324,56 @@ func TestWarmLoadAllocs(t *testing.T) {
 	t.Logf("one mandelbrot artifact load: %.0f allocations", n)
 	if n > 700 {
 		t.Errorf("one mandelbrot artifact load allocates %.0f times, bound 700", n)
+	}
+}
+
+// BenchmarkResidentLoad is what every kernel after the first pays for the
+// corpus: each round is a fresh compiler on a fresh kernel (made outside the
+// timer), and every source is the program an earlier load generated, wrapped
+// for it — both keys from the memo, the store read, a byte comparison and wrap.
+// BenchmarkArtifactLoad, which resets the cache and with it the residents, is
+// the decode path.
+func BenchmarkResidentLoad(b *testing.B) {
+	c, fns := newBenchCompiler(b), benchCorpus(b)
+	warmStore(b, c, fns...)
+	for _, fn := range fns {
+		if _, err := c.FunctionCompileCached(fn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh := newBenchCompiler(b)
+		b.StartTimer()
+		for _, fn := range fns {
+			_, rep, err := fresh.FunctionCompileCachedRequest(fn, CompileRequest{Collect: true})
+			if err != nil || stageNames(rep) != "key resident" {
+				b.Fatalf("not a resident load: %+v, %v", rep, err)
+			}
+		}
+	}
+}
+
+// TestResidentLoadAllocs pins what a load of the benchmark's mandelbrot
+// allocates once its program is resident: the store read, the byte comparison
+// and wrap's CompiledCodeFunction and metrics block. Each run drops the
+// in-memory front (not the residents), as a new kernel finds it.
+func TestResidentLoadAllocs(t *testing.T) {
+	c, mandelbrot := newCompiler(), benchProgram(t, "mandelbrot")
+	warmStore(t, c, mandelbrot)
+	if _, err := c.FunctionCompileCached(mandelbrot); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(10, func() {
+		InvalidateCompileCache(func(*CompiledCodeFunction) bool { return true })
+		if _, rep, err := c.FunctionCompileCachedRequest(mandelbrot, CompileRequest{Collect: true}); err != nil || stageNames(rep) != "key resident" {
+			t.Fatalf("not a resident load: %+v, %v", rep, err)
+		}
+	})
+	t.Logf("one mandelbrot resident load: %.0f allocations", n)
+	if n > 30 {
+		t.Errorf("one mandelbrot resident load allocates %.0f times, bound 30", n)
 	}
 }

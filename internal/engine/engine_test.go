@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"wolfc/internal/artifact"
+	"wolfc/internal/codegen"
 	"wolfc/internal/core"
 	"wolfc/internal/engine"
 	"wolfc/internal/expr"
@@ -267,6 +269,66 @@ func TestCloseReleasesCompiledFunctions(t *testing.T) {
 			t.Fatalf("%d of 2 compiled functions of a closed engine are still reachable", 2-seen)
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+}
+
+// TestResidentProgramsPinNoKernel: two engines that loaded one function from
+// the artifact tier share its program, and closing them still releases both
+// functions while the program stays resident — the resident table holds
+// code, never a kernel, a compiler or a CompiledCodeFunction.
+func TestResidentProgramsPinNoKernel(t *testing.T) {
+	const src = `Function[{Typed[x, "MachineInteger"]}, x + 43]`
+	prev := core.SetArtifactStore(artifact.OpenMemory())
+	t.Cleanup(func() { core.SetArtifactStore(prev); core.ResetCompileCache() })
+	core.ResetCompileCache()
+	writer := engine.New(engine.Options{})
+	defer writer.Close()
+	if _, err := writer.Eval("FunctionCompile["+src+"][1]", 0); err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan string, 2)
+	var shared *codegen.Program
+	func() {
+		a, b := engine.New(engine.Options{}), engine.New(engine.Options{})
+		var fns []*core.CompiledCodeFunction
+		for _, e := range []*engine.Engine{a, b} {
+			if _, err := e.Eval("cf = FunctionCompile["+src+"]; cf[1]", 0); err != nil {
+				t.Fatal(err)
+			}
+			// An in-memory hit: the function the session's object holds.
+			ccf, err := e.Compiler.FunctionCompileCached(parser.MustParse(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fns = append(fns, ccf)
+		}
+		if fns[0] == fns[1] || fns[0].Program != fns[1].Program {
+			t.Fatal("the two engines must hold their own functions over one program")
+		}
+		shared = fns[0].Program
+		runtime.SetFinalizer(fns[0].Metrics, func(*obs.FuncMetrics) { collected <- "a" })
+		runtime.SetFinalizer(fns[1].Metrics, func(*obs.FuncMetrics) { collected <- "b" })
+		a.Close()
+		b.Close()
+	}()
+	core.InvalidateCompileCache(func(*core.CompiledCodeFunction) bool { return true })
+	deadline := time.After(10 * time.Second)
+	for seen := 0; seen < 2; {
+		runtime.GC()
+		select {
+		case <-collected:
+			seen++
+		case <-deadline:
+			t.Fatalf("%d of 2 functions over a resident program are still reachable", 2-seen)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	// The program outlived them: the next engine is served it.
+	c := engine.New(engine.Options{})
+	defer c.Close()
+	ccf, rep, err := c.Compiler.FunctionCompileCachedRequest(parser.MustParse(src), core.CompileRequest{Collect: true})
+	if err != nil || !rep.ArtifactHit || ccf.Program != shared {
+		t.Fatalf("the program did not stay resident: %+v, %v", rep, err)
 	}
 }
 

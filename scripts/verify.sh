@@ -44,8 +44,8 @@ size_report() {
     echo "internal/codegen hand-written: $(find internal/codegen -name '*.go' ! -name '*_test.go' | grep -v -F "$gen" | xargs cat | wc -l)"
     echo "scripts/verify.sh: $(wc -l < scripts/verify.sh) lines"
     echo "internal/codegen/fusion_modes.go: $(wc -l < internal/codegen/fusion_modes.go) generated lines"
-    echo "== size: what one compiler, one tiered session (ISSUE 16), 21 891 compiled calls (cfib[20], ISSUE 17), inferring the 14-source corpus (ISSUE 18) and loading it from the artifact store (ISSUE 23) cost =="
-    go test -run '^$' -bench 'NewCompiler$|EngineNewClose$|CallOverhead$|Infer$|ArtifactLoad$' -benchmem -benchtime 200x ./internal/core ./internal/engine | grep '^Benchmark'
+    echo "== size: what one compiler, one tiered session (ISSUE 16), 21 891 compiled calls (cfib[20], ISSUE 17), inferring the 14-source corpus (ISSUE 18), loading it from the artifact store (decode + codegen, ISSUE 23) and loading it on a second kernel (resident programs, ISSUE 25) cost =="
+    go test -run '^$' -bench 'NewCompiler$|EngineNewClose$|CallOverhead$|Infer$|ArtifactLoad$|ResidentLoad$' -benchmem -benchtime 200x ./internal/core ./internal/engine | grep '^Benchmark'
     echo "== size: the tensor loops of Figure 2 and the random walk's allocations (ISSUE 19) =="
     go test -run '^$' -bench 'Fig2/(blur|histogram|qsort)/compiled$|Figure1RandomWalk/compiled$' -benchmem -benchtime 20x -cpu 1 . | grep '^Benchmark'
 }
