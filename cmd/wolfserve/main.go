@@ -1,7 +1,8 @@
 // Command wolfserve runs the multi-tenant evaluation service: per-session
 // isolated engines (kernel + compiler + tiering + registry namespace) over
-// HTTP/JSON, with the process-wide compile cache and artifact store shared
-// across sessions so tenants warm each other's compiles.
+// HTTP/JSON. Sessions share compiled programs through the process's program
+// table, so a tenant's first compile of a function another tenant compiled is
+// a lookup; -artifact-dir adds a store that survives restarts.
 //
 //	wolfserve -addr :8080 -autocompile
 //	curl -s -X POST localhost:8080/v1/sessions                      # {"id":"s-1"}
@@ -18,7 +19,6 @@ import (
 	"os"
 	"time"
 
-	"wolfc/internal/artifact"
 	"wolfc/internal/core"
 	"wolfc/internal/obs"
 	"wolfc/internal/serve"
@@ -42,24 +42,20 @@ var (
 	traceOut     = flag.String("trace-out", "", "also append JSONL trace events to this file")
 
 	artifactDir = flag.String("artifact-dir", os.Getenv("WOLFC_ARTIFACT_DIR"),
-		"persist compiled artifacts to this directory, shared across sessions and server restarts (also WOLFC_ARTIFACT_DIR; empty = in-process memory store shared across sessions only)")
+		"persist compiled artifacts to this directory, shared across server restarts and processes (also WOLFC_ARTIFACT_DIR; empty = no store: sessions still share programs within the process)")
 )
 
 func main() {
 	flag.Parse()
 
-	// The artifact tier is keyed by the registry-free stable content key, so
-	// every session shares it: tenant B's first compile of a function tenant
-	// A already compiled is a cheap load instead of a full pipeline run.
-	// With no directory configured the store is memory-backed — shared
-	// within the process, gone at exit.
+	// Within the process sessions share programs through the compile cache's
+	// program table; the store, keyed by the same stable key, carries them
+	// across restarts and between processes.
 	if *artifactDir != "" {
 		if _, err := core.EnableArtifactStore(*artifactDir); err != nil {
 			fmt.Fprintf(os.Stderr, "wolfserve: artifact store: %v\n", err)
 			os.Exit(1)
 		}
-	} else {
-		core.SetArtifactStore(artifact.OpenMemory())
 	}
 
 	// Request tracing: the in-memory recent-traces store backs

@@ -22,6 +22,20 @@
 // Entries whose compiled code depends on process-local state (function-
 // registry calls, CCF.RegDeps) must not reach the store; core enforces
 // that gate before calling Put, mirroring the ExportLibrary rules.
+//
+// Several processes may share one directory, with no lock between them:
+//
+//   - Writes are temp file + rename, so no process reads a partial entry.
+//   - Put is idempotent per content key: the key determines the payload, so
+//     two processes writing one key write the same bytes, and the last rename
+//     wins harmlessly.
+//   - An entry a peer evicted or dropped is a clean miss, and a reader that
+//     had the file open still reads it whole.
+//   - Each handle's Stats count what that handle did and saw (its Open scan,
+//     its writes, drops and evictions), so with peers writing they drift from
+//     the directory's true footprint, and the SetMaxBytes bound is enforced
+//     against that count: a handle evicts what it ranks in the directory,
+//     peers' entries included, once its own count passes the bound.
 package artifact
 
 import (
@@ -32,6 +46,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -89,9 +104,8 @@ type Store struct {
 	evictions    uint64
 	evictPasses  uint64
 
-	// mem, when non-nil, makes the store memory-backed (OpenMemory): one
-	// process's sessions share compiled modules through the same stable-key
-	// tier without touching disk. Headers and checksums are skipped — bytes
+	// mem, when non-nil, makes the store memory-backed (OpenMemory): the
+	// store without a filesystem. Headers and checksums are skipped — bytes
 	// in a map cannot tear — but the Get/Put/eviction contract is identical.
 	mem    map[string]memEntry
 	memSeq uint64
@@ -139,17 +153,15 @@ func Open(dir string) (*Store, error) {
 }
 
 // DefaultMemoryBytes bounds a memory-backed store unless SetMaxBytes says
-// otherwise. A serving process's sessions all write into one such store, so
-// without a bound any tenant that compiles distinct functions in a loop
-// grows the heap under every other tenant.
+// otherwise: every compile of a process attached to one writes into it, so
+// without a bound a loop that compiles distinct functions grows the heap.
 const DefaultMemoryBytes = 16 << 20
 
 // OpenMemory returns a memory-backed store: same keying, counters and
 // eviction order as the disk tier, no filesystem, and — unlike the disk
 // tier, which is unbounded until SetMaxBytes — bounded at
-// DefaultMemoryBytes from the start. A serving process uses it so all
-// sessions share each other's compiles even with no -artifact-dir
-// configured; entries die with the process.
+// DefaultMemoryBytes from the start. Entries die with the process; tests
+// and benchmarks use it to exercise the store without touching disk.
 func OpenMemory() *Store {
 	return &Store{mem: map[string]memEntry{}, hitCounts: map[string]uint64{}, maxBytes: DefaultMemoryBytes}
 }
@@ -160,9 +172,9 @@ func (s *Store) Dir() string { return s.dir }
 // InMemory reports whether the store is memory-backed.
 func (s *Store) InMemory() bool { return s.mem != nil }
 
-// SetMaxBytes bounds the on-disk footprint (0 = unbounded) and evicts
-// oldest-first if the bound is already exceeded. Returns the previous
-// bound.
+// SetMaxBytes bounds the footprint (0 = unbounded) and, if the bound is
+// already exceeded, evicts down to it in the order evictLocked ranks. Returns
+// the previous bound.
 func (s *Store) SetMaxBytes(n int64) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -171,7 +183,7 @@ func (s *Store) SetMaxBytes(n int64) int64 {
 		n = 0
 	}
 	s.maxBytes = n
-	s.evictLocked()
+	s.evictLocked(n)
 	return prev
 }
 
@@ -200,8 +212,7 @@ func (s *Store) path(key string) string {
 // A present-but-invalid entry — wrong magic (format bump), key mismatch,
 // bad length, checksum failure — is deleted and reported as a miss.
 // The payload is read-only: on a memory-backed store it is the store's own
-// slice, and callers may keep a reference to it (the compile cache's
-// resident programs do) but must never write to it.
+// slice, and callers may keep a reference to it but must never write to it.
 func (s *Store) Get(key string) ([]byte, bool) {
 	if len(key) != keyLen {
 		return nil, false
@@ -340,7 +351,7 @@ func (s *Store) Put(key string, payload []byte) {
 			s.writes++
 			s.bytes += int64(len(payload))
 			s.entries++
-			s.evictLocked()
+			s.evictLocked(s.lowWater())
 		}
 		s.mu.Unlock()
 		return
@@ -349,16 +360,7 @@ func (s *Store) Put(key string, payload []byte) {
 	if _, err := os.Stat(p); err == nil {
 		return // already stored
 	}
-	buf := make([]byte, 0, headerLen+len(payload))
-	buf = append(buf, formatMagic...)
-	buf = append(buf, key...)
-	var lenb [8]byte
-	binary.BigEndian.PutUint64(lenb[:], uint64(len(payload)))
-	buf = append(buf, lenb[:]...)
-	sum := sha256.Sum256(payload)
-	buf = append(buf, sum[:]...)
-	buf = append(buf, payload...)
-
+	buf := encodeEntry(key, payload)
 	tmp, err := os.CreateTemp(s.dir, ".put-*")
 	if err != nil {
 		s.noteWriteError()
@@ -381,8 +383,20 @@ func (s *Store) Put(key string, payload []byte) {
 	s.writes++
 	s.bytes += int64(len(buf))
 	s.entries++
-	s.evictLocked()
+	s.evictLocked(s.lowWater())
 	s.mu.Unlock()
+}
+
+// encodeEntry lays out one entry: magic, key, payload length, payload
+// digest, payload.
+func encodeEntry(key string, payload []byte) []byte {
+	buf := make([]byte, 0, headerLen+len(payload))
+	buf = append(buf, formatMagic...)
+	buf = append(buf, key...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	buf = append(buf, sum[:]...)
+	return append(buf, payload...)
 }
 
 func (s *Store) noteWriteError() {
@@ -391,103 +405,79 @@ func (s *Store) noteWriteError() {
 	s.mu.Unlock()
 }
 
-// evictLocked enforces maxBytes by deleting least-frequently-used entries
-// first (this instance's hit tally), breaking ties oldest-first (mtime on
-// disk, insertion order in memory). Called with s.mu held.
-func (s *Store) evictLocked() {
+// lowWater is what a Put past the bound evicts down to: 7/8 of the bound.
+// Ranking the entries costs a scan and a sort (on disk, a ReadDir too), and a
+// store at its bound would pay it on every Put; evicting an eighth makes room
+// for the next many.
+func (s *Store) lowWater() int64 { return s.maxBytes - s.maxBytes/8 }
+
+// evictCand is one entry as eviction ranks it; path is empty in memory.
+type evictCand struct {
+	key, path string
+	size, age int64 // age: mtime on disk, insertion order in memory
+	hits      uint64
+}
+
+// evictLocked enforces maxBytes: once the store is over it, entries go
+// least-frequently-used first (this instance's hit tally), oldest first among
+// equals, until at most target bytes remain. Called with s.mu held.
+func (s *Store) evictLocked(target int64) {
 	if s.maxBytes <= 0 || s.bytes <= s.maxBytes {
 		return
 	}
 	s.evictPasses++
-	if s.mem != nil {
-		// Ranking every entry costs O(n log n), and a store at its bound
-		// would pay it on every insert: evict down to 7/8 of the bound, so
-		// one ranking makes room for the next several hundred inserts.
-		lowWater := s.maxBytes - s.maxBytes/8
-		type mc struct {
-			key  string
-			e    memEntry
-			hits uint64
+	for _, c := range s.candidatesLocked() {
+		if s.bytes <= target {
+			break
 		}
-		cands := make([]mc, 0, len(s.mem))
-		for k, e := range s.mem {
-			cands = append(cands, mc{k, e, s.hitCounts[k]})
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].hits != cands[j].hits {
-				return cands[i].hits < cands[j].hits
-			}
-			return cands[i].e.seq < cands[j].e.seq
-		})
-		for _, c := range cands {
-			if s.bytes <= lowWater {
-				break
-			}
+		if s.mem != nil {
 			delete(s.mem, c.key)
-			delete(s.hitCounts, c.key)
-			s.bytes -= int64(len(c.e.payload))
-			s.entries--
-			s.evictions++
-		}
-		return
-	}
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	type cand struct {
-		path  string
-		key   string
-		size  int64
-		mtime int64
-		hits  uint64
-	}
-	var cands []cand
-	for _, e := range ents {
-		if e.IsDir() || filepath.Ext(e.Name()) != entryExt {
+		} else if os.Remove(c.path) != nil {
 			continue
 		}
-		info, err := e.Info()
+		delete(s.hitCounts, c.key)
+		s.bytes -= c.size
+		s.entries--
+		s.evictions++
+	}
+	s.bytes, s.entries = max(s.bytes, 0), max(s.entries, 0)
+}
+
+// candidatesLocked lists the entries in eviction order.
+func (s *Store) candidatesLocked() []evictCand {
+	var cands []evictCand
+	if s.mem != nil {
+		for k, e := range s.mem {
+			cands = append(cands, evictCand{key: k, size: int64(len(e.payload)), age: int64(e.seq), hits: s.hitCounts[k]})
+		}
+	} else {
+		ents, err := os.ReadDir(s.dir)
 		if err != nil {
-			continue
+			return nil
 		}
-		c := cand{
-			path:  filepath.Join(s.dir, e.Name()),
-			size:  info.Size(),
-			mtime: info.ModTime().UnixNano(),
+		for _, e := range ents {
+			if e.IsDir() || filepath.Ext(e.Name()) != entryExt {
+				continue
+			}
+			info, err := e.Info()
+			if err != nil {
+				continue
+			}
+			c := evictCand{path: filepath.Join(s.dir, e.Name()), size: info.Size(), age: info.ModTime().UnixNano()}
+			// The filename is the hex content key; recover it to join against
+			// the hit tally. An undecodable name just counts as never hit.
+			if raw, err := hex.DecodeString(strings.TrimSuffix(e.Name(), entryExt)); err == nil && len(raw) == keyLen {
+				c.key = string(raw)
+				c.hits = s.hitCounts[c.key]
+			}
+			cands = append(cands, c)
 		}
-		// The filename is the hex content key; recover it to join against
-		// the hit tally. An undecodable name just counts as never hit.
-		base := e.Name()[:len(e.Name())-len(entryExt)]
-		if raw, err := hex.DecodeString(base); err == nil && len(raw) == keyLen {
-			c.key = string(raw)
-			c.hits = s.hitCounts[c.key]
-		}
-		cands = append(cands, c)
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].hits != cands[j].hits {
 			return cands[i].hits < cands[j].hits
 		}
-		return cands[i].mtime < cands[j].mtime
+		return cands[i].age < cands[j].age
 	})
-	for _, c := range cands {
-		if s.bytes <= s.maxBytes {
-			break
-		}
-		if os.Remove(c.path) == nil {
-			if c.key != "" {
-				delete(s.hitCounts, c.key)
-			}
-			s.bytes -= c.size
-			s.entries--
-			s.evictions++
-		}
-	}
-	if s.bytes < 0 {
-		s.bytes = 0
-	}
-	if s.entries < 0 {
-		s.entries = 0
-	}
+	return cands
 }

@@ -470,3 +470,106 @@ func TestMemoryStoreBoundedByDefault(t *testing.T) {
 		t.Fatalf("previous bound = %d", prev)
 	}
 }
+
+// A disk store past its bound evicts down to 7/8 of it, as a memory store
+// does: ranking the directory costs a ReadDir and a sort, and 200 Puts past
+// the bound pay for it a handful of times, not 200.
+func TestDiskEvictionIsAmortised(t *testing.T) {
+	s := mustOpen(t)
+	payload := bytes.Repeat([]byte("d"), 100)
+	const fit, past = 160, 200
+	bound := fit * int64(headerLen+len(payload))
+	s.SetMaxBytes(bound)
+	for i := 0; i < fit+past; i++ {
+		s.Put(testKey(fmt.Sprintf("amortised-%d", i)), payload)
+		if st := s.Stats(); st.BytesOnDisk > bound {
+			t.Fatalf("after %d puts: %d bytes held, bound %d", i+1, st.BytesOnDisk, bound)
+		}
+	}
+	st := s.Stats()
+	if st.Evictions == 0 || st.EvictionPasses > past/10 {
+		t.Fatalf("%d eviction passes for %d puts past the bound (%d evictions); want at most %d", st.EvictionPasses, past, st.Evictions, past/10)
+	}
+	if files, _ := filepath.Glob(filepath.Join(s.Dir(), "*"+entryExt)); len(files) != st.Entries {
+		t.Fatalf("%d entries on disk, the store counts %d", len(files), st.Entries)
+	}
+}
+
+// Two handles on one directory, as two processes hold it, write and read
+// concurrently while one of them evicts under a small bound. The store's
+// multi-process rule holds without a lock: every Get either misses or returns
+// the very bytes that were Put under its key, and both handles work after.
+func TestTwoHandlesShareADirectory(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetMaxBytes(8 * int64(headerLen+400))
+	const keys = 48
+	payloadFor := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i%26)}, 300+i) }
+	var wg sync.WaitGroup
+	for g, s := range []*Store{a, b, a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := 0; it < 300; it++ {
+				i := (g*7 + it) % keys
+				key := testKey(fmt.Sprintf("shared-%d", i))
+				if it%2 == 0 {
+					s.Put(key, payloadFor(i))
+				} else if got, ok := s.Get(key); ok && !bytes.Equal(got, payloadFor(i)) {
+					t.Errorf("key %d: %d bytes that were never Put under it", i, len(got))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := a.Stats(); st.CorruptDrops != 0 {
+		t.Fatalf("a peer's writes and evictions read as corruption: %+v", st)
+	}
+	key := testKey("after")
+	a.Put(key, []byte("written by a"))
+	if got, ok := b.Get(key); !ok || string(got) != "written by a" {
+		t.Fatalf("b reads a's entry as %q, %v", got, ok)
+	}
+}
+
+// FuzzValidate feeds arbitrary bytes to the entry check. It must never panic,
+// and it accepts exactly the entries Put writes for the key — magic, key,
+// length and digest all matching — returning the payload as it stands.
+func FuzzValidate(f *testing.F) {
+	key := testKey("fuzz")
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.Put(key, []byte("a serialised module"))
+	entry, err := os.ReadFile(s.path(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(entry)
+	for _, n := range []int{0, 1, len(formatMagic), headerLen - 1, headerLen, len(entry) - 1} {
+		f.Add(entry[:n])
+	}
+	for _, off := range []int{0, len(formatMagic), len(formatMagic) + keyLen, len(formatMagic) + keyLen + 8, headerLen} {
+		flipped := bytes.Clone(entry)
+		flipped[off] ^= 1
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		payload, ok := validate(raw, key)
+		want := len(raw) >= headerLen && bytes.Equal(encodeEntry(key, raw[headerLen:]), raw)
+		if ok != want {
+			t.Fatalf("validate accepted=%v a %d-byte entry; the entry Put would write matches: %v", ok, len(raw), want)
+		}
+		if ok && !bytes.Equal(payload, raw[headerLen:]) {
+			t.Fatal("validate returned bytes other than the payload")
+		}
+	})
+}

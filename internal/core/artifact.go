@@ -1,15 +1,10 @@
-// The disk tier of the compile cache (ROADMAP item 4): compiled modules
-// are persisted to an artifact store keyed by the process-independent
-// half of the content key (cacheKeys.stable), so warm starts — a new
-// process, or this process after ResetCompileCache — skip the front half
-// of the pipeline (macro → binding → lower → infer → passes) and only
-// re-run code generation against the hosting kernel, exactly the
-// LibraryFunctionLoad rebinding model.
-//
-// Code generation needs no kernel either (the engine reaches compiled code
-// per call, through RT.Engine), so the program a load generates is kept
-// resident: the next kernel that loads the same bytes wraps that program in
-// a CompiledCodeFunction of its own and skips decode and codegen too.
+// The artifact store under the compile cache (ROADMAP item 4): compiled
+// modules are persisted to a store keyed by the stable key, so a new process,
+// or this one after ResetCompileCache, skips the front half of the pipeline
+// (macro → binding → lower → infer → passes) and only re-runs code generation
+// against the hosting kernel, exactly the LibraryFunctionLoad rebinding
+// model. The program a load generates is filed in the program table like a
+// compile's (cache.go), so within a process each entry is read once.
 package core
 
 import (
@@ -20,25 +15,22 @@ import (
 	"wolfc/internal/codegen"
 	"wolfc/internal/expr"
 	"wolfc/internal/obs"
-	"wolfc/internal/wir"
 )
 
-// artifactStore is the process-wide disk tier; nil disables it. Swapped
+// artifactStore is the process-wide store; nil disables it. Swapped
 // atomically so tools can attach a store after flag parsing while
 // background tier compiles are already running.
 var artifactStore atomic.Pointer[artifact.Store]
 
-// ArtifactStore returns the attached disk tier, or nil when the compile
-// cache is memory-only.
+// ArtifactStore returns the attached store, or nil when the compile cache
+// lives in this process only.
 func ArtifactStore() *artifact.Store { return artifactStore.Load() }
 
-// SetArtifactStore attaches (or, with nil, detaches) the disk tier and
-// returns the previous store. The resident programs go with the store they
-// were read from.
+// SetArtifactStore attaches (or, with nil, detaches) the store and returns
+// the previous one. The program table stays: its programs are named by what
+// was compiled, not by where the bytes came from.
 func SetArtifactStore(s *artifact.Store) *artifact.Store {
-	prev := artifactStore.Swap(s)
-	residents.reset()
-	return prev
+	return artifactStore.Swap(s)
 }
 
 // EnableArtifactStore opens dir as the process-wide artifact store (the
@@ -53,8 +45,8 @@ func EnableArtifactStore(dir string) (*artifact.Store, error) {
 }
 
 func init() {
-	// Disk-tier gauges ride the same inverted-dependency provider as the
-	// in-memory cache (cache.go); families appear once a store attaches.
+	// Store gauges ride the same inverted-dependency provider as the
+	// compile cache (cache.go); families appear once a store attaches.
 	obs.RegisterGaugeProvider(func() []obs.Gauge {
 		s := ArtifactStore()
 		if s == nil {
@@ -74,32 +66,12 @@ func init() {
 	})
 }
 
-// resident is what one load decoded and generated from a store entry: the
-// entry's bytes, the typed module and the program. None of it refers to a
-// kernel, a registry or a compiler, so any number of CompiledCodeFunctions in
-// any number of kernels can share it.
-type resident struct {
-	payload []byte
-	mod     *wir.Module
-	prog    *codegen.Program
-}
-
-// residents holds the programs loads generated, by stable key. Programs
-// become resident on load, never on write: a compile that no second kernel
-// asks for (a one-shot, every compile of a process that restarts) keeps
-// nothing here.
-var residents = genMemo[string, *resident]{cap: 256}
-
-// residentHits counts loads served by a resident program.
-var residentHits atomic.Uint64
-
-// loadArtifact probes the disk tier for a module compiled under the same
-// stable content key and, on a hit, regenerates executable code for it in
-// this compiler — or wraps the program an earlier load generated from the
-// same bytes. Every failure mode is a soft miss (return nil): the caller
-// falls through to a full compile, and undecodable payloads are dropped from
-// the store so they are not re-probed forever. A load records its stages on
-// rep (nil when no report was asked for): resident, or decode and codegen.
+// loadArtifact probes the store for a module compiled under the same stable
+// key and, on a hit, regenerates executable code for it in this compiler.
+// Every failure mode is a soft miss (return nil): the caller falls through to
+// a full compile, and undecodable payloads are dropped from the store so they
+// are not re-probed forever. A load records its decode and codegen stages on
+// rep (nil when no report was asked for).
 //
 // Serialised modules never carry registry calls (maybeStoreArtifact gates
 // them), so a loaded function has no RegDeps and wrap is told so.
@@ -112,19 +84,6 @@ func (c *Compiler) loadArtifact(stableKey string, fn expr.Expr, req CompileReque
 	payload, ok := s.Get(stableKey)
 	if !ok {
 		return nil
-	}
-	label := c.backend() + "-aot"
-	// The store is read first and decides: an entry it evicted, dropped or
-	// holds other bytes for is never served from memory. A profiled program
-	// is never shared, because its block counters are atomics inside CFunc
-	// and two kernels would count into one profile.
-	shareable := c.ProfileLevel == 0
-	if r, ok := residents.get(stableKey); ok && shareable && bytes.Equal(r.payload, payload) {
-		if shared, err := c.wrap(r.mod, r.prog, fn, req.SelfName, label, nil); err == nil {
-			residentHits.Add(1)
-			rep.stage("resident", t)
-			return shared
-		}
 	}
 	// Same backstop as LoadCompiledLibrary: a checksum-clean payload from
 	// an incompatible writer must degrade to a recompile, never a crash.
@@ -146,24 +105,21 @@ func (c *Compiler) loadArtifact(stableKey string, fn expr.Expr, req CompileReque
 	t = startTimer(rep)
 	prog, err := c.generate(mod)
 	if err == nil {
-		ccf, err = c.wrap(mod, prog, fn, req.SelfName, label, nil)
+		ccf, err = c.wrap(mod, prog, fn, req.SelfName, c.backend()+"-aot", nil)
 	}
 	if err != nil {
 		s.DropUndecodable(stableKey)
 		return nil
 	}
 	rep.stage("codegen", t)
-	if shareable {
-		residents.put(stableKey, &resident{payload: payload, mod: mod, prog: prog})
-	}
 	return ccf
 }
 
-// maybeStoreArtifact persists a freshly compiled module to the disk tier.
+// maybeStoreArtifact persists a freshly compiled module to the store.
 // Functions that call process-registry entries (RegDeps) are process-
 // local — their baked call targets die with this process — and are never
 // written, the same gate ExportLibrary enforces. Serialisation failures
-// are swallowed: the disk tier is an optimisation, not a dependency.
+// are swallowed: the store is an optimisation, not a dependency.
 func (c *Compiler) maybeStoreArtifact(stableKey string, ccf *CompiledCodeFunction) {
 	s := ArtifactStore()
 	if s == nil || ccf == nil || ccf.Module == nil {

@@ -14,9 +14,9 @@ import (
 	"wolfc/internal/parser"
 )
 
-// Tests for the two-tier compile cache (ROADMAP item 4): singleflight
-// coalescing, the generational source→key memo, the sharded front's
-// configuration knob, and the persistent artifact tier.
+// Tests for the compile cache's levels (ROADMAP item 4): singleflight
+// coalescing, the generational source→key memo, and the persistent artifact
+// store.
 
 // withArtifactDir attaches a fresh store over dir for the test's duration
 // and restores the previous (usually nil) store afterwards.
@@ -267,11 +267,31 @@ func TestArtifactStoreOldKeyVersionMissesAndRewrites(t *testing.T) {
 					t.Fatal("the old build's entry must stay what it was")
 				}
 			}
-			// A fresh compiler of this build now starts warm from the new entry.
+			// A fresh kernel is served the program the compile filed in the
+			// table, and the store is not read: the versioned stable key names
+			// the compile's whole input. That holds even once the old build's
+			// payload is back under this build's key.
+			if old == cur {
+				ArtifactStore().DropUndecodable(cur)
+				ArtifactStore().Put(cur, []byte(tc.payload))
+			}
+			st = ArtifactStore().Stats()
+			k2 := kernel.New()
+			k2.Out = io.Discard
+			ccf, rep, err = NewCompiler(k2).FunctionCompileCachedRequest(fn, CompileRequest{Collect: true})
+			if err != nil || !rep.ArtifactHit || stageNames(rep) != "key resident" || apply(t, ccf, "6") != "36" {
+				t.Fatalf("a fresh kernel must be served the table's program: %+v, %v", rep, err)
+			}
+			if now := ArtifactStore().Stats(); now.Hits != st.Hits || now.Misses != st.Misses {
+				t.Fatalf("a table hit read the store: %+v, then %+v", st, now)
+			}
+			// After a reset the store is read again, and decides: a fresh
+			// compiler starts warm from the rewritten entry, or drops the old
+			// build's payload once more and compiles.
 			ResetCompileCache()
 			_, rep, err = NewCompiler(k).FunctionCompileCachedRequest(fn, CompileRequest{Collect: true})
-			if err != nil || rep == nil || !rep.ArtifactHit {
-				t.Fatalf("second compile should hit the rewritten entry: %+v, %v", rep, err)
+			if err != nil || rep == nil || rep.ArtifactHit != (old != cur) {
+				t.Fatalf("after a reset the store decides: %+v, %v", rep, err)
 			}
 		})
 	}

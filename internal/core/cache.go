@@ -1,70 +1,62 @@
-// Process-wide content-addressed FunctionCompile cache (paper §4.5: the
-// implicit compilation mode amortises compile cost across repeated calls).
-// Entries are keyed by a digest of the macro-expanded (desugared) function's
-// binary encoding together with everything else that influences code
-// generation: pass options, backend options, the type- and
-// macro-environment declaration signatures, the conditioned-macro compile
-// options, the compile's SelfName recursion binding, and the hosting
-// kernel identity. Eviction is LRU with a bounded entry count so
-// long-lived processes do not accumulate compiled programs.
+// Content-addressed FunctionCompile cache (paper §4.5: the implicit
+// compilation mode amortises compile cost across repeated calls). Entries are
+// keyed by a digest of the macro-expanded (desugared) function's binary
+// encoding together with everything else that influences code generation:
+// pass options, backend options, the type- and macro-environment declaration
+// signatures, the conditioned-macro compile options and the compile's
+// SelfName recursion binding. That stable key names no kernel, registry or
+// process.
 //
-// The cache is two-tier:
+// A lookup goes down two levels and a store:
 //
-//   - The in-memory front is one map and one LRU list behind one mutex. A
-//     hit holds it for a lookup and a list move (~100 ns); sharding it by
-//     key prefix measured at or below 1× of this at every core count tried
-//     (EXPERIMENTS.md, ISSUE 14), so there is one lock.
+//   - The kernel's front (one per registry namespace, on kernel.Assoc) holds
+//     its CompiledCodeFunctions, which are bound to the kernel (fallback,
+//     engine escapes) and may bake the registry's entries: a repeat compile
+//     in the same kernel returns the same function. The front dies with the
+//     kernel, and one kernel's compiles never evict another's.
 //
-//   - First compiles of the same key are coalesced (singleflight): one
-//     winner compiles, duplicates block on it and count as Coalesced
-//     rather than re-doing the work. The flight table sits under the same
-//     mutex, so "not cached, not in flight, claim it" is one step.
+//   - The process's program table (residents) holds kernel-free
+//     *codegen.Programs, filed by compiles and by loads: another kernel wraps
+//     the program in a CompiledCodeFunction of its own and compiles nothing.
+//     Concurrent first compiles of one key are coalesced here (singleflight):
+//     one winner compiles, the rest wait and count as Coalesced.
 //
-//   - Below memory sits the optional disk tier (SetArtifactStore): on a
-//     miss the winner probes the artifact store under the
-//     process-independent half of the content key and, on a load, skips
-//     the whole front half of the pipeline. The programs it generates from
-//     the store stay resident for the next kernel that loads the same
-//     bytes. See artifact.go.
+//   - Below both sits the optional artifact store (SetArtifactStore), the
+//     cross-process tier. See artifact.go.
 package core
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"wolfc/internal/codegen"
 	"wolfc/internal/diag"
 	"wolfc/internal/expr"
-	"wolfc/internal/fnreg"
-	"wolfc/internal/kernel"
 	"wolfc/internal/obs"
 )
 
-// CompileCacheStats is a snapshot of cache effectiveness counters, taken
-// under the cache mutex: it is internally consistent and never shows more
-// than Capacity entries, and a reset zeroes counters and entries together,
-// so a concurrent snapshot observes either the pre-reset or the post-reset
-// state. Counters are cumulative since process start or the last reset.
+// CompileCacheStats is a snapshot of the cache's counters, cumulative since
+// process start or the last ResetCompileCache; each is read atomically on its
+// own.
 type CompileCacheStats struct {
-	Hits   uint64
-	Misses uint64
-	// Coalesced counts lookups that arrived while another goroutine was
-	// already compiling the same key and simply waited for its result
-	// (the singleflight path). They are neither hits (the entry was not
-	// yet cached) nor misses (no compile work was done).
+	Hits   uint64 // served by the compiling kernel's own front
+	Misses uint64 // served by the program table, the store or a compile
+	// Coalesced counts lookups that waited on another goroutine's compile of
+	// the same key (the singleflight path): neither hits nor misses.
 	Coalesced uint64
-	// Evictions counts entries dropped by capacity pressure (LRU) only.
-	Evictions uint64
-	// Invalidations counts entries dropped by explicit invalidation
-	// (InvalidateCompileCache); they are deliberately not folded into
-	// Evictions so capacity tuning reads a clean signal.
+	// Evictions counts front entries dropped by capacity pressure,
+	// Invalidations those dropped because a registry entry they call was
+	// retired: apart, so capacity tuning reads a clean signal.
+	Evictions     uint64
 	Invalidations uint64
-	Entries       int
+	Entries       int // programs in the table
 }
 
 // HitRatio returns hits/(hits+misses), or 0 before any lookup. Coalesced
@@ -77,58 +69,31 @@ func (s CompileCacheStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-type cacheEntry struct {
-	key cacheKey
-	ccf *CompiledCodeFunction
-}
+// The cache's counters: CompileCacheStats's, and statResident, the lookups
+// the program table served.
+const (
+	statHits = iota
+	statMisses
+	statCoalesced
+	statEvictions
+	statInvalidations
+	statResident
+	numStats
+)
 
-// inflightCompile is one singleflight slot: the winner publishes the
-// compile result and closes done; waiters block on done.
-type inflightCompile struct {
-	done chan struct{}
-	ccf  *CompiledCodeFunction
-	err  error
-}
-
-// cacheFront is the in-memory compile cache: entries in LRU order, the
-// singleflight table and the counters, all guarded by mu.
-type cacheFront struct {
-	mu       sync.Mutex
-	cap      int
-	byKey    map[cacheKey]*list.Element // -> *cacheEntry elements of lru
-	lru      *list.List                 // front = most recently used
-	inflight map[cacheKey]*inflightCompile
-	stats    CompileCacheStats // Entries is filled in at snapshot time
-}
-
-// compileCache is the process-wide instance.
-var compileCache = &cacheFront{
-	cap:      256,
-	byKey:    map[cacheKey]*list.Element{},
-	lru:      list.New(),
-	inflight: map[cacheKey]*inflightCompile{},
-}
-
-// evictOverLocked drops least-recently-used entries until the cache fits
-// its capacity. Called with c.mu held.
-func (c *cacheFront) evictOverLocked() {
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.byKey, back.Value.(*cacheEntry).key)
-		c.stats.Evictions++
-	}
-}
+var cacheCounts [numStats]atomic.Uint64
 
 // CompileCacheStatsNow returns the current cache counters. Safe to call
-// concurrently with compiles and resets; see the CompileCacheStats contract.
+// concurrently with compiles and resets.
 func CompileCacheStatsNow() CompileCacheStats {
-	c := compileCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Entries = c.lru.Len()
-	return s
+	return CompileCacheStats{
+		Hits:          cacheCounts[statHits].Load(),
+		Misses:        cacheCounts[statMisses].Load(),
+		Coalesced:     cacheCounts[statCoalesced].Load(),
+		Evictions:     cacheCounts[statEvictions].Load(),
+		Invalidations: cacheCounts[statInvalidations].Load(),
+		Entries:       residents.size(),
+	}
 }
 
 func init() {
@@ -145,90 +110,147 @@ func init() {
 			{Name: "compile_cache_invalidations_total", Value: float64(s.Invalidations)},
 			{Name: "compile_cache_entries", Value: float64(s.Entries)},
 			{Name: "compile_cache_hit_ratio", Value: s.HitRatio()},
-			{Name: "compile_cache_resident_hits_total", Value: float64(residentHits.Load())},
-			{Name: "compile_cache_resident_entries", Value: float64(residents.size())},
+			{Name: "compile_cache_resident_hits_total", Value: float64(cacheCounts[statResident].Load())},
+			{Name: "compile_cache_resident_entries", Value: float64(s.Entries)},
 		}
 	})
 }
 
-// setCompileCacheCapacity bounds the cache entry count (minimum 1) and
-// returns the previous capacity, evicting LRU entries if the new capacity
-// is already exceeded (the eviction tests).
-func setCompileCacheCapacity(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	c := compileCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prev := c.cap
-	c.cap = n
-	c.evictOverLocked()
-	return prev
-}
-
-// ResetCompileCache drops every entry and every resident program and zeroes
-// the counters (tests). Compiles in flight are left to finish and file their
-// results. The key memo stays: it holds no compiled code, only which stable key
-// a source has.
+// ResetCompileCache empties every front and the program table and zeroes the
+// counters (tests, benchmarks): every kernel's next compile is a miss.
+// Compiles in flight are left to finish and file their results. The key memo
+// stays: it holds no compiled code, only which stable key a source has.
 func ResetCompileCache() {
-	c := compileCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.byKey = map[cacheKey]*list.Element{}
-	c.lru.Init()
-	c.stats = CompileCacheStats{}
+	cacheEpoch.Add(1)
 	residents.reset()
-	residentHits.Store(0)
-}
-
-// InvalidateCompileCache drops every cached function matching pred and
-// returns how many were dropped. Explicit drops count as Invalidations,
-// not Evictions — the eviction counter stays a pure capacity-pressure
-// signal. Typical use: invalidating the entries bound to a kernel that is
-// being discarded, InvalidateCompileCache(func(ccf *CompiledCodeFunction)
-// bool { return ccf.BoundKernel() == k }).
-func InvalidateCompileCache(pred func(*CompiledCodeFunction) bool) int {
-	c := compileCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if ent := el.Value.(*cacheEntry); pred(ent.ccf) {
-			c.lru.Remove(el)
-			delete(c.byKey, ent.key)
-			dropped++
-		}
-		el = next
+	for i := range cacheCounts {
+		cacheCounts[i].Store(0)
 	}
-	c.stats.Invalidations += uint64(dropped)
-	return dropped
 }
 
-// BoundKernel returns the kernel the compiled wrapper's fallback and engine
-// escapes are bound to (the cache keys on its identity).
-func (ccf *CompiledCodeFunction) BoundKernel() *kernel.Kernel {
-	if ccf == nil || ccf.compiler == nil {
+// cacheEpoch advances on every ResetCompileCache: a front entry filed under an
+// older epoch is no hit.
+var cacheEpoch atomic.Uint64
+
+// generation bounds each generation of a front and of the program table: each
+// holds at most 2×generation entries, the 256 functions the process-wide
+// front held when it was one LRU list.
+const generation = 128
+
+// front is one kernel's compiled functions in one registry namespace, by
+// stable key.
+type front = genMemo[string, frontEntry]
+
+type frontEntry struct {
+	ccf   *CompiledCodeFunction
+	epoch uint64 // the cacheEpoch it was filed under
+}
+
+// front returns the front c's compiles are filed in: its kernel's, for its
+// registry namespace. A kernel keeps its fronts on kernel.Assoc, so
+// Engine.Close's ClearAssoc releases every function the kernel compiled; a
+// compiler without a kernel gets a new front each time.
+func (c *Compiler) front() *front {
+	if c.Kernel == nil {
+		return &front{cap: generation}
+	}
+	fronts := c.Kernel.AssocOrStore("core.fronts", func() any { return new(sync.Map) }).(*sync.Map)
+	if f, ok := fronts.Load(c.reg()); ok {
+		return f.(*front)
+	}
+	f, _ := fronts.LoadOrStore(c.reg(), &front{cap: generation})
+	return f.(*front)
+}
+
+// retire drops from c's front the functions that call any of the named
+// registry entries: their code bakes entries that are gone, and a recompile
+// must re-resolve.
+func (c *Compiler) retire(names []string) {
+	n := c.front().drop(func(e frontEntry) bool {
+		return slices.ContainsFunc(e.ccf.RegDeps, func(d string) bool { return slices.Contains(names, d) })
+	})
+	cacheCounts[statInvalidations].Add(uint64(n))
+}
+
+// flight is one singleflight slot: the winner publishes what it produced and
+// closes done; waiters block on done.
+type flight struct {
+	done  chan struct{}
+	front *front // the winner's
+	ccf   *CompiledCodeFunction
+	prog  *codegen.Program // what the winner filed in the table; nil when its code stays with its kernel
+	err   error
+}
+
+// programTable is the process-wide level: kernel-free programs by stable key,
+// and the flights producing them, under the memo's one mutex.
+type programTable struct {
+	genMemo[string, *codegen.Program]
+	flights map[string]*flight
+}
+
+// residents is the program table. A program holds no kernel, compiler or
+// registry (code generation takes none; compiled code reaches its engine per
+// call, through RT.Engine), so any number of CompiledCodeFunctions in any
+// number of kernels can share one. The stable key names the compile's whole
+// input, so a table hit needs no word from the store.
+var residents = programTable{
+	genMemo: genMemo[string, *codegen.Program]{cap: generation},
+	flights: map[string]*flight{},
+}
+
+// lookup takes a cached compile through the levels in one step: c's front,
+// the table, the flights. A winner files its function in its front before it
+// finishes its flight, so a kernel never wraps a program for a function its
+// front already holds. lookup returns the front's function, or the table's
+// program, or a flight, which winner says the caller claimed and must finish.
+func (t *programTable) lookup(key string, fr *front) (hit *CompiledCodeFunction, prog *codegen.Program, f *flight, winner bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e, ok := fr.get(key); ok && e.epoch == cacheEpoch.Load() {
+		cacheCounts[statHits].Add(1)
+		return e.ccf, nil, nil, false
+	}
+	if f, ok := t.flights[key]; ok {
+		cacheCounts[statCoalesced].Add(1)
+		return nil, nil, f, false
+	}
+	cacheCounts[statMisses].Add(1)
+	if prog, ok := t.getLocked(key); ok {
+		return nil, prog, nil, false
+	}
+	f = &flight{done: make(chan struct{}), front: fr}
+	t.flights[key] = f
+	return nil, nil, f, true
+}
+
+// file puts ccf in the front fr.
+func file(fr *front, key string, ccf *CompiledCodeFunction) {
+	cacheCounts[statEvictions].Add(uint64(fr.put(key, frontEntry{ccf, cacheEpoch.Load()})))
+}
+
+// finish publishes a winner's result to its flight's waiters and files its
+// program, when it has one to share.
+func (t *programTable) finish(key string, f *flight, ccf *CompiledCodeFunction, prog *codegen.Program, err error) {
+	f.ccf, f.prog, f.err = ccf, prog, err
+	t.mu.Lock()
+	delete(t.flights, key)
+	if prog != nil {
+		t.putLocked(key, prog)
+	}
+	t.mu.Unlock()
+	close(f.done)
+}
+
+// shared is the code of c's function ccf that the table may hand other
+// kernels, nil when it must stay with c's kernel: profiled code counts blocks
+// in atomics inside the program, so two kernels would count into one profile,
+// and registry calls bake c's registry entries.
+func (c *Compiler) shared(ccf *CompiledCodeFunction) *codegen.Program {
+	if ccf == nil || c.ProfileLevel > 0 || len(ccf.RegDeps) > 0 {
 		return nil
 	}
-	return ccf.compiler.Kernel
-}
-
-// cacheKey is the in-memory key. stable is the process-independent content
-// key the disk tier is keyed by — identical compiles in different processes
-// (or the same process across restarts) share one stable key, and the loaded
-// module is rebound to the hosting kernel exactly as LibraryFunctionLoad
-// does. The other two fields bind an in-memory entry to its host: the
-// compiled wrapper's fallback and engine escapes are bound to the kernel, and
-// compiled registry calls bake *fnreg.Entry pointers from the registry
-// namespace, so the in-memory tier shares nothing across kernels or engines.
-// (The stable key stays registry-free: artifacts with registry deps never
-// reach the store.)
-type cacheKey struct {
-	stable   string
-	kernel   *kernel.Kernel
-	registry *fnreg.Registry
+	return ccf.Program
 }
 
 // cacheKeyVersion joins the stable key so that incompatible changes to
@@ -400,31 +422,30 @@ func (c *Compiler) stableKey(version, selfName string, fn expr.Expr, src *diag.S
 // expansion. One memo serves every compiler because the mapping is a pure
 // function of the fast key: that key holds the source, the compile options
 // and both environment signatures, and macro expansion reads nothing else (no
-// kernel: internal/macro imports none). Only the stable key is shared; what it
-// addresses in memory is still one entry per kernel and registry (cacheKey).
+// kernel: internal/macro imports none).
 var keyMemo = genMemo[[sha256.Size]byte, string]{cap: 1024}
 
-// keysFor returns the cache key of compiling fn under req, and the macro
+// keysFor returns the stable key of compiling fn under req, and the macro
 // expansion when finding the key took one.
-func (c *Compiler) keysFor(fn expr.Expr, req CompileRequest) (cacheKey, expr.Expr, error) {
+func (c *Compiler) keysFor(fn expr.Expr, req CompileRequest) (string, expr.Expr, error) {
 	fast, err := c.contentKey(cacheKeyVersion, req.SelfName, fn)
 	if err != nil {
-		return cacheKey{}, nil, err
+		return "", nil, err
 	}
 	stable, memoised := keyMemo.get(fast)
 	var expanded expr.Expr
 	if !memoised {
 		if stable, expanded, err = c.stableKey(cacheKeyVersion, req.SelfName, fn, req.Source); err != nil {
-			return cacheKey{}, nil, err
+			return "", nil, err
 		}
 		keyMemo.put(fast, stable)
 	}
-	return cacheKey{stable: stable, kernel: c.Kernel, registry: c.reg()}, expanded, nil
+	return stable, expanded, nil
 }
 
-// FunctionCompileCached is FunctionCompile backed by the process-wide LRU
-// cache: a repeated compile of the same desugared source under the same
-// configuration returns the already-compiled function.
+// FunctionCompileCached is FunctionCompile backed by the compile cache: a
+// repeated compile of the same desugared source under the same configuration
+// returns the already-compiled function.
 func (c *Compiler) FunctionCompileCached(fn expr.Expr) (*CompiledCodeFunction, error) {
 	ccf, _, err := c.FunctionCompileCachedRequest(fn, CompileRequest{})
 	return ccf, err
@@ -432,14 +453,14 @@ func (c *Compiler) FunctionCompileCached(fn expr.Expr) (*CompiledCodeFunction, e
 
 // FunctionCompileCachedRequest is the cache-backed compile with
 // per-invocation context. The returned CompileReport describes THIS
-// invocation — on a cache hit it is a bare report with CacheHit set, on
-// an artifact-store load a bare report with ArtifactHit set (the cached
-// function's own compile-time report stays on ccf.Report); it is nil when
-// req.Collect is false.
+// invocation — a bare report with CacheHit set when the kernel's front (or a
+// flight of its own) served it, with ArtifactHit set when the program table
+// or the store did (the function's own compile-time report stays on
+// ccf.Report); it is nil when req.Collect is false.
 //
-// Concurrent first compiles of the same key are coalesced: one goroutine
-// wins and compiles (probing the disk tier first when an artifact store
-// is attached), the rest block on its result and count as Coalesced.
+// Concurrent first compiles of the same key, from any kernels, are coalesced:
+// one goroutine wins and compiles (probing the store first when one is
+// attached), the rest block on its result and count as Coalesced.
 func (c *Compiler) FunctionCompileCachedRequest(fn expr.Expr, req CompileRequest) (*CompiledCodeFunction, *CompileReport, error) {
 	// Resolve the request span once at the boundary so cache-hit events
 	// (hitReport) and the nested full compile agree on attribution. Span is
@@ -461,21 +482,38 @@ func (c *Compiler) FunctionCompileCachedRequest(fn expr.Expr, req CompileRequest
 	}
 	rep.stage("key", t)
 
-	ccf, flight, winner := compileCache.acquire(key)
-	switch {
-	case ccf != nil:
-		return ccf, c.hitReport(ccf, req, rep, false), nil
-	case !winner:
-		<-flight.done
-		if flight.err != nil {
-			return nil, nil, flight.err
+	t = startTimer(rep)
+	fr := c.front()
+	ccf, prog, f, winner := residents.lookup(key, fr)
+	if f != nil && !winner {
+		<-f.done
+		switch {
+		case f.err != nil:
+			return nil, nil, f.err
+		case f.front == fr:
+			ccf = f.ccf
+		default:
+			// Another kernel's compile: its program, or nothing when its code
+			// stays with its kernel, and then a compile of this kernel's own.
+			prog = f.prog
 		}
-		return flight.ccf, c.hitReport(flight.ccf, req, rep, false), nil
 	}
-	// The singleflight winner: probe the disk tier, fall back to a full
-	// compile (from the expansion the key took, when it took one), file the
-	// result and release the waiters.
-	if ccf = c.loadArtifact(key.stable, fn, req, rep); ccf != nil {
+	if ccf != nil {
+		return ccf, c.hitReport(ccf, req, rep, false), nil
+	}
+	if prog != nil {
+		if ccf, err = c.wrap(prog.Module, prog, fn, req.SelfName, c.backend()+"-aot", nil); err != nil {
+			return nil, nil, err
+		}
+		cacheCounts[statResident].Add(1)
+		rep.stage("resident", t)
+		file(fr, key, ccf)
+		return ccf, c.hitReport(ccf, req, rep, true), nil
+	}
+	// Nothing in the process: probe the store, fall back to a full compile
+	// (from the expansion the key took, when it took one), file the result
+	// and release the waiters.
+	if ccf = c.loadArtifact(key, fn, req, rep); ccf != nil {
 		rep = c.hitReport(ccf, req, rep, true)
 	} else {
 		req.expanded = expanded
@@ -485,60 +523,27 @@ func (c *Compiler) FunctionCompileCachedRequest(fn expr.Expr, req CompileRequest
 				ccf.Report.Stages = append(rep.Stages[:1:1], ccf.Report.Stages...)
 			}
 			rep = ccf.Report
-			c.maybeStoreArtifact(key.stable, ccf)
+			c.maybeStoreArtifact(key, ccf)
 		}
 	}
-	compileCache.finish(key, flight, ccf, err)
+	if err == nil {
+		file(fr, key, ccf)
+	}
+	if winner {
+		residents.finish(key, f, ccf, c.shared(ccf), err)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
 	return ccf, rep, nil
 }
 
-// acquire is the cache's one entry point for a lookup: a hit returns
-// the cached function (and moves it to the LRU front); otherwise the caller
-// joins the flight already compiling key, or claims a new one — winner is
-// true, the lookup counts as the miss, and the caller must call finish
-// exactly once.
-func (c *cacheFront) acquire(key cacheKey) (ccf *CompiledCodeFunction, flight *inflightCompile, winner bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		c.stats.Hits++
-		return el.Value.(*cacheEntry).ccf, nil, false
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.stats.Coalesced++
-		return nil, f, false
-	}
-	f := &inflightCompile{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.stats.Misses++
-	return nil, f, true
-}
-
-// finish files the winner's compile under key (evicting LRU entries
-// while over capacity, so a snapshot never observes an over-capacity cache)
-// and publishes the result to the flight's waiters.
-func (c *cacheFront) finish(key cacheKey, f *inflightCompile, ccf *CompiledCodeFunction, err error) {
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if err == nil {
-		c.byKey[key] = c.lru.PushFront(&cacheEntry{key: key, ccf: ccf})
-		c.evictOverLocked()
-	}
-	c.mu.Unlock()
-	f.ccf, f.err = ccf, err
-	close(f.done)
-}
-
 // hitReport completes the per-invocation report (and emits the trace event)
-// for a lookup served without compiling: from the in-memory cache, from a
-// coalesced flight, or — artifact=true — from the disk tier. The span was
-// resolved into req.Span at the cached-compile boundary, so the hit event
-// correlates to the requesting trace even though no compiler ran. rep holds
-// the stages the lookup paid for and is nil when none was asked for.
+// for a lookup served without compiling: from the kernel's front or a flight
+// of its own, or — artifact=true — from the program table or the store. The
+// span was resolved into req.Span at the cached-compile boundary, so the hit
+// event correlates to the requesting trace even though no compiler ran. rep
+// holds the stages the lookup paid for and is nil when none was asked for.
 func (c *Compiler) hitReport(ccf *CompiledCodeFunction, req CompileRequest, rep *CompileReport, artifact bool) *CompileReport {
 	if obs.TraceEnabled() && !req.Span.Suppressed() {
 		ev := obs.TraceEvent{Type: "compile", Name: ccf.Metrics.Name(),
@@ -560,13 +565,13 @@ func (ccf *CompiledCodeFunction) reportOrNil() *CompileReport {
 	return ccf.Report
 }
 
-// genMemo is the bounded map behind keyMemo and the resident programs
-// (artifact.go). It is generational (young + old maps): when the young
-// generation fills, it becomes the old generation and a fresh young map starts
-// — a key read from the old generation moves back to young, so steady churn
-// evicts only keys nobody asked for since the last flip instead of wiping the
-// whole memo. It holds at most 2×cap entries; cap is fixed where each
-// instance is declared.
+// genMemo is the bounded map behind keyMemo, the program table and the
+// fronts. It is generational (young + old maps): when the young generation
+// fills, it becomes the old generation and a fresh young map starts — a key
+// read from the old generation moves back to young, so steady churn evicts
+// only keys nobody asked for since the last flip instead of wiping the whole
+// memo. It holds at most 2×cap entries; cap is fixed where each instance is
+// made.
 type genMemo[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int // per-generation bound
@@ -577,6 +582,10 @@ type genMemo[K comparable, V any] struct {
 func (m *genMemo[K, V]) get(k K) (V, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.getLocked(k)
+}
+
+func (m *genMemo[K, V]) getLocked(k K) (V, bool) {
 	if v, ok := m.young[k]; ok {
 		return v, true
 	}
@@ -587,22 +596,41 @@ func (m *genMemo[K, V]) get(k K) (V, bool) {
 	return v, ok
 }
 
-func (m *genMemo[K, V]) put(k K, v V) {
+func (m *genMemo[K, V]) put(k K, v V) (dropped int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.putLocked(k, v)
+	return m.putLocked(k, v)
 }
 
-func (m *genMemo[K, V]) putLocked(k K, v V) {
+// putLocked files v under k and returns how many entries a generation flip
+// dropped to make room.
+func (m *genMemo[K, V]) putLocked(k K, v V) (dropped int) {
 	delete(m.old, k) // one generation per key, so size counts each once
 	if m.young == nil {
 		m.young = make(map[K]V)
 	}
 	if _, dup := m.young[k]; !dup && len(m.young) >= m.cap {
+		dropped = len(m.old)
 		m.old = m.young
 		m.young = make(map[K]V, m.cap)
 	}
 	m.young[k] = v
+	return dropped
+}
+
+// drop removes the entries pred holds for and returns how many it removed.
+func (m *genMemo[K, V]) drop(pred func(V) bool) (n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, gen := range []map[K]V{m.young, m.old} {
+		for k, v := range gen {
+			if pred(v) {
+				delete(gen, k)
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // reset empties both generations.

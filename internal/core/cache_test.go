@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"io"
+	"sync"
 	"testing"
 
+	"wolfc/internal/expr"
 	"wolfc/internal/kernel"
 	"wolfc/internal/parser"
 )
@@ -131,32 +134,87 @@ func TestCompileCacheKeyCoversEveryOption(t *testing.T) {
 	}
 }
 
-func TestCompileCacheLRUEviction(t *testing.T) {
+// One kernel's compiles fill only its own front: a kernel that compiles a
+// thousand distinct functions evicts its own oldest, from its front and from
+// the program table, while another kernel's function is still a front hit.
+func TestOneKernelEvictsOnlyItsOwnFront(t *testing.T) {
 	ResetCompileCache()
-	prev := setCompileCacheCapacity(2)
-	defer setCompileCacheCapacity(prev)
-	k := kernel.New()
-	k.Out = io.Discard
-	c := NewCompiler(k)
-	srcs := []string{
-		`Function[{Typed[x, "MachineInteger"]}, x + 10]`,
-		`Function[{Typed[x, "MachineInteger"]}, x + 20]`,
-		`Function[{Typed[x, "MachineInteger"]}, x + 30]`,
+	prev := SetArtifactStore(nil)
+	t.Cleanup(func() { SetArtifactStore(prev); ResetCompileCache() })
+	quiet, noisy := session(t, "quiet"), session(t, "noisy")
+	noisy.Stencil = true // the baseline configuration keeps a thousand compiles quick
+	src := parser.MustParse(`Function[{Typed[x, "MachineInteger"]}, x + 1]`)
+	kept, err := quiet.FunctionCompileCached(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range srcs {
-		if _, err := c.FunctionCompileCached(parser.MustParse(s)); err != nil {
+	flood := func(i int) expr.Expr {
+		return parser.MustParse(fmt.Sprintf(`Function[{Typed[x, "MachineInteger"]}, x + %d]`, i+2))
+	}
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if _, err := noisy.FunctionCompileCached(flood(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s := CompileCacheStatsNow()
-	if s.Entries != 2 || s.Evictions != 1 {
-		t.Fatalf("capacity 2 after 3 compiles: %+v", s)
+	if s.Evictions == 0 || s.Entries > 2*generation {
+		t.Fatalf("%d compiles: %+v, want front evictions and at most %d programs", n, s, 2*generation)
 	}
-	// The oldest entry (x+10) was evicted: recompiling it misses.
-	if _, err := c.FunctionCompileCached(parser.MustParse(srcs[0])); err != nil {
-		t.Fatal(err)
+	if size := noisy.front().size(); size > 2*generation {
+		t.Fatalf("the noisy kernel's front holds %d functions, bound %d", size, 2*generation)
 	}
-	if s = CompileCacheStatsNow(); s.Misses != 4 {
-		t.Fatalf("evicted entry must miss: %+v", s)
+	again, rep, err := quiet.FunctionCompileCachedRequest(src, CompileRequest{Collect: true})
+	if err != nil || !rep.CacheHit || again != kept {
+		t.Fatalf("another kernel's compiles evicted this one's function: %+v, %v", rep, err)
+	}
+	if _, rep, err = noisy.FunctionCompileCachedRequest(flood(0), CompileRequest{Collect: true}); err != nil || rep.CacheHit || rep.ArtifactHit {
+		t.Fatalf("the noisy kernel's oldest function outlived %d later ones: %+v, %v", n-1, rep, err)
+	}
+}
+
+// Two kernels compiling one source at once run one compile: the other waits
+// on the winner's flight, or finds its program in the table, and wraps that
+// program for its own kernel.
+func TestConcurrentKernelsRunOneCompile(t *testing.T) {
+	ResetCompileCache()
+	prev := SetArtifactStore(nil)
+	t.Cleanup(func() { SetArtifactStore(prev); ResetCompileCache() })
+	src := parser.MustParse(`Function[{Typed[n, "MachineInteger"]}, Module[{s = 0, i = 1}, While[i <= n, s = s + i*i*i; i++]; s]]`)
+	cs := []*Compiler{session(t, "one-compile-a"), session(t, "one-compile-b")}
+	fns := make([]*CompiledCodeFunction, len(cs))
+	reps := make([]*CompileReport, len(cs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, c := range cs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			var err error
+			if fns[i], reps[i], err = c.FunctionCompileCachedRequest(src, CompileRequest{Collect: true}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	compiled := 0
+	for i, rep := range reps {
+		if !rep.CacheHit && !rep.ArtifactHit {
+			compiled++
+		}
+		if fns[i].BoundKernel() != cs[i].Kernel {
+			t.Fatalf("kernel %d was handed a function bound to another kernel", i)
+		}
+		if got := fns[i].CallRaw(int64(3)); got != int64(36) {
+			t.Fatalf("kernel %d: f[3] = %v, want 36", i, got)
+		}
+	}
+	if compiled != 1 || fns[0] == fns[1] || fns[0].Program != fns[1].Program {
+		t.Fatalf("%d compiles; want one program under two functions", compiled)
 	}
 }

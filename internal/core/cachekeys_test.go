@@ -50,9 +50,9 @@ func compilerOn(env *macro.Env) *Compiler {
 
 // The key memo is one per process, so the second compiler to meet a source
 // under the same environments does not expand its macros — and that is all it
-// is spared: what the stable key addresses in memory is still one entry per
-// kernel, so it misses there, loads the artifact, and gets a function of its
-// own. A compiler whose environment changed asks under another key.
+// is spared: each kernel has a front of its own, so it misses there, is
+// served the program table's code, and gets a function of its own. A compiler
+// whose environment changed asks under another key.
 func TestSharedKeyMemoIsEnvironmentScoped(t *testing.T) {
 	coldCaches(t)
 	var asked atomic.Int64
@@ -70,7 +70,7 @@ func TestSharedKeyMemoIsEnvironmentScoped(t *testing.T) {
 	}
 	ccf2, rep, err := c2.FunctionCompileCachedRequest(countedSource, req)
 	if err != nil || !rep.ArtifactHit || rep.CacheHit {
-		t.Fatalf("second compiler must miss in memory and load the artifact: %+v, %v", rep, err)
+		t.Fatalf("second compiler must miss its front and be served the table's program: %+v, %v", rep, err)
 	}
 	if asked.Load() != expansion {
 		t.Errorf("second compiler expanded macros: condition asked %d times, then %d", expansion, asked.Load())

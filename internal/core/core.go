@@ -63,8 +63,8 @@ type Compiler struct {
 	// Registry is the function-registry namespace compiles resolve
 	// cross-unit calls against (nil = the process-wide default). Engines
 	// set it so concurrent sessions never bind each other's promoted
-	// definitions; it also keys the in-memory compile cache alongside the
-	// kernel identity.
+	// definitions; it also picks which of the kernel's compile-cache fronts
+	// the compiler files into.
 	Registry *fnreg.Registry
 	// DisableImplicitSpan stops this compiler from reading the kernel's
 	// active request span for trace correlation. The tiering workers set it:
@@ -175,8 +175,9 @@ type CompiledCodeFunction struct {
 	Metrics *obs.FuncMetrics
 	// RegDeps names the function-registry entries this compiled code calls
 	// directly (cross-unit calls resolved through internal/fnreg). When any
-	// of them is retired the cached compile is stale: InvalidateCompileCache
-	// drops it so a recompile re-resolves against the live registry.
+	// of them is retired the cached compile is stale: the tiering engine
+	// drops it from its kernel's front so a recompile re-resolves against the
+	// live registry.
 	RegDeps []string
 }
 

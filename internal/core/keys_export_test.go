@@ -1,6 +1,9 @@
 package core
 
-import "wolfc/internal/expr"
+import (
+	"wolfc/internal/expr"
+	"wolfc/internal/kernel"
+)
 
 // CacheKeysForTest hands the external tests both compile-cache keys of one
 // (source, configuration) pair as opaque strings.
@@ -11,4 +14,13 @@ func CacheKeysForTest(c *Compiler, selfName string, fn expr.Expr) (fast, stable 
 	}
 	stable, _, err = c.stableKey(cacheKeyVersion, selfName, fn, nil)
 	return string(fk[:]), stable, err
+}
+
+// BoundKernel returns the kernel the compiled wrapper's fallback and engine
+// escapes are bound to.
+func (ccf *CompiledCodeFunction) BoundKernel() *kernel.Kernel {
+	if ccf == nil || ccf.compiler == nil {
+		return nil
+	}
+	return ccf.compiler.Kernel
 }

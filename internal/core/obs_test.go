@@ -15,6 +15,7 @@ import (
 	"wolfc/internal/parser"
 	"wolfc/internal/runtime"
 	"wolfc/internal/runtime/par"
+	"wolfc/internal/types"
 )
 
 // The ISSUE 4 acceptance loop: s = 1^2 + ... + n^2 via While. With n = 10
@@ -271,7 +272,7 @@ func TestAbortCountersAndPoolGaugesSettle(t *testing.T) {
 
 // TestCompileCacheSnapshotResetRace is the documented snapshot/reset
 // contract under -race: concurrent compiles, snapshots, and resets must
-// not race, and every snapshot must be internally consistent.
+// not race, and no snapshot shows more programs than the table holds.
 func TestCompileCacheSnapshotResetRace(t *testing.T) {
 	ResetCompileCache()
 	defer ResetCompileCache()
@@ -321,55 +322,48 @@ func TestCompileCacheSnapshotResetRace(t *testing.T) {
 	<-snapDone
 }
 
-// TestInvalidationIsNotEviction: explicit invalidation bumps Invalidations
-// and leaves the capacity-pressure Evictions counter untouched.
+// TestInvalidationIsNotEviction: redefining a symbol retires its registry
+// entry, and the tiering engine drops the functions that call it from its
+// kernel's front — code that bakes registry entries lives nowhere else. That
+// is an Invalidation, never an Eviction: the eviction counter stays a pure
+// capacity-pressure signal.
 func TestInvalidationIsNotEviction(t *testing.T) {
 	ResetCompileCache()
 	defer ResetCompileCache()
-	k := kernel.New()
-	k.Out = io.Discard
-	c := NewCompiler(k)
-	for i := 0; i < 3; i++ {
-		src := fmt.Sprintf(`Function[{Typed[x, "MachineInteger"]}, x * %d]`, i+2)
-		if _, err := c.FunctionCompileCached(parser.MustParse(src)); err != nil {
-			t.Fatal(err)
-		}
+	c := session(t, "invalidation")
+	tiering := EnableTieringWith(c, TierPolicy{Workers: 1})
+	defer tiering.Close()
+	if _, err := c.reg().Reserve("regHelper", &types.Fn{Params: []types.Type{types.TInt64}, Ret: types.TInt64}, nil); err != nil {
+		t.Fatal(err)
 	}
-	if s := CompileCacheStatsNow(); s.Entries != 3 {
-		t.Fatalf("Entries = %d, want 3", s.Entries)
+	calls := parser.MustParse(`Function[{Typed[x, "MachineInteger"]}, regHelper[x] + 1]`)
+	plain := parser.MustParse(`Function[{Typed[x, "MachineInteger"]}, x * 2]`)
+	dependent, err := c.FunctionCompileCached(calls)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dropped := InvalidateCompileCache(func(ccf *CompiledCodeFunction) bool {
-		return ccf.BoundKernel() == k
-	})
-	if dropped != 3 {
-		t.Fatalf("invalidated %d entries, want 3", dropped)
+	if len(dependent.RegDeps) != 1 {
+		t.Fatalf("premise: the call must resolve through the registry (RegDeps %v)", dependent.RegDeps)
 	}
-	s := CompileCacheStatsNow()
-	if s.Invalidations != 3 {
-		t.Fatalf("Invalidations = %d, want 3", s.Invalidations)
+	if _, err := c.FunctionCompileCached(plain); err != nil {
+		t.Fatal(err)
 	}
-	if s.Evictions != 0 {
-		t.Fatalf("explicit invalidation inflated Evictions to %d", s.Evictions)
-	}
-	if s.Entries != 0 {
-		t.Fatalf("Entries = %d after full invalidation", s.Entries)
+	if s := CompileCacheStatsNow(); s.Entries != 1 {
+		t.Fatalf("only the registry-free program belongs in the table: %+v", s)
 	}
 
-	// Capacity pressure, by contrast, is an eviction.
-	prevCap := setCompileCacheCapacity(1)
-	defer setCompileCacheCapacity(prevCap)
-	for i := 0; i < 2; i++ {
-		src := fmt.Sprintf(`Function[{Typed[x, "MachineInteger"]}, x - %d]`, i+1)
-		if _, err := c.FunctionCompileCached(parser.MustParse(src)); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := c.Kernel.Run(parser.MustParse("regHelper[x_] := x + 7")); err != nil {
+		t.Fatal(err)
 	}
-	s = CompileCacheStatsNow()
-	if s.Evictions != 1 {
-		t.Fatalf("Evictions = %d after capacity overflow, want 1", s.Evictions)
+	s := CompileCacheStatsNow()
+	if s.Invalidations != 1 || s.Evictions != 0 {
+		t.Fatalf("retiring one dependency: %+v, want 1 invalidation and no evictions", s)
 	}
-	if s.Invalidations != 3 {
-		t.Fatalf("Invalidations changed to %d on eviction", s.Invalidations)
+	if _, rep, err := c.FunctionCompileCachedRequest(plain, CompileRequest{Collect: true}); err != nil || !rep.CacheHit {
+		t.Fatalf("a function that calls no retired entry must stay: %+v, %v", rep, err)
+	}
+	if again, rep, err := c.FunctionCompileCachedRequest(calls, CompileRequest{Collect: true}); err == nil && (rep.CacheHit || again == dependent) {
+		t.Fatal("a function that bakes a retired entry was served again")
 	}
 }
 

@@ -18,9 +18,10 @@ import (
 	"wolfc/internal/wir"
 )
 
-// Resident programs (artifact.go): the program one kernel generated from a
-// store entry serves the next kernel that loads the same bytes. The code is
-// shared; the kernel, registry, metrics and runtime context stay per kernel.
+// The program table (cache.go): the program one kernel compiled or generated
+// from a store entry serves every other kernel that compiles the same source.
+// The code is shared; the kernel, registry, metrics and runtime context stay
+// per kernel.
 
 // session is one engine's compiler: a kernel and a registry namespace of its
 // own.
@@ -65,8 +66,8 @@ func gaugeValue(t *testing.T, name string) float64 {
 	return 0
 }
 
-// Two engines load one function from the store: the second is served the
-// program the first generated, wrapped in a CompiledCodeFunction of its own.
+// Two engines are served one function from the program table: the program a
+// third engine compiled, wrapped in a CompiledCodeFunction of each one's own.
 // The function copy-on-writes a constant tensor every call and returns it, and
 // the other one escapes to whichever kernel calls it; interleaved and
 // concurrent calls from both engines each see only their own answer.
@@ -98,10 +99,7 @@ func TestResidentProgramIsEngineScoped(t *testing.T) {
 		var cowStages, escStages string
 		e.cow, cowStages = load(t, e.c, cow)
 		e.escape, escStages = load(t, e.c, escape)
-		want := "key decode codegen"
-		if e == eb {
-			want = "key resident"
-		}
+		const want = "key resident"
 		if cowStages != want || escStages != want {
 			t.Fatalf("stages %q and %q, want %q", cowStages, escStages, want)
 		}
@@ -115,8 +113,8 @@ func TestResidentProgramIsEngineScoped(t *testing.T) {
 	if ea.cow.Program != eb.cow.Program || ea.escape.Program != eb.escape.Program {
 		t.Fatal("the second engine did not get the first engine's program")
 	}
-	if hits, entries := gaugeValue(t, "compile_cache_resident_hits_total"), gaugeValue(t, "compile_cache_resident_entries"); hits != 2 || entries != 2 {
-		t.Fatalf("resident gauges: %v hits, %v entries; want 2 and 2", hits, entries)
+	if hits, entries := gaugeValue(t, "compile_cache_resident_hits_total"), gaugeValue(t, "compile_cache_resident_entries"); hits != 4 || entries != 2 {
+		t.Fatalf("resident gauges: %v hits, %v entries; want 4 and 2", hits, entries)
 	}
 
 	// call checks one call of each function against what this engine alone
@@ -156,10 +154,12 @@ func TestResidentProgramIsEngineScoped(t *testing.T) {
 	}
 }
 
-// The store is read before the resident table and decides: an entry replaced
-// by other bytes, evicted, or dropped as undecodable is never served from
-// memory.
-func TestResidentNeverOutlivesItsStoreEntry(t *testing.T) {
+// The program table is keyed by what was compiled: the versioned stable key
+// names the compile's whole input, so a table hit is correct without reading
+// the store, and a store entry replaced, evicted or dropped under a filed
+// program changes nothing a kernel is served. The store is read on a table
+// miss — a new process, or after ResetCompileCache — and there it decides.
+func TestTableHitsNeedNoStoreEntry(t *testing.T) {
 	coldCaches(t)
 	store := ArtifactStore()
 	const src, other = `Function[{Typed[x, "MachineInteger"]}, x + 1]`, `Function[{Typed[x, "MachineInteger"]}, x + 2]`
@@ -171,7 +171,7 @@ func TestResidentNeverOutlivesItsStoreEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// expect loads src on a fresh engine and checks how it was served.
+	// expect compiles src on a fresh engine and checks how it was served.
 	expect := func(step, stages, want string) {
 		t.Helper()
 		ccf, rep, err := session(t, "coherence").FunctionCompileCachedRequest(parser.MustParse(src), CompileRequest{Collect: true})
@@ -189,54 +189,52 @@ func TestResidentNeverOutlivesItsStoreEntry(t *testing.T) {
 			t.Fatalf("%s: f[1] = %s, want %s", step, out, want)
 		}
 	}
-	expect("first load", "key decode codegen", "2")
-	expect("second load", "key resident", "2")
+	reads := func() uint64 { st := store.Stats(); return st.Hits + st.Misses }
+	before := reads()
+	expect("compiled", "key resident", "2")
 
 	// Replaced: the store now holds another function's module under the key.
 	var buf bytes.Buffer
 	if err := codegen.Marshal(&buf, compile(t, writer, other).Module); err != nil {
 		t.Fatal(err)
 	}
-	store.DropUndecodable(key.stable)
-	store.Put(key.stable, buf.Bytes())
-	expect("replaced", "key decode codegen", "3")
-	expect("replaced, again", "key resident", "3")
+	store.DropUndecodable(key)
+	store.Put(key, buf.Bytes())
+	expect("replaced", "key resident", "2")
 
-	// Evicted: the compile misses, runs the pipeline and writes src back.
+	// Evicted.
 	prevMax := store.SetMaxBytes(1)
 	store.SetMaxBytes(prevMax)
 	if st := store.Stats(); st.Entries != 0 {
 		t.Fatalf("eviction left %+v", st)
 	}
-	expect("evicted", "compile", "2")
-	expect("rewritten", "key decode codegen", "2")
+	expect("evicted", "key resident", "2")
 
-	// Dropped: a payload this build cannot decode sits under the key.
-	store.DropUndecodable(key.stable)
-	store.Put(key.stable, []byte("WCLB0001\x01\x04Main\x00"))
-	drops := store.Stats().CorruptDrops
-	expect("undecodable", "compile", "2")
-	if st := store.Stats(); st.CorruptDrops != drops+1 {
-		t.Fatalf("the undecodable entry was not dropped: %+v", st)
+	// Undecodable: a payload this build cannot decode sits under the key.
+	store.Put(key, []byte("WCLB0001\x01\x04Main\x00"))
+	expect("undecodable", "key resident", "2")
+	if reads() != before {
+		t.Fatal("a table hit read the store")
 	}
-
-	// The compile wrote back the very bytes the resident program was decoded
-	// from, so it serves them again.
-	expect("written back", "key resident", "2")
-
-	// Residents hold code, so they go with a reset and with their store.
-	if residents.size() == 0 {
-		t.Fatal("a load left nothing resident")
-	}
+	// The table goes with neither the store nor a change of store.
 	SetArtifactStore(store)
-	if n := residents.size(); n != 0 {
-		t.Fatalf("%d programs survived SetArtifactStore", n)
-	}
-	expect("after SetArtifactStore", "key decode codegen", "2")
+	expect("after SetArtifactStore", "key resident", "2")
+
+	// After a reset the store is read, and decides: the undecodable entry is
+	// dropped and src compiled and written back; the next reset loads it.
 	ResetCompileCache()
 	if n := residents.size(); n != 0 {
 		t.Fatalf("%d programs survived ResetCompileCache", n)
 	}
+	drops := store.Stats().CorruptDrops
+	expect("reset, undecodable", "compile", "2")
+	if st := store.Stats(); st.CorruptDrops != drops+1 {
+		t.Fatalf("the undecodable entry was not dropped: %+v", st)
+	}
+	expect("compiled again", "key resident", "2")
+	ResetCompileCache()
+	expect("reset, written back", "key decode codegen", "2")
+	expect("loaded", "key resident", "2")
 }
 
 // A profiled program counts its blocks in atomics inside the program, so it
@@ -300,7 +298,7 @@ func TestStoredModulesCarryNoRegistryCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, ok := ArtifactStore().Get(key.stable)
+	payload, ok := ArtifactStore().Get(key)
 	if !ok {
 		t.Fatal("the registry-free module is not in the store")
 	}

@@ -283,9 +283,9 @@ func warmStore(tb testing.TB, c *Compiler, fns ...expr.Expr) {
 	ResetCompileCache()
 }
 
-// BenchmarkArtifactLoad is what a compile-cache hit on the disk tier pays,
-// over the corpus: each iteration drops the in-memory cache (and with it the
-// resident programs) outside the timer and asks for every source inside it —
+// BenchmarkArtifactLoad is what a compile-cache hit on the store pays, over
+// the corpus: each iteration drops the fronts and the program table outside
+// the timer and asks for every source inside it —
 // both keys (from the memo after the first round), the store read, the module
 // decode and code generation.
 func BenchmarkArtifactLoad(b *testing.B) {
@@ -308,7 +308,7 @@ func BenchmarkArtifactLoad(b *testing.B) {
 
 // TestWarmLoadAllocs pins what one artifact load of the benchmark's
 // mandelbrot allocates, source expression to callable, on a compiler that has
-// keyed the source before; the reset drops the resident program, so every run
+// keyed the source before; the reset drops the table's program, so every run
 // decodes and generates. It was 866 before ISSUE 23 (the source printed
 // twice, a type parsed per instruction, parameter and constant, a closure per
 // forward reference), and a macro expansion more on a fresh compiler.
@@ -330,9 +330,9 @@ func TestWarmLoadAllocs(t *testing.T) {
 // BenchmarkResidentLoad is what every kernel after the first pays for the
 // corpus: each round is a fresh compiler on a fresh kernel (made outside the
 // timer), and every source is the program an earlier load generated, wrapped
-// for it — both keys from the memo, the store read, a byte comparison and wrap.
-// BenchmarkArtifactLoad, which resets the cache and with it the residents, is
-// the decode path.
+// for it — both keys from the memo, the table lookup and wrap.
+// BenchmarkArtifactLoad, which resets the cache and with it the table, is the
+// decode path.
 func BenchmarkResidentLoad(b *testing.B) {
 	c, fns := newBenchCompiler(b), benchCorpus(b)
 	warmStore(b, c, fns...)
@@ -356,10 +356,10 @@ func BenchmarkResidentLoad(b *testing.B) {
 	}
 }
 
-// TestResidentLoadAllocs pins what a load of the benchmark's mandelbrot
-// allocates once its program is resident: the store read, the byte comparison
-// and wrap's CompiledCodeFunction and metrics block. Each run drops the
-// in-memory front (not the residents), as a new kernel finds it.
+// TestResidentLoadAllocs pins what a compile of the benchmark's mandelbrot
+// allocates once its program is in the table: the kernel's fronts, and wrap's
+// CompiledCodeFunction and metrics block. Each run drops the kernel's fronts
+// (not the table), as a new kernel finds them.
 func TestResidentLoadAllocs(t *testing.T) {
 	c, mandelbrot := newCompiler(), benchProgram(t, "mandelbrot")
 	warmStore(t, c, mandelbrot)
@@ -367,7 +367,7 @@ func TestResidentLoadAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(10, func() {
-		InvalidateCompileCache(func(*CompiledCodeFunction) bool { return true })
+		c.Kernel.ClearAssoc()
 		if _, rep, err := c.FunctionCompileCachedRequest(mandelbrot, CompileRequest{Collect: true}); err != nil || stageNames(rep) != "key resident" {
 			t.Fatalf("not a resident load: %+v, %v", rep, err)
 		}

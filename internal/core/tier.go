@@ -35,7 +35,7 @@ import (
 // engine keeps only heat and job bookkeeping beside it. Redefinition
 // (Set/SetDelayed/Clear) retires the entry; the registry cascades through
 // dependents, whose next dispatch finds no binding, runs interpreted and
-// re-earns promotion; dependent compile-cache entries are invalidated; and
+// re-earns promotion; dependent compile-cache front entries are dropped; and
 // any in-flight compile for the old definition is discarded at publish time.
 //
 // Compilation runs on a bounded pool of background workers (at most
@@ -653,13 +653,13 @@ func (t *Tiering) worker() {
 // fragment (non-scalar types). Compile latency feeds the per-tier
 // histograms.
 //
-// shared routes the compile through the process-wide compile cache (and
-// its disk tier): a promotion this process — or, with an artifact store
-// attached, any previous process — has compiled before skips the
-// pipeline. Only self-contained members may share: group members bake
-// registry calls to entries reserved for this specific promotion, and
-// those reservations die with the job on failure, which would leave a
-// cached entry pointing at retired registry slots.
+// shared routes the compile through the compile cache: a promotion any
+// kernel of this process — or, with an artifact store attached, any previous
+// process — has compiled before skips the pipeline. Only self-contained
+// members may share: group members bake registry calls to entries reserved
+// for this specific promotion, and those reservations die with the job on
+// failure, which would leave a cached entry pointing at retired registry
+// slots.
 func (t *Tiering) compileOne(c *Compiler, m *tierMember, shared bool) (ccf *CompiledCodeFunction, err error) {
 	req := CompileRequest{SelfName: m.sym.Name, Span: m.span}
 	configs := []bool{true, false} // Compiler.Stencil, in the order tried
@@ -845,8 +845,9 @@ func (t *Tiering) countRetires(n int) {
 // Set/SetDelayed/Clear on a symbol with DownValues lands here. The symbol's
 // compiled entry is retired; the registry cascades the retirement through
 // dependents, which keep their definitions and sketches and simply find no
-// binding at their next dispatch; and compile-cache entries that baked calls
-// to any retired entry are dropped.
+// binding at their next dispatch; and the functions in this kernel's
+// compile-cache front that baked calls to any retired entry are dropped
+// (such code is never in the process-wide program table).
 func (t *Tiering) defChanged(s *expr.Symbol) {
 	t.mu.Lock()
 	st := t.state(s)
@@ -857,18 +858,7 @@ func (t *Tiering) defChanged(s *expr.Symbol) {
 	t.countRetires(len(retired))
 	t.mu.Unlock()
 	if len(retired) > 0 {
-		gone := map[string]bool{}
-		for _, n := range retired {
-			gone[n] = true
-		}
-		InvalidateCompileCache(func(ccf *CompiledCodeFunction) bool {
-			for _, d := range ccf.RegDeps {
-				if gone[d] {
-					return true
-				}
-			}
-			return false
-		})
+		t.c.retire(retired)
 	}
 }
 

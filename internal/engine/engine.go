@@ -9,10 +9,11 @@
 // flat namespace and cross-wire each other's promoted definitions. Engine
 // is the per-tenant unit that fixes this: everything definition-scoped
 // (DownValues, registry entries, tiering state, the numerics compiler
-// memo) lives inside the Engine, while everything content-addressed (the
-// sharded compile cache's stable-key artifact tier, interned symbols,
-// obs counters) stays process-shared so concurrent sessions warm each
-// other's compiles without observing each other's definitions.
+// memo, the kernel's compiled functions) lives inside the Engine, while
+// everything content-addressed (the compile cache's program table, the
+// artifact store, interned symbols, obs counters) stays process-shared so
+// concurrent sessions warm each other's compiles without observing each
+// other's definitions.
 //
 // Engines are not safe for concurrent evaluation — like the kernel they
 // wrap, evaluation is single-threaded — but Eval serialises callers
@@ -202,7 +203,8 @@ func (e *Engine) WaitIdle() {
 
 // Close tears the engine down: stops the tiering workers, retires every
 // registry entry, releases the engine's obs gauge and per-function metric
-// slots, and drops kernel-associated state (the numerics compiler memo).
+// slots, and drops kernel-associated state (the numerics compiler memo and
+// the kernel's compile-cache fronts).
 // Idempotent; Eval fails with ErrClosed afterwards.
 func (e *Engine) Close() {
 	e.mu.Lock()

@@ -225,8 +225,7 @@ func TestCompiledObjectsAreEngineScoped(t *testing.T) {
 // TestCloseReleasesCompiledFunctions: after Close, nothing reachable from a
 // package-level variable holds what the engine compiled — neither through
 // FunctionCompile objects nor through the tiering ladder — so a destroyed
-// session is garbage. (The process-wide compile cache is a bounded LRU, not a
-// leak; the test empties it to isolate everything else.)
+// session is garbage: the kernel's compile-cache front goes with the kernel.
 func TestCloseReleasesCompiledFunctions(t *testing.T) {
 	const src = `Function[{Typed[x, "MachineInteger"]}, x + 41]`
 	collected := make(chan string, 2)
@@ -258,7 +257,6 @@ func TestCloseReleasesCompiledFunctions(t *testing.T) {
 		runtime.SetFinalizer(tiered.Metrics, func(*obs.FuncMetrics) { collected <- "tiered" })
 		e.Close()
 	}()
-	core.ResetCompileCache()
 	deadline := time.After(10 * time.Second)
 	for seen := 0; seen < 2; {
 		runtime.GC()
@@ -272,10 +270,10 @@ func TestCloseReleasesCompiledFunctions(t *testing.T) {
 	}
 }
 
-// TestResidentProgramsPinNoKernel: two engines that loaded one function from
-// the artifact tier share its program, and closing them still releases both
-// functions while the program stays resident — the resident table holds
-// code, never a kernel, a compiler or a CompiledCodeFunction.
+// TestResidentProgramsPinNoKernel: two engines that compiled one function
+// share its program, and closing them releases both functions while the
+// program stays in the table — the table holds code, never a kernel, a
+// compiler or a CompiledCodeFunction.
 func TestResidentProgramsPinNoKernel(t *testing.T) {
 	const src = `Function[{Typed[x, "MachineInteger"]}, x + 43]`
 	prev := core.SetArtifactStore(artifact.OpenMemory())
@@ -311,7 +309,6 @@ func TestResidentProgramsPinNoKernel(t *testing.T) {
 		a.Close()
 		b.Close()
 	}()
-	core.InvalidateCompileCache(func(*core.CompiledCodeFunction) bool { return true })
 	deadline := time.After(10 * time.Second)
 	for seen := 0; seen < 2; {
 		runtime.GC()

@@ -88,10 +88,10 @@ func FindRoot(k *kernel.Kernel, eq expr.Expr, x *expr.Symbol, x0 float64, opts F
 	return xn, fmt.Errorf("FindRoot: no convergence within %d iterations (last x = %v)", opts.MaxIterations, xn)
 }
 
-// Auto-compiled equations go through the process-wide LRU compile cache in
-// internal/core (bounded, shared with explicit FunctionCompile), so
-// repeated FindRoot calls on the same equation compile once and long-lived
-// processes don't accumulate compiled programs. One default-environment
+// Auto-compiled equations go through the compile cache in internal/core
+// (bounded, shared with explicit FunctionCompile), so repeated FindRoot
+// calls on the same equation compile once and long-lived processes don't
+// accumulate compiled programs. One default-environment
 // compiler is memoised per kernel: building the default macro/type
 // environments per lookup would dwarf the cache hit it feeds, and compilers
 // with identical environment histories share cache entries anyway. The memo

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"wolfc/internal/artifact"
+	"wolfc/internal/codegen"
 	"wolfc/internal/core"
+	"wolfc/internal/obs"
+	"wolfc/internal/parser"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -234,45 +236,70 @@ func TestTieredServing(t *testing.T) {
 	}
 }
 
-// Sessions are isolated namespaces, so the in-memory compile cache cannot be
-// shared between them; the artifact tier, keyed by content alone, is, and it
-// carries the multi-tenant win: the first session to compile a kernel runs the
-// pipeline and writes the artifact, every later session loads it. Counted
-// here session by session; what the loads are worth in time is the
-// benchmark's tenant_coldstart.
+// Sessions are isolated namespaces, each with a kernel and a compile-cache
+// front of its own, and they share compiled code through the process's
+// program table, with no artifact store configured: the first session to
+// compile a kernel runs the pipeline, and every later session is served that
+// program and compiles nothing. Counted here session by session; what the
+// sharing is worth in time is the benchmark's tenant_coldstart.
 func TestSessionsShareTheArtifactTier(t *testing.T) {
 	core.ResetCompileCache()
-	store := artifact.OpenMemory()
-	prev := core.ArtifactStore()
-	core.SetArtifactStore(store)
+	prev := core.SetArtifactStore(nil)
 	defer core.SetArtifactStore(prev)
+	defer core.ResetCompileCache()
+	tableHits := func() float64 {
+		for _, g := range obs.ProviderGauges() {
+			if g.Name == "compile_cache_resident_hits_total" {
+				return g.Value
+			}
+		}
+		t.Fatal("no compile_cache_resident_hits_total gauge")
+		return 0
+	}
 
 	kernels := []struct{ src, arg string }{
 		{`Function[{Typed[n, "MachineInteger"]}, Module[{s = 0, i = 1}, While[i <= n, s = s + i*i; i = i + 1]; s]]`, "10"},
 		{`Function[{Typed[n, "MachineInteger"]}, Module[{a = n, b = 36, t = 0}, While[b != 0, t = Mod[a, b]; a = b; b = t]; a]]`, "120"},
 		{`Function[{Typed[x, "Real64"]}, x/2.0 + 1.5]`, "3."},
 	}
-	_, ts := newTestServer(t, Options{})
+	srv, ts := newTestServer(t, Options{})
 	var first []string
+	var programs []*codegen.Program
 	for ses := 0; ses < 4; ses++ {
 		id := createSession(t, ts.URL)
-		before := store.Stats()
+		before := tableHits()
 		var got []string
 		for i, k := range kernels {
 			evalIn(t, ts.URL, id, fmt.Sprintf("k%d = FunctionCompile[%s];", i, k.src))
 			got = append(got, evalIn(t, ts.URL, id, fmt.Sprintf("k%d[%s]", i, k.arg)).Value)
 		}
-		st := store.Stats()
-		hits, misses := int(st.Hits-before.Hits), int(st.Misses-before.Misses)
+		served := int(tableHits() - before)
+		// The session's own front hands back the function its k<i> holds.
+		srv.mu.Lock()
+		eng := srv.sessions[id].eng
+		srv.mu.Unlock()
+		var progs []*codegen.Program
+		for _, k := range kernels {
+			ccf, rep, err := eng.Compiler.FunctionCompileCachedRequest(parser.MustParse(k.src), core.CompileRequest{Collect: true})
+			if err != nil || !rep.CacheHit {
+				t.Fatalf("session %d: its function is not in its front: %+v, %v", ses+1, rep, err)
+			}
+			progs = append(progs, ccf.Program)
+		}
 		if ses == 0 {
-			first = got
-			if hits != 0 || misses != len(kernels) || int(st.Writes) != len(kernels) {
-				t.Fatalf("the first session must compile and write every kernel: %d hits, %d misses, %+v", hits, misses, st)
+			first, programs = got, progs
+			if served != 0 {
+				t.Fatalf("the first session must compile every kernel; the table served %d", served)
 			}
 			continue
 		}
-		if hits != len(kernels) || misses != 0 {
-			t.Fatalf("session %d must load every kernel from the shared tier: %d hits, %d misses", ses+1, hits, misses)
+		if served != len(kernels) {
+			t.Fatalf("session %d: the table served %d of %d kernels", ses+1, served, len(kernels))
+		}
+		for i := range kernels {
+			if progs[i] != programs[i] {
+				t.Fatalf("session %d compiled kernel %d instead of being served session 1's program", ses+1, i)
+			}
 		}
 		if fmt.Sprint(got) != fmt.Sprint(first) {
 			t.Fatalf("session %d answered %v, the first %v", ses+1, got, first)
