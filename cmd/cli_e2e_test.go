@@ -68,7 +68,6 @@ func TestWolfcStages(t *testing.T) {
 		{"regions", "block start(1), poll"},
 		{"c", "int64_t Main(int64_t arg)"},
 		{"cexe", "WOLFRT_H"},
-		{"wvm", "WVMFunction"},
 	}
 	for _, cse := range cases {
 		out, err := run(t, "wolfc", "", "-e", addOne, "-stage", cse.stage)
@@ -78,6 +77,11 @@ func TestWolfcStages(t *testing.T) {
 		if !strings.Contains(out, cse.wantSub) {
 			t.Fatalf("stage %s output missing %q:\n%s", cse.stage, cse.wantSub, out)
 		}
+	}
+	// The TWIR has two backends, closure and C; wvm names neither.
+	out, err := run(t, "wolfc", "", "-e", addOne, "-stage", "wvm")
+	if err == nil || !strings.Contains(out, "unknown stage") {
+		t.Fatalf("-stage wvm must exit non-zero naming an unknown stage, got %v:\n%s", err, out)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Command wolfc mirrors the paper's artifact workflow (§A.6): it compiles a
 // Wolfram function and prints the requested stage — the macro-expanded AST,
 // the untyped WIR, the typed TWIR, the closure backend's region tree, a C
-// translation, WVM bytecode — or runs
-// the compiled function on arguments.
+// translation — or runs the compiled function on arguments.
 //
 // Examples:
 //
@@ -34,7 +33,7 @@ func main() {
 	var (
 		src        = flag.String("e", "", "function source text to compile")
 		file       = flag.String("file", "", "file containing the function source")
-		stage      = flag.String("stage", "twir", "stage to print: ast | wir | twir | regions | c | cexe | wvm")
+		stage      = flag.String("stage", "twir", "stage to print: ast | wir | twir | regions | c | cexe")
 		runArgs    = flag.String("run", "", "comma-separated arguments; run instead of printing a stage")
 		noAbort    = flag.Bool("no-abort-handling", false, "disable abort-check insertion")
 		noInline   = flag.Bool("no-inline", false, "disable inlining (the §6 ablation)")
@@ -91,7 +90,7 @@ func main() {
 		name = *file
 	}
 	if text == "" {
-		fmt.Fprintln(os.Stderr, "usage: wolfc -e '<Function[...]>' [-stage ast|wir|twir|regions|c|cexe|wvm] [-run args] [-time-passes] [-verify-each] [-explain]")
+		fmt.Fprintln(os.Stderr, "usage: wolfc -e '<Function[...]>' [-stage ast|wir|twir|regions|c|cexe] [-run args] [-time-passes] [-verify-each] [-explain]")
 		os.Exit(2)
 	}
 
@@ -168,11 +167,11 @@ func main() {
 			fatal(diag.Resolve(err, srcTab))
 		}
 		fmt.Print(mod.String())
-	case "twir", "regions", "c", "wvm":
+	case "twir", "regions", "c":
 		// regions is the closure backend's region tree: how the TWIR's blocks
 		// nest as loops, Ifs and sequences.
 		ccf := compile()
-		format := map[string]string{"twir": "TWIR", "regions": "Regions", "c": "C", "wvm": "WVM"}
+		format := map[string]string{"twir": "TWIR", "regions": "Regions", "c": "C"}
 		out, err := ccf.ExportString(format[strings.ToLower(*stage)])
 		if err != nil {
 			fatal(err)

@@ -70,15 +70,8 @@ func main() {
 	if err := os.WriteFile(cFullPath, []byte(cFull), 0o644); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("FunctionCompileExportString[..., \"CStandalone\"] -> %s (self-contained, %d bytes)\n",
+	fmt.Printf("FunctionCompileExportString[..., \"CStandalone\"] -> %s (self-contained, %d bytes)\n\n",
 		filepath.Base(cFullPath), len(cFull))
-
-	wvm, err := ccf.ExportString("WVM")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("WVM backend -> %d bytecode lines for the legacy stack machine\n\n",
-		bytesLines(wvm))
 
 	// Session 2: a completely fresh compiler loads the library — no source
 	// available — and runs it (LibraryFunctionLoad).
@@ -99,14 +92,4 @@ func main() {
 	fmt.Printf("LibraryFunctionLoad + call: sumsq[100] = %s (expected 338350)\n",
 		expr.InputForm(out))
 	fmt.Println("standalone mode: engine-dependent features (aborts, KernelFunction) disabled")
-}
-
-func bytesLines(s string) int {
-	n := 1
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			n++
-		}
-	}
-	return n
 }

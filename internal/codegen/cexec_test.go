@@ -292,6 +292,49 @@ int main(int argc, char **argv) {
 	}
 }
 
+// Quotient[MinInt64, -1] and the shift counts the closure backend throws on
+// (runtime.QuotI64, ShlI64, ShrI64: a negative count, a left shift that loses
+// bits) stop the C runtime with its message; every other row prints the
+// closure backend's value, including the counts of 64 and more that C leaves
+// undefined.
+func TestCExecIntegerEdgesAreChecked(t *testing.T) {
+	prog := compileSrc(t, `Function[{Typed[op, "MachineInteger"], Typed[a, "MachineInteger"], Typed[b, "MachineInteger"]},
+		If[op == 0, Quotient[a, b], If[op == 1, BitShiftLeft[a, b], BitShiftRight[a, b]]]]`)
+	bin := buildCExecutable(t, prog, `#include <stdlib.h>
+int main(int argc, char **argv) {
+	if (argc != 4) return 2;
+	printf("%lld\n", (long long)Main(strtoll(argv[1], NULL, 10), strtoll(argv[2], NULL, 10), strtoll(argv[3], NULL, 10)));
+	return 0;
+}
+`)
+	native := func(r [3]int64) (v int64, threw bool) {
+		defer func() {
+			if exc, ok := recover().(*runtime.Exception); ok && exc.Kind == runtime.ExcOverflow {
+				threw = true
+			}
+		}()
+		return prog.Main.CallValues(&RT{}, r[0], r[1], r[2]).(int64), false
+	}
+	names := [3]string{"Quotient", "BitShiftLeft", "BitShiftRight"}
+	for _, r := range [][3]int64{
+		{0, math.MinInt64, -1}, {0, math.MinInt64, 1}, {0, math.MaxInt64, -1}, {0, -7, 2},
+		{1, 1, -1}, {1, 0, -1}, {1, 1, 62}, {1, 1, 63}, {1, 1, 64}, {1, -1, 63}, {1, 0, 200},
+		{2, 1, -1}, {2, -8, 200}, {2, 8, 64}, {2, -8, 1},
+	} {
+		want, threw := native(r)
+		out, err := exec.Command(bin, strconv.FormatInt(r[0], 10), strconv.FormatInt(r[1], 10), strconv.FormatInt(r[2], 10)).CombinedOutput()
+		got := strings.TrimSpace(string(out))
+		switch {
+		case threw:
+			if err == nil || !strings.HasPrefix(got, "wolfrt: fatal: ") || !strings.Contains(got, names[r[0]]) {
+				t.Errorf("%v: C printed %q (%v) where the closure backend throws IntegerOverflow", r, got, err)
+			}
+		case err != nil || got != strconv.FormatInt(want, 10):
+			t.Errorf("%v: C = %q (%v), closure backend = %d", r, got, err, want)
+		}
+	}
+}
+
 // Part with a user-supplied index compiles to the checked part_1 entry
 // point; out-of-range indices are fatal in standalone mode.
 func TestCExecPartBoundsFatal(t *testing.T) {

@@ -7,8 +7,7 @@
 // LLVM JIT — typed, unboxed, register-based code with real inlining — against
 // the baseline's boxed stack bytecode (see DESIGN.md for the substitution
 // rationale).
-// Additional backends (C source, WVM) live in their own files behind the
-// same Backend entry points.
+// The C source backend lowers the same TWIR (cbackend.go).
 package codegen
 
 import (

@@ -7,10 +7,9 @@ import (
 	"testing"
 
 	"wolfc/internal/parser"
-	"wolfc/internal/vm"
 )
 
-// List pipelines across the native JIT, the WVM bridge, and the C backend:
+// List pipelines across the native JIT and the C backend:
 // structural operations and the WL-source Sort implementation must agree
 // everywhere, folded to a scalar checksum for exact comparison.
 func TestCrossBackendListPipeline(t *testing.T) {
@@ -48,19 +47,6 @@ func TestCrossBackendListPipeline(t *testing.T) {
 		native := make([]int64, len(args))
 		for i, n := range args {
 			native[i] = ccf.CallRaw(n).(int64)
-		}
-		cf, err := ccf.CompileToWVM()
-		if err != nil {
-			t.Fatalf("program %d: WVM bridge: %v", ti, err)
-		}
-		for i, n := range args {
-			out, err := cf.Call(c.Kernel, vm.IntValue(n))
-			if err != nil {
-				t.Fatalf("program %d: WVM(%d): %v", ti, n, err)
-			}
-			if out.Kind != vm.KInt || out.I != native[i] {
-				t.Fatalf("program %d: WVM(%d) = %v, native = %d", ti, n, out, native[i])
-			}
 		}
 		var main strings.Builder
 		main.WriteString("int main(void) {\n")

@@ -6,17 +6,15 @@ import (
 	"strings"
 	"testing"
 
-	"wolfc/internal/expr"
 	"wolfc/internal/parser"
-	"wolfc/internal/vm"
 )
 
 // Cross-backend smoke test for the loop-optimization pipeline (ISSUE 2):
 // the TWIR reaching the backends now contains preheaders, hoisted
 // instructions, and strength-reduced derived induction variables. The
-// legacy WVM stack machine and the exported C translation unit consume
-// that IR structurally, so both must still compile it and agree with the
-// native closure backend bit-for-bit on integer programs.
+// exported C translation unit consumes that IR structurally, so it must
+// still compile it and agree with the native closure backend bit-for-bit on
+// integer programs.
 func TestCrossBackendLoopOptCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles C programs")
@@ -67,29 +65,6 @@ func TestCrossBackendLoopOptCorpus(t *testing.T) {
 		native := make([]int64, len(args))
 		for i, n := range args {
 			native[i] = ccf.CallRaw(n).(int64)
-		}
-
-		cf, err := ccf.CompileToWVM()
-		if err != nil {
-			// The WVM backend predates rank-2 allocation; that gap is not a
-			// loop-pipeline regression. Anything else is.
-			if !strings.Contains(err.Error(), "rank-2") {
-				t.Fatalf("corpus %d: WVM bridge rejected post-LICM TWIR: %v\n%s", ci, err, src)
-			}
-			cf = nil
-		}
-		for i, n := range args {
-			if cf == nil {
-				break
-			}
-			out, err := cf.Call(c.Kernel, vm.Value{Kind: vm.KInt, I: n})
-			if err != nil {
-				t.Fatalf("corpus %d: WVM run: %v", ci, err)
-			}
-			if out.Kind != vm.KInt || out.I != native[i] {
-				t.Fatalf("corpus %d: WVM(%d) = %s, native = %d\n%s",
-					ci, n, expr.InputForm(vm.ToExpr(out)), native[i], src)
-			}
 		}
 
 		var main strings.Builder

@@ -9,12 +9,11 @@ import (
 
 	"wolfc/internal/parser"
 	"wolfc/internal/runtime"
-	"wolfc/internal/vm"
 )
 
-// ConstantArray is one fill primitive in the TWIR; the closure backend, the
-// WVM bridge and the C backend must agree on it for a zero and a non-zero
-// fill value (the zero case skips the fill), rank 1 and rank 2.
+// ConstantArray is one fill primitive in the TWIR; the closure backend and
+// the C backend must agree on it for a zero and a non-zero fill value (the
+// zero case skips the fill), rank 1 and rank 2.
 func TestCrossBackendConstantArray(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles C programs")
@@ -42,22 +41,11 @@ func TestCrossBackendConstantArray(t *testing.T) {
 				t.Fatalf("compile: %v\n%s", err, src)
 			}
 			const n = 4
-			native := fmt.Sprint(ccf.CallRaw(int64(n)))
-			cf, err := ccf.CompileToWVM()
-			if err != nil {
-				t.Fatalf("WVM bridge: %v\n%s", err, src)
-			}
-			out, err := cf.Call(c.Kernel, vm.IntValue(n))
-			if err != nil {
-				t.Fatalf("WVM run: %v\n%s", err, src)
-			}
-			wvm := fmt.Sprint(out.I)
+			out := ccf.CallRaw(int64(n))
+			native := fmt.Sprint(out)
 			format := `"%lld\n", (long long)`
-			if out.Kind == vm.KReal {
-				wvm, format = fmt.Sprint(out.R), `"%.17g\n", `
-			}
-			if wvm != native {
-				t.Errorf("WVM = %s, closure = %s\n%s", wvm, native, src)
+			if _, isReal := out.(float64); isReal {
+				format = `"%.17g\n", `
 			}
 			lines := runCBackend(t, ccf, fmt.Sprintf("int main(void) { printf(%sMain(INT64_C(%d))); return 0; }\n", format, n))
 			if len(lines) != 1 {
@@ -78,11 +66,10 @@ func mustFloat(s string) float64 {
 	return f
 }
 
-// The Part/SetPart edge indices on the other two backends: for every index
-// the closure backend accepts, the WVM bridge and the C backend compute the
-// same value; every index it rejects with the Part range exception they
-// reject too (the WVM with its range error, standalone C fatally, naming
-// Part).
+// The Part/SetPart edge indices on the C backend: for every index the
+// closure backend accepts, the C backend computes the same value; every index
+// it rejects with the Part range exception the C backend rejects too, fatally,
+// naming Part.
 func TestCrossBackendPartEdges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles C programs")
@@ -122,10 +109,6 @@ func TestCrossBackendPartEdges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile: %v\n%s", err, p.src)
 		}
-		cf, err := ccf.CompileToWVM()
-		if err != nil {
-			t.Fatalf("WVM bridge: %v\n%s", err, p.src)
-		}
 		cargs := "atoll(argv[1])"
 		if len(p.args[0]) == 2 {
 			cargs += ", atoll(argv[2])"
@@ -135,10 +118,9 @@ func TestCrossBackendPartEdges(t *testing.T) {
 		for _, args := range p.args {
 			// Closure backend: a value, or the range exception.
 			raw := make([]any, len(args))
-			vals := make([]vm.Value, len(args))
 			strs := make([]string, len(args))
 			for i, a := range args {
-				raw[i], vals[i], strs[i] = a, vm.IntValue(a), fmt.Sprint(a)
+				raw[i], strs[i] = a, fmt.Sprint(a)
 			}
 			want, rejected := int64(0), false
 			func() {
@@ -153,10 +135,6 @@ func TestCrossBackendPartEdges(t *testing.T) {
 				}()
 				want = ccf.CallRaw(raw...).(int64)
 			}()
-			out, werr := cf.Call(c.Kernel, vals...)
-			if (werr != nil) != rejected || !rejected && out.I != want {
-				t.Errorf("%v: WVM = %v (%v), closure = %d (rejected %v)", args, out.I, werr, want, rejected)
-			}
 			cout, cerr := exec.Command(bin, strs...).CombinedOutput()
 			switch {
 			case rejected:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -13,19 +12,16 @@ import (
 
 	"wolfc/internal/expr"
 	"wolfc/internal/parser"
-	"wolfc/internal/runtime"
-	"wolfc/internal/vm"
 )
 
 // Cross-backend differential testing: the same TWIR must mean the same
-// thing on the native closure JIT, the legacy WVM stack machine, and the
-// exported C translation unit (paper §4.6 — multiple backends over one
-// typed IR). Programs are randomly generated from exact integer operations
-// so agreement is bit-for-bit.
+// thing on the native closure JIT and the exported C translation unit
+// (paper §4.6 — multiple backends over one typed IR). Programs are randomly
+// generated from exact integer operations so agreement is bit-for-bit.
 
 // genIntStateProgram builds a random integer program over parameter n: a few
 // state variables folded through overflow-safe exact operations inside a
-// While loop. Every operation used here exists on all three backends.
+// While loop. Every operation used here exists on both backends.
 func genIntStateProgram(rng *rand.Rand) string {
 	const m = 100003 // prime modulus keeps every intermediate small and exact
 	stmts := []string{}
@@ -118,22 +114,6 @@ func TestCrossBackendIntegerPrograms(t *testing.T) {
 			native[i] = ccf.CallRaw(n).(int64)
 		}
 
-		// Legacy WVM backend from the same TWIR.
-		cf, err := ccf.CompileToWVM()
-		if err != nil {
-			t.Fatalf("trial %d: WVM bridge: %v\n%s", trial, err, src)
-		}
-		for i, n := range args {
-			out, err := cf.Call(c.Kernel, vm.Value{Kind: vm.KInt, I: n})
-			if err != nil {
-				t.Fatalf("trial %d: WVM run: %v", trial, err)
-			}
-			if out.Kind != vm.KInt || out.I != native[i] {
-				t.Fatalf("trial %d: WVM(%d) = %s, native = %d\n%s",
-					trial, n, expr.InputForm(vm.ToExpr(out)), native[i], src)
-			}
-		}
-
 		// C backend, one process printing a line per argument.
 		var main strings.Builder
 		main.WriteString("int main(void) {\n")
@@ -158,65 +138,6 @@ func TestCrossBackendIntegerPrograms(t *testing.T) {
 	}
 }
 
-// Where the closure backend throws a numeric exception (runtime.QuotI64,
-// ShlI64, ShrI64, RealToI64) the stack machine must return ErrOverflow, so
-// that its caller takes the F2 fallback, and never a wrapped value.
-func TestCrossBackendNumericEdges(t *testing.T) {
-	c := newCompiler()
-	compile := func(src string) (*CompiledCodeFunction, *vm.CompiledFunction) {
-		ccf, err := c.FunctionCompile(parser.MustParse(src))
-		if err != nil {
-			t.Fatalf("compile: %v\n%s", err, src)
-		}
-		cf, err := ccf.CompileToWVM()
-		if err != nil {
-			t.Fatalf("WVM bridge: %v\n%s", err, src)
-		}
-		return ccf, cf
-	}
-	check := func(ccf *CompiledCodeFunction, cf *vm.CompiledFunction, raw []any, vals []vm.Value) {
-		t.Helper()
-		want, threw := int64(0), false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if exc, ok := r.(*runtime.Exception); !ok || exc.Kind != runtime.ExcOverflow {
-						panic(r)
-					}
-					threw = true
-				}
-			}()
-			want = ccf.CallRaw(raw...).(int64)
-		}()
-		out, err := cf.Call(c.Kernel, vals...)
-		verr, _ := err.(*vm.Error)
-		switch {
-		case threw:
-			if verr == nil || verr.Kind != vm.ErrOverflow {
-				t.Errorf("%v: WVM = %d (%v) where the closure backend throws IntegerOverflow", raw, out.I, err)
-			}
-		case err != nil || out.I != want:
-			t.Errorf("%v: WVM = %d (%v), closure = %d", raw, out.I, err, want)
-		}
-	}
-	ccf, cf := compile(`Function[{Typed[op, "MachineInteger"], Typed[a, "MachineInteger"], Typed[b, "MachineInteger"]},
-		If[op == 0, Quotient[a, b], If[op == 1, BitShiftLeft[a, b], BitShiftRight[a, b]]]]`)
-	for _, r := range [][3]int64{
-		{0, math.MinInt64, -1}, {0, math.MinInt64, 1}, {0, math.MaxInt64, -1}, {0, -7, 2},
-		{1, 1, -1}, {1, 0, -1}, {1, 1, 62}, {1, 1, 63}, {1, 1, 64}, {1, -1, 63}, {1, 0, 200},
-		{2, 1, -1}, {2, -8, 200}, {2, 8, 64}, {2, -8, 1},
-	} {
-		check(ccf, cf, []any{r[0], r[1], r[2]}, []vm.Value{vm.IntValue(r[0]), vm.IntValue(r[1]), vm.IntValue(r[2])})
-	}
-	ccf, cf = compile(`Function[{Typed[op, "MachineInteger"], Typed[x, "Real64"]},
-		If[op == 0, Floor[x], If[op == 1, Ceiling[x], Round[x]]]]`)
-	for _, x := range []float64{2.5, -2.5, 1 << 62, -(1 << 63), 1 << 63, -(1 << 63) - 1025, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for op := int64(0); op < 3; op++ {
-			check(ccf, cf, []any{op, x}, []vm.Value{vm.IntValue(op), vm.RealValue(x)})
-		}
-	}
-}
-
 // Real-valued expressions: the C backend calls the platform libm while the
 // native backend calls Go's math package, so agreement is to a tolerance.
 func TestCrossBackendRealExpressions(t *testing.T) {
@@ -234,23 +155,6 @@ func TestCrossBackendRealExpressions(t *testing.T) {
 		ccf, err := c.FunctionCompile(fn)
 		if err != nil {
 			t.Fatalf("trial %d: compile %s: %v", trial, expr.InputForm(body), err)
-		}
-
-		// WVM executes the same Go math library, so agreement is exact.
-		cf, err := ccf.CompileToWVM()
-		if err != nil {
-			t.Fatalf("trial %d: WVM bridge: %v (%s)", trial, err, expr.InputForm(body))
-		}
-		for _, xv := range xs {
-			want := ccf.CallRaw(xv).(float64)
-			out, err := cf.Call(c.Kernel, vm.RealValue(xv))
-			if err != nil {
-				t.Fatalf("trial %d: WVM run: %v", trial, err)
-			}
-			if out.Kind != vm.KReal || out.R != want {
-				t.Fatalf("trial %d: WVM(%v) = %v, native = %v (%s)",
-					trial, xv, out.R, want, expr.InputForm(body))
-			}
 		}
 
 		var main strings.Builder

@@ -6,7 +6,6 @@ import (
 
 	"wolfc/internal/codegen"
 	"wolfc/internal/expr"
-	"wolfc/internal/vm"
 )
 
 // Export paths (F4/F10): multiple backends behind one entry point, plus
@@ -19,9 +18,9 @@ import (
 //	"CStandalone" — the same C source with the wolfrt runtime inlined, a
 //	                single self-contained translation unit a C compiler can
 //	                build directly (link with -lm)
-//	"WVM"  — bytecode for the legacy Wolfram Virtual Machine backend
-//	"TWIR" — the typed IR textual form
-//	"AST"  — the macro-expanded AST in FullForm
+//	"TWIR"        — the typed IR textual form
+//	"Regions"     — the closure backend's region tree
+//	"AST"         — the macro-expanded AST in FullForm
 func (ccf *CompiledCodeFunction) ExportString(format string) (string, error) {
 	if len(ccf.RegDeps) > 0 && format != "TWIR" && format != "AST" && format != "Regions" {
 		return "", fmt.Errorf("export: function calls process-registry entries (%v); registry calls are process-local and cannot be exported", ccf.RegDeps)
@@ -35,15 +34,6 @@ func (ccf *CompiledCodeFunction) ExportString(format string) (string, error) {
 			return "", err
 		}
 		return codegen.InlineCRuntime(src), nil
-	case "WVM":
-		// The WVM backend translates the TWIR into bytecode for the legacy
-		// stack machine (§4.6: "prototype backends exist to target ... the
-		// existing Wolfram Virtual Machine").
-		cf, err := ccf.CompileToWVM()
-		if err != nil {
-			return "", err
-		}
-		return cf.Disassemble(), nil
 	case "TWIR":
 		return ccf.Module.String(), nil
 	case "Regions":
@@ -57,20 +47,7 @@ func (ccf *CompiledCodeFunction) ExportString(format string) (string, error) {
 		}
 		return expr.FullForm(out), nil
 	}
-	return "", fmt.Errorf("export: unknown format %q (want C, WVM, TWIR, Regions, or AST)", format)
-}
-
-// CompileToWVM runs the WVM backend over the compiled function's TWIR,
-// yielding bytecode runnable on the legacy virtual machine.
-func (ccf *CompiledCodeFunction) CompileToWVM() (*vm.CompiledFunction, error) {
-	cf, err := codegen.EmitWVM(ccf.Module)
-	if err != nil {
-		return nil, fmt.Errorf("WVM backend: %w", err)
-	}
-	if ccf.Source != nil {
-		cf.Source = ccf.Source
-	}
-	return cf, nil
+	return "", fmt.Errorf("export: unknown format %q (want C, CStandalone, TWIR, Regions, or AST)", format)
 }
 
 // ExportLibrary writes the compiled function's typed module to w — the

@@ -2,13 +2,13 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"wolfc/internal/codegen"
 	"wolfc/internal/expr"
 	"wolfc/internal/parser"
-	"wolfc/internal/vm"
 )
 
 func TestExportCString(t *testing.T) {
@@ -45,17 +45,24 @@ func TestExportCWithLoops(t *testing.T) {
 	}
 }
 
-func TestExportWVM(t *testing.T) {
-	c := newCompiler()
-	ccf := compile(t, c, `Function[{Typed[x, "Real64"]}, Sin[x] + x^2]`)
-	dis, err := ccf.ExportString("WVM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"WVMFunction", "Math1", "Ret"} {
-		if !strings.Contains(dis, want) {
-			t.Fatalf("WVM export missing %q:\n%s", want, dis)
+// Every format ExportString accepts renders addOne, and the error for an
+// unknown format names exactly those formats.
+func TestExportFormats(t *testing.T) {
+	formats := []string{"C", "CStandalone", "TWIR", "Regions", "AST"}
+	ccf := compile(t, newCompiler(), `Function[{Typed[arg, "MachineInteger"]}, arg + 1]`)
+	for _, f := range formats {
+		if out, err := ccf.ExportString(f); err != nil || out == "" {
+			t.Errorf("%s export = %q, %v", f, out, err)
 		}
+	}
+	_, err := ccf.ExportString("WVM")
+	if err == nil {
+		t.Fatal("WVM is not an export format")
+	}
+	_, named, _ := strings.Cut(err.Error(), "(want ")
+	named, _, _ = strings.Cut(named, ")")
+	if got := strings.Split(strings.Replace(named, "or ", "", 1), ", "); !slices.Equal(got, formats) {
+		t.Fatalf("unknown-format error names %q, want %q: %v", got, formats, err)
 	}
 }
 
@@ -144,79 +151,6 @@ func TestStandaloneModeDisablesEngine(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "standalone") {
 		t.Fatalf("standalone escape error %q does not mention standalone mode", err)
-	}
-}
-
-func TestWVMBackendExecutes(t *testing.T) {
-	// The TWIR->WVM bridge: the same compiled function runs on the legacy
-	// stack machine with identical results.
-	c := newCompiler()
-	srcs := []struct {
-		src  string
-		args []string
-		want string
-	}{
-		{`Function[{Typed[n, "MachineInteger"]},
-			Module[{s = 0, i = 1}, While[i <= n, s = s + i*i; i++]; s]]`,
-			[]string{"10"}, "385"},
-		{`Function[{Typed[x, "Real64"]}, If[x > 0., Sqrt[x], 0. - x]]`,
-			[]string{"9."}, "3."},
-		{`Function[{Typed[v, "Tensor"["Real64", 1]]},
-			Module[{s = 0., i = 1}, While[i <= Length[v], s = s + v[[i]]; i++]; s]]`,
-			[]string{"{1.5, 2.5, 3.}"}, "7."},
-		{`Function[{Typed[n, "MachineInteger"]}, Table[i*3, {i, 1, n}]]`,
-			[]string{"4"}, "{3, 6, 9, 12}"},
-	}
-	for _, cse := range srcs {
-		ccf := compile(t, c, cse.src)
-		cf, err := ccf.CompileToWVM()
-		if err != nil {
-			t.Fatalf("%s: %v", cse.src, err)
-		}
-		args := make([]vm.Value, len(cse.args))
-		for i, a := range cse.args {
-			v, err := vm.FromExpr(parser.MustParse(a))
-			if err != nil {
-				t.Fatal(err)
-			}
-			args[i] = v
-		}
-		out, err := cf.Call(c.Kernel, args...)
-		if err != nil {
-			t.Fatalf("%s: run: %v", cse.src, err)
-		}
-		if got := expr.InputForm(vm.ToExpr(out)); got != cse.want {
-			t.Fatalf("%s => %s, want %s", cse.src, got, cse.want)
-		}
-		// Agreement with the native backend.
-		ex := make([]expr.Expr, len(cse.args))
-		for i, a := range cse.args {
-			ex[i] = parser.MustParse(a)
-		}
-		nativeOut, err := ccf.Apply(ex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if expr.InputForm(nativeOut) != cse.want {
-			t.Fatalf("native backend disagrees: %s", expr.InputForm(nativeOut))
-		}
-	}
-}
-
-func TestWVMBackendRejectsFunctionValues(t *testing.T) {
-	// L1: the WVM has no function values; a surviving indirect call or
-	// string value is a clean error.
-	c := newCompiler()
-	c.Options.InlinePolicy = "none" // keep the lambda call indirect
-	ccf := compile(t, c, `Function[{Typed[v, "Tensor"["Real64", 1]]},
-		Map[Function[{x}, x*2.], v]]`)
-	if _, err := ccf.CompileToWVM(); err == nil {
-		t.Fatal("function values must be rejected by the WVM backend")
-	}
-	c2 := newCompiler()
-	ccf2 := compile(t, c2, `Function[{Typed[s, "String"]}, StringJoin[s, s]]`)
-	if _, err := ccf2.CompileToWVM(); err == nil {
-		t.Fatal("strings must be rejected by the WVM backend")
 	}
 }
 

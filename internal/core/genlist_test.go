@@ -8,27 +8,7 @@ import (
 	"testing"
 
 	"wolfc/internal/parser"
-	"wolfc/internal/vm"
 )
-
-// assertWVMAgrees runs ccf's TWIR on the legacy stack machine for each
-// argument and requires the native backend's results.
-func assertWVMAgrees(t *testing.T, c *Compiler, ccf *CompiledCodeFunction, args, native []int64, src string) {
-	t.Helper()
-	cf, err := ccf.CompileToWVM()
-	if err != nil {
-		t.Fatalf("WVM bridge: %v\n%s", err, src)
-	}
-	for i, n := range args {
-		out, err := cf.Call(c.Kernel, vm.IntValue(n))
-		if err != nil {
-			t.Fatalf("WVM(%d): %v\n%s", n, err, src)
-		}
-		if out.Kind != vm.KInt || out.I != native[i] {
-			t.Fatalf("WVM(%d) = %v, native = %d\n%s", n, out, native[i], src)
-		}
-	}
-}
 
 // assertCAgrees builds the standalone C export and requires the native
 // backend's results.
@@ -122,7 +102,7 @@ func TestOptimizationSoundnessListPrograms(t *testing.T) {
 	}
 }
 
-// The same random pipelines across the three backends (native, WVM, C).
+// The same random pipelines on both backends (native, C).
 func TestCrossBackendRandomListPrograms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles C programs")
@@ -140,7 +120,6 @@ func TestCrossBackendRandomListPrograms(t *testing.T) {
 		for i, n := range args {
 			native[i] = ccf.CallRaw(n).(int64)
 		}
-		assertWVMAgrees(t, c, ccf, args, native, src)
 		assertCAgrees(t, ccf, args, native, src)
 	}
 }

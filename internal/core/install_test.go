@@ -48,9 +48,13 @@ func TestArtifactSessionFunctions(t *testing.T) {
 		t.Fatalf("C export = %s", expr.InputForm(cSrc))
 	}
 	run(`cf = FunctionCompile[addOne]`)
-	wvm := run(`FunctionCompileExportString[cf, "WVM"]`)
-	if sv, ok := wvm.(*expr.String); !ok || !strings.Contains(sv.V, "WVMFunction") {
-		t.Fatalf("WVM export = %s", expr.InputForm(wvm))
+	var log strings.Builder
+	k.Out = &log
+	if wvm := run(`FunctionCompileExportString[cf, "WVM"]`); wvm != expr.SymFailed {
+		t.Fatalf("WVM export = %s, want $Failed", expr.InputForm(wvm))
+	}
+	if !strings.Contains(log.String(), `unknown format "WVM" (want C, CStandalone, TWIR, Regions, or AST)`) {
+		t.Fatalf("WVM export message = %q", log.String())
 	}
 }
 

@@ -5,34 +5,20 @@ import (
 
 	"wolfc/internal/expr"
 	"wolfc/internal/parser"
-	"wolfc/internal/vm"
 )
 
 // Negative Part indices (v[[-1]] is the last element) must behave the same
-// on the native backend, the WVM bridge, and in the interpreter.
+// on the native backend and in the interpreter (TestCrossBackendPartEdges
+// holds the C backend to the native one on them).
 func TestNegativePartIndexingAcrossBackends(t *testing.T) {
 	c := newCompiler()
 	ccf := compile(t, c, `Function[{Typed[v, "Tensor"["MachineInteger", 1]], Typed[k, "MachineInteger"]},
 		v[[k]]]`)
 	arg := parser.MustParse("{10, 20, 30}")
-	for k, want := range map[int64]string{1: "10", 3: "30", -1: "30", -3: "10"} {
+	for k, want := range map[int64]string{1: "10", 3: "30", -1: "30", -2: "20", -3: "10"} {
 		out, err := ccf.Apply([]expr.Expr{arg, expr.FromInt64(k)})
 		if err != nil || expr.InputForm(out) != want {
 			t.Fatalf("native v[[%d]] = %s (%v), want %s", k, expr.InputForm(out), err, want)
-		}
-	}
-	cf, err := ccf.CompileToWVM()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tv, err := vm.FromExpr(arg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, want := range map[int64]int64{1: 10, -1: 30, -2: 20} {
-		out, err := cf.Call(c.Kernel, tv, vm.IntValue(k))
-		if err != nil || out.I != want {
-			t.Fatalf("WVM v[[%d]] = %v (%v), want %d", k, out, err, want)
 		}
 	}
 	// Interpreter agreement.

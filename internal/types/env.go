@@ -20,10 +20,6 @@ type FuncDef struct {
 	Native string
 	// Inline requests forcible inlining at function resolution (§4.5).
 	Inline bool
-	// Rank is used to order overloads when several match (paper §4.4
-	// AlternativeConstraint ordering); lower ranks are more specific and
-	// win. Defaults preserve declaration order.
-	Rank int
 }
 
 // Env is a type environment: type-class memberships and function
@@ -103,7 +99,6 @@ func (e *Env) Sig() uint64 {
 // in the paper).
 func (e *Env) DeclareFunction(d *FuncDef) {
 	e.mustBeOpen()
-	d.Rank = len(e.funcs[d.Name])
 	e.funcs[d.Name] = append(e.funcs[d.Name], d)
 	impl := ""
 	if d.Impl != nil {

@@ -57,8 +57,6 @@ const (
 	OpNeI
 	OpNeR
 	OpNot
-	OpAndB // eager boolean and (operands already evaluated)
-	OpOrB  // eager boolean or
 
 	// Calls into the maths runtime: A = function id.
 	OpMath1 // unary real function
@@ -102,7 +100,7 @@ var opNames = map[Op]string{
 	OpBXor: "BXor", OpShl: "Shl", OpShr: "Shr", OpToReal: "ToReal", OpLtI: "LtI",
 	OpLtR: "LtR", OpLeI: "LeI", OpLeR: "LeR", OpGtI: "GtI", OpGtR: "GtR",
 	OpGeI: "GeI", OpGeR: "GeR", OpEqI: "EqI", OpEqR: "EqR", OpNeI: "NeI",
-	OpNeR: "NeR", OpNot: "Not", OpAndB: "AndB", OpOrB: "OrB",
+	OpNeR: "NeR", OpNot: "Not",
 	OpMath1: "Math1", OpMath2: "Math2",
 	OpLength: "Length", OpLengthV: "LengthV", OpPart: "Part", OpPartV: "PartV",
 	OpSetPart: "SetPart", OpNewTable: "NewTable", OpRuntime: "Runtime", OpCallInterp: "CallInterp",
@@ -118,7 +116,7 @@ type Instr struct {
 func (in Instr) String() string {
 	name := opNames[in.Op]
 	switch in.Op {
-	case OpNop, OpDup, OpPop, OpRet, OpAbortCheck, OpNot, OpAndB, OpOrB,
+	case OpNop, OpDup, OpPop, OpRet, OpAbortCheck, OpNot,
 		OpAddI, OpAddR, OpSubI, OpSubR, OpMulI, OpMulR, OpDivR, OpModI,
 		OpQuotI, OpNegI, OpNegR, OpPowI, OpPowR, OpToReal,
 		OpBAnd, OpBOr, OpBXor, OpShl, OpShr,
@@ -175,12 +173,11 @@ const (
 	RtFlatten    // argc 1
 	RtN          // argc 1: int->real identity on tensors/scalars
 	RtTake       // argc 2: (tensor, n) -> first n elements
-	RtFill       // argc 2: (n, v) or 3: (r, c, v) -> int or real tensor filled with v
 )
 
 var runtimeNames = []string{
 	"Dot", "Total", "RandomReal", "RandomInteger", "TableReal", "TableInt",
-	"Transpose", "Reverse", "Flatten", "N", "Take", "Fill",
+	"Transpose", "Reverse", "Flatten", "N", "Take",
 }
 
 // Disassemble renders the bytecode for inspection, in the spirit of the

@@ -329,18 +329,6 @@ func (m *machine) run() (Value, error) {
 				return Value{}, vmErrf(ErrTypeMismatch, "Not of %v", a.Kind)
 			}
 			m.push(BoolValue(!a.B))
-		case OpAndB:
-			b, a := m.pop(), m.pop()
-			if a.Kind != KBool || b.Kind != KBool {
-				return Value{}, vmErrf(ErrTypeMismatch, "And of %v, %v", a.Kind, b.Kind)
-			}
-			m.push(BoolValue(a.B && b.B))
-		case OpOrB:
-			b, a := m.pop(), m.pop()
-			if a.Kind != KBool || b.Kind != KBool {
-				return Value{}, vmErrf(ErrTypeMismatch, "Or of %v, %v", a.Kind, b.Kind)
-			}
-			m.push(BoolValue(a.B || b.B))
 
 		case OpMath1:
 			a := m.pop()
@@ -603,34 +591,6 @@ func (m *machine) runtime(id, argc int) error {
 	case RtTableInt:
 		n := args[0].I
 		m.push(TensorValue(NewIntTensor(int(n))))
-	case RtFill:
-		dims := make([]int, len(args)-1)
-		for i, a := range args[:len(args)-1] {
-			if a.Kind != KInt || a.I < 0 {
-				return vmErrf(ErrPartRange, "ConstantArray dimension %v", a)
-			}
-			dims[i] = int(a.I)
-		}
-		switch v := args[len(args)-1]; v.Kind {
-		case KInt:
-			t := NewIntTensor(dims...)
-			if v.I != 0 {
-				for i := range t.I {
-					t.I[i] = v.I
-				}
-			}
-			m.push(TensorValue(t))
-		case KReal:
-			t := NewRealTensor(dims...)
-			if math.Float64bits(v.R) != 0 {
-				for i := range t.R {
-					t.R[i] = v.R
-				}
-			}
-			m.push(TensorValue(t))
-		default:
-			return vmErrf(ErrUnsupported, "ConstantArray of %v", v.Kind)
-		}
 	case RtTake:
 		if args[0].Kind != KTensor || args[1].Kind != KInt {
 			return vmErrf(ErrTypeMismatch, "Take of %v, %v", args[0].Kind, args[1].Kind)

@@ -198,7 +198,7 @@ func TestSoftFallbackOnOverflow(t *testing.T) {
 	}
 }
 
-// The edges the checked ops share with the WVM bridge: Floor of a real past
+// The numeric edges where the compiled backends throw: Floor of a real past
 // the machine range, a shift that loses bits and Quotient[MinInt64, -1] take
 // the same fallback and answer what the interpreter answers.
 func TestSoftFallbackOnNumericEdges(t *testing.T) {

@@ -35,7 +35,8 @@ count() {
 # the log.
 size_report() {
     echo "== size: non-test Go lines =="
-    for paths in internal/core/tier.go internal/core internal/codegen "internal/codegen internal/core internal/obs" cmd/wolfbench internal/bench "cmd/wolfbench internal/bench benchmark"; do
+    # internal/vm is Figure 2's bytecode baseline.
+    for paths in internal/core/tier.go internal/core internal/codegen internal/vm "internal/codegen internal/core internal/obs" cmd/wolfbench internal/bench "cmd/wolfbench internal/bench benchmark"; do
         echo "$paths: $(count $paths)"
     done
     # Generated code is not maintained by hand: count it apart (ISSUE 17).
