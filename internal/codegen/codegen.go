@@ -12,6 +12,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,14 +56,14 @@ func (rt *RT) Aborted() bool { return rt.Engine != nil && rt.Engine.Aborted() }
 // maxCallDepth bounds compiled call nesting, in units of unitBytes of Go
 // stack. The Go runtime kills the process when a stack must grow past 512 MB,
 // and stacks double, so compiled code is held to half that: 1<<19 units of
-// 512 bytes. Under the region tree what a level puts on the stack depends on
-// where in its function the call sits: the call closure (callBytes; 128 on
-// amd64) and, in the callee, one closure for each region and each fold of a
-// sequence the next call is nested in (frameBytes; the largest, a loop, is
-// 72). A level takes as many units of depth as its function can cost at most
-// (CFunc.units), so the bound holds whatever the program's shape: a call in a
-// lone If uses 272 bytes, is charged 400, one unit, and nests 524 288 deep;
-// under 25 nested Ifs it uses 2 672, takes nine units and stops at 58 254.
+// 512 bytes. What a level puts on the stack depends on where in its function
+// the next call sits: its call node (callBytes) and one closure (frameBytes;
+// the largest, a loop, is 72) for each region, fold of a sequence and node of
+// an expression tree it is nested in, a call node it is an argument of taking
+// callBytes. A level takes as many units of depth as its function can cost at
+// most (CFunc.units), so the bound holds whatever the program's shape: a call
+// in a lone If uses 208 bytes, is charged one unit and nests 524 288 deep;
+// under 25 nested Ifs it uses 2 208, takes nine units and stops at 58 254.
 const (
 	maxCallDepth = 1 << 19
 	unitBytes    = 512
@@ -96,10 +97,13 @@ func (rt *RT) Release() {
 
 // enter takes the activation record at the current depth for a call of cf,
 // after the function's entry abort poll: its register files re-sliced to
-// cf's counts, constants loaded. Scalar classes cf does not use are left as
-// the last user had them; the object file is always cf's exact window, which
-// is what leave and Release clear.
-func (rt *RT) enter(cf *CFunc) *frame {
+// cf's counts (a file of that length already, as every level of a recursion
+// finds it, is not stored again), constants loaded, and the captures of the
+// function value it was called through written into their parameters.
+// Classes cf does not use are left as the last user had them; when cf has
+// objects, the object file is cf's exact window, which is what leave and
+// Release clear.
+func (rt *RT) enter(cf *CFunc, caps []any) *frame {
 	if cf.poll && rt.Aborted() {
 		runtime.Throw(runtime.ExcAbort, "aborted")
 	}
@@ -109,19 +113,32 @@ func (rt *RT) enter(cf *CFunc) *frame {
 	}
 	fr := rt.frames[rt.depth]
 	rt.depth = top
-	if cf.nI > 0 {
+	if cf.nI > 0 && len(fr.i) != cf.nI {
 		fr.i = resized(fr.i, cf.nI)
 	}
-	if cf.nF > 0 {
+	if cf.nF > 0 && len(fr.f) != cf.nF {
 		fr.f = resized(fr.f, cf.nF)
 	}
-	if cf.nC > 0 {
+	if cf.nC > 0 && len(fr.c) != cf.nC {
 		fr.c = resized(fr.c, cf.nC)
 	}
-	if cf.nB > 0 {
+	if cf.nB > 0 && len(fr.b) != cf.nB {
 		fr.b = resized(fr.b, cf.nB)
 	}
-	fr.o = resized(fr.o, cf.nO)
+	if cf.nO > 0 && len(fr.o) != cf.nO {
+		fr.o = resized(fr.o, cf.nO)
+	}
+	if cf.constInit != nil {
+		cf.loadConsts(fr)
+	}
+	for k, c := range caps {
+		writeReg(fr, cf.params[len(cf.params)-len(caps)+k], c)
+	}
+	return fr
+}
+
+// loadConsts writes cf's constants into the record enter took for it.
+func (cf *CFunc) loadConsts(fr *frame) {
 	for _, ci := range cf.constInit {
 		if cf.naiveConsts {
 			if t, ok := ci.o.(*runtime.Tensor); ok {
@@ -142,7 +159,6 @@ func (rt *RT) enter(cf *CFunc) *frame {
 			fr.o[ci.r.idx] = ci.o
 		}
 	}
-	return fr
 }
 
 // grow makes room for a level that reaches depth top and a record for it at
@@ -172,7 +188,9 @@ func resized[T any](file []T, n int) []T {
 // leave returns the top record, which a call of cf took. Object registers may
 // pin big tensors, so they are cleared now, not when the record is next used.
 func (rt *RT) leave(cf *CFunc, fr *frame) {
-	clear(fr.o)
+	if cf.nO > 0 {
+		clear(fr.o)
+	}
 	rt.depth -= cf.units
 }
 
@@ -333,7 +351,7 @@ func (cf *CFunc) CallValues(rt *RT, args ...any) any {
 	if len(args) != len(cf.params) {
 		runtime.Throw(runtime.ExcType, "%s: expected %d arguments, got %d", cf.Name, len(cf.params), len(args))
 	}
-	fr := rt.enter(cf)
+	fr := rt.enter(cf, nil)
 	for i, a := range args {
 		writeReg(fr, cf.params[i], a)
 	}
@@ -391,8 +409,10 @@ type gen struct {
 	fuse bool
 	// fused marks instructions folded into their single consumer (a
 	// superinstruction: the chain becomes one closure; fused instructions
-	// get no step and no register of their own).
+	// get no step and no register of their own), and into maps each to that
+	// consumer: an instruction, a terminator, or the phi of an edge move.
 	fused map[*wir.Instr]bool
+	into  map[*wir.Instr]*wir.Instr
 	// profile enables per-block execution counters (CompileOptions.
 	// ProfileLevel > 0).
 	profile bool
@@ -590,8 +610,23 @@ func (g *gen) generate() error {
 			}
 		}
 	}
-	g.cf.units = (callBytes + deep*frameBytes + unitBytes - 1) / unitBytes
+	g.cf.units = (callBytes + deep*frameBytes + g.nesting() + unitBytes - 1) / unitBytes
 	return err
+}
+
+// nesting is the most Go stack a call fused into a tree runs under, above the
+// step that holds the tree: the closure of every node between it and the
+// root, a call node's being its own and its argument pass.
+func (g *gen) nesting() (most int) {
+	for in, c := range g.into {
+		for n := 0; g.isCall(in) && c != nil && c.Op != wir.OpPhi && !c.IsTerminator(); c = g.into[c] {
+			if n += frameBytes; g.isCall(c) {
+				n += callBytes - frameBytes
+			}
+			most = max(most, n)
+		}
+	}
+	return most
 }
 
 // prepare assigns the parameter and return registers and decides what
@@ -613,7 +648,31 @@ func (g *gen) prepare() error {
 	if err := g.coalesceObjects(); err != nil {
 		return err
 	}
+	// The value every Return returns, when there is one, is computed into the
+	// return register, and the Returns move nothing.
+	if v := g.returned(); v != nil && g.cf.hasRet && runtime.KindOf(v.Ty) == g.cf.retReg.kind {
+		if _, ok := g.regs[v]; !ok {
+			g.regs[v] = g.cf.retReg
+		}
+	}
 	return g.markFused()
+}
+
+// returned is the instruction or phi every Return returns, or nil.
+func (g *gen) returned() (v *wir.Instr) {
+	for _, b := range g.fn.Blocks {
+		if t := b.Term(); t != nil && t.Op == wir.OpReturn {
+			var x *wir.Instr
+			if len(t.Args) == 1 {
+				x, _ = t.Args[0].(*wir.Instr)
+			}
+			if x == nil || v != nil && x != v {
+				return nil
+			}
+			v = x
+		}
+	}
+	return v
 }
 
 // blockSteps appends the steps of b's instructions, terminator apart, to
@@ -653,7 +712,7 @@ func (g *gen) returnStep(in *wir.Instr) (step, error) {
 		return g.assignTo(g.cf.retReg, a)
 	}
 	src, err := g.regOf(in.Args[0])
-	if err != nil {
+	if err != nil || src == g.cf.retReg {
 		return nil, err
 	}
 	return g.moveStep(g.cf.retReg, src), nil
@@ -831,16 +890,21 @@ func (g *gen) genInstr(in *wir.Instr) (step, error) {
 		}, nil
 	case wir.OpClosure:
 		return g.genClosure(in)
-	case wir.OpCallIndirect:
-		return g.genCallIndirect(in)
-	case wir.OpCall:
-		if target := g.directCallee(in); target != nil {
-			return g.genCall(in, in.Args, target, nil)
+	case wir.OpCall, wir.OpCallIndirect:
+		// A call is the one place compiled code enters a body: as a
+		// statement, the assignment form of the node.
+		switch {
+		case !g.isCall(in):
+			return g.genNative(in)
+		case in.Ty == types.TVoid:
+			cs, err := g.callSite(in)
+			return callStep(cs), err
 		}
-		if _, ok := in.Prop("regcall"); ok {
-			return g.genRegistryCall(in)
+		dst, err := g.regOf(in)
+		if err != nil {
+			return nil, err
 		}
-		return g.genNative(in)
+		return g.assignTo(dst, in)
 	}
 	return nil, fmt.Errorf("codegen %s: unexpected op %d", g.fn.Name, in.Op)
 }
@@ -870,43 +934,6 @@ func (g *gen) genClosure(in *wir.Instr) (step, error) {
 	}, nil
 }
 
-// copyArgs moves caller argument registers into callee parameter registers
-// without boxing: both sides' register classes agree by type checking, so
-// the move is a direct slice copy per class.
-func copyArgs(fr, cfr *frame, argRegs []reg, params []reg) {
-	for i, r := range argRegs {
-		p := params[i]
-		switch r.kind {
-		case runtime.KI64:
-			cfr.i[p.idx] = fr.i[r.idx]
-		case runtime.KR64:
-			cfr.f[p.idx] = fr.f[r.idx]
-		case runtime.KC64:
-			cfr.c[p.idx] = fr.c[r.idx]
-		case runtime.KBool:
-			cfr.b[p.idx] = fr.b[r.idx]
-		case runtime.KObj:
-			cfr.o[p.idx] = fr.o[r.idx]
-		}
-	}
-}
-
-// copyRet moves the callee's return register into the caller's destination.
-func copyRet(fr, cfr *frame, dst, ret reg) {
-	switch dst.kind {
-	case runtime.KI64:
-		fr.i[dst.idx] = cfr.i[ret.idx]
-	case runtime.KR64:
-		fr.f[dst.idx] = cfr.f[ret.idx]
-	case runtime.KC64:
-		fr.c[dst.idx] = cfr.c[ret.idx]
-	case runtime.KBool:
-		fr.b[dst.idx] = cfr.b[ret.idx]
-	case runtime.KObj:
-		fr.o[dst.idx] = cfr.o[ret.idx]
-	}
-}
-
 // directCallee returns the module function in calls, if it calls one. The
 // pass pipeline records it in ResolvedFn; the baseline tier runs no passes,
 // so there the callee is found by name — without writing it into the
@@ -918,90 +945,132 @@ func (g *gen) directCallee(in *wir.Instr) *CFunc {
 	return g.prog.byName[in.Callee]
 }
 
-// genCall compiles a call of a compiled function: the one place compiled code
-// enters a body. A direct call's callee is fixed; resolve finds an indirect
-// or registry call's at run time, with the captures to pass after the
-// arguments. The closure reaches its operands through one pointer, so that
-// nothing but it and the two frames is live across the calls it makes.
-func (g *gen) genCall(in *wir.Instr, args []wir.Value, target *CFunc, resolve func(fr *frame) *FuncVal) (step, error) {
-	cs := &struct {
-		target    *CFunc
-		resolve   func(fr *frame) *FuncVal
-		args      []reg
-		dst       reg
-		hasResult bool
-	}{target: target, resolve: resolve, args: make([]reg, len(args)), hasResult: in.Ty != types.TVoid}
-	for i, a := range args {
-		r, err := g.regOf(a)
+// isCall reports whether in calls compiled code: a module function, a
+// function value or a registry entry.
+func (g *gen) isCall(in *wir.Instr) bool {
+	_, registry := in.Prop("regcall")
+	return in.Op == wir.OpCallIndirect || in.Op == wir.OpCall && (registry || g.directCallee(in) != nil)
+}
+
+// operandArgs reports whether a call passes one or two arguments, each an
+// Integer64 or a Real64: the calls passBySig has a pass for, whose arguments
+// are operands and may be fused trees. Recursion on an index or a size and
+// comparators of reals take these; any other call passes registers.
+func operandArgs(in *wir.Instr) bool {
+	args := in.Args
+	if in.Op == wir.OpCallIndirect {
+		args = args[1:]
+	}
+	return len(args) > 0 && len(args) <= 2 && !slices.ContainsFunc(args, func(a wir.Value) bool {
+		return a.Type() == nil || runtime.KindOf(a.Type()) != runtime.KI64 && runtime.KindOf(a.Type()) != runtime.KR64
+	})
+}
+
+// callSite is a call of compiled code, the node of an expression tree that
+// enters a body: callEval* are its evaluators by result kind and callAssign
+// its assignment forms (fusion_modes.go). The node reaches its operands through
+// this one pointer, so that nothing but it and the two frames is live across
+// the calls it makes. A direct call's callee is fixed; resolve finds an
+// indirect or registry call's at run time. An operandArgs call's argument k
+// is i[k] or f[k] by its kind, sig numbers the kinds and pass is
+// passBySig[sig]; any other call's pass, passRegs, reads the registers regs.
+type callSite struct {
+	target  *CFunc
+	resolve func(fr *frame) *FuncVal
+	sig     int
+	pass    func(cs *callSite, fr *frame) (*CFunc, *frame)
+	i       [2]opI
+	f       [2]opF
+	regs    []reg
+}
+
+// callee is the function the call enters, and the captures of the function
+// value it found it in.
+func (cs *callSite) callee(fr *frame) (*CFunc, []any) {
+	if cs.resolve == nil {
+		return cs.target, nil
+	}
+	fv := cs.resolve(fr)
+	return fv.Fn, fv.Caps
+}
+
+// callSite compiles a call's callee and arguments. A fused argument tree is
+// evaluated by the node, left to right, before the callee is entered, and
+// written into its parameter registers after: there is no temporary in the
+// caller.
+func (g *gen) callSite(in *wir.Instr) (*callSite, error) {
+	cs, args := &callSite{target: g.directCallee(in)}, in.Args
+	switch {
+	case in.Op == wir.OpCallIndirect:
+		args = args[1:]
+		// Argument moves are typed (the callee signature was unified with the
+		// call site), so only closure captures go through boxed storage.
+		r, err := g.regOf(in.Args[0])
 		if err != nil {
 			return nil, err
 		}
-		cs.args[i] = r
+		fi := r.idx
+		cs.target, cs.resolve = nil, func(fr *frame) *FuncVal {
+			fv, ok := fr.o[fi].(*FuncVal)
+			if !ok {
+				runtime.Throw(runtime.ExcType, "call of a non-function value")
+			}
+			return fv
+		}
+	case cs.target == nil:
+		// A cross-unit call resolved through the function registry: a direct
+		// unboxed call into a separately compiled function, instead of a boxed
+		// KernelApply round-trip through the interpreter. The *fnreg.Entry was
+		// baked in by inference; the installed binding is loaded per call (one
+		// atomic load), so redefinition-driven retirement takes effect on the
+		// next call. A retired/uninstalled entry throws a soft kernel
+		// exception, which the invocation wrapper in internal/core converts
+		// into an interpreter fallback (F2): stale callers degrade to the
+		// correct new semantics rather than running dead code.
+		p, _ := in.Prop("regcall")
+		ent, ok := p.(*fnreg.Entry)
+		if !ok || ent == nil {
+			return nil, fmt.Errorf("codegen %s: call %s has a malformed registry resolution", g.fn.Name, in.Callee)
+		}
+		name := in.Callee
+		cs.resolve = func(fr *frame) *FuncVal {
+			b := ent.Binding()
+			if b == nil {
+				runtime.Throw(runtime.ExcKernel, "call to %s: compiled entry is retired or not yet installed (definition changed); re-evaluate through the kernel", name)
+			}
+			fv, ok := b.Fn.(*FuncVal)
+			if !ok {
+				runtime.Throw(runtime.ExcKernel, "call to %s: registry entry is not closure-backend code", name)
+			}
+			return fv
+		}
 	}
-	var err error
-	cs.dst, err = g.regOf(in)
-	return func(fr *frame) {
-		target, caps := cs.target, []any(nil)
-		if cs.resolve != nil {
-			fv := cs.resolve(fr)
-			target, caps = fv.Fn, fv.Caps
+	if !operandArgs(in) {
+		cs.pass, cs.regs = passRegs, make([]reg, len(args))
+		for k, a := range args {
+			r, err := g.regOf(a)
+			if err != nil {
+				return nil, err
+			}
+			cs.regs[k] = r
 		}
-		cfr := fr.rt.enter(target)
-		copyArgs(fr, cfr, cs.args, target.params)
-		for i, c := range caps {
-			writeReg(cfr, target.params[len(cs.args)+i], c)
-		}
-		target.body(cfr)
-		if cs.hasResult && target.hasRet {
-			copyRet(fr, cfr, cs.dst, target.retReg)
-		}
-		fr.rt.leave(target, cfr)
-	}, err
-}
-
-// genCallIndirect compiles a call through a function value. Argument moves
-// are typed (the callee signature was unified with the call site), so only
-// closure captures go through boxed storage.
-func (g *gen) genCallIndirect(in *wir.Instr) (step, error) {
-	fnReg, err := g.regOf(in.Args[0])
-	if err != nil {
-		return nil, err
+		return cs, nil
 	}
-	fi := fnReg.idx
-	return g.genCall(in, in.Args[1:], nil, func(fr *frame) *FuncVal {
-		fv, ok := fr.o[fi].(*FuncVal)
-		if !ok {
-			runtime.Throw(runtime.ExcType, "call of a non-function value")
+	// passBySig is in order of arity, then of the kinds of the arguments (bit
+	// k set for a Real64): 1–2 for one argument, 3–6 for two.
+	cs.sig = 1<<len(args) - 1
+	for k, a := range args {
+		var err error
+		if runtime.KindOf(a.Type()) == runtime.KI64 {
+			cs.i[k], err = g.opIFor(a)
+		} else {
+			cs.sig += 1 << k
+			cs.f[k], err = g.opFFor(a)
 		}
-		return fv
-	})
-}
-
-// genRegistryCall compiles a cross-unit call resolved through the function
-// registry: a direct unboxed call into a separately compiled function,
-// instead of a boxed KernelApply round-trip through the interpreter. The
-// *fnreg.Entry was baked in by inference; the installed binding is loaded
-// per call (one atomic load), so redefinition-driven retirement takes
-// effect on the next call. A retired/uninstalled entry throws a soft
-// kernel exception, which the invocation wrapper in internal/core converts
-// into an interpreter fallback (F2): stale callers degrade to the correct
-// new semantics rather than running dead code.
-func (g *gen) genRegistryCall(in *wir.Instr) (step, error) {
-	p, _ := in.Prop("regcall")
-	ent, ok := p.(*fnreg.Entry)
-	if !ok || ent == nil {
-		return nil, fmt.Errorf("codegen %s: call %s has a malformed registry resolution", g.fn.Name, in.Callee)
+		if err != nil {
+			return nil, err
+		}
 	}
-	name := in.Callee
-	return g.genCall(in, in.Args, nil, func(fr *frame) *FuncVal {
-		b := ent.Binding()
-		if b == nil {
-			runtime.Throw(runtime.ExcKernel, "call to %s: compiled entry is retired or not yet installed (definition changed); re-evaluate through the kernel", name)
-		}
-		fv, ok := b.Fn.(*FuncVal)
-		if !ok {
-			runtime.Throw(runtime.ExcKernel, "call to %s: registry entry is not closure-backend code", name)
-		}
-		return fv
-	})
+	cs.pass = passBySig[cs.sig]
+	return cs, nil
 }

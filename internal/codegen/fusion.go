@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"wolfc/internal/expr"
@@ -149,21 +150,29 @@ type compare[O any] struct {
 // ---------------------------------------------------------------------------
 // Marking
 
-// markFused marks every instruction foldable into its single consumer;
-// with fusion off g.fused stays nil and nothing reads as fused.
+// markFused marks every instruction foldable into its single consumer, and
+// records the consumer in g.into; with fusion off g.fused stays nil and
+// nothing reads as fused.
+//
+// A call with a scalar result fuses too, as a node, and is a barrier to every
+// other producer. A tree runs its operands left to right where its root is, so
+// for one with a call in it the tree's post-order must be the block's order:
+// it may be deferred only past what its consumer evaluates after it (fused at
+// a later operand), into consumers that evaluate each operand once, in order.
 func (g *gen) markFused() error {
 	if !g.fuse {
 		return nil
 	}
-	g.fused = map[*wir.Instr]bool{}
+	g.fused, g.into = map[*wir.Instr]bool{}, map[*wir.Instr]*wir.Instr{}
 	// Phase 1: chains ending at a later instruction of the same block
 	// (including the conditional branch and the return). Reverse order so a
-	// consumer already marked fused extends the chain transitively.
+	// consumer already marked fused extends the chain transitively, and so
+	// that everything between a producer and its consumer is settled first.
 	for _, b := range g.fn.Blocks {
 		n := len(b.Instrs)
 		for idx := n - 1; idx >= 0; idx-- {
 			in := b.Instrs[idx]
-			if in.IsTerminator() || g.useCount(in) != 1 || !fusibleProducer(in) {
+			if !g.producer(in) {
 				continue
 			}
 			var consumer *wir.Instr
@@ -181,17 +190,20 @@ func (g *gen) markFused() error {
 			if !g.consumerAccepts(consumer, in) {
 				continue
 			}
-			if !clearPath(b.Instrs, idx, cidx) {
+			if !g.deferrable(b.Instrs, idx, cidx, g.isCall(in)) {
 				continue
 			}
-			g.fused[in] = true
+			g.fused[in], g.into[in] = true, consumer
 		}
 	}
 	// Phase 2: trees whose single use is a phi argument on an edge leaving
 	// the defining block fuse into the edge's parallel move. The move
 	// sequencer orders moves by their read sets, and phiMoveSteps breaks
 	// any residual eval cycle through a temporary register, so a tree may
-	// freely read registers that other moves on the same edge overwrite.
+	// freely read registers that other moves on the same edge overwrite. It
+	// reorders the trees, too, so one with a call in it fuses only as the
+	// block's last instruction: every other tree on the edge would have to
+	// be deferred past its call.
 	for _, b := range g.fn.Blocks {
 		t := b.Term()
 		if t == nil || len(t.Targets) == 0 {
@@ -203,7 +215,7 @@ func (g *gen) markFused() error {
 		n := len(b.Instrs)
 		for idx := n - 1; idx >= 0; idx-- {
 			in := b.Instrs[idx]
-			if in.IsTerminator() || g.fused[in] || g.useCount(in) != 1 || !fusibleProducer(in) {
+			if !g.producer(in) || g.fused[in] {
 				continue
 			}
 			local := false
@@ -220,13 +232,28 @@ func (g *gen) markFused() error {
 			if phi == nil {
 				continue
 			}
-			if !clearPath(b.Instrs, idx, n-1) {
+			if !g.deferrable(b.Instrs, idx, n-1, false) || g.bearsCall(in) && idx != n-2 {
 				continue
 			}
-			g.fused[in] = true
+			g.fused[in], g.into[in] = true, phi
 		}
 	}
 	return nil
+}
+
+// producer reports whether in may be a node of a tree: it has one use, and it
+// is a native with an evaluator or a call with a scalar result.
+func (g *gen) producer(in *wir.Instr) bool {
+	return !in.IsTerminator() && g.useCount(in) == 1 && (fusibleProducer(in) ||
+		g.isCall(in) && in.Ty != nil && in.Ty != types.TVoid && runtime.KindOf(in.Ty) != runtime.KObj)
+}
+
+// bearsCall reports whether a call is fused into in's tree, or is in.
+func (g *gen) bearsCall(in *wir.Instr) bool {
+	return g.isCall(in) || slices.ContainsFunc(in.Args, func(a wir.Value) bool {
+		x, ok := a.(*wir.Instr)
+		return ok && g.fused[x] && g.bearsCall(x)
+	})
 }
 
 // usesValue reports whether in has v among its operands.
@@ -254,15 +281,41 @@ func (g *gen) findPhiUse(b *wir.Block, in *wir.Instr) (*wir.Instr, *wir.Block) {
 	return nil, nil
 }
 
-// clearPath reports whether every instruction strictly between from and to
-// can be crossed by a deferred evaluation.
-func clearPath(instrs []*wir.Instr, from, to int) bool {
+// deferrable reports whether instrs[from] may be evaluated at instrs[to]'s
+// position. What lies between runs first, unless to's tree evaluates it
+// later; anything else must be no barrier, and none at all that compiles to
+// code may be crossed when from's tree holds a call (calls is set). Once it
+// does, every consumer above it must keep the order too, up to the root of
+// the tree.
+func (g *gen) deferrable(instrs []*wir.Instr, from, to int, calls bool) bool {
 	for k := from + 1; k < to; k++ {
-		if barrierInstr(instrs[k]) {
+		if x := instrs[k]; !g.evaluatedAfter(x, instrs[from], instrs[to]) && (calls && !noCode(x) || !calls && barrierInstr(x)) {
 			return false
 		}
 	}
-	return true
+	c := instrs[to]
+	return !calls || g.keepsOrder(c) && (!g.fused[c] || g.deferrable(instrs, to, slices.Index(instrs, g.into[c]), true))
+}
+
+// evaluatedAfter reports whether x is fused into c's tree at an operand of c
+// after p's.
+func (g *gen) evaluatedAfter(x, p, c *wir.Instr) bool {
+	at := slices.Index(c.Args, wir.Value(p))
+	for ; at >= 0 && g.fused[x]; x = g.into[x] {
+		if g.into[x] == c {
+			return slices.Index(c.Args, wir.Value(x)) > at
+		}
+	}
+	return false
+}
+
+// keepsOrder reports whether c evaluates each operand once, left to right,
+// before it does anything else: what a consumer of a tree with a call in it
+// must do. A Part store reads its value before its index, and And and Or do
+// not evaluate their second operand at all when the first decides.
+func (g *gen) keepsOrder(c *wir.Instr) bool {
+	native := c.NativeName()
+	return c.Op == wir.OpCondBranch || c.Op == wir.OpReturn || g.isCall(c) || fusibleProducer(c) && native != "and" && native != "or"
 }
 
 // nonBarrierNatives are the natives selectNative implements that a fused
@@ -406,17 +459,17 @@ func fusibleProducer(in *wir.Instr) bool {
 }
 
 // consumerAccepts reports whether the generator can evaluate in at
-// consumer's position (genNative's evaluator and genSetPart routes and
-// the terminator routes must cover everything accepted here).
+// consumer's position (genNative's evaluator and genSetPart routes, the call
+// node and the terminator routes must cover everything accepted here).
 func (g *gen) consumerAccepts(consumer, in *wir.Instr) bool {
 	switch consumer.Op {
 	case wir.OpCondBranch:
 		return consumer.Args[0] == in && runtime.KindOf(in.Ty) == runtime.KBool
 	case wir.OpReturn:
 		return true
-	case wir.OpCall:
-		if consumer.ResolvedFn != nil {
-			return false
+	case wir.OpCall, wir.OpCallIndirect:
+		if g.isCall(consumer) {
+			return operandArgs(consumer)
 		}
 		if fusibleProducer(consumer) {
 			return true
@@ -626,6 +679,10 @@ func (g *gen) opCC(in *wir.Instr) (opC, opC, error) {
 // Evaluator builders (one closure per tree node)
 
 func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
+	if g.isCall(in) {
+		cs, err := g.callSite(in)
+		return callEvalI(cs), err
+	}
 	native := in.NativeName()
 	if op, ok := intArith[native]; ok {
 		x, y, err := g.opII(in)
@@ -779,6 +836,10 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 }
 
 func (g *gen) buildEvalF(in *wir.Instr) (evalF, error) {
+	if g.isCall(in) {
+		cs, err := g.callSite(in)
+		return callEvalF(cs), err
+	}
 	native := in.NativeName()
 	if op, ok := realArith[native]; ok {
 		if ts, err := g.sumTerms(in); ts != nil || err != nil {
@@ -915,7 +976,10 @@ func (g *gen) buildEvalF(in *wir.Instr) (evalF, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *frame) float64 { return math.Atan2(y.get(fr), x.get(fr)) }, nil
+		return func(fr *frame) float64 {
+			a := x.get(fr) // operands run left to right: either may hold a call
+			return math.Atan2(y.get(fr), a)
+		}, nil
 	case "to_real64":
 		if in.Args[0].Type() != nil && runtime.KindOf(in.Args[0].Type()) == runtime.KI64 {
 			x, err := g.opIFor(in.Args[0])
@@ -948,6 +1012,10 @@ func (g *gen) buildEvalF(in *wir.Instr) (evalF, error) {
 }
 
 func (g *gen) buildEvalB(in *wir.Instr) (evalB, error) {
+	if g.isCall(in) {
+		cs, err := g.callSite(in)
+		return callEvalB(cs), err
+	}
 	native := in.NativeName()
 	switch native {
 	case "cmp_less", "cmp_lessequal", "cmp_greater", "cmp_greaterequal",
@@ -1049,6 +1117,10 @@ func (g *gen) buildEvalB(in *wir.Instr) (evalB, error) {
 }
 
 func (g *gen) buildEvalC(in *wir.Instr) (evalC, error) {
+	if g.isCall(in) {
+		cs, err := g.callSite(in)
+		return callEvalC(cs), err
+	}
 	native := in.NativeName()
 	switch native {
 	case "binary_plus":
@@ -1480,6 +1552,10 @@ func (g *gen) partOperands(in *wir.Instr, native string) (a int, i1, i2 opI, ran
 // of a generated op, or the node evaluator wrapped in the register write.
 func (g *gen) assignTo(dst reg, root *wir.Instr) (step, error) {
 	d := dst.idx
+	if g.isCall(root) {
+		cs, err := g.callSite(root)
+		return callAssign[dst.kind](cs, d), err
+	}
 	native := root.NativeName()
 	switch dst.kind {
 	case runtime.KI64:

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"strings"
 	"testing"
 
 	"wolfc/internal/binding"
@@ -14,6 +15,12 @@ import (
 
 // compileSrcFuse runs the whole pipeline at a given fusion level.
 func compileSrcFuse(t *testing.T, src string, fuse int) *Program {
+	t.Helper()
+	return compileSrcWith(t, src, fuse, passes.DefaultOptions())
+}
+
+// compileSrcWith runs the whole pipeline with the given pass options.
+func compileSrcWith(t *testing.T, src string, fuse int, opts passes.Options) *Program {
 	t.Helper()
 	env := macro.DefaultEnv()
 	e, err := env.Expand(parser.MustParse(src), nil)
@@ -33,7 +40,7 @@ func compileSrcFuse(t *testing.T, src string, fuse int) *Program {
 	if err := infer.Infer(mod, tenv); err != nil {
 		t.Fatalf("infer: %v", err)
 	}
-	if err := passes.Run(mod, tenv, passes.DefaultOptions()); err != nil {
+	if err := passes.Run(mod, tenv, opts); err != nil {
 		t.Fatalf("passes: %v", err)
 	}
 	prog, err := CompileWithOptions(mod, CompileOptions{FuseLevel: fuse})
@@ -173,6 +180,43 @@ func TestFuseLevelsAgree(t *testing.T) {
 					tc.name, name, got, results["full"])
 			}
 		}
+	}
+}
+
+// TestCallArgumentsReachTheirParameters calls a function of every signature
+// that has a pass of its own (one or two Integer64 and Real64 arguments) and
+// some that pass registers (a Boolean, a Complex, three arguments), with
+// arguments that are trees, as operands of one tree, fused and not; a pass
+// that put an argument in the wrong parameter or class changes the sum.
+func TestCallArgumentsReachTheirParameters(t *testing.T) {
+	const src = `Function[{Typed[n, "MachineInteger"]}, Module[{
+		i1 = Function[{Typed[a, "MachineInteger"]}, 3*a + 1],
+		f1 = Function[{Typed[a, "Real64"]}, 2.*a],
+		ii = Function[{Typed[a, "MachineInteger"], Typed[b, "MachineInteger"]}, 10*a - b],
+		fi = Function[{Typed[a, "Real64"], Typed[b, "MachineInteger"]}, a - 10.*b],
+		if2 = Function[{Typed[a, "MachineInteger"], Typed[b, "Real64"]}, 10.*a - b],
+		ff = Function[{Typed[a, "Real64"], Typed[b, "Real64"]}, a < b],
+		bo = Function[{Typed[a, "Boolean"]}, If[a, 1, 2]],
+		co = Function[{Typed[z, "ComplexReal64"]}, Re[z]*Im[z]],
+		iii = Function[{Typed[a, "MachineInteger"], Typed[b, "MachineInteger"], Typed[c, "MachineInteger"]}, 100*a + 10*b + c]},
+		i1[n + 1] + 7*ii[n - 1, 2*n] + f1[n*0.5] + 3.*fi[n*0.25, n + 2] + 5.*if2[n - 3, n*1.5] +
+			If[ff[n*1., 2.5], 1000, 2000] + bo[n > 2] + co[n*1.*Complex[0.125, 1.]] + iii[n, n + 1, n + 2]]]`
+	// 16 + 7*22 + 4. + 3.*-59. + 5.*4. + 2000 + 1 + 2. + 456
+	const want = 2476.
+	opts := passes.DefaultOptions()
+	opts.InlinePolicy = "none" // every helper stays a call
+	for _, fuse := range []int{FuseFull, FuseOff} {
+		prog := compileSrcWith(t, src, fuse, opts)
+		if got := prog.Main.CallValues(&RT{}, int64(4)); got != want {
+			t.Errorf("fuse %d: %v, want %v", fuse, got, want)
+		}
+	}
+	regions, err := Regions(compileSrcWith(t, src, FuseFull, opts).Module, CompileOptions{FuseLevel: FuseFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(regions, ", call %"); got < 7 {
+		t.Errorf("%d of the nine calls are nodes of a tree, want at least seven:\n%s", got, regions)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"go/format"
 	"log"
 	"os"
+	"strings"
 )
 
 // An op is one table row. expr is the Go expression over the two operands,
@@ -156,7 +157,68 @@ func generate() ([]byte, error) {
 		})
 	}
 	sum(&w)
+	calls(&w)
 	return format.Source(w.Bytes())
+}
+
+// calls writes the kind-dependent halves of the call node. A pass evaluates
+// one or two Integer64 or Real64 arguments, enters the callee and hands them
+// over; there is one for each such signature, so no argument's kind is
+// switched on, and each is small enough that the operands' get and
+// callSite.callee inline into it. passRegs passes any other call's registers.
+// The evaluator and assignment forms run the callee and read its result
+// before leaving its record; an evaluator of one Integer64 argument, the
+// shape of most recursion, is its own pass.
+func calls(w *bytes.Buffer) {
+	// The register files in the order of runtime.Kind. Argument k of a pass
+	// is an Integer64 when bit k of code is clear, a Real64 when it is set.
+	kinds := []struct{ file, kind, result string }{
+		{"i", "KI64", "int64"}, {"f", "KR64", "float64"}, {"c", "KC64", "complex128"}, {"b", "KBool", "bool"}, {"o", "KObj", ""},
+	}
+	pass := func(n, code int) (name, body string) {
+		var vals, gets, puts []string
+		for k := 0; k < n; k++ {
+			file := kinds[code>>k&1].file
+			name += strings.ToUpper(file)
+			vals = append(vals, fmt.Sprintf("a%d", k))
+			gets = append(gets, fmt.Sprintf("cs.%s[%d].get(fr)", file, k))
+			puts = append(puts, fmt.Sprintf("cfr.%s[p[%d].idx]", file, k))
+		}
+		return "pass" + name, fmt.Sprintf("%s := %s\nt, caps := cs.callee(fr)\ncfr := fr.rt.enter(t, caps)\np := t.params\n%s = %[1]s\n",
+			strings.Join(vals, ", "), strings.Join(gets, ", "), strings.Join(puts, ", "))
+	}
+	table := "passRegs,\n"
+	for n := 1; n <= 2; n++ {
+		for code := 0; code < 1<<n; code++ {
+			name, body := pass(n, code)
+			table += name + ",\n"
+			fmt.Fprintf(w, "func %s(cs *callSite, fr *frame) (*CFunc, *frame) {\n%sreturn t, cfr\n}\n\n", name, body)
+		}
+	}
+	fmt.Fprintf(w, "var passBySig = [...]func(cs *callSite, fr *frame) (*CFunc, *frame){\n%s}\n\n", table)
+	w.WriteString("func passRegs(cs *callSite, fr *frame) (*CFunc, *frame) {\nt, caps := cs.callee(fr)\ncfr := fr.rt.enter(t, caps)\nfor k, r := range cs.regs {\np := t.params[k].idx\nswitch r.kind {\n")
+	assign := "var callAssign = [...]func(cs *callSite, d int) step{\n"
+	for _, k := range kinds {
+		fmt.Fprintf(w, "case runtime.%s:\ncfr.%s[p] = fr.%[2]s[r.idx]\n", k.kind, k.file)
+		assign += fmt.Sprintf("runtime.%s: callAssign%s,\n", k.kind, strings.ToUpper(k.file))
+	}
+	fmt.Fprintf(w, "}\n}\nreturn t, cfr\n}\n\n%s}\n\n", assign)
+	// The forms are kept out of line: a closure that is inlined into its
+	// builder is compiled there with leave left a call.
+	const enter, leave = "t, cfr := cs.pass(cs, fr)\n", "fr.rt.leave(t, cfr)\n"
+	for _, k := range kinds {
+		up := strings.ToUpper(k.file)
+		if k.result != "" {
+			eval := func(head string) string {
+				return fmt.Sprintf("return func(fr *frame) %s {\n%st.body(cfr)\nr := cfr.%s[t.retReg.idx]\n%sreturn r\n}\n", k.result, head, k.file, leave)
+			}
+			_, passI := pass(1, 0)
+			fmt.Fprintf(w, "//go:noinline\nfunc callEval%s(cs *callSite) eval%[1]s {\nif cs.sig == 1 {\n%s}\n%s}\n\n", up, eval(passI), eval(enter))
+		}
+		fmt.Fprintf(w, "//go:noinline\nfunc callAssign%s(cs *callSite, d int) step {\nreturn func(fr *frame) {\n%st.body(cfr)\nfr.%s[d] = cfr.%[3]s[t.retReg.idx]\n%s}\n}\n\n",
+			up, enter, k.file, leave)
+	}
+	fmt.Fprintf(w, "//go:noinline\nfunc callStep(cs *callSite) step {\nreturn func(fr *frame) {\n%st.body(cfr)\n%s}\n}\n", enter, leave)
 }
 
 // sum writes the sum node: a left-leaning chain of real + and - over three or

@@ -29,9 +29,7 @@ func (g *gen) genNative(in *wir.Instr) (step, error) {
 		return nil, fmt.Errorf("codegen %s: unresolved call %s (function resolution incomplete)", g.fn.Name, in.Callee)
 	}
 
-	if (native == "memory_acquire" || native == "memory_release") && !types.IsTensor(in.Args[0].Type()) {
-		// Strings, expressions and function values are the host
-		// collector's alone; only tensors carry a count.
+	if noCode(in) {
 		return nil, nil
 	}
 	// Three routes and no exception. A Part store has one builder. Whatever
@@ -74,6 +72,14 @@ func (g *gen) genNative(in *wir.Instr) (step, error) {
 		return nil, fmt.Errorf("codegen %s: no implementation for native %q at %s", g.fn.Name, native, in.Ty)
 	}
 	return st, nil
+}
+
+// noCode reports whether in compiles to nothing: a reference count of a
+// string, an expression or a function value, which are the host collector's
+// alone (only tensors carry a count).
+func noCode(in *wir.Instr) bool {
+	native := in.NativeName()
+	return (native == "memory_acquire" || native == "memory_release") && !types.IsTensor(in.Args[0].Type())
 }
 
 // argKind returns the register class of argument i.

@@ -314,7 +314,10 @@ func seqFlow(parts []part) flow {
 	}
 }
 
-// ifStep is an If control can only fall out of; ifFlow is any other.
+// ifStep is an If control can only fall out of; ifFlow is any other. Inlined
+// into its builder, ifStep's closure would keep the test's eval a call.
+//
+//go:noinline
 func ifStep(t test, then, els step) step {
 	return func(fr *frame) {
 		if t.eval(fr) {
@@ -557,8 +560,9 @@ func (g *gen) compileLoop(p *part, r *region) error {
 
 // Regions renders every function's region tree: the nesting of loops, Ifs
 // and sequences, the block each node holds, where the abort polls and the phi
-// moves sit, which edges leave and where exits land, and which chains became
-// sum nodes.
+// moves sit, which edges leave and where exits land, which chains became
+// sum nodes, and which calls are nodes of a tree (and whose operands they
+// are: an instruction, the test, the return or the phi of an edge move).
 func Regions(mod *wir.Module, opts CompileOptions) (string, error) {
 	var sb strings.Builder
 	_, err := eachFunction(mod, opts, func(g *gen) error {
@@ -585,21 +589,28 @@ func (g *gen) printRegions(sb *strings.Builder, seq []*region, indent string) {
 			fmt.Fprintf(sb, "block %s", name(r.block))
 			// A chain's root comes after its interior operators, so reading
 			// the block backwards meets it first.
-			sums, interior := "", map[*wir.Instr]bool{}
+			nodes, interior := "", map[*wir.Instr]bool{}
 			for k := len(r.block.Instrs) - 1; k >= 0; k-- {
 				in := r.block.Instrs[k]
 				if in.Op == wir.OpAbortCheck {
 					sb.WriteString(", poll")
 				}
 				if vals, _ := g.sumChain(in); !interior[in] && len(vals) >= 3 {
-					sums = fmt.Sprintf(", sum %s of %d terms", in.Name(), len(vals)) + sums
+					nodes = fmt.Sprintf(", sum %s of %d terms", in.Name(), len(vals)) + nodes
 					for l := in; len(vals) > 2; vals = vals[1:] {
 						l = l.Args[0].(*wir.Instr)
 						interior[l] = true
 					}
 				}
+				if c := g.into[in]; c != nil && g.isCall(in) {
+					at := map[wir.Op]string{wir.OpCondBranch: "test", wir.OpReturn: "return"}[c.Op]
+					if at == "" {
+						at = c.Name()
+					}
+					nodes = fmt.Sprintf(", call %s in %s", in.Name(), at) + nodes
+				}
 			}
-			sb.WriteString(sums)
+			sb.WriteString(nodes)
 		case regionEdge:
 			fmt.Fprintf(sb, "edge %s -> %s", name(r.block), name(r.to))
 			if n := len(r.to.Phis); n > 0 {

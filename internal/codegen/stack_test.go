@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"wolfc/internal/expr"
+	"wolfc/internal/passes"
 	"wolfc/internal/runtime"
 )
 
@@ -65,31 +66,56 @@ func TestCallStackChargeCoversEveryShape(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		fmt.Fprintf(&which, "n == %d, %d, ", -i-1, i)
 	}
-	shapes := []struct{ name, body string }{
-		{"a lone If", `Main[n - 1] + 1`},
+	tree := "Main[n - 1]"
+	for i := 0; i < 10; i++ {
+		tree = fmt.Sprintf("BitXor[%s, n] + %d", tree, i+1)
+	}
+	// The shapes with calls of helpers are compiled without inlining, so that
+	// the helpers stay calls; via names one a level enters besides Main.
+	noInline := passes.DefaultOptions()
+	noInline.InlinePolicy = "none"
+	shapes := []struct {
+		name, body, via string
+		noInline        bool
+	}{
+		{"a lone If", `Main[n - 1] + 1`, "", false},
 		{"four regions", `Module[{r = 0, i = 0, j = 0},
 			While[i < 1, j = 0;
 				While[j < 1, If[n > 0, r = r + Main[n - 1] + 1]; j = j + 1];
 				i = i + 1];
-			r]`},
-		{"25 nested Ifs", nest(25, `Main[n - 1] + 1`)},
-		{"the last clause of a Which of 31", `Which[` + which.String() + `True, Main[n - 1] + 1]`},
-		{"after 300 statements", `Module[{s = 0}, ` + long.String() + `s + Main[n - 1]]`},
+			r]`, "", false},
+		{"25 nested Ifs", nest(25, `Main[n - 1] + 1`), "", false},
+		{"the last clause of a Which of 31", `Which[` + which.String() + `True, Main[n - 1] + 1]`, "", false},
+		{"after 300 statements", `Module[{s = 0}, ` + long.String() + `s + Main[n - 1]]`, "", false},
 		{"the ninth statement of a loop body", `Module[{s = 0, i = 0},
 			While[i < 1, s = s + 1; s = s*3; s = s - i; s = s + 2; s = s*5; s = s - 1; s = s + i; s = s*7;
 				s = s + Main[n - 1]; i = i + 1];
-			s]`},
+			s]`, "", false},
 		{"a loop that returns from inside", `Module[{s = 0, i = 0},
 			While[i < 3, If[i == 1, Return[s + Main[n - 1]]]; s = s + i; i = i + 1];
-			s]`},
+			s]`, "", false},
+		{"a call as an argument of a call", `Module[{g = Function[{Typed[k, "MachineInteger"]}, k + 1]}, g[Main[n - 1]]]`, "", true},
+		{"a call under a tree of twenty nodes", tree, "", false},
+		{"a call in a While test", `Module[{i = 0}, While[Main[n - 1] > i, i = i + 1]; i]`, "", false},
+		{"an indirect call in an If test", `Module[{h = If[n > 5000,
+				Function[{Typed[k, "MachineInteger"]}, Main[k] > 0],
+				Function[{Typed[k, "MachineInteger"]}, Main[k] >= 0]]},
+			If[h[n - 1], 1, 0]]`, "Main`lambda2", true},
 	}
 	for _, sh := range shapes {
 		src := `Function[{Typed[n, "MachineInteger"]}, If[n < 1, RandomInteger[{0, 0}], ` + sh.body + `]]`
 		for _, fuse := range []int{FuseFull, FuseOff} {
-			prog := compileSrcFuse(t, src, fuse)
+			opts := passes.DefaultOptions()
+			if sh.noInline {
+				opts = noInline
+			}
+			prog := compileSrcWith(t, src, fuse, opts)
+			charged := prog.Main.units * unitBytes
+			if sh.via != "" {
+				charged += prog.FuncByName(sh.via).units * unitBytes
+			}
 			stackAt(prog, 1200) // grow the stack first
 			level := (stackAt(prog, 1100) - stackAt(prog, 100)) / 1000
-			charged := prog.Main.units * unitBytes
 			t.Logf("%s (fuse %d): %d bytes a level, charged %d", sh.name, fuse, level, charged)
 			if level <= 0 || level > charged {
 				t.Errorf("%s (fuse %d): a level takes %d bytes of Go stack, enter charges %d", sh.name, fuse, level, charged)

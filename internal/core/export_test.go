@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -155,22 +156,37 @@ func TestStandaloneModeDisablesEngine(t *testing.T) {
 }
 
 // The Regions export is the tree the function runs as: compiled with fusion
-// off there is no sum node in it, and on the baseline rung neither.
+// off there is no sum node in it and no call is a node of a tree, and on the
+// baseline rung neither. Fused, fib's two calls are the operands of its sum.
 func TestExportRegionsFollowsTheCompilersFusion(t *testing.T) {
 	const src = `Function[{Typed[x, "Real64"], Typed[y, "Real64"]}, x + 2.*y - x*y + 1.]`
 	off, baseline := newCompiler(), newStencilCompiler()
 	off.FuseLevel = codegen.FuseOff
 	for _, cse := range []struct {
-		name    string
-		c       *Compiler
-		wantSum bool
+		name  string
+		c     *Compiler
+		fused bool
 	}{{"full fusion", newCompiler(), true}, {"fusion off", off, false}, {"baseline rung", baseline, false}} {
 		out, err := compile(t, cse.c, src).ExportString("Regions")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := strings.Contains(out, ", sum %"); got != cse.wantSum {
-			t.Errorf("%s: sum node in the printed tree is %v, want %v:\n%s", cse.name, got, cse.wantSum, out)
+		if got := strings.Contains(out, ", sum %"); got != cse.fused {
+			t.Errorf("%s: sum node in the printed tree is %v, want %v:\n%s", cse.name, got, cse.fused, out)
+		}
+		fib, err := cse.c.CompileNamed("cfib", parser.MustParse(cfibSrc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err = fib.ExportString("Regions"); err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if cse.fused {
+			want = 2
+		}
+		if got := len(regexp.MustCompile(`, call %\d+ in %\d+`).FindAllString(out, -1)); got != want {
+			t.Errorf("%s: %d calls in fib's printed tree are nodes of it, want %d:\n%s", cse.name, got, want, out)
 		}
 	}
 }

@@ -171,6 +171,22 @@ func TestInputForm(t *testing.T) {
 		{NewS("Set", Sym("a"), FromInt64(1)), "a = 1"},
 		{NewS("CompoundExpression", NewS("Set", Sym("a"), FromInt64(1)), Sym("a")), "a = 1;a"},
 		{NewS("Minus", Sym("x")), "-x"},
+		// Each of these printed a form that reads back as something else, or
+		// not at all: xBlankSequence[h], BlankSequence[h] and --x.
+		{NewS("Pattern", Sym("a"), NewS("BlankSequence", Sym("Integer"))), "a__Integer"},
+		{NewS("Pattern", Sym("a"), NewS("BlankNullSequence", Sym("Real"))), "a___Real"},
+		{NewS("Pattern", Sym("a"), NewS("BlankNullSequence")), "a___"},
+		{NewS("BlankSequence", Sym("h")), "__h"},
+		{NewS("BlankNullSequence", Sym("h")), "___h"},
+		{NewS("Blank", NewS("f", Sym("x"))), "Blank[f[x]]"},
+		{NewS("Pattern", Sym("x"), NewS("f", Sym("y"))), "Pattern[x, f[y]]"},
+		{NewS("Minus", NewS("Minus", Sym("x"))), "-(-x)"},
+		{NewS("Minus", FromInt64(-5)), "-(-5)"},
+		{NewS("Times", Sym("a"), NewS("Not", Sym("b")), Sym("c")), "a*(!b)*c"},
+		{New(FromInt64(-10), FromInt64(0)), "(-10)[0]"},
+		{NewS("Power", FromInt64(-1), FromInt64(2)), "(-1)^2"},
+		{NewS("Plus", Sym("a"), FromInt64(-1)), "a + -1"},
+		{NewS("Power", Sym("x"), FromInt64(-1)), "x^-1"},
 		{NewS("Not", Sym("p")), "!p"},
 		{NewS("And", Sym("p"), NewS("Or", Sym("q"), Sym("r"))), "p && (q || r)"},
 	}

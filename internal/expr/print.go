@@ -73,7 +73,7 @@ func InputForm(e Expr) string {
 func writeInput(b *strings.Builder, e Expr, outer int) {
 	n, ok := e.(*Normal)
 	if !ok {
-		writeAtom(b, e)
+		writeAtom(b, e, outer)
 		return
 	}
 	hs, headIsSym := n.head.(*Symbol)
@@ -110,16 +110,30 @@ func writeInput(b *strings.Builder, e Expr, outer int) {
 			}
 			return
 		case hs.Name == "Not" && len(n.args) == 1:
+			paren := outer > precNot
+			if paren {
+				b.WriteByte('(')
+			}
 			b.WriteByte('!')
 			writeInput(b, n.args[0], precNot)
+			if paren {
+				b.WriteByte(')')
+			}
 			return
 		case hs.Name == "Minus" && len(n.args) == 1:
 			paren := outer > precUnary
 			if paren {
 				b.WriteByte('(')
 			}
-			b.WriteByte('-')
-			writeInput(b, n.args[0], precUnary)
+			// An operand that prints with a sign of its own is parenthesised:
+			// "--x" lexes as a decrement.
+			var arg strings.Builder
+			writeInput(&arg, n.args[0], precUnary)
+			if strings.HasPrefix(arg.String(), "-") {
+				fmt.Fprintf(b, "-(%s)", arg.String())
+			} else {
+				b.WriteString("-" + arg.String())
+			}
 			if paren {
 				b.WriteByte(')')
 			}
@@ -135,23 +149,16 @@ func writeInput(b *strings.Builder, e Expr, outer int) {
 			}
 			b.WriteString("]]")
 			return
-		case hs.Name == "Blank" && len(n.args) <= 1:
-			b.WriteByte('_')
-			if len(n.args) == 1 {
-				writeInput(b, n.args[0], precAtomLevel)
-			}
-			return
-		case hs.Name == "BlankSequence" && len(n.args) == 0:
-			b.WriteString("__")
-			return
-		case hs.Name == "BlankNullSequence" && len(n.args) == 0:
-			b.WriteString("___")
+		case blankForm(n) != "":
+			b.WriteString(blankForm(n))
 			return
 		case hs.Name == "Pattern" && len(n.args) == 2:
+			// x_h names a blank; any other pattern keeps its head.
 			if v, ok := n.args[0].(*Symbol); ok {
-				b.WriteString(v.Name)
-				writeInput(b, n.args[1], precAtomLevel)
-				return
+				if p, ok := n.args[1].(*Normal); ok && blankForm(p) != "" {
+					b.WriteString(v.Name + blankForm(p))
+					return
+				}
 			}
 		}
 		if spec, ok := infixOps[hs.Name]; ok && len(n.args) >= 2 && (spec.nary || len(n.args) == 2) {
@@ -163,10 +170,14 @@ func writeInput(b *strings.Builder, e Expr, outer int) {
 				b.WriteByte('(')
 			}
 			for i, a := range n.args {
+				prec := spec.prec + 1
 				if i > 0 {
 					b.WriteString(spec.op)
+					if _, normal := a.(*Normal); spec.right && !normal {
+						prec = spec.prec // a sign here is the operand's: x^-1
+					}
 				}
-				writeInput(b, a, spec.prec+1)
+				writeInput(b, a, prec)
 			}
 			if paren {
 				b.WriteByte(')')
@@ -186,19 +197,31 @@ func writeInput(b *strings.Builder, e Expr, outer int) {
 	b.WriteByte(']')
 }
 
-func writeAtom(b *strings.Builder, e Expr) {
-	switch x := e.(type) {
-	case *Integer:
-		if x.Sign() < 0 {
-			// Negative literals need parens in contexts like 2^-1; keep it
-			// simple and always print bare — the parser handles it.
-			b.WriteString(x.String())
-			return
-		}
-		b.WriteString(x.String())
-	default:
-		b.WriteString(e.String())
+// blankForm is the short form of a Blank, BlankSequence or BlankNullSequence
+// whose head, if it has one, is a symbol — _h, __h, ___h — or "".
+func blankForm(n *Normal) string {
+	hs, _ := n.head.(*Symbol)
+	if hs == nil || len(n.args) > 1 {
+		return ""
 	}
+	under := map[string]string{"Blank": "_", "BlankSequence": "__", "BlankNullSequence": "___"}[hs.Name]
+	if len(n.args) == 0 || under == "" {
+		return under
+	}
+	if h, ok := n.args[0].(*Symbol); ok {
+		return under + h.String()
+	}
+	return ""
+}
+
+// writeAtom writes an atom; a negative number is parenthesised where what
+// follows would bind tighter than its sign: (-1)^2, (-10)[0].
+func writeAtom(b *strings.Builder, e Expr, outer int) {
+	s := e.String()
+	if outer > precPower && strings.HasPrefix(s, "-") {
+		s = "(" + s + ")"
+	}
+	b.WriteString(s)
 }
 
 // FullForm renders e with no operator syntax: every Normal expression prints

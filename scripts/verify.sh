@@ -88,6 +88,27 @@ for fn in AddI64 SubI64 Off1 StringByte '(\*Tensor).Off2' '(\*Tensor).IsShared';
 done
 echo "AddI64, SubI64, Off1, StringByte, Off2 and IsShared inline"
 
+echo "== codegen: the call path's helpers still inline =="
+# A call node evaluates its operands (op*.get), finds its callee, enters it
+# (whose prologue re-slices with resized and polls with Aborted) and leaves
+# it, and an If tests with test.eval: none of them may become a call of its
+# own. The pass of each signature relies on get and callee inlining into it.
+inl="$(go build -gcflags=-m ./internal/codegen 2>&1)"
+for fn in 'resized\[int64\]' '(\*RT).Aborted' '(\*RT).leave' '(\*callSite).callee' opI.get opF.get opC.get opB.get test.eval; do
+    echo "$inl" | grep -q "can inline $fn\$" || {
+        echo "verify: FAIL — codegen.$fn no longer inlines:"
+        go build -gcflags=-m=2 ./internal/codegen 2>&1 | grep "inline $fn" | head -3
+        exit 1
+    }
+done
+for fn in opI.get '(\*callSite).callee'; do
+    echo "$inl" | grep -q "fusion_modes.go:.*inlining call to $fn\$" || {
+        echo "verify: FAIL — the passes no longer inline $fn"
+        exit 1
+    }
+done
+echo "resized, Aborted, leave, callee, the operands' get and test.eval inline"
+
 echo "== benchmark: the benchmark module builds, passes its tests, and checks its programs =="
 # benchmark/ is a module of its own (root `go test ./...` does not see it).
 # Every timed operation there is compared with benchmark/expected/*.txt, so
