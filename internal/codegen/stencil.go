@@ -1,11 +1,11 @@
 // The baseline tier's backend (F1.5). Copy-and-patch (Xu & Kjolstad 2021)
-// gets its compile-latency win from skipping analysis, and here the analysis
-// is all in front of the backend: infer.Quick replaces the constraint solver
-// and no pass runs. What is left for code generation is the ordinary closure
-// backend with fusion off — each instruction a one-node tree of the scalar
-// evaluators, its frame slots patched in — so the baseline tier covers
-// exactly the natives buildEval{I,F,B,C} implement, and a native added there
-// lands in both tiers at once.
+// gets its compile-latency win in the code generator, and so does this tier:
+// the module is typed by the same solver as the full pipeline, then no
+// function resolution and no pass but abort checks run, and code generation
+// is the ordinary closure backend with fusion off — each instruction a
+// one-node tree of the scalar evaluators, its frame slots patched in. The
+// baseline tier covers exactly the natives buildEval{I,F,B,C} implement, and
+// a native added there lands in both tiers at once.
 package codegen
 
 import (
@@ -26,11 +26,13 @@ func StencilCompile(mod *wir.Module) (*Program, error) {
 	return CompileWithOptions(mod, CompileOptions{FuseLevel: FuseOff})
 }
 
-// scalarOnly rejects a module that holds an object-kinded value anywhere.
-// The baseline front end inserts no copies and no reference counts, so a
-// tensor, string, expression or function value must be a compile error,
-// never code — and the module may come decoded from the artifact store,
-// not from infer.Quick, so the backend checks for itself.
+// scalarOnly is the one definition of the baseline fragment: it rejects a
+// module that holds an object-kinded value anywhere. The baseline
+// configuration inserts no copies and no reference counts, so a tensor,
+// string, expression or function value must be a compile error, never code.
+// Inference only turns away non-scalar parameters; a list built, a string
+// printed or a kernel escape inside a scalar function is typed there and
+// caught here, as is a module decoded from the artifact store.
 func scalarOnly(mod *wir.Module) error {
 	if !mod.Typed {
 		return fmt.Errorf("stencil: module is untyped; run inference first")

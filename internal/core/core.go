@@ -53,12 +53,12 @@ type Compiler struct {
 	// function's metrics detail and codegen.CFunc.ProfileTable.
 	ProfileLevel int
 	// Stencil selects the baseline configuration of the pipeline (tier
-	// F1.5): quick scalar inference instead of the constraint solver, abort
-	// checks instead of the pass pipeline, and the closure backend with
-	// fusion off. Compiles land ~an order of magnitude faster; coverage is
-	// the machine-scalar fragment, and anything outside it fails (with
-	// infer.ErrQuickUnsupported, or the backend's scalar-only guard) so
-	// callers can fall back to the full pipeline.
+	// F1.5): the same constraint solver, then abort checks instead of
+	// function resolution and the pass pipeline, and the closure backend
+	// with fusion off. Coverage is the machine-scalar fragment, and anything
+	// outside it fails (with infer.ErrQuickUnsupported for a non-scalar
+	// parameter, or the backend's scalar-only guard) so callers can fall
+	// back to the full pipeline.
 	Stencil bool
 	// Registry is the function-registry namespace compiles resolve
 	// cross-unit calls against (nil = the process-wide default). Engines
@@ -238,34 +238,35 @@ func (c *Compiler) FunctionCompileRequest(fn expr.Expr, req CompileRequest) (ccf
 	if err != nil {
 		return nil, err
 	}
-	// Stencil selects the typing front here and the fuse level in generate;
-	// the front end above and everything below are the one pipeline.
+	// Both configurations type with the solver (the baseline one rejects
+	// non-scalar parameters first); Stencil then skips function resolution
+	// and the pass pipeline here, and picks the backend in generate.
 	t, codegenStage := startTimer(rep), "codegen"
+	typeWith := infer.InferCounted
 	if c.Stencil {
-		if err := infer.QuickWith(mod, c.TypeEnv, c.reg()); err != nil {
-			return nil, err
-		}
-		rep.stage("quick-infer", t)
+		typeWith = infer.QuickCounted
+	}
+	solver, err := typeWith(mod, c.TypeEnv, c.reg())
+	if err != nil {
+		return nil, err
+	}
+	rep.stage("infer", t)
+	if rep != nil {
+		rep.Solver = &solver
+	}
+	t = startTimer(rep)
+	if c.Stencil {
 		// Of the pass pipeline only abort checks run: the scalar fragment
 		// needs no copy insertion or reference counts, and optimisation is
-		// the O2 tier's job after re-promotion. No Lint either: the quick
-		// annotator and the backend's scalar-only guard reject anything
-		// malformed, and linting would cost a double-digit share of the
-		// whole baseline compile.
-		t, codegenStage = startTimer(rep), "stencil"
+		// the O2 tier's job after re-promotion. No Lint either: the backend's
+		// scalar-only guard rejects anything outside the fragment, and
+		// linting would cost a double-digit share of the whole baseline
+		// compile.
+		codegenStage = "stencil"
 		if c.Options.AbortHandling {
 			passes.InsertAbortChecks(mod)
 		}
 	} else {
-		solver, err := infer.InferCounted(mod, c.TypeEnv, c.reg())
-		if err != nil {
-			return nil, err
-		}
-		rep.stage("infer", t)
-		if rep != nil {
-			rep.Solver = &solver
-		}
-		t = startTimer(rep)
 		if err := c.ResolveFunctions(mod); err != nil {
 			return nil, err
 		}

@@ -21,11 +21,12 @@ import (
 // the full optimising pipeline is tier F1. EnableTiering hooks the kernel's
 // DownValues dispatch; the hook counts invocations per symbol and sketches
 // the observed argument kinds. A symbol that gets even mildly hot is compiled
-// almost immediately in the baseline configuration — no constraint solver, no
-// pass manager — and installed. If it stays hot (Threshold compiled calls),
-// the same definition is recompiled through the full pipeline and the
-// registry entry is re-pointed in place (Registry.Upgrade), so dependents'
-// baked call sites pick up the optimised code on their next atomic load.
+// almost immediately in the baseline configuration — the same solver, but no
+// function resolution, no pass manager and no fusion — and installed. If it
+// stays hot (Threshold compiled calls), the same definition is recompiled
+// through the full pipeline and the registry entry is re-pointed in place
+// (Registry.Upgrade), so dependents' baked call sites pick up the optimised
+// code on their next atomic load.
 // Definitions the baseline cannot hold (non-scalar types) skip straight to
 // the optimised pipeline.
 //
@@ -699,8 +700,7 @@ func (t *Tiering) compileJob(c *Compiler, members []*tierMember) {
 	if len(members) == 1 {
 		// A self-contained (or self-recursive) definition, or an upgrade:
 		// compile, then register. Calls to already installed entries resolve
-		// through the registry during inference (full pipeline) or the quick
-		// typer (baseline).
+		// through the registry during inference, on either rung.
 		m := members[0]
 		ccf, err := t.compileOne(c, m, true)
 		if err != nil {
@@ -731,8 +731,8 @@ func (t *Tiering) compileJob(c *Compiler, members []*tierMember) {
 	// others' reserved entries), so a typing pre-pass lowers every member
 	// into one merged module — where the members see each other as module
 	// functions — and infers it as a whole. The per-member compiles then
-	// run on the cheapest admissible rung; the quick typer resolves
-	// partners through the reserved entries exactly as full inference does.
+	// run on the cheapest admissible rung, and inference resolves partners
+	// through the reserved entries on either rung.
 	merged := &wir.Module{}
 	for _, m := range members {
 		sub, err := c.BuildWIR(m.fn)

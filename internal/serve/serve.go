@@ -397,7 +397,9 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	timeout := s.opts.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		// Cap in milliseconds before converting: a huge timeout_ms would wrap
+		// the product negative, and EvalCtx reads that as no deadline.
+		timeout = time.Duration(min(req.TimeoutMS, s.opts.MaxTimeout.Milliseconds())) * time.Millisecond
 	}
 	if timeout > s.opts.MaxTimeout {
 		timeout = s.opts.MaxTimeout

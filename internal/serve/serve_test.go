@@ -134,6 +134,39 @@ func TestEvalTimeoutHTTP(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutIsCapped: a timeout_ms so large that it overflows a
+// time.Duration in nanoseconds must still be held to MaxTimeout. The loop is
+// compiled, so nothing but the deadline's abort stops it; should the request
+// outlive the wait, the test aborts the session itself so the server can
+// close.
+func TestHugeTimeoutIsCapped(t *testing.T) {
+	s, ts := newTestServer(t, Options{MaxTimeout: 100 * time.Millisecond})
+	id := createSession(t, ts.URL)
+	evalIn(t, ts.URL, id, `spin = FunctionCompile[Function[{Typed[n, "MachineInteger"]}, Module[{i = 0}, While[True, i += n]; i]]]`)
+	done := make(chan evalResponse, 1)
+	go func() {
+		// Not doJSON: t.Fatal must not run off the test goroutine.
+		var er evalResponse
+		body := `{"input": "spin[1]", "timeout_ms": 9223372036855}`
+		if resp, err := http.Post(fmt.Sprintf("%s/v1/sessions/%s/eval", ts.URL, id), "application/json", strings.NewReader(body)); err == nil {
+			json.NewDecoder(resp.Body).Decode(&er)
+			resp.Body.Close()
+		}
+		done <- er
+	}()
+	select {
+	case er := <-done:
+		if !er.TimedOut || er.Value != "$Aborted" {
+			t.Fatalf("eval = %+v, want timed-out $Aborted", er)
+		}
+	case <-time.After(10 * time.Second):
+		ses, _ := s.lookup(id)
+		ses.eng.Abort()
+		<-done
+		t.Fatal("timeout_ms 9223372036855 escaped MaxTimeout 100ms: the compiled loop ran past 10s")
+	}
+}
+
 // TestAdmissionControl floods a MaxInflight=1 server with slow queries and
 // expects 429s with Retry-After rather than queueing.
 func TestAdmissionControl(t *testing.T) {

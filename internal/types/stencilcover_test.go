@@ -1,7 +1,6 @@
 package types_test
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,7 +12,6 @@ import (
 	"wolfc/internal/codegen"
 	"wolfc/internal/core"
 	"wolfc/internal/expr"
-	"wolfc/internal/infer"
 	"wolfc/internal/kernel"
 	"wolfc/internal/parser"
 	"wolfc/internal/types"
@@ -49,30 +47,25 @@ func forEachScalarOverload(t *testing.T, env *types.Env, visit func(name string,
 	}
 }
 
-// TestBaselineTierCoversEveryScalarNative: the baseline tier is the closure
-// backend with fusion off, so every native-backed overload over machine
-// scalars that the quick annotator admits must compile there. Accept exactly
-// two outcomes per overload: the quick annotator declined (the tiering
-// engine then takes the full pipeline), or the compile succeeded. A backend
-// error would mean the two tiers' coverage had drifted apart again.
+// TestBaselineTierCoversEveryScalarNative: the baseline tier types with the
+// full pipeline's solver and generates with the closure backend at fusion
+// off, so every native-backed overload over machine scalars must compile
+// there. A failure means the two tiers' coverage has drifted apart again.
 func TestBaselineTierCoversEveryScalarNative(t *testing.T) {
 	c := core.NewCompiler(kernel.New())
 	c.Stencil = true
-	compiled, declined := 0, 0
+	compiled := 0
 	forEachScalarOverload(t, c.TypeEnv, func(name string, d *types.FuncDef, sig *types.Fn, fn expr.Expr) {
-		switch _, err := c.FunctionCompile(fn); {
-		case err == nil:
-			compiled++
-		case errors.Is(err, infer.ErrQuickUnsupported):
-			declined++
-		default:
+		if _, err := c.FunctionCompile(fn); err != nil {
 			t.Errorf("%s (native %s): %v", expr.InputForm(fn), d.Native, err)
+			return
 		}
+		compiled++
 	})
 	if compiled < 100 {
-		t.Errorf("only %d scalar overloads compiled (%d declined): the walk is not reaching the standard library", compiled, declined)
+		t.Errorf("only %d scalar overloads compiled: the walk is not reaching the standard library", compiled)
 	}
-	t.Logf("%d scalar overload instances compiled on the baseline tier, %d declined by quick inference", compiled, declined)
+	t.Logf("%d scalar overload instances compiled on the baseline tier", compiled)
 }
 
 // fuseLevels returns one compiler per closure-backend configuration, over
