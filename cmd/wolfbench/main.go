@@ -10,7 +10,6 @@
 //	wolfbench -table 1        # the feature matrix
 //	wolfbench -findroot       # §1 auto-compilation
 //	wolfbench -ablation all   # §6 ablations
-//	wolfbench -parallel       # the worker-pool kernels per worker count
 //	wolfbench -report         # per-stage compile timings of the Figure 2 kernels, as JSON
 //
 // Speed is tracked by benchmark/ (BENCHMARK.json), not here: this command
@@ -26,7 +25,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	gort "runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -48,8 +46,6 @@ var (
 	ablation  = flag.String("ablation", "", "ablations: inline | qsortcopy | abort | constants | all")
 	benchName = flag.String("bench", "", "run a single Figure 2 benchmark by name")
 	withInt   = flag.Bool("interp", true, "include the interpreter series (slow)")
-	parallelF = flag.Bool("parallel", false, "run the parallel tensor-runtime suite (Dot, Blur, Histogram, Map)")
-	workersF  = flag.String("workers", "1,2,4,8", "worker counts for -parallel, comma-separated")
 	jsonPath  = flag.String("json", "", "write machine-readable results (schema wolfbench/v1) to this path")
 	reportF   = flag.Bool("report", false, "emit a JSON compile-report block (per-stage/per-pass timings) for the Figure 2 kernels")
 
@@ -59,21 +55,16 @@ var (
 
 // benchResult is one row of the -json output.
 type benchResult struct {
-	Name     string  `json:"name"`
-	Impl     string  `json:"impl"`
-	Workers  int     `json:"workers,omitempty"`
-	Size     int     `json:"size"`
-	NsPerOp  float64 `json:"ns_per_op"`
-	Checksum string  `json:"checksum,omitempty"`
+	Name    string  `json:"name"`
+	Impl    string  `json:"impl"`
+	Size    int     `json:"size"`
+	NsPerOp float64 `json:"ns_per_op"`
 }
 
 var jsonResults []benchResult
 
-func record(name, impl string, workers, size int, nsPerOp float64, checksum string) {
-	jsonResults = append(jsonResults, benchResult{
-		Name: name, Impl: impl, Workers: workers, Size: size,
-		NsPerOp: nsPerOp, Checksum: checksum,
-	})
+func record(name, impl string, size int, nsPerOp float64) {
+	jsonResults = append(jsonResults, benchResult{Name: name, Impl: impl, Size: size, NsPerOp: nsPerOp})
 }
 
 // cacheStatsJSON is the compile_cache block of the -json document.
@@ -204,7 +195,7 @@ func main() {
 		}()
 	}
 	any := false
-	defaults := *fig == 0 && *table == 0 && !*findroot && *ablation == "" && !*parallelF
+	defaults := *fig == 0 && *table == 0 && !*findroot && *ablation == ""
 	if *fig == 2 || defaults {
 		figure2()
 		any = true
@@ -219,10 +210,6 @@ func main() {
 	}
 	if *findroot || defaults {
 		findRootComparison()
-		any = true
-	}
-	if *parallelF || defaults {
-		parallelSuite()
 		any = true
 	}
 	if *ablation != "" {
@@ -316,7 +303,7 @@ func figure2() {
 			continue
 		}
 		goNs := measure(goRun, 300*time.Millisecond)
-		record(name, "go", 0, sz, goNs, "")
+		record(name, "go", sz, goNs)
 		fmt.Printf("%-12s %-18s %14s %10s\n", name, "go (ref)", fmtNs(goNs), "1.0x")
 		impls := []bench.Impl{bench.ImplCompiled, bench.ImplCompiledNoAbort, bench.ImplBytecode}
 		if *withInt {
@@ -347,88 +334,8 @@ func figure2() {
 				continue
 			}
 			ns := measure(run, 300*time.Millisecond) * scaleBack
-			record(name, string(impl), 0, sz, ns, "")
+			record(name, string(impl), sz, ns)
 			fmt.Printf("%-12s %-18s %14s %9.1fx\n", name, string(impl), fmtNs(ns), ns/goNs)
-		}
-		fmt.Println()
-	}
-}
-
-// parseWorkers turns the -workers flag ("1,2,4,8") into worker counts.
-// A leading 1 is forced: it is the baseline every other count is checked
-// (checksum) and normalised (speedup) against.
-func parseWorkers(s string) []int {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		w, err := strconv.Atoi(part)
-		if err != nil || w < 1 {
-			fmt.Fprintf(os.Stderr, "wolfbench: bad -workers entry %q\n", part)
-			os.Exit(2)
-		}
-		out = append(out, w)
-	}
-	if len(out) == 0 || out[0] != 1 {
-		out = append([]int{1}, out...)
-	}
-	return out
-}
-
-func parallelSize(name string) int {
-	if *full {
-		return bench.ParallelDefaultSize(name)
-	}
-	switch name {
-	case "dot":
-		return 300
-	case "blur":
-		return 400
-	}
-	return 300_000
-}
-
-// parallelSuite measures the worker-pool kernels (satellite of the parallel
-// tensor runtime): each kernel is compiled once per worker count with
-// Parallelism->w, timed, and its checksum is required to be bit-identical to
-// the workers=1 run.
-func parallelSuite() {
-	fmt.Println("=== Parallel tensor runtime: compiled kernels vs worker count ===")
-	fmt.Printf("(GOMAXPROCS=%d; workers beyond that time-slice on the same cores,\n",
-		gort.GOMAXPROCS(0))
-	fmt.Println(" so speedups >1x need a multi-core host; checksums must match regardless)")
-	fmt.Println()
-	workers := parseWorkers(*workersF)
-	fmt.Printf("%-10s %9s %8s %14s %9s  %s\n",
-		"kernel", "size", "workers", "time/op", "speedup", "checksum")
-	for _, name := range bench.ParallelKernels() {
-		sz := parallelSize(name)
-		var baseNs float64
-		baseSum := ""
-		for _, w := range workers {
-			run, err := bench.PrepareParallelKernel(name, sz, w)
-			if err != nil {
-				fmt.Printf("%-10s %9d %8d failed: %v\n", name, sz, w, err)
-				break
-			}
-			sum := run()
-			if w == 1 {
-				baseSum = sum
-			} else if sum != baseSum {
-				fmt.Fprintf(os.Stderr,
-					"wolfbench: %s checksum diverged at workers=%d: %s != %s\n",
-					name, w, sum, baseSum)
-				os.Exit(1)
-			}
-			ns := measure(run, 300*time.Millisecond)
-			if w == 1 {
-				baseNs = ns
-			}
-			record(name, "compiled-parallel", w, sz, ns, sum)
-			fmt.Printf("%-10s %9d %8d %14s %8.2fx  %s\n",
-				name, sz, w, fmtNs(ns), baseNs/ns, sum)
 		}
 		fmt.Println()
 	}

@@ -5,39 +5,53 @@
 // implementations share one BLAS and therefore show no performance
 // difference on Dot. The kernels are deliberately not abortable, like MKL.
 //
-// The matrix kernels partition by row bands over the shared worker pool
-// (the threaded-MKL analogue). Each output row is owned by exactly one
-// worker and keeps the serial per-element accumulation order, so banded
+// The matrix kernels split their output rows into one static band per
+// GOMAXPROCS (the threaded-MKL analogue). Each output row is owned by one
+// band and keeps the serial per-element accumulation order, so banded
 // results are bit-identical to the serial loops. DDot stays serial: its
 // single accumulator would need a split reduction, which changes FP
 // rounding order.
 package blas
 
-import "wolfc/internal/runtime/par"
+import (
+	"runtime"
+	"sync"
+)
 
-// gemmFlopGrain is the minimum ~flop count a parallel band must amortise;
-// below it the fork overhead beats the loop and the kernel stays serial.
+// gemmFlopGrain is the minimum ~flop count a band must amortise; below it
+// the fork overhead beats the loop and the kernel stays on the caller.
 const gemmFlopGrain = 1 << 17
 
-// DGemm computes C = A·B for row-major dense matrices, A being m×k and B
-// k×n; C must have length m*n, at the process-default parallel width.
-func DGemm(m, k, n int, a, b, c []float64) { DGemmW(0, m, k, n, a, b, c) }
-
-// DGemmW is DGemm with an explicit worker count (0 = process default). Row
-// bands are distributed over the pool; within a band the loop is the
-// classic ikj blocked order, which keeps the B row hot in cache per worker.
-// Every element of C accumulates its k products in the same (kk-block, p)
-// order regardless of banding, so output is bit-identical to one worker.
-func DGemmW(workers, m, k, n int, a, b, c []float64) {
-	rowGrain := 1
-	if flops := 2 * k * n; flops > 0 && gemmFlopGrain/flops > 1 {
-		rowGrain = gemmFlopGrain / flops
+// rowBands runs body over the rows [0, m), each costing rowFlops, in at most
+// one contiguous band per GOMAXPROCS and at least gemmFlopGrain flops per
+// band. The caller runs the last band itself.
+func rowBands(m, rowFlops int, body func(lo, hi int)) {
+	bands := min(runtime.GOMAXPROCS(0), m, m*rowFlops/gemmFlopGrain)
+	if bands <= 1 {
+		body(0, m)
+		return
 	}
-	par.For(workers, m, rowGrain, func(lo, hi int) {
+	var wg sync.WaitGroup
+	wg.Add(bands - 1)
+	for b := 0; b < bands-1; b++ {
+		go func(lo, hi int) {
+			defer wg.Done()
+			body(lo, hi)
+		}(b*m/bands, (b+1)*m/bands)
+	}
+	body((bands-1)*m/bands, m)
+	wg.Wait()
+}
+
+// DGemm computes C = A·B for row-major dense matrices, A being m×k and B
+// k×n; C must have length m*n. Within a band the loop is the classic ikj
+// blocked order, which keeps the B row hot in cache. Every element of C
+// accumulates its k products in the same (kk-block, p) order regardless of
+// banding, so output is bit-identical to one band.
+func DGemm(m, k, n int, a, b, c []float64) {
+	rowBands(m, 2*k*n, func(lo, hi int) {
 		const block = 64
-		for i := lo * n; i < hi*n; i++ {
-			c[i] = 0
-		}
+		clear(c[lo*n : hi*n])
 		for ii := lo; ii < hi; ii += block {
 			iMax := min(ii+block, hi)
 			for kk := 0; kk < k; kk += block {
@@ -58,18 +72,10 @@ func DGemmW(workers, m, k, n int, a, b, c []float64) {
 	})
 }
 
-// DGemv computes y = A·x for a row-major m×n matrix at the process-default
-// parallel width.
-func DGemv(m, n int, a, x, y []float64) { DGemvW(0, m, n, a, x, y) }
-
-// DGemvW is DGemv with an explicit worker count. Each output element is an
-// independent row dot product, so row banding preserves bit-identity.
-func DGemvW(workers, m, n int, a, x, y []float64) {
-	rowGrain := 1
-	if flops := 2 * n; flops > 0 && gemmFlopGrain/flops > 1 {
-		rowGrain = gemmFlopGrain / flops
-	}
-	par.For(workers, m, rowGrain, func(lo, hi int) {
+// DGemv computes y = A·x for a row-major m×n matrix. Each output element is
+// an independent row dot product, so row banding preserves bit-identity.
+func DGemv(m, n int, a, x, y []float64) {
+	rowBands(m, 2*n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s := 0.0
 			row := a[i*n : (i+1)*n]
@@ -115,11 +121,4 @@ func ISum(x []int64) int64 {
 		s += v
 	}
 	return s
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,9 @@
 package blas
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -118,38 +120,79 @@ func TestDDotDAxpyDSum(t *testing.T) {
 	}
 }
 
-// TestDGemmBandedBitIdentical checks that row-band parallel matmul matches
-// the single-worker result bit-for-bit: every element accumulates its k
-// products in the same order regardless of banding.
-func TestDGemmBandedBitIdentical(t *testing.T) {
-	m, k, n := 130, 71, 93
-	a := make([]float64, m*k)
-	b := make([]float64, k*n)
+// fill gives a and b reproducible values whose products round differently
+// under any other accumulation order.
+func fill(a, b []float64) {
 	for i := range a {
 		a[i] = 0.001*float64(i) - 3.7
 	}
 	for i := range b {
 		b[i] = 0.002*float64(i%997) + 0.1
 	}
-	want := make([]float64, m*n)
-	DGemmW(1, m, k, n, a, b, want)
-	for _, workers := range []int{2, 4, 8} {
-		got := make([]float64, m*n)
-		DGemmW(workers, m, k, n, a, b, got)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("DGemmW workers=%d: element %d differs (%g vs %g)", workers, i, got[i], want[i])
-			}
+}
+
+// sameBits fails t unless got and want are bit-identical.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d differs (%g vs %g)", what, i, got[i], want[i])
 		}
 	}
-	y1 := make([]float64, m)
-	y8 := make([]float64, m)
-	x := b[:k]
-	DGemvW(1, m, k, a, x, y1)
-	DGemvW(8, m, k, a, x, y8)
-	for i := range y1 {
-		if math.Float64bits(y1[i]) != math.Float64bits(y8[i]) {
-			t.Fatalf("DGemvW: row %d differs", i)
+}
+
+// TestRowBandsBitIdentical holds the banded DGemm and DGemv to a plain
+// triple loop bit-for-bit: each element accumulates its k products in one
+// order (k ≤ 64 is one kk block, the loop's own order) whatever the bands.
+// GOMAXPROCS is raised so that the split happens on any host, including
+// an m smaller than the band count; k = 0 must zero C.
+func TestRowBandsBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, k := range []int{0, 1, 64} {
+		for _, m := range []int{0, 1, 2, 3, 7, 255, 256, 300} {
+			n := 1 << 12 // 2·k·n ≥ the flop grain: every row may be a band
+			if m > 7 {
+				n = 67
+			}
+			a, b := make([]float64, m*k), make([]float64, k*n)
+			fill(a, b)
+			c := make([]float64, m*n)
+			for i := range c {
+				c[i] = math.NaN() // DGemm must overwrite, not accumulate
+			}
+			what := fmt.Sprintf("DGemm m=%d k=%d n=%d", m, k, n)
+			DGemm(m, k, n, a, b, c)
+			sameBits(t, what, c, naiveGemm(m, k, n, a, b))
+
+			x, y := b[:k], make([]float64, m)
+			DGemv(m, k, a, x, y)
+			sameBits(t, what+" DGemv", y, naiveGemm(m, k, 1, a, x))
 		}
+	}
+}
+
+// TestDGemmBandedBitIdentical checks a k of several kk blocks at the
+// benchmark's Dot size, and a DGemv large enough for eight bands: one band
+// (GOMAXPROCS 1) and many must agree bit for bit, because a row's
+// accumulation order does not depend on its band.
+func TestDGemmBandedBitIdentical(t *testing.T) {
+	const m, k, n = 256, 256, 256
+	const gm, gn = 512, 1024 // 2·gm·gn = 2²⁰ flops: eight bands' worth
+	a, b := make([]float64, m*k), make([]float64, k*n)
+	fill(a, b)
+	ga, x := make([]float64, gm*gn), make([]float64, gn)
+	fill(ga, x)
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	want, wantY := make([]float64, m*n), make([]float64, gm)
+	DGemm(m, k, n, a, b, want)
+	DGemv(gm, gn, ga, x, wantY)
+	for _, procs := range []int{2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		got, y := make([]float64, m*n), make([]float64, gm)
+		DGemm(m, k, n, a, b, got)
+		sameBits(t, fmt.Sprintf("DGemm GOMAXPROCS=%d", procs), got, want)
+		DGemv(gm, gn, ga, x, y)
+		sameBits(t, fmt.Sprintf("DGemv GOMAXPROCS=%d", procs), y, wantY)
 	}
 }

@@ -25,18 +25,13 @@ import (
 )
 
 // RT is the runtime context of one invocation of compiled code, threaded
-// through every frame: the engine, the parallel width, and the invocation's
-// activation records. One RT serves one invocation at a time, so concurrent
-// callers never share one; the wrapper in internal/core takes it from
-// AcquireRT and gives it back with Release, frame stack attached. The zero
-// value is a valid context with no engine.
+// through every frame: the engine and the invocation's activation records.
+// One RT serves one invocation at a time, so concurrent callers never share
+// one; the wrapper in internal/core takes it from AcquireRT and gives it back
+// with Release, frame stack attached. The zero value is a valid context with
+// no engine.
 type RT struct {
 	Engine runtime.Engine
-	// Workers is the parallel width for data-parallel natives in this
-	// call: 0 means the process default (runtime.SetMaxWorkers, falling
-	// back to GOMAXPROCS), 1 forces serial execution. Set from the
-	// Parallelism compile option.
-	Workers int
 
 	// frames holds the activation records by call depth; those below depth
 	// are in use. A level takes the record at its depth and CFunc.units of
@@ -71,28 +66,47 @@ const (
 	frameBytes   = 80
 )
 
-var rtPool = sync.Pool{New: func() any { return new(RT) }}
+// idleRTs holds the runtime contexts no invocation is using, frame stacks
+// attached: one list for the process. (A sync.Pool keeps one per P and drops
+// them at the second GC, so a call on a P new to its caller grew a whole frame
+// stack again.) It keeps maxIdleRTs, none deeper than maxIdleFrames records.
+var idleRTs struct {
+	sync.Mutex
+	free []*RT
+}
 
-// AcquireRT returns a pooled runtime context for one invocation.
-func AcquireRT(eng runtime.Engine, workers int) *RT {
-	rt := rtPool.Get().(*RT)
-	rt.Engine, rt.Workers = eng, workers
+const maxIdleRTs, maxIdleFrames = 64, 1 << 12
+
+// AcquireRT returns the last released runtime context, or a new one.
+func AcquireRT(eng runtime.Engine) *RT {
+	idleRTs.Lock()
+	defer idleRTs.Unlock()
+	n := len(idleRTs.free)
+	if n == 0 {
+		return &RT{Engine: eng}
+	}
+	rt := idleRTs.free[n-1]
+	idleRTs.free = slices.Delete(idleRTs.free, n-1, n)
+	rt.Engine = eng
 	return rt
 }
 
-// Release returns rt to the pool; run it deferred. An exception unwinds past
-// every leave between the throw and here, and the records it skipped are
-// exactly those below depth: their object registers are cleared so that a
-// pooled stack pins no tensor.
+// Release returns rt to the idle list; run it deferred. An exception unwinds
+// past every leave between the throw and here, and the records it skipped are
+// exactly those below depth: their object registers are cleared so that an
+// idle stack pins no tensor.
 func (rt *RT) Release() {
 	for _, fr := range rt.frames[:rt.depth] {
 		if fr != nil {
 			clear(fr.o)
 		}
 	}
-	rt.depth = 0
-	rt.Engine = nil
-	rtPool.Put(rt)
+	rt.depth, rt.Engine = 0, nil
+	idleRTs.Lock()
+	if len(rt.frames) <= maxIdleFrames && len(idleRTs.free) < maxIdleRTs {
+		idleRTs.free = append(idleRTs.free, rt)
+	}
+	idleRTs.Unlock()
 }
 
 // enter takes the activation record at the current depth for a call of cf,
@@ -266,9 +280,6 @@ type Program struct {
 	Main   *CFunc
 	Module *wir.Module
 	byName map[string]*CFunc
-	// Parallelism is the worker count baked in from CompileOptions; the
-	// invocation wrapper copies it into each call's RT.
-	Parallelism int
 }
 
 // FuncByName returns a compiled function.
@@ -282,10 +293,6 @@ func (p *Program) FuncByName(name string) *CFunc {
 // observe a 1.5x performance degradation").
 type CompileOptions struct {
 	NaiveConstants bool
-	// Parallelism sets the worker count for data-parallel natives (tensor
-	// element-wise kernels, banded Dot, blur, histogram) in code compiled
-	// with these options: 0 = process default, 1 = serial.
-	Parallelism int
 	// FuseLevel selects superinstruction fusion: FuseOff emits one closure
 	// per instruction (the differential-testing baseline and the baseline
 	// tier), and every other value, the zero value included, means FuseFull:
@@ -324,7 +331,7 @@ func eachFunction(mod *wir.Module, opts CompileOptions, do func(*gen) error) (*P
 	if !mod.Typed {
 		return nil, fmt.Errorf("codegen: module is untyped; run inference first (§4.6: code generation only operates on fully typed TWIR)")
 	}
-	p := &Program{Module: mod, byName: map[string]*CFunc{}, Parallelism: opts.Parallelism}
+	p := &Program{Module: mod, byName: map[string]*CFunc{}}
 	// Create shells first so direct calls and closures can reference them.
 	for _, f := range mod.Funcs {
 		cf := &CFunc{Name: f.Name, naiveConsts: opts.NaiveConstants}

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"wolfc/internal/runtime"
@@ -16,7 +17,7 @@ func TestReleaseAfterExceptionPinsNothing(t *testing.T) {
 	prog := compileSrc(t, `Function[{Typed[v, "Tensor"["Real64", 1]], Typed[n, "MachineInteger"], Typed[k, "MachineInteger"]},
 		If[n == 0, v[[k]], Main[v, n - 1, k] + v[[1]]]]`)
 	v := runtime.NewTensor(runtime.KR64, 4).FillF(1.5)
-	rt := AcquireRT(nil, 0)
+	rt := AcquireRT(nil)
 	func() {
 		defer func() {
 			exc, ok := recover().(*runtime.Exception)
@@ -51,10 +52,46 @@ func TestReleaseAfterExceptionPinsNothing(t *testing.T) {
 			}
 		}
 	}
-	// The next invocation most likely draws the same stack from the pool.
-	next := AcquireRT(nil, 0)
+	// The next invocation draws the same stack from the idle list.
+	next := AcquireRT(nil)
 	defer next.Release()
+	if next != rt {
+		t.Fatal("the next invocation did not reuse the released stack")
+	}
 	if got := prog.Main.CallValues(next, v, int64(3), int64(2)); got != 6.0 {
 		t.Fatalf("the call after the exception = %v, want 6", got)
+	}
+}
+
+// A released context, frame stack attached, is the one the next invocation
+// gets, whichever goroutine (and so P) makes it and after any number of
+// collections: a call allocates the same whatever the scheduler did. A stack
+// deeper than maxIdleFrames records is not kept.
+func TestReleasedRTIsReused(t *testing.T) {
+	prog := compileSrc(t, `Function[{Typed[n, "MachineInteger"]}, If[n == 0, 0, Main[n - 1] + 1]]`)
+	rt := AcquireRT(nil)
+	if got := prog.Main.CallValues(rt, int64(20)); got != int64(20) {
+		t.Fatalf("Main[20] = %v, want 20", got)
+	}
+	rt.Release()
+	goruntime.GC()
+	goruntime.GC()
+	got := make(chan *RT)
+	go func() {
+		next := AcquireRT(nil)
+		next.Release()
+		got <- next
+	}()
+	if <-got != rt {
+		t.Fatal("a context released before two collections was not reused on another goroutine")
+	}
+
+	deep := AcquireRT(nil)
+	deep.frames = make([]*frame, maxIdleFrames+1)
+	deep.Release()
+	next := AcquireRT(nil)
+	defer next.Release()
+	if next == deep {
+		t.Fatalf("a stack of %d records was kept idle", maxIdleFrames+1)
 	}
 }

@@ -253,26 +253,18 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 		return func(fr *frame) { fr.f[d] = runtime.DotVV(tensorArg(fr, a), tensorArg(fr, b)) }
 	case "dot_mv":
 		a, b := a0(), a1()
-		return func(fr *frame) {
-			fr.o[d] = runtime.DotMVP(fr.rt.Workers, tensorArg(fr, a), tensorArg(fr, b))
-		}
+		return func(fr *frame) { fr.o[d] = runtime.DotMV(tensorArg(fr, a), tensorArg(fr, b)) }
 	case "dot_mm":
 		a, b := a0(), a1()
-		return func(fr *frame) {
-			fr.o[d] = runtime.DotMMP(fr.rt.Workers, tensorArg(fr, a), tensorArg(fr, b))
-		}
+		return func(fr *frame) { fr.o[d] = runtime.DotMM(tensorArg(fr, a), tensorArg(fr, b)) }
 
-	// --- data-parallel image/statistics kernels ---
+	// --- image/statistics kernels ---
 	case "gaussian_blur":
 		a := a0()
-		return func(fr *frame) {
-			fr.o[d] = runtime.GaussianBlur3x3P(fr.rt.Workers, tensorArg(fr, a))
-		}
+		return func(fr *frame) { fr.o[d] = runtime.GaussianBlur3x3(tensorArg(fr, a)) }
 	case "histogram_bins":
 		a, b := a0(), a1()
-		return func(fr *frame) {
-			fr.o[d] = runtime.HistogramBinsP(fr.rt.Workers, int(fr.i[b]), tensorArg(fr, a))
-		}
+		return func(fr *frame) { fr.o[d] = runtime.HistogramBins(int(fr.i[b]), tensorArg(fr, a)) }
 
 	// --- random numbers (engine-seeded) ---
 	case "random_real01":
@@ -443,7 +435,7 @@ func (g *gen) tensorArith(native string, into int, in *wir.Instr, regs []reg, ds
 		a, w := regs[0].idx, into == 0
 		return func(fr *frame) {
 			t := tensorArg(fr, a)
-			fr.o[d] = t.MapIInto(fr.rt.Workers, runtime.NegI64, over(t, w))
+			fr.o[d] = t.MapIInto(runtime.NegI64, over(t, w))
 		}
 	case native == "tensor_minus", strings.HasPrefix(native, "tensor_math_"):
 		f := func(x float64) float64 { return -x }
@@ -453,7 +445,7 @@ func (g *gen) tensorArith(native string, into int, in *wir.Instr, regs []reg, ds
 		a, w := regs[0].idx, into == 0
 		return func(fr *frame) {
 			t := tensorArg(fr, a)
-			fr.o[d] = t.MapFInto(fr.rt.Workers, f, over(t, w))
+			fr.o[d] = t.MapFInto(f, over(t, w))
 		}
 	case strings.HasPrefix(native, "tensor_scalar_"):
 		a, b, w := regs[0].idx, regs[1].idx, into == 0
@@ -461,13 +453,13 @@ func (g *gen) tensorArith(native string, into int, in *wir.Instr, regs []reg, ds
 			f := intBinOp(op)
 			return func(fr *frame) {
 				t, s := tensorArg(fr, a), fr.i[b]
-				fr.o[d] = t.MapIInto(fr.rt.Workers, func(x int64) int64 { return f(x, s) }, over(t, w))
+				fr.o[d] = t.MapIInto(func(x int64) int64 { return f(x, s) }, over(t, w))
 			}
 		}
 		f := realBinOp(op)
 		return func(fr *frame) {
 			t, s := tensorArg(fr, a), fr.f[b]
-			fr.o[d] = t.MapFInto(fr.rt.Workers, func(x float64) float64 { return f(x, s) }, over(t, w))
+			fr.o[d] = t.MapFInto(func(x float64) float64 { return f(x, s) }, over(t, w))
 		}
 	case strings.HasPrefix(native, "scalar_tensor_"):
 		a, b, w := regs[0].idx, regs[1].idx, into == 1
@@ -475,13 +467,13 @@ func (g *gen) tensorArith(native string, into int, in *wir.Instr, regs []reg, ds
 			f := intBinOp(op)
 			return func(fr *frame) {
 				s, t := fr.i[a], tensorArg(fr, b)
-				fr.o[d] = t.MapIInto(fr.rt.Workers, func(x int64) int64 { return f(s, x) }, over(t, w))
+				fr.o[d] = t.MapIInto(func(x int64) int64 { return f(s, x) }, over(t, w))
 			}
 		}
 		f := realBinOp(op)
 		return func(fr *frame) {
 			s, t := fr.f[a], tensorArg(fr, b)
-			fr.o[d] = t.MapFInto(fr.rt.Workers, func(x float64) float64 { return f(s, x) }, over(t, w))
+			fr.o[d] = t.MapFInto(func(x float64) float64 { return f(s, x) }, over(t, w))
 		}
 	}
 	// tensor_plus / tensor_times / tensor_subtract
@@ -490,13 +482,13 @@ func (g *gen) tensorArith(native string, into int, in *wir.Instr, regs []reg, ds
 		f := intBinOp(op)
 		return func(fr *frame) {
 			x, y := tensorArg(fr, a), tensorArg(fr, b)
-			fr.o[d] = x.ZipIInto(fr.rt.Workers, y, f, [...]*runtime.Tensor{nil, x, y}[w])
+			fr.o[d] = x.ZipIInto(y, f, [...]*runtime.Tensor{nil, x, y}[w])
 		}
 	}
 	f := realBinOp(op)
 	return func(fr *frame) {
 		x, y := tensorArg(fr, a), tensorArg(fr, b)
-		fr.o[d] = x.ZipFInto(fr.rt.Workers, y, f, [...]*runtime.Tensor{nil, x, y}[w])
+		fr.o[d] = x.ZipFInto(y, f, [...]*runtime.Tensor{nil, x, y}[w])
 	}
 }
 

@@ -32,7 +32,7 @@ func (e *spEngine) RandInt(lo, hi int64) int64 {
 // the caller has the collector off), so both addresses are of one stack.
 func stackAt(prog *Program, n int64) int {
 	eng := &spEngine{}
-	rt := AcquireRT(eng, 1)
+	rt := AcquireRT(eng)
 	defer rt.Release()
 	prog.Main.CallValues(rt, n)
 	var here byte
@@ -132,7 +132,7 @@ func TestCallDepthCountsUnits(t *testing.T) {
 	if units < 2 {
 		t.Fatalf("a call under 25 Ifs takes %d unit of depth: the test wants a function that takes several", units)
 	}
-	rt := AcquireRT(nil, 1)
+	rt := AcquireRT(nil)
 	defer rt.Release()
 	start := maxCallDepth - 10*units
 	rt.depth = start

@@ -226,6 +226,7 @@ func TestArtifactStoreOldKeyVersionMissesAndRewrites(t *testing.T) {
 		entries                int
 	}{
 		{"wolfc-key/v3 entry", "wolfc-key/v3", "WCLB0001 module serialised by a wolfc-key/v3 build", 1, 0, 2},
+		{"wolfc-key/v4 entry", "wolfc-key/v4", "WCLB0002 module serialised by a wolfc-key/v4 build", 1, 0, 2},
 		{"WCLB0001 payload", cacheKeyVersion, "WCLB0001\x01\x04Main\x00", 0, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

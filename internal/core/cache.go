@@ -265,7 +265,8 @@ func (c *Compiler) shared(ccf *CompiledCodeFunction) *codegen.Program {
 // implementation for them.
 // v4: the key is a digest of the source's binary encoding, not of its
 // FullForm, and the module format writes each type once (WCLB0002).
-const cacheKeyVersion = "wolfc-key/v4"
+// v5: the Parallelism option left the key, so every digest changes anyway.
+const cacheKeyVersion = "wolfc-key/v5"
 
 // canonicalizeHygiene alpha-renames the macro expander's hygienic
 // temporaries (`<base>`h<counter>`, freshSym's marker — the backtick
@@ -356,7 +357,6 @@ func (c *Compiler) contentKey(version, selfName string, e expr.Expr) (key [sha25
 	b.num(c.Options.OptimizationLevel)
 	b.flag(c.Options.DisableCopyElision)
 	b.flag(c.NaiveConstants)
-	b.num(c.Parallelism)
 	b.num(c.FuseLevel)
 	b.num(c.ProfileLevel)
 	b.flag(c.Stencil)

@@ -41,10 +41,6 @@ type Compiler struct {
 	// NaiveConstants disables constant-array interning in the backend
 	// (the §6 PrimeQ ablation).
 	NaiveConstants bool
-	// Parallelism is the worker count for data-parallel natives in
-	// compiled code: 0 = process default (runtime.SetMaxWorkers /
-	// GOMAXPROCS), 1 = serial.
-	Parallelism int
 	// FuseLevel controls backend superinstruction fusion: 0 = default
 	// (full fusion), codegen.FuseOff disables it for differential runs.
 	FuseLevel int
@@ -313,7 +309,6 @@ func (c *Compiler) backendOptions() codegen.CompileOptions {
 	}
 	return codegen.CompileOptions{
 		NaiveConstants: c.NaiveConstants,
-		Parallelism:    c.Parallelism,
 		FuseLevel:      c.FuseLevel,
 		ProfileLevel:   c.ProfileLevel,
 	}
@@ -709,14 +704,14 @@ func (ccf *CompiledCodeFunction) invoke(args []expr.Expr) (out expr.Expr, oc out
 }
 
 // acquireRT takes the runtime context for one invocation from codegen's pool:
-// the hosting engine (none in standalone mode), the program's parallel width,
-// and a frame stack. The caller defers its Release.
+// the hosting engine (none in standalone mode) and a frame stack. The caller
+// defers its Release.
 func (ccf *CompiledCodeFunction) acquireRT() *codegen.RT {
 	var eng runtime.Engine
 	if !ccf.Standalone {
 		eng = ccf.compiler.Engine()
 	}
-	return codegen.AcquireRT(eng, ccf.Program.Parallelism)
+	return codegen.AcquireRT(eng)
 }
 
 // Apply runs the compiled function on kernel expressions. Arguments outside

@@ -188,13 +188,10 @@ func TestFrameStackSurvivesKernelReentry(t *testing.T) {
 	}
 }
 
-// The RT comes from a pool, so an invocation allocates what its arguments and
-// result box to and nothing else: the parent commit's two allocations (the RT
-// and the boxed result) are now one.
+// The RT comes from codegen's idle list, so an invocation allocates what its
+// arguments and result box to and nothing else: one allocation, the boxed
+// result.
 func TestCallRawAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items at random")
-	}
 	ccf := compileCfib(t)
 	n := int64(15)
 	if allocs := testing.AllocsPerRun(100, func() { benchCallSink = ccf.CallRaw(n) }); allocs > 1 {

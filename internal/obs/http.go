@@ -15,8 +15,6 @@ import (
 	"net/http/pprof"
 	"sort"
 	"time"
-
-	"wolfc/internal/runtime/par"
 )
 
 // MetricsServer is a running /metrics endpoint.
@@ -51,7 +49,6 @@ func ServeMetrics(addr string) (*MetricsServer, error) {
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	s := &MetricsServer{ln: ln, srv: srv}
 	SetEnabled(true)
-	par.EnableStats(true)
 	go srv.Serve(ln)
 	return s, nil
 }
@@ -184,8 +181,8 @@ func writeChromeTrace(w io.Writer, traces []CapturedTrace) {
 
 // RenderMetrics writes the text exposition: per-function counters and
 // latency histograms, global counters, named histograms (per-tier compile
-// latency), labelled per-tenant vecs, worker-pool gauges, and every
-// registered gauge provider (the compile cache, the tier compile queue).
+// latency), labelled per-tenant vecs, and every registered gauge provider
+// (the compile cache, the tier compile queue).
 func RenderMetrics(w io.Writer) {
 	snaps, overflow := FuncSnapshots()
 	for _, s := range snaps {
@@ -284,13 +281,6 @@ func RenderMetrics(w io.Writer) {
 	if d := TraceDropped(); d > 0 {
 		fmt.Fprintf(w, "wolfc_trace_events_dropped_total %d\n", d)
 	}
-	ps := par.StatsNow()
-	fmt.Fprintf(w, "wolfc_pool_parallel_fors_total %d\n", ps.ParallelFors)
-	fmt.Fprintf(w, "wolfc_pool_chunks_total %d\n", ps.Chunks)
-	fmt.Fprintf(w, "wolfc_pool_chunks_stolen_total %d\n", ps.ChunksStolen)
-	fmt.Fprintf(w, "wolfc_pool_busy_ns_total %d\n", ps.BusyNs)
-	fmt.Fprintf(w, "wolfc_pool_helpers_started %d\n", ps.HelpersStarted)
-	fmt.Fprintf(w, "wolfc_pool_inflight_fors %d\n", ps.InFlight)
 	for _, g := range ProviderGauges() {
 		if g.Engine != "" {
 			fmt.Fprintf(w, "wolfc_%s{engine=%q} %v\n", g.Name, sanitizeLabel(g.Engine), g.Value)

@@ -4,9 +4,9 @@
 // and this package makes them measurable in a long-lived process: per
 // compiled function it tracks invocation counts, a log-scale latency
 // histogram, soft-failure/fallback counts, and abort counts; globally it
-// tracks runtime-exception counters, worker-pool gauges, and compile-cache
-// effectiveness; and it can stream JSONL trace events (compile span, invoke
-// span, fallback event) to a writer.
+// tracks runtime-exception counters and compile-cache effectiveness; and it
+// can stream JSONL trace events (compile span, invoke span, fallback event)
+// to a writer.
 //
 // Cost model: everything is off by default. The hot-path contract is one
 // atomic load and one predictable branch per guarded site when disabled

@@ -10,8 +10,6 @@ import (
 	"testing"
 	"time"
 	"unicode/utf8"
-
-	"wolfc/internal/runtime/par"
 )
 
 func TestLatencyBuckets(t *testing.T) {
@@ -280,57 +278,20 @@ func TestRenderMetricsAndEndpoint(t *testing.T) {
 		"wolfc_test_render_hist_ns_count 1",
 		`wolfc_test_render_hist_ns_bucket{le=`,
 		"wolfc_test_render_gauge 4",
-		"wolfc_pool_inflight_fors",
-		"wolfc_pool_chunks_total",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q\n%s", want, metrics)
 		}
+	}
+	// The tensor runtime has no worker pool, so it has no gauges to render.
+	if strings.Contains(metrics, "wolfc_pool_") {
+		t.Errorf("/metrics renders worker-pool gauges\n%s", metrics)
 	}
 	funcs := get("/debug/funcs")
 	for _, want := range []string{"sq [closure]", "invocations 1  fallbacks 1", "block 0: 1"} {
 		if !strings.Contains(funcs, want) {
 			t.Errorf("/debug/funcs missing %q\n%s", want, funcs)
 		}
-	}
-}
-
-func TestPoolStatsGaugesSettle(t *testing.T) {
-	prev := par.EnableStats(true)
-	defer par.EnableStats(prev)
-	par.ResetStats()
-	var sink [64]int64
-	par.For(4, 1_000_000, 10, func(lo, hi int) {
-		s := int64(0)
-		for i := lo; i < hi; i++ {
-			s += int64(i * i)
-		}
-		sink[lo%64] = s
-	})
-	_ = sink
-	s := par.StatsNow()
-	if s.ParallelFors != 1 {
-		t.Fatalf("ParallelFors = %d, want 1", s.ParallelFors)
-	}
-	if s.Chunks == 0 {
-		t.Fatalf("Chunks = 0, want > 0")
-	}
-	if s.InFlight != 0 {
-		t.Fatalf("InFlight = %d after For returned, want 0", s.InFlight)
-	}
-	if s.BusyNs == 0 {
-		t.Fatalf("BusyNs = 0 with stats enabled")
-	}
-}
-
-func TestPoolStatsDisabledRecordsNothing(t *testing.T) {
-	prev := par.EnableStats(false)
-	defer par.EnableStats(prev)
-	par.ResetStats()
-	par.For(4, 10000, 10, func(lo, hi int) {})
-	s := par.StatsNow()
-	if s.ParallelFors != 0 || s.Chunks != 0 || s.BusyNs != 0 {
-		t.Fatalf("disabled stats recorded: %+v", s)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"wolfc/internal/blas"
 	"wolfc/internal/expr"
 	"wolfc/internal/obs"
-	"wolfc/internal/runtime/par"
 )
 
 // Engine is the compiled code's view of the hosting Wolfram Engine: it
@@ -677,42 +676,13 @@ func (t *Tensor) FillO(v any) *Tensor {
 	return t
 }
 
-// Elementwise tensor arithmetic (Listable threading in compiled code). The
-// *P variants take an explicit worker count (0 = process default) and
-// partition the flat element range over the shared pool; each output
-// element depends only on the same-index inputs, so the parallel result is
-// bit-identical to the serial loop for any split.
-
-// ZipF/ZipI/MapF/MapI are the building blocks codegen uses for tensor
-// arithmetic natives. The plain forms run at the process default width.
-func (t *Tensor) ZipF(o *Tensor, f func(a, b float64) float64) *Tensor { return t.ZipFP(0, o, f) }
-func (t *Tensor) ZipI(o *Tensor, f func(a, b int64) int64) *Tensor     { return t.ZipIP(0, o, f) }
-func (t *Tensor) MapF(f func(float64) float64) *Tensor                 { return t.MapFP(0, f) }
-func (t *Tensor) MapI(f func(int64) int64) *Tensor                     { return t.MapIP(0, f) }
-
-func (t *Tensor) ZipFP(workers int, o *Tensor, f func(a, b float64) float64) *Tensor {
-	return t.ZipFInto(workers, o, f, nil)
-}
-
-func (t *Tensor) ZipIP(workers int, o *Tensor, f func(a, b int64) int64) *Tensor {
-	return t.ZipIInto(workers, o, f, nil)
-}
-
-func (t *Tensor) MapFP(workers int, f func(float64) float64) *Tensor {
-	return t.MapFInto(workers, f, nil)
-}
-
-func (t *Tensor) MapIP(workers int, f func(int64) int64) *Tensor {
-	return t.MapIInto(workers, f, nil)
-}
-
-// The Into forms write the result into dst, an operand the compiler found
-// dying at this instruction (one of t and o, or nil for none), and allocate
-// when dst is nil or — belt and braces, like own() — flagged Shared. Each
-// element is read before it is written and depends on its own index alone,
-// so writing over an operand is the same computation. Below the grain size
-// they run a plain loop: par.For's closure escapes, which costs an
-// allocation even when nothing forks.
+// Elementwise tensor arithmetic (Listable threading in compiled code): the
+// natives codegen compiles tensor arithmetic to. Each writes its result into
+// dst, an operand the compiler found dying at this instruction (one of t and
+// o, or nil for none), and allocates when dst is nil or — belt and braces,
+// like own() — flagged Shared. Each element is read before it is written and
+// depends on its own index alone, so writing over an operand is the same
+// computation.
 
 // sameShape throws unless t and o have equal dimensions: Listable threading
 // pairs elements by position, and {{1, 2}, {3, 4}} + {{1, 2, 3, 4}} has no
@@ -732,64 +702,48 @@ func (t *Tensor) resultInto(elem Kind, dst *Tensor) *Tensor {
 	return NewTensor(elem, t.Dims...)
 }
 
-func (t *Tensor) ZipFInto(workers int, o *Tensor, f func(a, b float64) float64, dst *Tensor) *Tensor {
+func (t *Tensor) ZipFInto(o *Tensor, f func(a, b float64) float64, dst *Tensor) *Tensor {
 	t.sameShape(o)
 	out := t.resultInto(KR64, dst)
-	zipInto(workers, out.F, t.F, o.F, f)
+	zipInto(out.F, t.F, o.F, f)
 	return out
 }
 
-func (t *Tensor) ZipIInto(workers int, o *Tensor, f func(a, b int64) int64, dst *Tensor) *Tensor {
+func (t *Tensor) ZipIInto(o *Tensor, f func(a, b int64) int64, dst *Tensor) *Tensor {
 	t.sameShape(o)
 	out := t.resultInto(KI64, dst)
-	zipInto(workers, out.I, t.I, o.I, f)
+	zipInto(out.I, t.I, o.I, f)
 	return out
 }
 
-func (t *Tensor) MapFInto(workers int, f func(float64) float64, dst *Tensor) *Tensor {
+func (t *Tensor) MapFInto(f func(float64) float64, dst *Tensor) *Tensor {
 	out := t.resultInto(KR64, dst)
-	mapInto(workers, out.F, t.F, f)
+	mapInto(out.F, t.F, f)
 	return out
 }
 
-func (t *Tensor) MapIInto(workers int, f func(int64) int64, dst *Tensor) *Tensor {
+func (t *Tensor) MapIInto(f func(int64) int64, dst *Tensor) *Tensor {
 	out := t.resultInto(KI64, dst)
-	mapInto(workers, out.I, t.I, f)
+	mapInto(out.I, t.I, f)
 	return out
 }
 
-func zipInto[T any](workers int, out, a, b []T, f func(a, b T) T) {
-	if len(out) < GrainSize() {
-		for i, x := range a {
-			out[i] = f(x, b[i])
-		}
-		return
+func zipInto[T any](out, a, b []T, f func(a, b T) T) {
+	for i, x := range a {
+		out[i] = f(x, b[i])
 	}
-	par.For(workers, len(out), GrainSize(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = f(a[i], b[i])
-		}
-	})
 }
 
-func mapInto[T any](workers int, out, a []T, f func(T) T) {
-	if len(out) < GrainSize() {
-		for i, x := range a {
-			out[i] = f(x)
-		}
-		return
+func mapInto[T any](out, a []T, f func(T) T) {
+	for i, x := range a {
+		out[i] = f(x)
 	}
-	par.For(workers, len(out), GrainSize(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = f(a[i])
-		}
-	})
 }
 
-// Dot products route through the shared BLAS (MKL stand-in; paper §6 Dot).
-// The *P variants carry an explicit worker count down into the banded BLAS
-// kernels; vector·vector stays serial because splitting the single
-// accumulation would change floating-point rounding order (see DESIGN.md).
+// Dot products route through the shared BLAS (MKL stand-in; paper §6 Dot),
+// whose matrix kernels split their rows over the cores; vector·vector stays
+// serial because splitting the single accumulation would change
+// floating-point rounding order (see DESIGN.md).
 
 // DotVV is vector·vector. Always serial: one FP accumulator.
 func DotVV(a, b *Tensor) float64 {
@@ -800,29 +754,23 @@ func DotVV(a, b *Tensor) float64 {
 }
 
 // DotMV is matrix·vector.
-func DotMV(a, b *Tensor) *Tensor { return DotMVP(0, a, b) }
-
-// DotMVP is matrix·vector with an explicit worker count.
-func DotMVP(workers int, a, b *Tensor) *Tensor {
+func DotMV(a, b *Tensor) *Tensor {
 	m, n := a.Dims[0], a.Dims[1]
 	if n != b.Len() {
 		Throw(ExcType, "Dot: shape mismatch")
 	}
 	out := NewTensor(KR64, m)
-	blas.DGemvW(workers, m, n, a.F, b.F, out.F)
+	blas.DGemv(m, n, a.F, b.F, out.F)
 	return out
 }
 
 // DotMM is matrix·matrix.
-func DotMM(a, b *Tensor) *Tensor { return DotMMP(0, a, b) }
-
-// DotMMP is matrix·matrix with an explicit worker count.
-func DotMMP(workers int, a, b *Tensor) *Tensor {
+func DotMM(a, b *Tensor) *Tensor {
 	m, k, n := a.Dims[0], a.Dims[1], b.Dims[1]
 	if k != b.Dims[0] {
 		Throw(ExcType, "Dot: shape mismatch")
 	}
 	out := NewTensor(KR64, m, n)
-	blas.DGemmW(workers, m, k, n, a.F, b.F, out.F)
+	blas.DGemm(m, k, n, a.F, b.F, out.F)
 	return out
 }

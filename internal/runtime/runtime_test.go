@@ -190,16 +190,16 @@ func TestZipMapArithmetic(t *testing.T) {
 	b := NewTensor(KR64, 3)
 	copy(a.F, []float64{1, 2, 3})
 	copy(b.F, []float64{10, 20, 30})
-	sum := a.ZipF(b, func(x, y float64) float64 { return x + y })
+	sum := a.ZipFInto(b, func(x, y float64) float64 { return x + y }, nil)
 	if sum.F[2] != 33 {
-		t.Fatal("ZipF broken")
+		t.Fatal("ZipFInto broken")
 	}
-	neg := a.MapF(func(x float64) float64 { return -x })
+	neg := a.MapFInto(func(x float64) float64 { return -x }, nil)
 	if neg.F[0] != -1 {
-		t.Fatal("MapF broken")
+		t.Fatal("MapFInto broken")
 	}
 	short := NewTensor(KR64, 2)
-	if exc := catch(func() { a.ZipF(short, func(x, y float64) float64 { return 0 }) }); exc == nil {
+	if exc := catch(func() { a.ZipFInto(short, func(x, y float64) float64 { return 0 }, nil) }); exc == nil {
 		t.Fatal("length mismatch must throw")
 	}
 }
@@ -212,24 +212,24 @@ func TestZipComparesShapesNotFlatLengths(t *testing.T) {
 	addI := func(x, y int64) int64 { return x + y }
 	square, row := NewTensor(KR64, 2, 2), NewTensor(KR64, 1, 4)
 	for name, zip := range map[string]func(){
-		"ZipFP":              func() { square.ZipFP(1, row, add) },
-		"ZipFInto, operand":  func() { square.ZipFInto(1, row, add, square) },
-		"ZipFInto, argument": func() { square.ZipFInto(1, row, add, row) },
-		"ZipIP":              func() { NewTensor(KI64, 2, 2).ZipIP(1, NewTensor(KI64, 4), addI) },
-		"ZipIInto":           func() { x := NewTensor(KI64, 6); x.ZipIInto(1, NewTensor(KI64, 2, 3), addI, x) },
+		"ZipFInto":           func() { square.ZipFInto(row, add, nil) },
+		"ZipFInto, operand":  func() { square.ZipFInto(row, add, square) },
+		"ZipFInto, argument": func() { square.ZipFInto(row, add, row) },
+		"ZipIInto":           func() { NewTensor(KI64, 2, 2).ZipIInto(NewTensor(KI64, 4), addI, nil) },
+		"ZipIInto, operand":  func() { x := NewTensor(KI64, 6); x.ZipIInto(NewTensor(KI64, 2, 3), addI, x) },
 	} {
 		if exc := catch(zip); exc == nil || exc.Kind != ExcType || !strings.Contains(exc.Msg, "unequal shape") {
 			t.Errorf("%s of a 2x2 and a 1x4 tensor: %v, want the unequal-shape exception", name, exc)
 		}
 	}
-	if sum := square.ZipFP(1, NewTensor(KR64, 2, 2), add); len(sum.Dims) != 2 || sum.Dims[0] != 2 || sum.Dims[1] != 2 {
+	if sum := square.ZipFInto(NewTensor(KR64, 2, 2), add, nil); len(sum.Dims) != 2 || sum.Dims[0] != 2 || sum.Dims[1] != 2 {
 		t.Errorf("2x2 + 2x2 has dimensions %v", sum.Dims)
 	}
 }
 
 // The Into forms write the result over the tensor they are handed when it is
 // unshared, whichever operand it is, and allocate when it is Shared or nil;
-// either way the values are those of the plain forms.
+// either way the values are the same.
 func TestIntoFormsReuseOnlyUnsharedStorage(t *testing.T) {
 	sub := func(x, y float64) float64 { return x - y }
 	fresh := func(vals ...float64) *Tensor {
@@ -247,7 +247,7 @@ func TestIntoFormsReuseOnlyUnsharedStorage(t *testing.T) {
 			if shared {
 				into.MarkShared()
 			}
-			out := a.ZipFInto(1, b, sub, into)
+			out := a.ZipFInto(b, sub, into)
 			if out.F[0] != 9 || out.F[1] != 18 || out.F[2] != 27 {
 				t.Fatalf("shared=%v second=%v: a - b = %v", shared, second, out.F)
 			}
@@ -262,21 +262,21 @@ func TestIntoFormsReuseOnlyUnsharedStorage(t *testing.T) {
 		if shared {
 			v.MarkShared()
 		}
-		if out := v.MapFInto(1, math.Sqrt, v); out.F[2] != 3 || (out == v) == shared || shared && v.F[2] != 9 {
+		if out := v.MapFInto(math.Sqrt, v); out.F[2] != 3 || (out == v) == shared || shared && v.F[2] != 9 {
 			t.Errorf("shared=%v: MapFInto gave %v (reused %v), operand now %v", shared, out.F, out == v, v.F)
 		}
 		n := NewTensor(KI64, 2).FillI(7)
 		if shared {
 			n.MarkShared()
 		}
-		if out := n.MapIInto(1, NegI64, n); out.I[1] != -7 || (out == n) == shared || shared && n.I[1] != 7 {
+		if out := n.MapIInto(NegI64, n); out.I[1] != -7 || (out == n) == shared || shared && n.I[1] != 7 {
 			t.Errorf("shared=%v: MapIInto gave %v (reused %v), operand now %v", shared, out.I, out == n, n.I)
 		}
 	}
 	// A result never shares its Dims array with the tensor it was shaped
 	// after: reshaping one must not reshape the other.
 	a := NewTensor(KR64, 2, 3)
-	out := a.MapFInto(1, math.Sqrt, nil)
+	out := a.MapFInto(math.Sqrt, nil)
 	out.Dims[0] = 99
 	if a.Dims[0] != 2 {
 		t.Error("a mapped tensor shares its Dims array with its operand")

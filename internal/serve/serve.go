@@ -25,6 +25,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -379,6 +381,34 @@ type evalResponse struct {
 	DurationMS float64 `json:"duration_ms"`
 }
 
+// maxEvalBody bounds an eval request body.
+const maxEvalBody = 1 << 20
+
+// decodeEval reads an eval request body: exactly one JSON object of at most
+// maxEvalBody bytes with a nonblank input. The deadline is timeout_ms when
+// positive, else opts.DefaultTimeout, and never more than opts.MaxTimeout.
+func decodeEval(body io.Reader, opts Options) (input string, timeout time.Duration, err error) {
+	var req evalRequest
+	dec := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(body), maxEvalBody))
+	if err := dec.Decode(&req); err != nil {
+		return "", 0, fmt.Errorf("bad request body: %v", err)
+	}
+	// Decode reads one value; a second one after it would be dropped unread.
+	if _, err := dec.Token(); err != io.EOF {
+		return "", 0, errors.New("bad request body: data after the JSON object")
+	}
+	if strings.TrimSpace(req.Input) == "" {
+		return "", 0, errors.New("empty input")
+	}
+	timeout = opts.DefaultTimeout
+	if req.TimeoutMS > 0 {
+		// Cap in milliseconds before converting: a huge timeout_ms would wrap
+		// the product negative, and EvalCtx reads that as no deadline.
+		timeout = time.Duration(min(req.TimeoutMS, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
+	}
+	return req.Input, min(timeout, opts.MaxTimeout), nil
+}
+
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ses, ok := s.lookup(id)
@@ -386,23 +416,10 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no session %q", id)
 		return
 	}
-	var req evalRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	input, timeout, err := decodeEval(r.Body, s.opts)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if strings.TrimSpace(req.Input) == "" {
-		writeError(w, http.StatusBadRequest, "empty input")
-		return
-	}
-	timeout := s.opts.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		// Cap in milliseconds before converting: a huge timeout_ms would wrap
-		// the product negative, and EvalCtx reads that as no deadline.
-		timeout = time.Duration(min(req.TimeoutMS, s.opts.MaxTimeout.Milliseconds())) * time.Millisecond
-	}
-	if timeout > s.opts.MaxTimeout {
-		timeout = s.opts.MaxTimeout
 	}
 
 	// Bounded admission: take a token or answer 429 now. Tokens bound the
@@ -446,7 +463,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		tStart = obs.TraceNow()
 	}
 	start := time.Now()
-	res, err := ses.eng.EvalCtx(ctx, req.Input, timeout)
+	res, err := ses.eng.EvalCtx(ctx, input, timeout)
 	dur := time.Since(start)
 	if sc.Valid() && !sc.Suppressed() {
 		// The root event carries the root span id itself (no parent): every

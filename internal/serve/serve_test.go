@@ -167,6 +167,81 @@ func TestHugeTimeoutIsCapped(t *testing.T) {
 	}
 }
 
+// TestEvalRejectsTrailingData: a body holding a second request after the
+// first is a bad request, and neither is evaluated.
+func TestEvalRejectsTrailingData(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	id := createSession(t, ts.URL)
+	for _, body := range []string{
+		`{"input":"x = 1"}{"input":"x = 2"}`,
+		`{"input":"x = 3"} garbage`,
+		`{"input":"x = 4"}]`,
+	} {
+		resp, err := http.Post(fmt.Sprintf("%s/v1/sessions/%s/eval", ts.URL, id), "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if er := evalIn(t, ts.URL, id, "x"); er.Value != "x" {
+		t.Fatalf("x = %s after rejected bodies, want it unset", er.Value)
+	}
+}
+
+// TestDecodeEvalBodyLimit: a body over maxEvalBody is refused even when
+// its object ends inside the limit; one of exactly maxEvalBody is read.
+func TestDecodeEvalBodyLimit(t *testing.T) {
+	opts := Options{}.withDefaults()
+	obj := `{"input":"1"}`
+	pad := strings.Repeat(" ", maxEvalBody-len(obj))
+	if _, _, err := decodeEval(strings.NewReader(obj+pad), opts); err != nil {
+		t.Fatalf("a body of exactly %d bytes: %v", maxEvalBody, err)
+	}
+	if _, _, err := decodeEval(strings.NewReader(obj+pad+" "), opts); err == nil {
+		t.Fatalf("a body of %d bytes was accepted", maxEvalBody+1)
+	}
+}
+
+// FuzzDecodeEval holds decodeEval to json.Unmarshal, which accepts exactly
+// one JSON value: the body is refused when Unmarshal refuses it, when its
+// input is blank and when it is over maxEvalBody; otherwise the deadline is
+// positive and within MaxTimeout.
+func FuzzDecodeEval(f *testing.F) {
+	for _, seed := range []string{
+		`{"input": "spin[1]", "timeout_ms": 9223372036855}`,
+		`{"input": "1", "timeout_ms": 0}`,
+		`{"input": "1", "timeout_ms": -5}`,
+		`{"input": "1", "timeout_ms": 9223372036854775807}`,
+		`{"input": "1", "timeout_ms": 1.5}`,
+		`{"input": "1", "input": "2", "timeout_ms": 1, "timeout_ms": 2}`,
+		`{"input": 7}`,
+		`{"input": "1"} trailing`,
+		`{"input": "1+1"}{"input": "Quit[]"}`,
+		`null`,
+		` {"INPUT": " "} `,
+	} {
+		f.Add([]byte(seed))
+	}
+	opts := Options{DefaultTimeout: time.Second, MaxTimeout: time.Minute}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		input, timeout, err := decodeEval(bytes.NewReader(body), opts)
+		var req evalRequest
+		wantErr := len(body) > maxEvalBody || json.Unmarshal(body, &req) != nil || strings.TrimSpace(req.Input) == ""
+		if (err != nil) != wantErr {
+			t.Fatalf("decodeEval(%q) = %v, want error %v", body, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if input != req.Input || timeout <= 0 || timeout > opts.MaxTimeout {
+			t.Fatalf("decodeEval(%q) = %q, %v", body, input, timeout)
+		}
+	})
+}
+
 // TestAdmissionControl floods a MaxInflight=1 server with slow queries and
 // expects 429s with Retry-After rather than queueing.
 func TestAdmissionControl(t *testing.T) {

@@ -262,8 +262,8 @@ var builtinRoot = sync.OnceValue(func() *Env {
 	decl("Dot", `{"Tensor"["Real64", 2], "Tensor"["Real64", 1]} -> "Tensor"["Real64", 1]`, "dot_mv")
 	decl("Dot", `{"Tensor"["Real64", 1], "Tensor"["Real64", 1]} -> "Real64"`, "dot_vv")
 
-	// Data-parallel image/statistics kernels (worker-pool natives; the
-	// scalar-loop benchmark bodies remain available for the serial paths).
+	// Image/statistics kernels as natives (the scalar-loop benchmark bodies
+	// remain available as compiled loops).
 	decl("Native`GaussianBlur", `{"Tensor"["Real64", 2]} -> "Tensor"["Real64", 2]`, "gaussian_blur")
 	decl("Native`Histogram", `{"Tensor"["Integer64", 1], "Integer64"} -> "Tensor"["Integer64", 1]`, "histogram_bins")
 
