@@ -503,8 +503,9 @@ func table1() {
 		if err != nil {
 			return false
 		}
-		twir, _ := ccf.ExportString("TWIR")
-		return strings.Contains(twir, "memory_acquire") || strings.Contains(twir, "memory_release")
+		// Reference counts are the C backend's lowering (its runtime frees).
+		src, err := ccf.ExportString("C")
+		return err == nil && (strings.Contains(src, "wolfrt_memory_acquire") || strings.Contains(src, "wolfrt_memory_release"))
 	})
 	check("F8", "Symbolic compute", "yes", "no", func() bool {
 		return expr.InputForm(ev(`FunctionCompile[Function[{Typed[a, "Expression"], Typed[b, "Expression"]}, a + b]][x, y]`)) == "x + y"

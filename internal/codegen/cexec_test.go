@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"wolfc/internal/runtime"
+	"wolfc/internal/types"
 )
 
 // End-to-end tests of the C backend: the emitted translation unit is
@@ -36,7 +37,7 @@ func ccPath(t *testing.T) string {
 func buildCExecutable(t *testing.T, prog *Program, mainSrc string) string {
 	t.Helper()
 	cc := ccPath(t)
-	src, err := EmitC(prog.Module)
+	src, err := EmitC(prog.Module, types.Builtin())
 	if err != nil {
 		t.Fatalf("EmitC: %v", err)
 	}
@@ -116,11 +117,6 @@ func TestCExecNewtonSqrt(t *testing.T) {
 			While[i < 40, g = 0.5*(g + x/g); i++];
 			g]]`)
 	want := prog.Main.CallValues(&RT{}, 2.0).(float64)
-	src, err := EmitC(prog.Module)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = src
 	bin := buildCExecutable(t, prog,
 		"int main(void) { printf(\"%.17g\\n\", Main(2.0)); return 0; }\n")
 	got, err := strconv.ParseFloat(runC(t, bin), 64)
@@ -129,6 +125,30 @@ func TestCExecNewtonSqrt(t *testing.T) {
 	}
 	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("C backend sqrt(2) = %v, native = %v", got, want)
+	}
+}
+
+// Constant folding can make a real constant infinite or NaN; the C backend
+// spells those with math.h's names.
+func TestCExecNonFiniteConstants(t *testing.T) {
+	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+	for _, r := range []struct {
+		src  string
+		want float64
+	}{
+		{`Function[{Typed[x, "Real64"]}, x + 1.*^308*10.]`, math.Inf(1)},
+		{`Function[{Typed[x, "Real64"]}, x - 1.*^308*10.]`, math.Inf(-1)},
+		{`Function[{Typed[x, "Real64"]}, x + (1.*^308*10. - 1.*^308*10.)]`, math.NaN()},
+	} {
+		prog := compileSrc(t, r.src)
+		native := prog.Main.CallValues(&RT{}, 1.0).(float64)
+		out := runC(t, buildCExecutable(t, prog,
+			"int main(void) { printf(\"%.17g\\n\", Main(1.0)); return 0; }\n"))
+		// glibc prints a NaN with its sign bit set as "-nan".
+		got, err := strconv.ParseFloat(strings.Replace(out, "-nan", "nan", 1), 64)
+		if err != nil || !same(got, native) || !same(native, r.want) {
+			t.Errorf("%s: C backend = %s, closure backend = %v, want %v", r.src, out, native, r.want)
+		}
 	}
 }
 

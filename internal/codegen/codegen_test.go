@@ -153,7 +153,7 @@ func TestSerializeRejectsGarbage(t *testing.T) {
 func TestEmitCCompleteModule(t *testing.T) {
 	prog := compileSrc(t, `Function[{Typed[v, "Tensor"["Real64", 1]]},
 		Map[Function[{x}, Sqrt[x]], v]]`)
-	src, err := EmitC(prog.Module)
+	src, err := EmitC(prog.Module, types.Builtin())
 	if err != nil {
 		t.Fatal(err)
 	}

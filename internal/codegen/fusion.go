@@ -321,9 +321,9 @@ func (g *gen) keepsOrder(c *wir.Instr) bool {
 // nonBarrierNatives are the natives selectNative implements that a fused
 // computation may be deferred across: they read registers (and possibly
 // tensor memory) but never mutate state a deferred tree could observe — no
-// tensor stores, no RNG draws, no engine escapes. setpart_*, memory_*,
-// random_*, kernel_call and expr_binary_* are deliberately absent. Natives
-// with an evaluator are not listed: whatever fusibleProducer admits is pure.
+// tensor stores, no RNG draws, no engine escapes. setpart_*, random_*,
+// kernel_call and expr_binary_* are deliberately absent. Natives with an
+// evaluator are not listed: whatever fusibleProducer admits is pure.
 var nonBarrierNatives = map[string]bool{
 	"min": true, "max": true,
 	"cmp_less": true, "cmp_lessequal": true, "cmp_greater": true,
@@ -349,7 +349,8 @@ var nonBarrierNatives = map[string]bool{
 	"box_number": true,
 }
 
-// barrierInstr reports whether a fused tree may NOT be deferred past in.
+// barrierInstr reports whether a fused tree may NOT be deferred past in. An
+// instruction that compiles to nothing is none.
 func barrierInstr(in *wir.Instr) bool {
 	switch in.Op {
 	case wir.OpPhi, wir.OpClosure:
@@ -357,6 +358,9 @@ func barrierInstr(in *wir.Instr) bool {
 	case wir.OpCall:
 		if in.ResolvedFn != nil {
 			return true
+		}
+		if noCode(in) {
+			return false
 		}
 		switch in.Callee {
 		case "Native`List":

@@ -74,12 +74,13 @@ func (g *gen) genNative(in *wir.Instr) (step, error) {
 	return st, nil
 }
 
-// noCode reports whether in compiles to nothing: a reference count of a
-// string, an expression or a function value, which are the host collector's
-// alone (only tensors carry a count).
+// noCode reports whether in compiles to nothing: a reference count, which
+// only the C backend lowers (the host collector frees every value here). The
+// pipeline inserts none; one the user wrote as Native`MemoryAcquire lands
+// here.
 func noCode(in *wir.Instr) bool {
 	native := in.NativeName()
-	return (native == "memory_acquire" || native == "memory_release") && !types.IsTensor(in.Args[0].Type())
+	return native == "memory_acquire" || native == "memory_release"
 }
 
 // argKind returns the register class of argument i.
@@ -217,20 +218,6 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 	case "copy_tensor":
 		a := a0()
 		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).Copy() }
-	case "memory_acquire":
-		a := a0()
-		return func(fr *frame) {
-			if t, ok := fr.o[a].(*runtime.Tensor); ok && t != nil {
-				t.Acquire()
-			}
-		}
-	case "memory_release":
-		a := a0()
-		return func(fr *frame) {
-			if t, ok := fr.o[a].(*runtime.Tensor); ok && t != nil {
-				t.Release()
-			}
-		}
 	case "list_take":
 		a, b := a0(), a1()
 		return func(fr *frame) {

@@ -28,8 +28,8 @@ func StencilCompile(mod *wir.Module) (*Program, error) {
 
 // scalarOnly is the one definition of the baseline fragment: it rejects a
 // module that holds an object-kinded value anywhere. The baseline
-// configuration inserts no copies and no reference counts, so a tensor,
-// string, expression or function value must be a compile error, never code.
+// configuration inserts no copies, so a tensor, string, expression or
+// function value must be a compile error, never code.
 // Inference only turns away non-scalar parameters; a list built, a string
 // printed or a kernel escape inside a scalar function is typed there and
 // caught here, as is a module decoded from the artifact store.

@@ -227,6 +227,7 @@ func TestArtifactStoreOldKeyVersionMissesAndRewrites(t *testing.T) {
 	}{
 		{"wolfc-key/v3 entry", "wolfc-key/v3", "WCLB0001 module serialised by a wolfc-key/v3 build", 1, 0, 2},
 		{"wolfc-key/v4 entry", "wolfc-key/v4", "WCLB0002 module serialised by a wolfc-key/v4 build", 1, 0, 2},
+		{"wolfc-key/v5 entry", "wolfc-key/v5", "WCLB0002 module serialised by a wolfc-key/v5 build, reference counts included", 1, 0, 2},
 		{"WCLB0001 payload", cacheKeyVersion, "WCLB0001\x01\x04Main\x00", 0, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -111,7 +111,6 @@ func init() {
 			{Name: "compile_cache_entries", Value: float64(s.Entries)},
 			{Name: "compile_cache_hit_ratio", Value: s.HitRatio()},
 			{Name: "compile_cache_resident_hits_total", Value: float64(cacheCounts[statResident].Load())},
-			{Name: "compile_cache_resident_entries", Value: float64(s.Entries)},
 		}
 	})
 }
@@ -266,7 +265,9 @@ func (c *Compiler) shared(ccf *CompiledCodeFunction) *codegen.Program {
 // v4: the key is a digest of the source's binary encoding, not of its
 // FullForm, and the module format writes each type once (WCLB0002).
 // v5: the Parallelism option left the key, so every digest changes anyway.
-const cacheKeyVersion = "wolfc-key/v5"
+// v6: the TWIR carries no reference counts (the C backend inserts them on
+// export), so a v5 entry exported to C would be counted twice.
+const cacheKeyVersion = "wolfc-key/v6"
 
 // canonicalizeHygiene alpha-renames the macro expander's hygienic
 // temporaries (`<base>`h<counter>`, freshSym's marker — the backtick

@@ -253,11 +253,10 @@ func (c *Compiler) FunctionCompileRequest(fn expr.Expr, req CompileRequest) (ccf
 	t = startTimer(rep)
 	if c.Stencil {
 		// Of the pass pipeline only abort checks run: the scalar fragment
-		// needs no copy insertion or reference counts, and optimisation is
-		// the O2 tier's job after re-promotion. No Lint either: the backend's
-		// scalar-only guard rejects anything outside the fragment, and
-		// linting would cost a double-digit share of the whole baseline
-		// compile.
+		// needs no copy insertion, and optimisation is the O2 tier's job
+		// after re-promotion. No Lint either: the backend's scalar-only
+		// guard rejects anything outside the fragment, and linting would
+		// cost a double-digit share of the whole baseline compile.
 		codegenStage = "stencil"
 		if c.Options.AbortHandling {
 			passes.InsertAbortChecks(mod)
@@ -293,8 +292,8 @@ func (c *Compiler) FunctionCompileRequest(fn expr.Expr, req CompileRequest) (ccf
 }
 
 // generate runs the backend this compiler is configured for over a typed
-// module. A Stencil compiler's modules went through no copy insertion or
-// reference counting, so its backend is the scalar-only one.
+// module. A Stencil compiler's modules went through no copy insertion, so
+// its backend is the scalar-only one.
 func (c *Compiler) generate(mod *wir.Module) (*codegen.Program, error) {
 	if c.Stencil {
 		return codegen.StencilCompile(mod)

@@ -27,9 +27,9 @@ func (ccf *CompiledCodeFunction) ExportString(format string) (string, error) {
 	}
 	switch format {
 	case "C":
-		return codegen.EmitC(ccf.Module)
+		return codegen.EmitC(ccf.Module, ccf.compiler.TypeEnv)
 	case "CStandalone":
-		src, err := codegen.EmitC(ccf.Module)
+		src, err := codegen.EmitC(ccf.Module, ccf.compiler.TypeEnv)
 		if err != nil {
 			return "", err
 		}

@@ -5,11 +5,13 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"wolfc/internal/codegen"
 	"wolfc/internal/expr"
 	"wolfc/internal/parser"
+	"wolfc/internal/runtime"
 )
 
 func TestExportCString(t *testing.T) {
@@ -43,6 +45,60 @@ func TestExportCWithLoops(t *testing.T) {
 		if !strings.Contains(src, want) {
 			t.Fatalf("C export missing %q:\n%s", want, src)
 		}
+	}
+}
+
+// The C export counts references on its own copy of the module: eight
+// goroutines export one function while two more call it, the closure code's
+// module holds no count before or after, and every export has the counts.
+func TestExportCCountsACopy(t *testing.T) {
+	ccf := compile(t, newCompiler(), `Function[{Typed[data, "Tensor"["Integer64", 1]]},
+		Module[{bins = ConstantArray[0, 8], i = 1, b = 0},
+			While[i <= Length[data], b = data[[i]]; bins[[b]] = bins[[b]] + 1; i = i + 1];
+			bins]]`)
+	before := ccf.Module.String()
+	for _, f := range ccf.Module.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if n := in.NativeName(); n == "memory_acquire" || n == "memory_release" {
+					t.Fatalf("closure-compiled module holds %s:\n%s", n, before)
+				}
+			}
+		}
+	}
+	want, err := ccf.ExportString("C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(want, "wolfrt_memory_acquire(") || !strings.Contains(want, "wolfrt_memory_release(") {
+		t.Fatalf("C export holds no reference counts:\n%s", want)
+	}
+	arg := runtime.NewTensor(runtime.KI64, 64)
+	for i := range arg.I {
+		arg.I[i] = int64(i%8 + 1)
+	}
+	arg.MarkShared()
+	var wg sync.WaitGroup
+	for g := 0; g < 10; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				if g < 8 {
+					if src, err := ccf.ExportString("C"); err != nil || src != want {
+						t.Errorf("concurrent C export differs (%v)", err)
+						return
+					}
+				} else if out := ccf.CallRaw(arg).(*runtime.Tensor); !slices.Equal(out.I, []int64{8, 8, 8, 8, 8, 8, 8, 8}) {
+					t.Errorf("call returned %v", out.I)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if after := ccf.Module.String(); after != before {
+		t.Fatalf("C export changed the shared module:\n%s\n--- after ---\n%s", before, after)
 	}
 }
 

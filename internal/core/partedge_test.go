@@ -187,8 +187,8 @@ func TestPartEdgeCorpusMatchesInterpreter(t *testing.T) {
 
 // A compiled function that mutates its argument works on a copy: the
 // caller's tensor is marked shared at the boundary, the first assignment of
-// the chain takes the cold copy-on-write branch — the only place the chain
-// moves a reference — and every later one stores in place.
+// the chain takes the cold copy-on-write branch, and every later one stores
+// in place.
 func TestCompiledMutationLeavesCallerTensorAlone(t *testing.T) {
 	c := newCompiler()
 	ccf := compile(t, c, `Function[{Typed[v, "Tensor"["Real64", 1]]},
@@ -199,7 +199,6 @@ func TestCompiledMutationLeavesCallerTensorAlone(t *testing.T) {
 	}
 	arg.MarkShared()
 	before := append([]float64{}, arg.F...)
-	refs := arg.RefCount()
 	out := ccf.CallRaw(arg).(*runtime.Tensor)
 	if out == arg {
 		t.Fatal("shared argument was mutated in place")
@@ -212,11 +211,8 @@ func TestCompiledMutationLeavesCallerTensorAlone(t *testing.T) {
 			t.Fatalf("result element %d = %v, want %v", i, out.F[i], x*2+1)
 		}
 	}
-	if arg.RefCount() != refs {
-		t.Fatalf("caller's reference count moved: %d -> %d", refs, arg.RefCount())
-	}
-	if out.RefCount() != 1 || out.IsShared() {
-		t.Fatalf("result should arrive owned once and private: refs %d shared %v", out.RefCount(), out.IsShared())
+	if out.IsShared() {
+		t.Fatal("result should arrive private")
 	}
 	// The same through the boxed boundary, where the interpreter's list is
 	// the caller's value.

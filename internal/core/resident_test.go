@@ -113,8 +113,8 @@ func TestResidentProgramIsEngineScoped(t *testing.T) {
 	if ea.cow.Program != eb.cow.Program || ea.escape.Program != eb.escape.Program {
 		t.Fatal("the second engine did not get the first engine's program")
 	}
-	if hits, entries := gaugeValue(t, "compile_cache_resident_hits_total"), gaugeValue(t, "compile_cache_resident_entries"); hits != 4 || entries != 2 {
-		t.Fatalf("resident gauges: %v hits, %v entries; want 4 and 2", hits, entries)
+	if hits, entries := gaugeValue(t, "compile_cache_resident_hits_total"), gaugeValue(t, "compile_cache_entries"); hits != 4 || entries != 2 {
+		t.Fatalf("program-table gauges: %v resident hits, %v entries; want 4 and 2", hits, entries)
 	}
 
 	// call checks one call of each function against what this engine alone

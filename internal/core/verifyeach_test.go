@@ -34,8 +34,9 @@ var exampleSrcs = []string{
 
 // TestVerifyEachCleanOnCorpus compiles the example sources and every
 // Figure 2 kernel with between-pass SSA verification at each optimisation
-// level. Zero failures required: no production pass may break SSA at any
-// point in the pipeline (the ISSUE 3 acceptance gate).
+// level, and lowers each for C. Zero failures required: no production pass
+// may break SSA at any point in the pipeline, and no module's reference
+// counts may fail to balance.
 func TestVerifyEachCleanOnCorpus(t *testing.T) {
 	k := kernel.New()
 	k.Out = io.Discard
@@ -67,6 +68,11 @@ func TestVerifyEachCleanOnCorpus(t *testing.T) {
 				}
 				if ccf.Report == nil || len(ccf.Report.Stages) == 0 {
 					t.Fatal("requested report missing")
+				}
+				// The C lowering inserts the reference counts and refuses
+				// a module whose counts do not balance on every path.
+				if _, err := ccf.ExportString("C"); err != nil {
+					t.Fatalf("C lowering: %v", err)
 				}
 			})
 		}

@@ -25,7 +25,7 @@ import (
 
 // Context is the shared compilation context threaded through every pass.
 type Context struct {
-	// Env is the type environment (needed by reference-count insertion).
+	// Env is the type environment the module was typed in.
 	Env *types.Env
 	// Opts are the pipeline options the passes may consult.
 	Opts Options
@@ -298,16 +298,6 @@ func init() {
 			InsertAbortChecks(mod)
 			return true, nil
 		}},
-		{"insert-refcounts", func(mod *wir.Module, ctx *Context) (bool, error) {
-			InsertRefCounts(mod, ctx.Env)
-			if ctx.VerifyEach {
-				if err := VerifyRefCounts(mod, ctx.Env); err != nil {
-					return true, diag.Newf(diag.PassStage, "X903",
-						"reference counts do not balance: %v", err)
-				}
-			}
-			return true, nil
-		}},
 	} {
 		RegisterPass(p)
 	}
@@ -327,7 +317,9 @@ func mustPass(name string) Pass {
 // preserving the staging of the original hand-rolled Run: function
 // resolution, inlining, the O1 local-optimisation fixpoint, the O2 loop
 // pipeline with its cleanup, then the mandatory lowering passes (copies,
-// abort checks, reference counts).
+// abort checks). Reference counts are the C backend's lowering
+// (InsertRefCounts): only the C runtime frees a value when its count falls
+// to zero.
 func DefaultPipeline(opts Options) *Pipeline {
 	pl := &Pipeline{}
 	pl.Add(mustPass("resolve-indirect"))
@@ -357,7 +349,6 @@ func DefaultPipeline(opts Options) *Pipeline {
 	if opts.AbortHandling {
 		pl.Add(mustPass("insert-abort-checks"))
 	}
-	pl.Add(mustPass("insert-refcounts"))
 	return pl
 }
 

@@ -101,12 +101,20 @@ func TestPassRegistryLookup(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("no passes registered")
 	}
-	for _, want := range []string{"fold-constants", "cse", "dce", "inline", "insert-refcounts"} {
+	for _, want := range []string{"fold-constants", "cse", "dce", "inline", "insert-copies"} {
 		if _, ok := LookupPass(want); !ok {
 			t.Fatalf("pass %q not registered (have %v)", want, names)
 		}
 	}
 	if _, ok := LookupPass("no-such-pass"); ok {
 		t.Fatal("lookup of unknown pass must fail")
+	}
+	// Reference counts are the C backend's lowering, never a pass.
+	for level := 0; level <= 2; level++ {
+		opts := DefaultOptions()
+		opts.OptimizationLevel = level
+		if d := DefaultPipeline(opts).Describe(); strings.Contains(d, "refcount") {
+			t.Fatalf("O%d pipeline counts references:\n%s", level, d)
+		}
 	}
 }

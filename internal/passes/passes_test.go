@@ -361,6 +361,13 @@ func TestRefCountsBalanceOnEveryPath(t *testing.T) {
 			if err := RunPipeline(mod, &Context{Env: tenv, Opts: opts, VerifyEach: true}); err != nil {
 				t.Fatalf("O%d %s: %v\n%s", level, src, err, mod.String())
 			}
+			InsertRefCounts(mod, tenv)
+			if err := mod.Lint(); err != nil {
+				t.Fatalf("O%d %s: counting broke SSA: %v\n%s", level, src, err, mod.String())
+			}
+			if err := VerifyRefCounts(mod, tenv); err != nil {
+				t.Fatalf("O%d %s: %v\n%s", level, src, err, mod.String())
+			}
 		}
 	}
 }
@@ -373,6 +380,7 @@ func TestRefCountsStayOutOfMutationLoops(t *testing.T) {
 	if err := Run(mod, types.Builtin(), DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
+	InsertRefCounts(mod, types.Builtin())
 	f := mod.Main()
 	dom := ComputeDominators(f)
 	loops := FindLoops(f, dom)
@@ -400,8 +408,9 @@ func TestVerifyRefCountsCatchesImbalance(t *testing.T) {
 		if err := Run(mod, tenv, DefaultOptions()); err != nil {
 			t.Fatal(err)
 		}
+		InsertRefCounts(mod, tenv)
 		if err := VerifyRefCounts(mod, tenv); err != nil {
-			t.Fatalf("pipeline output must verify: %v", err)
+			t.Fatalf("counted pipeline output must verify: %v", err)
 		}
 		return mod
 	}

@@ -220,23 +220,4 @@ func TestAtomicSharedFlag(t *testing.T) {
 	if !tt.IsShared() {
 		t.Fatal("MarkShared must stick")
 	}
-	// Concurrent acquire/release nets out to zero.
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func() {
-			for i := 0; i < 1000; i++ {
-				tt.Acquire()
-			}
-			for i := 0; i < 1000; i++ {
-				tt.Release()
-			}
-			done <- struct{}{}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if tt.RefCount() != 0 {
-		t.Fatalf("concurrent acquire/release left refcount %d", tt.RefCount())
-	}
 }

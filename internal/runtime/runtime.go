@@ -1,8 +1,7 @@
 // Package runtime is the compiled-code runtime for the new compiler (paper
 // §4.5, §4.6): typed dense tensors with copy-on-write sharing, checked
 // machine arithmetic whose numeric exceptions drive the soft interpreter
-// fallback (F2), reference counting entry points for the memory-management
-// pass (F7), string operations, symbolic Expression operations evaluated by
+// fallback (F2), string operations, symbolic Expression operations evaluated by
 // threaded interpretation through the engine (F8), and the abort flag the
 // inserted abort checks poll (F3).
 package runtime
@@ -288,13 +287,13 @@ const (
 )
 
 // Tensor is the compiled runtime's dense array. One of the element slices
-// is non-nil according to Elem. refs and shared implement the reference
-// counting and copy-on-write protocol (F5/F7): shared marks values that may
-// be aliased outside compiled code (function arguments, boxed results);
-// SetPart copies first when set. Both fields are manipulated atomically so
-// one compiled function can be invoked from many goroutines that share
-// argument tensors; they are plain words (not atomic.Int32 values) so vet's
-// copylocks check stays quiet.
+// is non-nil according to Elem. shared implements copy-on-write (F5): it
+// marks values that may be aliased outside compiled code (function
+// arguments, boxed results), and SetPart copies first when it is set. The Go
+// collector frees a tensor, so it carries no reference count. shared is
+// read and written atomically so one compiled function can be invoked from
+// many goroutines that share argument tensors; it is a plain word (not an
+// atomic.Uint32) so vet's copylocks check stays quiet.
 type Tensor struct {
 	Elem Kind
 	Dims []int
@@ -304,7 +303,6 @@ type Tensor struct {
 	B    []bool
 	O    []any
 
-	refs   int32
 	shared uint32
 	// dims backs Dims for rank 1 and 2: a tensor is two allocations, not
 	// three, and never shares its Dims array with the tensor it was shaped
@@ -376,21 +374,6 @@ func (t *Tensor) Copy() *Tensor {
 	return out
 }
 
-// Acquire atomically increments the reference count (MemoryAcquire, F7).
-func (t *Tensor) Acquire() { atomic.AddInt32(&t.refs, 1) }
-
-// Release atomically decrements the reference count (MemoryRelease). The Go
-// garbage collector frees the storage; the count still drives copy-on-write.
-// A concurrent over-release is repaired rather than left negative.
-func (t *Tensor) Release() {
-	if atomic.AddInt32(&t.refs, -1) < 0 {
-		atomic.AddInt32(&t.refs, 1)
-	}
-}
-
-// RefCount reports the current reference count.
-func (t *Tensor) RefCount() int32 { return atomic.LoadInt32(&t.refs) }
-
 // MarkShared flags the tensor as possibly aliased from outside compiled
 // code, forcing the next mutation through EnsureUnshared to copy.
 func (t *Tensor) MarkShared() { atomic.StoreUint32(&t.shared, 1) }
@@ -401,28 +384,12 @@ func (t *Tensor) IsShared() bool { return atomic.LoadUint32(&t.shared) != 0 }
 // EnsureUnshared returns t, or a private copy if t may be aliased from
 // outside compiled code (the shared flag is set at the ABI boundary:
 // unboxed arguments and embedded constants). Aliases created inside
-// compiled code are handled statically by the copy-insertion pass, so the
-// reference count — which the inserted MemoryAcquire/Release calls maintain
-// for lifetime bookkeeping — deliberately does not force copies here.
+// compiled code are handled statically by the copy-insertion pass.
 func (t *Tensor) EnsureUnshared() *Tensor {
 	if t.IsShared() {
 		return t.Copy()
 	}
 	return t
-}
-
-// own is EnsureUnshared for the checked Part assignment, which consumes its
-// operand's reference and hands it to its result: when it has to copy, the
-// reference moves from t to the copy. This cold branch is the only place a
-// chain of assignments touches the counts.
-func (t *Tensor) own() *Tensor {
-	if !t.IsShared() {
-		return t
-	}
-	u := t.Copy()
-	t.Release()
-	u.Acquire()
-	return u
 }
 
 // Off1 is the bounds test compiled code inlines around every element
@@ -526,42 +493,41 @@ func (t *Tensor) Row(i int64) *Tensor {
 
 // Set operations return the (possibly fresh) tensor, which compiled code
 // rebinds. The checked versions are the slow path behind the inlined
-// in-place store: they resolve negative indices, raise the range exception
-// before anything is copied, and apply copy-on-write as a consuming
-// assignment (own). The unsafe versions back macro loops over fresh lists:
-// no range check, and the operand keeps its own reference.
+// in-place store: they resolve negative indices and raise the range
+// exception before anything is copied. The unsafe versions back macro loops
+// over fresh lists: no range check. Both apply copy-on-write.
 
 func (t *Tensor) SetI(i int64, v int64) *Tensor {
 	k := t.index(i)
-	u := t.own()
+	u := t.EnsureUnshared()
 	u.I[k] = v
 	return u
 }
 
 func (t *Tensor) SetF(i int64, v float64) *Tensor {
 	k := t.index(i)
-	u := t.own()
+	u := t.EnsureUnshared()
 	u.F[k] = v
 	return u
 }
 
 func (t *Tensor) SetC(i int64, v complex128) *Tensor {
 	k := t.index(i)
-	u := t.own()
+	u := t.EnsureUnshared()
 	u.C[k] = v
 	return u
 }
 
 func (t *Tensor) SetB(i int64, v bool) *Tensor {
 	k := t.index(i)
-	u := t.own()
+	u := t.EnsureUnshared()
 	u.B[k] = v
 	return u
 }
 
 func (t *Tensor) SetO(i int64, v any) *Tensor {
 	k := t.index(i)
-	u := t.own()
+	u := t.EnsureUnshared()
 	u.O[k] = v
 	return u
 }
@@ -592,21 +558,21 @@ func (t *Tensor) SetOU(i int64, v any) *Tensor {
 
 func (t *Tensor) SetI2(i, j int64, v int64) *Tensor {
 	k := t.flat2(i, j)
-	u := t.own()
+	u := t.EnsureUnshared()
 	u.I[k] = v
 	return u
 }
 
 func (t *Tensor) SetF2(i, j int64, v float64) *Tensor {
 	k := t.flat2(i, j)
-	u := t.own()
+	u := t.EnsureUnshared()
 	u.F[k] = v
 	return u
 }
 
 func (t *Tensor) SetC2(i, j int64, v complex128) *Tensor {
 	k := t.flat2(i, j)
-	u := t.own()
+	u := t.EnsureUnshared()
 	u.C[k] = v
 	return u
 }

@@ -170,21 +170,6 @@ func TestCopyOnWriteSharing(t *testing.T) {
 	}
 }
 
-func TestRefCounting(t *testing.T) {
-	tt := NewTensor(KI64, 1)
-	tt.Acquire()
-	tt.Acquire()
-	if tt.RefCount() != 2 {
-		t.Fatal("acquire broken")
-	}
-	tt.Release()
-	tt.Release()
-	tt.Release() // extra release clamps at zero
-	if tt.RefCount() != 0 {
-		t.Fatal("release broken")
-	}
-}
-
 func TestZipMapArithmetic(t *testing.T) {
 	a := NewTensor(KR64, 3)
 	b := NewTensor(KR64, 3)

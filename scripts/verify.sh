@@ -36,7 +36,7 @@ count() {
 size_report() {
     echo "== size: non-test Go lines =="
     # internal/vm is Figure 2's bytecode baseline.
-    for paths in internal/core/tier.go internal/core internal/codegen internal/infer internal/vm "internal/runtime internal/blas" internal/obs "internal/codegen internal/core internal/obs" cmd/wolfbench internal/bench "cmd/wolfbench internal/bench benchmark"; do
+    for paths in internal/core/tier.go internal/core internal/codegen internal/infer internal/passes internal/vm "internal/runtime internal/blas" internal/obs "internal/codegen internal/core internal/obs" cmd/wolfbench internal/bench "cmd/wolfbench internal/bench benchmark"; do
         echo "$paths: $(count $paths)"
     done
     # Generated code is not maintained by hand: count it apart (ISSUE 17).
@@ -114,12 +114,14 @@ echo "== benchmark: the benchmark module builds, passes its tests, and checks it
 # Every timed operation there is compared with benchmark/expected/*.txt, so
 # two seconds of the tensor workload and two of the scalar one catch a
 # codegen change that breaks a program's checksum before anyone measures it
-# (the tensor programs alone would miss an edit to a scalar op), and two of
+# (the tensor programs alone would miss an edit to a scalar op), two of
 # compile_cold run every corpus function it has just compiled, which catches
-# an inference change that picks another overload (ISSUE 18).
+# an inference change that picks another overload (ISSUE 18), and two of
+# compile_warm load that corpus back from the artifact store, which catches
+# a change to what stored modules carry that the key version missed.
 go -C benchmark vet .
 go -C benchmark test .
-for wl in fig2_tensor fig2_scalar compile_cold; do
+for wl in fig2_tensor fig2_scalar compile_cold compile_warm; do
     bash benchmark/run.sh --workload "$wl" --seed 1 --seconds 2 --trace 0 > "$tmp/bench.out"
     tail -n 1 "$tmp/bench.out" | grep -q '"correct":true' &&
         tail -n 1 "$tmp/bench.out" | grep -q '"failed":0[,}]' || {
