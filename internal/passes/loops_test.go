@@ -69,7 +69,7 @@ func TestLICMHoistsInvariant(t *testing.T) {
 	if before != 1 {
 		t.Fatalf("setup: want 1 float multiply in the loop, got %d", before)
 	}
-	if !LICM(f) {
+	if !LICM(f, FindLoops(f, ComputeDominators(f))) {
 		t.Fatal("LICM reported no change")
 	}
 	after := inLoopBody(f, func(in *wir.Instr) bool {
@@ -92,7 +92,7 @@ func TestLICMDoesNotHoistThrowing(t *testing.T) {
 			While[i <= n, s = s + n*n + Quotient[100, n]; i = i + 1];
 			s]]`)
 	f := mod.Main()
-	LICM(f)
+	LICM(f, FindLoops(f, ComputeDominators(f)))
 	if got := inLoopBody(f, func(in *wir.Instr) bool {
 		return isNative(in, "binary_times") || isNative(in, "quotient_int")
 	}); got < 2 {
@@ -112,7 +112,7 @@ func TestStrengthReduction(t *testing.T) {
 	if before != 1 {
 		t.Fatalf("setup: want 1 multiply in the loop, got %d", before)
 	}
-	if !StrengthReduce(f) {
+	if !StrengthReduce(f, FindLoops(f, ComputeDominators(f))) {
 		t.Fatal("StrengthReduce reported no change")
 	}
 	DCE(f)
