@@ -425,6 +425,8 @@ type gen struct {
 	profile bool
 	// uses counts the operand references to each value; see useCount.
 	uses map[wir.Value]int
+	// dead marks the phis no code reads (deadPhis): no edge moves into them.
+	dead map[*wir.Instr]bool
 	// cfg is the control-flow analysis behind the region tree.
 	cfg *passes.CFG
 }
@@ -449,6 +451,54 @@ func (g *gen) useCount(v wir.Value) int {
 		}
 	}
 	return g.uses[v]
+}
+
+// deadPhis returns, when one of f's phis takes a Null, the phis that nothing
+// reads but other such phis: the unused value of an If with no else arm,
+// which inference types like its other arm and O1 deletes. Neither backend
+// moves a value into them, so that Null, which has no value of the phi's
+// type, is never materialised. A Null that is read still fails to compile.
+func deadPhis(f *wir.Function) map[*wir.Instr]bool {
+	null := false
+	f.Each(func(in *wir.Instr) {
+		for _, a := range in.Args {
+			if c, ok := a.(*wir.Const); ok && in.Op == wir.OpPhi && expr.SameQ(c.Expr, expr.SymNull) {
+				null = true
+			}
+		}
+	})
+	if !null {
+		return nil
+	}
+	uses := map[*wir.Instr]int{}
+	f.Each(func(in *wir.Instr) {
+		for _, a := range in.Args {
+			if p, ok := a.(*wir.Instr); ok && p.Op == wir.OpPhi {
+				uses[p]++
+			}
+		}
+	})
+	dead := map[*wir.Instr]bool{}
+	var work []*wir.Instr
+	f.Each(func(in *wir.Instr) {
+		if in.Op == wir.OpPhi && uses[in] == 0 {
+			dead[in] = true
+			work = append(work, in)
+		}
+	})
+	for len(work) > 0 {
+		phi := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, a := range phi.Args {
+			if p, ok := a.(*wir.Instr); ok && p.Op == wir.OpPhi && !dead[p] {
+				if uses[p]--; uses[p] == 0 {
+					dead[p] = true
+					work = append(work, p)
+				}
+			}
+		}
+	}
+	return dead
 }
 
 // alloc assigns a register in v's class.
@@ -652,6 +702,7 @@ func (g *gen) prepare() error {
 		g.cf.retReg = g.alloc(g.cf.retKind)
 		g.cf.hasRet = true
 	}
+	g.dead = deadPhis(g.fn)
 	if err := g.coalesceObjects(); err != nil {
 		return err
 	}
@@ -766,6 +817,9 @@ func (g *gen) phiMoveSteps(from, to *wir.Block) ([]step, error) {
 	}
 	var moves []move
 	for _, phi := range to.Phis {
+		if g.dead[phi] {
+			continue
+		}
 		if predIdx >= len(phi.Args) {
 			return nil, fmt.Errorf("codegen %s: phi arity mismatch in %s", g.fn.Name, to.Label)
 		}

@@ -147,3 +147,51 @@ func TestCrossBackendPartEdges(t *testing.T) {
 		}
 	}
 }
+
+// An If with no else arm whose value is unused: the value is a phi joining
+// Null with a Real64, which O1 deletes and O0 keeps. Neither backend reads it,
+// so at every level both compile the program and compute the same answer.
+func TestCrossBackendUnusedIfValue(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles C programs")
+	}
+	const src = `Function[{Typed[v, "Tensor"["Real64", 1]], Typed[c, "Boolean"]},
+		Module[{w = v, s = 0.}, If[c, w[[1]] = 2.; s = w[[1]]]; s + v[[1]]]]`
+	for level := 0; level <= 2; level++ {
+		c := newCompiler()
+		c.Options.OptimizationLevel = level
+		ccf, err := c.FunctionCompile(parser.MustParse(src))
+		if err != nil {
+			t.Fatalf("O%d: %v", level, err)
+		}
+		bin := buildCBackend(t, ccf, `#include <string.h>
+int main(int argc, char **argv) {
+	(void)argc;
+	wolfrt_tensor *v = wolfrt_tensor_new(WOLFRT_KR64, 1, 2, 0);
+	((double *)v->data)[0] = 1.;
+	((double *)v->data)[1] = 2.;
+	printf("%.17g\n", Main(v, strcmp(argv[1], "True") == 0));
+	return 0;
+}
+`)
+		for _, cond := range []bool{true, false} {
+			want := 1.
+			if cond {
+				want = 3. // w[[1]] = 2. writes a copy of v
+			}
+			v := runtime.NewTensor(runtime.KR64, 2)
+			v.F[0], v.F[1] = 1, 2
+			if got := ccf.CallRaw(v, cond); got != want || v.F[0] != 1 {
+				t.Errorf("O%d c=%v: closure backend = %v (v = %v), want %v", level, cond, got, v.F, want)
+			}
+			arg := "False"
+			if cond {
+				arg = "True"
+			}
+			out, err := exec.Command(bin, arg).Output()
+			if got := strings.TrimSpace(string(out)); err != nil || got != fmt.Sprint(want) {
+				t.Errorf("O%d c=%v: C backend = %q (%v), want %v", level, cond, got, err, want)
+			}
+		}
+	}
+}
