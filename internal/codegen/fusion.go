@@ -229,8 +229,8 @@ func (g *gen) markFused() error {
 				continue
 			}
 			phi, _ := g.findPhiUse(b, in)
-			if phi == nil {
-				continue
+			if phi == nil || g.dead[phi] {
+				continue // no move into a dead phi runs; in must run on its own
 			}
 			if !g.deferrable(b.Instrs, idx, n-1, false) || g.bearsCall(in) && idx != n-2 {
 				continue
