@@ -150,3 +150,17 @@ func TestGoldenRegions(t *testing.T) {
 		checkGolden(t, "qsort_regions", out)
 	}
 }
+
+// TestGoldenExplain pins `wolfc -explain` at each optimisation level: the
+// pipeline tools see, pass by pass and by name.
+func TestGoldenExplain(t *testing.T) {
+	for _, level := range []string{"0", "1", "2"} {
+		t.Run("O"+level, func(t *testing.T) {
+			out, err := run(t, "wolfc", "", "-O", level, "-explain")
+			if err != nil {
+				t.Fatalf("%v\n%s", err, out)
+			}
+			checkGolden(t, "explain_O"+level, out)
+		})
+	}
+}
