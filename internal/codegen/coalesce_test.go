@@ -44,7 +44,7 @@ func TestMutationChainSharesOneRegister(t *testing.T) {
 		Module[{a = v, i = 1, t = 0.},
 			While[i < n, If[a[[i]] > a[[i + 1]], t = a[[i]]; a[[i]] = a[[i + 1]]; a[[i + 1]] = t]; i = i + 1];
 			a]]`)
-	if err := passes.Run(mod, tenv, passes.DefaultOptions()); err != nil {
+	if err := passes.RunPipeline(mod, &passes.Context{Env: tenv, Opts: passes.DefaultOptions()}); err != nil {
 		t.Fatal(err)
 	}
 	f := mod.Main()

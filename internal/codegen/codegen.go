@@ -639,15 +639,10 @@ func (g *gen) generate() error {
 	if g.profile {
 		g.cf.profCounts = make([]atomic.Uint64, len(g.fn.Blocks))
 		g.cf.profLabels = make([]string, len(g.fn.Blocks))
-		g.cf.profLoop = make([]bool, len(g.fn.Blocks))
+		g.cf.profLoop = slices.Clone(g.cfg.Header) // one loop region per header
 		for i, b := range g.fn.Blocks {
 			g.cf.profLabels[i] = b.Label
 		}
-		walkRegions(tree, func(r *region) {
-			if r.kind == regionLoop {
-				g.cf.profLoop[g.cfg.Index(r.block)] = true
-			}
-		})
 	}
 	g.cf.poll = !g.profile && !g.cfg.Header[0] && g.fn.Blocks[0].Instrs[0].Op == wir.OpAbortCheck
 	b, err := g.compile(tree)
@@ -795,14 +790,8 @@ func (g *gen) phiMoveSteps(from, to *wir.Block) ([]step, error) {
 	if len(to.Phis) == 0 {
 		return nil, nil
 	}
-	predIdx := -1
-	for i, p := range to.Preds {
-		if p == from {
-			predIdx = i
-			break
-		}
-	}
-	if predIdx == -1 {
+	predIdx := to.PredIndex(from)
+	if predIdx < 0 {
 		return nil, fmt.Errorf("codegen %s: edge %s->%s not in preds", g.fn.Name, from.Label, to.Label)
 	}
 	// A move is either a plain register copy or (with full fusion) a

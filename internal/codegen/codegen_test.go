@@ -36,7 +36,7 @@ func compileSrc(t *testing.T, src string) *Program {
 	if err := infer.Infer(mod, tenv); err != nil {
 		t.Fatalf("infer: %v", err)
 	}
-	if err := passes.Run(mod, tenv, passes.DefaultOptions()); err != nil {
+	if err := passes.RunPipeline(mod, &passes.Context{Env: tenv, Opts: passes.DefaultOptions()}); err != nil {
 		t.Fatalf("passes: %v", err)
 	}
 	prog, err := Compile(mod)
@@ -180,7 +180,7 @@ func TestNaiveConstantsOption(t *testing.T) {
 	if err := infer.Infer(mod, tenv); err != nil {
 		t.Fatal(err)
 	}
-	if err := passes.Run(mod, tenv, passes.DefaultOptions()); err != nil {
+	if err := passes.RunPipeline(mod, &passes.Context{Env: tenv, Opts: passes.DefaultOptions()}); err != nil {
 		t.Fatal(err)
 	}
 	prog, err := CompileWithOptions(mod, CompileOptions{NaiveConstants: true})

@@ -318,39 +318,10 @@ func (g *gen) keepsOrder(c *wir.Instr) bool {
 	return c.Op == wir.OpCondBranch || c.Op == wir.OpReturn || g.isCall(c) || fusibleProducer(c) && native != "and" && native != "or"
 }
 
-// nonBarrierNatives are the natives selectNative implements that a fused
-// computation may be deferred across: they read registers (and possibly
-// tensor memory) but never mutate state a deferred tree could observe — no
-// tensor stores, no RNG draws, no engine escapes. setpart_*, random_*,
-// kernel_call and expr_binary_* are deliberately absent. Natives with an
-// evaluator are not listed: whatever fusibleProducer admits is pure.
-var nonBarrierNatives = map[string]bool{
-	"min": true, "max": true,
-	"cmp_less": true, "cmp_lessequal": true, "cmp_greater": true,
-	"cmp_greaterequal": true, "cmp_equal": true, "cmp_unequal": true,
-	"sameq_expr": true,
-	// Part of a tensor of objects; the scalar element kinds are evaluators.
-	"part_1": true, "part_2": true, "part_unsafe_1": true, "part_unsafe_2": true,
-	"part_row":    true,
-	"copy_tensor": true, "list_take": true, "list_new": true,
-	"matrix_new": true, "list_fill": true, "matrix_fill": true,
-	"dot_vv": true, "dot_mv": true, "dot_mm": true,
-	"tensor_plus": true, "tensor_times": true, "tensor_subtract": true,
-	"tensor_scalar_plus": true, "tensor_scalar_times": true,
-	"tensor_scalar_subtract": true, "scalar_tensor_plus": true,
-	"scalar_tensor_times": true, "scalar_tensor_subtract": true,
-	"tensor_minus":    true,
-	"tensor_math_sin": true, "tensor_math_cos": true, "tensor_math_tan": true,
-	"tensor_math_exp": true, "tensor_math_log": true, "tensor_math_sqrt": true,
-	"tensor_math_abs": true, "gaussian_blur": true, "histogram_bins": true,
-	"string_join": true, "string_length": true, "string_byte_length": true,
-	"to_char_code": true, "from_char_code": true,
-	"string_take": true, "int_to_string": true, "real_to_string": true,
-	"box_number": true,
-}
-
 // barrierInstr reports whether a fused tree may NOT be deferred past in. An
-// instruction that compiles to nothing is none.
+// instruction that compiles to nothing is none; a native is one when it has
+// an effect (passes.PureNative: a tensor store, an RNG draw, an engine
+// escape, a pattern miss).
 func barrierInstr(in *wir.Instr) bool {
 	switch in.Op {
 	case wir.OpPhi, wir.OpClosure:
@@ -371,7 +342,7 @@ func barrierInstr(in *wir.Instr) bool {
 		// An elementwise native that writes over its operand is as pure as
 		// the plain one: nothing else can see the operand it consumes.
 		native, _ := passes.CutInto(in.NativeName())
-		return !fusibleProducer(in) && !nonBarrierNatives[native]
+		return !fusibleProducer(in) && !passes.PureNative(native)
 	}
 	// Indirect calls, abort checks, terminators.
 	return true

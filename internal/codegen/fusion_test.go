@@ -40,7 +40,7 @@ func compileSrcWith(t *testing.T, src string, fuse int, opts passes.Options) *Pr
 	if err := infer.Infer(mod, tenv); err != nil {
 		t.Fatalf("infer: %v", err)
 	}
-	if err := passes.Run(mod, tenv, opts); err != nil {
+	if err := passes.RunPipeline(mod, &passes.Context{Env: tenv, Opts: opts}); err != nil {
 		t.Fatalf("passes: %v", err)
 	}
 	prog, err := CompileWithOptions(mod, CompileOptions{FuseLevel: fuse})
@@ -48,6 +48,14 @@ func compileSrcWith(t *testing.T, src string, fuse int, opts passes.Options) *Pr
 		t.Fatalf("codegen (fuse=%d): %v", fuse, err)
 	}
 	return prog
+}
+
+// walkRegions visits every region of the tree, parents first.
+func walkRegions(seq []*region, visit func(*region)) {
+	for _, r := range seq {
+		visit(r)
+		walkRegions(r.kids, visit)
+	}
 }
 
 // totalSteps counts the step closures of Main's region tree at a fusion

@@ -186,13 +186,6 @@ func (c *treeBuilder) edge(seq *[]*region, x, t, after int) {
 	}
 }
 
-func walkRegions(seq []*region, visit func(*region)) {
-	for _, r := range seq {
-		visit(r)
-		walkRegions(r.kids, visit)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Closures. Go keeps no register across a call, so a closure reloads every
 // captured variable it holds in one after each call it makes: the ones that

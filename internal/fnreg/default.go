@@ -3,10 +3,11 @@ package fnreg
 import "sync"
 
 // This file is the ONLY package-level mutable registry state in fnreg: the
-// default instance behind the deprecated process-wide API. Everything else
-// in the package is instance-scoped (*Registry); verify.sh greps for that
-// invariant. New code should create or receive a *Registry (normally via
-// internal/engine) instead of touching the default.
+// default instance Default returns, for callers with no engine of their own.
+// Everything else in the package is instance-scoped (*Registry);
+// TestNoPackageLevelRegistryState (scope_test.go) holds that invariant. New
+// code should create or receive a *Registry (normally via internal/engine)
+// instead of touching the default.
 
 var (
 	defaultOnce sync.Once

@@ -14,10 +14,9 @@
 //
 // Scope (ISSUE 8): the registry is an instance type — one *Registry per
 // engine (kernel + compiler + tiering bundle), so two kernels in one
-// process never cross-wire promoted definitions. The former process-wide
-// package-level API survives as deprecated shims over a default instance
-// (default.go) while call sites migrate; no other package-level mutable
-// registry state exists.
+// process never cross-wire promoted definitions. Default (default.go) is
+// the one shared instance, for callers with no engine of their own; no
+// other package-level mutable registry state exists.
 //
 // Lifecycle: an entry is Reserved (signature visible to inference, not yet
 // callable), then Installed (callable), then Retired (permanently dead).

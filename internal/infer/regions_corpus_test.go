@@ -44,11 +44,10 @@ func checkRegionTree(t *testing.T, what string, f *wir.Function, printed string)
 			loops[m[1]]++
 		}
 	}
-	dom := passes.ComputeDominators(f)
-	heads := passes.LoopHeaders(f, dom)
+	cfg := passes.Analyze(f)
 	reachable, wantEdges := 0, 0
-	for _, b := range f.Blocks {
-		if !dom.Reachable(b) {
+	for i, b := range f.Blocks {
+		if cfg.RPO[i] < 0 {
 			if blocks[name(b)] != 0 {
 				t.Errorf("%s: unreachable block %s is in the tree", what, name(b))
 			}
@@ -67,10 +66,10 @@ func checkRegionTree(t *testing.T, what string, f *wir.Function, printed string)
 		if polls[name(b)] != checks {
 			t.Errorf("%s: block %s holds %d abort checks, the tree polls %d times there", what, name(b), checks, polls[name(b)])
 		}
-		if heads[b] != (loops[name(b)] == 1) {
-			t.Errorf("%s: %s is a loop header = %v, the tree has %d loops on it", what, name(b), heads[b], loops[name(b)])
+		if cfg.Header[i] != (loops[name(b)] == 1) {
+			t.Errorf("%s: %s is a loop header = %v, the tree has %d loops on it", what, name(b), cfg.Header[i], loops[name(b)])
 		}
-		if heads[b] && !b.AbortInhibit && checks != 1 && b != f.Entry() {
+		if cfg.Header[i] && !b.AbortInhibit && checks != 1 && b != f.Entry() {
 			t.Errorf("%s: loop header %s holds %d abort checks, want one", what, name(b), checks)
 		}
 		for _, s := range b.Succs() {

@@ -14,9 +14,9 @@ import (
 // CFG is the control-flow analysis of one function on block indices (a
 // block's index is its position in fn.Blocks): reverse postorder, the
 // dominator tree by Cooper, Harvey and Kennedy's iteration (the paper cites
-// "a simple, fast dominance algorithm"), and the loop forest. The passes read
-// it through Dominators; code generation, which is on the compile path of
-// both tiers, builds its region tree from the arrays directly.
+// "a simple, fast dominance algorithm"), and the loop forest. It is the one
+// control-flow analysis: the passes and code generation's region tree both
+// read these arrays.
 type CFG struct {
 	Blocks []*wir.Block
 	Succ   []int // two per block, -1 for none
@@ -218,40 +218,6 @@ func Analyze(fn *wir.Function) *CFG {
 		c.Sib[b], c.Kid[c.IDom[b]] = c.Kid[c.IDom[b]], b
 	}
 	return c
-}
-
-// Dominators answers dominance questions about blocks.
-type Dominators struct{ cfg *CFG }
-
-// ComputeDominators analyses fn.
-func ComputeDominators(fn *wir.Function) *Dominators { return &Dominators{Analyze(fn)} }
-
-// Dominates reports whether a dominates b.
-func (d *Dominators) Dominates(a, b *wir.Block) bool {
-	return a == b || d.Reachable(a) && d.Reachable(b) && d.cfg.Dominates(d.cfg.Index(a), d.cfg.Index(b))
-}
-
-// Reachable reports whether the block was reached in the CFG walk.
-func (d *Dominators) Reachable(b *wir.Block) bool {
-	i := d.cfg.Index(b)
-	return i >= 0 && d.cfg.RPO[i] >= 0
-}
-
-// LoopHeaders returns the set of blocks that are targets of back edges
-// (loop-nesting analysis, used by abort-check insertion — paper §4.5).
-func LoopHeaders(fn *wir.Function, dom *Dominators) map[*wir.Block]bool {
-	heads := map[*wir.Block]bool{}
-	for _, b := range fn.Blocks {
-		if !dom.Reachable(b) {
-			continue
-		}
-		for _, s := range b.Succs() {
-			if dom.Dominates(s, b) {
-				heads[s] = true
-			}
-		}
-	}
-	return heads
 }
 
 // Liveness computes per-block live-in/live-out sets of SSA values using the

@@ -104,10 +104,8 @@ func inlineAt(caller *wir.Function, b *wir.Block, idx int, call *wir.Instr, call
 	// Successors' pred lists must now point at cont instead of b.
 	if term := cont.Term(); term != nil {
 		for _, s := range term.Targets {
-			for i, p := range s.Preds {
-				if p == b {
-					s.Preds[i] = cont
-				}
+			if i := s.PredIndex(b); i >= 0 {
+				s.Preds[i] = cont
 			}
 		}
 	}

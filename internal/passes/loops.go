@@ -1,6 +1,6 @@
 // Loop optimisations over TWIR (paper §4.5 lists loop-invariant code
-// motion and strength reduction among the TWIR passes). Natural loops are
-// recovered from back edges on the dominator tree; each optimised loop gets
+// motion and strength reduction among the TWIR passes). Natural loops come
+// from the CFG's loop forest (Analyze); each optimised loop gets
 // a preheader block so hoisted code runs exactly once before entry.
 //
 // Exception discipline: compiled integer arithmetic is overflow-checked and
@@ -29,41 +29,30 @@ type Loop struct {
 	blocks []*wir.Block        // Body in block order, nil until asked for
 }
 
-// FindLoops recovers the natural loops of fn from its back edges. Loops
-// sharing a header are merged (standard natural-loop construction).
-func FindLoops(fn *wir.Function, dom *Dominators) []*Loop {
-	byHeader := map[*wir.Block]*Loop{}
-	var order []*wir.Block
-	for _, b := range fn.Blocks {
-		if !dom.Reachable(b) {
-			continue
-		}
-		for _, s := range b.Succs() {
-			if !dom.Dominates(s, b) {
+// FindLoops lists fn's natural loops from its CFG, in the order their first
+// back edge appears in fn.Blocks (LICM's result depends on it), and none when
+// the CFG is irreducible.
+func FindLoops(fn *wir.Function) []*Loop {
+	c := Analyze(fn)
+	if c.Irreducible[0] >= 0 {
+		return nil
+	}
+	var loops []*Loop
+	found := make([]bool, len(c.Blocks))
+	for u := range c.Blocks {
+		for _, h := range c.Succ[2*u : 2*u+2] {
+			if h < 0 || !c.Header[h] || found[h] || c.RPO[u] < 0 || !c.Dominates(h, u) {
 				continue
 			}
-			l := byHeader[s]
-			if l == nil {
-				l = &Loop{Header: s, Body: map[*wir.Block]bool{s: true}}
-				byHeader[s] = l
-				order = append(order, s)
-			}
-			// Walk predecessors backwards from the latch to the header.
-			stack := []*wir.Block{b}
-			for len(stack) > 0 {
-				n := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if l.Body[n] {
-					continue
+			found[h] = true
+			l := &Loop{Header: c.Blocks[h], Body: map[*wir.Block]bool{}}
+			for b, blk := range c.Blocks {
+				if c.InLoop(b, h) {
+					l.Body[blk] = true
 				}
-				l.Body[n] = true
-				stack = append(stack, n.Preds...)
 			}
+			loops = append(loops, l)
 		}
-	}
-	loops := make([]*Loop, 0, len(order))
-	for _, h := range order {
-		loops = append(loops, byHeader[h])
 	}
 	return loops
 }
@@ -141,41 +130,6 @@ func insertPreheader(f *wir.Function, l *Loop) *wir.Block {
 	}
 	renumber(f)
 	return pre
-}
-
-// hoistableNative reports whether a native is pure *and can never throw*,
-// making it safe to execute speculatively in a preheader. Checked integer
-// arithmetic (overflow), real-to-integer rounding and shifts (overflow),
-// part access (range), division/mod of integers (zero divide), and anything
-// effectful or engine-backed stay put.
-func hoistableNative(native string) bool {
-	switch native {
-	case "binary_divide", "divide_int_real",
-		"mixed_ri_plus", "mixed_ir_plus", "mixed_ri_times", "mixed_ir_times",
-		"mixed_ri_subtract", "mixed_ir_subtract", "mixed_ri_divide", "mixed_ir_divide",
-		"mixed_cr_plus", "mixed_rc_plus", "mixed_cr_times", "mixed_rc_times",
-		"mixed_cr_subtract", "mixed_rc_subtract",
-		"power_real", "power_real_int", "mod_real",
-		"cmp_less", "cmp_lessequal", "cmp_greater", "cmp_greaterequal",
-		"cmp_equal", "cmp_unequal",
-		"mixed_ri_cmp_less", "mixed_ri_cmp_lessequal", "mixed_ri_cmp_greater",
-		"mixed_ri_cmp_greaterequal", "mixed_ri_cmp_equal", "mixed_ri_cmp_unequal",
-		"mixed_ir_cmp_less", "mixed_ir_cmp_lessequal", "mixed_ir_cmp_greater",
-		"mixed_ir_cmp_greaterequal", "mixed_ir_cmp_equal", "mixed_ir_cmp_unequal",
-		"sameq_bool", "not", "and", "or", "min", "max",
-		"math_sin", "math_cos", "math_tan", "math_exp", "math_log",
-		"math_sqrt", "math_arctan", "math_arcsin", "math_arccos",
-		"math_sin_int", "math_cos_int", "math_tan_int", "math_exp_int", "math_log_int",
-		"math_sqrt_int", "math_arctan_int", "math_arcsin_int", "math_arccos_int",
-		"math_atan2", "identity_int", "to_real64", "evenq", "oddq",
-		"bitand", "bitor", "bitxor",
-		"abs_real", "abs_complex", "sign_int", "sign_real",
-		"make_complex", "re", "im", "cast", "tensor_length":
-		return true
-	}
-	// Real (unchecked) basic arithmetic never throws, but the integer
-	// overloads of the same natives do: hoistable decides those on the type.
-	return false
 }
 
 // hoistable reports whether in may be moved to the loop preheader.
@@ -475,7 +429,7 @@ func LoopOptimize(mod *wir.Module) bool {
 	changed := false
 	for _, f := range mod.Funcs {
 		for round := 0; round < 4; round++ {
-			loops := FindLoops(f, ComputeDominators(f))
+			loops := FindLoops(f)
 			hoisted := LICM(f, loops)
 			if !StrengthReduce(f, loops) && !hoisted {
 				break

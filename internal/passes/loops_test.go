@@ -16,7 +16,7 @@ func TestFindLoopsNested(t *testing.T) {
 				i = i + 1];
 			s]]`)
 	f := mod.Main()
-	loops := FindLoops(f, ComputeDominators(f))
+	loops := FindLoops(f)
 	if len(loops) != 2 {
 		t.Fatalf("want 2 natural loops, got %d", len(loops))
 	}
@@ -41,7 +41,7 @@ func isNative(in *wir.Instr, name string) bool {
 
 // inLoopBody counts instructions matching pred inside any natural loop.
 func inLoopBody(f *wir.Function, pred func(*wir.Instr) bool) int {
-	loops := FindLoops(f, ComputeDominators(f))
+	loops := FindLoops(f)
 	n := 0
 	for _, l := range loops {
 		for b := range l.Body {
@@ -69,7 +69,7 @@ func TestLICMHoistsInvariant(t *testing.T) {
 	if before != 1 {
 		t.Fatalf("setup: want 1 float multiply in the loop, got %d", before)
 	}
-	if !LICM(f, FindLoops(f, ComputeDominators(f))) {
+	if !LICM(f, FindLoops(f)) {
 		t.Fatal("LICM reported no change")
 	}
 	after := inLoopBody(f, func(in *wir.Instr) bool {
@@ -92,7 +92,7 @@ func TestLICMDoesNotHoistThrowing(t *testing.T) {
 			While[i <= n, s = s + n*n + Quotient[100, n]; i = i + 1];
 			s]]`)
 	f := mod.Main()
-	LICM(f, FindLoops(f, ComputeDominators(f)))
+	LICM(f, FindLoops(f))
 	if got := inLoopBody(f, func(in *wir.Instr) bool {
 		return isNative(in, "binary_times") || isNative(in, "quotient_int")
 	}); got < 2 {
@@ -112,7 +112,7 @@ func TestStrengthReduction(t *testing.T) {
 	if before != 1 {
 		t.Fatalf("setup: want 1 multiply in the loop, got %d", before)
 	}
-	if !StrengthReduce(f, FindLoops(f, ComputeDominators(f))) {
+	if !StrengthReduce(f, FindLoops(f)) {
 		t.Fatal("StrengthReduce reported no change")
 	}
 	DCE(f)
@@ -142,7 +142,7 @@ func TestPassOrderingDCEAfterLICM(t *testing.T) {
 	if countMul() != 1 {
 		t.Fatalf("setup: want the dead invariant multiply present, got %d", countMul())
 	}
-	if err := Run(mod, types.Builtin(), DefaultOptions()); err != nil {
+	if err := RunPipeline(mod, &Context{Env: types.Builtin(), Opts: DefaultOptions()}); err != nil {
 		t.Fatalf("passes: %v", err)
 	}
 	// d is never read: the multiply must be gone from the whole function —

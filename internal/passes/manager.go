@@ -2,9 +2,7 @@ package passes
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"wolfc/internal/diag"
@@ -222,132 +220,75 @@ func perFunc(fn func(*wir.Function) bool) func(*wir.Module, *Context) (bool, err
 	}
 }
 
-// The pass registry: every standard pass is registered by name so tools
-// (wolfc -explain) and tests can enumerate and look them up.
+// The standard passes. DefaultPipeline lists them directly; their names are
+// what -time-passes, -verify-each and wolfc -explain print.
 var (
-	registryMu sync.RWMutex
-	registry   = map[string]Pass{}
+	resolveIndirectPass = Pass{"resolve-indirect", func(mod *wir.Module, _ *Context) (bool, error) {
+		ResolveIndirectCalls(mod)
+		return false, nil
+	}}
+	inlinePass = Pass{"inline", func(mod *wir.Module, ctx *Context) (bool, error) {
+		return Inline(mod, ctx.Opts.InlinePolicy), nil
+	}}
+	foldConstantsPass     = Pass{"fold-constants", perFunc(FoldConstants)}
+	simplifyBranchesPass  = Pass{"simplify-branches", perFunc(SimplifyBranches)}
+	removeUnreachablePass = Pass{"remove-unreachable", func(mod *wir.Module, _ *Context) (bool, error) {
+		RemoveUnreachable(mod)
+		// Reports unchanged by design: unreachable-block removal alone
+		// must not keep the O1 fixpoint spinning (mirrors the original
+		// hand-rolled loop, which ignored it too).
+		return false, nil
+	}}
+	fuseBlocksPass = Pass{"fuse-blocks", func(mod *wir.Module, _ *Context) (bool, error) {
+		return FuseBlocks(mod), nil
+	}}
+	csePass         = Pass{"cse", perFunc(CSE)}
+	dcePass         = Pass{"dce", perFunc(DCE)}
+	flattenCondPass = Pass{"flatten-cond", perFunc(func(f *wir.Function) bool {
+		flattened := false
+		for FlattenCond(f) {
+			flattened = true
+		}
+		return flattened
+	})}
+	loopOptimizePass = Pass{"loop-optimize", func(mod *wir.Module, _ *Context) (bool, error) {
+		return LoopOptimize(mod), nil
+	}}
+	insertCopiesPass = Pass{"insert-copies", func(mod *wir.Module, ctx *Context) (bool, error) {
+		InsertCopies(mod, ctx.Opts)
+		return true, nil
+	}}
+	insertAbortChecksPass = Pass{"insert-abort-checks", func(mod *wir.Module, _ *Context) (bool, error) {
+		InsertAbortChecks(mod)
+		return true, nil
+	}}
 )
 
-// RegisterPass adds a pass to the registry; later registrations under the
-// same name replace earlier ones.
-func RegisterPass(p Pass) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry[p.Name] = p
-}
-
-// LookupPass retrieves a registered pass by name.
-func LookupPass(name string) (Pass, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	p, ok := registry[name]
-	return p, ok
-}
-
-// PassNames returns the sorted names of all registered passes.
-func PassNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	for _, p := range []Pass{
-		{"resolve-indirect", func(mod *wir.Module, _ *Context) (bool, error) {
-			ResolveIndirectCalls(mod)
-			return false, nil
-		}},
-		{"inline", func(mod *wir.Module, ctx *Context) (bool, error) {
-			return Inline(mod, ctx.Opts.InlinePolicy), nil
-		}},
-		{"fold-constants", perFunc(FoldConstants)},
-		{"simplify-branches", perFunc(SimplifyBranches)},
-		{"remove-unreachable", func(mod *wir.Module, _ *Context) (bool, error) {
-			RemoveUnreachable(mod)
-			// Reports unchanged by design: unreachable-block removal alone
-			// must not keep the O1 fixpoint spinning (mirrors the original
-			// hand-rolled loop, which ignored it too).
-			return false, nil
-		}},
-		{"fuse-blocks", func(mod *wir.Module, _ *Context) (bool, error) {
-			return FuseBlocks(mod), nil
-		}},
-		{"cse", perFunc(CSE)},
-		{"dce", perFunc(DCE)},
-		{"flatten-cond", perFunc(func(f *wir.Function) bool {
-			flattened := false
-			for FlattenCond(f) {
-				flattened = true
-			}
-			return flattened
-		})},
-		{"loop-optimize", func(mod *wir.Module, _ *Context) (bool, error) {
-			return LoopOptimize(mod), nil
-		}},
-		{"insert-copies", func(mod *wir.Module, ctx *Context) (bool, error) {
-			InsertCopies(mod, ctx.Opts)
-			return true, nil
-		}},
-		{"insert-abort-checks", func(mod *wir.Module, _ *Context) (bool, error) {
-			InsertAbortChecks(mod)
-			return true, nil
-		}},
-	} {
-		RegisterPass(p)
-	}
-}
-
-// mustPass fetches a registered pass; the standard pipeline is built only
-// from registered passes so tools see exactly what will run.
-func mustPass(name string) Pass {
-	p, ok := LookupPass(name)
-	if !ok {
-		panic("passes: unregistered pass " + name)
-	}
-	return p
-}
-
-// DefaultPipeline assembles the standard pipeline for the given options,
-// preserving the staging of the original hand-rolled Run: function
-// resolution, inlining, the O1 local-optimisation fixpoint, the O2 loop
+// DefaultPipeline assembles the standard pipeline for the given options:
+// function resolution, inlining, the O1 local-optimisation fixpoint, the O2 loop
 // pipeline with its cleanup, then the mandatory lowering passes (copies,
 // abort checks). Reference counts are the C backend's lowering
 // (InsertRefCounts): only the C runtime frees a value when its count falls
 // to zero.
 func DefaultPipeline(opts Options) *Pipeline {
-	pl := &Pipeline{}
-	pl.Add(mustPass("resolve-indirect"))
+	pl := (&Pipeline{}).Add(resolveIndirectPass)
 	if opts.InlinePolicy != "none" {
-		pl.Add(mustPass("inline"))
+		pl.Add(inlinePass)
 	}
 	if opts.OptimizationLevel > 0 {
 		pl.AddFixpoint("local-opt", 3,
-			mustPass("fold-constants"),
-			mustPass("simplify-branches"),
-			mustPass("remove-unreachable"),
-			mustPass("fuse-blocks"),
-			mustPass("cse"),
-			mustPass("dce"),
-		)
+			foldConstantsPass, simplifyBranchesPass, removeUnreachablePass,
+			fuseBlocksPass, csePass, dcePass)
 	}
 	if opts.OptimizationLevel > 1 {
 		// Hoisting, strength reduction, and if-conversion leave dead
 		// residue and single-edge preheader seams; the trailing fuse+DCE
 		// cleans them up before codegen sees the module.
-		pl.Add(mustPass("flatten-cond"))
-		pl.Add(mustPass("loop-optimize"))
-		pl.Add(mustPass("fuse-blocks"))
-		pl.Add(mustPass("dce"))
+		pl.Add(flattenCondPass, loopOptimizePass, fuseBlocksPass, dcePass)
 	}
-	pl.Add(mustPass("insert-copies"))
+	pl.Add(insertCopiesPass)
 	if opts.AbortHandling {
-		pl.Add(mustPass("insert-abort-checks"))
+		pl.Add(insertAbortChecksPass)
 	}
 	return pl
 }

@@ -411,11 +411,11 @@ func insertRefCounts(f *wir.Function, env *types.Env) {
 
 		succs := uniqueSuccs(b)
 		for _, s := range succs {
-			pi := predIndex(s, b)
+			pi := s.PredIndex(b)
 			var ops []*wir.Instr
 			moved := map[wir.Value]bool{}
 			for _, phi := range s.Phis {
-				if !managed(phi) || pi >= len(phi.Args) {
+				if !managed(phi) || pi < 0 || pi >= len(phi.Args) {
 					continue
 				}
 				a := phi.Args[pi]
@@ -470,7 +470,7 @@ func insertRefCounts(f *wir.Function, env *types.Env) {
 				sp.from.Term().Targets[ti] = e
 			}
 		}
-		sp.to.Preds[predIndex(sp.to, sp.from)] = e
+		sp.to.Preds[sp.to.PredIndex(sp.from)] = e
 		f.Blocks = append(f.Blocks, e)
 	}
 	renumber(f)
@@ -491,15 +491,6 @@ func uniqueSuccs(b *wir.Block) []*wir.Block {
 		return s[:1]
 	}
 	return s
-}
-
-func predIndex(b, pred *wir.Block) int {
-	for i, p := range b.Preds {
-		if p == pred {
-			return i
-		}
-	}
-	return len(b.Preds)
 }
 
 // sortedValues orders a live set deterministically (parameters by index,
@@ -619,9 +610,9 @@ func verifyRefCounts(f *wir.Function, env *types.Env) error {
 			for v, n := range h {
 				hs[v] = n
 			}
-			pi := predIndex(s, b)
+			pi := s.PredIndex(b)
 			for _, phi := range s.Phis {
-				if !managed(phi) || pi >= len(phi.Args) {
+				if !managed(phi) || pi < 0 || pi >= len(phi.Args) {
 					continue
 				}
 				if err := drop(hs, phi.Args[pi], "phi operand", phi); err != nil {

@@ -52,32 +52,31 @@ func TestDominators(t *testing.T) {
 	mod := buildTWIR(t, `Function[{Typed[n, "MachineInteger"]},
 		Module[{s = 0, i = 1}, While[i <= n, s = s + i; i = i + 1]; s]]`)
 	f := mod.Main()
-	dom := ComputeDominators(f)
-	entry := f.Entry()
-	for _, b := range f.Blocks {
-		if !dom.Reachable(b) {
+	c := Analyze(f)
+	for i, b := range f.Blocks {
+		if c.RPO[i] < 0 {
 			t.Fatalf("block %s unreachable", b.Label)
 		}
-		if !dom.Dominates(entry, b) {
+		if !c.Dominates(0, i) {
 			t.Fatalf("entry must dominate %s", b.Label)
 		}
 	}
 	// The loop header dominates the body and the exit.
-	var head, body, exit *wir.Block
-	for _, b := range f.Blocks {
+	head, body, exit := -1, -1, -1
+	for i, b := range f.Blocks {
 		switch b.Label {
 		case "while_head":
-			head = b
+			head = i
 		case "while_body":
-			body = b
+			body = i
 		case "while_exit":
-			exit = b
+			exit = i
 		}
 	}
-	if head == nil || !dom.Dominates(head, body) || !dom.Dominates(head, exit) {
+	if head < 0 || !c.Dominates(head, body) || !c.Dominates(head, exit) {
 		t.Fatal("loop header must dominate body and exit")
 	}
-	if dom.Dominates(body, head) {
+	if c.Dominates(body, head) {
 		t.Fatal("body must not dominate the header")
 	}
 }
@@ -91,9 +90,14 @@ func TestLoopHeaders(t *testing.T) {
 				i = i + 1];
 			s]]`)
 	f := mod.Main()
-	heads := LoopHeaders(f, ComputeDominators(f))
-	if len(heads) != 2 {
-		t.Fatalf("want 2 loop headers (nested loops), got %d", len(heads))
+	heads := 0
+	for _, h := range Analyze(f).Header {
+		if h {
+			heads++
+		}
+	}
+	if loops := FindLoops(f); heads != 2 || len(loops) != 2 {
+		t.Fatalf("want 2 loop headers and loops (nested loops), got %d and %d", heads, len(loops))
 	}
 }
 
@@ -138,13 +142,27 @@ func TestDCE(t *testing.T) {
 	}
 }
 
+// TestDCEKeepsEffects holds an unused effectful call in place, under DCE
+// alone and under the whole O2 pipeline: a Part store, and a pattern miss,
+// which throws to the interpreter on purpose.
 func TestDCEKeepsEffects(t *testing.T) {
-	mod := buildTWIR(t, `Function[{Typed[v, "Tensor"["Real64", 1]]},
-		Module[{w = v}, w[[1]] = 2.; 0]]`)
-	f := mod.Main()
-	DCE(f)
-	if countInstrs(f, func(in *wir.Instr) bool { return in.Callee == "Native`SetPart" }) != 1 {
-		t.Fatal("mutating SetPart must not be eliminated")
+	for _, row := range []struct{ src, callee string }{
+		{`Function[{Typed[v, "Tensor"["Real64", 1]]}, Module[{w = v}, w[[1]] = 2.; 0]]`, "Native`SetPart"},
+		{"Function[{Typed[x, \"Integer64\"]}, Compile`PatternMiss[x]; x + 1]", "Compile`PatternMiss"},
+	} {
+		is := func(in *wir.Instr) bool { return in.Callee == row.callee }
+		mod := buildTWIR(t, row.src)
+		DCE(mod.Main())
+		if n := countInstrs(mod.Main(), is); n != 1 {
+			t.Errorf("%s: %d %s calls after DCE, want 1", row.src, n, row.callee)
+		}
+		mod = buildTWIR(t, row.src)
+		if err := RunPipeline(mod, &Context{Env: types.Builtin(), Opts: DefaultOptions()}); err != nil {
+			t.Fatal(err)
+		}
+		if n := countInstrs(mod.Main(), is); n != 1 {
+			t.Errorf("%s: %d %s calls after the O2 pipeline, want 1:\n%s", row.src, n, row.callee, mod.Main())
+		}
 	}
 }
 
@@ -377,13 +395,12 @@ func TestRefCountsBalanceOnEveryPath(t *testing.T) {
 // on the back edge.
 func TestRefCountsStayOutOfMutationLoops(t *testing.T) {
 	mod := buildTWIR(t, refCountSrcs[1])
-	if err := Run(mod, types.Builtin(), DefaultOptions()); err != nil {
+	if err := RunPipeline(mod, &Context{Env: types.Builtin(), Opts: DefaultOptions()}); err != nil {
 		t.Fatal(err)
 	}
 	InsertRefCounts(mod, types.Builtin())
 	f := mod.Main()
-	dom := ComputeDominators(f)
-	loops := FindLoops(f, dom)
+	loops := FindLoops(f)
 	if len(loops) == 0 {
 		t.Fatalf("no loop:\n%s", f.String())
 	}
@@ -405,7 +422,7 @@ func TestVerifyRefCountsCatchesImbalance(t *testing.T) {
 	tenv := types.Builtin()
 	build := func() *wir.Module {
 		mod := buildTWIR(t, refCountSrcs[1])
-		if err := Run(mod, tenv, DefaultOptions()); err != nil {
+		if err := RunPipeline(mod, &Context{Env: tenv, Opts: DefaultOptions()}); err != nil {
 			t.Fatal(err)
 		}
 		InsertRefCounts(mod, tenv)
@@ -484,7 +501,7 @@ func TestFullPipelineLint(t *testing.T) {
 	}
 	for _, src := range srcs {
 		mod := buildTWIR(t, src)
-		if err := Run(mod, types.Builtin(), DefaultOptions()); err != nil {
+		if err := RunPipeline(mod, &Context{Env: types.Builtin(), Opts: DefaultOptions()}); err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
 	}

@@ -225,6 +225,12 @@ func (b *Block) Succs() []*Block {
 	return t.Targets
 }
 
+// PredIndex returns p's position in b's predecessor list, -1 when p is not a
+// predecessor.
+func (b *Block) PredIndex(p *Block) int {
+	return slices.Index(b.Preds, p)
+}
+
 // Function is a function module: a DAG of basic blocks.
 type Function struct {
 	Name   string
