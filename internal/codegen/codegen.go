@@ -425,8 +425,6 @@ type gen struct {
 	profile bool
 	// uses counts the operand references to each value; see useCount.
 	uses map[wir.Value]int
-	// dead marks the phis no code reads (deadPhis): no edge moves into them.
-	dead map[*wir.Instr]bool
 	// cfg is the control-flow analysis behind the region tree.
 	cfg *passes.CFG
 }
@@ -451,54 +449,6 @@ func (g *gen) useCount(v wir.Value) int {
 		}
 	}
 	return g.uses[v]
-}
-
-// deadPhis returns, when one of f's phis takes a Null, the phis that nothing
-// reads but other such phis: the unused value of an If with no else arm,
-// which inference types like its other arm and O1 deletes. Neither backend
-// moves a value into them, so that Null, which has no value of the phi's
-// type, is never materialised. A Null that is read still fails to compile.
-func deadPhis(f *wir.Function) map[*wir.Instr]bool {
-	null := false
-	f.Each(func(in *wir.Instr) {
-		for _, a := range in.Args {
-			if c, ok := a.(*wir.Const); ok && in.Op == wir.OpPhi && expr.SameQ(c.Expr, expr.SymNull) {
-				null = true
-			}
-		}
-	})
-	if !null {
-		return nil
-	}
-	uses := map[*wir.Instr]int{}
-	f.Each(func(in *wir.Instr) {
-		for _, a := range in.Args {
-			if p, ok := a.(*wir.Instr); ok && p.Op == wir.OpPhi {
-				uses[p]++
-			}
-		}
-	})
-	dead := map[*wir.Instr]bool{}
-	var work []*wir.Instr
-	f.Each(func(in *wir.Instr) {
-		if in.Op == wir.OpPhi && uses[in] == 0 {
-			dead[in] = true
-			work = append(work, in)
-		}
-	})
-	for len(work) > 0 {
-		phi := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, a := range phi.Args {
-			if p, ok := a.(*wir.Instr); ok && p.Op == wir.OpPhi && !dead[p] {
-				if uses[p]--; uses[p] == 0 {
-					dead[p] = true
-					work = append(work, p)
-				}
-			}
-		}
-	}
-	return dead
 }
 
 // alloc assigns a register in v's class.
@@ -697,7 +647,6 @@ func (g *gen) prepare() error {
 		g.cf.retReg = g.alloc(g.cf.retKind)
 		g.cf.hasRet = true
 	}
-	g.dead = deadPhis(g.fn)
 	if err := g.coalesceObjects(); err != nil {
 		return err
 	}
@@ -784,8 +733,9 @@ func (g *gen) testOf(in *wir.Instr) (test, error) {
 	return test{reg: r.idx}, err
 }
 
-// phiMoveSteps builds the parallel copy for the edge from→to, sequentialised
-// with temporary registers to break cycles.
+// phiMoveSteps builds the parallel copy for the edge from→to in the order
+// wir.SequenceCopies gives, saving a copy in a temporary register where a
+// cycle needs one.
 func (g *gen) phiMoveSteps(from, to *wir.Block) ([]step, error) {
 	if len(to.Phis) == 0 {
 		return nil, nil
@@ -796,19 +746,15 @@ func (g *gen) phiMoveSteps(from, to *wir.Block) ([]step, error) {
 	}
 	// A move is either a plain register copy or (with full fusion) a
 	// prebuilt evaluation of a fused expression tree straight into the phi
-	// register; srcs lists every register the move reads so the
-	// sequentialiser can order around it.
+	// register; its copy lists every register the move reads.
 	type move struct {
 		dst, src reg
 		ev       step
-		ain      *wir.Instr // fused tree behind ev, for cycle re-rooting
-		srcs     []reg
+		ain      *wir.Instr // fused tree behind ev, evaluated again when saved
 	}
-	var moves []move
+	moves := make([]move, 0, len(to.Phis))
+	copies := make([]wir.Copy[reg], 0, len(to.Phis))
 	for _, phi := range to.Phis {
-		if g.dead[phi] {
-			continue
-		}
 		if predIdx >= len(phi.Args) {
 			return nil, fmt.Errorf("codegen %s: phi arity mismatch in %s", g.fn.Name, to.Label)
 		}
@@ -826,7 +772,8 @@ func (g *gen) phiMoveSteps(from, to *wir.Block) ([]step, error) {
 			if err := g.evalLeafRegs(ain, &leaves); err != nil {
 				return nil, err
 			}
-			moves = append(moves, move{dst: dst, ev: st, ain: ain, srcs: leaves})
+			moves = append(moves, move{dst: dst, ev: st, ain: ain})
+			copies = append(copies, wir.Copy[reg]{Dst: dst, Reads: leaves, Tree: true})
 			continue
 		}
 		src, err := g.regOf(arg)
@@ -834,81 +781,32 @@ func (g *gen) phiMoveSteps(from, to *wir.Block) ([]step, error) {
 			return nil, err
 		}
 		if dst != src {
-			moves = append(moves, move{dst: dst, src: src, srcs: []reg{src}})
+			moves = append(moves, move{dst: dst, src: src})
+			copies = append(copies, wir.Copy[reg]{Dst: dst, Reads: []reg{src}})
 		}
 	}
-	if len(moves) == 0 {
-		return nil, nil
-	}
-	// Sequentialise: emit moves whose destination is not a pending source;
-	// break cycles through temporary registers. The emission rule
-	// guarantees that whenever we stall, every pending move's sources
-	// still hold their pre-edge values — so a cycle member may be routed
-	// through a temporary (plain copy) or evaluated into one right now
-	// (fused tree) without changing what the remaining moves read.
 	var steps []step
-	pending := moves
-	for len(pending) > 0 {
-		emitted := false
-		for i, m := range pending {
-			conflict := false
-			for j, other := range pending {
-				if j == i {
-					continue
-				}
-				for _, s := range other.srcs {
-					if s == m.dst {
-						conflict = true
-						break
-					}
-				}
-				if conflict {
-					break
-				}
-			}
-			if !conflict {
-				if m.ev != nil {
-					steps = append(steps, m.ev)
-				} else {
-					steps = append(steps, g.moveStep(m.dst, m.src))
-				}
-				pending = append(pending[:i], pending[i+1:]...)
-				emitted = true
-				break
-			}
-		}
-		if emitted {
-			continue
-		}
-		// Cycle: prefer routing a plain move through a fresh temporary (one
-		// extra copy); failing that, evaluate a fused tree into a temporary
-		// now — its leaves are untouched at this point — and demote it to a
-		// plain copy out of the temporary. Each break gets its own register
-		// so overlapping breaks in a tangled move graph can never clobber
-		// one another's saved value.
-		mi := -1
-		for i, m := range pending {
-			if m.ev == nil {
-				mi = i
-				break
-			}
-		}
-		if mi >= 0 {
-			m := pending[mi]
+	for _, s := range wir.SequenceCopies(copies) {
+		m := &moves[s.Copy]
+		switch {
+		case !s.Save && m.ev != nil:
+			steps = append(steps, m.ev)
+		case !s.Save:
+			steps = append(steps, g.moveStep(m.dst, m.src))
+		case m.ev == nil:
 			sc := g.alloc(m.src.kind)
 			steps = append(steps, g.moveStep(sc, m.src))
-			pending[mi].src = sc
-			pending[mi].srcs = []reg{sc}
-			continue
+			m.src = sc
+		default:
+			// The tree's leaves still hold their values from before the edge.
+			sc := g.alloc(m.dst.kind)
+			ev, err := g.assignTo(sc, m.ain)
+			if err != nil {
+				return nil, err
+			}
+			steps = append(steps, ev)
+			m.src, m.ev = sc, nil
 		}
-		m := pending[0]
-		sc := g.alloc(m.dst.kind)
-		ev, err := g.assignTo(sc, m.ain)
-		if err != nil {
-			return nil, err
-		}
-		steps = append(steps, ev)
-		pending[0] = move{dst: m.dst, src: sc, srcs: []reg{sc}}
 	}
 	return steps, nil
 }

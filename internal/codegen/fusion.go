@@ -198,9 +198,9 @@ func (g *gen) markFused() error {
 	}
 	// Phase 2: trees whose single use is a phi argument on an edge leaving
 	// the defining block fuse into the edge's parallel move. The move
-	// sequencer orders moves by their read sets, and phiMoveSteps breaks
-	// any residual eval cycle through a temporary register, so a tree may
-	// freely read registers that other moves on the same edge overwrite. It
+	// sequencer (wir.SequenceCopies) orders moves by their read sets and
+	// saves a tree in a temporary register when a cycle needs one, so a tree
+	// may freely read registers that other moves on the same edge overwrite. It
 	// reorders the trees, too, so one with a call in it fuses only as the
 	// block's last instruction: every other tree on the edge would have to
 	// be deferred past its call.
@@ -229,10 +229,7 @@ func (g *gen) markFused() error {
 				continue
 			}
 			phi, _ := g.findPhiUse(b, in)
-			if phi == nil || g.dead[phi] {
-				continue // no move into a dead phi runs; in must run on its own
-			}
-			if !g.deferrable(b.Instrs, idx, n-1, false) || g.bearsCall(in) && idx != n-2 {
+			if phi == nil || !g.deferrable(b.Instrs, idx, n-1, false) || g.bearsCall(in) && idx != n-2 {
 				continue
 			}
 			g.fused[in], g.into[in] = true, phi

@@ -149,8 +149,8 @@ func TestCrossBackendPartEdges(t *testing.T) {
 }
 
 // An If with no else arm whose value is unused: the value is a phi joining
-// Null with a Real64, which O1 deletes and O0 keeps. Neither backend reads it,
-// so at every level both compile the program and compute the same answer.
+// Null with a Real64, which lowering deletes, so at every level both
+// backends compile the program and compute the same answer.
 func TestCrossBackendUnusedIfValue(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles C programs")

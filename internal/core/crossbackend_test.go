@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"wolfc/internal/expr"
 	"wolfc/internal/parser"
@@ -28,7 +29,11 @@ func genIntStateProgram(rng *rand.Rand) string {
 	nStmts := 3 + rng.Intn(5)
 	for i := 0; i < nStmts; i++ {
 		k1, k2 := rng.Intn(97)+2, rng.Intn(997)+1
-		switch rng.Intn(10) {
+		switch rng.Intn(11) {
+		case 10:
+			// A rotation: the back edge copies a←b, b←c and c←Mod[a + b, …],
+			// which reads two of the registers the edge overwrites.
+			stmts = append(stmts, fmt.Sprintf("t = Mod[a + b, %d]; a = b; b = c; c = t", m))
 		case 8:
 			stmts = append(stmts, fmt.Sprintf("b = Mod[b + Abs[c - a], %d]", m))
 		case 9:
@@ -52,10 +57,73 @@ func genIntStateProgram(rng *rand.Rand) string {
 		}
 	}
 	return fmt.Sprintf(`Function[{Typed[n, "MachineInteger"]},
-		Module[{a = 1, b = 2, c = 3, i = 1},
+		Module[{a = 1, b = 2, c = 3, t = 0, i = 1},
 			While[i <= n, %s; i++];
 			a*1000000000000 + b*1000000 + c]]`,
 		strings.Join(stmts, "; "))
+}
+
+// rotationLoop's back edge copies a←b, b←c and c←Mod[a + b, …]: a cycle of
+// parallel copies in which saving one copy frees none of the others.
+const rotationLoop = `Function[{Typed[n, "MachineInteger"]},
+	Module[{a = 1, b = 2, c = 3, t = 0, i = 0},
+		While[i < n, t = Mod[a + b, 100003]; a = b; b = c; c = t; i++];
+		a*10000000000 + b*100000 + c]]`
+
+// TestRotationLoopAtEveryLevel compiles rotationLoop at O0, O1 and O2 and
+// holds both backends to the interpreter.
+func TestRotationLoopAtEveryLevel(t *testing.T) {
+	fn := parser.MustParse(rotationLoop)
+	args := []int64{0, 1, 5, 40}
+	want := make([]string, len(args))
+	var main strings.Builder
+	main.WriteString("int main(void) {\n")
+	for i, n := range args {
+		out, err := newCompiler().Kernel.Run(expr.New(fn, expr.FromInt64(n)))
+		if err != nil {
+			t.Fatalf("interpreter %d: %v", n, err)
+		}
+		want[i] = expr.InputForm(out)
+		fmt.Fprintf(&main, "\tprintf(\"%%lld\\n\", (long long)Main(INT64_C(%d)));\n", n)
+	}
+	main.WriteString("\treturn 0;\n}\n")
+	_, ccErr := exec.LookPath("cc")
+	for level := 0; level <= 2; level++ {
+		c := newCompiler()
+		c.Options.OptimizationLevel = level
+		type result struct {
+			ccf *CompiledCodeFunction
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			ccf, err := c.FunctionCompile(fn)
+			done <- result{ccf, err}
+		}()
+		var r result
+		select {
+		case r = <-done:
+		case <-time.After(10 * time.Second):
+			// A sequencer that never ends also never stops allocating: end
+			// the test binary rather than run the package's other tests
+			// beside it.
+			panic(fmt.Sprintf("O%d: compiling the rotation loop took over 10 s", level))
+		}
+		if r.err != nil {
+			t.Fatalf("O%d: %v", level, r.err)
+		}
+		for i, n := range args {
+			if got := fmt.Sprint(r.ccf.CallRaw(n)); got != want[i] {
+				t.Errorf("O%d: closure backend (%d) = %s, interpreter %s", level, n, got, want[i])
+			}
+		}
+		if testing.Short() || ccErr != nil {
+			continue
+		}
+		if got := runCBackend(t, r.ccf, main.String()); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("O%d: C backend %v, interpreter %v", level, got, want)
+		}
+	}
 }
 
 // runCBackend compiles the exported standalone C for ccf with the system C

@@ -40,6 +40,10 @@ func TestStencilDifferential(t *testing.T) {
 			[][]string{{"3", "1.5"}}},
 		{`Function[{Typed[n, "MachineInteger"]}, If[n > 3, n*2, n - 1]]`,
 			[][]string{{"7"}, {"2"}}},
+		// The unused value of an If with no else arm joins a Null: the rung
+		// runs no passes, so only lowering's dead-phi rule deletes it.
+		{`Function[{Typed[n, "MachineInteger"]}, Module[{s = 0}, If[n > 3, s = n*2]; s + n]]`,
+			[][]string{{"7"}, {"2"}}},
 		{`Function[{Typed[n, "MachineInteger"]}, n >= 4 && EvenQ[n]]`,
 			[][]string{{"6"}, {"3"}, {"5"}}},
 		{`Function[{Typed[x, "Real64"]}, Sin[x] + Cos[x]*Sqrt[x] + Exp[x]/Log[x + 2.0]]`,

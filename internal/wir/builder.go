@@ -133,6 +133,37 @@ func RemoveTrivialPhis(f *Function) {
 	sub.Apply(f)
 }
 
+// RemoveDeadPhis deletes every phi that nothing reads but other such phis:
+// the unused value of an If with no else arm, which joins a Null that has no
+// value of the phi's type, or a variable a loop assigns and never reads. A
+// phi is live when an instruction reads it or a live phi does. Lower runs it,
+// so no backend at any level moves a value into a phi nothing reads.
+func RemoveDeadPhis(f *Function) {
+	live := make([]bool, f.nextID+1)
+	var work []*Instr
+	mark := func(in *Instr) {
+		for _, a := range in.Args {
+			if p, ok := a.(*Instr); ok && p.Op == OpPhi && !live[p.IDNum] {
+				live[p.IDNum] = true
+				work = append(work, p)
+			}
+		}
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			mark(in)
+		}
+	}
+	for len(work) > 0 {
+		p := work[len(work)-1]
+		work = work[:len(work)-1]
+		mark(p)
+	}
+	for _, b := range f.Blocks {
+		b.Phis = slices.DeleteFunc(b.Phis, func(p *Instr) bool { return !live[p.IDNum] })
+	}
+}
+
 // trivialPhiValue returns the unique non-self operand if the phi is
 // trivial, else nil.
 func trivialPhiValue(phi *Instr) Value {

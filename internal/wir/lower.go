@@ -31,6 +31,7 @@ func Lower(res *binding.Result, env *types.Env) (*Module, error) {
 	}
 	for _, f := range mod.Funcs {
 		RemoveTrivialPhis(f)
+		RemoveDeadPhis(f)
 	}
 	if err := mod.Lint(); err != nil {
 		return nil, fmt.Errorf("internal: lowering produced invalid SSA: %w", err)

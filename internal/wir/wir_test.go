@@ -68,6 +68,30 @@ func TestLowerIfProducesPhi(t *testing.T) {
 	}
 }
 
+// TestLowerDeletesDeadPhis: lowering keeps only the phis something reads, so
+// no backend moves a value into one. The unused value of an If with no else
+// arm would join a Null, and a variable a loop assigns and never reads makes
+// a cycle of phis that only read each other.
+func TestLowerDeletesDeadPhis(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		phis int
+	}{
+		{`Function[{Typed[n, "Integer64"]}, Module[{s = 0}, If[n > 3, s = n*2]; s + n]]`, 1},
+		{`Function[{Typed[n, "Integer64"]}, Module[{s = 0, i = 0}, While[i < n, If[i > 2, s = i]; i = i + 1]; n]]`, 1},
+		{`Function[{Typed[n, "Integer64"]}, Module[{s = 0, i = 0}, While[i < n, If[i > 2, s = i]; i = i + 1]; s]]`, 3},
+	} {
+		mod := lowerSrc(t, tc.src)
+		phis := 0
+		for _, b := range mod.Main().Blocks {
+			phis += len(b.Phis)
+		}
+		if phis != tc.phis {
+			t.Errorf("%s: %d phis, want %d:\n%s", tc.src, phis, tc.phis, mod)
+		}
+	}
+}
+
 func TestLowerWhileLoop(t *testing.T) {
 	mod := lowerSrc(t, `Function[{Typed[n, "Integer64"]},
 		Module[{s = 0, i = 1},
