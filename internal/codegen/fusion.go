@@ -316,9 +316,9 @@ func (g *gen) keepsOrder(c *wir.Instr) bool {
 }
 
 // barrierInstr reports whether a fused tree may NOT be deferred past in. An
-// instruction that compiles to nothing is none; a native is one when it has
-// an effect (passes.PureNative: a tensor store, an RNG draw, an engine
-// escape, a pattern miss).
+// instruction that compiles to nothing is none; a native is one when its
+// library row declares it Effectful (a tensor store, an RNG draw, an engine
+// escape, a pattern miss) or no row declares it at all.
 func barrierInstr(in *wir.Instr) bool {
 	switch in.Op {
 	case wir.OpPhi, wir.OpClosure:
@@ -339,7 +339,7 @@ func barrierInstr(in *wir.Instr) bool {
 		// An elementwise native that writes over its operand is as pure as
 		// the plain one: nothing else can see the operand it consumes.
 		native, _ := passes.CutInto(in.NativeName())
-		return !fusibleProducer(in) && !passes.PureNative(native)
+		return types.NativeEffect(native, in.Ty) == types.Effectful
 	}
 	// Indirect calls, abort checks, terminators.
 	return true
@@ -349,8 +349,8 @@ func barrierInstr(in *wir.Instr) bool {
 // compile: the catalogue of scalar natives. Everything it admits is built by
 // buildEvalI/F/B/C and by nothing else (selectNative has no arm for it, the
 // tensor loads apart), can become an interior node of a fused tree, and is
-// never a barrier; TestOneSpellingPerScalarNative walks the standard library
-// to hold the three together.
+// declared Pure or Throws, so never a barrier; TestOneSpellingPerScalarNative
+// walks the standard library to hold the three together.
 func fusibleProducer(in *wir.Instr) bool {
 	if in.Op != wir.OpCall || in.ResolvedFn != nil || in.Ty == nil || in.IsTerminator() {
 		return false

@@ -132,7 +132,8 @@ func insertPreheader(f *wir.Function, l *Loop) *wir.Block {
 	return pre
 }
 
-// hoistable reports whether in may be moved to the loop preheader.
+// hoistable reports whether in may be moved to the loop preheader: a native
+// declared Pure, which never throws, so running it speculatively is safe.
 func hoistable(in *wir.Instr) bool {
 	if in.Op != wir.OpCall || in.ResolvedFn != nil || in.IsTerminator() || in.Ty == nil {
 		return false
@@ -143,27 +144,15 @@ func hoistable(in *wir.Instr) bool {
 		}
 	}
 	n := in.NativeName()
-	if n == "" {
-		return false
-	}
-	switch n {
-	case "binary_plus", "binary_times", "binary_subtract", "unary_minus":
-		// Real and complex arithmetic is unchecked; integer throws on
-		// overflow and must not run speculatively.
-		if in.Ty == types.TReal64 || in.Ty == types.TComplex {
-			return true
-		}
-		return false
-	case "tensor_length":
-		// Length is immutable per tensor value, so loop-body stores cannot
-		// change it — but guard against the dead Null placeholder constant
-		// (a typed nil tensor) which would fault when executed.
+	// Length is immutable per tensor value, so loop-body stores cannot
+	// change it — but guard against the dead Null placeholder constant (a
+	// typed nil tensor) which would fault when executed.
+	if n == "tensor_length" {
 		if c, ok := in.Args[0].(*wir.Const); ok && expr.SameQ(c.Expr, expr.SymNull) {
 			return false
 		}
-		return true
 	}
-	return hoistableNative(n)
+	return types.NativeEffect(n, in.Ty) == types.Pure
 }
 
 // registerPreheader keeps sibling loop bodies consistent: a preheader of a

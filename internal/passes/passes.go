@@ -73,59 +73,6 @@ func ResolveIndirectCalls(mod *wir.Module) {
 	}
 }
 
-// What a native may do is said here, once. PureNative reports whether a
-// native primitive has no effect: DCE may delete it, CSE merge it, and the
-// closure backend defer a fused computation past it. Mutating, memory,
-// random, engine-calling and pattern-miss natives are effectful (a
-// pattern_miss throws on purpose). hoistableNative, below, is the stricter
-// list of natives that also never throw.
-func PureNative(native string) bool {
-	switch native {
-	case "", "setpart_1", "setpart_2", "setpart_unsafe_1", "setpart_unsafe_2",
-		"memory_acquire", "memory_release", "random_real01",
-		"random_real_range", "random_int_range", "kernel_call",
-		"expr_binary_plus", "expr_binary_times", "expr_binary_power",
-		"pattern_miss":
-		return false
-	}
-	return true
-}
-
-// hoistableNative reports whether a native is pure *and can never throw*,
-// making it safe to execute speculatively in a preheader. Checked integer
-// arithmetic (overflow), real-to-integer rounding and shifts (overflow),
-// part access (range), division/mod of integers (zero divide), and anything
-// effectful or engine-backed stay put.
-func hoistableNative(native string) bool {
-	switch native {
-	case "binary_divide", "divide_int_real",
-		"mixed_ri_plus", "mixed_ir_plus", "mixed_ri_times", "mixed_ir_times",
-		"mixed_ri_subtract", "mixed_ir_subtract", "mixed_ri_divide", "mixed_ir_divide",
-		"mixed_cr_plus", "mixed_rc_plus", "mixed_cr_times", "mixed_rc_times",
-		"mixed_cr_subtract", "mixed_rc_subtract",
-		"power_real", "power_real_int", "mod_real",
-		"cmp_less", "cmp_lessequal", "cmp_greater", "cmp_greaterequal",
-		"cmp_equal", "cmp_unequal",
-		"mixed_ri_cmp_less", "mixed_ri_cmp_lessequal", "mixed_ri_cmp_greater",
-		"mixed_ri_cmp_greaterequal", "mixed_ri_cmp_equal", "mixed_ri_cmp_unequal",
-		"mixed_ir_cmp_less", "mixed_ir_cmp_lessequal", "mixed_ir_cmp_greater",
-		"mixed_ir_cmp_greaterequal", "mixed_ir_cmp_equal", "mixed_ir_cmp_unequal",
-		"sameq_bool", "not", "and", "or", "min", "max",
-		"math_sin", "math_cos", "math_tan", "math_exp", "math_log",
-		"math_sqrt", "math_arctan", "math_arcsin", "math_arccos",
-		"math_sin_int", "math_cos_int", "math_tan_int", "math_exp_int", "math_log_int",
-		"math_sqrt_int", "math_arctan_int", "math_arcsin_int", "math_arccos_int",
-		"math_atan2", "identity_int", "to_real64", "evenq", "oddq",
-		"bitand", "bitor", "bitxor",
-		"abs_real", "abs_complex", "sign_int", "sign_real",
-		"make_complex", "re", "im", "cast", "tensor_length":
-		return true
-	}
-	// Real (unchecked) basic arithmetic never throws, but the integer
-	// overloads of the same natives do: hoistable decides those on the type.
-	return false
-}
-
 // instrPure reports whether the instruction can be removed when unused.
 func instrPure(in *wir.Instr) bool {
 	switch in.Op {
@@ -135,7 +82,7 @@ func instrPure(in *wir.Instr) bool {
 		}
 		if d, ok := in.Prop("overload"); ok {
 			def := d.(*types.FuncDef)
-			return def.Impl == nil && PureNative(def.Native)
+			return def.Impl == nil && types.NativeEffect(def.Native, in.Ty) != types.Effectful
 		}
 		return in.Callee == "Native`List"
 	case wir.OpClosure, wir.OpPhi:
@@ -217,7 +164,7 @@ func FoldConstants(f *wir.Function) bool {
 				continue
 			}
 			def := d.(*types.FuncDef)
-			if def.Impl != nil || !PureNative(def.Native) {
+			if def.Impl != nil || types.NativeEffect(def.Native, in.Ty) == types.Effectful {
 				continue
 			}
 			sub.Args(in)

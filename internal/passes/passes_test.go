@@ -143,12 +143,19 @@ func TestDCE(t *testing.T) {
 }
 
 // TestDCEKeepsEffects holds an unused effectful call in place, under DCE
-// alone and under the whole O2 pipeline: a Part store, and a pattern miss,
-// which throws to the interpreter on purpose.
+// alone and under the whole O2 pipeline, one row per effectful family: Part
+// stores, a pattern miss (which throws to the interpreter on purpose), RNG
+// draws, a kernel call and symbolic arithmetic. Each row fails when its
+// native's library row is declared Throws instead of Effectful.
 func TestDCEKeepsEffects(t *testing.T) {
 	for _, row := range []struct{ src, callee string }{
 		{`Function[{Typed[v, "Tensor"["Real64", 1]]}, Module[{w = v}, w[[1]] = 2.; 0]]`, "Native`SetPart"},
+		{`Function[{Typed[v, "Tensor"["Real64", 1]]}, Module[{w = v}, Native` + "`" + `SetPartUnsafe[w, 1, 2.]; 0]]`, "Native`SetPartUnsafe"},
 		{"Function[{Typed[x, \"Integer64\"]}, Compile`PatternMiss[x]; x + 1]", "Compile`PatternMiss"},
+		{"Function[{Typed[x, \"Integer64\"]}, Native`RandomReal01[]; x]", "Native`RandomReal01"},
+		{"Function[{Typed[x, \"Integer64\"]}, Native`RandomIntegerRange[1, x]; x]", "Native`RandomIntegerRange"},
+		{"Function[{Typed[e, \"Expression\"]}, Native`KernelCall[e]; e]", "Native`KernelCall"},
+		{`Function[{Typed[a, "Expression"], Typed[b, "Expression"]}, a + b; a]`, "Plus"},
 	} {
 		is := func(in *wir.Instr) bool { return in.Callee == row.callee }
 		mod := buildTWIR(t, row.src)

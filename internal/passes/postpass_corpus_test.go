@@ -14,6 +14,7 @@ import (
 	"wolfc/internal/infer"
 	"wolfc/internal/passes"
 	"wolfc/internal/testcorpus"
+	"wolfc/internal/types"
 	"wolfc/internal/wir"
 )
 
@@ -26,6 +27,18 @@ import (
 var updatePostPass = flag.Bool("update", false, "rewrite testdata/postpass.golden from this build's passes")
 
 var hygieneSuffix = regexp.MustCompile("`h[0-9]+")
+
+// libraryNatives is every native a standard-library row declares.
+func libraryNatives() map[string]bool {
+	env := types.Builtin()
+	natives := map[string]bool{}
+	for _, name := range env.FuncNames() {
+		for _, d := range env.Lookup(name) {
+			natives[d.Native] = true
+		}
+	}
+	return natives
+}
 
 // typedCorpusModule lowers, infers and resolves one corpus entry: the module
 // the pass pipeline receives in a compile.
@@ -45,6 +58,7 @@ func typedCorpusModule(t testing.TB, e testcorpus.Entry, c *core.Compiler) *wir.
 }
 
 func TestGoldenPostPassCorpus(t *testing.T) {
+	declared := libraryNatives()
 	var b strings.Builder
 	for _, e := range testcorpus.All(t) {
 		c := e.Compiler()
@@ -55,6 +69,15 @@ func TestGoldenPostPassCorpus(t *testing.T) {
 			rep := passes.NewReport()
 			if err := passes.RunPipeline(mod, &passes.Context{Env: c.TypeEnv, Opts: opts, Report: rep}); err != nil {
 				t.Fatalf("%s O%d: %v", e.Name, level, err)
+			}
+			for _, f := range mod.Funcs {
+				f.Each(func(in *wir.Instr) {
+					// A native no row declares is Effectful by default:
+					// every pass would leave it alone without saying so.
+					if native, _ := passes.CutInto(in.NativeName()); in.Op == wir.OpCall && native != "" && !declared[native] {
+						t.Errorf("%s O%d: %s calls native %s, which no library row declares", e.Name, level, f.Name, native)
+					}
+				})
 			}
 			fmt.Fprintf(&b, "=== %s O%d\n", e.Name, level)
 			for _, s := range rep.Passes {

@@ -135,10 +135,13 @@ func agree(got, want complex128) bool {
 // back. A real or complex overload is compared with N[name[args]] as a
 // number; where that is not a machine number (a pole, a complex value of a
 // real overload, a symbolic form) the compiled result must be NaN or
-// infinite, not a finite value.
+// infinite, not a finite value. An instance declared Pure must never throw
+// into that fallback: LICM and if-conversion run it speculatively.
 func TestScalarNativesMatchInterpreter(t *testing.T) {
 	k, compilers, levels := fuseLevels()
-	calls, outside := 0, 0
+	var out strings.Builder
+	k.Out = &out
+	calls, outside, fallbacks := 0, 0, 0
 	forEachScalarOverload(t, compilers[0].TypeEnv, func(name string, d *types.FuncDef, sig *types.Fn, fn expr.Expr) {
 		if strings.Contains(name, "`") || len(sig.Params) == 0 || sig.Ret == types.TVoid {
 			return
@@ -177,7 +180,14 @@ func TestScalarNativesMatchInterpreter(t *testing.T) {
 			calls++
 			for i, ccf := range ccfs {
 				what := fmt.Sprintf("%s (native %s, %s)", expr.InputForm(call), d.Native, levels[i])
+				out.Reset()
 				got, err := ccf.Apply(args)
+				if strings.Contains(out.String(), "::cfse:") {
+					fallbacks++
+					if types.NativeEffect(d.Native, sig.Ret) == types.Pure {
+						t.Errorf("%s: declared Pure, but threw: %s", what, out.String())
+					}
+				}
 				switch {
 				case werr != nil:
 					// The interpreter rejects the call (division by zero):
@@ -208,7 +218,7 @@ func TestScalarNativesMatchInterpreter(t *testing.T) {
 	if calls < 1000 {
 		t.Errorf("only %d calls compared: the walk is not reaching the standard library", calls)
 	}
-	t.Logf("%d calls compared at both fuse levels, %d of the results outside the overload's machine domain", calls, outside)
+	t.Logf("%d calls compared at both fuse levels, %d of the results outside the overload's machine domain, %d fallbacks", calls, outside, fallbacks)
 }
 
 // TestCastsWrapAtEveryWidthBoundary: the width casts are Native` functions,

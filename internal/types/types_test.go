@@ -379,6 +379,30 @@ func TestBuiltinDeclarationsParse(t *testing.T) {
 	}
 }
 
+// TestNativeEffect: an effect is read by native name and result type, the
+// checked arithmetic throws only at exact results, and a native no row
+// declares is Effectful.
+func TestNativeEffect(t *testing.T) {
+	for _, row := range []struct {
+		native string
+		result Type
+		want   Effect
+	}{
+		{"binary_plus", TInt64, Throws},
+		{"binary_plus", TReal64, Pure},
+		{"unary_minus", TComplex, Pure},
+		{"and", TBool, Pure},
+		{"part_1", TReal64, Throws},
+		{"pattern_miss", TInt64, Effectful},
+		{"tensor_plus_into1", TensorOf(TReal64, 1), Effectful},
+		{"", TInt64, Effectful},
+	} {
+		if got := NativeEffect(row.native, row.result); got != row.want {
+			t.Errorf("NativeEffect(%q, %s) = %d, want %d", row.native, row.result, got, row.want)
+		}
+	}
+}
+
 func TestIsGround(t *testing.T) {
 	if !IsGround(TensorOf(TReal64, 1)) {
 		t.Fatal("tensor of reals is ground")

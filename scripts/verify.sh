@@ -36,7 +36,7 @@ count() {
 size_report() {
     echo "== size: non-test Go lines =="
     # internal/vm is Figure 2's bytecode baseline.
-    for paths in internal/core/tier.go internal/core internal/codegen internal/infer internal/passes internal/wir "internal/passes internal/wir" "internal/codegen internal/wir internal/passes" internal/vm "internal/runtime internal/blas" internal/obs "internal/codegen internal/core internal/obs" cmd/wolfbench internal/bench "cmd/wolfbench internal/bench benchmark"; do
+    for paths in internal/core/tier.go internal/core internal/codegen internal/infer internal/passes internal/types "internal/passes internal/types" internal/wir "internal/passes internal/wir" "internal/codegen internal/wir internal/passes" internal/vm "internal/runtime internal/blas" internal/obs "internal/codegen internal/core internal/obs" cmd/wolfbench internal/bench "cmd/wolfbench internal/bench benchmark"; do
         echo "$paths: $(count $paths)"
     done
     # Generated code is not maintained by hand: count it apart (ISSUE 17).
