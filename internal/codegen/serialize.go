@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -20,24 +21,32 @@ import (
 // referred to by its index in the module's type table afterwards.
 const libraryMagic = "WCLB0002"
 
-// Marshal writes the typed module to w.
+// Marshal writes the typed module to w. It is encoded in memory and written
+// with one Write; a *bytes.Buffer is encoded into directly.
 func Marshal(w io.Writer, mod *wir.Module) error {
 	if !mod.Typed {
 		return fmt.Errorf("export: module must be typed")
 	}
-	bw := bufio.NewWriter(w)
-	bw.WriteString(libraryMagic)
-	e := &encoder{w: bw, fnIndex: map[*wir.Function]int{}, typeIndex: map[types.Type]int{}, typeByName: map[string]int{}}
+	buf, direct := w.(*bytes.Buffer)
+	if !direct {
+		buf = new(bytes.Buffer)
+	}
+	buf.WriteString(libraryMagic)
+	e := &encoder{w: buf, fnIndex: make(map[*wir.Function]int, len(mod.Funcs)), typeIndex: map[types.Type]int{}, typeByName: map[string]int{}}
 	for i, f := range mod.Funcs {
 		e.fnIndex[f] = i
 	}
-	writeUvarint(bw, uint64(len(mod.Funcs)))
+	writeUvarint(buf, uint64(len(mod.Funcs)))
 	for _, f := range mod.Funcs {
 		if err := e.function(f); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	if direct {
+		return nil
+	}
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
 // encoder is one Marshal: the output, and the indices cross-references are
@@ -45,19 +54,17 @@ func Marshal(w io.Writer, mod *wir.Module) error {
 // written; typeIndex finds it by pointer and typeByName by spelling, for
 // equal types that are not one object.
 type encoder struct {
-	w          *bufio.Writer
+	w          *bytes.Buffer
 	fnIndex    map[*wir.Function]int
 	typeIndex  map[types.Type]int
 	typeByName map[string]int
 }
 
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+func writeUvarint(w *bytes.Buffer, v uint64) {
+	w.Write(binary.AppendUvarint(w.AvailableBuffer(), v))
 }
 
-func writeString(w *bufio.Writer, s string) {
+func writeString(w *bytes.Buffer, s string) {
 	writeUvarint(w, uint64(len(s)))
 	w.WriteString(s)
 }

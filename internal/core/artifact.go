@@ -9,6 +9,7 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"sync/atomic"
 
 	"wolfc/internal/artifact"
@@ -128,9 +129,15 @@ func (c *Compiler) maybeStoreArtifact(stableKey string, ccf *CompiledCodeFunctio
 	if len(ccf.RegDeps) > 0 || !ccf.Module.Typed {
 		return
 	}
-	var buf bytes.Buffer
-	if err := codegen.Marshal(&buf, ccf.Module); err != nil {
+	buf := encodeBufs.Get().(*bytes.Buffer)
+	defer encodeBufs.Put(buf)
+	buf.Reset()
+	if err := codegen.Marshal(buf, ccf.Module); err != nil {
 		return
 	}
-	s.Put(stableKey, buf.Bytes())
+	s.Put(stableKey, buf.Bytes()) // Put keeps a copy
 }
+
+// encodeBufs are the buffers modules are encoded into on their way to the
+// store.
+var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}

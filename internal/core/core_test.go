@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -452,5 +453,20 @@ func TestPartBoundsFallback(t *testing.T) {
 	_, _ = ccf.Apply([]expr.Expr{parser.MustParse("{1., 2.}"), expr.FromInt64(5)})
 	if !strings.Contains(log.String(), "reverting to uncompiled evaluation") {
 		t.Fatalf("missing fallback warning: %q", log.String())
+	}
+}
+
+// Macro expansion bounds its rewrites, not the nodes it visits: a literal
+// list of 12 000 elements fires no macro and must compile (it failed with
+// M001 when every visit counted against the bound).
+func TestCompileLargeLiteralList(t *testing.T) {
+	elems := make([]string, 12000)
+	for i := range elems {
+		elems[i] = strconv.Itoa(i)
+	}
+	ccf := compile(t, newCompiler(),
+		`Function[{Typed[k, "MachineInteger"]}, k + Length[{`+strings.Join(elems, ", ")+`}]]`)
+	if got := apply(t, ccf, "5"); got != "12005" {
+		t.Fatalf("got %s, want 12005", got)
 	}
 }

@@ -296,11 +296,45 @@ func BenchmarkInfer(b *testing.B) {
 	}
 }
 
+// BenchmarkCorpusCompile is what compile_cold pays for its compiles: an
+// uncached FunctionCompile of each of the corpus's sources, source expression
+// to callable.
+func BenchmarkCorpusCompile(b *testing.B) {
+	c, fns := newBenchCompiler(b), benchCorpus(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, fn := range fns {
+			if _, err := c.FunctionCompile(fn); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestCorpusCompileAllocs bounds what BenchmarkCorpusCompile allocates a
+// round. It was 20 755 allocations before the macro matcher bound on a trail
+// and expansion and CSE stopped copying.
+func TestCorpusCompileAllocs(t *testing.T) {
+	c, fns := newBenchCompiler(t), benchCorpus(t)
+	n := testing.AllocsPerRun(3, func() {
+		for _, fn := range fns {
+			if _, err := c.FunctionCompile(fn); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("one corpus compile: %.0f allocations", n)
+	if n > 17000 {
+		t.Errorf("one corpus compile allocates %.0f times, bound 17000", n)
+	}
+}
+
 // TestInferAllocs pins what one whole compile of the benchmark's mandelbrot
 // allocates, source expression to callable. Inference used to be five sixths
 // of it (31 124 allocations before ISSUE 18: a substitution map, a rebuilt
 // type per unification level, an error string per overload that did not
-// match).
+// match); it was 1 964 before the macro matcher bound on a trail.
 func TestInferAllocs(t *testing.T) {
 	c, mandelbrot := newCompiler(), benchProgram(t, "mandelbrot")
 	n := testing.AllocsPerRun(10, func() {
@@ -309,8 +343,8 @@ func TestInferAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("one mandelbrot compile: %.0f allocations", n)
-	if n > 6000 {
-		t.Errorf("one mandelbrot compile allocates %.0f times, bound 6000", n)
+	if n > 1700 {
+		t.Errorf("one mandelbrot compile allocates %.0f times, bound 1700", n)
 	}
 }
 

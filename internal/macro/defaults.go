@@ -329,20 +329,10 @@ func ExpandSlots(e expr.Expr) expr.Expr {
 // traversal is bottom-up, matching expr.Replace.
 func ExpandSlotsSource(e expr.Expr, src *diag.Source) expr.Expr {
 	slotFn := expr.Sym("Native`SlotFunction")
-	var rec func(x expr.Expr) expr.Expr
-	rec = func(x expr.Expr) expr.Expr {
+	var rec func(x expr.Expr) (expr.Expr, error)
+	rec = func(x expr.Expr) (expr.Expr, error) {
 		if n, ok := x.(*expr.Normal); ok {
-			head := rec(n.Head())
-			changed := !expr.SameQ(head, n.Head())
-			args := make([]expr.Expr, n.Len())
-			for i := 1; i <= n.Len(); i++ {
-				args[i-1] = rec(n.Arg(i))
-				if !expr.SameQ(args[i-1], n.Arg(i)) {
-					changed = true
-				}
-			}
-			if changed {
-				rebuilt := expr.New(head, args...)
+			if rebuilt, _ := rebuild(n, rec); rebuilt != nil {
 				src.CopySpan(rebuilt, x)
 				x = rebuilt
 			}
@@ -350,11 +340,12 @@ func ExpandSlotsSource(e expr.Expr, src *diag.Source) expr.Expr {
 		if n, ok := expr.IsNormalN(x, slotFn, 1); ok {
 			out := rewriteSlotFunction(n)
 			src.CopySpan(out, x)
-			return out
+			return out, nil
 		}
-		return x
+		return x, nil
 	}
-	return rec(e)
+	out, _ := rec(e)
+	return out
 }
 
 // rewriteSlotFunction converts one Native`SlotFunction[body] node into

@@ -161,37 +161,20 @@ func (e *Env) Expand(root expr.Expr, opts map[string]expr.Expr) (expr.Expr, erro
 // the node it replaced, so positions recorded by the parser survive into the
 // expanded tree. A nil src disables propagation at zero cost.
 func (e *Env) ExpandSource(root expr.Expr, opts map[string]expr.Expr, src *diag.Source) (expr.Expr, error) {
-	const maxRounds = 10_000
-	rounds := 0
+	// The bound is on rewrites, not on the nodes visited, so a large literal
+	// expands however many elements it has.
+	const maxFirings = 10_000
+	firings := 0
 	var rewrite func(x expr.Expr) (expr.Expr, error)
 	rewrite = func(x expr.Expr) (expr.Expr, error) {
 		for {
-			rounds++
-			if rounds > maxRounds {
-				return nil, diag.Newf(diag.MacroStage, "M001",
-					"macro expansion did not reach a fixed point (last at %s)",
-					expr.InputForm(x)).WithSubject(x)
-			}
 			// Depth-first: expand children first.
 			if n, ok := x.(*expr.Normal); ok {
-				head, err := rewrite(n.Head())
+				rebuilt, err := rebuild(n, rewrite)
 				if err != nil {
 					return nil, err
 				}
-				changed := !expr.SameQ(head, n.Head())
-				args := make([]expr.Expr, n.Len())
-				for i := 1; i <= n.Len(); i++ {
-					a, err := rewrite(n.Arg(i))
-					if err != nil {
-						return nil, err
-					}
-					args[i-1] = a
-					if !expr.SameQ(a, n.Arg(i)) {
-						changed = true
-					}
-				}
-				if changed {
-					rebuilt := expr.New(head, args...)
+				if rebuilt != nil {
 					src.CopySpan(rebuilt, x)
 					x = rebuilt
 				}
@@ -203,11 +186,47 @@ func (e *Env) ExpandSource(root expr.Expr, opts map[string]expr.Expr, src *diag.
 			if !fired {
 				return x, nil
 			}
+			if firings++; firings > maxFirings {
+				return nil, diag.Newf(diag.MacroStage, "M001",
+					"macro expansion did not reach a fixed point (last at %s)",
+					expr.InputForm(x)).WithSubject(x)
+			}
 			src.CopySpan(out, x)
 			x = out
 		}
 	}
 	return rewrite(root)
+}
+
+// rebuild applies f to n's head and arguments and returns n rebuilt from the
+// results, or nil when none changed. The argument slice is made at the first
+// argument that changed.
+func rebuild(n *expr.Normal, f func(expr.Expr) (expr.Expr, error)) (*expr.Normal, error) {
+	head, err := f(n.Head())
+	if err != nil {
+		return nil, err
+	}
+	var args []expr.Expr
+	for i, old := range n.Args() {
+		a, err := f(old)
+		if err != nil {
+			return nil, err
+		}
+		if args == nil && !expr.SameQ(a, old) {
+			args = make([]expr.Expr, n.Len())
+			copy(args, n.Args()[:i])
+		}
+		if args != nil {
+			args[i] = a
+		}
+	}
+	if args == nil {
+		if expr.SameQ(head, n.Head()) {
+			return nil, nil
+		}
+		args = n.Args()
+	}
+	return expr.New(head, args...), nil
 }
 
 // expandOnce applies the first matching macro at the root of x.

@@ -270,24 +270,51 @@ var (
 // abort checks). Reference counts are the C backend's lowering
 // (InsertRefCounts): only the C runtime frees a value when its count falls
 // to zero.
+//
+// The pipeline depends only on the optimisation level, whether inlining is
+// on and whether abort checks are inserted, so each combination is built
+// once and shared: callers run or describe it and never Add to it.
 func DefaultPipeline(opts Options) *Pipeline {
+	level := min(max(opts.OptimizationLevel, 0), 2)
+	return defaultPipelines[level][b2i(opts.InlinePolicy != "none")][b2i(opts.AbortHandling)]
+}
+
+var defaultPipelines = func() (t [3][2][2]*Pipeline) {
+	for level := range t {
+		for inline := range t[level] {
+			for abort := range t[level][inline] {
+				t[level][inline][abort] = buildPipeline(level, inline == 1, abort == 1)
+			}
+		}
+	}
+	return t
+}()
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func buildPipeline(level int, inline, abort bool) *Pipeline {
 	pl := (&Pipeline{}).Add(resolveIndirectPass)
-	if opts.InlinePolicy != "none" {
+	if inline {
 		pl.Add(inlinePass)
 	}
-	if opts.OptimizationLevel > 0 {
+	if level > 0 {
 		pl.AddFixpoint("local-opt", 3,
 			foldConstantsPass, simplifyBranchesPass, removeUnreachablePass,
 			fuseBlocksPass, csePass, dcePass)
 	}
-	if opts.OptimizationLevel > 1 {
+	if level > 1 {
 		// Hoisting, strength reduction, and if-conversion leave dead
 		// residue and single-edge preheader seams; the trailing fuse+DCE
 		// cleans them up before codegen sees the module.
 		pl.Add(flattenCondPass, loopOptimizePass, fuseBlocksPass, dcePass)
 	}
 	pl.Add(insertCopiesPass)
-	if opts.AbortHandling {
+	if abort {
 		pl.Add(insertAbortChecksPass)
 	}
 	return pl

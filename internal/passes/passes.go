@@ -478,19 +478,30 @@ func FuseBlocks(mod *wir.Module) bool {
 // tree depth first. A call is keyed with its operands read through the
 // replacements made above it. Reports whether anything changed.
 func CSE(f *wir.Function) bool {
+	keyed := 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if cseCandidate(in) {
+				keyed++
+			}
+		}
+	}
+	if keyed < 2 {
+		return false // nothing to be common with
+	}
 	cfg := Analyze(f)
 	type def struct {
 		in *wir.Instr
 		b  int
 	}
-	avail := make(map[cseKey]def, 4*len(f.Blocks)) // a few calls a block
-	names := &cseNames{of: map[expr.Expr]uint64{}, byKey: map[string]uint64{}}
+	avail := make(map[cseKey]def, keyed)
+	var names cseNames
 	var sub wir.Subst
 	changed := false
 	var walk func(b int)
 	walk = func(b int) {
 		for _, in := range cfg.Blocks[b].Instrs {
-			if in.Op != wir.OpCall || !instrPure(in) || in.Ty == nil {
+			if !cseCandidate(in) {
 				continue
 			}
 			sub.Args(in)
@@ -516,6 +527,11 @@ func CSE(f *wir.Function) bool {
 	return changed
 }
 
+// cseCandidate reports whether CSE keys in: a typed pure call.
+func cseCandidate(in *wir.Instr) bool {
+	return in.Op == wir.OpCall && in.Ty != nil && instrPure(in)
+}
+
 // cseKey is what a pure call computes: its target and its operands as kind
 // and number pairs, the first four in one block of memory to hash.
 type cseKey struct {
@@ -526,7 +542,8 @@ type cseKey struct {
 }
 
 // cseNames numbers what has no number of its own: constants by their binary
-// encoding (each expression encoded once) and functions by name.
+// encoding (each expression encoded once) and functions by name. Its maps are
+// made when first written.
 type cseNames struct {
 	of    map[expr.Expr]uint64
 	byKey map[string]uint64
@@ -535,6 +552,9 @@ type cseNames struct {
 func (cn *cseNames) id(key string) uint64 {
 	id, ok := cn.byKey[key]
 	if !ok {
+		if cn.byKey == nil {
+			cn.byKey = map[string]uint64{}
+		}
 		id = uint64(len(cn.byKey))
 		cn.byKey[key] = id
 	}
@@ -562,6 +582,9 @@ func (cn *cseNames) operand(a wir.Value) (kind, n uint64) {
 			// Builder's Write cannot fail.
 			var b strings.Builder
 			_ = expr.Encode(&b, v.Expr)
+			if cn.of == nil {
+				cn.of = map[expr.Expr]uint64{}
+			}
 			cn.of[v.Expr] = cn.id(b.String())
 		}
 		return 3, cn.of[v.Expr]

@@ -15,15 +15,6 @@ import (
 // are bound as Sequence[e1, e2, ...] and spliced by Substitute.
 type Bindings map[*expr.Symbol]expr.Expr
 
-// clone returns a shallow copy, used for backtracking.
-func (b Bindings) clone() Bindings {
-	c := make(Bindings, len(b))
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
-}
-
 // CondFunc evaluates a Condition test under the given bindings, reporting
 // whether it holds. The interpreter supplies its evaluator here.
 type CondFunc func(test expr.Expr, b Bindings) bool
@@ -43,16 +34,111 @@ func Match(pat, subject expr.Expr) (Bindings, bool) {
 }
 
 // MatchCond matches pat against subject, evaluating Condition tests with
-// cond (conditions fail when cond is nil).
+// cond (conditions fail when cond is nil). A failed match allocates nothing
+// unless a Condition test was reached; the Bindings map is built only on
+// success.
 func MatchCond(pat, subject expr.Expr, cond CondFunc) (Bindings, bool) {
-	b := Bindings{}
-	if match(pat, subject, b, cond) {
-		return b, true
+	m := matcher{cond: cond}
+	if !m.match(pat, subject) {
+		return nil, false
 	}
-	return nil, false
+	return m.bindings(), true
 }
 
-func match(pat, subject expr.Expr, b Bindings, cond CondFunc) bool {
+// binding is one entry of the matcher's trail: name bound to val or, when
+// val is nil, to the sequence seq, a view of the subject's arguments that
+// becomes a Sequence expression only when the bindings are handed out.
+type binding struct {
+	name *expr.Symbol
+	val  expr.Expr
+	seq  []expr.Expr
+}
+
+func (e binding) value() expr.Expr {
+	if e.val != nil {
+		return e.val
+	}
+	return expr.New(symSequence, append([]expr.Expr{}, e.seq...)...)
+}
+
+// same reports whether two bindings of one name agree, as SameQ of their
+// values would.
+func (e binding) same(o binding) bool {
+	switch {
+	case e.val != nil && o.val != nil:
+		return expr.SameQ(e.val, o.val)
+	case e.val == nil && o.val == nil:
+		return sameArgs(e.seq, o.seq)
+	case e.val != nil:
+		return isSequenceOf(e.val, o.seq)
+	default:
+		return isSequenceOf(o.val, e.seq)
+	}
+}
+
+func isSequenceOf(v expr.Expr, seq []expr.Expr) bool {
+	n, ok := expr.IsNormal(v, symSequence)
+	return ok && sameArgs(n.Args(), seq)
+}
+
+func sameArgs(a, b []expr.Expr) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !expr.SameQ(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// matcher binds pattern variables on a trail, each name at most once. A
+// failed match may leave bindings behind; every point that tries an
+// alternative (an Alternatives branch, a sequence split) truncates the trail
+// to its mark first, so nothing is copied to backtrack. The trail's first
+// entries live in the matcher itself, which stays on the caller's stack.
+type matcher struct {
+	n     int        // the trail's length
+	first [8]binding // its first entries
+	rest  []binding  // the others
+	cond  CondFunc
+}
+
+func (m *matcher) entry(i int) *binding {
+	if i < len(m.first) {
+		return &m.first[i]
+	}
+	return &m.rest[i-len(m.first)]
+}
+
+// bindings builds the map of what the trail holds.
+func (m *matcher) bindings() Bindings {
+	b := make(Bindings, m.n)
+	for i := 0; i < m.n; i++ {
+		e := m.entry(i)
+		b[e.name] = e.value()
+	}
+	return b
+}
+
+// bind records the binding, or checks it against an earlier one of its name.
+func (m *matcher) bind(e binding) bool {
+	for i := 0; i < m.n; i++ {
+		if prev := m.entry(i); prev.name == e.name {
+			return prev.same(e)
+		}
+	}
+	if m.n < len(m.first) {
+		m.first[m.n] = e
+	} else {
+		m.rest = append(m.rest[:m.n-len(m.first)], e)
+	}
+	m.n++
+	return true
+}
+
+func (m *matcher) match(pat, subject expr.Expr) bool {
 	switch p := pat.(type) {
 	case *expr.Normal:
 		head, isSym := p.Head().(*expr.Symbol)
@@ -68,27 +154,22 @@ func match(pat, subject expr.Expr, b Bindings, cond CondFunc) bool {
 				if !ok {
 					return false
 				}
-				if !match(p.Arg(2), subject, b, cond) {
-					return false
-				}
-				return bind(b, name, subject)
+				return m.match(p.Arg(2), subject) && m.bind(binding{name: name, val: subject})
 			case symCondition:
 				if p.Len() != 2 {
 					return false
 				}
-				if !match(p.Arg(1), subject, b, cond) {
+				if !m.match(p.Arg(1), subject) {
 					return false
 				}
-				return cond != nil && cond(p.Arg(2), b)
+				return m.cond != nil && m.cond(p.Arg(2), m.bindings())
 			case symAlternatives:
+				mark := m.n
 				for _, alt := range p.Args() {
-					trial := b.clone()
-					if match(alt, subject, trial, cond) {
-						for k, v := range trial {
-							b[k] = v
-						}
+					if m.match(alt, subject) {
 						return true
 					}
+					m.n = mark
 				}
 				return false
 			case symBlankSequence, symBlankNullSequence:
@@ -103,10 +184,7 @@ func match(pat, subject expr.Expr, b Bindings, cond CondFunc) bool {
 		if !ok {
 			return false
 		}
-		if !match(p.Head(), s.Head(), b, cond) {
-			return false
-		}
-		return matchSeq(p.Args(), s.Args(), b, cond)
+		return m.match(p.Head(), s.Head()) && m.matchSeq(p.Args(), s.Args())
 	default:
 		return expr.SameQ(pat, subject)
 	}
@@ -121,18 +199,9 @@ func matchBlankHead(p *expr.Normal, subject expr.Expr) bool {
 	return expr.SameQ(subject.Head(), p.Arg(1))
 }
 
-// bind records name=val, or checks consistency with a previous binding.
-func bind(b Bindings, name *expr.Symbol, val expr.Expr) bool {
-	if prev, ok := b[name]; ok {
-		return expr.SameQ(prev, val)
-	}
-	b[name] = val
-	return true
-}
-
 // matchSeq matches a list of argument patterns against a list of subject
 // arguments, with backtracking over sequence blanks.
-func matchSeq(pats, subj []expr.Expr, b Bindings, cond CondFunc) bool {
+func (m *matcher) matchSeq(pats, subj []expr.Expr) bool {
 	if len(pats) == 0 {
 		return len(subj) == 0
 	}
@@ -140,51 +209,27 @@ func matchSeq(pats, subj []expr.Expr, b Bindings, cond CondFunc) bool {
 	min, max, seqPat, named := seqInfo(p)
 	if seqPat == nil {
 		// Single-expression pattern.
-		if len(subj) == 0 {
-			return false
-		}
-		trial := b.clone()
-		if match(p, subj[0], trial, cond) && matchSeq(pats[1:], subj[1:], trial, cond) {
-			adopt(b, trial)
-			return true
-		}
-		return false
+		return len(subj) > 0 && m.match(p, subj[0]) && m.matchSeq(pats[1:], subj[1:])
 	}
 	// Sequence pattern: try successively longer matches (shortest first,
-	// following the engine's ordering).
+	// following the engine's ordering), no longer than the run of subject
+	// arguments the blank's head admits.
 	if max < 0 || max > len(subj) {
 		max = len(subj)
 	}
+	for i := 0; i < max; i++ {
+		if !matchBlankHead(seqPat, subj[i]) {
+			max = i
+		}
+	}
+	mark := m.n
 	for n := min; n <= max; n++ {
-		ok := true
-		for i := 0; i < n; i++ {
-			if !matchBlankHead(seqPat, subj[i]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		trial := b.clone()
-		if named != nil {
-			val := expr.New(symSequence, append([]expr.Expr{}, subj[:n]...)...)
-			if !bind(trial, named, val) {
-				continue
-			}
-		}
-		if matchSeq(pats[1:], subj[n:], trial, cond) {
-			adopt(b, trial)
+		if (named == nil || m.bind(binding{name: named, seq: subj[:n]})) && m.matchSeq(pats[1:], subj[n:]) {
 			return true
 		}
+		m.n = mark
 	}
 	return false
-}
-
-func adopt(dst, src Bindings) {
-	for k, v := range src {
-		dst[k] = v
-	}
 }
 
 // seqInfo classifies p as a sequence pattern, returning its arity bounds,

@@ -14,27 +14,45 @@ import (
 
 type ssaBuilder struct {
 	fn *Function
-	// defs is every block's current definition of each variable, in one
-	// table for the function.
-	defs map[blockVar]Value
+	// defs holds each block's current definitions, indexed by the block's
+	// IDNum (its creation index): a block defines a handful of variables, so
+	// a short list beats a table keyed by block and variable.
+	defs [][]varDef
 }
 
-type blockVar struct {
-	b   *Block
+type varDef struct {
 	sym *expr.Symbol
+	v   Value
 }
 
 func newSSABuilder(fn *Function) *ssaBuilder {
-	return &ssaBuilder{fn: fn, defs: map[blockVar]Value{}}
+	return &ssaBuilder{fn: fn}
 }
 
 func (s *ssaBuilder) write(b *Block, sym *expr.Symbol, v Value) {
-	s.defs[blockVar{b, sym}] = v
+	for len(s.defs) <= b.IDNum {
+		s.defs = append(s.defs, nil)
+	}
+	ds := s.defs[b.IDNum]
+	for i := range ds {
+		if ds[i].sym == sym {
+			ds[i].v = v
+			return
+		}
+	}
+	if ds == nil {
+		ds = make([]varDef, 0, 4)
+	}
+	s.defs[b.IDNum] = append(ds, varDef{sym, v})
 }
 
 func (s *ssaBuilder) read(b *Block, sym *expr.Symbol) (Value, error) {
-	if v, ok := s.defs[blockVar{b, sym}]; ok {
-		return v, nil
+	if b.IDNum < len(s.defs) {
+		for _, d := range s.defs[b.IDNum] {
+			if d.sym == sym {
+				return d.v, nil
+			}
+		}
 	}
 	return s.readRecursive(b, sym)
 }

@@ -45,8 +45,8 @@ size_report() {
     echo "internal/codegen hand-written: $(find internal/codegen -name '*.go' ! -name '*_test.go' | grep -v -F "$gen" | xargs cat | wc -l)"
     echo "scripts/verify.sh: $(wc -l < scripts/verify.sh) lines"
     echo "internal/codegen/fusion_modes.go: $(wc -l < internal/codegen/fusion_modes.go) generated lines"
-    echo "== size: what one compiler, one tiered session, 21 891 compiled calls (cfib[20]), inferring the 14-source corpus, loading it from the artifact store (decode + codegen), loading it on a second kernel (resident programs) and lowering, inferring and optimising 15 corpus modules (the pass pipeline) cost =="
-    go test -run '^$' -bench 'NewCompiler$|EngineNewClose$|CallOverhead$|Infer$|ArtifactLoad$|ResidentLoad$|Pipeline$' -benchmem -benchtime 200x ./internal/core ./internal/engine ./internal/passes | grep '^Benchmark'
+    echo "== size: what one compiler, one tiered session, 21 891 compiled calls (cfib[20]), inferring the 14-source corpus, compiling it uncached, loading it from the artifact store (decode + codegen), loading it on a second kernel (resident programs) and lowering, inferring and optimising 15 corpus modules (the pass pipeline) cost =="
+    go test -run '^$' -bench 'NewCompiler$|EngineNewClose$|CallOverhead$|Infer$|CorpusCompile$|ArtifactLoad$|ResidentLoad$|Pipeline$' -benchmem -benchtime 200x ./internal/core ./internal/engine ./internal/passes | grep '^Benchmark'
     echo "== size: the tensor loops of Figure 2 and the random walk's allocations (ISSUE 19) =="
     go test -run '^$' -bench 'Fig2/(blur|histogram|qsort)/compiled$|Figure1RandomWalk/compiled$' -benchmem -benchtime 20x -cpu 1 . | grep '^Benchmark'
 }
