@@ -255,16 +255,16 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 
 	// --- random numbers (engine-seeded) ---
 	case "random_real01":
-		return func(fr *frame) { fr.f[d] = fr.rt.Engine.RandReal() }
+		return func(fr *frame) { fr.f[d] = runtime.NeedEngine(fr.rt.Engine, "RandomReal").RandReal() }
 	case "random_real_range":
 		a, b := a0(), a1()
 		return func(fr *frame) {
 			lo, hi := fr.f[a], fr.f[b]
-			fr.f[d] = lo + fr.rt.Engine.RandReal()*(hi-lo)
+			fr.f[d] = lo + runtime.NeedEngine(fr.rt.Engine, "RandomReal").RandReal()*(hi-lo)
 		}
 	case "random_int_range":
 		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = fr.rt.Engine.RandInt(fr.i[a], fr.i[b]) }
+		return func(fr *frame) { fr.i[d] = runtime.NeedEngine(fr.rt.Engine, "RandomInteger").RandInt(fr.i[a], fr.i[b]) }
 
 	// --- strings ---
 	case "string_join":

@@ -84,35 +84,12 @@ func (e *encoder) writeType(t types.Type) error {
 			e.typeByName[name] = idx
 			e.typeIndex[t] = idx
 			writeUvarint(e.w, 0)
-			return expr.Encode(e.w, typeSpecExpr(t))
+			return expr.Encode(e.w, types.Spec(t))
 		}
 		e.typeIndex[t] = idx
 	}
 	writeUvarint(e.w, uint64(idx)+1)
 	return nil
-}
-
-// typeSpecExpr renders a ground type as a TypeSpecifier expression.
-func typeSpecExpr(t types.Type) expr.Expr {
-	switch x := t.(type) {
-	case *types.Atomic:
-		return expr.FromString(x.Name)
-	case *types.Literal:
-		return expr.FromInt64(x.Value)
-	case *types.Compound:
-		args := make([]expr.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = typeSpecExpr(a)
-		}
-		return expr.New(expr.FromString(x.Ctor), args...)
-	case *types.Fn:
-		params := make([]expr.Expr, len(x.Params))
-		for i, p := range x.Params {
-			params[i] = typeSpecExpr(p)
-		}
-		return expr.New(expr.SymRule, expr.List(params...), typeSpecExpr(x.Ret))
-	}
-	return expr.FromString("Void")
 }
 
 func (e *encoder) function(f *wir.Function) error {

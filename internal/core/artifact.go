@@ -9,6 +9,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 
@@ -73,47 +75,56 @@ func init() {
 // a full compile, and undecodable payloads are dropped from the store so they
 // are not re-probed forever. A load records its decode and codegen stages on
 // rep (nil when no report was asked for).
-//
-// Serialised modules never carry registry calls (maybeStoreArtifact gates
-// them), so a loaded function has no RegDeps and wrap is told so.
-func (c *Compiler) loadArtifact(stableKey string, fn expr.Expr, req CompileRequest, rep *CompileReport) (ccf *CompiledCodeFunction) {
+func (c *Compiler) loadArtifact(stableKey string, fn expr.Expr, req CompileRequest, rep *CompileReport) *CompiledCodeFunction {
 	s := ArtifactStore()
 	if s == nil {
 		return nil
 	}
-	t := startTimer(rep)
 	payload, ok := s.Get(stableKey)
 	if !ok {
 		return nil
 	}
-	// Same backstop as LoadCompiledLibrary: a checksum-clean payload from
-	// an incompatible writer must degrade to a recompile, never a crash.
-	defer func() {
-		if p := recover(); p != nil {
-			s.DropUndecodable(stableKey)
-			ccf = nil
-		}
-	}()
-	mod, err := codegen.Unmarshal(bytes.NewReader(payload), c.TypeEnv)
+	// The backend options are part of the stable key, so the regenerated
+	// program is the one the storing process ran.
+	ccf, err := c.load(bytes.NewReader(payload), fn, req.SelfName, c.backend()+"-aot", rep)
 	if err != nil {
 		s.DropUndecodable(stableKey)
 		return nil
 	}
-	// Re-run the backend this compiler is configured for. The backend
-	// options are part of the stable key, so the regenerated program is
-	// the one the storing process ran.
+	return ccf
+}
+
+// load decodes a typed module and generates code for it with this
+// compiler's backend: the one path by which both the artifact store and
+// LoadCompiledLibrary turn bytes into a function. The input is untrusted (the
+// store reads it straight off disk). The decoder bounds-checks everything it
+// can, but a mutated module that is still lint-clean can trip the backend in
+// ways no structural check anticipates; the backstop turns any such panic
+// into an error, so corrupt input can never take the process down. Encoded
+// modules never carry registry calls (maybeStoreArtifact and ExportLibrary
+// refuse them), so the function has no RegDeps.
+func (c *Compiler) load(r io.Reader, fn expr.Expr, selfName, label string, rep *CompileReport) (ccf *CompiledCodeFunction, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			ccf, err = nil, fmt.Errorf("import: corrupt library: %v", p)
+		}
+	}()
+	t := startTimer(rep)
+	mod, err := codegen.Unmarshal(r, c.TypeEnv)
+	if err != nil {
+		return nil, err
+	}
 	rep.stage("decode", t)
 	t = startTimer(rep)
 	prog, err := c.generate(mod)
-	if err == nil {
-		ccf, err = c.wrap(mod, prog, fn, req.SelfName, c.backend()+"-aot", nil)
-	}
 	if err != nil {
-		s.DropUndecodable(stableKey)
-		return nil
+		return nil, err
+	}
+	if ccf, err = c.wrap(prog, fn, selfName, label, nil); err != nil {
+		return nil, fmt.Errorf("import: %w", err)
 	}
 	rep.stage("codegen", t)
-	return ccf
+	return ccf, nil
 }
 
 // maybeStoreArtifact persists a freshly compiled module to the store.

@@ -503,7 +503,7 @@ func (c *Compiler) FunctionCompileCachedRequest(fn expr.Expr, req CompileRequest
 		return ccf, c.hitReport(ccf, req, rep, false), nil
 	}
 	if prog != nil {
-		if ccf, err = c.wrap(prog.Module, prog, fn, req.SelfName, c.backend()+"-aot", nil); err != nil {
+		if ccf, err = c.wrap(prog, fn, req.SelfName, c.backend()+"-aot", nil); err != nil {
 			return nil, nil, err
 		}
 		cacheCounts[statResident].Add(1)
@@ -546,11 +546,8 @@ func (c *Compiler) FunctionCompileCachedRequest(fn expr.Expr, req CompileRequest
 // event correlates to the requesting trace even though no compiler ran. rep
 // holds the stages the lookup paid for and is nil when none was asked for.
 func (c *Compiler) hitReport(ccf *CompiledCodeFunction, req CompileRequest, rep *CompileReport, artifact bool) *CompileReport {
-	if obs.TraceEnabled() && !req.Span.Suppressed() {
-		ev := obs.TraceEvent{Type: "compile", Name: ccf.Metrics.Name(),
-			TNs: obs.TraceNow(), CacheHit: true, Engine: c.engineLabel()}
-		req.Span.Annotate(&ev)
-		obs.Emit(ev)
+	if sc, ok := c.traceSpan(req.Span); ok {
+		c.emitCompile(sc, obs.TraceEvent{Name: ccf.Metrics.Name(), TNs: obs.TraceNow(), CacheHit: true}, nil)
 	}
 	if rep != nil {
 		rep.CacheHit, rep.ArtifactHit = !artifact, artifact

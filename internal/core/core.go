@@ -9,7 +9,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -180,18 +180,14 @@ type CompiledCodeFunction struct {
 // FunctionCompile compiles Function[{Typed[x, ty]...}, body] through the
 // full pipeline (§4).
 func (c *Compiler) FunctionCompile(fn expr.Expr) (*CompiledCodeFunction, error) {
-	return c.compileNamed("", fn)
+	return c.FunctionCompileRequest(fn, CompileRequest{})
 }
 
 // CompileNamed compiles fn while rewriting self-references through the
 // given symbol name into recursion (the paper's cfib: the function refers
 // to the variable it is being assigned to).
 func (c *Compiler) CompileNamed(name string, fn expr.Expr) (*CompiledCodeFunction, error) {
-	return c.compileNamed(name, fn)
-}
-
-func (c *Compiler) compileNamed(selfName string, fn expr.Expr) (*CompiledCodeFunction, error) {
-	return c.FunctionCompileRequest(fn, CompileRequest{SelfName: selfName})
+	return c.FunctionCompileRequest(fn, CompileRequest{SelfName: name})
 }
 
 // FunctionCompileRequest is FunctionCompile with per-invocation context:
@@ -202,25 +198,12 @@ func (c *Compiler) FunctionCompileRequest(fn expr.Expr, req CompileRequest) (ccf
 	if req.Collect {
 		rep = &CompileReport{}
 	}
-	if obs.TraceEnabled() {
-		sc := req.Span
-		if !sc.Valid() {
-			sc = c.activeSpan()
-		}
-		if !sc.Suppressed() {
-			tStart, t0 := obs.TraceNow(), time.Now()
-			name := displayName(req.SelfName, fn)
-			engine := c.engineLabel()
-			defer func() {
-				ev := obs.TraceEvent{Type: "compile", Name: name, TNs: tStart,
-					DurNs: time.Since(t0).Nanoseconds(), Engine: engine}
-				if err != nil {
-					ev.Detail = err.Error()
-				}
-				sc.Annotate(&ev)
-				obs.Emit(ev)
-			}()
-		}
+	if sc, ok := c.traceSpan(req.Span); ok {
+		tStart, t0 := obs.TraceNow(), time.Now()
+		defer func() {
+			c.emitCompile(sc, obs.TraceEvent{Name: displayName(req.SelfName, fn), TNs: tStart,
+				DurNs: time.Since(t0).Nanoseconds()}, err)
+		}()
 	}
 	// Any diagnostic escaping the pipeline gets its position filled in from
 	// the span table here, once, at the boundary every stage funnels
@@ -234,9 +217,23 @@ func (c *Compiler) FunctionCompileRequest(fn expr.Expr, req CompileRequest) (ccf
 	if err != nil {
 		return nil, err
 	}
-	// Both configurations type with the solver (the baseline one rejects
-	// non-scalar parameters first); Stencil then skips function resolution
-	// and the pass pipeline here, and picks the backend in generate.
+	prog, err := c.compileModule(mod, req.VerifyEach, rep)
+	if err != nil {
+		return nil, err
+	}
+	ccf, err = c.wrap(prog, fn, req.SelfName, c.backend(), collectRegDeps(mod))
+	if err != nil {
+		return nil, err
+	}
+	ccf.Report = rep
+	return ccf, nil
+}
+
+// compileModule is the back half both configurations share, from untyped
+// WIR to code. Both type with the solver (the baseline one rejects non-scalar
+// parameters first); Stencil then skips function resolution and the pass
+// pipeline, and picks the backend in generate.
+func (c *Compiler) compileModule(mod *wir.Module, verifyEach bool, rep *CompileReport) (*codegen.Program, error) {
 	t, codegenStage := startTimer(rep), "codegen"
 	typeWith := infer.InferCounted
 	if c.Stencil {
@@ -266,7 +263,7 @@ func (c *Compiler) FunctionCompileRequest(fn expr.Expr, req CompileRequest) (ccf
 			return nil, err
 		}
 		rep.stage("resolve", t)
-		pctx := &passes.Context{Env: c.TypeEnv, Opts: c.Options, VerifyEach: req.VerifyEach}
+		pctx := &passes.Context{Env: c.TypeEnv, Opts: c.Options, VerifyEach: verifyEach}
 		if rep != nil {
 			pctx.Report = passes.NewReport()
 			rep.Passes = pctx.Report
@@ -283,12 +280,72 @@ func (c *Compiler) FunctionCompileRequest(fn expr.Expr, req CompileRequest) (ccf
 		return nil, err
 	}
 	rep.stage(codegenStage, t)
-	ccf, err = c.wrap(mod, prog, fn, req.SelfName, c.backend(), collectRegDeps(mod))
+	return prog, nil
+}
+
+// compileGroup compiles mutually recursive definitions, fns[i] defining
+// names[i], as one module: each is lowered on its own and adopted under its
+// name, so the calls between them bind directly (§4.5), and the module takes
+// the back half once. Each member's function is entered at its own function
+// in the shared program. A member's RegDeps name its partners as well as the
+// registry entries the module calls: its code cannot outlive theirs. The
+// group emits one compile trace event, under span.
+func (c *Compiler) compileGroup(names []string, fns []expr.Expr, span obs.SpanContext) (ccfs []*CompiledCodeFunction, err error) {
+	if sc, ok := c.traceSpan(span); ok {
+		tStart, t0 := obs.TraceNow(), time.Now()
+		defer func() {
+			c.emitCompile(sc, obs.TraceEvent{Name: "{" + strings.Join(names, ", ") + "}", TNs: tStart,
+				DurNs: time.Since(t0).Nanoseconds()}, err)
+		}()
+	}
+	mod := &wir.Module{}
+	for i, fn := range fns {
+		sub, err := c.BuildWIR(fn)
+		if err != nil {
+			return nil, err
+		}
+		mod.Adopt(sub, names[i])
+	}
+	prog, err := c.compileModule(mod, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	ccf.Report = rep
-	return ccf, nil
+	deps := append(collectRegDeps(mod), names...)
+	slices.Sort(deps)
+	for i, name := range names {
+		own := slices.Index(deps, name)
+		member := *prog // the same program, entered at the member
+		member.Main = prog.FuncByName(name)
+		ccf, err := c.wrap(&member, fns[i], name, c.backend(), slices.Delete(slices.Clone(deps), own, own+1))
+		if err != nil {
+			return nil, err
+		}
+		ccfs = append(ccfs, ccf)
+	}
+	return ccfs, nil
+}
+
+// traceSpan is the span a compile's trace event goes under, the request's or
+// else the kernel's active one, and false when no event is to be emitted.
+func (c *Compiler) traceSpan(span obs.SpanContext) (obs.SpanContext, bool) {
+	if !obs.TraceEnabled() {
+		return span, false
+	}
+	if !span.Valid() {
+		span = c.activeSpan()
+	}
+	return span, !span.Suppressed()
+}
+
+// emitCompile emits one compile trace event under sc; err is the compile's
+// failure, nil when it succeeded.
+func (c *Compiler) emitCompile(sc obs.SpanContext, ev obs.TraceEvent, err error) {
+	ev.Type, ev.Engine = "compile", c.engineLabel()
+	if err != nil {
+		ev.Detail = err.Error()
+	}
+	sc.Annotate(&ev)
+	obs.Emit(ev)
 }
 
 // generate runs the backend this compiler is configured for over a typed
@@ -322,15 +379,17 @@ func (c *Compiler) backend() string {
 }
 
 // wrap binds generated code to this compiler's kernel as a
-// CompiledCodeFunction that calls the registry entries regDeps names. Its
-// metrics block is titled the way displayName titles trace events — the
-// source is kept and printed when the name is first read — and labelled with
-// the backend; a library loaded without its source (fn nil) gets no block.
-func (c *Compiler) wrap(mod *wir.Module, prog *codegen.Program, fn expr.Expr, selfName, label string, regDeps []string) (*CompiledCodeFunction, error) {
-	main := mod.Main()
-	if main == nil {
+// CompiledCodeFunction entered at prog.Main that calls the registry entries
+// regDeps names. Its metrics block is titled the way displayName titles
+// trace events — the source is kept and printed when the name is first read
+// — and labelled with the backend; a library loaded without its source (fn
+// nil) gets no block.
+func (c *Compiler) wrap(prog *codegen.Program, fn expr.Expr, selfName, label string, regDeps []string) (*CompiledCodeFunction, error) {
+	if prog.Main == nil {
 		return nil, fmt.Errorf("module has no entry function")
 	}
+	mod := prog.Module
+	main := mod.FuncByName(prog.Main.Name)
 	ccf := &CompiledCodeFunction{
 		Source:   fn,
 		Module:   mod,
@@ -361,27 +420,48 @@ func (c *Compiler) wrap(mod *wir.Module, prog *codegen.Program, fn expr.Expr, se
 // collectRegDeps lists the registry entry names the module's compiled code
 // calls through the function registry, deduplicated and sorted.
 func collectRegDeps(mod *wir.Module) []string {
-	seen := map[string]bool{}
+	var out []string
+	eachRegCall(mod, func(e *fnreg.Entry) { out = append(out, e.Name()) })
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// retiredCallees names the registry entries the code of ccfs calls that have
+// been retired since it was compiled (nil when none): installing it would
+// publish calls into dead code. A group's members share one module, walked
+// once.
+func retiredCallees(ccfs []*CompiledCodeFunction) (names []string) {
+	for i, ccf := range ccfs {
+		if i == 0 || ccf.Module != ccfs[i-1].Module {
+			eachRegCall(ccf.Module, func(e *fnreg.Entry) {
+				if e.Retired() {
+					names = append(names, e.Name())
+				}
+			})
+		}
+	}
+	return names
+}
+
+// eachRegCall visits the entry of every call mod makes through the function
+// registry.
+func eachRegCall(mod *wir.Module, visit func(*fnreg.Entry)) {
 	for _, f := range mod.Funcs {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if p, ok := in.Prop("regcall"); ok {
 					if ent, ok := p.(*fnreg.Entry); ok {
-						seen[ent.Name()] = true
+						visit(ent)
 					}
 				}
 			}
 		}
 	}
-	if len(seen) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+}
+
+// signature is the registry signature of a compiled function.
+func (ccf *CompiledCodeFunction) signature() *types.Fn {
+	return &types.Fn{Params: ccf.ParamTypes, Ret: ccf.RetType}
 }
 
 // displayName labels a compiled function for metrics and traces: the
@@ -458,15 +538,7 @@ func (c *Compiler) buildUntypedWIR(fn expr.Expr, req CompileRequest, rep *Compil
 // BuildWIR runs the pipeline up to untyped WIR (§A.6 CompileToIR with
 // optimisations off shows the untyped form).
 func (c *Compiler) BuildWIR(fn expr.Expr) (*wir.Module, error) {
-	expanded, err := c.expand(fn, nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := binding.Analyze(expanded)
-	if err != nil {
-		return nil, err
-	}
-	return wir.Lower(res, c.TypeEnv)
+	return c.buildUntypedWIR(fn, CompileRequest{}, nil)
 }
 
 // ExpandAST runs macro expansion only (§A.6 CompileToAST).
@@ -557,7 +629,7 @@ func (c *Compiler) compileImplInto(mod *wir.Module, def *types.FuncDef,
 		if !ok {
 			return nil, fmt.Errorf("implementation parameter %d of %s is not a symbol", i, def.Name)
 		}
-		typed[i-1] = expr.New(expr.SymTyped, name, typeToSpec(callFn.Params[i-1]))
+		typed[i-1] = expr.New(expr.SymTyped, name, types.Spec(callFn.Params[i-1]))
 	}
 	annotated := expr.New(expr.SymFunction, expr.List(typed...), implFn.Arg(2))
 	sub, err := c.BuildTWIR("", annotated)
@@ -568,50 +640,12 @@ func (c *Compiler) compileImplInto(mod *wir.Module, def *types.FuncDef,
 	// implementation may mention its declared name) are resolved by the
 	// caller's loop, which iterates over appended functions; resolving here
 	// would recurse forever on self-referential implementations.
-	// Merge: rename Main (and its lambdas) to the mangled namespace.
-	var target *wir.Function
-	for _, sf := range sub.Funcs {
-		if sf.Name == "Main" {
-			sf.Name = mangled
-			target = sf
-		} else {
-			sf.Name = mangled + "`" + sf.Name
-		}
-		sf.Module = mod
-		mod.Funcs = append(mod.Funcs, sf)
-	}
-	if target == nil {
-		return nil, fmt.Errorf("implementation of %s produced no entry function", def.Name)
-	}
+	target := mod.Adopt(sub, mangled)
 	if !types.Equal(target.RetTy, callFn.Ret) {
 		return nil, fmt.Errorf("implementation of %s returns %s, declaration says %s",
 			def.Name, target.RetTy, callFn.Ret)
 	}
 	return target, nil
-}
-
-// typeToSpec renders a ground type back into TypeSpecifier expression form
-// for parameter annotations.
-func typeToSpec(t types.Type) expr.Expr {
-	switch x := t.(type) {
-	case *types.Atomic:
-		return expr.FromString(x.Name)
-	case *types.Literal:
-		return expr.FromInt64(x.Value)
-	case *types.Compound:
-		args := make([]expr.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = typeToSpec(a)
-		}
-		return expr.New(expr.FromString(x.Ctor), args...)
-	case *types.Fn:
-		params := make([]expr.Expr, len(x.Params))
-		for i, p := range x.Params {
-			params[i] = typeToSpec(p)
-		}
-		return expr.New(expr.SymRule, expr.List(params...), typeToSpec(x.Ret))
-	}
-	return expr.FromString(t.String())
 }
 
 // outcome classifies one invocation of compiled code from boxed arguments.

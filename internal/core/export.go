@@ -64,31 +64,12 @@ func (ccf *CompiledCodeFunction) ExportLibrary(w io.Writer) error {
 // regenerates executable code for it (LibraryFunctionLoad). standalone
 // disables engine-dependent features — interpreter integration and
 // abortability — as the paper describes for standalone mode (§4.6).
-func LoadCompiledLibrary(c *Compiler, r io.Reader, standalone bool) (ccf *CompiledCodeFunction, err error) {
-	// The input is untrusted (the artifact store reads it straight off
-	// disk). The decoder bounds-checks everything it can, but a mutated
-	// module that is still lint-clean can trip the backend in ways no
-	// structural check anticipates; the backstop turns any such panic into
-	// a load error so corrupt input can never take the process down.
-	defer func() {
-		if p := recover(); p != nil {
-			ccf, err = nil, fmt.Errorf("import: corrupt library: %v", p)
-		}
-	}()
-	mod, err := codegen.Unmarshal(r, c.TypeEnv)
-	if err != nil {
-		return nil, err
-	}
+func LoadCompiledLibrary(c *Compiler, r io.Reader, standalone bool) (*CompiledCodeFunction, error) {
 	// The loading compiler's backend options apply: the module is typed IR,
 	// and code generation happens here, in this process.
-	prog, err := c.generate(mod)
+	ccf, err := c.load(r, nil, "", "", nil)
 	if err != nil {
 		return nil, err
-	}
-	// ExportLibrary refuses modules with registry calls, so there are none.
-	ccf, err = c.wrap(mod, prog, nil, "", "", nil)
-	if err != nil {
-		return nil, fmt.Errorf("import: %w", err)
 	}
 	ccf.Standalone = standalone
 	return ccf, nil

@@ -12,6 +12,7 @@ import (
 	"wolfc/internal/expr"
 	"wolfc/internal/parser"
 	"wolfc/internal/runtime"
+	"wolfc/internal/types"
 )
 
 func TestExportCString(t *testing.T) {
@@ -208,6 +209,52 @@ func TestStandaloneModeDisablesEngine(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "standalone") {
 		t.Fatalf("standalone escape error %q does not mention standalone mode", err)
+	}
+}
+
+// A standalone library has no engine to draw random numbers from: a draw
+// throws the soft kernel exception a kernel escape throws there, which Apply
+// reports as an error and CallRaw unwinds with, never a nil dereference. The
+// same library loaded beside its kernel draws.
+func TestStandaloneRandomThrows(t *testing.T) {
+	for _, src := range []string{
+		`Function[{Typed[x, "Real64"]}, x + RandomReal[]]`,
+		`Function[{Typed[x, "Real64"]}, x + RandomReal[{1., 2.}]]`,
+		`Function[{Typed[x, "Integer64"]}, x + RandomInteger[{1, 6}]]`,
+	} {
+		ccf := compile(t, newCompiler(), src)
+		arg, raw := expr.Expr(expr.FromFloat(1)), any(1.0)
+		if ccf.ParamTypes[0] != types.TReal64 {
+			arg, raw = expr.FromInt64(1), int64(1)
+		}
+		var buf bytes.Buffer
+		if err := ccf.ExportLibrary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		lib := buf.Bytes()
+		hosted, err := LoadCompiledLibrary(newCompiler(), bytes.NewReader(lib), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hosted.Apply([]expr.Expr{arg}); err != nil {
+			t.Errorf("%s: hosted draw: %v", src, err)
+		}
+		hosted.CallRaw(raw)
+		loaded, err := LoadCompiledLibrary(newCompiler(), bytes.NewReader(lib), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loaded.Apply([]expr.Expr{arg}); err == nil || !strings.Contains(err.Error(), "standalone") {
+			t.Errorf("%s: standalone Apply gave %v, want an error naming standalone mode", src, err)
+		}
+		func() {
+			defer func() {
+				if exc, ok := recover().(*runtime.Exception); !ok || exc.Kind != runtime.ExcKernel {
+					t.Errorf("%s: standalone CallRaw unwound with %v, want a kernel exception", src, exc)
+				}
+			}()
+			loaded.CallRaw(raw)
+		}()
 	}
 }
 

@@ -8,12 +8,10 @@ import (
 
 	"wolfc/internal/expr"
 	"wolfc/internal/fnreg"
-	"wolfc/internal/infer"
 	"wolfc/internal/kernel"
 	"wolfc/internal/obs"
 	"wolfc/internal/pattern"
 	"wolfc/internal/types"
-	"wolfc/internal/wir"
 )
 
 // Tiered execution (ISSUE 5, extended by ISSUE 6): the interpreter is tier
@@ -28,16 +26,21 @@ import (
 // (Registry.Upgrade), so dependents' baked call sites pick up the optimised
 // code on their next atomic load.
 // Definitions the baseline cannot hold (non-scalar types) skip straight to
-// the optimised pipeline.
+// the optimised pipeline. Mutually recursive definitions promote together,
+// as one module whose members call each other directly, and they take the
+// upgrade hop together.
 //
 // The registry entry is the record of what is installed: a symbol is on a
 // compiled tier iff its entry has a binding, the code it runs is the
 // binding's payload, and which rung that is is read off the function. The
-// engine keeps only heat and job bookkeeping beside it. Redefinition
-// (Set/SetDelayed/Clear) retires the entry; the registry cascades through
-// dependents, whose next dispatch finds no binding, runs interpreted and
-// re-earns promotion; dependent compile-cache front entries are dropped; and
-// any in-flight compile for the old definition is discarded at publish time.
+// engine keeps only heat and job bookkeeping beside it, and makes entries
+// only when it publishes: a job's entries are reserved and installed
+// together under the tier lock, so none outlives a job that publishes
+// nothing. Redefinition (Set/SetDelayed/Clear) retires the entry; the
+// registry cascades through dependents, whose next dispatch finds no
+// binding, runs interpreted and re-earns promotion; dependent compile-cache
+// front entries are dropped; and any in-flight compile for the old
+// definition is discarded at publish time.
 //
 // Compilation runs on a bounded pool of background workers (at most
 // GOMAXPROCS); each worker owns one Compiler, so concurrent compiles never
@@ -175,11 +178,10 @@ type tierMember struct {
 	sym    *expr.Symbol
 	fn     expr.Expr // synthesized Function[{Typed...}, body]
 	defSeq uint64
-	// entry is set for the upgrade hop: the installed baseline entry the
-	// recompile re-points. It pins the exact installation generation — if the
-	// symbol was redefined or demoted while the recompile was in flight, the
-	// identity check at publish time fails and the result is discarded. nil
-	// for a first promotion, which reserves a fresh entry.
+	// entry is the installed baseline entry an upgrade re-points (nil for a
+	// promotion). It pins the installation generation: if the symbol was
+	// redefined or demoted while the recompile was in flight, the identity
+	// check at publish time fails and the result is discarded.
 	entry *fnreg.Entry
 	// span is the request span active when the job was queued (the
 	// evaluating goroutine that crossed the threshold), so the background
@@ -324,11 +326,8 @@ func (t *Tiering) Compiled(sym *expr.Symbol) bool {
 func (t *Tiering) OnStencilTier(sym *expr.Symbol) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if st := t.syms[sym]; st != nil {
-		ccf := st.installed()
-		return ccf != nil && ccf.stencil
-	}
-	return false
+	st := t.syms[sym]
+	return st != nil && st.installed() != nil && st.installed().stencil
 }
 
 // state returns sym's record, creating it on first sight (t.mu held).
@@ -524,13 +523,18 @@ func (t *Tiering) enqueue(st *symState) {
 		if !t.upgradable(st, ccf) {
 			return
 		}
-		// The installed function carries the synthesized source it was
-		// compiled from; the entry stands alone, so the job is one member.
-		members = []*tierMember{{sym: st.sym, fn: ccf.Source, defSeq: st.defSeq, entry: st.entry}}
+		// Each member recompiles alone from the synthesized source it carries,
+		// and a group's members (st among them) take the hop together: one
+		// left on the group's module would call its partners' baseline code.
+		for _, o := range t.syms {
+			if p := o.installed(); p != nil && p.Module == ccf.Module && t.upgradable(o, p) {
+				members = append(members, &tierMember{sym: o.sym, fn: p.Source, defSeq: o.defSeq, entry: o.entry})
+			}
+		}
 	} else if group, why := t.buildGroup(st); group != nil {
 		members = group
 	} else {
-		t.abandon([]*tierMember{{sym: st.sym, defSeq: st.defSeq}}, nil, why)
+		t.abandon([]*tierMember{{sym: st.sym, defSeq: st.defSeq}}, why)
 		return
 	}
 	// Capture the triggering request's span here, on the evaluating
@@ -547,20 +551,17 @@ func (t *Tiering) enqueue(st *symState) {
 		tierQueueDepth.Add(1)
 		t.queueDepth.Add(1)
 	default:
-		t.abandon(members, nil, jobTransient) // worker backlog
+		t.abandon(members, jobTransient) // worker backlog
 		t.inflight.Done()
 	}
 }
 
-// abandon (t.mu held) ends a job without publishing: the entries it reserved
-// are retired, and every member still on the definition the job snapshotted
-// is left as v says — a transient obstruction backs off by Threshold more
-// dispatches on the rung the member is on. An upgrade's member keeps its
-// installed baseline entry: it is correct, just not optimised.
-func (t *Tiering) abandon(members []*tierMember, reserved []*fnreg.Entry, v verdict) {
-	for _, e := range reserved {
-		t.reg.RetireEntry(e)
-	}
+// abandon (t.mu held) ends a job without publishing: every member still on
+// the definition the job snapshotted is left as v says — a transient
+// obstruction backs off by Threshold more dispatches on the rung the member
+// is on. An upgrade's member keeps its installed baseline entry: it is
+// correct, just not optimised.
+func (t *Tiering) abandon(members []*tierMember, v verdict) {
 	for _, m := range members {
 		st := t.syms[m.sym]
 		if st == nil || st.defSeq != m.defSeq {
@@ -648,184 +649,129 @@ func (t *Tiering) worker() {
 	}
 }
 
-// compileOne compiles one member on the cheapest admissible rung: the
-// baseline configuration first (unless disabled, or this is the upgrade
-// hop), then the full pipeline when the definition leaves the baseline's
-// fragment (non-scalar types). Compile latency feeds the per-tier
-// histograms.
-//
-// shared routes the compile through the compile cache: a promotion any
-// kernel of this process — or, with an artifact store attached, any previous
-// process — has compiled before skips the pipeline. Only self-contained
-// members may share: group members bake registry calls to entries reserved
-// for this specific promotion, and those reservations die with the job on
-// failure, which would leave a cached entry pointing at retired registry
-// slots.
-func (t *Tiering) compileOne(c *Compiler, m *tierMember, shared bool) (ccf *CompiledCodeFunction, err error) {
-	req := CompileRequest{SelfName: m.sym.Name, Span: m.span}
+// climb runs compile on the cheapest admissible rung: the baseline
+// configuration first (unless disabled, or this is the upgrade hop), then the
+// full pipeline when the definition leaves the baseline's fragment
+// (non-scalar types). Compile latency feeds the per-tier histograms.
+func (t *Tiering) climb(c *Compiler, upgrade bool, compile func() error) (err error) {
 	configs := []bool{true, false} // Compiler.Stencil, in the order tried
-	if t.pol.DisableStencil || m.entry != nil {
+	if t.pol.DisableStencil || upgrade {
 		configs = configs[1:]
 	}
 	for _, stencil := range configs {
 		c.Stencil = stencil
 		t0 := time.Now()
-		if shared {
-			ccf, _, err = c.FunctionCompileCachedRequest(m.fn, req)
-		} else {
-			ccf, err = c.FunctionCompileRequest(m.fn, req)
-		}
-		if err == nil {
+		if err = compile(); err == nil {
 			hist := histO2Compile
 			if stencil {
 				hist = histStencilCompile
 			}
 			hist.Observe(time.Since(t0))
-			return ccf, nil
+			return nil
 		}
 	}
-	return nil, err
+	return err
 }
 
-// compileJob compiles a job's members and publishes them atomically.
+// compileJob compiles a job on the cheapest admissible rung and publishes it.
+// A single definition, and each member of an upgrade, compiles alone through
+// the compile cache, so a promotion compiled before by this process, or by
+// any process sharing its artifact store, skips the pipeline; its calls to
+// installed entries go through the registry. A group's promotion compiles as
+// one module and is never cached: a member's code holds its partners' code.
 func (t *Tiering) compileJob(c *Compiler, members []*tierMember) {
-	entries := make([]*fnreg.Entry, len(members))
-	ccfs := make([]*CompiledCodeFunction, len(members))
-	giveUp := func(v verdict) {
-		t.mu.Lock()
-		t.abandon(members, entries, v)
-		t.mu.Unlock()
-	}
-
-	if len(members) == 1 {
-		// A self-contained (or self-recursive) definition, or an upgrade:
-		// compile, then register. Calls to already installed entries resolve
-		// through the registry during inference, on either rung.
-		m := members[0]
-		ccf, err := t.compileOne(c, m, true)
-		if err != nil {
-			// For an upgrade this disarms the trigger for good: a pipeline
-			// that failed once on this definition will fail again.
-			giveUp(jobFailed)
-			return
-		}
-		ccfs[0] = ccf
-		if m.entry == nil {
-			sig := &types.Fn{Params: ccf.ParamTypes, Ret: ccf.RetType}
-			// A Reserve conflict is transient under the worker pool: another
-			// worker may still hold a reservation it is about to discard
-			// (stale compile racing a redefinition). Back off and re-earn
-			// promotion rather than permanently failing the symbol.
-			if entries[0], err = t.reg.Reserve(m.sym.Name, sig, nil); err != nil {
-				giveUp(jobTransient)
-				return
-			}
-			entries[0].AddDeps(ccf.RegDeps)
-		}
-		t.publish(members, entries, ccfs)
-		return
-	}
-
-	// Mutual-recursion group. Ground signatures must exist before any
-	// member compiles (each member's cross-calls resolve against the
-	// others' reserved entries), so a typing pre-pass lowers every member
-	// into one merged module — where the members see each other as module
-	// functions — and infers it as a whole. The per-member compiles then
-	// run on the cheapest admissible rung, and inference resolves partners
-	// through the reserved entries on either rung.
-	merged := &wir.Module{}
-	for _, m := range members {
-		sub, err := c.BuildWIR(m.fn)
-		if err != nil {
-			giveUp(jobFailed)
-			return
-		}
-		for _, sf := range sub.Funcs {
-			if sf.Name == "Main" {
-				sf.Name = m.sym.Name
-			} else {
-				sf.Name = m.sym.Name + "`" + sf.Name
-			}
-			sf.Module = merged
-			merged.Funcs = append(merged.Funcs, sf)
-		}
-	}
-	if err := infer.InferWith(merged, c.TypeEnv, t.reg); err != nil {
-		giveUp(jobFailed)
-		return
-	}
+	upgrade := members[0].entry != nil
+	names, fns := make([]string, len(members)), make([]expr.Expr, len(members))
 	for i, m := range members {
-		f := merged.FuncByName(m.sym.Name)
-		if f == nil || !types.IsGround(f.FnType()) {
-			giveUp(jobFailed)
-			return
+		names[i], fns[i] = m.sym.Name, m.fn
+	}
+	var ccfs []*CompiledCodeFunction
+	err := t.climb(c, upgrade, func() (err error) {
+		if len(members) > 1 && !upgrade {
+			ccfs, err = c.compileGroup(names, fns, members[0].span)
+			return err
 		}
-		deps := make([]string, 0, len(members)-1)
-		for _, o := range members {
-			if o != m {
-				deps = append(deps, o.sym.Name)
+		ccfs = ccfs[:0]
+		for i, m := range members {
+			ccf, _, err := c.FunctionCompileCachedRequest(fns[i], CompileRequest{SelfName: names[i], Span: m.span})
+			if err != nil {
+				return err
 			}
+			ccfs = append(ccfs, ccf)
 		}
-		ent, err := t.reg.Reserve(m.sym.Name, f.FnType(), deps)
-		if err != nil {
-			giveUp(jobTransient)
-			return
-		}
-		entries[i] = ent
-	}
-	for i, m := range members {
-		ccf, err := t.compileOne(c, m, false)
-		if err != nil || !types.Equal(ccf.RetType, entries[i].Sig().Ret) {
-			giveUp(jobFailed)
-			return
-		}
-		// Registered before publication, so a callee retired meanwhile takes
-		// this reservation down with it: publish then installs nothing, and
-		// the member re-earns promotion against the new callee.
-		entries[i].AddDeps(ccf.RegDeps)
-		ccfs[i] = ccf
-	}
-	t.publish(members, entries, ccfs)
+		return nil
+	})
+	t.publish(members, ccfs, err)
 }
 
-// publish makes a compiled job live: all members or none. A member whose
-// definition changed while the compile was in flight (defSeq mismatch)
-// poisons the whole group — its partners' code bakes calls to the stale
-// reservation. A first promotion installs its reserved entry (entries[i]);
-// an upgrade re-points the member's installed entry in place.
-func (t *Tiering) publish(members []*tierMember, entries []*fnreg.Entry, ccfs []*CompiledCodeFunction) {
+// publish makes a compiled job live, all members or none, under the tier
+// lock. A job that did not compile fails: for an upgrade that disarms the
+// trigger for good. A member redefined while the compile was in flight
+// poisons the whole job (its partners' code holds the stale definition), and
+// so does code calling an entry retired meanwhile, which leaves the compile
+// cache. An upgrade re-points its members' entries in place. A promotion
+// reserves every member's entry, with the names its code calls as
+// dependencies, then installs them all; if a foreign registrant holds a name,
+// what was reserved is retired and the job backs off.
+func (t *Tiering) publish(members []*tierMember, ccfs []*CompiledCodeFunction, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if err != nil {
+		t.abandon(members, jobFailed)
+		return
+	}
 	for _, m := range members {
-		st := t.syms[m.sym]
-		if st == nil || st.defSeq != m.defSeq || (m.entry != nil && st.entry != m.entry) {
-			t.abandon(members, entries, jobStale)
+		if st := t.syms[m.sym]; st == nil || st.defSeq != m.defSeq || (m.entry != nil && st.entry != m.entry) {
+			t.abandon(members, jobStale)
 			return
 		}
 	}
-	for i, m := range members {
-		st, ccf := t.syms[m.sym], ccfs[i]
-		if m.entry != nil {
-			if sig := (&types.Fn{Params: ccf.ParamTypes, Ret: ccf.RetType}); !types.Equal(sig, m.entry.Sig()) {
+	if gone := retiredCallees(ccfs); gone != nil {
+		t.c.retire(gone) // compiled, or cached, before its callee retired
+		t.abandon(members, jobStale)
+		return
+	}
+	if members[0].entry != nil {
+		for i, m := range members {
+			if !types.Equal(ccfs[i].signature(), m.entry.Sig()) {
 				// The optimised pipeline typed it differently: dependents'
 				// call sites bake the baseline signature, so the baseline
 				// stays, and the trigger stays disarmed.
-				t.abandon(members, nil, jobFailed)
+				t.abandon(members, jobFailed)
 				return
 			}
-			if !t.reg.Upgrade(m.entry, ccf.FunctionValue(), ccf) {
-				t.abandon(members, nil, jobStale) // lost a race with retirement
+		}
+		for i, m := range members {
+			if !t.reg.Upgrade(m.entry, ccfs[i].FunctionValue(), ccfs[i]) {
+				// Lost a race with retirement, whose cascade also takes down
+				// the partners re-pointed before.
+				t.abandon(members, jobStale)
 				return
 			}
-			m.entry.AddDeps(ccf.RegDeps)
-			st.pending = false
-			st.calls.Store(0)
+			m.entry.AddDeps(ccfs[i].RegDeps)
+			t.syms[m.sym].pending = false
+			t.syms[m.sym].calls.Store(0)
 			t.stats.Upgrades++
 			ctrTierUpgrades.Inc()
-			continue
 		}
+		return
+	}
+	entries := make([]*fnreg.Entry, len(members))
+	for i, m := range members {
+		e, err := t.reg.Reserve(m.sym.Name, ccfs[i].signature(), ccfs[i].RegDeps)
+		if err != nil {
+			for _, e := range entries[:i] {
+				t.reg.RetireEntry(e)
+			}
+			t.abandon(members, jobTransient)
+			return
+		}
+		entries[i] = e
+	}
+	for i, m := range members {
+		ccf := ccfs[i]
 		t.reg.Install(entries[i], ccf.FunctionValue(), ccf)
-		st.rebind(entries[i])
+		t.syms[m.sym].rebind(entries[i])
 		t.stats.Promotions++
 		ctrTierPromotions.Inc()
 		if ccf.stencil {

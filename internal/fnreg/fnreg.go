@@ -18,8 +18,11 @@
 // the one shared instance, for callers with no engine of their own; no
 // other package-level mutable registry state exists.
 //
-// Lifecycle: an entry is Reserved (signature visible to inference, not yet
-// callable), then Installed (callable), then Retired (permanently dead).
+// Lifecycle: an entry is Reserved (signature and dependencies recorded, not
+// yet callable), then Installed (callable), then Retired (permanently dead).
+// The tiering engine reserves and installs a job's entries back to back, as
+// it publishes: the members of a mutual-recursion group call each other
+// inside one compiled module, never through an entry that is only reserved.
 // An entry is never re-pointed at a different function: redefining a
 // symbol retires its entry and any future compile installs a fresh one.
 // Code that baked a pointer to a retired entry throws a soft kernel
@@ -179,11 +182,11 @@ func (r *Registry) Stats() RegistryStats {
 	}
 }
 
-// Reserve registers a new entry for name with a ground signature. The
-// entry is visible to type inference immediately (so mutually recursive
-// compilation units can resolve each other before either is installed) but
-// is not callable until Install. Reserving over a live entry is an error:
-// the caller must Retire the old definition first.
+// Reserve registers a new entry for name with a ground signature and the
+// names of the entries its code depends on (the edges the retirement cascade
+// follows). The entry is live, and so visible to Lookup, at once, but is not
+// callable until Install. Reserving over a live entry is an error: the
+// caller must Retire the old definition first.
 func (r *Registry) Reserve(name string, sig *types.Fn, deps []string) (*Entry, error) {
 	if name == "" || sig == nil {
 		return nil, fmt.Errorf("fnreg: reserve needs a name and a signature")
@@ -271,9 +274,9 @@ func (r *Registry) Retire(name string) []string {
 }
 
 // RetireEntry retires e only if it is still the live entry under its name.
-// A stale background compile discarding its reservation must not take down
-// a successor entry registered for a newer definition; the orphan is still
-// marked retired so a late Install on it stays a no-op.
+// A caller retiring an entry it holds (an installation that keeps failing)
+// must not take down a successor entry registered for a newer definition;
+// the orphan is still marked retired so a late Install on it stays a no-op.
 func (r *Registry) RetireEntry(e *Entry) []string {
 	if e == nil {
 		return nil

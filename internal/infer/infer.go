@@ -471,11 +471,11 @@ func (in *inferer) constrainCall(f *wir.Function, i *wir.Instr) error {
 	if len(opts) == 0 {
 		// Last resort before failing: the function registry. A name that is
 		// neither a module function nor a declared builtin may be another
-		// separately compiled unit (an auto-promoted DownValue definition, or
-		// a member of a mutual-recursion group reserved mid-compile). Resolve
-		// the call against its ground registry signature and mark the
-		// instruction so codegen emits a direct registry call instead of a
-		// boxed KernelApply round-trip.
+		// separately compiled unit (an auto-promoted DownValue definition;
+		// the members of a mutual-recursion group are functions of one
+		// module). Resolve the call against its ground registry signature and
+		// mark the instruction so codegen emits a direct registry call
+		// instead of a boxed KernelApply round-trip.
 		if ent, ok := in.reg.Lookup(i.Callee); ok {
 			sig := ent.Sig()
 			if len(sig.Params) == len(i.Args) {

@@ -15,6 +15,16 @@ import (
 // buildTWIR compiles source to a typed module without running passes.
 func buildTWIR(t *testing.T, src string) *wir.Module {
 	t.Helper()
+	mod := buildWIR(t, src)
+	if err := infer.Infer(mod, types.Builtin()); err != nil {
+		t.Fatalf("infer: %v", err)
+	}
+	return mod
+}
+
+// buildWIR lowers source to an untyped module.
+func buildWIR(t *testing.T, src string) *wir.Module {
+	t.Helper()
 	env := macro.DefaultEnv()
 	e, err := env.Expand(parser.MustParse(src), nil)
 	if err != nil {
@@ -25,13 +35,9 @@ func buildTWIR(t *testing.T, src string) *wir.Module {
 	if err != nil {
 		t.Fatalf("binding: %v", err)
 	}
-	tenv := types.Builtin()
-	mod, err := wir.Lower(res, tenv)
+	mod, err := wir.Lower(res, types.Builtin())
 	if err != nil {
 		t.Fatalf("lower: %v", err)
-	}
-	if err := infer.Infer(mod, tenv); err != nil {
-		t.Fatalf("infer: %v", err)
 	}
 	return mod
 }
@@ -422,6 +428,47 @@ func TestRefCountsStayOutOfMutationLoops(t *testing.T) {
 	}
 	if n := countInstrs(f, func(in *wir.Instr) bool { return in.NativeName() == "list_fill" }); n != 1 {
 		t.Fatalf("ConstantArray should be one list_fill, got %d:\n%s", n, f.String())
+	}
+}
+
+// A call bound to a module function by name, as the baseline configuration
+// leaves it (it runs no pass that records ResolvedFn), is a direct call and
+// returns an owned value, as a resolved one does: counting places the same
+// operations for both.
+func TestRefCountsTreatNamedModuleCallAsDirect(t *testing.T) {
+	tenv := types.Builtin()
+	counted := func(resolve bool) string {
+		mod := &wir.Module{}
+		mod.Adopt(buildWIR(t, `Function[{Typed[n, "MachineInteger"]}, Length[g[n]] + Length[g[n + 1]]]`), "Main")
+		g := mod.Adopt(buildWIR(t, `Function[{Typed[k, "MachineInteger"]}, ConstantArray[1.5, k]]`), "g")
+		if err := infer.Infer(mod, tenv); err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		for _, b := range mod.Main().Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == wir.OpCall && in.Callee == "g" {
+					calls++
+					if kind := in.CallKind(); kind != "direct" {
+						t.Fatalf("the call to g is %q, want direct", kind)
+					}
+					if resolve {
+						in.ResolvedFn = g
+					}
+				}
+			}
+		}
+		if calls != 2 {
+			t.Fatalf("%d calls to g, want 2:\n%s", calls, mod.String())
+		}
+		InsertRefCounts(mod, tenv)
+		if err := VerifyRefCounts(mod, tenv); err != nil {
+			t.Fatalf("%v\n%s", err, mod.String())
+		}
+		return mod.String()
+	}
+	if byName, resolved := counted(false), counted(true); byName != resolved {
+		t.Fatalf("counted by name:\n%s\nresolved:\n%s", byName, resolved)
 	}
 }
 

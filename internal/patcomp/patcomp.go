@@ -128,7 +128,7 @@ func Analyze(sym *expr.Symbol, rules []pattern.Rule, kinds []types.Type) (*Def, 
 func (d *Def) Synthesize() expr.Expr {
 	typed := make([]expr.Expr, len(d.params))
 	for i, p := range d.params {
-		typed[i] = expr.New(expr.SymTyped, p, kindSpec(d.Kinds[i]))
+		typed[i] = expr.New(expr.SymTyped, p, types.Spec(d.Kinds[i]))
 	}
 	return expr.New(expr.SymFunction, expr.List(typed...), d.body)
 }
@@ -139,17 +139,6 @@ func (d *Def) Synthesize() expr.Expr {
 // projections — a variable d_ is not a call to a function named d. The
 // tiering engine walks these for call-graph (mutual recursion) edges.
 func (d *Def) ScanExprs() []expr.Expr { return d.scan }
-
-// kindSpec renders a dispatch kind as a TypeSpecifier expression.
-func kindSpec(t types.Type) expr.Expr {
-	if elem, ok := tensorElem(t); ok {
-		return expr.New(expr.FromString("Tensor"), kindSpec(elem), expr.FromInt64(1))
-	}
-	if types.Equal(t, types.TReal64) {
-		return expr.FromString("Real64")
-	}
-	return expr.FromString("Integer64")
-}
 
 // tensorElem unpacks a rank-1 tensor kind.
 func tensorElem(t types.Type) (types.Type, bool) {

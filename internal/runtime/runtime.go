@@ -29,6 +29,15 @@ type Engine interface {
 	RandInt(lo, hi int64) int64
 }
 
+// NeedEngine returns eng for a native that needs the engine, what names it.
+// Standalone code has no engine: there the native throws, as an escape does.
+func NeedEngine(eng Engine, what string) Engine {
+	if eng == nil {
+		Throw(ExcKernel, "%s requires the engine (disabled in standalone mode)", what)
+	}
+	return eng
+}
+
 // Exception kinds raised by compiled code. They unwind (as Go panics) to
 // the CompiledCodeFunction wrapper, which converts them into the soft
 // fallback or an abort (paper §4.5).

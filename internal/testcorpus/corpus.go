@@ -189,15 +189,7 @@ func (e Entry) Untyped(c *core.Compiler) (*wir.Module, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, f := range sub.Funcs {
-			if f.Name == "Main" {
-				f.Name = nf.Name
-			} else {
-				f.Name = nf.Name + "`" + f.Name
-			}
-			f.Module = merged
-			merged.Funcs = append(merged.Funcs, f)
-		}
+		merged.Adopt(sub, nf.Name)
 	}
 	return merged, nil
 }

@@ -310,6 +310,30 @@ func (e *Env) ParseSpec(spec expr.Expr) (Type, error) {
 	return e.parseSpec(spec, map[string]*Var{})
 }
 
+// Spec renders a ground type as the TypeSpecifier expression ParseSpec reads
+// back into it: the form parameter annotations and the module codec write.
+func Spec(t Type) expr.Expr {
+	switch x := t.(type) {
+	case *Atomic:
+		return expr.FromString(x.Name)
+	case *Literal:
+		return expr.FromInt64(x.Value)
+	case *Compound:
+		args := make([]expr.Expr, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = Spec(a)
+		}
+		return expr.New(expr.FromString(x.Ctor), args...)
+	case *Fn:
+		params := make([]expr.Expr, len(x.Params))
+		for i, p := range x.Params {
+			params[i] = Spec(p)
+		}
+		return expr.New(expr.SymRule, expr.List(params...), Spec(x.Ret))
+	}
+	return expr.FromString(t.String())
+}
+
 func (e *Env) parseSpec(spec expr.Expr, vars map[string]*Var) (Type, error) {
 	switch x := spec.(type) {
 	case *expr.String:

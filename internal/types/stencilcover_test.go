@@ -68,6 +68,37 @@ func TestBaselineTierCoversEveryScalarNative(t *testing.T) {
 	t.Logf("%d scalar overload instances compiled on the baseline tier", compiled)
 }
 
+// TestSpecRoundTrip: Spec renders a type as the expression ParseSpec reads
+// back into it, over every scalar overload instance of the standard library,
+// and over tensors and function types.
+func TestSpecRoundTrip(t *testing.T) {
+	env := types.Builtin()
+	roundTrip := func(ty types.Type) {
+		t.Helper()
+		back, err := env.ParseSpec(types.Spec(ty))
+		if err != nil || !types.Equal(back, ty) {
+			t.Errorf("%s: Spec %s parses back as %v (%v)", ty, expr.InputForm(types.Spec(ty)), back, err)
+		}
+	}
+	visited := 0
+	forEachScalarOverload(t, env, func(_ string, _ *types.FuncDef, sig *types.Fn, _ expr.Expr) {
+		roundTrip(sig)
+		visited++
+	})
+	if visited < 100 {
+		t.Errorf("only %d overload instances visited", visited)
+	}
+	vec, mat := types.TensorOf(types.TReal64, 1), types.TensorOf(types.TInt64, 2)
+	for _, ty := range []types.Type{
+		vec, mat, types.TensorOf(types.TComplex, 3),
+		&types.Fn{Params: []types.Type{vec, types.TInt64}, Ret: types.TReal64},
+		&types.Fn{Params: []types.Type{&types.Fn{Params: []types.Type{types.TReal64, types.TReal64}, Ret: types.TBool}, mat}, Ret: mat},
+		&types.Fn{Ret: types.TVoid},
+	} {
+		roundTrip(ty)
+	}
+}
+
 // fuseLevels returns one compiler per closure-backend configuration, over
 // one kernel, and their names.
 func fuseLevels() (*kernel.Kernel, []*core.Compiler, []string) {

@@ -173,6 +173,11 @@ func (i *Instr) CallKind() string {
 		if i.Native != "" {
 			return "native"
 		}
+		if b := i.Block; b != nil && b.Fn != nil && b.Fn.Module != nil && b.Fn.Module.FuncByName(i.Callee) != nil {
+			// Bound by name, as the backends do where no pass recorded
+			// ResolvedFn (the baseline configuration runs none).
+			return "direct"
+		}
 		return "unresolved"
 	}
 	return ""
@@ -325,6 +330,23 @@ func (m *Module) FuncByName(name string) *Function {
 		}
 	}
 	return nil
+}
+
+// Adopt splices sub's functions into m under name and returns sub's entry
+// function, which becomes name; each of its other functions becomes
+// name`f. Calls that name name then bind to it as a function of m.
+func (m *Module) Adopt(sub *Module, name string) *Function {
+	entry := sub.Main()
+	for _, f := range sub.Funcs {
+		if f == entry {
+			f.Name = name
+		} else {
+			f.Name = name + "`" + f.Name
+		}
+		f.Module = m
+		m.Funcs = append(m.Funcs, f)
+	}
+	return entry
 }
 
 // NewFunction appends an empty function with an entry block.

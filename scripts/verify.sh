@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # verify.sh — the repo's full acceptance run.
 #
-#   scripts/verify.sh          # tier 1, then the checks go test cannot make
-#   scripts/verify.sh -fast    # tier 1 and the size report only
+#   scripts/verify.sh          # gofmt, tier 1, then the checks go test cannot make
+#   scripts/verify.sh -fast    # gofmt, tier 1 and the size report only
 #
 # Tier 1 (ROADMAP.md) is the gate list: build, vet, tests, race tests. Every
 # differential and smoke check lives there as a Go test in the package that
@@ -10,11 +10,19 @@
 # drive the built binaries), so the pipeline, which runs nothing but tier 1,
 # enforces them. Speed is checked in one place too: the pipeline runs
 # benchmark/ (BENCHMARK.json) parent against change on every PR, and nothing
-# here times anything. What is left for this script is what needs the real
-# go:generate line, the compiler's inlining report, or the benchmark module
-# (its own module, invisible to the root's go test).
+# here times anything. What is left for this script is what needs gofmt, the
+# real go:generate line, the compiler's inlining report, or the benchmark
+# module (its own module, invisible to the root's go test).
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "== gofmt: the tree is formatted =="
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "verify: FAIL — gofmt -l lists files that are not gofmt-formatted:"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "== tier 1: go build =="
 go build ./...
@@ -45,8 +53,8 @@ size_report() {
     echo "internal/codegen hand-written: $(find internal/codegen -name '*.go' ! -name '*_test.go' | grep -v -F "$gen" | xargs cat | wc -l)"
     echo "scripts/verify.sh: $(wc -l < scripts/verify.sh) lines"
     echo "internal/codegen/fusion_modes.go: $(wc -l < internal/codegen/fusion_modes.go) generated lines"
-    echo "== size: what one compiler, one tiered session, 21 891 compiled calls (cfib[20]), inferring the 14-source corpus, compiling it uncached, loading it from the artifact store (decode + codegen), loading it on a second kernel (resident programs) and lowering, inferring and optimising 15 corpus modules (the pass pipeline) cost =="
-    go test -run '^$' -bench 'NewCompiler$|EngineNewClose$|CallOverhead$|Infer$|CorpusCompile$|ArtifactLoad$|ResidentLoad$|Pipeline$' -benchmem -benchtime 200x ./internal/core ./internal/engine ./internal/passes | grep '^Benchmark'
+    echo "== size: what one compiler, one tiered session, 21 891 compiled calls (cfib[20]), inferring the 14-source corpus, compiling it uncached, loading it from the artifact store (decode + codegen), loading it on a second kernel (resident programs), lowering, inferring and optimising 15 corpus modules (the pass pipeline) and compiling a mutual-recursion pair as one module on each rung cost =="
+    go test -run '^$' -bench 'NewCompiler$|EngineNewClose$|CallOverhead$|Infer$|CorpusCompile$|ArtifactLoad$|ResidentLoad$|Pipeline$|GroupCompile$' -benchmem -benchtime 200x ./internal/core ./internal/engine ./internal/passes | grep '^Benchmark'
     echo "== size: the tensor loops of Figure 2 and the random walk's allocations (ISSUE 19) =="
     go test -run '^$' -bench 'Fig2/(blur|histogram|qsort)/compiled$|Figure1RandomWalk/compiled$' -benchmem -benchtime 20x -cpu 1 . | grep '^Benchmark'
 }
