@@ -355,6 +355,41 @@ int main(int argc, char **argv) {
 	}
 }
 
+// Integer Power squares repeatedly in both runtimes: at the machine-integer
+// extremes it answers at once, and it stops the C runtime exactly where
+// runtime.PowI64 throws.
+func TestCExecIntegerPower(t *testing.T) {
+	prog := compileSrc(t, `Function[{Typed[a, "MachineInteger"], Typed[b, "MachineInteger"]}, Power[a, b]]`)
+	bin := buildCExecutable(t, prog, `#include <stdlib.h>
+int main(int argc, char **argv) {
+	if (argc != 3) return 2;
+	printf("%lld\n", (long long)Main(strtoll(argv[1], NULL, 10), strtoll(argv[2], NULL, 10)));
+	return 0;
+}
+`)
+	for _, r := range [][2]int64{
+		{0, math.MaxInt64}, {1, math.MaxInt64}, {-1, math.MaxInt64}, {-1, math.MaxInt64 - 1}, {2, 62}, {2, 63},
+		{-2, 63}, {-2, 64}, {3, 39}, {3, 40}, {7, 0}, {0, 0}, {2, -1}, {math.MinInt64, 1}, {math.MinInt64, 2},
+	} {
+		var want int64
+		exc := func() (exc *runtime.Exception) {
+			defer func() { exc, _ = recover().(*runtime.Exception) }()
+			want = prog.Main.CallValues(&RT{}, r[0], r[1]).(int64)
+			return nil
+		}()
+		out, err := exec.Command(bin, strconv.FormatInt(r[0], 10), strconv.FormatInt(r[1], 10)).CombinedOutput()
+		got := strings.TrimSpace(string(out))
+		switch {
+		case exc != nil:
+			if err == nil || !strings.HasPrefix(got, "wolfrt: fatal: ") {
+				t.Errorf("Power%v: C printed %q (%v) where the closure backend throws %v", r, got, err, exc)
+			}
+		case err != nil || got != strconv.FormatInt(want, 10):
+			t.Errorf("Power%v: C = %q (%v), closure backend = %d", r, got, err, want)
+		}
+	}
+}
+
 // Part with a user-supplied index compiles to the checked part_1 entry
 // point; out-of-range indices are fatal in standalone mode.
 func TestCExecPartBoundsFatal(t *testing.T) {

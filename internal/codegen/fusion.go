@@ -1,8 +1,9 @@
-// The scalar natives and their fusion. buildEvalI/F/B/C are the catalogue of
-// scalar natives — the one place the closure backend writes what each one
-// computes — as typed evaluators whose operands are registers, inlined
-// literals or nested evaluators. An instruction compiled on its own is a
-// one-node tree (genNative); the rest of this file is about larger trees.
+// The scalar natives and their fusion. buildEvalI/F/B/C build each scalar
+// native as a typed evaluator whose operands are registers, inlined literals
+// or nested evaluators, around the native's function in the runtime's scalar
+// table (runtime.ScalarOf), which is what the native computes. An
+// instruction compiled on its own is a one-node tree (genNative); the rest of
+// this file is about larger trees.
 //
 // Superinstruction fusion (ISSUE 2): the closure-threaded analogue of
 // Copy-and-Patch stencil chaining. A def-use chain of scalar instructions
@@ -129,9 +130,9 @@ func (x opC) get(fr *frame) complex128 {
 // + - * /; the six compares on integers and reals — do not go through get.
 // Which mode each operand has is known when the closure is built, so each of
 // them has one closure body per mode pair, generated into fusion_modes.go
-// from modegen's table (the one place these ops are spelled) and chosen once
-// by the constructors below. Everything else in buildEval* is cold enough to
-// keep get's switch.
+// from modegen's table (whose rows name the runtime functions) and chosen
+// once by the constructors below. Everything else in buildEval* is cold
+// enough to keep get's switch and call its function through a func value.
 //
 //go:generate go run ./modegen -o fusion_modes.go
 
@@ -346,11 +347,14 @@ func barrierInstr(in *wir.Instr) bool {
 }
 
 // fusibleProducer reports whether in is a native call the evaluator builders
-// compile: the catalogue of scalar natives. Everything it admits is built by
-// buildEvalI/F/B/C and by nothing else (selectNative has no arm for it, the
-// tensor loads apart), can become an interior node of a fused tree, and is
-// declared Pure or Throws, so never a barrier; TestOneSpellingPerScalarNative
-// walks the standard library to hold the three together.
+// compile: a scalar native at operand and result kinds the runtime has a
+// function for (passes.ScalarOf), or one of the named arms — cast (its result
+// depends on the target width), tensor_length, string_byte and the Part reads
+// of a scalar element. Everything it admits is built by buildEvalI/F/B/C and
+// by nothing else (selectNative has no arm for it, the tensor loads apart),
+// can become an interior node of a fused tree, and is declared Pure or
+// Throws, so never a barrier; TestOneSpellingPerScalarNative walks the
+// standard library to hold the three together.
 func fusibleProducer(in *wir.Instr) bool {
 	if in.Op != wir.OpCall || in.ResolvedFn != nil || in.Ty == nil || in.IsTerminator() {
 		return false
@@ -359,75 +363,16 @@ func fusibleProducer(in *wir.Instr) bool {
 	case "Native`List", "Native`KernelApply":
 		return false
 	}
-	native := in.NativeName()
-	if native == "" {
-		return false
-	}
 	rk := runtime.KindOf(in.Ty)
-	switch native {
-	case "binary_plus", "binary_times", "binary_subtract", "unary_minus":
-		return rk == runtime.KI64 || rk == runtime.KR64 || rk == runtime.KC64
-	case "binary_divide":
-		return rk == runtime.KR64 || rk == runtime.KC64
-	case "divide_int_real", "mixed_ri_plus", "mixed_ir_plus", "mixed_ri_times",
-		"mixed_ir_times", "mixed_ri_subtract", "mixed_ir_subtract",
-		"mixed_ri_divide", "mixed_ir_divide",
-		"power_real", "power_real_int", "mod_real", "abs_real", "math_atan2",
-		"abs_complex", "re", "im", "to_real64":
-		return rk == runtime.KR64
-	case "mixed_cr_plus", "mixed_rc_plus", "mixed_cr_times", "mixed_rc_times",
-		"mixed_cr_subtract", "mixed_rc_subtract",
-		"power_complex", "power_complex_int", "make_complex":
-		return rk == runtime.KC64
-	case "power_int", "mod_int", "quotient_int", "abs_int", "sign_int",
-		"sign_real", "identity_int", "floor_real", "ceiling_real",
-		"round_real", "bitand", "bitor", "bitxor",
-		"bitshiftleft", "bitshiftright", "tensor_length", "string_byte":
+	switch in.NativeName() {
+	case "cast", "tensor_length", "string_byte":
 		return rk == runtime.KI64
-	case "min", "max":
-		return rk == runtime.KI64 || rk == runtime.KR64
-	case "math_sin", "math_cos", "math_tan", "math_exp", "math_log",
-		"math_sqrt", "math_arctan", "math_arcsin", "math_arccos",
-		"math_sin_int", "math_cos_int", "math_tan_int", "math_exp_int",
-		"math_log_int", "math_sqrt_int", "math_arctan_int",
-		"math_arcsin_int", "math_arccos_int":
-		return rk == runtime.KR64
-	case "evenq", "oddq", "not", "and", "or", "sameq_bool",
-		"mixed_ri_cmp_less", "mixed_ri_cmp_lessequal", "mixed_ri_cmp_greater",
-		"mixed_ri_cmp_greaterequal", "mixed_ri_cmp_equal", "mixed_ri_cmp_unequal",
-		"mixed_ir_cmp_less", "mixed_ir_cmp_lessequal", "mixed_ir_cmp_greater",
-		"mixed_ir_cmp_greaterequal", "mixed_ir_cmp_equal", "mixed_ir_cmp_unequal":
-		return rk == runtime.KBool
-	case "cmp_less", "cmp_lessequal", "cmp_greater", "cmp_greaterequal",
-		"cmp_equal", "cmp_unequal":
-		if rk != runtime.KBool || len(in.Args) != 2 || in.Args[0].Type() == nil {
-			return false
-		}
-		switch runtime.KindOf(in.Args[0].Type()) {
-		case runtime.KI64, runtime.KR64:
-			return true
-		case runtime.KC64:
-			return native == "cmp_equal" || native == "cmp_unequal"
-		}
-		return false
-	case "cast":
-		at, ok := in.Ty.(*types.Atomic)
-		if !ok {
-			return false
-		}
-		switch at.Name {
-		case "Integer8", "Integer16", "Integer32", "Integer64",
-			"UnsignedInteger8", "UnsignedInteger16", "UnsignedInteger32",
-			"UnsignedInteger64":
-			return true
-		}
-		return false
 	case "part_1", "part_unsafe_1":
-		return rk == runtime.KI64 || rk == runtime.KR64 || rk == runtime.KC64 || rk == runtime.KBool
+		return rk != runtime.KObj
 	case "part_2", "part_unsafe_2":
-		return rk == runtime.KI64 || rk == runtime.KR64 || rk == runtime.KC64
+		return rk != runtime.KObj && rk != runtime.KBool
 	}
-	return false
+	return passes.ScalarOf(in) != nil
 }
 
 // consumerAccepts reports whether the generator can evaluate in at
@@ -620,35 +565,32 @@ func (g *gen) opCFor(v wir.Value) (opC, error) {
 	return opC{mode: opRegMode, idx: r.idx}, nil
 }
 
-func (g *gen) opII(in *wir.Instr) (opI, opI, error) {
-	x, err := g.opIFor(in.Args[0])
+// operands builds the descriptors of in's two operands.
+func operands[X, Y any](in *wir.Instr, fx func(wir.Value) (X, error), fy func(wir.Value) (Y, error)) (X, Y, error) {
+	x, err := fx(in.Args[0])
 	if err != nil {
-		return opI{}, opI{}, err
+		var y Y
+		return x, y, err
 	}
-	y, err := g.opIFor(in.Args[1])
+	y, err := fy(in.Args[1])
 	return x, y, err
 }
 
-func (g *gen) opFF(in *wir.Instr) (opF, opF, error) {
-	x, err := g.opFFor(in.Args[0])
-	if err != nil {
-		return opF{}, opF{}, err
+// scalarFn is the runtime function of in's native at in's kinds, or nil.
+func scalarFn(in *wir.Instr) any {
+	if s := passes.ScalarOf(in); s != nil {
+		return s.Fn
 	}
-	y, err := g.opFFor(in.Args[1])
-	return x, y, err
-}
-
-func (g *gen) opCC(in *wir.Instr) (opC, opC, error) {
-	x, err := g.opCFor(in.Args[0])
-	if err != nil {
-		return opC{}, opC{}, err
-	}
-	y, err := g.opCFor(in.Args[1])
-	return x, y, err
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Evaluator builders (one closure per tree node)
+//
+// A scalar native's node calls its runtime function (scalarFn), one closure
+// per function shape; an op modegen generates is built by its operand-mode
+// variants instead, inside its shape's arm. The named arms are the natives
+// whose operands are not scalars or whose result depends on more than kinds.
 
 func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 	if g.isCall(in) {
@@ -656,142 +598,9 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 		return callEvalI(cs), err
 	}
 	native := in.NativeName()
-	if op, ok := intArith[native]; ok {
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		op, y = literalModulus(native, op, y)
-		return op.eval(x, y), nil
-	}
 	switch native {
-	case "unary_minus":
-		x, err := g.opIFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return runtime.NegI64(x.get(fr)) }, nil
-	case "power_int":
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return runtime.PowI64(x.get(fr), y.get(fr)) }, nil
-	case "abs_int":
-		x, err := g.opIFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 {
-			v := x.get(fr)
-			if v < 0 {
-				v = runtime.NegI64(v)
-			}
-			return v
-		}, nil
-	case "sign_int":
-		x, err := g.opIFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 {
-			switch v := x.get(fr); {
-			case v > 0:
-				return 1
-			case v < 0:
-				return -1
-			}
-			return 0
-		}, nil
-	case "sign_real":
-		x, err := g.opFFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 {
-			switch v := x.get(fr); {
-			case v > 0:
-				return 1
-			case v < 0:
-				return -1
-			}
-			return 0
-		}, nil
-	case "min", "max":
-		isMin := native == "min"
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 {
-			a, b := x.get(fr), y.get(fr)
-			if (a < b) == isMin {
-				return a
-			}
-			return b
-		}, nil
-	case "floor_real":
-		x, err := g.opFFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return runtime.RealToI64(math.Floor(x.get(fr))) }, nil
-	case "ceiling_real":
-		x, err := g.opFFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return runtime.RealToI64(math.Ceil(x.get(fr))) }, nil
-	case "round_real":
-		x, err := g.opFFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return runtime.RealToI64(math.RoundToEven(x.get(fr))) }, nil
-	case "identity_int":
-		x, err := g.opIFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return x.get(fr) }, nil
-	case "bitshiftleft":
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return runtime.ShlI64(x.get(fr), y.get(fr)) }, nil
-	case "bitshiftright":
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) int64 { return runtime.ShrI64(x.get(fr), y.get(fr)) }, nil
 	case "cast":
-		x, err := g.opIFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		at, ok := in.Ty.(*types.Atomic)
-		if !ok {
-			return nil, fmt.Errorf("codegen %s: fused cast to %s", g.fn.Name, in.Ty)
-		}
-		switch at.Name {
-		case "Integer8":
-			return func(fr *frame) int64 { return int64(int8(x.get(fr))) }, nil
-		case "Integer16":
-			return func(fr *frame) int64 { return int64(int16(x.get(fr))) }, nil
-		case "Integer32":
-			return func(fr *frame) int64 { return int64(int32(x.get(fr))) }, nil
-		case "UnsignedInteger8":
-			return func(fr *frame) int64 { return int64(uint8(x.get(fr))) }, nil
-		case "UnsignedInteger16":
-			return func(fr *frame) int64 { return int64(uint16(x.get(fr))) }, nil
-		case "UnsignedInteger32":
-			return func(fr *frame) int64 { return int64(uint32(x.get(fr))) }, nil
-		case "Integer64", "UnsignedInteger64":
-			return func(fr *frame) int64 { return x.get(fr) }, nil
-		}
-		return nil, fmt.Errorf("codegen %s: fused cast to %s", g.fn.Name, at.Name)
+		return g.castEval(in)
 	case "tensor_length":
 		r, err := g.regOf(in.Args[0])
 		if err != nil {
@@ -804,7 +613,47 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 	case "part_1", "part_unsafe_1", "part_2", "part_unsafe_2":
 		return g.partEvalI(in, native)
 	}
+	switch f := scalarFn(in).(type) {
+	case func(int64) int64:
+		x, err := g.opIFor(in.Args[0])
+		return func(fr *frame) int64 { return f(x.get(fr)) }, err
+	case func(float64) int64:
+		x, err := g.opFFor(in.Args[0])
+		return func(fr *frame) int64 { return f(x.get(fr)) }, err
+	case func(int64, int64) int64:
+		x, y, err := operands(in, g.opIFor, g.opIFor)
+		if op, ok := intArith[native]; ok {
+			op, y = literalModulus(native, op, y)
+			return op.eval(x, y), err
+		}
+		return func(fr *frame) int64 { return f(x.get(fr), y.get(fr)) }, err
+	}
 	return nil, fmt.Errorf("codegen %s: no fused integer evaluator for native %q", g.fn.Name, native)
+}
+
+// castEval compiles a width cast: the operand wraps to the target width.
+func (g *gen) castEval(in *wir.Instr) (evalI, error) {
+	x, err := g.opIFor(in.Args[0])
+	if err != nil {
+		return nil, err
+	}
+	switch in.Ty.String() {
+	case "Integer8":
+		return func(fr *frame) int64 { return int64(int8(x.get(fr))) }, nil
+	case "Integer16":
+		return func(fr *frame) int64 { return int64(int16(x.get(fr))) }, nil
+	case "Integer32":
+		return func(fr *frame) int64 { return int64(int32(x.get(fr))) }, nil
+	case "UnsignedInteger8":
+		return func(fr *frame) int64 { return int64(uint8(x.get(fr))) }, nil
+	case "UnsignedInteger16":
+		return func(fr *frame) int64 { return int64(uint16(x.get(fr))) }, nil
+	case "UnsignedInteger32":
+		return func(fr *frame) int64 { return int64(uint32(x.get(fr))) }, nil
+	case "Integer64", "UnsignedInteger64":
+		return func(fr *frame) int64 { return x.get(fr) }, nil
+	}
+	return nil, fmt.Errorf("codegen %s: fused cast to %s", g.fn.Name, in.Ty)
 }
 
 func (g *gen) buildEvalF(in *wir.Instr) (evalF, error) {
@@ -813,172 +662,39 @@ func (g *gen) buildEvalF(in *wir.Instr) (evalF, error) {
 		return callEvalF(cs), err
 	}
 	native := in.NativeName()
-	if op, ok := realArith[native]; ok {
-		if ts, err := g.sumTerms(in); ts != nil || err != nil {
-			return sumFEval(ts), err
-		}
-		x, y, err := g.opFF(in)
-		if err != nil {
-			return nil, err
-		}
-		return op.eval(x, y), nil
-	}
 	switch native {
-	case "unary_minus":
-		x, err := g.opFFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return -x.get(fr) }, nil
-	case "divide_int_real":
-		x, y, err := g.opII(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return float64(x.get(fr)) / float64(y.get(fr)) }, nil
-	case "mixed_ri_plus", "mixed_ri_times", "mixed_ri_subtract", "mixed_ri_divide":
-		x, err := g.opFFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := g.opIFor(in.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		switch native {
-		case "mixed_ri_plus":
-			return func(fr *frame) float64 { return x.get(fr) + float64(y.get(fr)) }, nil
-		case "mixed_ri_times":
-			return func(fr *frame) float64 { return x.get(fr) * float64(y.get(fr)) }, nil
-		case "mixed_ri_subtract":
-			return func(fr *frame) float64 { return x.get(fr) - float64(y.get(fr)) }, nil
-		}
-		return func(fr *frame) float64 { return x.get(fr) / float64(y.get(fr)) }, nil
-	case "mixed_ir_plus", "mixed_ir_times", "mixed_ir_subtract", "mixed_ir_divide":
-		x, err := g.opIFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := g.opFFor(in.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		switch native {
-		case "mixed_ir_plus":
-			return func(fr *frame) float64 { return float64(x.get(fr)) + y.get(fr) }, nil
-		case "mixed_ir_times":
-			return func(fr *frame) float64 { return float64(x.get(fr)) * y.get(fr) }, nil
-		case "mixed_ir_subtract":
-			return func(fr *frame) float64 { return float64(x.get(fr)) - y.get(fr) }, nil
-		}
-		return func(fr *frame) float64 { return float64(x.get(fr)) / y.get(fr) }, nil
-	case "power_real":
-		x, y, err := g.opFF(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return math.Pow(x.get(fr), y.get(fr)) }, nil
-	case "power_real_int":
-		x, err := g.opFFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := g.opIFor(in.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return math.Pow(x.get(fr), float64(y.get(fr))) }, nil
-	case "mod_real":
-		x, y, err := g.opFF(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 {
-			a, b := x.get(fr), y.get(fr)
-			r := math.Mod(a, b)
-			if r != 0 && (r < 0) != (b < 0) {
-				r += b
-			}
-			return r
-		}, nil
-	case "abs_real":
-		x, err := g.opFFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return math.Abs(x.get(fr)) }, nil
-	case "abs_complex":
-		x, err := g.opCFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return runtime.AbsC(x.get(fr)) }, nil
-	case "min", "max":
-		isMin := native == "min"
-		x, y, err := g.opFF(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 {
-			a, b := x.get(fr), y.get(fr)
-			if (a < b) == isMin {
-				return a
-			}
-			return b
-		}, nil
-	case "math_sin", "math_cos", "math_tan", "math_exp", "math_log",
-		"math_sqrt", "math_arctan", "math_arcsin", "math_arccos":
-		f := mathFunc(strings.TrimPrefix(native, "math_"))
-		x, err := g.opFFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return f(x.get(fr)) }, nil
-	case "math_sin_int", "math_cos_int", "math_tan_int", "math_exp_int",
-		"math_log_int", "math_sqrt_int", "math_arctan_int",
-		"math_arcsin_int", "math_arccos_int":
-		f := mathFunc(strings.TrimSuffix(strings.TrimPrefix(native, "math_"), "_int"))
-		x, err := g.opIFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return f(float64(x.get(fr))) }, nil
-	case "math_atan2":
-		x, y, err := g.opFF(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 {
-			a := x.get(fr) // operands run left to right: either may hold a call
-			return math.Atan2(y.get(fr), a)
-		}, nil
-	case "to_real64":
-		if in.Args[0].Type() != nil && runtime.KindOf(in.Args[0].Type()) == runtime.KI64 {
-			x, err := g.opIFor(in.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			return func(fr *frame) float64 { return float64(x.get(fr)) }, nil
-		}
-		x, err := g.opFFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return x.get(fr) }, nil
-	case "re":
-		x, err := g.opCFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return real(x.get(fr)) }, nil
-	case "im":
-		x, err := g.opCFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) float64 { return imag(x.get(fr)) }, nil
 	case "part_1", "part_unsafe_1", "part_2", "part_unsafe_2":
 		return g.partEvalF(in, native)
+	}
+	switch f := scalarFn(in).(type) {
+	case func(int64) float64:
+		x, err := g.opIFor(in.Args[0])
+		return func(fr *frame) float64 { return f(x.get(fr)) }, err
+	case func(float64) float64:
+		x, err := g.opFFor(in.Args[0])
+		return func(fr *frame) float64 { return f(x.get(fr)) }, err
+	case func(complex128) float64:
+		x, err := g.opCFor(in.Args[0])
+		return func(fr *frame) float64 { return f(x.get(fr)) }, err
+	case func(int64, int64) float64:
+		x, y, err := operands(in, g.opIFor, g.opIFor)
+		return func(fr *frame) float64 { return f(x.get(fr), y.get(fr)) }, err
+	case func(float64, float64) float64:
+		if op, ok := realArith[native]; ok {
+			if ts, err := g.sumTerms(in); ts != nil || err != nil {
+				return sumFEval(ts), err
+			}
+			x, y, err := operands(in, g.opFFor, g.opFFor)
+			return op.eval(x, y), err
+		}
+		x, y, err := operands(in, g.opFFor, g.opFFor)
+		return func(fr *frame) float64 { return f(x.get(fr), y.get(fr)) }, err
+	case func(float64, int64) float64:
+		x, y, err := operands(in, g.opFFor, g.opIFor)
+		return func(fr *frame) float64 { return f(x.get(fr), y.get(fr)) }, err
+	case func(int64, float64) float64:
+		x, y, err := operands(in, g.opIFor, g.opFFor)
+		return func(fr *frame) float64 { return f(x.get(fr), y.get(fr)) }, err
 	}
 	return nil, fmt.Errorf("codegen %s: no fused real evaluator for native %q", g.fn.Name, native)
 }
@@ -990,100 +706,34 @@ func (g *gen) buildEvalB(in *wir.Instr) (evalB, error) {
 	}
 	native := in.NativeName()
 	switch native {
-	case "cmp_less", "cmp_lessequal", "cmp_greater", "cmp_greaterequal",
-		"cmp_equal", "cmp_unequal":
-		switch runtime.KindOf(in.Args[0].Type()) {
-		case runtime.KI64:
-			x, y, err := g.opII(in)
-			if err != nil {
-				return nil, err
-			}
-			return intCompare[native].eval(x, y), nil
-		case runtime.KR64:
-			x, y, err := g.opFF(in)
-			if err != nil {
-				return nil, err
-			}
-			return realCompare[native].eval(x, y), nil
-		case runtime.KC64:
-			x, y, err := g.opCC(in)
-			if err != nil {
-				return nil, err
-			}
-			if native == "cmp_equal" {
-				return func(fr *frame) bool { return x.get(fr) == y.get(fr) }, nil
-			}
-			return func(fr *frame) bool { return x.get(fr) != y.get(fr) }, nil
-		}
-	case "mixed_ri_cmp_less", "mixed_ri_cmp_lessequal", "mixed_ri_cmp_greater",
-		"mixed_ri_cmp_greaterequal", "mixed_ri_cmp_equal", "mixed_ri_cmp_unequal":
-		op := strings.TrimPrefix(native, "mixed_ri_cmp_")
-		x, err := g.opFFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := g.opIFor(in.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) bool { return cmpF(op, x.get(fr), float64(y.get(fr))) }, nil
-	case "mixed_ir_cmp_less", "mixed_ir_cmp_lessequal", "mixed_ir_cmp_greater",
-		"mixed_ir_cmp_greaterequal", "mixed_ir_cmp_equal", "mixed_ir_cmp_unequal":
-		op := strings.TrimPrefix(native, "mixed_ir_cmp_")
-		x, err := g.opIFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := g.opFFor(in.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) bool { return cmpF(op, float64(x.get(fr)), y.get(fr)) }, nil
-	case "sameq_bool":
-		x, err := g.opBFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := g.opBFor(in.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) bool { return x.get(fr) == y.get(fr) }, nil
-	case "not":
-		x, err := g.opBFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) bool { return !x.get(fr) }, nil
-	case "and", "or":
-		x, err := g.opBFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := g.opBFor(in.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		// Eager by construction: FlattenCond only builds these over
-		// speculatable operands, so evaluating both sides is safe.
-		if native == "and" {
-			return func(fr *frame) bool { return x.get(fr) && y.get(fr) }, nil
-		}
-		return func(fr *frame) bool { return x.get(fr) || y.get(fr) }, nil
-	case "evenq":
-		x, err := g.opIFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) bool { return x.get(fr)%2 == 0 }, nil
-	case "oddq":
-		x, err := g.opIFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) bool { return x.get(fr)%2 != 0 }, nil
 	case "part_1", "part_unsafe_1":
 		return g.partEvalB(in, native)
+	}
+	switch f := scalarFn(in).(type) {
+	case func(int64) bool:
+		x, err := g.opIFor(in.Args[0])
+		return func(fr *frame) bool { return f(x.get(fr)) }, err
+	case func(bool) bool:
+		x, err := g.opBFor(in.Args[0])
+		return func(fr *frame) bool { return f(x.get(fr)) }, err
+	case func(int64, int64) bool:
+		x, y, err := operands(in, g.opIFor, g.opIFor)
+		return intCompare[native].eval(x, y), err
+	case func(float64, float64) bool:
+		x, y, err := operands(in, g.opFFor, g.opFFor)
+		return realCompare[native].eval(x, y), err
+	case func(complex128, complex128) bool:
+		x, y, err := operands(in, g.opCFor, g.opCFor)
+		return func(fr *frame) bool { return f(x.get(fr), y.get(fr)) }, err
+	case func(float64, int64) bool:
+		x, y, err := operands(in, g.opFFor, g.opIFor)
+		return func(fr *frame) bool { return f(x.get(fr), y.get(fr)) }, err
+	case func(int64, float64) bool:
+		x, y, err := operands(in, g.opIFor, g.opFFor)
+		return func(fr *frame) bool { return f(x.get(fr), y.get(fr)) }, err
+	case func(bool, bool) bool:
+		x, y, err := operands(in, g.opBFor, g.opBFor)
+		return func(fr *frame) bool { return f(x.get(fr), y.get(fr)) }, err
 	}
 	return nil, fmt.Errorf("codegen %s: no fused boolean evaluator for native %q", g.fn.Name, native)
 }
@@ -1095,96 +745,28 @@ func (g *gen) buildEvalC(in *wir.Instr) (evalC, error) {
 	}
 	native := in.NativeName()
 	switch native {
-	case "binary_plus":
-		x, y, err := g.opCC(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) complex128 { return x.get(fr) + y.get(fr) }, nil
-	case "binary_times":
-		x, y, err := g.opCC(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) complex128 { return x.get(fr) * y.get(fr) }, nil
-	case "binary_subtract":
-		x, y, err := g.opCC(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) complex128 { return x.get(fr) - y.get(fr) }, nil
-	case "binary_divide":
-		x, y, err := g.opCC(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) complex128 { return x.get(fr) / y.get(fr) }, nil
-	case "unary_minus":
-		x, err := g.opCFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) complex128 { return -x.get(fr) }, nil
-	case "mixed_cr_plus", "mixed_cr_times", "mixed_cr_subtract":
-		x, err := g.opCFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := g.opFFor(in.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		switch native {
-		case "mixed_cr_plus":
-			return func(fr *frame) complex128 { return x.get(fr) + complex(y.get(fr), 0) }, nil
-		case "mixed_cr_times":
-			return func(fr *frame) complex128 { return x.get(fr) * complex(y.get(fr), 0) }, nil
-		}
-		return func(fr *frame) complex128 { return x.get(fr) - complex(y.get(fr), 0) }, nil
-	case "mixed_rc_plus", "mixed_rc_times", "mixed_rc_subtract":
-		x, err := g.opFFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := g.opCFor(in.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		switch native {
-		case "mixed_rc_plus":
-			return func(fr *frame) complex128 { return complex(x.get(fr), 0) + y.get(fr) }, nil
-		case "mixed_rc_times":
-			return func(fr *frame) complex128 { return complex(x.get(fr), 0) * y.get(fr) }, nil
-		}
-		return func(fr *frame) complex128 { return complex(x.get(fr), 0) - y.get(fr) }, nil
-	case "power_complex":
-		x, y, err := g.opCC(in)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) complex128 { return runtime.PowC(x.get(fr), y.get(fr)) }, nil
-	case "power_complex_int":
-		x, err := g.opCFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := g.opIFor(in.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) complex128 { return runtime.PowCInt(x.get(fr), y.get(fr)) }, nil
-	case "make_complex":
-		x, err := g.opFFor(in.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		y, err := g.opFFor(in.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) complex128 { return complex(x.get(fr), y.get(fr)) }, nil
 	case "part_1", "part_unsafe_1", "part_2", "part_unsafe_2":
 		return g.partEvalC(in, native)
+	}
+	switch f := scalarFn(in).(type) {
+	case func(complex128) complex128:
+		x, err := g.opCFor(in.Args[0])
+		return func(fr *frame) complex128 { return f(x.get(fr)) }, err
+	case func(complex128, complex128) complex128:
+		x, y, err := operands(in, g.opCFor, g.opCFor)
+		return func(fr *frame) complex128 { return f(x.get(fr), y.get(fr)) }, err
+	case func(complex128, float64) complex128:
+		x, y, err := operands(in, g.opCFor, g.opFFor)
+		return func(fr *frame) complex128 { return f(x.get(fr), y.get(fr)) }, err
+	case func(float64, complex128) complex128:
+		x, y, err := operands(in, g.opFFor, g.opCFor)
+		return func(fr *frame) complex128 { return f(x.get(fr), y.get(fr)) }, err
+	case func(complex128, int64) complex128:
+		x, y, err := operands(in, g.opCFor, g.opIFor)
+		return func(fr *frame) complex128 { return f(x.get(fr), y.get(fr)) }, err
+	case func(float64, float64) complex128:
+		x, y, err := operands(in, g.opFFor, g.opFFor)
+		return func(fr *frame) complex128 { return f(x.get(fr), y.get(fr)) }, err
 	}
 	return nil, fmt.Errorf("codegen %s: no fused complex evaluator for native %q", g.fn.Name, native)
 }
@@ -1297,25 +879,6 @@ func (g *gen) sumLeaf(t *sumTerm, v wir.Value) error {
 		t.leaf, t.ev = sumEval, x.ev
 	}
 	return err
-}
-
-// cmpF is the mixed-width compare: both operands already widened to real.
-func cmpF(op string, a, b float64) bool {
-	switch op {
-	case "less":
-		return a < b
-	case "lessequal":
-		return a <= b
-	case "greater":
-		return a > b
-	case "greaterequal":
-		return a >= b
-	case "equal":
-		return a == b
-	case "unequal":
-		return a != b
-	}
-	return false
 }
 
 // partEval* are the one spelling of a tensor element read (the load half of
@@ -1532,7 +1095,7 @@ func (g *gen) assignTo(dst reg, root *wir.Instr) (step, error) {
 	switch dst.kind {
 	case runtime.KI64:
 		if op, ok := intArith[native]; ok {
-			x, y, err := g.opII(root)
+			x, y, err := operands(root, g.opIFor, g.opIFor)
 			if err != nil {
 				return nil, err
 			}
@@ -1549,7 +1112,7 @@ func (g *gen) assignTo(dst reg, root *wir.Instr) (step, error) {
 			if ts, err := g.sumTerms(root); ts != nil || err != nil {
 				return sumFAssign(d, ts), err
 			}
-			x, y, err := g.opFF(root)
+			x, y, err := operands(root, g.opFFor, g.opFFor)
 			if err != nil {
 				return nil, err
 			}

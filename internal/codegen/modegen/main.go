@@ -6,7 +6,9 @@
 // operator passed as a type parameter becomes a dictionary call that never
 // inlines.
 //
-// The table below is the one place each of these ops is spelled. Run it with
+// Each row names its op's function in the runtime's scalar table
+// (runtime.ScalarOf), the one place the op is spelled, and the generated body
+// calls it; the function inlines there. Run it with
 // `go generate ./internal/codegen`; TestGeneratedFileIsFresh compares its
 // output with the checked-in file.
 package main
@@ -18,17 +20,21 @@ import (
 	"go/format"
 	"log"
 	"os"
+	"reflect"
+	goruntime "runtime"
 	"strings"
+
+	"wolfc/internal/runtime"
 )
 
-// An op is one table row. expr is the Go expression over the two operands,
-// %[1]s and %[2]s. An op with no native is a cheaper body the backend selects
-// when the second operand is a literal (see literalModulus in fusion.go); it
-// is generated for that mode only.
+// An op is one table row: its native's function at the class's kinds. An op
+// with no native is a cheaper body the backend selects when the second
+// operand is a literal (see literalModulus in fusion.go); it names its
+// function itself and is generated for that mode only.
 type op struct {
 	name, native string
 	class        *class
-	expr         string
+	fn           string
 }
 
 // A class fixes operand and result kinds, and with them which forms an op
@@ -42,13 +48,15 @@ type class struct {
 	eval     string // evaluator type
 	result   string // its Go result type
 	compares bool
+	kind     runtime.Kind // of the operands
+	resKind  runtime.Kind // of the result
 }
 
 var (
-	intArith    = &class{table: "intArith", operand: "opI", file: "i", eval: "evalI", result: "int64"}
-	realArith   = &class{table: "realArith", operand: "opF", file: "f", eval: "evalF", result: "float64"}
-	intCompare  = &class{table: "intCompare", operand: "opI", file: "i", eval: "evalB", result: "bool", compares: true}
-	realCompare = &class{table: "realCompare", operand: "opF", file: "f", eval: "evalB", result: "bool", compares: true}
+	intArith    = &class{table: "intArith", operand: "opI", file: "i", eval: "evalI", result: "int64", kind: runtime.KI64, resKind: runtime.KI64}
+	realArith   = &class{table: "realArith", operand: "opF", file: "f", eval: "evalF", result: "float64", kind: runtime.KR64, resKind: runtime.KR64}
+	intCompare  = &class{table: "intCompare", operand: "opI", file: "i", eval: "evalB", result: "bool", compares: true, kind: runtime.KI64, resKind: runtime.KBool}
+	realCompare = &class{table: "realCompare", operand: "opF", file: "f", eval: "evalB", result: "bool", compares: true, kind: runtime.KR64, resKind: runtime.KBool}
 )
 
 // constructors is the type (declared in fusion.go) that holds an op's forms.
@@ -60,36 +68,55 @@ func (c *class) constructors() string {
 }
 
 var ops = []op{
-	{"addI", "binary_plus", intArith, "runtime.AddI64(%[1]s, %[2]s)"},
-	{"subI", "binary_subtract", intArith, "runtime.SubI64(%[1]s, %[2]s)"},
-	{"mulI", "binary_times", intArith, "runtime.MulI64(%[1]s, %[2]s)"},
-	{"andI", "bitand", intArith, "%[1]s & %[2]s"},
-	{"orI", "bitor", intArith, "%[1]s | %[2]s"},
-	{"xorI", "bitxor", intArith, "%[1]s ^ %[2]s"},
-	{"modI", "mod_int", intArith, "runtime.ModI64(%[1]s, %[2]s)"},
-	{"quotI", "quotient_int", intArith, "runtime.QuotI64(%[1]s, %[2]s)"},
-	{"modLitI", "", intArith, "runtime.ModNZ(%[1]s, %[2]s)"},
-	{"quotLitI", "", intArith, "runtime.QuotNZ(%[1]s, %[2]s)"},
-	{"shrLitI", "", intArith, "%[1]s >> uint64(%[2]s)"},
+	{"addI", "binary_plus", intArith, ""},
+	{"subI", "binary_subtract", intArith, ""},
+	{"mulI", "binary_times", intArith, ""},
+	{"andI", "bitand", intArith, ""},
+	{"orI", "bitor", intArith, ""},
+	{"xorI", "bitxor", intArith, ""},
+	{"modI", "mod_int", intArith, ""},
+	{"quotI", "quotient_int", intArith, ""},
+	{"modLitI", "", intArith, "runtime.ModNZ"},
+	{"quotLitI", "", intArith, "runtime.QuotNZ"},
+	{"shrLitI", "", intArith, "runtime.ShrLitI64"},
 
-	{"addF", "binary_plus", realArith, "%[1]s + %[2]s"},
-	{"subF", "binary_subtract", realArith, "%[1]s - %[2]s"},
-	{"mulF", "binary_times", realArith, "%[1]s * %[2]s"},
-	{"divF", "binary_divide", realArith, "%[1]s / %[2]s"},
+	{"addF", "binary_plus", realArith, ""},
+	{"subF", "binary_subtract", realArith, ""},
+	{"mulF", "binary_times", realArith, ""},
+	{"divF", "binary_divide", realArith, ""},
 
-	{"lessI", "cmp_less", intCompare, "%[1]s < %[2]s"},
-	{"lessEqualI", "cmp_lessequal", intCompare, "%[1]s <= %[2]s"},
-	{"greaterI", "cmp_greater", intCompare, "%[1]s > %[2]s"},
-	{"greaterEqualI", "cmp_greaterequal", intCompare, "%[1]s >= %[2]s"},
-	{"equalI", "cmp_equal", intCompare, "%[1]s == %[2]s"},
-	{"unequalI", "cmp_unequal", intCompare, "%[1]s != %[2]s"},
+	{"lessI", "cmp_less", intCompare, ""},
+	{"lessEqualI", "cmp_lessequal", intCompare, ""},
+	{"greaterI", "cmp_greater", intCompare, ""},
+	{"greaterEqualI", "cmp_greaterequal", intCompare, ""},
+	{"equalI", "cmp_equal", intCompare, ""},
+	{"unequalI", "cmp_unequal", intCompare, ""},
 
-	{"lessF", "cmp_less", realCompare, "%[1]s < %[2]s"},
-	{"lessEqualF", "cmp_lessequal", realCompare, "%[1]s <= %[2]s"},
-	{"greaterF", "cmp_greater", realCompare, "%[1]s > %[2]s"},
-	{"greaterEqualF", "cmp_greaterequal", realCompare, "%[1]s >= %[2]s"},
-	{"equalF", "cmp_equal", realCompare, "%[1]s == %[2]s"},
-	{"unequalF", "cmp_unequal", realCompare, "%[1]s != %[2]s"},
+	{"lessF", "cmp_less", realCompare, ""},
+	{"lessEqualF", "cmp_lessequal", realCompare, ""},
+	{"greaterF", "cmp_greater", realCompare, ""},
+	{"greaterEqualF", "cmp_greaterequal", realCompare, ""},
+	{"equalF", "cmp_equal", realCompare, ""},
+	{"unequalF", "cmp_unequal", realCompare, ""},
+}
+
+// function returns the Go name of o's function: the one its row names, or
+// its native's in the runtime's scalar table, which must be a function
+// declared at package level there (a closure has no name to call).
+func (o op) function() string {
+	if o.native == "" {
+		return o.fn
+	}
+	s := runtime.ScalarOf(o.native, o.class.resKind, o.class.kind, o.class.kind)
+	if s == nil {
+		log.Fatalf("modegen: the runtime has no function for %s at kind %v", o.native, o.class.kind)
+	}
+	name := goruntime.FuncForPC(reflect.ValueOf(s.Fn).Pointer()).Name()
+	name = name[strings.LastIndex(name, "/")+1:]
+	if strings.ContainsAny(strings.TrimPrefix(name, "runtime."), ".[") {
+		log.Fatalf("modegen: %s's function %s is not a package-level function", o.native, name)
+	}
+	return name
 }
 
 var modes = []struct{ name, read string }{
@@ -121,7 +148,7 @@ func form(w *bytes.Buffer, o op, suffix, params, ret string, wrap func(e string)
 			default:
 				fmt.Fprintf(w, "case %s*3 + %s:\n", xm.name, ym.name)
 			}
-			e := fmt.Sprintf(o.expr, fmt.Sprintf(xm.read, "x", o.class.file), fmt.Sprintf(ym.read, "y", o.class.file))
+			e := fmt.Sprintf("%s(%s, %s)", o.function(), fmt.Sprintf(xm.read, "x", o.class.file), fmt.Sprintf(ym.read, "y", o.class.file))
 			fmt.Fprintf(w, "return %s\n", wrap(e))
 		}
 	}
@@ -233,7 +260,7 @@ func sum(w *bytes.Buffer) {
 	expr := func(name, x, y string) string {
 		for _, o := range ops {
 			if o.name == name {
-				return "float64(" + fmt.Sprintf(o.expr, x, y) + ")"
+				return fmt.Sprintf("float64(%s(%s, %s))", o.function(), x, y)
 			}
 		}
 		log.Fatalf("modegen: the sum node needs op %s", name)
@@ -287,8 +314,10 @@ func sum(w *bytes.Buffer) {
 				acc = %s
 			}
 		}`, expr("mulF", "t.coef", "v"), expr("subF", "acc", "v"), expr("addF", "acc", "v"))
-	fmt.Fprintf(w, "func sumFEval(ts []sumTerm) evalF {\nreturn func(fr *frame) float64 {\n%s\nreturn acc\n}\n}\n\n", body)
-	fmt.Fprintf(w, "func sumFAssign(d int, ts []sumTerm) step {\nreturn func(fr *frame) {\n%s\nfr.f[d] = acc\n}\n}\n", body)
+	// Both are kept out of line: inlined into their builder, the closure
+	// would be compiled there without inlining the runtime's functions.
+	fmt.Fprintf(w, "//go:noinline\nfunc sumFEval(ts []sumTerm) evalF {\nreturn func(fr *frame) float64 {\n%s\nreturn acc\n}\n}\n\n", body)
+	fmt.Fprintf(w, "//go:noinline\nfunc sumFAssign(d int, ts []sumTerm) step {\nreturn func(fr *frame) {\n%s\nfr.f[d] = acc\n}\n}\n", body)
 }
 
 func main() {

@@ -2,7 +2,6 @@ package codegen
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"wolfc/internal/expr"
@@ -327,18 +326,11 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 	return nil
 }
 
-// cmpStep compiles the compares with no evaluator: booleans and strings.
+// cmpStep compiles the compares with no evaluator: those of strings.
 func (g *gen) cmpStep(native string, regs []reg, d int) step {
 	op := strings.TrimPrefix(native, "cmp_")
 	a, b := regs[0].idx, regs[1].idx
 	switch argKind(regs, 0) {
-	case runtime.KBool:
-		switch op {
-		case "equal":
-			return func(fr *frame) { fr.b[d] = fr.b[a] == fr.b[b] }
-		case "unequal":
-			return func(fr *frame) { fr.b[d] = fr.b[a] != fr.b[b] }
-		}
 	case runtime.KObj: // strings
 		cmp := func(fr *frame) int {
 			x, y := fr.o[a].(string), fr.o[b].(string)
@@ -368,32 +360,6 @@ func (g *gen) cmpStep(native string, regs []reg, d int) step {
 	return nil
 }
 
-func mathFunc(name string) func(float64) float64 {
-	switch name {
-	case "sin":
-		return math.Sin
-	case "cos":
-		return math.Cos
-	case "tan":
-		return math.Tan
-	case "exp":
-		return math.Exp
-	case "log":
-		return math.Log
-	case "sqrt":
-		return math.Sqrt
-	case "abs":
-		return math.Abs
-	case "arctan":
-		return math.Atan
-	case "arcsin":
-		return math.Asin
-	case "arccos":
-		return math.Acos
-	}
-	return func(float64) float64 { return math.NaN() }
-}
-
 // tensorElemKind extracts the runtime element kind of a Tensor type.
 func tensorElemKind(t types.Type) runtime.Kind {
 	if !types.IsTensor(t) {
@@ -402,105 +368,94 @@ func tensorElemKind(t types.Type) runtime.Kind {
 	return runtime.KindOf(t.(*types.Compound).Args[0])
 }
 
-// tensorArith compiles elementwise tensor arithmetic. into is the operand
-// whose storage the result is written over (the instruction consumes it:
-// nothing reads it again), or -1 for a fresh result.
+// tensorArith compiles elementwise tensor arithmetic. Its element function is
+// the scalar native's (runtime.ScalarOf): unary_minus for tensor_minus,
+// math_f (abs_real for Abs) for tensor_math_f, binary_op for the rest. into
+// is the operand whose storage the result is written over (the instruction
+// consumes it: nothing reads it again), or -1 for a fresh result.
 func (g *gen) tensorArith(native string, into int, in *wir.Instr, regs []reg, dst reg) step {
-	d := dst.idx
-	isInt := tensorElemKind(in.Ty) == runtime.KI64
+	elem := tensorElemKind(in.Ty)
 	op := native[strings.LastIndex(native, "_")+1:]
-	// over is what the runtime is handed to write into: t, if it is the
-	// operand consumed.
-	over := func(t *runtime.Tensor, consumed bool) *runtime.Tensor {
-		if consumed {
-			return t
-		}
+	scalar, kinds := "binary_"+op, []runtime.Kind{elem, elem}
+	switch {
+	case native == "tensor_minus":
+		scalar, kinds = "unary_minus", kinds[:1]
+	case op == "abs":
+		scalar, kinds = "abs_real", kinds[:1]
+	case strings.HasPrefix(native, "tensor_math_"):
+		scalar, kinds = "math_"+op, kinds[:1]
+	}
+	s := runtime.ScalarOf(scalar, elem, kinds...)
+	if s == nil {
 		return nil
 	}
-	switch {
-	case native == "tensor_minus" && isInt:
-		a, w := regs[0].idx, into == 0
-		return func(fr *frame) {
-			t := tensorArg(fr, a)
-			fr.o[d] = t.MapIInto(runtime.NegI64, over(t, w))
-		}
-	case native == "tensor_minus", strings.HasPrefix(native, "tensor_math_"):
-		f := func(x float64) float64 { return -x }
-		if native != "tensor_minus" {
-			f = mathFunc(op)
-		}
-		a, w := regs[0].idx, into == 0
-		return func(fr *frame) {
-			t := tensorArg(fr, a)
-			fr.o[d] = t.MapFInto(f, over(t, w))
-		}
-	case strings.HasPrefix(native, "tensor_scalar_"):
-		a, b, w := regs[0].idx, regs[1].idx, into == 0
-		if isInt {
-			f := intBinOp(op)
-			return func(fr *frame) {
-				t, s := tensorArg(fr, a), fr.i[b]
-				fr.o[d] = t.MapIInto(func(x int64) int64 { return f(x, s) }, over(t, w))
-			}
-		}
-		f := realBinOp(op)
-		return func(fr *frame) {
-			t, s := tensorArg(fr, a), fr.f[b]
-			fr.o[d] = t.MapFInto(func(x float64) float64 { return f(x, s) }, over(t, w))
-		}
-	case strings.HasPrefix(native, "scalar_tensor_"):
-		a, b, w := regs[0].idx, regs[1].idx, into == 1
-		if isInt {
-			f := intBinOp(op)
-			return func(fr *frame) {
-				s, t := fr.i[a], tensorArg(fr, b)
-				fr.o[d] = t.MapIInto(func(x int64) int64 { return f(s, x) }, over(t, w))
-			}
-		}
-		f := realBinOp(op)
-		return func(fr *frame) {
-			s, t := fr.f[a], tensorArg(fr, b)
-			fr.o[d] = t.MapFInto(func(x float64) float64 { return f(s, x) }, over(t, w))
-		}
+	ew := elementwise{native: native, into: into, a: regs[0].idx, d: dst.idx}
+	if len(regs) > 1 {
+		ew.b = regs[1].idx
 	}
-	// tensor_plus / tensor_times / tensor_subtract
-	a, b, w := regs[0].idx, regs[1].idx, into+1
-	if isInt {
-		f := intBinOp(op)
-		return func(fr *frame) {
-			x, y := tensorArg(fr, a), tensorArg(fr, b)
-			fr.o[d] = x.ZipIInto(y, f, [...]*runtime.Tensor{nil, x, y}[w])
-		}
+	switch f := s.Fn.(type) {
+	case func(int64) int64:
+		return mapStep(ew, f, (*runtime.Tensor).MapIInto)
+	case func(float64) float64:
+		return mapStep(ew, f, (*runtime.Tensor).MapFInto)
+	case func(complex128) complex128:
+		return mapStep(ew, f, (*runtime.Tensor).MapCInto)
+	case func(int64, int64) int64:
+		return zipStep(ew, f, func(fr *frame, r int) int64 { return fr.i[r] }, (*runtime.Tensor).MapIInto, (*runtime.Tensor).ZipIInto)
+	case func(float64, float64) float64:
+		return zipStep(ew, f, func(fr *frame, r int) float64 { return fr.f[r] }, (*runtime.Tensor).MapFInto, (*runtime.Tensor).ZipFInto)
+	case func(complex128, complex128) complex128:
+		return zipStep(ew, f, func(fr *frame, r int) complex128 { return fr.c[r] }, (*runtime.Tensor).MapCInto, (*runtime.Tensor).ZipCInto)
 	}
-	f := realBinOp(op)
+	return nil
+}
+
+// elementwise is one elementwise tensor instruction: its native, the operand
+// it writes over (into), its operand registers and its destination.
+type elementwise struct {
+	native     string
+	into, a, b int
+	d          int
+}
+
+// over is what the runtime is handed to write into: t, if it is operand k
+// and consumed.
+func (ew elementwise) over(t *runtime.Tensor, k int) *runtime.Tensor {
+	if ew.into == k {
+		return t
+	}
+	return nil
+}
+
+// mapStep maps f over the tensor operand.
+func mapStep[T any](ew elementwise, f func(T) T, mapInto func(*runtime.Tensor, func(T) T, *runtime.Tensor) *runtime.Tensor) step {
 	return func(fr *frame) {
-		x, y := tensorArg(fr, a), tensorArg(fr, b)
-		fr.o[d] = x.ZipFInto(y, f, [...]*runtime.Tensor{nil, x, y}[w])
+		t := tensorArg(fr, ew.a)
+		fr.o[ew.d] = mapInto(t, f, ew.over(t, 0))
 	}
 }
 
-func intBinOp(op string) func(a, b int64) int64 {
-	switch op {
-	case "plus":
-		return runtime.AddI64
-	case "times":
-		return runtime.MulI64
-	case "subtract":
-		return runtime.SubI64
+// zipStep applies f elementwise to two tensors, or to a tensor and a scalar
+// read from its register with reg.
+func zipStep[T any](ew elementwise, f func(a, b T) T, reg func(fr *frame, r int) T,
+	mapInto func(*runtime.Tensor, func(T) T, *runtime.Tensor) *runtime.Tensor,
+	zipInto func(*runtime.Tensor, *runtime.Tensor, func(a, b T) T, *runtime.Tensor) *runtime.Tensor) step {
+	switch {
+	case strings.HasPrefix(ew.native, "tensor_scalar_"):
+		return func(fr *frame) {
+			t, s := tensorArg(fr, ew.a), reg(fr, ew.b)
+			fr.o[ew.d] = mapInto(t, func(x T) T { return f(x, s) }, ew.over(t, 0))
+		}
+	case strings.HasPrefix(ew.native, "scalar_tensor_"):
+		return func(fr *frame) {
+			s, t := reg(fr, ew.a), tensorArg(fr, ew.b)
+			fr.o[ew.d] = mapInto(t, func(x T) T { return f(s, x) }, ew.over(t, 1))
+		}
 	}
-	return func(a, b int64) int64 { return 0 }
-}
-
-func realBinOp(op string) func(a, b float64) float64 {
-	switch op {
-	case "plus":
-		return func(a, b float64) float64 { return a + b }
-	case "times":
-		return func(a, b float64) float64 { return a * b }
-	case "subtract":
-		return func(a, b float64) float64 { return a - b }
+	return func(fr *frame) {
+		x, y := tensorArg(fr, ew.a), tensorArg(fr, ew.b)
+		fr.o[ew.d] = zipInto(x, y, f, [...]*runtime.Tensor{nil, x, y}[ew.into+1])
 	}
-	return func(a, b float64) float64 { return math.NaN() }
 }
 
 // genListBuild compiles {e1, ..., en} construction.

@@ -5,27 +5,33 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"reflect"
+	goruntime "runtime"
 	"strconv"
 	"strings"
 	"testing"
 
 	"wolfc/internal/expr"
+	"wolfc/internal/passes"
 	"wolfc/internal/runtime"
 	"wolfc/internal/types"
 	"wolfc/internal/wir"
 )
 
-// TestOneSpellingPerScalarNative holds the evaluator builders as the only
-// place a scalar native is written. Every native-backed overload of the
-// standard library is instantiated at every atomic type its qualifiers allow;
-// for each call fusibleProducer admits, assignTo must build it as a one-node
-// tree, it must not be a fusion barrier, and selectNative must have no arm
-// for it. The tensor accesses are held the same way: of the three builders
-// genNative routes between, exactly one produces the step of a Part read or
-// store, whatever the rank, the checking and the element kind.
+// TestOneSpellingPerScalarNative holds the runtime's scalar table
+// (runtime.ScalarOf) as the only place a scalar native is written. Every
+// native-backed overload of the standard library is instantiated at every
+// atomic type its qualifiers allow; for each call fusibleProducer admits,
+// assignTo must build it as a one-node tree, it must not be a fusion barrier,
+// and selectNative must have no arm for it. The tensor accesses are held the
+// same way: of the three builders genNative routes between, exactly one
+// produces the step of a Part read or store, whatever the rank, the checking
+// and the element kind.
 func TestOneSpellingPerScalarNative(t *testing.T) {
 	env := types.Builtin()
 	admitted := map[string]int{}
+	table := map[string]bool{}      // the natives with a runtime function
+	tableFuncs := map[string]bool{} // its package-level functions: AddI64, PowI64, AbsC, ...
 	accesses := map[string]map[runtime.Kind]bool{}
 	for _, name := range env.FuncNames() {
 		for _, d := range env.Lookup(name) {
@@ -94,6 +100,12 @@ func TestOneSpellingPerScalarNative(t *testing.T) {
 					}
 				}
 				admitted[d.Native]++
+				if s := passes.ScalarOf(in); s != nil {
+					table[d.Native] = true
+					if name := funcName(s.Fn); !strings.Contains(name, ".") {
+						tableFuncs[name] = true
+					}
+				}
 				if len(built) != 1 || built[0] != "assignTo" {
 					t.Errorf("%s: admitted by fusibleProducer but built by %v, not by assignTo alone", what, built)
 				}
@@ -119,8 +131,8 @@ func TestOneSpellingPerScalarNative(t *testing.T) {
 			t.Errorf("%s: walked at element kinds %v, want all five", native, accesses[native])
 		}
 	}
-	t.Logf("%d natives have an evaluator", len(admitted))
-	t.Run("source", noHandWrittenSpelling)
+	t.Logf("%d natives have an evaluator, %d of them a runtime function", len(admitted), len(table))
+	t.Run("source", func(t *testing.T) { noHandWrittenSpelling(t, table, tableFuncs) })
 }
 
 func generatedNatives() []string {
@@ -137,14 +149,21 @@ func generatedNatives() []string {
 	return out
 }
 
-// noHandWrittenSpelling reads the backend's source: an op that modegen's
-// table spells must not be spelled again by hand. In
-// buildEvalI/F no case may name a generated native (they are dispatched
-// through the generated tables before the switch); the integer and real arms
-// of buildEvalB's compares, and all of assignTo, must not read an operand
-// through get; and no hand-written closure calls the checked arithmetic the
-// table wraps or compares two integer or real registers itself.
-func noHandWrittenSpelling(t *testing.T) {
+// funcName is the name of a package-level function of the runtime, or a
+// dotted one for a closure or a generic instance.
+func funcName(fn any) string {
+	name := goruntime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name()
+	return strings.TrimPrefix(name, "wolfc/internal/runtime.")
+}
+
+// noHandWrittenSpelling reads the backend's source: a native the runtime's
+// scalar table spells must not be spelled again by hand. No case of
+// buildEvalI/F/B/C may name a native of the table (its node is built from the
+// function's shape); assignTo must not read an operand through get; and no
+// hand-written closure calls a function of the table or the literal forms
+// modegen generates, does real arithmetic on a register or compares two
+// integer or real registers itself.
+func noHandWrittenSpelling(t *testing.T, table, tableFuncs map[string]bool) {
 	fset := token.NewFileSet()
 	parse := func(name string) *ast.File {
 		f, err := parser.ParseFile(fset, name, nil, 0)
@@ -171,61 +190,22 @@ func noHandWrittenSpelling(t *testing.T) {
 		})
 		return found
 	}
-	caseNames := func(cc *ast.CaseClause) []string {
-		var names []string
-		for _, e := range cc.List {
-			switch x := e.(type) {
-			case *ast.BasicLit:
-				if s, err := strconv.Unquote(x.Value); err == nil {
-					names = append(names, s)
-				}
-			case *ast.SelectorExpr:
-				names = append(names, x.Sel.Name)
-			}
+	for _, fn := range []string{"buildEvalI", "buildEvalF", "buildEvalB", "buildEvalC"} {
+		if funcs[fn] == nil {
+			t.Fatalf("%s not found in fusion.go", fn)
 		}
-		return names
-	}
-	for fn, table := range map[string]func(string) bool{
-		"buildEvalI": func(n string) bool { _, ok := intArith[n]; return ok },
-		"buildEvalF": func(n string) bool { _, ok := realArith[n]; return ok },
-	} {
 		ast.Inspect(funcs[fn], func(n ast.Node) bool {
 			if cc, ok := n.(*ast.CaseClause); ok {
-				for _, name := range caseNames(cc) {
-					if table(name) {
-						t.Errorf("%s has a hand-written case for generated op %s", fn, name)
+				for _, e := range cc.List {
+					if lit, ok := e.(*ast.BasicLit); ok {
+						if name, err := strconv.Unquote(lit.Value); err == nil && table[name] {
+							t.Errorf("%s has a hand-written case for %s, which the runtime's table spells", fn, name)
+						}
 					}
 				}
 			}
 			return true
 		})
-	}
-	sawCompares := false
-	ast.Inspect(funcs["buildEvalB"], func(n ast.Node) bool {
-		cc, ok := n.(*ast.CaseClause)
-		if !ok {
-			return true
-		}
-		for _, name := range caseNames(cc) {
-			if name != "cmp_less" {
-				continue
-			}
-			sawCompares = true
-			ast.Inspect(cc, func(n ast.Node) bool {
-				if arm, ok := n.(*ast.CaseClause); ok {
-					for _, kind := range caseNames(arm) {
-						if (kind == "KI64" || kind == "KR64") && callsGet(arm) {
-							t.Errorf("buildEvalB spells a %s compare by hand (operand read through get)", kind)
-						}
-					}
-				}
-				return true
-			})
-		}
-		return true
-	})
-	if !sawCompares {
-		t.Error("buildEvalB: compare case not found; the check above is not looking at anything")
 	}
 	if callsGet(funcs["assignTo"]) {
 		t.Error("assignTo reads an operand through get: assignment roots of generated ops come from the table")
@@ -255,19 +235,6 @@ func noHandWrittenSpelling(t *testing.T) {
 		sel, ok := ix.X.(*ast.SelectorExpr)
 		return ok && sel.Sel.Name == "f"
 	}
-	for _, name := range []string{"fusion.go", "codegen.go", "regions.go", "native.go"} {
-		ast.Inspect(parse(name), func(n ast.Node) bool {
-			if x, ok := n.(*ast.BinaryExpr); ok && (isRealReg(x.X) || isRealReg(x.Y)) {
-				switch x.Op {
-				case token.ADD, token.SUB, token.MUL, token.QUO:
-					t.Errorf("%s: hand-written real arithmetic on a register", fset.Position(x.Pos()))
-				}
-			}
-			return true
-		})
-	}
-	wrapped := map[string]bool{"AddI64": true, "SubI64": true, "MulI64": true, "ModI64": true,
-		"QuotI64": true, "ModNZ": true, "QuotNZ": true}
 	isScalarReg := func(e ast.Expr) bool {
 		ix, ok := e.(*ast.IndexExpr)
 		if !ok {
@@ -276,7 +243,14 @@ func noHandWrittenSpelling(t *testing.T) {
 		sel, ok := ix.X.(*ast.SelectorExpr)
 		return ok && (sel.Sel.Name == "i" || sel.Sel.Name == "f")
 	}
-	for _, name := range []string{"fusion.go", "codegen.go", "regions.go"} {
+	if len(tableFuncs) < 20 {
+		t.Errorf("only %d of the table's functions named: the walk is not reaching it", len(tableFuncs))
+	}
+	wrapped := map[string]bool{"ModNZ": true, "QuotNZ": true, "ShrLitI64": true}
+	for name := range tableFuncs {
+		wrapped[name] = true
+	}
+	for _, name := range []string{"fusion.go", "codegen.go", "regions.go", "native.go"} {
 		ast.Inspect(parse(name), func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.CallExpr:
@@ -287,6 +261,10 @@ func noHandWrittenSpelling(t *testing.T) {
 				}
 			case *ast.BinaryExpr:
 				switch x.Op {
+				case token.ADD, token.SUB, token.MUL, token.QUO:
+					if isRealReg(x.X) || isRealReg(x.Y) {
+						t.Errorf("%s: hand-written real arithmetic on a register", fset.Position(x.Pos()))
+					}
 				case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
 					if isScalarReg(x.X) && isScalarReg(x.Y) {
 						t.Errorf("%s: hand-written compare of two registers", fset.Position(x.Pos()))

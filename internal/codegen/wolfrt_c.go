@@ -111,10 +111,17 @@ static inline int64_t wolfrt_abs_int(int64_t a) {
 static inline int64_t wolfrt_power_int(int64_t base, int64_t exp) {
 	if (exp < 0)
 		wolfrt_panic("Power: negative machine-integer exponent");
+	/* Repeated squaring, as runtime.PowI64: the base is squared only while
+	 * exponent bits remain, so a checked multiply overflows exactly when the
+	 * power does not fit. */
 	int64_t r = 1;
-	for (; exp > 0; exp--)
-		r = wolfrt_mul_i64(r, base);
-	return r;
+	for (;;) {
+		if (exp & 1)
+			r = wolfrt_mul_i64(r, base);
+		if ((exp >>= 1) == 0)
+			return r;
+		base = wolfrt_mul_i64(base, base);
+	}
 }
 
 /* Mod follows the sign of the modulus; Quotient is floor division. The

@@ -679,8 +679,8 @@ func (ccf *CompiledCodeFunction) invoke(args []expr.Expr) (out expr.Expr, oc out
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			exc, ok := r.(*runtime.Exception)
-			if !ok {
+			exc := runtime.Caught(r)
+			if exc == nil {
 				panic(r)
 			}
 			switch exc.Kind {

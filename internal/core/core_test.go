@@ -470,3 +470,25 @@ func TestCompileLargeLiteralList(t *testing.T) {
 		t.Fatalf("got %s, want 12005", got)
 	}
 }
+
+// TestComplexPowerAtIntegerExtremes: Power of a complex to the exponents
+// MinInt64 and MaxInt64, with run-time arguments and with the arguments
+// written in as literals (which the constant folder evaluates inside the
+// compiler), gives one result and never falls back. The interpreter is no
+// reference here: it raises a machine complex to a huge exponent as a real
+// power.
+func TestComplexPowerAtIntegerExtremes(t *testing.T) {
+	c := newCompiler()
+	var msgs strings.Builder
+	c.Kernel.Out = &msgs
+	ccf := compile(t, c, `Function[{Typed[z, "ComplexReal64"], Typed[n, "Integer64"]}, Power[z, n]]`)
+	for _, n := range []string{"-9223372036854775808", "9223372036854775807"} {
+		for _, z := range []string{"Complex[0., 1.]", "Complex[-1., 0.]", "Complex[0.5, 0.5]"} {
+			lit := compile(t, c, "Function[{}, Power["+z+", "+n+"]]")
+			got, want := apply(t, lit), apply(t, ccf, z, n)
+			if got != want || msgs.Len() != 0 {
+				t.Errorf("Power[%s, %s] = %s with literal arguments, %s with run-time arguments %s", z, n, got, want, msgs.String())
+			}
+		}
+	}
+}

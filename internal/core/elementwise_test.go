@@ -202,3 +202,28 @@ func TestCrossBackendElementwiseReuse(t *testing.T) {
 		t.Errorf("2x2 * 2x3 in C should die naming the shapes, got %q (%v)", out, err)
 	}
 }
+
+// TestElementwiseComplexMatchesInterpreter: complex tensors thread the
+// complex element functions, in every form: tensor and tensor, tensor and
+// scalar either way round, and Minus. The compiled call must give the
+// interpreter's result without falling back to it.
+func TestElementwiseComplexMatchesInterpreter(t *testing.T) {
+	c := newCompiler()
+	var msgs strings.Builder
+	c.Kernel.Out = &msgs
+	src := `Function[{Typed[a, "Tensor"["ComplexReal64", 1]], Typed[z, "ComplexReal64"]}, {a + a, z*a - a, a*z, z - a, -a}]`
+	args := `{Complex[1., 2.], Complex[3., -4.]}, Complex[0.5, 0.75]`
+	ccf := compile(t, c, src)
+	want, err := c.Kernel.Run(parser.MustParse(src + "[" + args + "]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := c.Kernel.Run(parser.MustParse("{" + args + "}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ccf.Apply(vals.(*expr.Normal).Args())
+	if err != nil || expr.InputForm(got) != expr.InputForm(want) || msgs.Len() != 0 {
+		t.Errorf("compiled %s (%v), interpreted %s; %s", expr.InputForm(got), err, expr.InputForm(want), msgs.String())
+	}
+}

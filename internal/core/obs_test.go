@@ -384,3 +384,35 @@ func TestProfileLevelJoinsCacheKey(t *testing.T) {
 		t.Fatal("profiling state crossed the cache boundary")
 	}
 }
+
+// TestDeclinedFoldCountsNoException: the constant folder runs a throwing
+// native's runtime function on constant operands and declines the fold when
+// it throws. That is not a run-time exception, so compiling leaves the
+// /metrics exception counters alone; running the code counts its one throw.
+func TestDeclinedFoldCountsNoException(t *testing.T) {
+	count := func(name string) uint64 {
+		for _, c := range obs.Counters() {
+			if c.Name() == name {
+				return c.Value()
+			}
+		}
+		t.Fatalf("no counter %s", name)
+		return 0
+	}
+	before := map[string]uint64{}
+	for _, name := range []string{"exc_divide_by_zero", "exc_overflow"} {
+		before[name] = count(name)
+	}
+	c := newCompiler()
+	zero := compile(t, c, `Function[{}, Quotient[1, 0]]`)
+	compile(t, c, `Function[{}, -9223372036854775807 - 2]`)
+	for name, n := range before {
+		if got := count(name); got != n {
+			t.Errorf("compiling moved %s from %d to %d", name, n, got)
+		}
+	}
+	zero.Apply(nil)
+	if got := count("exc_divide_by_zero"); got != before["exc_divide_by_zero"]+1 {
+		t.Errorf("running Quotient[1, 0] moved exc_divide_by_zero from %d to %d, want one more", before["exc_divide_by_zero"], got)
+	}
+}

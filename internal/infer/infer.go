@@ -511,21 +511,25 @@ func (in *inferer) trial(a *altConstraint, opt *altOption) verdict {
 	v := viable
 	if !in.u.Unify(a.want, opt.ty) {
 		v = ununifiable
-	} else {
-		for _, q := range opt.quals {
-			t := in.u.Resolve(q.Var)
-			// Class membership is keyed by the outermost constructor, so it is
-			// decidable as soon as the head is known, even when arguments are
-			// still variables: Tensor[e, 1] is not a Number for any e, which is
-			// what disqualifies the scalar overloads for tensor operands.
-			if headDecidable(t) && !in.env.MemberOf(t, q.Class) {
-				v = unqualified
-				break
-			}
-		}
+	} else if !in.qualified(opt.quals) {
+		v = unqualified
 	}
 	in.u.Undo(mark)
 	return v
+}
+
+// qualified reports whether no qualifier is violated under the current
+// bindings. Class membership is keyed by the outermost constructor, so it is
+// decidable as soon as the head is known, even when arguments are still
+// variables: Tensor[e, 1] is not a Number for any e, which is what
+// disqualifies the scalar overloads for tensor operands.
+func (in *inferer) qualified(quals []types.Qual) bool {
+	for _, q := range quals {
+		if t := in.u.Resolve(q.Var); headDecidable(t) && !in.env.MemberOf(t, q.Class) {
+			return false
+		}
+	}
+	return true
 }
 
 // headDecidable reports whether a type's class membership can already be
@@ -539,7 +543,9 @@ func headDecidable(t types.Type) bool {
 }
 
 // consistent simulates committing opt and checks that every other pending
-// alternative still has at least one option that unifies. Only the
+// alternative still has at least one option that unifies without violating
+// opt's qualifiers (Mod[0.5, 1.] must not take the Integral row: no choice
+// of the real literals' types is Integral). Only the
 // alternatives watching a variable the simulated commit binds are looked
 // at: the want of any other is untouched, and it has the two or more viable
 // options it had when it was last examined.
@@ -564,7 +570,7 @@ func (in *inferer) consistent(a *altConstraint, opt *altOption) bool {
 			for i := range other.options {
 				in.counts.Trials++
 				inner := u.Mark()
-				ok = u.Unify(other.want, other.options[i].ty)
+				ok = u.Unify(other.want, other.options[i].ty) && in.qualified(opt.quals)
 				u.Undo(inner)
 				if ok {
 					break

@@ -55,6 +55,26 @@ func TestInferSimpleArithmetic(t *testing.T) {
 	}
 }
 
+// TestInferLiteralsSkipAClassRowTheyCannotMeet: with only literal operands a
+// call's overload is decided before the literals' types, and the first row
+// of Mod and N is Integral-polymorphic. No type a real literal may take is
+// Integral, so the choice passes over that row to the Real64 one; integer
+// literals still take the Integral row.
+func TestInferLiteralsSkipAClassRowTheyCannotMeet(t *testing.T) {
+	for src, want := range map[string]string{
+		`Function[{}, Mod[0.5, 1.]]`:           "mod_real",
+		`Function[{}, N[0.5]]`:                 "to_real64",
+		`Function[{}, Mod[7, 3]]`:              "mod_int",
+		`Function[{Typed[x, "Real64"]}, N[x]]`: "to_real64",
+	} {
+		mod := mustTWIR(t, src)
+		call := mod.Main().Blocks[0].Instrs[0]
+		if got := call.NativeName(); got != want {
+			t.Errorf("%s calls %q, want %s:\n%s", src, got, want, mod.String())
+		}
+	}
+}
+
 func TestInferIntegerStaysInteger(t *testing.T) {
 	mod := mustTWIR(t, `Function[{Typed[n, "MachineInteger"]}, n*n + 1]`)
 	if mod.Main().RetTy != types.TInt64 {

@@ -44,6 +44,14 @@ func (k *Kernel) installControl() {
 	k.Register("Identity", 0, biIdentity)
 	k.Register("Typed", HoldAll, inert) // compiler annotation: inert to the interpreter
 	k.Register("KernelFunction", HoldAll, inert)
+	// KernelFunction[f][args] is f[args]: what compiled code's escape to the
+	// interpreter (F9) evaluates, so an F2 re-run of the call does too.
+	k.RegisterApplier("KernelFunction", func(k *Kernel, head *expr.Normal, args []expr.Expr) (expr.Expr, bool) {
+		if head.Len() != 1 {
+			return nil, false
+		}
+		return k.Eval(expr.New(head.Arg(1), args...)), true
+	})
 	k.Register("Echo", 0, biEcho)
 }
 

@@ -29,11 +29,13 @@ var defaultRoot = sync.OnceValue(func() *Env {
 		})
 	}
 
-	// The paper's And macro, verbatim (§4.2): desugar n-ary And to nested
-	// short-circuit Ifs with constant folding.
+	// The paper's And macro (§4.2): desugar n-ary And to nested
+	// short-circuit Ifs with constant folding. A first operand before a
+	// deciding False is still evaluated, as the interpreter does; DCE deletes
+	// it only when it has no effect.
 	reg("And", "And[x_]", "x === True")
 	reg("And", "And[False, __]", "False")
-	reg("And", "And[_, False]", "False")
+	reg("And", "And[x_, False]", "(x; False)")
 	reg("And", "And[True, rest__]", "And[rest]")
 	reg("And", "And[x_, y_]", "If[x === True, y === True, False]")
 	reg("And", "And[x_, y_, rest__]", "And[And[x, y], rest]")
@@ -41,7 +43,7 @@ var defaultRoot = sync.OnceValue(func() *Env {
 	// Or, symmetrically.
 	reg("Or", "Or[x_]", "x === True")
 	reg("Or", "Or[True, __]", "True")
-	reg("Or", "Or[_, True]", "True")
+	reg("Or", "Or[x_, True]", "(x; True)")
 	reg("Or", "Or[False, rest__]", "Or[rest]")
 	reg("Or", "Or[x_, y_]", "If[x === True, True, y === True]")
 	reg("Or", "Or[x_, y_, rest__]", "Or[Or[x, y], rest]")

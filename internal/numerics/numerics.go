@@ -16,6 +16,7 @@ import (
 	"wolfc/internal/kernel"
 	"wolfc/internal/obs"
 	"wolfc/internal/pattern"
+	"wolfc/internal/runtime"
 )
 
 // numericsFallbacks counts solver evaluators that could not auto-compile
@@ -130,6 +131,7 @@ func makeEvaluator(k *kernel.Kernel, eq expr.Expr, x *expr.Symbol, autoCompile b
 			return func(v float64) (out float64, err error) {
 				defer func() {
 					if r := recover(); r != nil {
+						runtime.Caught(r)
 						err = fmt.Errorf("compiled evaluation failed: %v", r)
 					}
 				}()

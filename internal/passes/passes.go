@@ -137,6 +137,8 @@ func constValue(v wir.Value) (any, bool) {
 		}
 	case *expr.Real:
 		return x.V, true
+	case *expr.Complex:
+		return complex(x.Re, x.Im), true
 	case *expr.Symbol:
 		if b, isBool := expr.TruthValue(x); isBool {
 			return b, true
@@ -145,7 +147,8 @@ func constValue(v wir.Value) (any, bool) {
 	return nil, false
 }
 
-// FoldConstants evaluates pure calls whose operands are all constants
+// FoldConstants evaluates the calls of Pure and Throws scalar natives whose
+// operands are all constants by calling the native's runtime function
 // (sparse conditional constant propagation's folding half, §4.5), plus
 // algebraic peepholes: SameQ[b, True] is b (the residue of the And/Or
 // macro desugaring), and Not[Not[b]] is b. A call reads its operands through
@@ -170,7 +173,7 @@ func FoldConstants(f *wir.Function) bool {
 			sub.Args(in)
 			out, ok := peephole(def.Native, in, &sub)
 			if !ok {
-				out, ok = foldNative(def.Native, in)
+				out, ok = foldScalar(in)
 			}
 			if ok {
 				sub.Replace(in, out)
@@ -208,129 +211,79 @@ func peephole(native string, in *wir.Instr, sub *wir.Subst) (wir.Value, bool) {
 	return nil, false
 }
 
-// foldNative evaluates a native with constant arguments at compile time.
-// Operations that would raise a runtime numeric exception are left alone.
-func foldNative(native string, in *wir.Instr) (wir.Value, bool) {
-	vals := make([]any, 0, 3)
-	for _, a := range in.Args {
-		v, ok := constValue(a)
-		if !ok {
-			return nil, false
-		}
-		vals = append(vals, v)
+// ScalarOf returns the runtime function of in's native at in's operand and
+// result kinds (runtime.ScalarOf), or nil: the function the folder calls and
+// the closure backend builds an evaluator around.
+func ScalarOf(in *wir.Instr) *runtime.Scalar {
+	if len(in.Args) > 2 || in.Ty == nil {
+		return nil
 	}
-	mk := func(e expr.Expr) wir.Value { return &wir.Const{Expr: e, Ty: in.Ty} }
-	switch native {
-	case "binary_plus", "binary_times", "binary_subtract":
-		if a, ok := vals[0].(int64); ok {
-			b, ok2 := vals[1].(int64)
-			if !ok2 {
-				return nil, false
-			}
-			// The runtime's own overflow tests, so a fold and the compiled
-			// operation cannot disagree about an edge.
-			var r int64
-			var exact bool
-			switch native {
-			case "binary_plus":
-				r, exact = runtime.AddOK(a, b)
-			case "binary_subtract":
-				r, exact = runtime.SubOK(a, b)
-			case "binary_times":
-				r, exact = runtime.MulOK(a, b)
-			}
-			if !exact {
-				return nil, false
-			}
-			return mk(expr.FromInt64(r)), true
+	var kinds [2]runtime.Kind
+	for i, a := range in.Args {
+		if a.Type() == nil {
+			return nil
 		}
-		if a, ok := vals[0].(float64); ok {
-			b, ok2 := vals[1].(float64)
-			if !ok2 {
-				return nil, false
-			}
-			switch native {
-			case "binary_plus":
-				return mk(expr.FromFloat(a + b)), true
-			case "binary_subtract":
-				return mk(expr.FromFloat(a - b)), true
-			case "binary_times":
-				return mk(expr.FromFloat(a * b)), true
-			}
-		}
-	case "unary_minus":
-		switch a := vals[0].(type) {
-		case int64:
-			if a == math.MinInt64 {
-				return nil, false
-			}
-			return mk(expr.FromInt64(-a)), true
-		case float64:
-			return mk(expr.FromFloat(-a)), true
-		}
-	case "cmp_less", "cmp_lessequal", "cmp_greater", "cmp_greaterequal", "cmp_equal", "cmp_unequal":
-		// Integers compare as integers: above 2^53 float64 merges neighbours.
-		if a, ok := vals[0].(int64); ok {
-			if b, ok2 := vals[1].(int64); ok2 {
-				return mk(expr.Bool(cmpFold(native, a, b))), true
-			}
-		}
-		if a, ok := vals[0].(float64); ok {
-			if b, ok2 := vals[1].(float64); ok2 {
-				return mk(expr.Bool(cmpFold(native, a, b))), true
-			}
-		}
-	case "math_sin", "math_cos", "math_exp", "math_log", "math_sqrt", "math_tan":
-		a, ok := vals[0].(float64)
-		if !ok {
-			return nil, false
-		}
-		var r float64
-		switch native {
-		case "math_sin":
-			r = math.Sin(a)
-		case "math_cos":
-			r = math.Cos(a)
-		case "math_exp":
-			r = math.Exp(a)
-		case "math_log":
-			r = math.Log(a)
-		case "math_sqrt":
-			r = math.Sqrt(a)
-		case "math_tan":
-			r = math.Tan(a)
-		}
-		return mk(expr.FromFloat(r)), true
-	case "not":
-		if a, ok := vals[0].(bool); ok {
-			return mk(expr.Bool(!a)), true
-		}
-	case "sameq_bool":
-		a, ok1 := vals[0].(bool)
-		b, ok2 := vals[1].(bool)
-		if ok1 && ok2 {
-			return mk(expr.Bool(a == b)), true
-		}
+		kinds[i] = runtime.KindOf(a.Type())
 	}
-	return nil, false
+	return runtime.ScalarOf(in.NativeName(), runtime.KindOf(in.Ty), kinds[:len(in.Args)]...)
 }
 
-func cmpFold[T int64 | float64](native string, a, b T) bool {
-	switch native {
-	case "cmp_less":
-		return a < b
-	case "cmp_lessequal":
-		return a <= b
-	case "cmp_greater":
-		return a > b
-	case "cmp_greaterequal":
-		return a >= b
-	case "cmp_equal":
-		return a == b
-	case "cmp_unequal":
-		return a != b
+// foldScalar calls in's runtime function on its constant operands. A call
+// that throws (an overflow, a zero divisor) is not folded: it throws at run
+// time, where the interpreter fallback takes it.
+func foldScalar(in *wir.Instr) (out wir.Value, ok bool) {
+	for _, a := range in.Args {
+		if _, ok := a.(*wir.Const); !ok {
+			return nil, false
+		}
 	}
-	return false
+	s := ScalarOf(in)
+	if s == nil {
+		return nil, false
+	}
+	args := make([]any, len(in.Args))
+	for i, a := range in.Args {
+		v, ok := constValue(a)
+		if !ok || valueKind(v) != s.Args[i] {
+			return nil, false
+		}
+		args[i] = v
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			if _, thrown := r.(*runtime.Exception); !thrown {
+				panic(r)
+			}
+			out, ok = nil, false
+		}
+	}()
+	var e expr.Expr
+	switch v := s.Call(args).(type) {
+	case int64:
+		e = expr.FromInt64(v)
+	case float64:
+		e = expr.FromFloat(v)
+	case complex128:
+		e = expr.FromComplex(real(v), imag(v))
+	case bool:
+		e = expr.Bool(v)
+	}
+	return &wir.Const{Expr: e, Ty: in.Ty}, true
+}
+
+// valueKind is the runtime kind of a constant's Go value.
+func valueKind(v any) runtime.Kind {
+	switch v.(type) {
+	case int64:
+		return runtime.KI64
+	case float64:
+		return runtime.KR64
+	case complex128:
+		return runtime.KC64
+	case bool:
+		return runtime.KBool
+	}
+	return runtime.KObj
 }
 
 // SimplifyBranches converts conditional branches on constants into jumps

@@ -1,10 +1,12 @@
 package passes
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"wolfc/internal/binding"
+	"wolfc/internal/expr"
 	"wolfc/internal/infer"
 	"wolfc/internal/macro"
 	"wolfc/internal/parser"
@@ -591,4 +593,70 @@ func TestAbortInhibitBlocksSkipped(t *testing.T) {
 	if checks != 1 { // prologue only; the inhibited loop header is skipped
 		t.Fatalf("abort checks = %d, want 1:\n%s", checks, f.String())
 	}
+}
+
+// TestFoldingNonFiniteReals: NaN and the infinities have no input form, so
+// the fold = compiled = interpreter walk over the standard library
+// (types.TestScalarNativesMatchInterpreter) never meets them as literals.
+// Here each scalar native with a real operand is folded over constants built
+// with expr.FromFloat. It folds exactly where its runtime function, the one
+// compiled code calls, returns rather than throws, and to what it returns.
+func TestFoldingNonFiniteReals(t *testing.T) {
+	values := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 2.5}
+	sameF := func(x, y float64) bool { return x == y || math.IsNaN(x) && math.IsNaN(y) }
+	same := func(a, b any) bool {
+		switch x := a.(type) {
+		case float64:
+			y, ok := b.(float64)
+			return ok && sameF(x, y)
+		case complex128:
+			y, ok := b.(complex128)
+			return ok && sameF(real(x), real(y)) && sameF(imag(x), imag(y))
+		}
+		return a == b
+	}
+	folds := 0
+	for _, body := range []string{"x + y", "x - y", "x*y", "x/y", "Mod[x, y]", "Power[x, y]", "ArcTan[x, y]",
+		"Min[x, y]", "Max[x, y]", "x < y", "x <= y", "x > y", "x >= y", "x == y", "x != y", "Complex[x, y]",
+		"Sin[x]", "Cos[x]", "Tan[x]", "Exp[x]", "Log[x]", "Sqrt[x]", "ArcTan[x]", "ArcSin[x]", "ArcCos[x]",
+		"Abs[x]", "-x", "Floor[x]", "Ceiling[x]", "Round[x]", "Sign[x]", "N[x]", "Power[x, 3]", "x + 1", "2 - x"} {
+		for _, a := range values {
+			for _, b := range values {
+				f := buildTWIR(t, `Function[{Typed[x, "Real64"], Typed[y, "Real64"]}, `+body+`]`).Main()
+				ret := f.Blocks[len(f.Blocks)-1].Term()
+				call, ok := ret.Args[0].(*wir.Instr)
+				if !ok || ScalarOf(call) == nil {
+					t.Fatalf("%s: the result is not a scalar native's call:\n%s", body, f.String())
+				}
+				s := ScalarOf(call)
+				var args []any
+				for i, v := range call.Args {
+					if p, ok := v.(*wir.Param); ok {
+						call.Args[i] = &wir.Const{Expr: expr.FromFloat([]float64{a, b}[p.Index]), Ty: types.TReal64}
+					}
+					cv, _ := constValue(call.Args[i])
+					args = append(args, cv)
+				}
+				var want any
+				threw := func() (threw bool) {
+					defer func() { threw = recover() != nil }()
+					want = s.Call(args)
+					return false
+				}()
+				FoldConstants(f)
+				got, folded := constValue(ret.Args[0])
+				switch {
+				case threw && folded:
+					t.Errorf("%s at %v, %v: folded to %v where the runtime function throws", body, a, b, got)
+				case !threw && !folded:
+					t.Errorf("%s at %v, %v: not folded where the runtime function returns %v", body, a, b, want)
+				case folded && !same(got, want):
+					t.Errorf("%s at %v, %v: folded to %v, the runtime function returns %v", body, a, b, got, want)
+				case folded:
+					folds++
+				}
+			}
+		}
+	}
+	t.Logf("%d folds", folds)
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -40,20 +41,44 @@ func TestModQuotDivisionLawQuick(t *testing.T) {
 
 // PowI64 agrees with arbitrary-precision exponentiation wherever the result
 // fits in an int64, and throws ExcOverflow (the F2 soft-failure trigger)
-// wherever it does not.
+// wherever it does not: at random bases and exponents, at small ones, and at
+// the edges where a square or the last multiply just fits or just overflows.
+// Repeated squaring answers the largest exponents at once.
 func TestPowMatchesBigIntQuick(t *testing.T) {
-	f := func(b8 int8, e8 uint8) bool {
-		base := int64(b8 % 10)
-		exp := int64(e8 % 64)
-		want := new(big.Int).Exp(big.NewInt(base), big.NewInt(exp), nil)
+	check := func(base, exp int64) bool {
 		var got int64
 		exc := catch(func() { got = PowI64(base, exp) })
+		// |base| >= 2 to the 64th or more is past 2^63: no need to build it.
+		if exp >= 64 && (base > 1 || base < -1) {
+			return exc != nil && exc.Kind == ExcOverflow
+		}
+		want := new(big.Int).Exp(big.NewInt(base), big.NewInt(exp), nil)
 		if want.IsInt64() {
 			return exc == nil && got == want.Int64()
 		}
 		return exc != nil && exc.Kind == ExcOverflow
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	for _, r := range [][2]int64{
+		{0, math.MaxInt64}, {1, math.MaxInt64}, {-1, math.MaxInt64}, {-1, math.MaxInt64 - 1},
+		{0, 0}, {2, 62}, {2, 63}, {-2, 63}, {-2, 64}, {3, 39}, {3, 40}, {-3, 39}, {-3, 40},
+		{math.MinInt64, 1}, {math.MinInt64, 2}, {math.MaxInt64, 1}, {3037000499, 2}, {3037000500, 2},
+	} {
+		if !check(r[0], r[1]) {
+			t.Errorf("PowI64(%d, %d) disagrees with math/big", r[0], r[1])
+		}
+	}
+	if exc := catch(func() { PowI64(2, -1) }); exc == nil || exc.Kind != ExcOverflow {
+		t.Errorf("PowI64(2, -1) threw %v, want ExcOverflow", exc)
+	}
+	small := func(b8 int8, e8 uint8) bool { return check(int64(b8%10), int64(e8%64)) }
+	if err := quick.Check(small, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	// Random full-width bases at exponents up to 70, and random exponents.
+	wide := func(b, e int64, s uint8) bool {
+		return check(b>>(s%64), int64(s%71)) && check(b%3, e&math.MaxInt64) && check(b>>(s%64), e&math.MaxInt64)
+	}
+	if err := quick.Check(wide, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -102,40 +127,43 @@ func TestNegI64Quick(t *testing.T) {
 	}
 }
 
-// AddOK/SubOK/MulOK agree with arbitrary-precision arithmetic on whether the
-// result fits, the throwing forms agree with them, and the edges the old
-// division-based multiply test needed special cases for are drawn on purpose.
+// The checked operations agree with arbitrary-precision arithmetic: each
+// throws ExcOverflow exactly when the result does not fit and is exact
+// otherwise, MulOK agrees with MulI64, and the edges the old division-based
+// multiply test needed special cases for are drawn on purpose.
 func TestCheckedArithMatchesBigIntQuick(t *testing.T) {
 	edges := []int64{0, 1, -1, 2, -2, 3037000499, 3037000500, -3037000500,
 		1 << 31, 1 << 32, -1 << 31, 1<<62 - 1, 1 << 62, -1 << 62, 1<<63 - 1, -1<<63 + 1, -1 << 63}
 	ops := []struct {
 		name  string
-		ok    func(a, b int64) (int64, bool)
 		throw func(a, b int64) int64
 		big   func(z, a, b *big.Int) *big.Int
 	}{
-		{"add", AddOK, AddI64, (*big.Int).Add},
-		{"sub", SubOK, SubI64, (*big.Int).Sub},
-		{"mul", MulOK, MulI64, (*big.Int).Mul},
+		{"add", AddI64, (*big.Int).Add},
+		{"sub", SubI64, (*big.Int).Sub},
+		{"mul", MulI64, (*big.Int).Mul},
 	}
 	check := func(a, b int64) bool {
 		for _, op := range ops {
 			want := op.big(new(big.Int), big.NewInt(a), big.NewInt(b))
-			got, ok := op.ok(a, b)
-			var thrown int64
-			exc := catch(func() { thrown = op.throw(a, b) })
-			if ok != want.IsInt64() || ok != (exc == nil) {
-				t.Errorf("%s(%d, %d): ok=%v, exception=%v, exact result %s", op.name, a, b, ok, exc, want)
+			var got int64
+			exc := catch(func() { got = op.throw(a, b) })
+			if want.IsInt64() != (exc == nil) {
+				t.Errorf("%s(%d, %d): exception=%v, exact result %s", op.name, a, b, exc, want)
 				return false
 			}
-			if ok && (got != want.Int64() || thrown != got) {
-				t.Errorf("%s(%d, %d) = %d / %d, want %s", op.name, a, b, got, thrown, want)
+			if exc == nil && got != want.Int64() {
+				t.Errorf("%s(%d, %d) = %d, want %s", op.name, a, b, got, want)
 				return false
 			}
-			if !ok && exc.Kind != ExcOverflow {
+			if exc != nil && exc.Kind != ExcOverflow {
 				t.Errorf("%s(%d, %d) threw %v, want ExcOverflow", op.name, a, b, exc.Kind)
 				return false
 			}
+		}
+		if p, ok := MulOK(a, b); ok != (catch(func() { MulI64(a, b) }) == nil) || ok && p != a*b {
+			t.Errorf("MulOK(%d, %d) = %d, %v disagrees with MulI64", a, b, p, ok)
+			return false
 		}
 		return true
 	}

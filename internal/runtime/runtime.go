@@ -71,9 +71,9 @@ type Exception struct {
 
 func (e *Exception) Error() string { return e.Msg }
 
-// excCounters counts thrown exceptions by kind for /metrics. A throw is
-// already the expensive path (panic + fallback re-evaluation), so these
-// count unconditionally.
+// excCounters counts compiled code's exceptions by kind for /metrics, where
+// they are caught (Caught). A throw is already the expensive path (panic +
+// fallback re-evaluation), so these count unconditionally.
 var excCounters = [...]*obs.Counter{
 	ExcOverflow:     obs.NewCounter("exc_overflow"),
 	ExcPartRange:    obs.NewCounter("exc_part_range"),
@@ -85,33 +85,24 @@ var excCounters = [...]*obs.Counter{
 	ExcDepth:        obs.NewCounter("exc_depth"),
 }
 
-// Throw raises a runtime exception.
+// Throw raises a runtime exception. It counts nothing: the constant folder
+// calls the scalar natives' functions too, and a throw it catches declines a
+// fold; nothing threw at run time.
 func Throw(kind ExceptionKind, format string, args ...any) {
-	if int(kind) < len(excCounters) {
-		excCounters[kind].Inc()
-	}
 	panic(&Exception{Kind: kind, Msg: fmt.Sprintf(format, args...)})
 }
 
+// Caught is how a caller of compiled code reads a recovered panic value r:
+// the Exception it carries, counted for /metrics, or nil when r is not one.
+func Caught(r any) *Exception {
+	exc, ok := r.(*Exception)
+	if ok && int(exc.Kind) < len(excCounters) {
+		excCounters[exc.Kind].Inc()
+	}
+	return exc
+}
+
 // --- checked machine arithmetic ---
-
-// AddOK, SubOK and MulOK are the overflow tests of the checked operations
-// below, without the throw: the wrapped result and whether it is exact. The
-// constant folder decides through them, so it cannot disagree with compiled
-// code about an edge.
-
-// AddOK: the sum overflowed iff both operands differ in sign from it.
-func AddOK(a, b int64) (int64, bool) {
-	s := a + b
-	return s, (a^s)&(b^s) >= 0
-}
-
-// SubOK: the difference overflowed iff the operands differ in sign and the
-// result's sign is not the minuend's.
-func SubOK(a, b int64) (int64, bool) {
-	d := a - b
-	return d, (a^b)&(a^d) >= 0
-}
 
 // MulOK takes the full 128-bit product: bits.Mul64 gives the unsigned high
 // word, the two masked subtractions make it the signed one, and the product
@@ -130,8 +121,8 @@ func MulOK(a, b int64) (int64, bool) {
 //go:noinline
 func throwOverflow() { Throw(ExcOverflow, "IntegerOverflow") }
 
-// AddI64 adds with overflow checking: AddOK's test, written out because the
-// call would cost the inlining.
+// AddI64 adds with overflow checking: the sum overflowed iff both operands
+// differ in sign from it.
 func AddI64(a, b int64) int64 {
 	s := a + b
 	if (a^s)&(b^s) < 0 {
@@ -140,7 +131,8 @@ func AddI64(a, b int64) int64 {
 	return s
 }
 
-// SubI64 subtracts with overflow checking: SubOK's test, written out.
+// SubI64 subtracts with overflow checking: the difference overflowed iff the
+// operands differ in sign and the result's sign is not the minuend's.
 func SubI64(a, b int64) int64 {
 	d := a - b
 	if (a^b)&(a^d) < 0 {
@@ -199,17 +191,25 @@ func ShrI64(a, n int64) int64 {
 	return a >> uint64(n)
 }
 
-// PowI64 computes integer powers with overflow checking; negative exponents
-// are a numeric exception (exact rationals require the interpreter).
+// PowI64 computes integer powers with overflow checking by repeated
+// squaring; negative exponents are a numeric exception (exact rationals
+// require the interpreter). The base is squared only while exponent bits
+// remain, so every square is a factor of the true power's magnitude: a
+// checked multiply throws exactly when the power does not fit.
 func PowI64(base, exp int64) int64 {
 	if exp < 0 {
 		Throw(ExcOverflow, "NegativePower")
 	}
 	result := int64(1)
-	for n := exp; n > 0; n-- {
-		result = MulI64(result, base)
+	for {
+		if exp&1 != 0 {
+			result = MulI64(result, base)
+		}
+		if exp >>= 1; exp == 0 {
+			return result
+		}
+		base = MulI64(base, base)
 	}
-	return result
 }
 
 // ModI64 is the language's Mod (sign follows the modulus).
@@ -265,18 +265,23 @@ func PowC(b, e complex128) complex128 {
 	return complex(m*math.Cos(imag(p)), m*math.Sin(imag(p)))
 }
 
-// PowCInt computes z^n by repeated squaring.
+// PowCInt computes z^n by repeated squaring over the exponent's magnitude,
+// taken as a uint64 so that n = MinInt64 (whose negation does not fit) is
+// one more squaring, not an endless recursion.
 func PowCInt(b complex128, n int64) complex128 {
 	if n < 0 {
-		return 1 / PowCInt(b, -n)
+		return 1 / powCU(b, -uint64(n))
 	}
+	return powCU(b, uint64(n))
+}
+
+func powCU(b complex128, n uint64) complex128 {
 	out := complex128(1)
-	for n > 0 {
+	for ; n > 0; n >>= 1 {
 		if n&1 == 1 {
 			out *= b
 		}
 		b *= b
-		n >>= 1
 	}
 	return out
 }
@@ -691,6 +696,13 @@ func (t *Tensor) ZipIInto(o *Tensor, f func(a, b int64) int64, dst *Tensor) *Ten
 	return out
 }
 
+func (t *Tensor) ZipCInto(o *Tensor, f func(a, b complex128) complex128, dst *Tensor) *Tensor {
+	t.sameShape(o)
+	out := t.resultInto(KC64, dst)
+	zipInto(out.C, t.C, o.C, f)
+	return out
+}
+
 func (t *Tensor) MapFInto(f func(float64) float64, dst *Tensor) *Tensor {
 	out := t.resultInto(KR64, dst)
 	mapInto(out.F, t.F, f)
@@ -700,6 +712,12 @@ func (t *Tensor) MapFInto(f func(float64) float64, dst *Tensor) *Tensor {
 func (t *Tensor) MapIInto(f func(int64) int64, dst *Tensor) *Tensor {
 	out := t.resultInto(KI64, dst)
 	mapInto(out.I, t.I, f)
+	return out
+}
+
+func (t *Tensor) MapCInto(f func(complex128) complex128, dst *Tensor) *Tensor {
+	out := t.resultInto(KC64, dst)
+	mapInto(out.C, t.C, f)
 	return out
 }
 

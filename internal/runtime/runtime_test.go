@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math"
+	"math/cmplx"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -122,6 +123,23 @@ func TestComplexPow(t *testing.T) {
 	}
 	if AbsC(complex(3, 4)) != 5 {
 		t.Fatal("AbsC broken")
+	}
+	// The exponent's extremes: -MinInt64 does not fit in an int64.
+	for _, r := range []struct {
+		b    complex128
+		n    int64
+		want complex128
+	}{
+		{1, math.MinInt64, 1}, {-1, math.MinInt64, 1}, {1i, math.MinInt64, 1},
+		{1, math.MaxInt64, 1}, {-1, math.MaxInt64, -1}, {1i, math.MaxInt64, -1i},
+		{0.5 + 0.5i, math.MaxInt64, 0},
+	} {
+		if got := PowCInt(r.b, r.n); got != r.want {
+			t.Errorf("%v^%d = %v, want %v", r.b, r.n, got, r.want)
+		}
+	}
+	if got := PowCInt(0.5+0.5i, math.MinInt64); !cmplx.IsInf(got) {
+		t.Errorf("(0.5+0.5i)^MinInt64 = %v, want an infinity", got)
 	}
 }
 

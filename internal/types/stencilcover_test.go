@@ -168,6 +168,13 @@ func agree(got, want complex128) bool {
 // real overload, a symbolic form) the compiled result must be NaN or
 // infinite, not a finite value. An instance declared Pure must never throw
 // into that fallback: LICM and if-conversion run it speculatively.
+//
+// Each call is compiled a third time with its sample arguments written in as
+// literals, so that FoldConstants calls the native's runtime function at
+// compile time: fold = compiled = interpreter. Its result must be the fused
+// run-time-argument call's, and where that call throws and falls back this
+// one must too (the fold declines). NaN and the infinities have no input
+// form; passes.TestFoldingNonFiniteReals folds them.
 func TestScalarNativesMatchInterpreter(t *testing.T) {
 	k, compilers, levels := fuseLevels()
 	var out strings.Builder
@@ -209,11 +216,43 @@ func TestScalarNativesMatchInterpreter(t *testing.T) {
 				wantNum, inDomain = machineNumber(want)
 			}
 			calls++
+			// The call with its arguments written in as literals, compiled at
+			// O2, where FoldConstants sees constants. It runs last, against
+			// the run-time-argument results: a fold must give what the
+			// compiled call gives, and a call that throws there must survive
+			// folding and throw, and fall back, here too.
+			lit, err := compilers[0].FunctionCompile(expr.New(expr.SymFunction, expr.New(expr.SymList), call))
+			ccfs := ccfs
+			if err != nil {
+				t.Errorf("%s with literal arguments: %v", expr.InputForm(call), err)
+			} else {
+				ccfs = append(ccfs, lit)
+			}
+			levels := append(levels[:len(levels):len(levels)], "literal arguments")
+			var results []string
+			var fell []bool
 			for i, ccf := range ccfs {
 				what := fmt.Sprintf("%s (native %s, %s)", expr.InputForm(call), d.Native, levels[i])
 				out.Reset()
-				got, err := ccf.Apply(args)
-				if strings.Contains(out.String(), "::cfse:") {
+				callArgs := args
+				if ccf == lit {
+					callArgs = nil
+				}
+				got, err := ccf.Apply(callArgs)
+				fell = append(fell, strings.Contains(out.String(), "::cfse:"))
+				if err != nil {
+					results = append(results, "an error")
+				} else {
+					results = append(results, expr.InputForm(got))
+				}
+				if ccf == lit {
+					if results[i] != results[0] || fell[0] && !fell[i] {
+						t.Errorf("%s = %s (fell back %v), with run-time arguments %s (fell back %v)",
+							what, results[i], fell[i], results[0], fell[0])
+					}
+					continue
+				}
+				if fell[i] {
 					fallbacks++
 					if types.NativeEffect(d.Native, sig.Ret) == types.Pure {
 						t.Errorf("%s: declared Pure, but threw: %s", what, out.String())
@@ -249,7 +288,8 @@ func TestScalarNativesMatchInterpreter(t *testing.T) {
 	if calls < 1000 {
 		t.Errorf("only %d calls compared: the walk is not reaching the standard library", calls)
 	}
-	t.Logf("%d calls compared at both fuse levels, %d of the results outside the overload's machine domain, %d fallbacks", calls, outside, fallbacks)
+	t.Logf("%d calls compared at both fuse levels and with literal arguments, %d of the results outside the overload's machine domain, %d fallbacks",
+		calls, outside, fallbacks)
 }
 
 // TestCastsWrapAtEveryWidthBoundary: the width casts are Native` functions,

@@ -51,6 +51,8 @@ size_report() {
     gen="$(find internal/codegen -name '*.go' ! -name '*_test.go' | xargs grep -l '^// Code generated .* DO NOT EDIT\.$')"
     echo "internal/codegen generated ($(echo $gen)): $(cat $gen | wc -l)"
     echo "internal/codegen hand-written: $(find internal/codegen -name '*.go' ! -name '*_test.go' | grep -v -F "$gen" | xargs cat | wc -l)"
+    # ROADMAP item 25's gate: the four packages a scalar native was spelled in.
+    echo "internal/codegen internal/passes internal/types internal/runtime hand-written: $(find internal/codegen internal/passes internal/types internal/runtime -name '*.go' ! -name '*_test.go' | grep -v -F "$gen" | xargs cat | wc -l)"
     echo "scripts/verify.sh: $(wc -l < scripts/verify.sh) lines"
     echo "internal/codegen/fusion_modes.go: $(wc -l < internal/codegen/fusion_modes.go) generated lines"
     echo "== size: what one compiler, one tiered session, 21 891 compiled calls (cfib[20]), inferring the 14-source corpus, compiling it uncached, loading it from the artifact store (decode + codegen), loading it on a second kernel (resident programs), lowering, inferring and optimising 15 corpus modules (the pass pipeline) and compiling a mutual-recursion pair as one module on each rung cost =="
@@ -86,15 +88,22 @@ echo "== runtime: the checked fast paths still inline =="
 # calls. One more node in any of them silently turns it back into one, and the
 # only symptom would be a slower benchmark — since ISSUE 21 in the one closure
 # per element kind that spells each access. (The names are grep patterns.)
+# The scalar table's functions that modegen's rows name (real + - * /, the
+# bit ops, the compares, the literal shift) are as small, and the generated
+# bodies of Mandelbrot's and Blur's inner loops call them: every runtime
+# function the generated file calls, but the checked multiply and the
+# dividing forms, which never inlined.
+named="$(grep -o 'runtime\.[A-Za-z0-9]*(' internal/codegen/fusion_modes.go | sed 's/runtime\.//; s/($//' |
+    sort -u | grep -v -x -e MulI64 -e ModI64 -e QuotI64)"
 inl="$(go build -gcflags=-m ./internal/runtime 2>&1)"
-for fn in AddI64 SubI64 Off1 StringByte '(\*Tensor).Off2' '(\*Tensor).IsShared'; do
+for fn in AddI64 SubI64 Off1 StringByte '(\*Tensor).Off2' '(\*Tensor).IsShared' $named; do
     echo "$inl" | grep -q "can inline $fn\$" || {
         echo "verify: FAIL — runtime.$fn no longer inlines:"
         go build -gcflags=-m=2 ./internal/runtime 2>&1 | grep " $fn:" | head -3
         exit 1
     }
 done
-echo "AddI64, SubI64, Off1, StringByte, Off2 and IsShared inline"
+echo "AddI64, SubI64, Off1, StringByte, Off2, IsShared and the table functions modegen names inline"
 
 echo "== codegen: the call path's helpers still inline =="
 # A call node evaluates its operands (op*.get), finds its callee, enters it
@@ -115,6 +124,18 @@ for fn in opI.get '(\*callSite).callee'; do
         exit 1
     }
 done
+for fn in $named; do
+    echo "$inl" | grep -q "fusion_modes.go:.*inlining call to runtime.$fn\$" || {
+        echo "verify: FAIL — the operand-mode variants no longer inline runtime.$fn"
+        exit 1
+    }
+done
+# A generated constructor inlined into its builder has its closure compiled
+# there, where those calls stay calls (Blur's sum node lost 20 % that way).
+if echo "$inl" | grep -q "inlining call to sumF"; then
+    echo "verify: FAIL — the sum node's constructors are inlined into their builders"
+    exit 1
+fi
 echo "resized, Aborted, leave, callee, the operands' get and test.eval inline"
 
 echo "== benchmark: the benchmark module builds, passes its tests, and checks its programs =="
