@@ -49,7 +49,7 @@ func buildCExecutable(t *testing.T, prog *Program, mainSrc string) string {
 	}
 	bin := filepath.Join(dir, "prog")
 	out, err := exec.Command(cc, "-std=c11", "-O1",
-		"-Werror=implicit-function-declaration", "-o", bin, cpath, "-lm").CombinedOutput()
+		"-Wall", "-Werror", "-o", bin, cpath, "-lm").CombinedOutput()
 	if err != nil {
 		t.Fatalf("cc failed: %v\n%s\n--- emitted source ---\n%s", err, out, full)
 	}

@@ -9,13 +9,20 @@ import (
 	"wolfc/internal/passes"
 	"wolfc/internal/testcorpus"
 	"wolfc/internal/types"
+	"wolfc/internal/wir"
 )
 
-// corpusPayloads is Marshal of every corpus module as the artifact store
-// holds it: typed, resolved and through the O2 pipeline.
-func corpusPayloads(tb testing.TB) map[string][]byte {
+// corpusModule is one corpus module as the artifact store holds it: typed,
+// resolved and through the O2 pipeline, with its compiler's environment.
+type corpusModule struct {
+	name string
+	mod  *wir.Module
+	env  *types.Env
+}
+
+func corpusModules(tb testing.TB) []corpusModule {
 	tb.Helper()
-	out := map[string][]byte{}
+	var out []corpusModule
 	for _, e := range testcorpus.All(tb) {
 		c := e.Compiler()
 		mod, err := e.Untyped(c)
@@ -28,14 +35,24 @@ func corpusPayloads(tb testing.TB) map[string][]byte {
 		if err == nil {
 			err = passes.RunPipeline(mod, &passes.Context{Env: c.TypeEnv, Opts: c.Options})
 		}
-		var buf bytes.Buffer
-		if err == nil {
-			err = codegen.Marshal(&buf, mod)
-		}
 		if err != nil {
 			tb.Fatalf("%s: %v", e.Name, err)
 		}
-		out[e.Name] = buf.Bytes()
+		out = append(out, corpusModule{e.Name, mod, c.TypeEnv})
+	}
+	return out
+}
+
+// corpusPayloads is Marshal of every corpus module.
+func corpusPayloads(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	out := map[string][]byte{}
+	for _, m := range corpusModules(tb) {
+		var buf bytes.Buffer
+		if err := codegen.Marshal(&buf, m.mod); err != nil {
+			tb.Fatalf("%s: %v", m.name, err)
+		}
+		out[m.name] = buf.Bytes()
 	}
 	return out
 }

@@ -133,6 +133,47 @@ func TestOneSpellingPerScalarNative(t *testing.T) {
 	}
 	t.Logf("%d natives have an evaluator, %d of them a runtime function", len(admitted), len(table))
 	t.Run("source", func(t *testing.T) { noHandWrittenSpelling(t, table, tableFuncs) })
+	t.Run("c", noCSpellingOutsideTable)
+}
+
+// noCSpellingOutsideTable reads the C backend's source: outside the cNatives
+// table no string literal names a library native, or a prefix or suffix one
+// is built from ("math_", "_int"), so the emitter has no branch on a
+// native's name.
+func noCSpellingOutsideTable(t *testing.T) {
+	natives := libraryNatives()
+	f, err := parser.ParseFile(token.NewFileSet(), "cbackend.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := false
+	for _, d := range f.Decls {
+		if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR && gd.Specs[0].(*ast.ValueSpec).Names[0].Name == "cNatives" {
+			table = true
+			continue
+		}
+		ast.Inspect(d, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			s, err := strconv.Unquote(lit.Value)
+			if err != nil || len(s) < 2 {
+				return true
+			}
+			for native := range natives {
+				if s == native || strings.HasSuffix(s, "_") && strings.HasPrefix(native, s) ||
+					strings.HasPrefix(s, "_") && strings.HasSuffix(native, s) {
+					t.Errorf("cbackend.go spells native %s outside cNatives: %s", native, lit.Value)
+					break
+				}
+			}
+			return true
+		})
+	}
+	if !table {
+		t.Fatal("cNatives not found in cbackend.go")
+	}
 }
 
 func generatedNatives() []string {

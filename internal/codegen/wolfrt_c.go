@@ -191,6 +191,23 @@ static inline double wolfrt_mod_real(double a, double m) {
 	return r;
 }
 
+/* A complex to a machine-integer power squares over the exponent's magnitude
+ * with the schoolbook product, as runtime.PowCInt does: cpow's exp and log
+ * give NaN for 0^0, and C's product recovers the infinities Go's does not. */
+static inline double complex wolfrt_mul_c64(double complex a, double complex b) {
+	return CMPLX(creal(a) * creal(b) - cimag(a) * cimag(b), creal(a) * cimag(b) + cimag(a) * creal(b));
+}
+
+static inline double complex wolfrt_power_complex_int(double complex b, int64_t n) {
+	double complex out = 1;
+	for (uint64_t m = n < 0 ? -(uint64_t)n : (uint64_t)n; m > 0; m >>= 1) {
+		if (m & 1)
+			out = wolfrt_mul_c64(out, b);
+		b = wolfrt_mul_c64(b, b);
+	}
+	return n < 0 ? 1 / out : out;
+}
+
 static inline int64_t wolfrt_sign_int(int64_t a) { return a > 0 ? 1 : a < 0 ? -1 : 0; }
 static inline int64_t wolfrt_sign_real(double a) { return a > 0 ? 1 : a < 0 ? -1 : 0; }
 static inline bool wolfrt_evenq(int64_t a) { return a % 2 == 0; }
@@ -312,38 +329,21 @@ static inline wolfrt_string *wolfrt_max_str(wolfrt_string *a, wolfrt_string *b) 
 	return wolfrt_min_str(a, b) == a ? b : a;
 }
 
-/* StringTake: first n code points, or last -n when negative. */
+/* StringTake: first n code points, or last -n when negative; the bytes from
+ * code point first up to code point first + want. */
 static inline wolfrt_string *wolfrt_string_take(wolfrt_string *s, int64_t n) {
 	int64_t chars = wolfrt_string_length(s);
 	int64_t want = n >= 0 ? n : -n;
 	if (want > chars)
 		wolfrt_panic("StringTake: count exceeds string length");
-	int64_t lo = 0, hi = s->len; /* byte range of the result */
-	int64_t seen = 0;
-	if (n >= 0) {
-		hi = s->len;
-		for (int64_t i = 0; i < s->len; i++) {
-			if (((unsigned char)s->bytes[i] & 0xC0) != 0x80) {
-				if (seen == n) {
-					hi = i;
-					break;
-				}
-				seen++;
-			}
-		}
-		if (seen < n)
-			hi = s->len;
-	} else {
-		lo = 0;
-		for (int64_t i = s->len - 1; i >= 0; i--) {
-			if (((unsigned char)s->bytes[i] & 0xC0) != 0x80) {
-				seen++;
-				if (seen == want) {
-					lo = i;
-					break;
-				}
-			}
-		}
+	int64_t first = n >= 0 ? 0 : chars - want, lo = s->len, hi = s->len, k = 0;
+	for (int64_t i = 0; i < s->len && hi == s->len; i++) {
+		if (((unsigned char)s->bytes[i] & 0xC0) == 0x80)
+			continue;
+		if (k == first)
+			lo = i;
+		if (k++ == first + want)
+			hi = i;
 	}
 	wolfrt_string *out = wolfrt_string_alloc(hi - lo);
 	memcpy(out->bytes, s->bytes + lo, (size_t)(hi - lo));
@@ -818,23 +818,18 @@ static inline wolfrt_expr *wolfrt_kernel_call(wolfrt_expr *e) {
 	return 0;
 }
 
-static inline wolfrt_expr *wolfrt_box_number_i64(int64_t v) {
-	(void)v;
-	wolfrt_panic("expression values require the Wolfram engine");
-	return 0;
-}
+#define WOLFRT_BOX_NUMBER(S, T)                                       \
+	static inline wolfrt_expr *wolfrt_box_number_##S(T v) {           \
+		(void)v;                                                      \
+		wolfrt_panic("expression values require the Wolfram engine"); \
+		return 0;                                                     \
+	}
 
-static inline wolfrt_expr *wolfrt_box_number_r64(double v) {
-	(void)v;
-	wolfrt_panic("expression values require the Wolfram engine");
-	return 0;
-}
+WOLFRT_BOX_NUMBER(i64, int64_t)
+WOLFRT_BOX_NUMBER(r64, double)
+WOLFRT_BOX_NUMBER(c64, double complex)
 
-static inline wolfrt_expr *wolfrt_box_number_c64(double complex v) {
-	(void)v;
-	wolfrt_panic("expression values require the Wolfram engine");
-	return 0;
-}
+#undef WOLFRT_BOX_NUMBER
 
 static inline bool wolfrt_sameq_expr(wolfrt_expr *a, wolfrt_expr *b) {
 	(void)a;

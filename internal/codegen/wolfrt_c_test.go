@@ -47,6 +47,8 @@ int main(void) {
 	CHECK(wolfrt_string_length(first2) == 2 && first2->bytes[0] == 'a');
 	wolfrt_string *last2 = wolfrt_string_take(s, -2);
 	CHECK(wolfrt_string_length(last2) == 2 && last2->bytes[last2->len-1] == 'z');
+	CHECK(wolfrt_string_take(s, 0)->len == 0 && wolfrt_string_take(s, 3)->len == 4);
+	CHECK(wolfrt_string_take(s, -3)->len == 4 && wolfrt_string_take(s, -1)->bytes[0] == 'z');
 	wolfrt_string *j = wolfrt_string_join(first2, last2);
 	CHECK(wolfrt_string_length(j) == 4);
 	CHECK(wolfrt_string_equal(wolfrt_string_literal("ab"), wolfrt_string_literal("ab")));

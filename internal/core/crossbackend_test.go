@@ -156,7 +156,7 @@ func buildCBackend(t *testing.T, ccf *CompiledCodeFunction, mainSrc string) stri
 	}
 	bin := filepath.Join(dir, "prog")
 	if out, err := exec.Command(cc, "-std=c11", "-O1",
-		"-Werror=implicit-function-declaration", "-o", bin, cpath, "-lm").CombinedOutput(); err != nil {
+		"-Wall", "-Werror", "-o", bin, cpath, "-lm").CombinedOutput(); err != nil {
 		t.Fatalf("cc: %v\n%s", err, out)
 	}
 	return bin

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"testing"
 
 	"wolfc/internal/bench"
+	"wolfc/internal/codegen"
 	"wolfc/internal/core"
 	"wolfc/internal/kernel"
 	"wolfc/internal/parser"
@@ -70,8 +72,11 @@ func TestVerifyEachCleanOnCorpus(t *testing.T) {
 					t.Fatal("requested report missing")
 				}
 				// The C lowering inserts the reference counts and refuses
-				// a module whose counts do not balance on every path.
-				if _, err := ccf.ExportString("C"); err != nil {
+				// a module whose counts do not balance on every path. It
+				// checks them before it spells a native, so a module it
+				// refuses for a native with no C spelling (symbolic Plus)
+				// has balanced.
+				if _, err := ccf.ExportString("C"); err != nil && !errors.Is(err, codegen.ErrNoCSpelling) {
 					t.Fatalf("C lowering: %v", err)
 				}
 			})

@@ -245,11 +245,7 @@ func Box(v any, t types.Type) expr.Expr {
 		case "Real64", "Real32":
 			return expr.FromFloat(v.(float64))
 		case "ComplexReal64":
-			c := v.(complex128)
-			if imag(c) == 0 {
-				return expr.FromFloat(real(c))
-			}
-			return expr.FromComplex(real(c), imag(c))
+			return boxComplex(v.(complex128))
 		case "String":
 			return expr.FromString(v.(string))
 		case "Expression":
@@ -268,42 +264,46 @@ func Box(v any, t types.Type) expr.Expr {
 	return expr.SymFailed
 }
 
+// boxComplex boxes a machine complex as the interpreter writes it: a zero
+// imaginary part leaves the real.
+func boxComplex(c complex128) expr.Expr {
+	if imag(c) == 0 {
+		return expr.FromFloat(real(c))
+	}
+	return expr.FromComplex(real(c), imag(c))
+}
+
+// boxTensor boxes a rank-1 or rank-2 tensor. The element kind picks the
+// element boxer once, outside the element loop.
 func boxTensor(t *Tensor, elem types.Type) expr.Expr {
+	switch t.Elem {
+	case KI64:
+		return boxElems(t, t.I, func(v int64) expr.Expr { return expr.FromInt64(v) })
+	case KR64:
+		return boxElems(t, t.F, func(v float64) expr.Expr { return expr.FromFloat(v) })
+	case KC64:
+		return boxElems(t, t.C, boxComplex)
+	case KBool:
+		return boxElems(t, t.B, expr.Bool)
+	}
+	return boxElems(t, t.O, func(v any) expr.Expr { return Box(v, elem) })
+}
+
+// boxElems boxes each element of data, t's storage, as a list of t's shape.
+func boxElems[T any](t *Tensor, data []T, box func(T) expr.Expr) expr.Expr {
 	if len(t.Dims) == 1 {
 		out := make([]expr.Expr, t.Len())
 		for i := range out {
-			switch t.Elem {
-			case KI64:
-				out[i] = expr.FromInt64(t.I[i])
-			case KR64:
-				out[i] = expr.FromFloat(t.F[i])
-			case KC64:
-				c := t.C[i]
-				out[i] = expr.FromComplex(real(c), imag(c))
-			case KBool:
-				out[i] = expr.Bool(t.B[i])
-			case KObj:
-				out[i] = Box(t.O[i], elem)
-			}
+			out[i] = box(data[i])
 		}
 		return expr.List(out...)
 	}
-	// rank 2
 	rows, cols := t.Dims[0], t.Dims[1]
 	out := make([]expr.Expr, rows)
-	for i := 0; i < rows; i++ {
+	for i := range out {
 		row := make([]expr.Expr, cols)
-		for j := 0; j < cols; j++ {
-			off := i*cols + j
-			switch t.Elem {
-			case KI64:
-				row[j] = expr.FromInt64(t.I[off])
-			case KR64:
-				row[j] = expr.FromFloat(t.F[off])
-			case KC64:
-				c := t.C[off]
-				row[j] = expr.FromComplex(real(c), imag(c))
-			}
+		for j := range row {
+			row[j] = box(data[i*cols+j])
 		}
 		out[i] = expr.List(row...)
 	}

@@ -53,6 +53,8 @@ size_report() {
     echo "internal/codegen hand-written: $(find internal/codegen -name '*.go' ! -name '*_test.go' | grep -v -F "$gen" | xargs cat | wc -l)"
     # ROADMAP item 25's gate: the four packages a scalar native was spelled in.
     echo "internal/codegen internal/passes internal/types internal/runtime hand-written: $(find internal/codegen internal/passes internal/types internal/runtime -name '*.go' ! -name '*_test.go' | grep -v -F "$gen" | xargs cat | wc -l)"
+    # The C backend: its emitter and natives table, and the wolfrt.h it links.
+    echo "internal/codegen/cbackend.go internal/codegen/wolfrt_c.go: $(count internal/codegen/cbackend.go internal/codegen/wolfrt_c.go)"
     echo "scripts/verify.sh: $(wc -l < scripts/verify.sh) lines"
     echo "internal/codegen/fusion_modes.go: $(wc -l < internal/codegen/fusion_modes.go) generated lines"
     echo "== size: what one compiler, one tiered session, 21 891 compiled calls (cfib[20]), inferring the 14-source corpus, compiling it uncached, loading it from the artifact store (decode + codegen), loading it on a second kernel (resident programs), lowering, inferring and optimising 15 corpus modules (the pass pipeline) and compiling a mutual-recursion pair as one module on each rung cost =="
