@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -52,5 +53,31 @@ func TestEmitCGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("C is a strict prefix of testdata/emitc.golden (%d of %d lines)", len(gl), len(wl))
+	}
+}
+
+// TestEmitCCompiles compiles the C of every corpus module EmitC accepts, one
+// translation unit each, with the runtime inlined and warnings as errors: a
+// module EmitC accepts must be C that wolfrt.h can link, and what wolfrt.h
+// cannot spell EmitC must refuse by name.
+func TestEmitCCompiles(t *testing.T) {
+	cc, err := exec.LookPath("cc")
+	if err != nil {
+		t.Skip("no C compiler on PATH")
+	}
+	dir := t.TempDir()
+	for _, m := range corpusModules(t) {
+		src, err := codegen.EmitC(m.mod, m.env)
+		if err != nil {
+			continue
+		}
+		path := filepath.Join(dir, m.name+".c")
+		if err := os.WriteFile(path, []byte(codegen.InlineCRuntime(src)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(cc, "-std=c11", "-Wall", "-Werror", "-c", "-o", path+".o", path).CombinedOutput()
+		if err != nil {
+			t.Errorf("%s: cc: %v\n%s", m.name, err, out)
+		}
 	}
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"wolfc/internal/codegen"
 	"wolfc/internal/expr"
 	"wolfc/internal/parser"
 	"wolfc/internal/runtime"
@@ -72,7 +74,9 @@ func TestBenchmarkProgramsLeaveArgumentRefCountsAlone(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		if _, err := ccf.ExportString("C"); err != nil {
+		// qsort calls through a function value, which wolfrt.h cannot spell:
+		// EmitC refuses it by name after its counts verify.
+		if _, err := ccf.ExportString("C"); err != nil && !(p.name == "qsort" && errors.Is(err, codegen.ErrNoCSpelling)) {
 			t.Errorf("%s: C lowering: %v", p.name, err)
 		}
 		var before []*runtime.Tensor

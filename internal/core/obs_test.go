@@ -172,8 +172,8 @@ func TestInvokeAndFallbackMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := ccf.Metrics.Snapshot()
-	if s.Invocations != 1 {
-		t.Fatalf("Invocations = %d, want 1 (the overflow run is not a completed invoke)", s.Invocations)
+	if s.Count != 1 {
+		t.Fatalf("Invocations = %d, want 1 (the overflow run is not a completed invoke)", s.Count)
 	}
 	if s.Fallbacks != 1 {
 		t.Fatalf("Fallbacks = %d, want 1", s.Fallbacks)
@@ -256,8 +256,8 @@ func TestAbortCountersSettle(t *testing.T) {
 	if s.Aborts != aborted.Load() {
 		t.Fatalf("abort counter %d != observed $Aborted results %d", s.Aborts, aborted.Load())
 	}
-	if s.Invocations != completed.Load() {
-		t.Fatalf("invocation counter %d != completed calls %d", s.Invocations, completed.Load())
+	if s.Count != completed.Load() {
+		t.Fatalf("invocation counter %d != completed calls %d", s.Count, completed.Load())
 	}
 }
 

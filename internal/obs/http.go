@@ -1,9 +1,10 @@
-// The live metrics endpoint: an expvar-style HTTP server exposing
-// /metrics (text exposition, one `wolfc_*` line per counter/gauge),
-// /debug/funcs (a human-readable per-function table with latency
-// histograms and, for profiled functions, the hot-block table),
+// The live metrics endpoints: /metrics (text exposition, one `wolfc_*` line
+// per counter/gauge), /debug/funcs (a human-readable per-function table with
+// latency histograms and, for profiled functions, the hot-block table),
 // /debug/traces (the recent-traces capture store as JSON or Chrome
-// trace-event format), and the net/http/pprof profile handlers.
+// trace-event format), and the net/http/pprof profile handlers. Mount puts
+// all of them on a mux: the standalone endpoint (ServeMetrics) and the
+// serving layer's own mux both call it.
 package obs
 
 import (
@@ -29,7 +30,7 @@ func (s *MetricsServer) Addr() string { return s.ln.Addr().String() }
 // Close shuts the listener down.
 func (s *MetricsServer) Close() error { return s.srv.Close() }
 
-// ServeMetrics binds addr and serves /metrics and /debug/funcs in a
+// ServeMetrics binds addr and serves every obs endpoint (Mount) in a
 // background goroutine. Starting the endpoint enables metric recording.
 func ServeMetrics(addr string) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -37,6 +38,16 @@ func ServeMetrics(addr string) (*MetricsServer, error) {
 		return nil, fmt.Errorf("obs: metrics endpoint: %w", err)
 	}
 	mux := http.NewServeMux()
+	Mount(mux)
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	SetEnabled(true)
+	go srv.Serve(ln)
+	return &MetricsServer{ln: ln, srv: srv}, nil
+}
+
+// Mount puts /metrics, /debug/funcs, /debug/traces and the net/http/pprof
+// handlers on mux, so traces and profiles are reachable wherever /metrics is.
+func Mount(mux *http.ServeMux) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		RenderMetrics(w)
@@ -45,20 +56,7 @@ func ServeMetrics(addr string) (*MetricsServer, error) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		RenderFuncs(w)
 	})
-	RegisterDebugHandlers(mux)
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	s := &MetricsServer{ln: ln, srv: srv}
-	SetEnabled(true)
-	go srv.Serve(ln)
-	return s, nil
-}
-
-// RegisterDebugHandlers mounts /debug/traces and the net/http/pprof
-// handlers on mux. Both the standalone metrics endpoint (ServeMetrics) and
-// the serve layer's own mux use this, so traces and profiles are reachable
-// wherever /metrics is.
-func RegisterDebugHandlers(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/traces", TracesHandler)
+	mux.HandleFunc("/debug/traces", serveTraces)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -66,12 +64,12 @@ func RegisterDebugHandlers(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// TracesHandler serves the recent-traces capture store. Default output is
+// serveTraces serves the recent-traces capture store. Default output is
 // JSON ({"capture_enabled", "count", "traces": [...]}, most recently
 // updated trace first); ?format=chrome emits the Chrome trace-event format
 // loadable in chrome://tracing or Perfetto; ?trace_id=<16 hex> narrows to
 // one trace.
-func TracesHandler(w http.ResponseWriter, r *http.Request) {
+func serveTraces(w http.ResponseWriter, r *http.Request) {
 	traces := RecentTraces()
 	if want := r.URL.Query().Get("trace_id"); want != "" {
 		filtered := traces[:0]
@@ -181,29 +179,20 @@ func writeChromeTrace(w io.Writer, traces []CapturedTrace) {
 
 // RenderMetrics writes the text exposition: per-function counters and
 // latency histograms, global counters, named histograms (per-tier compile
-// latency), labelled per-tenant vecs, and every registered gauge provider
-// (the compile cache, the tier compile queue).
+// latency), labelled per-tenant histograms, and every registered gauge
+// provider (the compile cache, the tier compile queue).
 func RenderMetrics(w io.Writer) {
 	snaps, overflow := FuncSnapshots()
 	for _, s := range snaps {
-		eng := ""
+		lbls := label("func", shortName(s.Name)) + "," + label("backend", s.Backend)
 		if s.Engine != "" {
-			eng = fmt.Sprintf(",engine=%q", sanitizeLabel(s.Engine))
+			lbls += "," + label("engine", s.Engine)
 		}
-		lbl := fmt.Sprintf("{func=%q,backend=%q%s}", sanitizeLabel(shortName(s.Name)), s.Backend, eng)
-		fmt.Fprintf(w, "wolfc_func_invocations_total%s %d\n", lbl, s.Invocations)
-		fmt.Fprintf(w, "wolfc_func_fallbacks_total%s %d\n", lbl, s.Fallbacks)
-		fmt.Fprintf(w, "wolfc_func_aborts_total%s %d\n", lbl, s.Aborts)
-		fmt.Fprintf(w, "wolfc_func_latency_ns_sum%s %d\n", lbl, s.TotalNs)
-		cum := uint64(0)
-		for i, n := range s.Buckets {
-			cum += n
-			if n == 0 {
-				continue // sparse exposition: only buckets that ever fired
-			}
-			fmt.Fprintf(w, "wolfc_func_latency_ns_bucket{func=%q,backend=%q%s,le=%q} %d\n",
-				sanitizeLabel(shortName(s.Name)), s.Backend, eng, fmt.Sprint(BucketUpperNs(i)), cum)
-		}
+		fmt.Fprintf(w, "wolfc_func_invocations_total{%s} %d\n", lbls, s.Count)
+		fmt.Fprintf(w, "wolfc_func_fallbacks_total{%s} %d\n", lbls, s.Fallbacks)
+		fmt.Fprintf(w, "wolfc_func_aborts_total{%s} %d\n", lbls, s.Aborts)
+		// invocations_total is the count: the block renders no _count line.
+		writeHist(w, "wolfc_func_latency_ns", lbls, s.Latency, false)
 	}
 	// Rendered unconditionally (not just when non-zero) so dashboards can
 	// alert on the transition: a silently capped registry looks exactly
@@ -217,7 +206,7 @@ func RenderMetrics(w io.Writer) {
 			agg = &[3]uint64{}
 			byBackend[s.Backend] = agg
 		}
-		agg[0] += s.Invocations
+		agg[0] += s.Count
 		agg[1] += s.Fallbacks
 		agg[2] += s.Aborts
 	}
@@ -227,55 +216,23 @@ func RenderMetrics(w io.Writer) {
 	}
 	sort.Strings(backends)
 	for _, b := range backends {
-		agg := byBackend[b]
-		fmt.Fprintf(w, "wolfc_backend_invocations_total{backend=%q} %d\n", b, agg[0])
-		fmt.Fprintf(w, "wolfc_backend_fallbacks_total{backend=%q} %d\n", b, agg[1])
-		fmt.Fprintf(w, "wolfc_backend_aborts_total{backend=%q} %d\n", b, agg[2])
+		agg, l := byBackend[b], label("backend", b)
+		fmt.Fprintf(w, "wolfc_backend_invocations_total{%s} %d\n", l, agg[0])
+		fmt.Fprintf(w, "wolfc_backend_fallbacks_total{%s} %d\n", l, agg[1])
+		fmt.Fprintf(w, "wolfc_backend_aborts_total{%s} %d\n", l, agg[2])
 	}
-	for _, c := range Counters() {
-		fmt.Fprintf(w, "wolfc_%s_total %d\n", c.Name(), c.Value())
+	for _, c := range counters.list() {
+		fmt.Fprintf(w, "wolfc_%s_total %d\n", c.name, c.Value())
 	}
-	for _, h := range Histograms() {
-		s := h.Snapshot()
-		fmt.Fprintf(w, "wolfc_%s_ns_sum %d\n", s.Name, s.TotalNs)
-		fmt.Fprintf(w, "wolfc_%s_ns_count %d\n", s.Name, s.Count)
-		cum := uint64(0)
-		for i, n := range s.Buckets {
-			cum += n
-			if n == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "wolfc_%s_ns_bucket{le=%q} %d\n",
-				s.Name, fmt.Sprint(BucketUpperNs(i)), cum)
-		}
+	for _, h := range histograms.list() {
+		writeHist(w, "wolfc_"+h.name+"_ns", "", h.lat.snapshot(), true)
 	}
-	for _, cv := range CounterVecs() {
-		lk := cv.Label()
-		for _, p := range cv.Snapshot() {
-			fmt.Fprintf(w, "wolfc_%s_total{%s=%q} %d\n", cv.Name(), lk, sanitizeLabel(p.Value), p.Count)
-		}
-		if ev := cv.Evictions(); ev > 0 {
-			fmt.Fprintf(w, "wolfc_%s_series_evicted_total %d\n", cv.Name(), ev)
-		}
-	}
-	for _, hv := range HistogramVecs() {
-		lk := hv.Label()
+	for _, hv := range histogramVecs.list() {
 		for _, p := range hv.Snapshot() {
-			lbl := fmt.Sprintf("{%s=%q}", lk, sanitizeLabel(p.Value))
-			fmt.Fprintf(w, "wolfc_%s_ns_sum%s %d\n", hv.Name(), lbl, p.TotalNs)
-			fmt.Fprintf(w, "wolfc_%s_ns_count%s %d\n", hv.Name(), lbl, p.Count)
-			cum := uint64(0)
-			for i, n := range p.Buckets {
-				cum += n
-				if n == 0 {
-					continue
-				}
-				fmt.Fprintf(w, "wolfc_%s_ns_bucket{%s=%q,le=%q} %d\n",
-					hv.Name(), lk, sanitizeLabel(p.Value), fmt.Sprint(BucketUpperNs(i)), cum)
-			}
+			writeHist(w, "wolfc_"+hv.name+"_ns", label(hv.label, p.Value), p.Latency, true)
 		}
 		if ev := hv.Evictions(); ev > 0 {
-			fmt.Fprintf(w, "wolfc_%s_series_evicted_total %d\n", hv.Name(), ev)
+			fmt.Fprintf(w, "wolfc_%s_series_evicted_total %d\n", hv.name, ev)
 		}
 	}
 	if d := TraceDropped(); d > 0 {
@@ -283,14 +240,36 @@ func RenderMetrics(w io.Writer) {
 	}
 	for _, g := range ProviderGauges() {
 		if g.Engine != "" {
-			fmt.Fprintf(w, "wolfc_%s{engine=%q} %v\n", g.Name, sanitizeLabel(g.Engine), g.Value)
+			fmt.Fprintf(w, "wolfc_%s{%s} %v\n", g.Name, label("engine", g.Engine), g.Value)
 		} else {
 			fmt.Fprintf(w, "wolfc_%s %v\n", g.Name, g.Value)
 		}
 	}
-	live, dropped := EngineGaugeStats()
-	fmt.Fprintf(w, "wolfc_obs_engine_gauges_live %d\n", live)
-	_ = dropped // lifetime drops already render via the counter registry
+	// Lifetime drops render through the counter registry
+	// (wolfc_obs_engine_gauges_dropped_total).
+	fmt.Fprintf(w, "wolfc_obs_engine_gauges_live %d\n", liveEngineGauges())
+}
+
+// writeHist writes one histogram's lines: <name>_sum, <name>_count when
+// count is set, and a cumulative <name>_bucket line per bucket that ever
+// fired (sparse exposition). lbls is the series' own label pairs, already
+// rendered by label.
+func writeHist(w io.Writer, name, lbls string, s Latency, count bool) {
+	set, le := "", ""
+	if lbls != "" {
+		set, le = "{"+lbls+"}", lbls+","
+	}
+	fmt.Fprintf(w, "%s_sum%s %d\n", name, set, s.TotalNs)
+	if count {
+		fmt.Fprintf(w, "%s_count%s %d\n", name, set, s.Count)
+	}
+	cum := uint64(0)
+	for i, n := range s.Buckets {
+		cum += n
+		if n != 0 {
+			fmt.Fprintf(w, "%s_bucket{%sle=\"%d\"} %d\n", name, le, BucketUpperNs(i), cum)
+		}
+	}
 }
 
 // RenderFuncs writes the human-readable per-function table, most invoked
@@ -306,7 +285,7 @@ func RenderFuncs(w io.Writer) {
 	for _, s := range snaps {
 		fmt.Fprintf(w, "\n%s [%s]\n", shortName(s.Name), s.Backend)
 		fmt.Fprintf(w, "  invocations %d  fallbacks %d  aborts %d  mean %.0fns\n",
-			s.Invocations, s.Fallbacks, s.Aborts, s.MeanNs())
+			s.Count, s.Fallbacks, s.Aborts, s.MeanNs())
 		for i, n := range s.Buckets {
 			if n == 0 {
 				continue

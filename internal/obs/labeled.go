@@ -1,13 +1,19 @@
-// Cardinality-bounded labelled metric series (ISSUE 9). CounterVec and
-// HistogramVec are the per-tenant counterparts of Counter/Histogram: one
-// logical metric fanned out over a single label (in practice engine/session
-// id). Cardinality is the failure mode of labelled metrics in a multi-tenant
-// process — thousands of short-lived sessions must not grow the scrape
-// output or the registry without bound — so each vec holds at most `capacity`
-// live series and evicts the least-recently-updated one into a permanent
-// `_overflow` aggregate series instead of silently dropping observations.
-// The sum over all series (including _overflow) therefore stays exact and
-// monotonic; only the per-label attribution of cold tenants degrades.
+// Cardinality-bounded labelled metric series. HistogramVec is the
+// per-tenant counterpart of Histogram: one logical metric fanned out over a
+// single label (in practice engine/session id). Cardinality is the failure
+// mode of labelled metrics in a multi-tenant process — thousands of
+// short-lived sessions must not grow the scrape output or the registry
+// without bound — so a vec holds at most `capacity` live series and evicts
+// the least-recently-updated one into a permanent `_overflow` aggregate
+// series instead of silently dropping observations. The sum over all series
+// (including _overflow) therefore stays exact and monotonic; only the
+// per-label attribution of cold tenants degrades.
+//
+// This is the one labelled family: a series' count is the number of
+// observations under its label, so a labelled request counter is the
+// histogram's _ns_count. A labelled counter that counts something else
+// would be a second series type of this family, sharing its LRU and
+// _overflow fold, not a second family.
 package obs
 
 import (
@@ -23,160 +29,12 @@ const OverflowLabel = "_overflow"
 // with capacity <= 0. Chosen well past the old 128-engine gauge cliff.
 const DefaultVecCapacity = 512
 
-// ---------------------------------------------------------------------------
-// CounterVec
-
-type vecCounter struct {
-	v     uint64
+type vecSeries struct {
+	lat   latency
 	touch uint64 // LRU clock at last update, guarded by the vec mutex
 }
 
-// CounterVec is a monotonic counter fanned out over one label.
-type CounterVec struct {
-	name     string
-	label    string
-	capacity int
-
-	mu       sync.Mutex
-	clock    uint64
-	series   map[string]*vecCounter
-	overflow uint64 // observations folded from evicted series
-	evicted  uint64 // lifetime eviction count
-}
-
-var counterVecReg = struct {
-	mu   sync.Mutex
-	vecs []*CounterVec
-}{}
-
-// NewCounterVec registers a labelled counter family. label is the label
-// key (e.g. "engine"); capacity <= 0 selects DefaultVecCapacity. /metrics
-// renders wolfc_<name>_total{<label>="<value>"}.
-func NewCounterVec(name, label string, capacity int) *CounterVec {
-	if capacity <= 0 {
-		capacity = DefaultVecCapacity
-	}
-	cv := &CounterVec{name: name, label: label, capacity: capacity, series: make(map[string]*vecCounter)}
-	counterVecReg.mu.Lock()
-	counterVecReg.vecs = append(counterVecReg.vecs, cv)
-	counterVecReg.mu.Unlock()
-	return cv
-}
-
-// Inc adds one to the series for value.
-func (cv *CounterVec) Inc(value string) { cv.Add(value, 1) }
-
-// Add adds n to the series for value, creating (and if necessary evicting)
-// as needed. A label equal to OverflowLabel lands in the aggregate.
-func (cv *CounterVec) Add(value string, n uint64) {
-	if cv == nil {
-		return
-	}
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	cv.clock++
-	if value == OverflowLabel {
-		cv.overflow += n
-		return
-	}
-	s := cv.series[value]
-	if s == nil {
-		if len(cv.series) >= cv.capacity {
-			cv.evictLocked()
-		}
-		s = &vecCounter{}
-		cv.series[value] = s
-	}
-	s.v += n
-	s.touch = cv.clock
-}
-
-// evictLocked folds the least-recently-updated series into the overflow
-// aggregate. Linear scan: eviction happens once per new tenant past the
-// cap, not per observation.
-func (cv *CounterVec) evictLocked() {
-	var victim string
-	var oldest uint64 = ^uint64(0)
-	for k, s := range cv.series {
-		if s.touch < oldest {
-			oldest, victim = s.touch, k
-		}
-	}
-	if victim == "" {
-		return
-	}
-	cv.overflow += cv.series[victim].v
-	delete(cv.series, victim)
-	cv.evicted++
-}
-
-// Name returns the metric name; Label the label key.
-func (cv *CounterVec) Name() string  { return cv.name }
-func (cv *CounterVec) Label() string { return cv.label }
-
-// Evictions reports how many series this vec has folded into _overflow.
-func (cv *CounterVec) Evictions() uint64 {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	return cv.evicted
-}
-
-// VecCounterPoint is one rendered series of a CounterVec.
-type VecCounterPoint struct {
-	Value string
-	Count uint64
-}
-
-// Snapshot returns every live series sorted by label, with the _overflow
-// aggregate appended last when non-empty (it renders even at zero once an
-// eviction happened, so dashboards can see label loss).
-func (cv *CounterVec) Snapshot() []VecCounterPoint {
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	out := make([]VecCounterPoint, 0, len(cv.series)+1)
-	for k, s := range cv.series {
-		out = append(out, VecCounterPoint{Value: k, Count: s.v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
-	if cv.overflow > 0 || cv.evicted > 0 {
-		out = append(out, VecCounterPoint{Value: OverflowLabel, Count: cv.overflow})
-	}
-	return out
-}
-
-// CounterVecs returns the registered counter vecs in registration order.
-func CounterVecs() []*CounterVec {
-	counterVecReg.mu.Lock()
-	defer counterVecReg.mu.Unlock()
-	return append([]*CounterVec{}, counterVecReg.vecs...)
-}
-
-// ---------------------------------------------------------------------------
-// HistogramVec
-
-type vecHist struct {
-	count   uint64
-	totalNs uint64
-	buckets [NumLatencyBuckets]uint64
-	touch   uint64
-}
-
-func (h *vecHist) observe(d time.Duration) {
-	h.count++
-	h.totalNs += uint64(d.Nanoseconds())
-	h.buckets[latencyBucket(d)]++
-}
-
-func (h *vecHist) fold(o *vecHist) {
-	h.count += o.count
-	h.totalNs += o.totalNs
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-}
-
-// HistogramVec is a log₂ duration histogram fanned out over one label,
-// with the same bucket scheme as Histogram/FuncMetrics.
+// HistogramVec is a latency histogram fanned out over one label.
 type HistogramVec struct {
 	name     string
 	label    string
@@ -184,31 +42,24 @@ type HistogramVec struct {
 
 	mu       sync.Mutex
 	clock    uint64
-	series   map[string]*vecHist
-	overflow vecHist
-	evicted  uint64
+	series   map[string]*vecSeries
+	overflow latency // observations folded from evicted series
+	evicted  uint64  // lifetime eviction count
 }
 
-var histVecReg = struct {
-	mu   sync.Mutex
-	vecs []*HistogramVec
-}{}
-
-// NewHistogramVec registers a labelled histogram family. capacity <= 0
-// selects DefaultVecCapacity. /metrics renders
-// wolfc_<name>_ns_{sum,count,bucket}{<label>="<value>",...}.
+// NewHistogramVec registers a labelled histogram family. label is the label
+// key (e.g. "engine"); capacity <= 0 selects DefaultVecCapacity. /metrics
+// renders wolfc_<name>_ns_{sum,count,bucket}{<label>="<value>",...}.
 func NewHistogramVec(name, label string, capacity int) *HistogramVec {
 	if capacity <= 0 {
 		capacity = DefaultVecCapacity
 	}
-	hv := &HistogramVec{name: name, label: label, capacity: capacity, series: make(map[string]*vecHist)}
-	histVecReg.mu.Lock()
-	histVecReg.vecs = append(histVecReg.vecs, hv)
-	histVecReg.mu.Unlock()
-	return hv
+	return histogramVecs.add(&HistogramVec{name: name, label: label, capacity: capacity, series: make(map[string]*vecSeries)})
 }
 
-// Observe records one duration under the series for value.
+// Observe records one duration under the series for value, creating (and if
+// necessary evicting) as needed. A label equal to OverflowLabel lands in
+// the aggregate.
 func (hv *HistogramVec) Observe(value string, d time.Duration) {
 	if hv == nil {
 		return
@@ -225,13 +76,16 @@ func (hv *HistogramVec) Observe(value string, d time.Duration) {
 		if len(hv.series) >= hv.capacity {
 			hv.evictLocked()
 		}
-		s = &vecHist{}
+		s = &vecSeries{}
 		hv.series[value] = s
 	}
-	s.observe(d)
+	s.lat.observe(d)
 	s.touch = hv.clock
 }
 
+// evictLocked folds the least-recently-updated series into the overflow
+// aggregate. Linear scan: eviction happens once per new tenant past the
+// cap, not per observation.
 func (hv *HistogramVec) evictLocked() {
 	var victim string
 	var oldest uint64 = ^uint64(0)
@@ -243,14 +97,10 @@ func (hv *HistogramVec) evictLocked() {
 	if victim == "" {
 		return
 	}
-	hv.overflow.fold(hv.series[victim])
+	hv.overflow.fold(&hv.series[victim].lat)
 	delete(hv.series, victim)
 	hv.evicted++
 }
-
-// Name returns the metric name; Label the label key.
-func (hv *HistogramVec) Name() string  { return hv.name }
-func (hv *HistogramVec) Label() string { return hv.label }
 
 // Evictions reports how many series this vec has folded into _overflow.
 func (hv *HistogramVec) Evictions() uint64 {
@@ -261,36 +111,23 @@ func (hv *HistogramVec) Evictions() uint64 {
 
 // VecHistPoint is one rendered series of a HistogramVec.
 type VecHistPoint struct {
-	Value   string
-	Count   uint64
-	TotalNs uint64
-	Buckets [NumLatencyBuckets]uint64
+	Value string
+	Latency
 }
 
 // Snapshot returns every live series sorted by label, with the _overflow
 // aggregate appended last once any eviction or overflow observation
-// happened.
+// happened (it renders even at zero then, so dashboards can see label loss).
 func (hv *HistogramVec) Snapshot() []VecHistPoint {
 	hv.mu.Lock()
 	defer hv.mu.Unlock()
 	out := make([]VecHistPoint, 0, len(hv.series)+1)
 	for k, s := range hv.series {
-		out = append(out, VecHistPoint{Value: k, Count: s.count, TotalNs: s.totalNs, Buckets: s.buckets})
+		out = append(out, VecHistPoint{k, s.lat.snapshot()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
-	if hv.overflow.count > 0 || hv.evicted > 0 {
-		out = append(out, VecHistPoint{
-			Value: OverflowLabel, Count: hv.overflow.count,
-			TotalNs: hv.overflow.totalNs, Buckets: hv.overflow.buckets,
-		})
+	if hv.overflow.count.Load() > 0 || hv.evicted > 0 {
+		out = append(out, VecHistPoint{OverflowLabel, hv.overflow.snapshot()})
 	}
 	return out
-}
-
-// HistogramVecs returns the registered histogram vecs in registration
-// order.
-func HistogramVecs() []*HistogramVec {
-	histVecReg.mu.Lock()
-	defer histVecReg.mu.Unlock()
-	return append([]*HistogramVec{}, histVecReg.vecs...)
 }

@@ -8,12 +8,16 @@ import (
 	"time"
 )
 
+// Observations of i+1 ns under five labels into a vec of capacity 3: the two
+// oldest series fold into _overflow and no observation is lost.
 func TestCounterVecEvictsIntoOverflow(t *testing.T) {
-	cv := NewCounterVec("test_cv_evict", "engine", 3)
+	hv := NewHistogramVec("test_cv_evict", "engine", 3)
 	for i := 0; i < 5; i++ {
-		cv.Add(fmt.Sprintf("e-%d", i), uint64(i+1)) // 1+2+3+4+5 = 15
+		for j := 0; j <= i; j++ {
+			hv.Observe(fmt.Sprintf("e-%d", i), time.Nanosecond) // 1+2+3+4+5 = 15
+		}
 	}
-	pts := cv.Snapshot()
+	pts := hv.Snapshot()
 	var total, overflow uint64
 	var overflowSeen bool
 	for _, p := range pts {
@@ -28,7 +32,7 @@ func TestCounterVecEvictsIntoOverflow(t *testing.T) {
 	if !overflowSeen || overflow != 1+2 {
 		t.Fatalf("the two oldest series (1+2) should have folded into %s: %+v", OverflowLabel, pts)
 	}
-	if got := cv.Evictions(); got != 2 {
+	if got := hv.Evictions(); got != 2 {
 		t.Fatalf("evictions: got %d want 2", got)
 	}
 	// Live series are the 3 most recent.
@@ -44,18 +48,17 @@ func TestCounterVecEvictsIntoOverflow(t *testing.T) {
 }
 
 func TestCounterVecLRUTouch(t *testing.T) {
-	cv := NewCounterVec("test_cv_lru", "engine", 2)
-	cv.Inc("a")
-	cv.Inc("b")
-	cv.Inc("a") // refresh a: b becomes the LRU victim
-	cv.Inc("c")
-	for _, p := range cv.Snapshot() {
+	hv := NewHistogramVec("test_cv_lru", "engine", 2)
+	hv.Observe("a", time.Nanosecond)
+	hv.Observe("b", time.Nanosecond)
+	hv.Observe("a", time.Nanosecond) // refresh a: b becomes the LRU victim
+	hv.Observe("c", time.Nanosecond)
+	for _, p := range hv.Snapshot() {
 		if p.Value == "b" {
-			t.Fatalf("b should have been evicted, a touched: %+v", cv.Snapshot())
+			t.Fatalf("b should have been evicted, a touched: %+v", hv.Snapshot())
 		}
 	}
 }
-
 func TestHistogramVecEvictsIntoOverflow(t *testing.T) {
 	hv := NewHistogramVec("test_hv_evict", "engine", 2)
 	hv.Observe("a", time.Microsecond)
@@ -110,23 +113,19 @@ func TestHistogramVecDefaultCapacityPast128(t *testing.T) {
 }
 
 func TestRenderMetricsIncludesVecs(t *testing.T) {
-	cv := NewCounterVec("test_render_cv", "engine", 2)
 	hv := NewHistogramVec("test_render_hv", "engine", 2)
-	cv.Inc("x1")
-	cv.Inc("x2")
-	cv.Inc("x3")  // evicts x1 so _overflow renders
-	cv.Inc("s-1") // evicts x2; s-1 stays live as most recent
-	hv.Observe("s-1", time.Millisecond)
+	hv.Observe("x1", time.Millisecond)
+	hv.Observe("x2", time.Millisecond)
+	hv.Observe("s-1", time.Millisecond) // evicts x1 so _overflow renders
 	var buf bytes.Buffer
 	RenderMetrics(&buf)
 	out := buf.String()
 	for _, want := range []string{
-		`wolfc_test_render_cv_total{engine="s-1"} 1`,
-		`wolfc_test_render_cv_total{engine="_overflow"}`,
-		`wolfc_test_render_cv_series_evicted_total`,
 		`wolfc_test_render_hv_ns_count{engine="s-1"} 1`,
 		`wolfc_test_render_hv_ns_sum{engine="s-1"} 1000000`,
 		`wolfc_test_render_hv_ns_bucket{engine="s-1",le=`,
+		`wolfc_test_render_hv_ns_count{engine="_overflow"} 1`,
+		`wolfc_test_render_hv_series_evicted_total 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics exposition missing %q:\n%s", want, out)

@@ -8,6 +8,11 @@
 // can stream JSONL trace events (compile span, invoke span, fallback event)
 // to a writer.
 //
+// One mechanism of each kind: every latency histogram (a function's, a named
+// one, each series of a labelled one) is a latency; every registered list is
+// a registry; every histogram renders through writeHist and every label
+// value through label.
+//
 // Cost model: everything is off by default. The hot-path contract is one
 // atomic load and one predictable branch per guarded site when disabled
 // (Enabled() / TraceEnabled()), and zero allocation either way — recording
@@ -19,7 +24,9 @@ package obs
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,10 +45,10 @@ func SetEnabled(on bool) bool { return enabled.Swap(on) }
 // guard: one atomic load, no allocation.
 func Enabled() bool { return enabled.Load() }
 
-// NumLatencyBuckets is the fixed size of the per-function latency
-// histogram. Bucket i counts invocations whose wall time in nanoseconds has
-// bit-length i (i.e. duration in [2^(i-1), 2^i) ns for i >= 1; bucket 0 is
-// sub-nanosecond/zero). 48 buckets cover ~3.2 days per call.
+// NumLatencyBuckets is the fixed size of a latency histogram. Bucket i
+// counts observations whose duration in nanoseconds has bit-length i (i.e.
+// duration in [2^(i-1), 2^i) ns for i >= 1; bucket 0 is sub-nanosecond/zero).
+// 48 buckets cover ~3.2 days per observation.
 const NumLatencyBuckets = 48
 
 // latencyBucket maps a duration to its histogram bucket.
@@ -62,6 +69,81 @@ func BucketUpperNs(i int) uint64 {
 	return uint64(1) << uint(i)
 }
 
+// latency is the one log₂ duration histogram: an observation count, the
+// total nanoseconds and the bucket counts, all atomics, so a function's
+// block, a named histogram and each series of a labelled one record alike.
+type latency struct {
+	count   atomic.Uint64
+	totalNs atomic.Uint64
+	buckets [NumLatencyBuckets]atomic.Uint64
+}
+
+func (l *latency) observe(d time.Duration) {
+	l.count.Add(1)
+	l.totalNs.Add(uint64(d.Nanoseconds()))
+	l.buckets[latencyBucket(d)].Add(1)
+}
+
+// fold adds o's observations to l (an evicted series into _overflow).
+func (l *latency) fold(o *latency) {
+	l.count.Add(o.count.Load())
+	l.totalNs.Add(o.totalNs.Load())
+	for i := range l.buckets {
+		l.buckets[i].Add(o.buckets[i].Load())
+	}
+}
+
+// snapshot copies the counters. The copy is per-field atomic (not a single
+// consistent cut), which is the usual monitoring contract.
+func (l *latency) snapshot() Latency {
+	s := Latency{Count: l.count.Load(), TotalNs: l.totalNs.Load()}
+	for i := range s.Buckets {
+		s.Buckets[i] = l.buckets[i].Load()
+	}
+	return s
+}
+
+// Latency is a point-in-time copy of a latency histogram.
+type Latency struct {
+	Count   uint64
+	TotalNs uint64
+	Buckets [NumLatencyBuckets]uint64
+}
+
+// MeanNs returns the mean observed duration in nanoseconds.
+func (s Latency) MeanNs() float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	return float64(s.TotalNs) / float64(s.Count)
+}
+
+// registry is an append-only list of registered metrics, in registration
+// order, under one mutex.
+type registry[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+func (r *registry[T]) add(x T) T {
+	r.mu.Lock()
+	r.items = append(r.items, x)
+	r.mu.Unlock()
+	return x
+}
+
+func (r *registry[T]) list() []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.items)
+}
+
+var (
+	counters      registry[*Counter]
+	histograms    registry[*Histogram]
+	histogramVecs registry[*HistogramVec]
+)
+
 // FuncMetrics is the per-compiled-function counter block, recorded at the
 // core invocation boundary. All fields are atomics; the struct is shared by
 // every concurrent caller of one compiled function and must not be copied.
@@ -76,11 +158,9 @@ type FuncMetrics struct {
 	backend  string
 	engine   string
 
-	invocations atomic.Uint64
-	fallbacks   atomic.Uint64
-	aborts      atomic.Uint64
-	totalNs     atomic.Uint64
-	buckets     [NumLatencyBuckets]atomic.Uint64
+	lat       latency // its count is the invocation count
+	fallbacks atomic.Uint64
+	aborts    atomic.Uint64
 
 	// detail, when set, renders extra per-function text for /debug/funcs
 	// (the hot-block table of a profiled function). Stored atomically so a
@@ -135,9 +215,7 @@ func (m *FuncMetrics) RecordInvoke(d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.invocations.Add(1)
-	m.totalNs.Add(uint64(d.Nanoseconds()))
-	m.buckets[latencyBucket(d)].Add(1)
+	m.lat.observe(d)
 }
 
 // RecordFallback counts one soft failure that re-evaluated through the
@@ -157,41 +235,27 @@ func (m *FuncMetrics) RecordAbort() {
 	m.aborts.Add(1)
 }
 
-// FuncSnapshot is a point-in-time copy of one function's counters.
+// FuncSnapshot is a point-in-time copy of one function's counters; its
+// Latency's Count is the invocation count.
 type FuncSnapshot struct {
-	Name        string
-	Backend     string
-	Engine      string
-	Invocations uint64
-	Fallbacks   uint64
-	Aborts      uint64
-	TotalNs     uint64
-	Buckets     [NumLatencyBuckets]uint64
-	Detail      string
+	Name    string
+	Backend string
+	Engine  string
+	Latency
+	Fallbacks uint64
+	Aborts    uint64
+	Detail    string
 }
 
-// MeanNs returns the mean invocation latency in nanoseconds.
-func (s FuncSnapshot) MeanNs() float64 {
-	if s.Invocations == 0 {
-		return 0
-	}
-	return float64(s.TotalNs) / float64(s.Invocations)
-}
-
-// Snapshot copies the counters. The copy is per-field atomic (not a single
-// consistent cut), which is the usual monitoring contract.
+// Snapshot copies the counters (per-field atomic).
 func (m *FuncMetrics) Snapshot() FuncSnapshot {
 	s := FuncSnapshot{
-		Name:        m.Name(),
-		Backend:     m.backend,
-		Engine:      m.engine,
-		Invocations: m.invocations.Load(),
-		Fallbacks:   m.fallbacks.Load(),
-		Aborts:      m.aborts.Load(),
-		TotalNs:     m.totalNs.Load(),
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] = m.buckets[i].Load()
+		Name:      m.Name(),
+		Backend:   m.backend,
+		Engine:    m.engine,
+		Latency:   m.lat.snapshot(),
+		Fallbacks: m.fallbacks.Load(),
+		Aborts:    m.aborts.Load(),
 	}
 	if f, ok := m.detail.Load().(func() string); ok && f != nil {
 		s.Detail = f()
@@ -202,7 +266,7 @@ func (m *FuncMetrics) Snapshot() FuncSnapshot {
 // maxRegisteredFuncs bounds the registry so a long-lived process compiling
 // unbounded distinct sources cannot leak metric blocks. Past the cap,
 // RegisterFunc still returns a live (recordable) block — it just isn't
-// listed by the endpoint; overflowCount reports how many were dropped.
+// listed by the endpoint; the overflow count reports how many were dropped.
 const maxRegisteredFuncs = 1024
 
 var funcReg = struct {
@@ -256,44 +320,26 @@ func ReleaseEngineFuncs(engine string) int {
 	}
 	funcReg.mu.Lock()
 	defer funcReg.mu.Unlock()
-	kept := funcReg.funcs[:0]
-	dropped := 0
-	for _, m := range funcReg.funcs {
-		if m.engine == engine {
-			dropped++
-			continue
-		}
-		kept = append(kept, m)
-	}
-	for i := len(kept); i < len(funcReg.funcs); i++ {
-		funcReg.funcs[i] = nil
-	}
-	funcReg.funcs = kept
-	return dropped
+	n := len(funcReg.funcs)
+	funcReg.funcs = slices.DeleteFunc(funcReg.funcs, func(m *FuncMetrics) bool { return m.engine == engine })
+	return n - len(funcReg.funcs)
 }
 
 // FuncSnapshots returns a snapshot of every registered function, most
-// invoked first, plus the count of unregistered overflow functions.
+// invoked first, plus the count of RegisterFunc calls that landed past the
+// registry cap (their blocks record but are not listed, so a non-zero value
+// means the per-function tables undercount the process).
 func FuncSnapshots() ([]FuncSnapshot, uint64) {
 	funcReg.mu.Lock()
-	funcs := append([]*FuncMetrics{}, funcReg.funcs...)
+	funcs := slices.Clone(funcReg.funcs)
 	overflow := funcReg.overflow
 	funcReg.mu.Unlock()
 	out := make([]FuncSnapshot, 0, len(funcs))
 	for _, m := range funcs {
 		out = append(out, m.Snapshot())
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Invocations > out[j].Invocations })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Count > out[j].Count })
 	return out, overflow
-}
-
-// RegistryOverflow reports how many RegisterFunc calls landed past the
-// registry cap: their metric blocks record but are not listed, so a
-// non-zero value means the per-function tables undercount the process.
-func RegistryOverflow() uint64 {
-	funcReg.mu.Lock()
-	defer funcReg.mu.Unlock()
-	return funcReg.overflow
 }
 
 // ResetFuncRegistry drops every registered function block (tests).
@@ -338,101 +384,33 @@ func (c *Counter) Value() uint64 {
 // Name returns the registered name.
 func (c *Counter) Name() string { return c.name }
 
-var counterReg = struct {
-	mu       sync.Mutex
-	counters []*Counter
-}{}
-
 // NewCounter registers a named global counter. Names should be
 // snake_case; /metrics renders them as wolfc_<name>_total.
-func NewCounter(name string) *Counter {
-	c := &Counter{name: name}
-	counterReg.mu.Lock()
-	counterReg.counters = append(counterReg.counters, c)
-	counterReg.mu.Unlock()
-	return c
-}
+func NewCounter(name string) *Counter { return counters.add(&Counter{name: name}) }
 
 // Counters returns the registered global counters in registration order.
-func Counters() []*Counter {
-	counterReg.mu.Lock()
-	defer counterReg.mu.Unlock()
-	return append([]*Counter{}, counterReg.counters...)
-}
+func Counters() []*Counter { return counters.list() }
 
-// Histogram is a named process-global log₂ duration histogram, using the
-// same bucket scheme as the per-function latency histograms. The tiering
-// engine registers one per compile tier ("stencil", "o2") so the
-// compile-latency story — the whole point of the baseline tier — is
-// observable from /metrics and wolfbench.
+// Histogram is a named process-global latency histogram. The tiering engine
+// registers one per compile tier ("stencil", "o2") so the compile-latency
+// story — the whole point of the baseline tier — is observable from
+// /metrics and wolfbench.
 type Histogram struct {
-	name    string
-	count   atomic.Uint64
-	totalNs atomic.Uint64
-	buckets [NumLatencyBuckets]atomic.Uint64
+	name string
+	lat  latency
 }
 
 // Observe records one duration. Histograms always record (they live on
-// cold paths — a compile — where two atomic adds are free).
+// cold paths — a compile — where three atomic adds are free).
 func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
+	if h != nil {
+		h.lat.observe(d)
 	}
-	h.count.Add(1)
-	h.totalNs.Add(uint64(d.Nanoseconds()))
-	h.buckets[latencyBucket(d)].Add(1)
 }
-
-// Name returns the registered name.
-func (h *Histogram) Name() string { return h.name }
-
-// HistSnapshot is a point-in-time copy of a histogram.
-type HistSnapshot struct {
-	Name    string
-	Count   uint64
-	TotalNs uint64
-	Buckets [NumLatencyBuckets]uint64
-}
-
-// MeanNs returns the mean observed duration in nanoseconds.
-func (s HistSnapshot) MeanNs() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.TotalNs) / float64(s.Count)
-}
-
-// Snapshot copies the counters (per-field atomic).
-func (h *Histogram) Snapshot() HistSnapshot {
-	s := HistSnapshot{Name: h.name, Count: h.count.Load(), TotalNs: h.totalNs.Load()}
-	for i := range s.Buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-	}
-	return s
-}
-
-var histReg = struct {
-	mu    sync.Mutex
-	hists []*Histogram
-}{}
 
 // NewHistogram registers a named global histogram. Names should be
 // snake_case; /metrics renders wolfc_<name>_ns_{bucket,sum,count}.
-func NewHistogram(name string) *Histogram {
-	h := &Histogram{name: name}
-	histReg.mu.Lock()
-	histReg.hists = append(histReg.hists, h)
-	histReg.mu.Unlock()
-	return h
-}
-
-// Histograms returns the registered global histograms in registration
-// order.
-func Histograms() []*Histogram {
-	histReg.mu.Lock()
-	defer histReg.mu.Unlock()
-	return append([]*Histogram{}, histReg.hists...)
-}
+func NewHistogram(name string) *Histogram { return histograms.add(&Histogram{name: name}) }
 
 // Gauge is one named instantaneous value contributed by a provider. A
 // non-empty Engine renders as an `engine="<id>"` label on the series.
@@ -459,7 +437,6 @@ var gaugeReg = struct {
 	providers []GaugeProvider
 	engines   map[uint64]GaugeProvider
 	engineSeq uint64
-	dropped   uint64
 }{}
 
 // RegisterGaugeProvider adds a permanent gauge source polled by /metrics.
@@ -490,7 +467,6 @@ func RegisterEngineGauges(engine string, p GaugeProvider) (release func()) {
 	gaugeReg.mu.Lock()
 	defer gaugeReg.mu.Unlock()
 	if len(gaugeReg.engines) >= maxEngineGauges {
-		gaugeReg.dropped++
 		ctrEngineGaugesDropped.Inc()
 		return func() {}
 	}
@@ -510,12 +486,11 @@ func RegisterEngineGauges(engine string, p GaugeProvider) (release func()) {
 	}
 }
 
-// EngineGaugeStats reports the live engine-provider count and the lifetime
-// number of registrations declined at the cardinality cap.
-func EngineGaugeStats() (live int, dropped uint64) {
+// liveEngineGauges reports the live engine-provider count.
+func liveEngineGauges() int {
 	gaugeReg.mu.Lock()
 	defer gaugeReg.mu.Unlock()
-	return len(gaugeReg.engines), gaugeReg.dropped
+	return len(gaugeReg.engines)
 }
 
 // ctrEngineGaugesDropped counts engine gauge registrations declined at the
@@ -527,12 +502,12 @@ var ctrEngineGaugesDropped = NewCounter("obs_engine_gauges_dropped")
 // (registration-sequence) order so scrapes are stable.
 func ProviderGauges() []Gauge {
 	gaugeReg.mu.Lock()
-	providers := append([]GaugeProvider{}, gaugeReg.providers...)
+	providers := slices.Clone(gaugeReg.providers)
 	ids := make([]uint64, 0, len(gaugeReg.engines))
 	for id := range gaugeReg.engines {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		providers = append(providers, gaugeReg.engines[id])
 	}
@@ -544,34 +519,14 @@ func ProviderGauges() []Gauge {
 	return out
 }
 
-// sanitizeLabel escapes a metric label value for the text exposition
-// format (quotes, backslashes, newlines).
-func sanitizeLabel(s string) string {
-	needs := false
-	for i := 0; i < len(s); i++ {
-		if s[i] == '"' || s[i] == '\\' || s[i] == '\n' {
-			needs = true
-			break
-		}
-	}
-	if !needs {
-		return s
-	}
-	out := make([]byte, 0, len(s)+8)
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			out = append(out, '\\', '"')
-		case '\\':
-			out = append(out, '\\', '\\')
-		case '\n':
-			out = append(out, '\\', 'n')
-		default:
-			out = append(out, s[i])
-		}
-	}
-	return string(out)
-}
+// labelEscaper escapes a label value for the text exposition format, which
+// defines exactly three escapes: backslash, double quote and newline.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+func sanitizeLabel(s string) string { return labelEscaper.Replace(s) }
+
+// label renders one k="v" pair, the value escaped once.
+func label(k, v string) string { return k + `="` + sanitizeLabel(v) + `"` }
 
 // shortName truncates long display names (whole-source snippets) so the
 // exposition stays readable.

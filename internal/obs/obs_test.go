@@ -48,7 +48,7 @@ func TestFuncMetricsRecordAndSnapshot(t *testing.T) {
 	m.RecordFallback()
 	m.RecordAbort()
 	s := m.Snapshot()
-	if s.Invocations != 2 || s.Fallbacks != 1 || s.Aborts != 1 {
+	if s.Count != 2 || s.Fallbacks != 1 || s.Aborts != 1 {
 		t.Fatalf("snapshot counters = %+v", s)
 	}
 	if s.TotalNs != 103 {
@@ -115,15 +115,12 @@ func TestRegistryCapOverflow(t *testing.T) {
 	if overflow != 1 {
 		t.Fatalf("overflow = %d, want 1", overflow)
 	}
-	if over.Snapshot().Invocations != 1 {
+	if over.Snapshot().Count != 1 {
 		t.Fatal("overflow block did not record")
 	}
-	if RegistryOverflow() != 1 {
-		t.Fatalf("RegistryOverflow = %d, want 1", RegistryOverflow())
-	}
 	RegisterFunc("overflowed2", "closure")
-	if RegistryOverflow() != 2 {
-		t.Fatalf("RegistryOverflow = %d, want 2", RegistryOverflow())
+	if _, overflow := FuncSnapshots(); overflow != 2 {
+		t.Fatalf("overflow = %d, want 2", overflow)
 	}
 	// The counter is always present in the exposition, zero or not, so a
 	// dashboard can alert on its first increment.
@@ -295,11 +292,25 @@ func TestRenderMetricsAndEndpoint(t *testing.T) {
 	}
 }
 
-// TestEngineGaugeCapAndRelease covers the per-engine gauge cardinality cap
-// (ISSUE 8): registrations past maxEngineGauges are declined and counted,
-// release frees slots for new engines, and release is idempotent.
+// TestEngineGaugeCapAndRelease covers the per-engine gauge cardinality cap:
+// registrations past maxEngineGauges are declined and counted on
+// wolfc_obs_engine_gauges_dropped_total, release frees slots for new
+// engines, and release is idempotent.
 func TestEngineGaugeCapAndRelease(t *testing.T) {
-	baseLive, baseDropped := EngineGaugeStats()
+	stats := func() (live, dropped int) {
+		var buf bytes.Buffer
+		RenderMetrics(&buf)
+		for _, l := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(l, "wolfc_obs_engine_gauges_live "); ok {
+				fmt.Sscan(v, &live)
+			} else if v, ok := strings.CutPrefix(l, "wolfc_obs_engine_gauges_dropped_total "); ok {
+				fmt.Sscan(v, &dropped)
+			}
+		}
+		return live, dropped
+	}
+	baseLive := liveEngineGauges()
+	_, baseDropped := stats()
 	mk := func(id string) GaugeProvider {
 		return func() []Gauge { return []Gauge{{Name: "test_gauge", Value: 1, Engine: id}} }
 	}
@@ -313,12 +324,12 @@ func TestEngineGaugeCapAndRelease(t *testing.T) {
 			r()
 		}
 	}()
-	if live, _ := EngineGaugeStats(); live != maxEngineGauges {
+	if live, _ := stats(); live != maxEngineGauges {
 		t.Fatalf("live = %d, want %d", live, maxEngineGauges)
 	}
 	// Past the cap: declined, counted, provider not polled.
 	rel := RegisterEngineGauges("over-cap", mk("over-cap"))
-	if live, dropped := EngineGaugeStats(); live != maxEngineGauges || dropped != baseDropped+1 {
+	if live, dropped := stats(); live != maxEngineGauges || dropped != baseDropped+1 {
 		t.Fatalf("after over-cap: live = %d, dropped = %d (base %d)", live, dropped, baseDropped)
 	}
 	for _, g := range ProviderGauges() {
@@ -330,11 +341,11 @@ func TestEngineGaugeCapAndRelease(t *testing.T) {
 	// Releasing a live slot makes room again.
 	releases[0]()
 	releases[0]() // idempotent
-	if live, _ := EngineGaugeStats(); live != maxEngineGauges-1 {
+	if live, _ := stats(); live != maxEngineGauges-1 {
 		t.Fatalf("after release: live = %d", live)
 	}
 	releases = append(releases, RegisterEngineGauges("refill", mk("refill")))
-	if live, dropped := EngineGaugeStats(); live != maxEngineGauges || dropped != baseDropped+1 {
+	if live, dropped := stats(); live != maxEngineGauges || dropped != baseDropped+1 {
 		t.Fatalf("after refill: live = %d, dropped = %d", live, dropped)
 	}
 }

@@ -280,7 +280,6 @@ type captureStore struct {
 	maxTraces int
 	order     []string // trace ids, least recently updated first
 	traces    map[string][]TraceEvent
-	evicted   uint64
 }
 
 func newCaptureStore(maxTraces int) *captureStore {
@@ -308,7 +307,6 @@ func (cs *captureStore) add(ev TraceEvent) {
 		victim := cs.order[0]
 		cs.order = cs.order[1:]
 		delete(cs.traces, victim)
-		cs.evicted++
 	}
 	cs.traces[ev.TraceID] = append(make([]TraceEvent, 0, 8), ev)
 	cs.order = append(cs.order, ev.TraceID)

@@ -1,10 +1,12 @@
 package passes_test
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
 
+	"wolfc/internal/codegen"
 	"wolfc/internal/core"
 	"wolfc/internal/kernel"
 	"wolfc/internal/parser"
@@ -14,7 +16,8 @@ import (
 // The reference counts InsertRefCounts places reach the C output: the C
 // export of every ownership source, at every optimisation level, holds
 // counts, and EmitC verified that they balance before it rendered them (the
-// standalone export goes through the same EmitC).
+// standalone export goes through the same EmitC). A source with a constant
+// tensor, which wolfrt.h cannot spell, is refused by name after that check.
 func TestCExportCountsTheOwnershipCorpus(t *testing.T) {
 	k := kernel.New()
 	k.Out = io.Discard
@@ -27,6 +30,9 @@ func TestCExportCountsTheOwnershipCorpus(t *testing.T) {
 				t.Fatalf("O%d %s: %v", level, src, err)
 			}
 			out, err := ccf.ExportString("C")
+			if errors.Is(err, codegen.ErrNoCSpelling) && strings.Contains(err.Error(), "constant tensor") {
+				continue // refused by name, after the counts were verified
+			}
 			if err != nil {
 				t.Fatalf("O%d %s: C export: %v", level, src, err)
 			}

@@ -13,7 +13,7 @@
 //	DELETE /v1/sessions/{id}          -> 204
 //	GET    /v1/sessions               -> {"sessions": [...], "count": n}
 //	GET    /healthz                   -> ok
-//	GET    /metrics                   -> obs text format
+//	GET    /metrics                   -> obs text format (and /debug/*, obs.Mount)
 //
 // Request deadlines ride the kernel's abort machinery (engine.Eval arms a
 // timer that fires Kernel.Abort); admission is bounded by a token channel
@@ -49,12 +49,12 @@ var (
 	ctrRejectedBusy      = obs.NewCounter("serve_rejected_busy")
 	ctrRejectedSessions  = obs.NewCounter("serve_rejected_sessions")
 
-	// Per-tenant series (ISSUE 9): request counts and eval latency labelled
-	// by engine/session id, cardinality-bounded with LRU fold-over into
-	// engine="_overflow" — the sum stays exact past the cap instead of
-	// degrading to process-wide-only aggregates at the old 128-engine cliff.
-	vecEvalRequests = obs.NewCounterVec("serve_eval_requests", "engine", 0)
-	vecEvalLatency  = obs.NewHistogramVec("serve_eval_latency", "engine", 0)
+	// Per-tenant eval latency, labelled by engine/session id and
+	// cardinality-bounded with LRU fold-over into engine="_overflow" — the sum
+	// stays exact past the cap instead of degrading to process-wide-only
+	// aggregates at the old 128-engine cliff. Its _ns_count{engine} is the
+	// session's request count.
+	vecEvalLatency = obs.NewHistogramVec("serve_eval_latency", "engine", 0)
 
 	// activeSessions backs the wolfc_serve_sessions_active gauge. It is
 	// package-level (summed over every Server in the process) because gauge
@@ -213,14 +213,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		obs.RenderMetrics(w)
-	})
-	// /debug/traces (+ ?format=chrome) and /debug/pprof/* ride the same
-	// mux, so a serve deployment gets traces and profiles wherever it
-	// already scrapes /metrics.
-	obs.RegisterDebugHandlers(mux)
+	// /metrics, /debug/funcs, /debug/traces and /debug/pprof/* ride the same
+	// mux.
+	obs.Mount(mux)
 	return mux
 }
 
@@ -479,7 +474,6 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	ses.busy--
 	ses.mu.Unlock()
 	ctrEvals.Inc()
-	vecEvalRequests.Inc(id)
 	vecEvalLatency.Observe(id, dur)
 	if res.TimedOut {
 		ctrTimeouts.Inc()

@@ -418,25 +418,55 @@ func TestSessionsShareTheArtifactTier(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint checks /metrics renders and carries serve counters.
+// TestMetricsEndpoint checks /metrics renders and carries serve counters, that
+// an eval adds one to its session's eval-latency _count (the session's request
+// count), and that serve mounts the obs endpoints with the one /metrics
+// handler.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	id := createSession(t, ts.URL)
+	scrape := func() (body string, count int) {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+			t.Errorf("/metrics Content-Type %q", ct)
+		}
+		prefix := fmt.Sprintf("wolfc_serve_eval_latency_ns_count{engine=%q} ", id)
+		for _, l := range strings.Split(string(raw), "\n") {
+			if v, ok := strings.CutPrefix(l, prefix); ok {
+				fmt.Sscan(v, &count)
+			}
+		}
+		return string(raw), count
+	}
+	_, before := scrape()
 	evalIn(t, ts.URL, id, "1 + 1")
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
+	body, after := scrape()
 	for _, want := range []string{"wolfc_serve_evals", "wolfc_serve_sessions_created"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, body)
 		}
+	}
+	if after != before+1 {
+		t.Errorf("engine %s's eval-latency count went %d -> %d over one eval:\n%s", id, before, after, body)
+	}
+	if strings.Contains(body, "wolfc_serve_eval_requests_total") {
+		t.Errorf("/metrics renders the request counter the histogram's _count carries:\n%s", body)
+	}
+	funcs, err := http.Get(ts.URL + "/debug/funcs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs.Body.Close()
+	if funcs.StatusCode != http.StatusOK {
+		t.Errorf("/debug/funcs: %d", funcs.StatusCode)
 	}
 }
 

@@ -140,6 +140,20 @@ if echo "$inl" | grep -q "inlining call to sumF"; then
 fi
 echo "resized, Aborted, leave, callee, the operands' get and test.eval inline"
 
+echo "== obs: the guarded recording sites still inline =="
+# The obs package doc promises one atomic load and one predictable branch per
+# guarded site when recording is off: the guards and the record calls behind
+# them must not become calls.
+inl="$(go build -gcflags=-m ./internal/obs 2>&1)"
+for fn in Enabled TraceEnabled '(\*FuncMetrics).RecordInvoke' '(\*FuncMetrics).RecordFallback' '(\*FuncMetrics).RecordAbort' '(\*Counter).Inc'; do
+    echo "$inl" | grep -q "can inline $fn\$" || {
+        echo "verify: FAIL — obs.$fn no longer inlines:"
+        go build -gcflags=-m=2 ./internal/obs 2>&1 | grep " $fn:" | head -3
+        exit 1
+    }
+done
+echo "Enabled, TraceEnabled, RecordInvoke, RecordFallback, RecordAbort and Counter.Inc inline"
+
 echo "== benchmark: the benchmark module builds, passes its tests, and checks its programs =="
 # benchmark/ is a module of its own (root `go test ./...` does not see it).
 # Every timed operation there is compared with benchmark/expected/*.txt, so
