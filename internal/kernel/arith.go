@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"cmp"
 	"math"
 	"math/big"
 
@@ -75,6 +76,9 @@ func toComplex(e expr.Expr) (complex128, bool) {
 func toRat(e expr.Expr) (*big.Rat, bool) {
 	switch x := e.(type) {
 	case *expr.Integer:
+		if x.IsMachine() {
+			return new(big.Rat).SetInt64(x.Int64()), true
+		}
 		return new(big.Rat).SetInt(x.Big()), true
 	case *expr.Rational:
 		return new(big.Rat).Set(x.V), true
@@ -346,8 +350,18 @@ func absI64(v int64) int64 {
 }
 
 // numCompare compares two numeric atoms: -1, 0, +1. Complex values are only
-// comparable for equality (ok=false for ordering).
+// comparable for equality (ok=false for ordering). Two integers compare as
+// int64s, or as big.Ints when either is big; only a Rational operand builds
+// a big.Rat.
 func numCompare(a, b expr.Expr) (int, bool) {
+	if x, ok := a.(*expr.Integer); ok {
+		if y, ok := b.(*expr.Integer); ok {
+			if x.IsMachine() && y.IsMachine() {
+				return cmp.Compare(x.Int64(), y.Int64()), true
+			}
+			return x.Big().Cmp(y.Big()), true
+		}
+	}
 	ka, kb := numKindOf(a), numKindOf(b)
 	if ka == kindNone || kb == kindNone {
 		return 0, false
@@ -438,25 +452,17 @@ func compareCanonical(a, b expr.Expr) int {
 	return 1
 }
 
-// sortCanonical sorts args into canonical order, reporting whether any
-// element moved.
-func sortCanonical(args []expr.Expr) ([]expr.Expr, bool) {
-	sorted := true
-	for i := 1; i < len(args); i++ {
-		if canonicalLess(args[i], args[i-1]) {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return args, false
-	}
-	out := append([]expr.Expr{}, args...)
+// sortCanonical sorts args in place into canonical order, reporting
+// whether any element moved. The caller owns args: it must not be the
+// argument slice of an expression.
+func sortCanonical(args []expr.Expr) bool {
+	moved := false
 	// Insertion sort keeps this dependency-free and stable.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && canonicalLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	for i := 1; i < len(args); i++ {
+		for j := i; j > 0 && canonicalLess(args[j], args[j-1]); j-- {
+			args[j], args[j-1] = args[j-1], args[j]
+			moved = true
 		}
 	}
-	return out, true
+	return moved
 }

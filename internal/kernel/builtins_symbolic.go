@@ -356,8 +356,8 @@ func biVariables(k *Kernel, n *expr.Normal) (expr.Expr, bool) {
 		}
 		return true
 	})
-	outSorted, _ := sortCanonical(out)
-	return expr.List(outSorted...), true
+	sortCanonical(out)
+	return expr.List(out...), true
 }
 
 func biDownValues(k *Kernel, n *expr.Normal) (expr.Expr, bool) {

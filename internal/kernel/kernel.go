@@ -422,11 +422,10 @@ func (k *Kernel) evalNormal(n *expr.Normal) (expr.Expr, bool) {
 			args, argsChanged = flat, true
 		}
 	}
-	// Orderless: canonical argument order.
-	if attrs&Orderless != 0 {
-		if sorted, did := sortCanonical(args); did {
-			args, argsChanged = sorted, true
-		}
+	// Orderless: canonical argument order. evalArgs and flattenHead return
+	// a slice of their own, so it is sorted in place.
+	if attrs&Orderless != 0 && sortCanonical(args) {
+		argsChanged = true
 	}
 
 	cur := n

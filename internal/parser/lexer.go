@@ -9,12 +9,13 @@ package parser
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unicode"
 	"unicode/utf8"
 )
 
-type tokKind int
+type tokKind uint8
 
 const (
 	tokEOF tokKind = iota
@@ -28,16 +29,19 @@ const (
 	tokPunct   // operators and brackets
 )
 
+// token is one lexeme, 16 bytes and no strings: its text is src[pos:end],
+// read back through the parser's text (a string token's value is decoded
+// only when the parser builds its atom).
 type token struct {
-	kind tokKind
-	text string // raw text (punct: the operator; string: unquoted value)
-	pos  int    // byte offset in input, for error messages and spans
-	end  int    // byte offset just past the token, filled in by emit
-
-	// pattern fields
-	patName  string // "" for anonymous blanks
-	patHead  string // "" for untyped blanks
-	patCount int    // 1=_ 2=__ 3=___
+	pos int32 // byte offset in input, for error messages and spans
+	end int32 // byte offset just past the token, filled in by emit
+	// name is where a pattern's bound name starts: the name is
+	// src[name:pos] (empty for anonymous blanks), its underscores follow at
+	// pos and its head runs from pos+count to end.
+	name  int32
+	kind  tokKind
+	op    punct // tokPunct: which operator
+	count uint8 // tokPattern: 1=_ 2=__ 3=___
 }
 
 type lexer struct {
@@ -67,21 +71,24 @@ func isIdentPart(r rune) bool {
 // lex tokenises the whole input. On error, the returned offset locates the
 // failure in src.
 func lex(src string) (toks []token, errPos int, err error) {
+	if len(src) > math.MaxInt32 {
+		return nil, 0, fmt.Errorf("source of %d bytes is over the %d-byte limit", len(src), math.MaxInt32)
+	}
 	// One allocation for the token array instead of doubling up from nil:
 	// programs run 2-3 source bytes per token, and the +8 covers one-line
 	// queries, which are denser (gfib[10] is 5 tokens in 8 bytes).
-	lx := &lexer{src: src, toks: make([]token, 0, len(src)/2+8)}
+	lx := lexer{src: src, toks: make([]token, 0, len(src)/2+8)}
 	for lx.pos < len(lx.src) && lx.err == nil {
 		lx.next()
 	}
-	lx.emit(token{kind: tokEOF, pos: lx.pos})
+	lx.emit(token{kind: tokEOF, pos: int32(lx.pos)})
 	return lx.toks, lx.errPos, lx.err
 }
 
 // emit appends a token; every emit site runs with lx.pos just past the
 // token's text, so the end offset is recorded here.
 func (lx *lexer) emit(t token) {
-	t.end = lx.pos
+	t.end = int32(lx.pos)
 	lx.toks = append(lx.toks, t)
 }
 
@@ -103,7 +110,7 @@ func (lx *lexer) next() {
 			if n := len(lx.toks); n == 0 || lx.toks[n-1].kind == tokNewline {
 				return
 			}
-			lx.emit(token{kind: tokNewline, pos: start})
+			lx.emit(token{kind: tokNewline, pos: int32(start)})
 		}
 	case r == ' ' || r == '\t' || r == '\r':
 		lx.pos += w
@@ -119,11 +126,11 @@ func (lx *lexer) next() {
 	case isIdentStart(r):
 		lx.lexIdentOrPattern()
 	case r == '_':
-		lx.lexBlank("")
+		lx.lexBlank(start)
 	case r == '#':
 		lx.pos += w
-		num := lx.takeDigits()
-		lx.emit(token{kind: tokSlot, text: num, pos: start})
+		lx.takeDigits()
+		lx.emit(token{kind: tokSlot, pos: int32(start)})
 	default:
 		lx.lexPunct()
 	}
@@ -152,153 +159,229 @@ func (lx *lexer) comment() {
 	}
 }
 
+// lexString checks a string literal's escapes and finds its closing quote;
+// stringValue decodes it.
 func (lx *lexer) lexString() {
 	start := lx.pos
 	lx.pos++ // opening quote
-	var b strings.Builder
 	for lx.pos < len(lx.src) {
 		r, w := lx.peekRune()
 		lx.pos += w
 		switch r {
 		case '"':
-			lx.emit(token{kind: tokString, text: b.String(), pos: start})
+			lx.emit(token{kind: tokString, pos: int32(start)})
 			return
 		case '\\':
 			e, ew := lx.peekRune()
 			lx.pos += ew
-			switch e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
-			default:
+			if _, ok := unescape(e); !ok {
 				lx.errorf(lx.pos, "bad string escape \\%c", e)
 				return
 			}
-		default:
-			b.WriteRune(r)
 		}
 	}
 	lx.errorf(start, "unterminated string")
 }
 
-func (lx *lexer) takeDigits() string {
-	s := lx.pos
+// unescape maps the character after a backslash to the byte it stands for.
+func unescape(e rune) (byte, bool) {
+	switch e {
+	case 'n':
+		return '\n', true
+	case 't':
+		return '\t', true
+	case '"', '\\':
+		return byte(e), true
+	}
+	return 0, false
+}
+
+// stringValue decodes the body of a string literal the lexer accepted: its
+// escapes are resolved and each invalid UTF-8 byte reads as U+FFFD. The
+// value is a copy, so a string atom does not keep the whole source alive.
+func stringValue(body string) string {
+	if !strings.ContainsRune(body, '\\') && utf8.ValidString(body) {
+		return strings.Clone(body)
+	}
+	var b strings.Builder
+	for i := 0; i < len(body); {
+		r, w := utf8.DecodeRuneInString(body[i:])
+		i += w
+		if r == '\\' {
+			c, _ := unescape(rune(body[i]))
+			b.WriteByte(c)
+			i++
+			continue
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
+func (lx *lexer) takeDigits() {
 	for lx.pos < len(lx.src) && isDigitByte(lx.src[lx.pos]) {
 		lx.pos++
 	}
-	return lx.src[s:lx.pos]
 }
 
 func (lx *lexer) lexNumber() {
 	start := lx.pos
 	lx.takeDigits()
-	isReal := false
+	kind := tokInt
 	if lx.pos < len(lx.src) && lx.src[lx.pos] == '.' {
 		// "1." and "1.5" are reals; "a[[1]].x" cannot occur since we have
 		// no Dot operator.
-		isReal = true
+		kind = tokReal
 		lx.pos++
 		lx.takeDigits()
 	}
 	// Scientific notation: both 1.5e-3 and the WL form 1.5*^-3.
 	if lx.pos < len(lx.src) && (lx.src[lx.pos] == 'e' || lx.src[lx.pos] == 'E') &&
 		lx.pos+1 < len(lx.src) && (isDigitByte(lx.src[lx.pos+1]) || lx.src[lx.pos+1] == '-' || lx.src[lx.pos+1] == '+') {
-		isReal = true
+		kind = tokReal
 		lx.pos++
 		if lx.src[lx.pos] == '-' || lx.src[lx.pos] == '+' {
 			lx.pos++
 		}
 		lx.takeDigits()
 	} else if strings.HasPrefix(lx.src[lx.pos:], "*^") {
-		isReal = true
+		kind = tokReal
 		lx.pos += 2
 		if lx.pos < len(lx.src) && (lx.src[lx.pos] == '-' || lx.src[lx.pos] == '+') {
 			lx.pos++
 		}
 		lx.takeDigits()
 	}
-	text := lx.src[start:lx.pos]
-	kind := tokInt
-	if isReal {
-		kind = tokReal
-	}
-	lx.emit(token{kind: kind, text: text, pos: start})
+	lx.emit(token{kind: kind, pos: int32(start)})
 }
 
 func (lx *lexer) lexIdentOrPattern() {
 	start := lx.pos
+	lx.takeIdent()
+	if lx.pos < len(lx.src) && lx.src[lx.pos] == '_' {
+		lx.lexBlank(start)
+		return
+	}
+	lx.emit(token{kind: tokIdent, pos: int32(start)})
+}
+
+func (lx *lexer) takeIdent() {
 	for {
 		r, w := lx.peekRune()
 		if w == 0 || !isIdentPart(r) {
-			break
+			return
 		}
 		lx.pos += w
 	}
-	name := lx.src[start:lx.pos]
-	if lx.pos < len(lx.src) && lx.src[lx.pos] == '_' {
-		lx.lexBlank(name)
-		return
-	}
-	lx.emit(token{kind: tokIdent, text: name, pos: start})
 }
 
 // lexBlank scans _, __, ___ with an optional head, producing a pattern token
-// bound to name (possibly empty).
-func (lx *lexer) lexBlank(name string) {
+// bound to the name src[name:lx.pos] (empty for an anonymous blank).
+func (lx *lexer) lexBlank(name int) {
 	start := lx.pos
 	count := 0
 	for lx.pos < len(lx.src) && lx.src[lx.pos] == '_' && count < 3 {
 		lx.pos++
 		count++
 	}
-	head := ""
 	if r, _ := lx.peekRune(); isIdentStart(r) {
-		hs := lx.pos
-		for {
-			r, w := lx.peekRune()
-			if w == 0 || !isIdentPart(r) {
-				break
-			}
-			lx.pos += w
-		}
-		head = lx.src[hs:lx.pos]
+		lx.takeIdent()
 	}
-	lx.emit(token{
-		kind: tokPattern, pos: start,
-		patName: name, patHead: head, patCount: count,
-	})
+	lx.emit(token{kind: tokPattern, pos: int32(start), name: int32(name), count: uint8(count)})
 }
 
-// multi-character operators, longest first. Note: [[ and ]] are NOT lexed as
-// units — a[[f[1]]] would mis-tokenise; the parser recognises Part from
-// adjacent brackets instead.
-var punctOps = []string{
-	"===", "=!=", "==", "!=", "<=", ">=", ":=", "->", ":>",
-	"/.", "/;", "/@", "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "@@",
-	"<>", ";;",
-	"[", "]", "{", "}", "(", ")", ",", ";", "=", "<", ">", "+", "-", "*",
-	"/", "^", "!", "&", "@",
+// punct names an operator or bracket; punctText spells it. Operators are
+// declared longest first, so no operator precedes one it is a prefix of.
+type punct uint8
+
+const (
+	opNone punct = iota
+	opSameQ
+	opUnsameQ
+	opEqual
+	opUnequal
+	opLessEqual
+	opGreaterEqual
+	opSetDelayed
+	opRule
+	opRuleDelayed
+	opReplaceAll
+	opCondition
+	opMap
+	opAnd
+	opOr
+	opIncrement
+	opDecrement
+	opAddTo
+	opSubtractFrom
+	opTimesBy
+	opDivideBy
+	opApply
+	opStringJoin
+	opSpan
+	opLBracket
+	opRBracket
+	opLBrace
+	opRBrace
+	opLParen
+	opRParen
+	opComma
+	opSemi
+	opSet
+	opLess
+	opGreater
+	opPlus
+	opMinus
+	opTimes
+	opDivide
+	opPower
+	opNot
+	opFunction
+	opAt
+	numPuncts
+)
+
+// Note: [[ and ]] are NOT lexed as units — a[[f[1]]] would mis-tokenise;
+// the parser recognises Part from adjacent brackets instead.
+var punctText = [numPuncts]string{
+	opSameQ: "===", opUnsameQ: "=!=", opEqual: "==", opUnequal: "!=",
+	opLessEqual: "<=", opGreaterEqual: ">=", opSetDelayed: ":=", opRule: "->",
+	opRuleDelayed: ":>", opReplaceAll: "/.", opCondition: "/;", opMap: "/@",
+	opAnd: "&&", opOr: "||", opIncrement: "++", opDecrement: "--",
+	opAddTo: "+=", opSubtractFrom: "-=", opTimesBy: "*=", opDivideBy: "/=",
+	opApply: "@@", opStringJoin: "<>", opSpan: ";;",
+	opLBracket: "[", opRBracket: "]", opLBrace: "{", opRBrace: "}",
+	opLParen: "(", opRParen: ")", opComma: ",", opSemi: ";", opSet: "=",
+	opLess: "<", opGreater: ">", opPlus: "+", opMinus: "-", opTimes: "*",
+	opDivide: "/", opPower: "^", opNot: "!", opFunction: "&", opAt: "@",
 }
+
+// punctsByByte lists the operators that start with each byte, longest
+// first: at most five candidates, where a scan of the whole table would
+// try 42.
+var punctsByByte = func() (t [256][]punct) {
+	for op := opNone + 1; op < numPuncts; op++ {
+		first := punctText[op][0]
+		t[first] = append(t[first], op)
+	}
+	return t
+}()
 
 func (lx *lexer) lexPunct() {
-	for _, op := range punctOps {
-		if strings.HasPrefix(lx.src[lx.pos:], op) {
+	rest := lx.src[lx.pos:]
+	for _, op := range punctsByByte[rest[0]] {
+		if strings.HasPrefix(rest, punctText[op]) {
 			start := lx.pos
-			lx.pos += len(op)
+			lx.pos += len(punctText[op])
 			switch op {
-			case "[", "{", "(":
+			case opLBracket, opLBrace, opLParen:
 				lx.depth++
-			case "]", "}", ")":
+			case opRBracket, opRBrace, opRParen:
 				if lx.depth > 0 {
 					lx.depth--
 				}
 			}
-			lx.emit(token{kind: tokPunct, text: op, pos: start})
+			lx.emit(token{kind: tokPunct, op: op, pos: int32(start)})
 			return
 		}
 	}

@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -61,6 +62,12 @@ var (
 	// providers cannot unregister: one permanent provider instead of a leak
 	// per short-lived test Server.
 	activeSessions atomic.Int64
+
+	// sessionSeq numbers sessions across every Server in the process: a
+	// session's id labels process-wide state (its serve_eval_latency series,
+	// its engine's function blocks and gauges), so two servers must never
+	// hand out the same one.
+	sessionSeq atomic.Uint64
 )
 
 func init() {
@@ -125,7 +132,6 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session
-	seq      uint64
 	closed   bool
 
 	janitorStop chan struct{} // nil unless IdleTimeout > 0
@@ -258,8 +264,12 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// jsonContentType is every JSON reply's Content-Type value, shared so that
+// a reply does not allocate its header slice. Nothing appends to it.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
@@ -286,8 +296,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, "session limit reached (%d)", s.opts.MaxSessions)
 		return
 	}
-	s.seq++
-	id := fmt.Sprintf("s-%d", s.seq)
+	id := fmt.Sprintf("s-%d", sessionSeq.Add(1))
 	// Reserve the slot before the (comparatively slow) engine build so a
 	// create burst cannot overshoot MaxSessions.
 	s.sessions[id] = nil
@@ -379,18 +388,37 @@ type evalResponse struct {
 // maxEvalBody bounds an eval request body.
 const maxEvalBody = 1 << 20
 
+// maxPooledBody is the largest body buffer decodeEval returns to bodyPool:
+// one rare large request must not pin a megabyte per P.
+const maxPooledBody = 64 << 10
+
+// bodyPool holds the buffers decodeEval reads request bodies into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // decodeEval reads an eval request body: exactly one JSON object of at most
 // maxEvalBody bytes with a nonblank input. The deadline is timeout_ms when
 // positive, else opts.DefaultTimeout, and never more than opts.MaxTimeout.
 func decodeEval(body io.Reader, opts Options) (input string, timeout time.Duration, err error) {
-	var req evalRequest
-	dec := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(body), maxEvalBody))
-	if err := dec.Decode(&req); err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyPool.Put(buf)
+		}
+	}()
+	// Read one byte past the limit to tell a body of exactly maxEvalBody
+	// bytes from a longer one.
+	if _, err := buf.ReadFrom(io.LimitReader(body, maxEvalBody+1)); err != nil {
 		return "", 0, fmt.Errorf("bad request body: %v", err)
 	}
-	// Decode reads one value; a second one after it would be dropped unread.
-	if _, err := dec.Token(); err != io.EOF {
-		return "", 0, errors.New("bad request body: data after the JSON object")
+	if buf.Len() > maxEvalBody {
+		return "", 0, fmt.Errorf("bad request body: over %d bytes", maxEvalBody)
+	}
+	// Unmarshal copies every string out of buf, and refuses data after the
+	// one JSON value.
+	var req evalRequest
+	if err := json.Unmarshal(buf.Bytes(), &req); err != nil {
+		return "", 0, fmt.Errorf("bad request body: %v", err)
 	}
 	if strings.TrimSpace(req.Input) == "" {
 		return "", 0, errors.New("empty input")

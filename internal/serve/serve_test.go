@@ -490,3 +490,67 @@ func TestServerClose(t *testing.T) {
 	}
 	_ = time.Now() // keep time import if asserts change
 }
+
+// TestSessionIDsAreProcessUnique: a session id labels process-wide state
+// (its eval-latency series, its engine's function blocks), so two Servers in
+// one process hand out different ids, and destroying a session on one
+// leaves the other's series and /debug/funcs entries in place.
+func TestSessionIDsAreProcessUnique(t *testing.T) {
+	_, tsA := newTestServer(t, Options{})
+	_, tsB := newTestServer(t, Options{})
+	idA, idB := createSession(t, tsA.URL), createSession(t, tsB.URL)
+	if idA == idB {
+		t.Fatalf("both servers named their first session %q", idA)
+	}
+	// A body no other test compiles, so /debug/funcs lists it only for
+	// these two sessions.
+	const body = "n*n + 41"
+	def := `sq = FunctionCompile[Function[{Typed[n, "MachineInteger"]}, ` + body + `]]; sq[3]`
+	for _, s := range []struct{ base, id string }{{tsA.URL, idA}, {tsB.URL, idB}} {
+		if er := evalIn(t, s.base, s.id, def); er.Value != "50" {
+			t.Fatalf("%s: sq[3] = %s, want 50", s.id, er.Value)
+		}
+	}
+	blocks := func(engine string) int {
+		snaps, _ := obs.FuncSnapshots()
+		n := 0
+		for _, s := range snaps {
+			if s.Engine == engine {
+				n++
+			}
+		}
+		return n
+	}
+	get := func(path string) string {
+		resp, err := http.Get(tsB.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	before := blocks(idB)
+	if before == 0 {
+		t.Fatalf("session %s compiled sq but registered no function block", idB)
+	}
+	if code := doJSON(t, "DELETE", tsA.URL+"/v1/sessions/"+idA, nil, nil); code != http.StatusNoContent {
+		t.Fatalf("destroy %s: %d", idA, code)
+	}
+	if n := blocks(idA); n != 0 {
+		t.Errorf("destroyed session %s still lists %d function blocks", idA, n)
+	}
+	if n := blocks(idB); n != before {
+		t.Errorf("destroying %s on one server took session %s's function blocks from %d to %d", idA, idB, before, n)
+	}
+	if funcs := get("/debug/funcs"); !strings.Contains(funcs, body) {
+		t.Errorf("/debug/funcs lost session %s's function:\n%s", idB, funcs)
+	}
+	series := fmt.Sprintf("wolfc_serve_eval_latency_ns_count{engine=%q} 1", idB)
+	if metrics := get("/metrics"); !strings.Contains(metrics, series) {
+		t.Errorf("/metrics lacks %s:\n%s", series, metrics)
+	}
+}

@@ -57,8 +57,8 @@ size_report() {
     echo "internal/codegen/cbackend.go internal/codegen/wolfrt_c.go: $(count internal/codegen/cbackend.go internal/codegen/wolfrt_c.go)"
     echo "scripts/verify.sh: $(wc -l < scripts/verify.sh) lines"
     echo "internal/codegen/fusion_modes.go: $(wc -l < internal/codegen/fusion_modes.go) generated lines"
-    echo "== size: what one compiler, one tiered session, 21 891 compiled calls (cfib[20]), inferring the 14-source corpus, compiling it uncached, loading it from the artifact store (decode + codegen), loading it on a second kernel (resident programs), lowering, inferring and optimising 15 corpus modules (the pass pipeline) and compiling a mutual-recursion pair as one module on each rung cost =="
-    go test -run '^$' -bench 'NewCompiler$|EngineNewClose$|CallOverhead$|Infer$|CorpusCompile$|ArtifactLoad$|ResidentLoad$|Pipeline$|GroupCompile$' -benchmem -benchtime 200x ./internal/core ./internal/engine ./internal/passes | grep '^Benchmark'
+    echo "== size: what one compiler, one tiered session, one interpreted query of each of gfib and dot2 (parse and evaluate), 21 891 compiled calls (cfib[20]), inferring the 14-source corpus, compiling it uncached, loading it from the artifact store (decode + codegen), loading it on a second kernel (resident programs), lowering, inferring and optimising 15 corpus modules (the pass pipeline) and compiling a mutual-recursion pair as one module on each rung cost =="
+    go test -run '^$' -bench 'NewCompiler$|EngineNewClose$|EvalQuery$|CallOverhead$|Infer$|CorpusCompile$|ArtifactLoad$|ResidentLoad$|Pipeline$|GroupCompile$' -benchmem -benchtime 200x ./internal/core ./internal/engine ./internal/passes | grep '^Benchmark'
     echo "== size: the tensor loops of Figure 2 and the random walk's allocations (ISSUE 19) =="
     go test -run '^$' -bench 'Fig2/(blur|histogram|qsort)/compiled$|Figure1RandomWalk/compiled$' -benchmem -benchtime 20x -cpu 1 . | grep '^Benchmark'
 }
