@@ -98,9 +98,8 @@ func plotWalk(t *runtime.Tensor) {
 	const W, H = 64, 24
 	n := t.Len()
 	minX, maxX, minY, maxY := 0.0, 0.0, 0.0, 0.0
-	at := func(i int) (float64, float64) {
-		row := t.GetO(int64(i + 1)).(*runtime.Tensor)
-		return row.GetF(1), row.GetF(2)
+	at := func(i int) (float64, float64) { // the walk is one n x 2 packed matrix
+		return t.GetF2(int64(i+1), 1), t.GetF2(int64(i+1), 2)
 	}
 	for i := 0; i < n; i++ {
 		x, y := at(i)

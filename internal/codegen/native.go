@@ -52,6 +52,10 @@ func (g *gen) genNative(in *wir.Instr) (step, error) {
 	var buf [4]reg
 	regs := buf[:0]
 	for _, a := range in.Args {
+		if x, ok := a.(*wir.Instr); ok && g.fused[x] {
+			regs = append(regs, reg{}) // a list zipListStep reads in place
+			continue
+		}
 		r, err := g.regOf(a)
 		if err != nil {
 			return nil, err
@@ -96,10 +100,15 @@ func tensorArg(fr *frame, idx int) *runtime.Tensor {
 // newList and newMatrix allocate zeroed storage for list_new/list_fill and
 // matrix_new/matrix_fill.
 func newList(elem runtime.Kind, n int64) *runtime.Tensor {
+	return runtime.NewTensor(elem, lead(n))
+}
+
+// lead is a length operand as a dimension: negative ones throw.
+func lead(n int64) int {
 	if n < 0 {
 		runtime.Throw(runtime.ExcPartRange, "negative list length %d", n)
 	}
-	return runtime.NewTensor(elem, int(n))
+	return int(n)
 }
 
 func newMatrix(elem runtime.Kind, r, c int64) *runtime.Tensor {
@@ -156,14 +165,17 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 		}
 
 	// --- tensors ---
-	case "part_1", "part_unsafe_1":
+	case "part_1", "part_unsafe_1", "part_row":
 		// Of Part, only the read of an object element (a string, an
-		// expression) has no evaluator. It inlines the positive in-range case
-		// as partEvalI does.
+		// expression) or of a row of a packed array has no evaluator. The
+		// object read inlines the positive in-range case as partEvalI does.
+		a, i := a0(), a1()
+		if native == "part_row" || packedRows(in.Args[0].Type(), in.Ty) {
+			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).Row(fr.i[i]) }
+		}
 		if dst.kind != runtime.KObj {
 			return nil
 		}
-		a, i := a0(), a1()
 		if native == "part_unsafe_1" {
 			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).GetOU(fr.i[i]) }
 		}
@@ -175,19 +187,31 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 			}
 			fr.o[d] = t.GetO(fr.i[i])
 		}
-	case "part_row":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).Row(fr.i[b]) }
+	case "part_2", "part_unsafe_2":
+		// The scalar reads are evaluators: this is a sub-array of a packed
+		// array of rank 3 or more.
+		if !packedRows(in.Args[0].Type(), in.Ty) {
+			return nil
+		}
+		a, i, j := a0(), a1(), a2()
+		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).Row2(fr.i[i], fr.i[j]) }
 	case "list_new":
-		elem := tensorElemKind(in.Ty)
-		a := a0()
+		elem, a := tensorElemKind(in.Ty), a0()
+		if rows := tensorRank(in.Ty) - 1; rows > 0 && elem != runtime.KObj {
+			return func(fr *frame) { fr.o[d] = runtime.NewRows(elem, rows, lead(fr.i[a])) }
+		}
 		return func(fr *frame) { fr.o[d] = newList(elem, fr.i[a]) }
 	case "matrix_new":
-		elem := tensorElemKind(in.Ty)
-		a, b := a0(), a1()
+		elem, a, b := tensorElemKind(in.Ty), a0(), a1()
+		if rows := tensorRank(in.Ty) - 2; rows > 0 && elem != runtime.KObj {
+			return func(fr *frame) { fr.o[d] = runtime.NewRows(elem, rows, lead(fr.i[a]), lead(fr.i[b])) }
+		}
 		return func(fr *frame) { fr.o[d] = newMatrix(elem, fr.i[a], fr.i[b]) }
 	case "list_fill":
 		a, v := a0(), a1()
+		if packedRows(in.Ty, in.Args[1].Type()) {
+			return func(fr *frame) { fr.o[d] = runtime.Tile(tensorArg(fr, v), lead(fr.i[a])) }
+		}
 		switch elem := tensorElemKind(in.Ty); elem {
 		case runtime.KI64:
 			return func(fr *frame) { fr.o[d] = newList(elem, fr.i[a]).FillI(fr.i[v]) }
@@ -202,6 +226,9 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 		}
 	case "matrix_fill":
 		a, b, v := a0(), a1(), a2()
+		if packedRows(in.Ty, in.Args[2].Type()) {
+			return func(fr *frame) { fr.o[d] = runtime.Tile(tensorArg(fr, v), lead(fr.i[a]), lead(fr.i[b])) }
+		}
 		switch elem := tensorElemKind(in.Ty); elem {
 		case runtime.KI64:
 			return func(fr *frame) { fr.o[d] = newMatrix(elem, fr.i[a], fr.i[b]).FillI(fr.i[v]) }
@@ -219,19 +246,7 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).Copy() }
 	case "list_take":
 		a, b := a0(), a1()
-		return func(fr *frame) {
-			t := tensorArg(fr, a)
-			n := fr.i[b]
-			if n < 0 || n > int64(t.Len()) {
-				runtime.Throw(runtime.ExcPartRange, "take %d from length %d", n, t.Len())
-			}
-			out := runtime.NewTensor(t.Elem, int(n))
-			copy(out.I, t.I)
-			copy(out.F, t.F)
-			copy(out.C, t.C)
-			copy(out.O, t.O)
-			fr.o[d] = out
-		}
+		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).Take(fr.i[b]) }
 
 	// --- Dot via BLAS ---
 	case "dot_vv":
@@ -368,6 +383,25 @@ func tensorElemKind(t types.Type) runtime.Kind {
 	return runtime.KindOf(t.(*types.Compound).Args[0])
 }
 
+// tensorRank is the rank of a Tensor type, 0 for any other.
+func tensorRank(t types.Type) int {
+	if !types.IsTensor(t) {
+		return 0
+	}
+	r, _ := t.(*types.Compound).Args[1].(*types.Literal)
+	if r == nil {
+		return 0
+	}
+	return int(r.Value)
+}
+
+// packedRows reports whether whole is a packed array (types.Packed) and row
+// a tensor of its elements: the row a Part reads or stores, or a fill
+// broadcasts, is a run of whole's storage, not an element of its own.
+func packedRows(whole, row types.Type) bool {
+	return types.IsTensor(row) && tensorElemKind(whole) != runtime.KObj
+}
+
 // tensorArith compiles elementwise tensor arithmetic. Its element function is
 // the scalar native's (runtime.ScalarOf): unary_minus for tensor_minus,
 // math_f (abs_real for Abs) for tensor_math_f, binary_op for the rest. into
@@ -392,6 +426,27 @@ func (g *gen) tensorArith(native string, into int, in *wir.Instr, regs []reg, ds
 	ew := elementwise{native: native, into: into, a: regs[0].idx, d: dst.idx}
 	if len(regs) > 1 {
 		ew.b = regs[1].idx
+	}
+	if into >= 0 {
+		if l := g.listOperand(in); l != nil && g.fused[l] {
+			elems := make([]int, len(l.Args))
+			for k, a := range l.Args {
+				r, err := g.regOf(a)
+				if err != nil {
+					return nil
+				}
+				elems[k] = r.idx
+			}
+			switch f := s.Fn.(type) {
+			case func(int64, int64) int64:
+				return zipListStep(ew, f, elems, runtime.KI64, func(fr *frame) []int64 { return fr.i }, func(t *runtime.Tensor) []int64 { return t.I })
+			case func(float64, float64) float64:
+				return zipListStep(ew, f, elems, runtime.KR64, func(fr *frame) []float64 { return fr.f }, func(t *runtime.Tensor) []float64 { return t.F })
+			case func(complex128, complex128) complex128:
+				return zipListStep(ew, f, elems, runtime.KC64, func(fr *frame) []complex128 { return fr.c }, func(t *runtime.Tensor) []complex128 { return t.C })
+			}
+			return nil
+		}
 	}
 	switch f := s.Fn.(type) {
 	case func(int64) int64:
@@ -458,6 +513,39 @@ func zipStep[T any](ew elementwise, f func(a, b T) T, reg func(fr *frame, r int)
 	}
 }
 
+// zipListStep is a two-tensor elementwise operation one operand of which is
+// a list of scalars markFused folded into it: element k of that operand is
+// read from the k-th scalar's register, file(fr)[elems[k]]. The other
+// operand, which the operation writes over unless it is Shared, must be a
+// vector of as many elements, as Listable threading requires.
+func zipListStep[T any](ew elementwise, f func(a, b T) T, elems []int, kind runtime.Kind,
+	file func(*frame) []T, data func(*runtime.Tensor) []T) step {
+	listFirst, other := ew.into == 1, ew.a
+	if listFirst {
+		other = ew.b
+	}
+	n := len(elems)
+	return func(fr *frame) {
+		t := tensorArg(fr, other)
+		if len(t.Dims) != 1 || t.Dims[0] != n {
+			runtime.Throw(runtime.ExcType, "Thread: tensors of unequal shape [%d] and %v", n, t.Dims)
+		}
+		out := t
+		if t.IsShared() {
+			out = runtime.NewTensor(kind, n)
+		}
+		regs, src, dst := file(fr), data(t), data(out)
+		for k, r := range elems {
+			if listFirst {
+				dst[k] = f(regs[r], src[k])
+			} else {
+				dst[k] = f(src[k], regs[r])
+			}
+		}
+		fr.o[ew.d] = out
+	}
+}
+
 // genListBuild compiles {e1, ..., en} construction.
 func (g *gen) genListBuild(in *wir.Instr) (step, error) {
 	regs := make([]reg, len(in.Args))
@@ -500,30 +588,18 @@ func (g *gen) genListBuild(in *wir.Instr) (step, error) {
 			fr.o[d] = t
 		}, nil
 	}
-	// Rank 2: rows are rank-1 tensors copied into a flat matrix.
+	// Rank 2 and more: the rows are copied into one packed array, whose row
+	// shape the first fixes (a ragged row throws, F2).
 	elem := runtime.KindOf(ty.Args[0])
 	n := len(regs)
+	if n == 0 {
+		dims := make([]int, rank)
+		return func(fr *frame) { fr.o[d] = runtime.NewTensor(elem, dims...) }, nil
+	}
 	return func(fr *frame) {
-		if n == 0 {
-			fr.o[d] = runtime.NewTensor(elem, 0, 0)
-			return
-		}
-		first := tensorArg(fr, regs[0].idx)
-		cols := first.Len()
-		t := runtime.NewTensor(elem, n, cols)
+		t := runtime.NewRows(elem, rank-1, n)
 		for i, r := range regs {
-			row := tensorArg(fr, r.idx)
-			if row.Len() != cols {
-				runtime.Throw(runtime.ExcType, "ragged matrix rows")
-			}
-			switch elem {
-			case runtime.KI64:
-				copy(t.I[i*cols:], row.I)
-			case runtime.KR64:
-				copy(t.F[i*cols:], row.F)
-			case runtime.KC64:
-				copy(t.C[i*cols:], row.C)
-			}
+			t = t.SetRowU(int64(i+1), tensorArg(fr, r.idx))
 		}
 		fr.o[d] = t
 	}, nil

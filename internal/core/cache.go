@@ -267,7 +267,11 @@ func (c *Compiler) shared(ccf *CompiledCodeFunction) *codegen.Program {
 // v5: the Parallelism option left the key, so every digest changes anyway.
 // v6: the TWIR carries no reference counts (the C backend inserts them on
 // export), so a v5 entry exported to C would be counted twice.
-const cacheKeyVersion = "wolfc-key/v6"
+// v7: a tensor of numeric tensors is one packed array (types.Packed), whose
+// row stores copy: a v6 binary given a v7 module would store a row as an
+// element of a matrix it allocated flat, and a v7 elementwise operation
+// may write over a loop-carried operand the v6 list still holds.
+const cacheKeyVersion = "wolfc-key/v7"
 
 // canonicalizeHygiene alpha-renames the macro expander's hygienic
 // temporaries (`<base>`h<counter>`, freshSym's marker — the backtick

@@ -491,4 +491,11 @@ func TestComplexPowerAtIntegerExtremes(t *testing.T) {
 			}
 		}
 	}
+	// (1 - i)^MinInt64 is 0: the positive power overflows, so its
+	// reciprocal underflows, where the squares' NaN used to come through.
+	z, n := "Complex[1., -1.]", "-9223372036854775808"
+	lit := compile(t, c, "Function[{}, Power["+z+", "+n+"]]")
+	if got, run := apply(t, lit), apply(t, ccf, z, n); got != "0." || run != "0." || msgs.Len() != 0 {
+		t.Errorf("Power[%s, %s] = %s with literal arguments, %s with run-time arguments, want 0. %s", z, n, got, run, msgs.String())
+	}
 }

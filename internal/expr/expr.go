@@ -40,13 +40,17 @@ var (
 	symTab   = map[string]*Symbol{}
 )
 
-// Sym interns and returns the symbol with the given name.
+// Sym interns and returns the symbol with the given name. The table keeps
+// its own copy of a new name: the parser hands it slices of the source, and
+// the table lives as long as the process, so keeping the slice would pin a
+// served query's whole input.
 func Sym(name string) *Symbol {
 	symTabMu.Lock()
 	defer symTabMu.Unlock()
 	if s, ok := symTab[name]; ok {
 		return s
 	}
+	name = strings.Clone(name)
 	s := &Symbol{Name: name}
 	symTab[name] = s
 	return s

@@ -324,9 +324,10 @@ func (in *inferer) unify(a, b types.Type, src expr.Expr) error {
 	return nil
 }
 
-// show renders a type for a message, resolved, its variables numbered in
-// the order this inference's messages first mention them.
-func (in *inferer) show(t types.Type) string { return in.pr.String(in.u.Zonk(t)) }
+// show renders a type for a message, resolved as the solver sees it (not
+// packed), its variables numbered in the order this inference's messages
+// first mention them.
+func (in *inferer) show(t types.Type) string { return in.pr.String(in.u.Substitute(t)) }
 
 func srcOf(i *wir.Instr) expr.Expr {
 	if v, ok := i.Prop("mexpr"); ok {

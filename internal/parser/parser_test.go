@@ -469,3 +469,31 @@ func TestOperatorChainParsesInLinearSpace(t *testing.T) {
 		t.Errorf("parsing a %d-term sum allocated %d bytes a term, want at most 256", terms, perTerm)
 	}
 }
+
+// TestNewSymbolDoesNotPinSource: the symbol table outlives every query, so
+// the first use of a new name must not keep the source it was read from. A
+// 1 MiB source holding one new name, parsed and dropped, leaves the heap
+// less than 64 KiB larger once collected (the whole source stayed when the
+// table kept the parser's slice).
+func TestNewSymbolDoesNotPinSource(t *testing.T) {
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	func() {
+		src := "pinCheckFreshName1 + 1 (* " + strings.Repeat("x", 1<<20) + " *)"
+		if _, err := ParseAll(src); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if grew := int64(heap()) - int64(before); grew >= 64<<10 {
+		t.Errorf("the heap grew by %d bytes after the source was dropped", grew)
+	}
+	if expr.Sym("pinCheckFreshName1").Name != "pinCheckFreshName1" {
+		t.Fatal("the symbol lost its name")
+	}
+}

@@ -93,41 +93,30 @@ func copyAtPhis(f *wir.Function, lv *Liveness, stores []*wir.Instr,
 	tensor func(wir.Value) bool, copyOf func(wir.Value) *wir.Instr) {
 	// Webs: values that may be one object — a phi and its operands, an
 	// assignment's result and its operand.
-	web := map[wir.Value]wir.Value{}
-	var find func(v wir.Value) wir.Value
-	find = func(v wir.Value) wir.Value {
-		p, ok := web[v]
-		if !ok || p == v {
-			return v
-		}
-		r := find(p)
-		web[v] = r
-		return r
-	}
-	union := func(a, b wir.Value) { web[find(a)] = find(b) }
+	web := webs{}
 	for _, b := range f.Blocks {
 		for _, phi := range b.Phis {
 			for _, a := range phi.Args {
 				if tensor(phi) && tensor(a) {
-					union(phi, a)
+					web.union(phi, a)
 				}
 			}
 		}
 	}
 	for _, st := range stores {
 		if tensor(st.Args[0]) {
-			union(st, st.Args[0])
+			web.union(st, st.Args[0])
 		}
 	}
 	written := map[wir.Value]bool{}
 	for _, st := range stores {
-		written[find(st)] = true
+		written[web.find(st)] = true
 	}
 	for _, s := range f.Blocks {
 		for pi, p := range s.Preds {
 			taken := map[wir.Value]bool{}
 			for _, phi := range s.Phis {
-				if !tensor(phi) || pi >= len(phi.Args) || !tensor(phi.Args[pi]) || !written[find(phi)] {
+				if !tensor(phi) || pi >= len(phi.Args) || !tensor(phi.Args[pi]) || !written[web.find(phi)] {
 					continue
 				}
 				a := phi.Args[pi]
@@ -145,32 +134,61 @@ func copyAtPhis(f *wir.Function, lv *Liveness, stores []*wir.Instr,
 	}
 }
 
-// Elementwise tensor arithmetic consumes a dying temporary (ISSUE 19). In
-// {-Cos[a], Sin[a]} + v the list is dead one instruction after it is made,
-// and the sum has its shape and type: the sum is written into it. The
-// instruction is renamed native_intoK, K the operand it writes over, and from
-// there on it consumes that operand as a Part assignment consumes its tensor
-// (InsertRefCounts moves the reference to the result, no acquire and release
-// pair). An operand qualifies when
+// Elementwise tensor arithmetic writes its result over an operand nothing
+// can see again. In {-Cos[a], Sin[a]} + v the list is dead one instruction
+// after it is made, and the sum has its shape and type: the sum may be written
+// into it. The instruction is renamed native_intoK, K the operand it writes
+// over, and from there on it consumes that operand as a Part assignment
+// consumes its tensor (InsertRefCounts moves the reference to the result, no
+// acquire and release pair). Two kinds of operand qualify, each with the
+// result's exact type, the first preferred:
 //
-//   - it has the result's exact type;
-//   - it is fresh: made by Native`List, a fill, Native`Copy or another
+//   - a loop-carried phi that dies at the instruction and whose web (the
+//     phis, their operands and Part assignments connected to it, which may
+//     all be one object) is private: every other member is a phi, a constant
+//     (Shared, so the runtime copies it the one time it arrives) or a fresh
+//     tensor, none is live after the instruction or another operand of it,
+//     and none is handed to compiled code or captured. Figure 1's walk
+//     carries its point this way: the step's sum is stored in the result
+//     (a packed array, so the store copies it) and comes round as the next
+//     step's operand, so each step writes over the last one's point;
+//   - a dying temporary: made by Native`List, a fill, Native`Copy or another
 //     elementwise operation, so it is an object of this function's own that
-//     no parameter, constant, phi or element of a nested tensor also names;
-//   - this is its one use, in the block that defines it, so that it dies
-//     here, every time it is made, and has been handed to nothing (a Part
-//     assignment storing it, a call, a closure) that could still hold it.
+//     no parameter, constant or phi also names, and this is its one use, in
+//     the block that defines it, so that it dies here, every time it is made,
+//     and has been handed to nothing (a call, a closure) that could still
+//     hold it.
 //
 // The runtime's Into forms still allocate when the operand is flagged Shared.
 func reuseTemporaries(f *wir.Function) {
 	var count []int
+	var webs *tensorWebs
 	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
+		for idx, in := range b.Instrs {
 			if in.Op != wir.OpCall || in.ResolvedFn != nil {
 				continue
 			}
 			native := in.NativeName()
-			for _, k := range ElementwiseOperands(native) {
+			ks := ElementwiseOperands(native)
+			if ks == nil {
+				continue
+			}
+			into := -1
+			for _, k := range ks {
+				if p, ok := in.Args[k].(*wir.Instr); ok && p.Op == wir.OpPhi && types.Equal(p.Ty, in.Ty) {
+					if webs == nil {
+						webs = newTensorWebs(f)
+					}
+					if webs.carriedDying(in, b, idx, p) {
+						into = k
+						break
+					}
+				}
+			}
+			for _, k := range ks {
+				if into >= 0 {
+					break
+				}
 				def, ok := in.Args[k].(*wir.Instr)
 				if !ok || !freshTensor(def) || !types.Equal(def.Ty, in.Ty) || def.Block != b {
 					continue
@@ -179,12 +197,109 @@ func reuseTemporaries(f *wir.Function) {
 					count, _ = uses(f)
 				}
 				if count[def.IDNum] == 1 {
-					in.Native = fmt.Sprintf("%s_into%d", native, k+1)
-					break
+					into = k
 				}
+			}
+			if into >= 0 {
+				in.Native = fmt.Sprintf("%s_into%d", native, into+1)
 			}
 		}
 	}
+}
+
+// webs is a union-find over values that may name one object.
+type webs map[wir.Value]wir.Value
+
+func (w webs) find(v wir.Value) wir.Value {
+	p, ok := w[v]
+	if !ok || p == v {
+		return v
+	}
+	r := w.find(p)
+	w[v] = r
+	return r
+}
+
+func (w webs) union(a, b wir.Value) { w[w.find(a)] = w.find(b) }
+
+// tensorWebs partitions a function's tensor values into webs that may name
+// one object — a phi and its operands, a Part assignment's result and its
+// tensor operand — with their members, their users and their liveness.
+type tensorWebs struct {
+	lv      *Liveness
+	web     webs
+	members map[wir.Value][]wir.Value
+	users   map[wir.Value][]*wir.Instr
+}
+
+func newTensorWebs(f *wir.Function) *tensorWebs {
+	tensor := func(v wir.Value) bool { return types.IsTensor(v.Type()) }
+	w := &tensorWebs{
+		lv:      ComputeLiveness(f, func(v wir.Value) bool { return trackedValue(v) && tensor(v) }),
+		web:     webs{},
+		members: map[wir.Value][]wir.Value{},
+		users:   map[wir.Value][]*wir.Instr{},
+	}
+	f.Each(func(in *wir.Instr) {
+		for _, a := range in.Args {
+			if tensor(a) {
+				w.users[a] = append(w.users[a], in)
+			}
+		}
+		switch {
+		case in.Op == wir.OpPhi && tensor(in):
+			for _, a := range in.Args {
+				w.web.union(in, a)
+			}
+		case in.Op == wir.OpCall && strings.HasPrefix(in.NativeName(), "setpart_") && len(in.Args) > 0:
+			w.web.union(in, in.Args[0])
+		}
+	})
+	listed := map[wir.Value]bool{}
+	for v := range w.web {
+		for _, m := range []wir.Value{v, w.web.find(v)} { // a root need not be a key
+			if !listed[m] {
+				listed[m] = true
+				r := w.web.find(m)
+				w.members[r] = append(w.members[r], m)
+			}
+		}
+	}
+	return w
+}
+
+// carriedDying reports whether in, the idx-th instruction of b, may write
+// over p, a phi operand of its type (see reuseTemporaries).
+func (w *tensorWebs) carriedDying(in *wir.Instr, b *wir.Block, idx int, p *wir.Instr) bool {
+	if w.lv.LiveAfter(b, idx, p) {
+		return false
+	}
+	for _, m := range w.members[w.web.find(p)] {
+		switch x := m.(type) {
+		case *wir.Const:
+			continue
+		case *wir.Instr:
+			if x != p && x != in && x.Op != wir.OpPhi && !freshTensor(x) && !strings.HasPrefix(x.NativeName(), "setpart_") {
+				return false
+			}
+		default:
+			return false
+		}
+		if m != p && m != in && (slices.Contains(in.Args, m) || w.lv.LiveAfter(b, idx, m)) {
+			return false
+		}
+		// Compiled code could hand the object back under another name.
+		for _, u := range w.users[m] {
+			switch u.CallKind() {
+			case "direct", "indirect", "registry", "kernel":
+				return false
+			}
+			if u.Op == wir.OpClosure {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // CutInto splits the name of an elementwise native that writes its result

@@ -172,47 +172,71 @@ func unboxTensor(e expr.Expr, elem types.Type, rank int) (any, bool) {
 		}
 		return nil, false
 	}
-	// Rank >= 2: rectangular flattening.
-	if n == 0 {
+	// Rank >= 2: one packed array, whose shape the first element at each
+	// level fixes; a ragged list does not unbox.
+	kind := KindOf(elem)
+	if kind == KObj {
 		return nil, false
 	}
-	first, ok := expr.IsNormal(l.Arg(1), expr.SymList)
-	if !ok {
-		return nil, false
+	dims := make([]int, 0, rank)
+	for d, k := expr.Expr(l), 0; k < rank; k++ {
+		row, ok := expr.IsNormal(d, expr.SymList)
+		if !ok {
+			return nil, false
+		}
+		dims = append(dims, row.Len())
+		if row.Len() == 0 {
+			dims = append(dims, make([]int, rank-k-1)...)
+			break
+		}
+		d = row.Arg(1)
 	}
-	cols := first.Len()
-	if rank == 2 {
-		kind := KindOf(elem)
-		t := NewTensor(kind, n, cols)
-		for i := 1; i <= n; i++ {
-			row, ok := expr.IsNormal(l.Arg(i), expr.SymList)
-			if !ok || row.Len() != cols {
-				return nil, false
-			}
-			for j := 1; j <= cols; j++ {
-				off := (i-1)*cols + (j - 1)
-				switch kind {
-				case KI64:
-					v, ok := row.Arg(j).(*expr.Integer)
-					if !ok || !v.IsMachine() {
-						return nil, false
-					}
-					t.I[off] = v.Int64()
-				case KR64:
-					f, ok := toF(row.Arg(j))
-					if !ok {
-						return nil, false
-					}
-					t.F[off] = f
-				default:
-					return nil, false
+	t := NewTensor(kind, dims...)
+	at := 0
+	var fill func(e expr.Expr, level int) bool
+	fill = func(e expr.Expr, level int) bool {
+		if level == rank {
+			ok := true
+			switch kind {
+			case KI64:
+				var v *expr.Integer
+				v, ok = e.(*expr.Integer)
+				ok = ok && v.IsMachine()
+				if ok {
+					t.I[at] = v.Int64()
 				}
+			case KR64:
+				t.F[at], ok = toF(e)
+			case KC64:
+				if c, isC := e.(*expr.Complex); isC {
+					t.C[at] = complex(c.Re, c.Im)
+				} else {
+					var f float64
+					f, ok = toF(e)
+					t.C[at] = complex(f, 0)
+				}
+			case KBool:
+				t.B[at], ok = expr.TruthValue(e)
+			}
+			at++
+			return ok
+		}
+		row, ok := expr.IsNormal(e, expr.SymList)
+		if !ok || row.Len() != dims[level] {
+			return false
+		}
+		for _, a := range row.Args() {
+			if !fill(a, level+1) {
+				return false
 			}
 		}
-		t.MarkShared()
-		return t, true
+		return true
 	}
-	return nil, false
+	if !fill(l, 0) {
+		return nil, false
+	}
+	t.MarkShared()
+	return t, true
 }
 
 func toF(e expr.Expr) (float64, bool) {
@@ -273,7 +297,7 @@ func boxComplex(c complex128) expr.Expr {
 	return expr.FromComplex(real(c), imag(c))
 }
 
-// boxTensor boxes a rank-1 or rank-2 tensor. The element kind picks the
+// boxTensor boxes a tensor of any rank. The element kind picks the
 // element boxer once, outside the element loop.
 func boxTensor(t *Tensor, elem types.Type) expr.Expr {
 	switch t.Elem {
@@ -289,25 +313,24 @@ func boxTensor(t *Tensor, elem types.Type) expr.Expr {
 	return boxElems(t, t.O, func(v any) expr.Expr { return Box(v, elem) })
 }
 
-// boxElems boxes each element of data, t's storage, as a list of t's shape.
+// boxElems boxes each element of data, t's storage, as nested lists of t's
+// shape.
 func boxElems[T any](t *Tensor, data []T, box func(T) expr.Expr) expr.Expr {
-	if len(t.Dims) == 1 {
-		out := make([]expr.Expr, t.Len())
+	at := 0
+	var level func(dims []int) expr.Expr
+	level = func(dims []int) expr.Expr {
+		out := make([]expr.Expr, dims[0])
 		for i := range out {
-			out[i] = box(data[i])
+			if len(dims) == 1 {
+				out[i] = box(data[at])
+				at++
+			} else {
+				out[i] = level(dims[1:])
+			}
 		}
 		return expr.List(out...)
 	}
-	rows, cols := t.Dims[0], t.Dims[1]
-	out := make([]expr.Expr, rows)
-	for i := range out {
-		row := make([]expr.Expr, cols)
-		for j := range row {
-			row[j] = box(data[i*cols+j])
-		}
-		out[i] = expr.List(row...)
-	}
-	return expr.List(out...)
+	return level(t.Dims)
 }
 
 // --- symbolic Expression operations (F8) ---

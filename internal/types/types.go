@@ -74,9 +74,35 @@ type Compound struct {
 func (c *Compound) String() string { return render(c, nil) }
 func (c *Compound) isType()        {}
 
-// TensorOf builds the dense array type Tensor[elem, rank].
+// TensorOf builds the dense array type Tensor[elem, rank]. A tensor of
+// numeric tensors is one packed array (Packed): TensorOf(Tensor[Real64, 1], 1)
+// is Tensor[Real64, 2].
 func TensorOf(elem Type, rank int) *Compound {
-	return &Compound{Ctor: "Tensor", Args: []Type{elem, &Literal{Value: int64(rank)}}}
+	return Packed(&Compound{Ctor: "Tensor", Args: []Type{elem, &Literal{Value: int64(rank)}}})
+}
+
+// Packed rewrites Tensor[Tensor[e, r], s] to Tensor[e, r+s] when e is a
+// machine scalar a packed array holds (Integer64, Real64, ComplexReal64,
+// Boolean), the paper's "PackedArray"[e, rank]: its rank is part of the type
+// and its elements are never separate tensors. Any other compound is
+// returned as it is, and so is a tensor of strings, expressions or
+// functions, which stays a tensor of separate values. Unification never
+// calls it: the solver matches types structurally, and inference writes
+// packed types back once it is done (Unifier.Zonk).
+func Packed(c *Compound) *Compound {
+	if c.Ctor != "Tensor" || len(c.Args) != 2 {
+		return c
+	}
+	inner, ok := c.Args[0].(*Compound)
+	if !ok || inner.Ctor != "Tensor" || len(inner.Args) != 2 {
+		return c
+	}
+	r, ok1 := inner.Args[1].(*Literal)
+	s, ok2 := c.Args[1].(*Literal)
+	if e := inner.Args[0]; !ok1 || !ok2 || e != TInt64 && e != TReal64 && e != TComplex && e != TBool {
+		return c
+	}
+	return &Compound{Ctor: "Tensor", Args: []Type{inner.Args[0], &Literal{Value: r.Value + s.Value}}}
 }
 
 // IsTensor reports whether t is a Tensor[elem, rank] type.
@@ -287,17 +313,28 @@ func (u *Unifier) Resolve(t Type) Type {
 }
 
 // Zonk resolves every bound variable in t, sharing whatever it does not
-// have to rebuild. Unify never needs it; inference calls it once per value
-// when it writes types back, and when a message is printed.
-func (u *Unifier) Zonk(t Type) Type {
+// have to rebuild, and packs every tensor of numeric tensors it meets
+// (Packed). Unify never needs it; inference calls it once per value when it
+// writes types back.
+func (u *Unifier) Zonk(t Type) Type { return u.zonk(t, true) }
+
+// Substitute is Zonk without packing: the types as the solver compared
+// them, which is what a message about a failed unification shows.
+func (u *Unifier) Substitute(t Type) Type { return u.zonk(t, false) }
+
+func (u *Unifier) zonk(t Type, pack bool) Type {
+	sub := func(t Type) Type { return u.zonk(t, pack) }
 	switch x := u.Resolve(t).(type) {
 	case *Compound:
-		if args := mapTypes(x.Args, u.Zonk); args != nil {
-			return &Compound{Ctor: x.Ctor, Args: args}
+		if args := mapTypes(x.Args, sub); args != nil {
+			x = &Compound{Ctor: x.Ctor, Args: args}
+		}
+		if pack {
+			return Packed(x)
 		}
 		return x
 	case *Fn:
-		params, ret := mapTypes(x.Params, u.Zonk), u.Zonk(x.Ret)
+		params, ret := mapTypes(x.Params, sub), sub(x.Ret)
 		if params == nil && ret == x.Ret {
 			return x
 		}
@@ -306,7 +343,7 @@ func (u *Unifier) Zonk(t Type) Type {
 		}
 		return &Fn{Params: params, Ret: ret}
 	case *ForAll:
-		if body := u.Zonk(x.Body); body != x.Body {
+		if body := sub(x.Body); body != x.Body {
 			return &ForAll{Vars: x.Vars, Quals: x.Quals, Body: body}
 		}
 		return x
@@ -420,7 +457,7 @@ func (u *Unifier) bind(v *Var, t Type) bool {
 
 // Failure words the last failed Unify for a user.
 func (u *Unifier) Failure(p *Printer) string {
-	a, b := p.String(u.Zonk(u.failA)), p.String(u.Zonk(u.failB))
+	a, b := p.String(u.Substitute(u.failA)), p.String(u.Substitute(u.failB))
 	if u.failOccurs {
 		return fmt.Sprintf("occurs check: %s in %s", a, b)
 	}

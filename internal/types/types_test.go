@@ -361,7 +361,7 @@ func TestSubstQuickIdempotent(t *testing.T) {
 		var ty Type = &Fn{Params: []Type{a, b, c}, Ret: TensorOf(a, 2)}
 		once := u.Zonk(ty)
 		twice := u.Zonk(once)
-		return once.String() == twice.String() && once.String() == "{Tensor[Integer64, 1], Integer64, c#3} -> Tensor[Tensor[Integer64, 1], 2]"
+		return once.String() == twice.String() && once.String() == "{Tensor[Integer64, 1], Integer64, c#3} -> Tensor[Integer64, 3]"
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
