@@ -141,6 +141,18 @@ func TestComplexPow(t *testing.T) {
 	if got := PowCInt(0.5+0.5i, math.MinInt64); !cmplx.IsInf(got) {
 		t.Errorf("(0.5+0.5i)^MinInt64 = %v, want an infinity", got)
 	}
+	// A negative power whose positive one overflows is 0, but a base with a
+	// NaN part stays NaN.
+	if got := PowCInt(1-1i, math.MinInt64); got != 0 {
+		t.Errorf("(1-i)^MinInt64 = %v, want 0", got)
+	}
+	for _, b := range []complex128{complex(math.NaN(), 0), complex(0, math.NaN()), complex(math.NaN(), math.NaN())} {
+		for _, n := range []int64{-2, math.MinInt64} {
+			if got := PowCInt(b, n); !cmplx.IsNaN(got) {
+				t.Errorf("%v^%d = %v, want NaN", b, n, got)
+			}
+		}
+	}
 }
 
 func TestTensorIndexing(t *testing.T) {
